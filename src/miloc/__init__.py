@@ -7,13 +7,12 @@ from .channel import (
     LinkKind,
     LinkMeasurement,
     add_noise,
-    channel_jacobian,
     channel_matrix,
     coupling_coefficient,
     dipole_factor,
 )
 from .config import ConfigError, ExperimentConfig
-from .crlb import FisherInfo, SingularFim, assemble_fim, fim_block, link_information, peb, peb_all
+from .crlb import FisherInfo, SingularFim, assemble_fim, peb, peb_all
 from .estimators import (
     LsProblem,
     MultilaterationResult,

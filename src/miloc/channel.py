@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Deployment, euler_rotation_derivatives
+from .geometry import Deployment
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi  # H/m
 
@@ -113,87 +113,33 @@ def dipole_factor(u: np.ndarray) -> np.ndarray:
     return 1.5 * np.outer(u, u) - 0.5 * np.eye(3)
 
 
-def _link_geometry(tx: Deployment, rx: Deployment):
-    rvec = rx.position - tx.position
-    r = float(np.linalg.norm(rvec))
-    if r < MIN_NODE_DISTANCE:
-        raise CoincidentNodes(f"node distance {r} below {MIN_NODE_DISTANCE} m")
-    return r, rvec / r
-
-
 def channel_matrix(tx: Deployment, rx: Deployment, coupling: float) -> np.ndarray:
     """Noiseless complex 3x3 channel matrix of the ordered link tx -> rx.
 
     Rows index receiver subcoils, columns transmitter subcoils.  The result
-    is purely imaginary.
+    is purely imaginary; it is the one-link case of channel_gain_batch, so
+    single-link and batched evaluations agree bit for bit.
     """
-    r, u = _link_geometry(tx, rx)
-    return 1j * coupling / r**3 * (rx.rotation.T @ dipole_factor(u) @ tx.rotation)
+    gains, *_ = channel_gain_batch(
+        tx.position[None], tx.rotation[None], rx.position[None], rx.rotation[None], coupling
+    )
+    return 1j * gains[0]
 
 
 def add_noise(h: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. circularly symmetric complex Gaussian errors.
 
-    Each entry receives total variance sigma**2, i.e. sigma**2 / 2 per real
-    dimension.  sigma = 0 returns the input unchanged.
+    h is one 3x3 matrix or a (..., 3, 3) stack.  Each entry receives total
+    variance sigma**2, i.e. sigma**2 / 2 per real dimension; each matrix
+    draws its nine real parts, then its nine imaginary parts, so a stack
+    consumes the generator exactly like one call per matrix in order.
+    sigma = 0 returns the input unchanged.
     """
+    h = np.asarray(h, dtype=complex)
     if sigma == 0.0:
-        return np.asarray(h, dtype=complex)
-    w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    return np.asarray(h, dtype=complex) + w * (sigma / np.sqrt(2.0))
-
-
-def channel_jacobian(tx: Deployment, rx: Deployment, coupling: float):
-    """Analytic derivatives of the channel matrix w.r.t. the transmitter pose.
-
-    Returns:
-        (d_pos, d_ori): two complex arrays of shape (3, 3, 3); d_pos[i] is
-        dH/d[p_tx]_i and d_ori[i] is dH/d[angle_tx]_i for the z-y-x Euler
-        angles of the transmitter.
-
-    With rvec = p_rx - p_tx the spatial chain rule gives
-        du/d[p_tx]_i   = -(e_i - u_i u) / r,
-        d(r^-3)/d[p_tx]_i = 3 u_i / r^4,
-    which fixes the signs; both are validated against central finite
-    differences in the test suite.
-    """
-    r, u = _link_geometry(tx, rx)
-    f = dipole_factor(u)
-    eye = np.eye(3)
-    d_pos = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        w = -(eye[i] - u[i] * u) / r
-        df = 1.5 * (np.outer(u, w) + np.outer(w, u))
-        d_pos[i] = 1j * coupling * (rx.rotation.T @ (df / r**3 + 3.0 * u[i] / r**4 * f) @ tx.rotation)
-    d_rot = euler_rotation_derivatives(tx.euler)
-    d_ori = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        d_ori[i] = 1j * coupling / r**3 * (rx.rotation.T @ f @ d_rot[i])
-    return d_pos, d_ori
-
-
-def channel_jacobian_rx(tx: Deployment, rx: Deployment, coupling: float):
-    """Derivatives of the same link w.r.t. the receiver pose.
-
-    The channel depends on positions only through rvec = p_rx - p_tx, so the
-    spatial part is the negated transmitter derivative; the orientation part
-    differentiates the left factor O_rx^T.
-    """
-    r, u = _link_geometry(tx, rx)
-    f = dipole_factor(u)
-    d_pos_tx, _ = channel_jacobian(tx, rx, coupling)
-    d_rot = euler_rotation_derivatives(rx.euler)
-    d_ori = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        d_ori[i] = 1j * coupling / r**3 * (d_rot[i].T @ f @ tx.rotation)
-    return -d_pos_tx, d_ori
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels.  The iterative solver and the information-matrix assembly
-# evaluate thousands of links per run; these operate on stacked link arrays
-# and must agree with the single-link functions above (enforced by tests).
-# ---------------------------------------------------------------------------
+        return h
+    w = rng.standard_normal(h.shape[:-2] + (2, 3, 3))
+    return h + (w[..., 0, :, :] + 1j * w[..., 1, :, :]) * (sigma / np.sqrt(2.0))
 
 
 def channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling):
@@ -205,64 +151,43 @@ def channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling):
     Returns:
         (gains, r, u, f): gains (L, 3, 3) real, distances (L,), unit
         directions (L, 3) and dipole factors (L, 3, 3).
+    Raises:
+        CoincidentNodes: some link's endpoints (nearly) coincide.
     """
     rvec = p_rx - p_tx
     r = np.linalg.norm(rvec, axis=1)
     if np.any(r < MIN_NODE_DISTANCE):
-        raise CoincidentNodes("coincident nodes in batched link set")
+        raise CoincidentNodes(f"node distance below {MIN_NODE_DISTANCE} m")
     u = rvec / r[:, None]
     f = 1.5 * u[:, :, None] * u[:, None, :] - 0.5 * np.eye(3)
-    c = np.broadcast_to(np.asarray(coupling, dtype=float), r.shape)
-    gains = c[:, None, None] / r[:, None, None] ** 3 * np.einsum(
-        "lji,ljk,lkm->lim", o_rx, f, o_tx
-    )
+    scale = np.asarray(coupling, dtype=float) / r**3
+    gains = scale[:, None, None] * (np.swapaxes(o_rx, 1, 2) @ f @ o_tx)
     return gains, r, u, f
 
 
-def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, d_rot_tx, coupling):
-    """Derivative columns of Im(H) w.r.t. the six transmitter parameters.
+def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, d_rot_tx, d_rot_rx, coupling):
+    """Derivative columns of Im(H) w.r.t. both endpoints' poses.
 
     Inputs are the stacked quantities returned by channel_gain_batch plus the
-    per-link Euler-derivative stacks d_rot_tx of shape (L, 3, 3, 3).
-    Returns an (L, 9, 6) array whose column k holds vec(d Im H / d theta_k).
+    Euler-derivative stacks d_rot_tx, d_rot_rx of shape (L, 3, 3, 3).
+    Returns an (L, 9, 12) array whose column k holds vec(d Im H / d theta_k)
+    for theta = [p_tx, euler_tx, p_rx, euler_rx].
+
+    With rvec = p_rx - p_tx the spatial chain rule gives
+        du/d[p_tx]_i      = -(e_i - u_i u) / r,
+        d(r^-3)/d[p_tx]_i = 3 u_i / r^4,
+    and H depends on positions only through rvec, so the receiver position
+    columns are the negated transmitter ones.
     """
-    length = len(r)
-    eye = np.eye(3)
-    c = np.broadcast_to(np.asarray(coupling, dtype=float), r.shape)
-    cols = np.empty((length, 9, 6))
-    r3 = r[:, None, None] ** 3
-    for i in range(3):
-        w = -(eye[i] - u[:, i : i + 1] * u) / r[:, None]
-        df = 1.5 * (u[:, :, None] * w[:, None, :] + w[:, :, None] * u[:, None, :])
-        spatial = (
-            c[:, None, None] * np.einsum("lji,ljk,lkm->lim", o_rx, df, o_tx) / r3
-            + 3.0 * u[:, i, None, None] / r[:, None, None] * gains
-        )
-        cols[:, :, i] = spatial.reshape(length, 9)
-        angular = c[:, None, None] / r3 * np.einsum(
-            "lji,ljk,lkm->lim", o_rx, f, d_rot_tx[:, i]
-        )
-        cols[:, :, 3 + i] = angular.reshape(length, 9)
-    return cols
-
-
-def channel_derivative_columns_rx(r, u, f, gains, o_tx, o_rx, d_rot_rx, coupling):
-    """Derivative columns of Im(H) w.r.t. the six receiver parameters."""
-    length = len(r)
-    eye = np.eye(3)
-    c = np.broadcast_to(np.asarray(coupling, dtype=float), r.shape)
-    cols = np.empty((length, 9, 6))
-    r3 = r[:, None, None] ** 3
-    for i in range(3):
-        w = -(eye[i] - u[:, i : i + 1] * u) / r[:, None]
-        df = 1.5 * (u[:, :, None] * w[:, None, :] + w[:, :, None] * u[:, None, :])
-        spatial = (
-            c[:, None, None] * np.einsum("lji,ljk,lkm->lim", o_rx, df, o_tx) / r3
-            + 3.0 * u[:, i, None, None] / r[:, None, None] * gains
-        )
-        cols[:, :, i] = -spatial.reshape(length, 9)
-        angular = c[:, None, None] / r3 * np.einsum(
-            "lji,ljk,lkm->lim", d_rot_rx[:, i], f, o_tx
-        )
-        cols[:, :, 3 + i] = angular.reshape(length, 9)
-    return cols
+    scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None, None]
+    # w[l, i] = du/d[p_tx]_i and df[l, i] = dF/d[p_tx]_i
+    w = (u[:, :, None] * u[:, None, :] - np.eye(3)) / r[:, None, None]
+    df = 1.5 * (u[:, None, :, None] * w[:, :, None, :] + w[:, :, :, None] * u[:, None, None, :])
+    o_rx_t = np.swapaxes(o_rx, 1, 2)[:, None]
+    spatial = scale * (o_rx_t @ df @ o_tx[:, None]) + (
+        3.0 * u / r[:, None]
+    )[:, :, None, None] * gains[:, None]
+    angular_tx = scale * ((o_rx_t @ f[:, None]) @ d_rot_tx)
+    angular_rx = scale * (np.swapaxes(d_rot_rx, 2, 3) @ (f @ o_tx)[:, None])
+    cols = np.concatenate([spatial, angular_tx, -spatial, angular_rx], axis=1)
+    return cols.reshape(len(r), 12, 9).transpose(0, 2, 1)

@@ -69,6 +69,9 @@ def _cmd_peb(args) -> int:
     harness.emit_peb_curve(rows, cfg, scheme, cfg.out)
     for m, value, n in rows:
         print(f"M={m} scheme={scheme.value} mean_peb={value * 1e3:.4f} mm ({n} topologies)")
+    skipped = sum(cfg.topologies - n for _, _, n in rows)
+    if skipped:
+        print(f"warning: skipped {skipped} topologies whose information matrix is singular")
     return EXIT_OK
 
 

@@ -1,16 +1,14 @@
 """Fisher information and position error bounds for the coil network.
 
-Every measured link contributes information blocks whose entries are
-
-    (2 / sigma**2) * Re tr( dH^H/d theta_k  dH/d theta_l );
-
-because H is purely imaginary these traces reduce to inner products of the
-stacked imaginary-part derivative columns.  The full matrix over all agents
-has a 6x6 block structure: anchor links fill the transmitting agent's
-diagonal block, and each ordered agent-agent measurement fills both endpoint
-diagonal blocks plus the symmetric cross block of the pair.  In the
-cooperative scheme both ordered measurements of an agent pair exist and both
-are counted.  Without agent-agent links the matrix is block diagonal.
+Every measured link contributes (2 / sigma**2) * Re tr(dH^H/d theta_k
+dH/d theta_l) to the information matrix.  Because H is purely imaginary
+these traces are inner products of the stacked imaginary-part derivative
+columns, which are the columns of the least-squares residual Jacobian J.
+The information matrix of a link set is therefore (2 / sigma**2) J^T J at
+the true deployments, assembled by the same LsProblem that the estimators
+solve.  In the cooperative scheme both ordered measurements of an agent
+pair exist and both are counted; without agent-agent links the matrix is
+block diagonal.
 
 The position error bound of an agent is the root of the summed position
 diagonal entries of the inverse information matrix.
@@ -19,12 +17,12 @@ diagonal entries of the inverse information matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from . import channel as chan
-from .geometry import Deployment, euler_rotation_derivatives
+from .estimators import LsProblem, pack_deployments
+from .scenario import Scheme, link_set
 
 FIM_MAX_CONDITION = 1e14
 
@@ -39,75 +37,10 @@ class SingularFim(ValueError):
 
 @dataclass
 class FisherInfo:
-    """Assembled information matrix plus its block decomposition.
-
-    anchor_blocks[m] collects agent m's anchor-link information; inter_diag[m]
-    the diagonal contribution of its agent-agent measurements; cross holds the
-    off-diagonal blocks keyed by the (m, n) agent pair.
-    """
+    """Assembled information matrix over the 6 * n_agents agent parameters."""
 
     matrix: np.ndarray
     n_agents: int
-    anchor_blocks: np.ndarray
-    inter_diag: np.ndarray
-    cross: Dict[Tuple[int, int], np.ndarray]
-
-
-def _derivative_columns(tx: Deployment, rx: Deployment, coupling: float) -> np.ndarray:
-    """(9, 6) stacked imaginary-part derivatives w.r.t. the transmitter pose."""
-    d_pos, d_ori = chan.channel_jacobian(tx, rx, coupling)
-    cols = [np.imag(d_pos[i]).ravel() for i in range(3)]
-    cols += [np.imag(d_ori[i]).ravel() for i in range(3)]
-    return np.array(cols).T
-
-
-def _derivative_columns_rx(tx: Deployment, rx: Deployment, coupling: float) -> np.ndarray:
-    d_pos, d_ori = chan.channel_jacobian_rx(tx, rx, coupling)
-    cols = [np.imag(d_pos[i]).ravel() for i in range(3)]
-    cols += [np.imag(d_ori[i]).ravel() for i in range(3)]
-    return np.array(cols).T
-
-
-def link_information(
-    tx: Deployment, rx: Deployment, coupling: float, sigma: float, rx_is_agent: bool
-):
-    """Information blocks of one measured link.
-
-    Returns:
-        (tx_block, rx_block, cross_block): 6x6 arrays; the receiver and cross
-        blocks are None for anchor receivers.
-    """
-    g_tx = _derivative_columns(tx, rx, coupling)
-    weight = 2.0 / sigma**2
-    tx_block = weight * (g_tx.T @ g_tx)
-    if not rx_is_agent:
-        return tx_block, None, None
-    g_rx = _derivative_columns_rx(tx, rx, coupling)
-    return tx_block, weight * (g_rx.T @ g_rx), weight * (g_tx.T @ g_rx)
-
-
-def fim_block(
-    agent: Deployment,
-    others,
-    anchors,
-    coupling: float,
-    sigma: float,
-):
-    """Anchor-link and inter-agent diagonal blocks of one agent.
-
-    others and anchors are sequences of Deployment; inter-agent information
-    counts both ordered measurements of every pair the agent participates in.
-    """
-    anchor_block = np.zeros((6, 6))
-    for anchor in anchors:
-        blk, _, _ = link_information(agent, anchor, coupling, sigma, rx_is_agent=False)
-        anchor_block += blk
-    inter_block = np.zeros((6, 6))
-    for other in others:
-        tx_blk, _, _ = link_information(agent, other, coupling, sigma, rx_is_agent=True)
-        _, rx_blk, _ = link_information(other, agent, coupling, sigma, rx_is_agent=True)
-        inter_block += tx_blk + rx_blk
-    return anchor_block, inter_block
 
 
 def assemble_fim(
@@ -123,69 +56,23 @@ def assemble_fim(
         agents, anchors: sequences of Deployment.
         cooperative: include the ordered agent-agent measurement set.
 
-    Uses the batched derivative kernels; the per-link reference path
-    (link_information) is checked against this assembly in the test suite.
+    Returns (2 / sigma**2) J^T J for the residual Jacobian J of the scheme's
+    link set at the true agent deployments.
     """
     m = len(agents)
-    size = 6 * m
-    weight = 2.0 / sigma**2
-    matrix = np.zeros((size, size))
-    anchor_blocks = np.zeros((m, 6, 6))
-    inter_diag = np.zeros((m, 6, 6))
-    cross: Dict[Tuple[int, int], np.ndarray] = {}
-
-    agent_pos = np.stack([a.position for a in agents])
-    agent_rot = np.stack([a.rotation for a in agents])
-    d_rot = np.stack([euler_rotation_derivatives(a.euler) for a in agents])
-
-    if len(anchors):
-        anchor_pos = np.stack([a.position for a in anchors])
-        anchor_rot = np.stack([a.rotation for a in anchors])
-        tx_idx = np.repeat(np.arange(m), len(anchors))
-        rx_idx = np.tile(np.arange(len(anchors)), m)
-        gains, r, u, f = chan.channel_gain_batch(
-            agent_pos[tx_idx], agent_rot[tx_idx], anchor_pos[rx_idx], anchor_rot[rx_idx], coupling
-        )
-        cols = chan.channel_derivative_columns(
-            r, u, f, gains, agent_rot[tx_idx], anchor_rot[rx_idx], d_rot[tx_idx], coupling
-        )
-        blocks = weight * np.einsum("lki,lkj->lij", cols, cols)
-        np.add.at(anchor_blocks, tx_idx, blocks)
-        for i in range(m):
-            matrix[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] += anchor_blocks[i]
-
-    if cooperative and m > 1:
-        pair_i, pair_j = np.where(~np.eye(m, dtype=bool))
-        gains, r, u, f = chan.channel_gain_batch(
-            agent_pos[pair_i], agent_rot[pair_i], agent_pos[pair_j], agent_rot[pair_j], coupling
-        )
-        tx_cols = chan.channel_derivative_columns(
-            r, u, f, gains, agent_rot[pair_i], agent_rot[pair_j], d_rot[pair_i], coupling
-        )
-        rx_cols = chan.channel_derivative_columns_rx(
-            r, u, f, gains, agent_rot[pair_i], agent_rot[pair_j], d_rot[pair_j], coupling
-        )
-        tx_blocks = weight * np.einsum("lki,lkj->lij", tx_cols, tx_cols)
-        rx_blocks = weight * np.einsum("lki,lkj->lij", rx_cols, rx_cols)
-        cross_blocks = weight * np.einsum("lki,lkj->lij", tx_cols, rx_cols)
-        for link, (i, j) in enumerate(zip(pair_i.tolist(), pair_j.tolist())):
-            inter_diag[i] += tx_blocks[link]
-            inter_diag[j] += rx_blocks[link]
-            matrix[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] += tx_blocks[link]
-            matrix[6 * j : 6 * j + 6, 6 * j : 6 * j + 6] += rx_blocks[link]
-            matrix[6 * i : 6 * i + 6, 6 * j : 6 * j + 6] += cross_blocks[link]
-            matrix[6 * j : 6 * j + 6, 6 * i : 6 * i + 6] += cross_blocks[link].T
-            key = (min(i, j), max(i, j))
-            block = cross_blocks[link] if i < j else cross_blocks[link].T
-            cross[key] = cross.get(key, np.zeros((6, 6))) + block
-
-    return FisherInfo(
-        matrix=matrix,
+    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
+    links = link_set(m, len(anchors), scheme)
+    problem = LsProblem(
         n_agents=m,
-        anchor_blocks=anchor_blocks,
-        inter_diag=inter_diag,
-        cross=cross,
+        anchor_positions=np.array([a.position for a in anchors]).reshape(-1, 3),
+        anchor_rotations=np.array([a.rotation for a in anchors]).reshape(-1, 3, 3),
+        links=links,
+        y_imag=np.zeros((len(links), 3, 3)),
+        coupling=coupling,
+        cooperative=cooperative,
     )
+    _, jac = problem.residual_and_jacobian(pack_deployments(agents))
+    return FisherInfo(matrix=2.0 / sigma**2 * (jac.T @ jac), n_agents=m)
 
 
 def _inverse_checked(matrix: np.ndarray) -> np.ndarray:

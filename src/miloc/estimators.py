@@ -10,7 +10,7 @@ unconstrained during the iteration (canonicalized only on output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +86,6 @@ class LsProblem:
     y_imag: np.ndarray  # (L, 3, 3) measured imaginary parts
     coupling: float
     cooperative: bool = True
-    _rx_agent_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.links = np.asarray(self.links, dtype=int)
@@ -95,7 +94,6 @@ class LsProblem:
             raise DimensionMismatch("one measurement required per link")
         if np.any(self.links[:, 0] >= self.n_agents):
             raise ValueError("link transmitters must be agents")
-        self._rx_agent_rows = np.where(self.links[:, 1] < self.n_agents)[0]
 
     @classmethod
     def from_measurements(
@@ -183,38 +181,26 @@ class LsProblem:
         return out
 
     def residual_and_jacobian(self, theta: np.ndarray):
-        """Residual and its Jacobian; agent-agent links fill both endpoint blocks."""
+        """Residual and its Jacobian; agent-agent links fill both endpoint blocks.
+
+        Every link's twelve derivative columns are scattered into the blocks
+        of its two endpoint nodes; anchors carry zero Euler-derivative stacks
+        and their blocks are sliced off, so no link needs a receiver branch.
+        """
         theta = self._check(theta)
         blocks, rotations, tx, rx, gains, r, u, f = self._geometry(theta)
         length = len(tx)
-        d_rot = np.stack([euler_rotation_derivatives(e) for e in blocks[:, 3:]])
-
-        jac = np.zeros((length, 9, self.n_parameters))
-        tx_cols = chan.channel_derivative_columns(
-            r, u, f, gains, rotations[tx], rotations[rx], d_rot[tx], self.coupling
+        d_rot = np.zeros((len(rotations), 3, 3, 3))
+        d_rot[: self.n_agents] = [euler_rotation_derivatives(e) for e in blocks[:, 3:]]
+        cols = chan.channel_derivative_columns(
+            r, u, f, gains, rotations[tx], rotations[rx], d_rot[tx], d_rot[rx], self.coupling
         )
-        for row in range(length):
-            col = 6 * tx[row]
-            jac[row, :, col : col + 6] -= tx_cols[row]
-
-        rows = self._rx_agent_rows
-        if len(rows):
-            rx_cols = chan.channel_derivative_columns_rx(
-                r[rows],
-                u[rows],
-                f[rows],
-                gains[rows],
-                rotations[tx[rows]],
-                rotations[rx[rows]],
-                d_rot[rx[rows]],
-                self.coupling,
-            )
-            for k, row in enumerate(rows):
-                col = 6 * rx[row]
-                jac[row, :, col : col + 6] -= rx_cols[k]
-
+        jac = np.zeros((length, 9, len(rotations), 6))
+        rows = np.arange(length)
+        jac[rows, :, tx] = -cols[:, :, :6]
+        jac[rows, :, rx] = -cols[:, :, 6:]
         residual = (self.y_imag - gains).reshape(-1)
-        return residual, jac.reshape(length * 9, self.n_parameters)
+        return residual, jac[:, :, : self.n_agents].reshape(length * 9, self.n_parameters)
 
 
 def levenberg_marquardt(

@@ -134,6 +134,19 @@ def link_set(n_agents: int, n_anchors: int, scheme: Scheme) -> np.ndarray:
     return np.array(links, dtype=int).reshape(-1, 2)
 
 
+def _link_gains(topology: Topology, coupling: float, scheme: Scheme):
+    """Ordered links of the scheme and their noiseless Im(H), (L, 3, 3)."""
+    links = link_set(topology.n_agents, topology.n_anchors, scheme)
+    nodes = list(topology.agents) + list(topology.anchors)
+    positions = np.array([n.position for n in nodes])
+    rotations = np.array([n.rotation for n in nodes])
+    tx, rx = links[:, 0], links[:, 1]
+    gains, *_ = chan.channel_gain_batch(
+        positions[tx], rotations[tx], positions[rx], rotations[rx], coupling
+    )
+    return links, gains
+
+
 def synthesize_measurements(
     topology: Topology,
     coil: CoilParams,
@@ -145,19 +158,23 @@ def synthesize_measurements(
 ) -> MeasurementSet:
     """Generate noisy channel measurements for every link of the scheme.
 
-    Noise is drawn independently per link and per entry; the two ordered
-    measurements of an agent pair get independent draws.
+    Noise is drawn independently per link and per entry, in link order; the
+    two ordered measurements of an agent pair get independent draws.
     """
     if sigma is None:
         sigma = params.noise_sigma
     coupling = chan.coupling_coefficient(coil, coil, params)
-    nodes = list(topology.agents) + list(topology.anchors)
-    measurements = []
-    for tx, rx in link_set(topology.n_agents, topology.n_anchors, scheme):
-        h = chan.channel_matrix(nodes[tx], nodes[rx], coupling)
-        h = chan.add_noise(h, sigma, rng)
-        kind = LinkKind.AGENT_AGENT if rx < topology.n_agents else LinkKind.AGENT_ANCHOR
-        measurements.append(LinkMeasurement(tx=int(tx), rx=int(rx), h_meas=h, kind=kind))
+    links, gains = _link_gains(topology, coupling, scheme)
+    h_meas = chan.add_noise(1j * gains, sigma, rng)
+    measurements = [
+        LinkMeasurement(
+            tx=int(tx),
+            rx=int(rx),
+            h_meas=h,
+            kind=LinkKind.AGENT_AGENT if rx < topology.n_agents else LinkKind.AGENT_ANCHOR,
+        )
+        for (tx, rx), h in zip(links.tolist(), h_meas)
+    ]
     return MeasurementSet(measurements=measurements, scheme=scheme, noise_seed=noise_seed)
 
 
@@ -172,16 +189,10 @@ def channel_gain_samples(
         (agent_agent, agent_anchor): flat arrays of the 9 per-link entries.
     """
     coupling = chan.coupling_coefficient(coil, coil, params)
-    nodes = list(topology.agents) + list(topology.anchors)
-    agent_agent, agent_anchor = [], []
-    for tx, rx in link_set(topology.n_agents, topology.n_anchors, Scheme.COOP):
-        h = chan.channel_matrix(nodes[tx], nodes[rx], coupling)
-        target = agent_agent if rx < topology.n_agents else agent_anchor
-        target.append(np.abs(h).ravel())
-    return (
-        np.concatenate(agent_agent) if agent_agent else np.zeros(0),
-        np.concatenate(agent_anchor) if agent_anchor else np.zeros(0),
-    )
+    links, gains = _link_gains(topology, coupling, Scheme.COOP)
+    magnitudes = np.abs(gains)
+    to_agent = links[:, 1] < topology.n_agents
+    return magnitudes[to_agent].ravel(), magnitudes[~to_agent].ravel()
 
 
 # ---------------------------------------------------------------------------

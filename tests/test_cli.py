@@ -193,3 +193,47 @@ def test_runtime_error_exit_code(tmp_path):
         ["simulate", "--config", str(cfg), "--agents", "2", "--topologies", "1", "--noise", "1"]
     )
     assert code == 3
+
+
+def test_peb_warns_about_singular_topologies(tmp_path, capsys, monkeypatch):
+    from miloc import crlb
+
+    original = crlb.peb
+    calls = []
+
+    def third_singular(info, agent=0):
+        calls.append(agent)
+        if len(calls) == 3:
+            raise crlb.SingularFim("forced")
+        return original(info, agent)
+
+    monkeypatch.setattr(crlb, "peb", third_singular)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "peb"
+    argv = ["peb", "--config", str(cfg), "--agents", "1", "--topologies", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "peb.csv").read_text().splitlines()[1].endswith(",4")
+    assert "warning: skipped 1 topologies whose information matrix is singular" in capsys.readouterr().out
+
+
+def test_simulate_trial_failures_by_kind(tmp_path, capsys, monkeypatch):
+    from miloc import estimators
+    from miloc.channel import CoincidentNodes
+
+    cfg = _write_cfg(tmp_path)
+    argv = ["simulate", "--config", str(cfg), "--agents", "2", "--topologies", "1"]
+    argv += ["--noise", "2", "--out", str(tmp_path / "run")]
+
+    def coincident(*args, **kwargs):
+        raise CoincidentNodes("forced")
+
+    monkeypatch.setattr(estimators, "estimate", coincident)
+    assert main(argv) == 0
+    assert "warning: 2 trial(s) failed and were skipped" in capsys.readouterr().out
+
+    def bug(*args, **kwargs):
+        raise TypeError("forced")
+
+    monkeypatch.setattr(estimators, "estimate", bug)
+    assert main(argv) == 3
+    assert "error: forced" in capsys.readouterr().err

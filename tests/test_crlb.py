@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miloc.channel import channel_matrix
-from miloc.crlb import (
-    SingularFim,
-    assemble_fim,
-    fim_block,
-    link_information,
-    peb,
-    peb_all,
-)
+from miloc.crlb import SingularFim, assemble_fim, peb, peb_all
 from miloc.estimators import LsProblem, pack_deployments
 from miloc.geometry import Deployment
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 from conftest import random_deployment
+from oracles import fim_block, link_information
 
 SIGMA = 1e-5
 
@@ -37,28 +33,28 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
 
 
 def test_assembly_matches_per_link_reference(room, anchors, coupling):
-    topo = _topology(2, 1, room, anchors)
+    # Each diagonal block is the agent's anchor-link block plus its
+    # inter-agent block; each off-diagonal block sums the cross blocks of the
+    # pair's two ordered measurements.
+    topo = _topology(3, 1, room, anchors)
     info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative=True)
+    blocks = info.matrix.reshape(3, 6, 3, 6).transpose(0, 2, 1, 3)
     for i, agent in enumerate(topo.agents):
         others = [a for j, a in enumerate(topo.agents) if j != i]
         anchor_block, inter_block = fim_block(agent, others, anchors, coupling, SIGMA)
-        assert np.allclose(info.anchor_blocks[i], anchor_block, rtol=1e-10)
-        assert np.allclose(info.inter_diag[i], inter_block, rtol=1e-10)
-    tx_blk, rx_blk, cross = link_information(
-        topo.agents[0], topo.agents[1], coupling, SIGMA, rx_is_agent=True
-    )
-    tx_blk2, rx_blk2, cross2 = link_information(
-        topo.agents[1], topo.agents[0], coupling, SIGMA, rx_is_agent=True
-    )
-    expected_cross = cross + cross2.T
-    assert np.allclose(info.cross[(0, 1)], expected_cross, rtol=1e-10)
+        assert np.allclose(blocks[i, i], anchor_block + inter_block, rtol=1e-10)
+        for j in range(i + 1, 3):
+            _, _, cross = link_information(agent, topo.agents[j], coupling, SIGMA, rx_is_agent=True)
+            _, _, cross2 = link_information(topo.agents[j], agent, coupling, SIGMA, rx_is_agent=True)
+            assert np.allclose(blocks[i, j], cross + cross2.T, rtol=1e-10)
+            assert np.allclose(blocks[j, i], (cross + cross2.T).T, rtol=1e-10)
 
 
 def test_sigma_scaling():
     rng = np.random.default_rng(2)
     tx, rx = random_deployment(rng), random_deployment(rng)
-    blk, _, _ = link_information(tx, rx, 1e-4, SIGMA, rx_is_agent=False)
-    blk_half, _, _ = link_information(tx, rx, 1e-4, SIGMA / 2, rx_is_agent=False)
+    blk = assemble_fim([tx], [rx], 1e-4, SIGMA, cooperative=False).matrix
+    blk_half = assemble_fim([tx], [rx], 1e-4, SIGMA / 2, cooperative=False).matrix
     assert np.allclose(blk_half, 4.0 * blk, rtol=1e-12)
 
 
@@ -190,7 +186,9 @@ def test_single_link_spectrum_against_oracle(coupling):
     # composed with the x-axis Euler derivative structure).
     tx = Deployment.identity([0.0, 0.0, 0.0])
     rx = Deployment.identity([0.5, 0.0, 0.0])
-    blk, _, _ = link_information(tx, rx, coupling, SIGMA, rx_is_agent=False)
+    blk = assemble_fim([tx], [rx], coupling, SIGMA, cooperative=False).matrix
+    oracle, _, _ = link_information(tx, rx, coupling, SIGMA, rx_is_agent=False)
+    assert np.allclose(blk, oracle, rtol=1e-10)
     assert np.allclose(blk, blk.T, rtol=1e-12)
     eigvals = np.linalg.eigvalsh(blk)
     # rotating the transmitter about the link axis (gamma at this pose)
@@ -205,3 +203,51 @@ def test_single_link_spectrum_against_oracle(coupling):
         assert eigvals[0] < 1e-6 * eigvals[-1]
     else:
         assert eigvals[0] > 0
+
+
+# Property tests: the assembly follows the network, not the bookkeeping.
+
+_PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@_PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), data=st.data())
+def test_agent_permutation_permutes_fim_blocks(room, anchors, coupling, seed, m, data):
+    topo = _topology(m, seed, room, anchors)
+    order = data.draw(st.permutations(range(m)))
+    for cooperative in (True, False):
+        info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative)
+        permuted = assemble_fim([topo.agents[k] for k in order], anchors, coupling, SIGMA, cooperative)
+        index = np.concatenate([np.arange(6 * k, 6 * k + 6) for k in order])
+        assert _relative_gap(permuted.matrix, info.matrix[np.ix_(index, index)]) < 1e-10
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+)
+def test_common_translation_leaves_fim_unchanged(room, anchors, coupling, seed, m, shift):
+    topo = _topology(m, seed, room, anchors)
+
+    def moved(nodes):
+        return [Deployment(n.position + np.array(shift), n.euler, n.rotation) for n in nodes]
+
+    for cooperative in (True, False):
+        info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative)
+        shifted = assemble_fim(moved(topo.agents), moved(anchors), coupling, SIGMA, cooperative)
+        assert _relative_gap(shifted.matrix, info.matrix) < 1e-10
+
+
+@_PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6))
+def test_noncoop_fim_has_zero_off_diagonal_blocks(room, anchors, coupling, seed, m):
+    topo = _topology(m, seed, room, anchors)
+    blocks = assemble_fim(topo.agents, anchors, coupling, SIGMA, False).matrix.reshape(m, 6, m, 6)
+    off_diagonal = ~np.eye(m, dtype=bool)
+    assert np.all(blocks.transpose(0, 2, 1, 3)[off_diagonal] == 0.0)

@@ -241,3 +241,22 @@ def test_median_wall_time_ordering(room):
     assert medians["pairml"] < medians["multilateration"]
     assert medians["multilateration"] < medians["turbols_noncoop"]
     assert medians["multilateration"] < medians["turbols_coop"]
+
+
+def test_mean_peb_curve_skips_singular_topologies(monkeypatch):
+    from miloc import crlb
+
+    original = crlb.peb
+    bounds = []
+
+    def third_singular(info, agent=0):
+        bounds.append(original(info, agent))
+        if len(bounds) == 3:
+            raise crlb.SingularFim("forced")
+        return bounds[-1]
+
+    monkeypatch.setattr(crlb, "peb", third_singular)
+    rows = mean_peb_curve(_small_cfg(), agent_counts=[2], topologies=5, scheme=Scheme.COOP)
+    kept = bounds[:2] + bounds[3:]
+    assert rows == [(2, float(np.mean(kept)), 4)]
+

@@ -18,6 +18,8 @@ from miloc.scenario import (
     synthesize_measurements,
 )
 
+from oracles import channel_gain
+
 
 def test_default_anchors_on_lateral_walls(room):
     anchors = default_anchors(room)
@@ -182,3 +184,20 @@ def test_channel_gain_samples_shapes(room, anchors, coil, gparams):
     assert aa.shape == (3 * 2 * 9,)
     assert an.shape == (3 * 4 * 9,)
     assert np.all(aa > 0) and np.all(an > 0)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NONCOOP, Scheme.COOP])
+def test_batched_synthesis_matches_per_link_loop(room, anchors, coil, gparams, coupling, scheme):
+    topo = sample_topology(4, room, anchors, 0.15, np.random.default_rng(10))
+    batched_rng, loop_rng = np.random.default_rng(11), np.random.default_rng(11)
+    ms = synthesize_measurements(topo, coil, gparams, scheme, batched_rng)
+    nodes = list(topo.agents) + list(topo.anchors)
+    links = link_set(topo.n_agents, topo.n_anchors, scheme)
+    assert [(m.tx, m.rx) for m in ms.measurements] == [tuple(link) for link in links.tolist()]
+    scale = gparams.noise_sigma / np.sqrt(2.0)
+    for m in ms.measurements:
+        # one link at a time: nine real parts, then nine imaginary parts
+        noise = loop_rng.standard_normal((3, 3)) + 1j * loop_rng.standard_normal((3, 3))
+        h = 1j * channel_gain(nodes[m.tx], nodes[m.rx], coupling) + noise * scale
+        assert np.abs(m.h_meas - h).max() <= 1e-13 * np.abs(h).max()
+    assert batched_rng.standard_normal() == loop_rng.standard_normal()
