@@ -17,6 +17,7 @@ from .estimators import (
     LsProblem,
     MultilaterationResult,
     SolveReport,
+    StackedSolve,
     estimate,
     levenberg_marquardt,
     multilaterate,

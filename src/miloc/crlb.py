@@ -75,15 +75,25 @@ def assemble_fim(
     return FisherInfo(matrix=2.0 / sigma**2 * (jac.T @ jac), n_agents=m)
 
 
-def _inverse_checked(matrix: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+def _position_solve(info: FisherInfo, agents: np.ndarray) -> np.ndarray:
+    """Position diagonal of the inverse information matrix, one row per agent.
+
+    Only the 3 * len(agents) needed columns of the inverse are solved for;
+    the full eigendecomposition runs on the failure path alone, for the
+    null direction.
+    """
+    eigvals = np.linalg.eigvalsh(info.matrix)
     scale = float(eigvals[-1])
     if scale <= 0.0 or eigvals[0] <= 0.0 or scale / eigvals[0] > FIM_MAX_CONDITION:
-        null = eigvecs[:, 0]
+        null = np.linalg.eigh(info.matrix)[1][:, 0]
         raise SingularFim(
             f"information matrix condition exceeds {FIM_MAX_CONDITION:g}", null
         )
-    return (eigvecs / eigvals) @ eigvecs.T
+    rows = (6 * agents[:, None] + np.arange(3)).reshape(-1)
+    unit = np.zeros((len(info.matrix), len(rows)))
+    unit[rows, np.arange(len(rows))] = 1.0
+    columns = np.linalg.solve(info.matrix, unit)
+    return columns[rows, np.arange(len(rows))].reshape(-1, 3)
 
 
 def peb(info: FisherInfo, agent: int = 0) -> float:
@@ -92,16 +102,9 @@ def peb(info: FisherInfo, agent: int = 0) -> float:
     Raises:
         SingularFim: matrix not invertible at the configured condition limit.
     """
-    inverse = _inverse_checked(info.matrix)
-    sl = slice(6 * agent, 6 * agent + 3)
-    return float(np.sqrt(np.trace(inverse[sl, sl])))
+    return float(np.sqrt(np.sum(_position_solve(info, np.array([agent])))))
 
 
 def peb_all(info: FisherInfo) -> np.ndarray:
-    """Position error bounds of every agent from a single inversion."""
-    inverse = _inverse_checked(info.matrix)
-    out = np.empty(info.n_agents)
-    for m in range(info.n_agents):
-        sl = slice(6 * m, 6 * m + 3)
-        out[m] = np.sqrt(np.trace(inverse[sl, sl]))
-    return out
+    """Position error bounds of every agent from a single solve."""
+    return np.sqrt(np.sum(_position_solve(info, np.arange(info.n_agents)), axis=1))

@@ -6,11 +6,17 @@ the real-part terms of the Frobenius objective are parameter independent and
 do not move the minimizer.  Agent parameters are packed as a flat vector of
 six entries per agent, [x, y, z, alpha, beta, gamma], and Euler angles stay
 unconstrained during the iteration (canonicalized only on output).
+
+Batch convention: residuals and Jacobians take parameters of shape
+(..., 6M) and return (..., 9L) and (..., 9L, 6M); a 1-d vector gives one
+problem.  Independent problems (the agents of a non-cooperative network,
+random restarts) are rows of one stack, and levenberg_marquardt advances
+all rows together, each with its own damping and termination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,21 +82,25 @@ class LsProblem:
 
     Node indexing: agents occupy ids 0 .. n_agents-1, anchors follow.  Links
     are ordered (tx, rx) pairs; the transmitter is always an agent, the
-    receiver an agent or an anchor.
+    receiver an agent or an anchor.  y_imag holds one measurement set
+    (L, 3, 3), or a stack (B, L, 3, 3) of B sets over the same links and
+    anchors: B independent problems that the solver advances together.
     """
 
     n_agents: int
     anchor_positions: np.ndarray  # (N, 3)
     anchor_rotations: np.ndarray  # (N, 3, 3)
     links: np.ndarray  # (L, 2) int
-    y_imag: np.ndarray  # (L, 3, 3) measured imaginary parts
+    y_imag: np.ndarray  # (L, 3, 3) or (B, L, 3, 3) measured imaginary parts
     coupling: float
     cooperative: bool = True
 
     def __post_init__(self):
-        self.links = np.asarray(self.links, dtype=int)
+        self.anchor_positions = np.asarray(self.anchor_positions, dtype=float).reshape(-1, 3)
+        self.anchor_rotations = np.asarray(self.anchor_rotations, dtype=float).reshape(-1, 3, 3)
+        self.links = np.asarray(self.links, dtype=int).reshape(-1, 2)
         self.y_imag = np.asarray(self.y_imag, dtype=float)
-        if len(self.links) != len(self.y_imag):
+        if self.y_imag.ndim not in (3, 4) or self.y_imag.shape[-3] != len(self.links):
             raise DimensionMismatch("one measurement required per link")
         if np.any(self.links[:, 0] >= self.n_agents):
             raise ValueError("link transmitters must be agents")
@@ -120,48 +130,46 @@ class LsProblem:
     def n_parameters(self) -> int:
         return 6 * self.n_agents
 
-    def agent_subproblem(self, agent: int) -> "LsProblem":
-        """Single-agent problem over this agent's anchor links only."""
-        rows = np.where(
-            (self.links[:, 0] == agent) & (self.links[:, 1] >= self.n_agents)
-        )[0]
-        links = self.links[rows].copy()
-        links[:, 0] = 0
-        links[:, 1] -= self.n_agents - 1
-        return LsProblem(
-            n_agents=1,
-            anchor_positions=self.anchor_positions,
-            anchor_rotations=self.anchor_rotations,
-            links=links,
-            y_imag=self.y_imag[rows],
-            coupling=self.coupling,
-            cooperative=False,
-        )
-
     def _check(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_parameters,):
+        if theta.shape[-1:] != (self.n_parameters,):
             raise DimensionMismatch(
-                f"expected parameter vector of length {self.n_parameters}"
+                f"expected parameter vectors of length {self.n_parameters}"
             )
         return theta
 
     def _geometry(self, theta: np.ndarray):
-        blocks = theta.reshape(self.n_agents, 6)
-        positions = np.vstack([blocks[:, :3], self.anchor_positions])
-        rotations = np.concatenate(
-            [euler_to_rotation_batch(blocks[:, 3:]), self.anchor_rotations]
-        )
+        """Parameter blocks, batch shape and the flattened (batch * L) link quantities."""
+        blocks = theta.reshape(theta.shape[:-1] + (self.n_agents, 6))
+        batch = blocks.shape[:-2]
+        anchors_p = np.broadcast_to(self.anchor_positions, batch + self.anchor_positions.shape)
+        anchors_o = np.broadcast_to(self.anchor_rotations, batch + self.anchor_rotations.shape)
+        positions = np.concatenate([blocks[..., :3], anchors_p], axis=-2)
+        rotations = np.concatenate([euler_to_rotation_batch(blocks[..., 3:]), anchors_o], axis=-3)
         tx, rx = self.links[:, 0], self.links[:, 1]
+        o_tx = rotations[..., tx, :, :].reshape(-1, 3, 3)
+        o_rx = rotations[..., rx, :, :].reshape(-1, 3, 3)
         gains, r, u, f = chan.channel_gain_batch(
-            positions[tx], rotations[tx], positions[rx], rotations[rx], self.coupling
+            positions[..., tx, :].reshape(-1, 3), o_tx,
+            positions[..., rx, :].reshape(-1, 3), o_rx, self.coupling,
         )
-        return blocks, rotations, tx, rx, gains, r, u, f
+        return blocks, batch, o_tx, o_rx, gains, r, u, f
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
+    def _residual(self, gains, batch, index) -> np.ndarray:
+        stacked = self.y_imag.ndim == 4 and index is not None
+        measured = self.y_imag[index] if stacked else self.y_imag
+        res = measured - gains.reshape(batch + (len(self.links), 3, 3))
+        return res.reshape(res.shape[:-3] + (-1,))
+
+    def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
+        """Residual rows of shape (..., 9L) for parameter rows theta (..., 6M).
+
+        With a stacked y_imag, index lists the problems theta's rows belong
+        to (default: all of them, in order).
+        """
         theta = self._check(theta)
-        *_, gains, _, _, _ = self._geometry(theta)
-        return (self.y_imag - gains).reshape(-1)
+        _, batch, _, _, gains, _, _, _ = self._geometry(theta)
+        return self._residual(gains, batch, index)
 
     def cost(self, theta: np.ndarray) -> float:
         res = self.residual(theta)
@@ -180,27 +188,96 @@ class LsProblem:
         np.add.at(out, self.links[:, 0], per_link)
         return out
 
-    def residual_and_jacobian(self, theta: np.ndarray):
-        """Residual and its Jacobian; agent-agent links fill both endpoint blocks.
+    def residual_and_jacobian(self, theta: np.ndarray, index=None):
+        """Residual and its Jacobian (..., 9L, 6M); agent-agent links fill both endpoint blocks.
 
-        Every link's twelve derivative columns are scattered into the blocks
-        of its two endpoint nodes; anchors carry zero Euler-derivative stacks
-        and their blocks are sliced off, so no link needs a receiver branch.
+        Every link's transmitter columns go to its agent's block, and its
+        receiver columns too when the receiver is an agent; anchors carry
+        zero Euler-derivative stacks.
         """
         theta = self._check(theta)
-        blocks, rotations, tx, rx, gains, r, u, f = self._geometry(theta)
-        length = len(tx)
-        d_rot = np.zeros((len(rotations), 3, 3, 3))
-        d_rot[: self.n_agents] = [euler_rotation_derivatives(e) for e in blocks[:, 3:]]
+        blocks, batch, o_tx, o_rx, gains, r, u, f = self._geometry(theta)
+        nodes = self.n_agents + len(self.anchor_positions)
+        d_rot = np.zeros(batch + (nodes, 3, 3, 3))
+        d_rot[..., : self.n_agents, :, :, :] = euler_rotation_derivatives(blocks[..., 3:])
+        tx, rx = self.links[:, 0], self.links[:, 1]
         cols = chan.channel_derivative_columns(
-            r, u, f, gains, rotations[tx], rotations[rx], d_rot[tx], d_rot[rx], self.coupling
+            r, u, f, gains, o_tx, o_rx,
+            d_rot[..., tx, :, :, :].reshape(-1, 3, 3, 3),
+            d_rot[..., rx, :, :, :].reshape(-1, 3, 3, 3),
+            self.coupling,
         )
-        jac = np.zeros((length, 9, len(rotations), 6))
-        rows = np.arange(length)
+        # one row per (problem, link); node ids repeat for every problem
+        copies = len(r) // max(len(tx), 1)
+        rows, tx, rx = np.arange(len(r)), np.tile(tx, copies), np.tile(rx, copies)
+        to_agent = rx < self.n_agents
+        jac = np.zeros((len(r), 9, self.n_agents, 6))
         jac[rows, :, tx] = -cols[:, :, :6]
-        jac[rows, :, rx] = -cols[:, :, 6:]
-        residual = (self.y_imag - gains).reshape(-1)
-        return residual, jac[:, :, : self.n_agents].reshape(length * 9, self.n_parameters)
+        jac[rows[to_agent], :, rx[to_agent]] = -cols[to_agent, :, 6:]
+        jac = jac.reshape(batch + (9 * len(self.links), self.n_parameters))
+        return self._residual(gains, batch, index), jac
+
+
+@dataclass
+class StackedSolve:
+    """Outcome of one stacked Levenberg-Marquardt solve.
+
+    The per-problem fields have the batch shape of the start x0 (0-d for a
+    single 1-d start); iterations totals the per-problem counts.
+    """
+
+    estimate: np.ndarray
+    final_cost: np.ndarray
+    problem_iterations: np.ndarray
+    converged: np.ndarray
+    normal_equations_singular: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        return int(self.problem_iterations.sum())
+
+    def report(self, pick: np.ndarray, initializations_used: int = 1) -> SolveReport:
+        """Joint report of the problems in pick, concatenated in that order."""
+        flat = self.estimate.reshape(-1, self.estimate.shape[-1])
+        return SolveReport(
+            estimate=flat[pick].reshape(-1),
+            final_cost=float(sum(self.final_cost.reshape(-1)[pick].tolist())),
+            iterations=int(self.problem_iterations.reshape(-1)[pick].max()),
+            converged=bool(self.converged.reshape(-1)[pick].all()),
+            initializations_used=initializations_used,
+            normal_equations_singular=bool(
+                self.normal_equations_singular.reshape(-1)[pick].any()
+            ),
+        )
+
+
+def _normal_equations(residual: np.ndarray, jac: np.ndarray):
+    jac_t = np.swapaxes(jac, -1, -2)
+    return jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
+
+
+def _sum_squares(residual: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bi->b", residual, residual)
+
+
+def _damped_steps(jtj: np.ndarray, gradient: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Marquardt steps of a (B, P, P) stack; NaN rows where a system is singular."""
+    diag = np.arange(jtj.shape[-1])
+    scale = np.maximum(jtj[:, diag, diag], 1e-30)
+    system = jtj.copy()
+    system[:, diag, diag] += lam[:, None] * scale
+    rhs = -gradient[..., None]
+    try:
+        return np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system must not stop the others: solve them one by one
+        steps = np.full(gradient.shape, np.nan)
+        for b in range(len(system)):
+            try:
+                steps[b] = np.linalg.solve(system[b], rhs[b])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def levenberg_marquardt(
@@ -211,64 +288,88 @@ def levenberg_marquardt(
     cost_tol: float = LM_COST_TOL,
     initial_damping: float = LM_INITIAL_DAMPING,
     max_damping: float = LM_MAX_DAMPING,
-) -> SolveReport:
+) -> StackedSolve:
     """Damped Gauss-Newton iteration with the classic Marquardt schedule.
+
+    x0 has shape (..., P): one start per independent problem of a stack.
+    problem.residual(x, index) and problem.residual_and_jacobian(x, index)
+    evaluate the rows x (n, P) of the problems listed in index.  Every
+    problem keeps its own damping, cost, iteration count and flags; each
+    round makes one residual call for the problems trying a step and one
+    Jacobian call for those that accepted one.
 
     The damping term scales the diagonal of the normal equations; lambda is
     multiplied by 10 on every rejected step and divided by 10 after an
     accepted one, so the accepted cost sequence is non-increasing.
     Termination: step norm below step_tol, relative cost decrease below
     cost_tol, or the iteration budget.  If no acceptable step exists up to
-    the damping ceiling the solver reports failure instead of raising.
+    the damping ceiling the problem reports failure instead of raising; a
+    singular or non-finite system marks only its own problem.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    residual, jac = problem.residual_and_jacobian(x)
-    cost = float(residual @ residual)
-    lam = initial_damping
-    singular = False
+    x0 = np.asarray(x0, dtype=float)
+    x = x0.reshape(-1, x0.shape[-1]).copy()
+    count = len(x)
+    everyone = np.arange(count)
+    residual, jac = problem.residual_and_jacobian(x, everyone)
+    cost = _sum_squares(residual)
+    jtj, gradient = _normal_equations(residual, jac)
+    lam = np.full(count, initial_damping)
+    iteration = np.ones(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    singular = np.zeros(count, dtype=bool)
+    active = np.ones(count, dtype=bool)
 
-    for iteration in range(1, max_iterations + 1):
-        jtj = jac.T @ jac
-        gradient = jac.T @ residual
-        damping_scale = np.maximum(np.diag(jtj), 1e-30)
-        accepted = False
-        while lam <= max_damping:
-            try:
-                step = np.linalg.solve(
-                    jtj + lam * np.diag(damping_scale), -gradient
-                )
-            except np.linalg.LinAlgError:
-                singular = True
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                singular = True
-                lam *= 10.0
-                continue
-            trial = x + step
-            trial_res = problem.residual(trial)
-            trial_cost = float(trial_res @ trial_res)
-            if trial_cost <= cost:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            return SolveReport(x, cost, iteration, False, normal_equations_singular=singular)
+    while True:
+        # a problem whose damping passed the ceiling has no acceptable step
+        active &= lam <= max_damping
+        trying = everyone[active]
+        if not trying.size:
+            break
+        step = _damped_steps(jtj[trying], gradient[trying], lam[trying])
+        finite = np.all(np.isfinite(step), axis=1)
+        failed = trying[~finite]
+        singular[failed] = True
+        lam[failed] *= 10.0
+        trying, step = trying[finite], step[finite]
+        if not trying.size:
+            continue
+        trial = x[trying] + step
+        trial_cost = _sum_squares(problem.residual(trial, trying))
+        accept = trial_cost <= cost[trying]
+        lam[trying[~accept]] *= 10.0
 
-        decrease = cost - trial_cost
-        x = trial
-        cost = trial_cost
-        lam = max(lam / 10.0, 1e-15)
-        if np.linalg.norm(step) < step_tol or decrease <= cost_tol * max(cost, 1e-300):
-            return SolveReport(x, cost, iteration, True, normal_equations_singular=singular)
-        residual, jac = problem.residual_and_jacobian(x)
+        moved, step, new_cost = trying[accept], step[accept], trial_cost[accept]
+        decrease = cost[moved] - new_cost
+        x[moved] = trial[accept]
+        cost[moved] = new_cost
+        lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
+        done = (np.linalg.norm(step, axis=1) < step_tol) | (
+            decrease <= cost_tol * np.maximum(new_cost, 1e-300)
+        )
+        converged[moved[done]] = True
+        active[moved[done]] = False
+        going = moved[~done]
+        exhausted = iteration[going] >= max_iterations
+        active[going[exhausted]] = False
+        going = going[~exhausted]
+        if going.size:
+            iteration[going] += 1
+            residual, jac = problem.residual_and_jacobian(x[going], going)
+            jtj[going], gradient[going] = _normal_equations(residual, jac)
 
-    return SolveReport(x, cost, max_iterations, False, normal_equations_singular=singular)
+    shape = x0.shape[:-1]
+    return StackedSolve(
+        estimate=x.reshape(x0.shape),
+        final_cost=cost.reshape(shape),
+        problem_iterations=iteration.reshape(shape),
+        converged=converged.reshape(shape),
+        normal_equations_singular=singular.reshape(shape),
+    )
 
 
-def _random_init(problem: LsProblem, room: Room, rng: np.random.Generator) -> np.ndarray:
+def _random_init(n_agents: int, room: Room, rng: np.random.Generator) -> np.ndarray:
     parts = []
-    for _ in range(problem.n_agents):
+    for _ in range(n_agents):
         position = room.sample_point(rng)
         euler = rotation_to_euler(sample_uniform_rotation(rng))
         parts.append(np.hstack([position, euler]))
@@ -303,14 +404,31 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     return np.hstack(parts)
 
 
-def _solve_with_restarts(problem, inits: Sequence[np.ndarray]) -> SolveReport:
-    """Run LM from every init, keep the lowest final cost (first on ties)."""
-    best: Optional[SolveReport] = None
-    for x0 in inits:
-        report = levenberg_marquardt(problem, x0)
-        if best is None or report.final_cost < best.final_cost:
-            best = report
-    return replace(best, initializations_used=len(inits))
+def _agent_stack(problem: LsProblem, restarts: int) -> LsProblem:
+    """Single-agent problem stacked over the agents of a non-cooperative problem.
+
+    Each agent keeps only its anchor links, which must follow one pattern
+    for all agents; its measurements repeat once per restart, so the stack
+    is agent-major, restart-minor.
+    """
+    m = problem.n_agents
+    own = problem.links[:, 1] >= m
+    order = np.argsort(problem.links[own, 0], kind="stable")
+    links = problem.links[own][order].reshape(m, -1, 2)
+    if np.any(links[:, :, 1] != links[:1, :, 1]) or np.any(
+        links[:, :, 0] != np.arange(m)[:, None]
+    ):
+        raise ValueError("non-cooperative agents must share one anchor-link pattern")
+    y = problem.y_imag[own][order].reshape(m, -1, 3, 3)
+    return LsProblem(
+        n_agents=1,
+        anchor_positions=problem.anchor_positions,
+        anchor_rotations=problem.anchor_rotations,
+        links=np.column_stack([np.zeros(links.shape[1], dtype=int), links[0, :, 1] - m + 1]),
+        y_imag=np.repeat(y, restarts, axis=0),
+        coupling=problem.coupling,
+        cooperative=False,
+    )
 
 
 def parse_init_strategy(spec: str) -> Tuple[str, int]:
@@ -342,7 +460,8 @@ def estimate(
     mode), 'random' / 'random:<k>' (uniform position in the room, uniform
     orientation; the restart with the lowest final cost wins) or 'pairml'
     (closed-form per-agent initialization, one LM run).  Non-cooperative
-    problems decompose into independent single-agent solves.
+    problems decompose into independent single-agent problems; all agents
+    and restarts are solved as one stacked LM.
     """
     strategy, restarts = parse_init_strategy(init)
     if strategy == "perfect" and truth is None:
@@ -352,54 +471,60 @@ def estimate(
     if strategy == "random" and rng is None:
         raise ValueError("random initialization requires an rng")
 
-    if not problem.cooperative and problem.n_agents > 1:
-        reports = []
-        for agent in range(problem.n_agents):
-            sub = problem.agent_subproblem(agent)
-            sub_truth = None
-            if truth is not None:
-                sub_truth = truth[6 * agent : 6 * agent + 6]
-            reports.append(estimate(sub, init, room=room, truth=sub_truth, rng=rng))
-        return SolveReport(
-            estimate=np.hstack([r.estimate for r in reports]),
-            final_cost=float(sum(r.final_cost for r in reports)),
-            iterations=max(r.iterations for r in reports),
-            converged=all(r.converged for r in reports),
-            initializations_used=restarts,
-            normal_equations_singular=any(r.normal_equations_singular for r in reports),
-        )
-
+    # non-cooperative problems decompose into independent single-agent ones
+    groups = 1 if problem.cooperative else problem.n_agents
+    stack = problem if problem.cooperative else _agent_stack(problem, restarts)
+    size = problem.n_parameters // groups
     if strategy == "perfect":
-        inits = [np.asarray(truth, dtype=float)]
+        inits = np.asarray(truth, dtype=float).reshape(groups, 1, size)
     elif strategy == "pairml":
-        inits = [pairml_initialization(problem, room)]
+        inits = pairml_initialization(problem, room).reshape(groups, 1, size)
     else:
-        inits = [_random_init(problem, room, rng) for _ in range(restarts)]
-    return _solve_with_restarts(problem, inits)
+        inits = np.array(
+            [
+                [_random_init(size // 6, room, rng) for _ in range(restarts)]
+                for _ in range(groups)
+            ]
+        )
+    solve = levenberg_marquardt(stack, inits.reshape(-1, size))
+    # lowest final cost per group, first on ties
+    costs = solve.final_cost.reshape(groups, restarts)
+    best = np.zeros(groups, dtype=int)
+    for restart in range(1, restarts):
+        best[costs[:, restart] < costs[np.arange(groups), best]] = restart
+    return solve.report(np.arange(groups) * restarts + best, restarts)
 
 
 @dataclass
 class _RangeProblem:
-    """Residual ||p - a_n|| - r_n over the anchor set, for multilateration."""
+    """Residuals ||p - a_n|| - r_n of a stack of range-only fixes.
+
+    anchor_positions (B, N, 3) and distances (B, N); a NaN distance marks a
+    padded anchor, whose residual and Jacobian row are zero.
+    """
 
     anchor_positions: np.ndarray
     distances: np.ndarray
 
-    def residual(self, p: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.anchor_positions - p, axis=1) - self.distances
+    def residual_and_jacobian(self, p: np.ndarray, index=None):
+        anchors, distances = self.anchor_positions, self.distances
+        if index is not None:
+            anchors, distances = anchors[index], distances[index]
+        diff = p[..., None, :] - anchors
+        norms = np.maximum(np.linalg.norm(diff, axis=-1), 1e-12)
+        usable = np.isfinite(distances)
+        residual = np.where(usable, norms - distances, 0.0)
+        return residual, np.where(usable[..., None], diff / norms[..., None], 0.0)
 
-    def residual_and_jacobian(self, p: np.ndarray):
-        diff = p - self.anchor_positions
-        norms = np.linalg.norm(diff, axis=1)
-        norms = np.maximum(norms, 1e-12)
-        return norms - self.distances, diff / norms[:, None]
+    def residual(self, p: np.ndarray, index=None) -> np.ndarray:
+        return self.residual_and_jacobian(p, index)[0]
 
 
 @dataclass
 class MultilaterationResult:
     position: np.ndarray
     report: SolveReport
-    underdetermined: bool
+    underdetermined: np.ndarray
 
 
 def multilaterate(
@@ -407,19 +532,26 @@ def multilaterate(
     distances: np.ndarray,
     room: Room,
 ) -> MultilaterationResult:
-    """Range-only position fix from per-anchor distance estimates.
+    """Range-only position fixes from per-anchor distance estimates.
 
-    Minimizes the squared range residuals with the same damped Gauss-Newton
-    solver, initialized at the room center; the output is clamped to the
-    room.  Fewer than three anchors leave the 3-d fix underdetermined, which
-    is flagged rather than raised.
+    anchor_positions (..., N, 3) and distances (..., N) hold one fix per
+    leading index; all fixes are solved as one stacked LM, each initialized
+    at the room center, and clamped to the room.  A NaN distance marks an
+    anchor without a usable estimate, so fixes over different anchor counts
+    can share a stack.  The report is the joint one of all fixes.  Fewer
+    than three usable anchors leave a 3-d fix underdetermined, which is
+    flagged rather than raised.
     """
     anchor_positions = np.asarray(anchor_positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
-    problem = _RangeProblem(anchor_positions, distances)
-    report = levenberg_marquardt(problem, room.center.copy())
+    problem = _RangeProblem(
+        anchor_positions.reshape(-1, distances.shape[-1], 3),
+        distances.reshape(-1, distances.shape[-1]),
+    )
+    start = np.broadcast_to(room.center, distances.shape[:-1] + (3,))
+    solve = levenberg_marquardt(problem, start)
     return MultilaterationResult(
-        position=room.clamp(report.estimate),
-        report=report,
-        underdetermined=len(anchor_positions) < 3,
+        position=room.clamp(solve.estimate),
+        report=solve.report(np.arange(len(problem.distances))),
+        underdetermined=np.sum(np.isfinite(distances), axis=-1) < 3,
     )

@@ -37,21 +37,21 @@ def euler_to_rotation(euler) -> np.ndarray:
 
 
 def euler_to_rotation_batch(eulers: np.ndarray) -> np.ndarray:
-    """Vectorized euler_to_rotation for an (n, 3) array of angle triples."""
+    """Vectorized euler_to_rotation for a (..., 3) array of angle triples."""
     e = np.asarray(eulers, dtype=float)
-    ca, sa = np.cos(e[:, 0]), np.sin(e[:, 0])
-    cb, sb = np.cos(e[:, 1]), np.sin(e[:, 1])
-    cg, sg = np.cos(e[:, 2]), np.sin(e[:, 2])
-    r = np.empty((len(e), 3, 3))
-    r[:, 0, 0] = ca * cb
-    r[:, 0, 1] = ca * sb * sg - sa * cg
-    r[:, 0, 2] = ca * sb * cg + sa * sg
-    r[:, 1, 0] = sa * cb
-    r[:, 1, 1] = sa * sb * sg + ca * cg
-    r[:, 1, 2] = sa * sb * cg - ca * sg
-    r[:, 2, 0] = -sb
-    r[:, 2, 1] = cb * sg
-    r[:, 2, 2] = cb * cg
+    ca, sa = np.cos(e[..., 0]), np.sin(e[..., 0])
+    cb, sb = np.cos(e[..., 1]), np.sin(e[..., 1])
+    cg, sg = np.cos(e[..., 2]), np.sin(e[..., 2])
+    r = np.empty(e.shape[:-1] + (3, 3))
+    r[..., 0, 0] = ca * cb
+    r[..., 0, 1] = ca * sb * sg - sa * cg
+    r[..., 0, 2] = ca * sb * cg + sa * sg
+    r[..., 1, 0] = sa * cb
+    r[..., 1, 1] = sa * sb * sg + ca * cg
+    r[..., 1, 2] = sa * sb * cg - ca * sg
+    r[..., 2, 0] = -sb
+    r[..., 2, 1] = cb * sg
+    r[..., 2, 2] = cb * cg
     return r
 
 
@@ -90,21 +90,33 @@ def rotation_to_euler(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.array([alpha, beta, gamma])
 
 
-def euler_rotation_derivatives(euler) -> np.ndarray:
-    """Derivatives of euler_to_rotation w.r.t. each angle, shape (3, 3, 3).
+def _matrices(shape, entries) -> np.ndarray:
+    """(*shape, 3, 3) matrices with the given row-major {index: value} entries, zero elsewhere."""
+    out = np.zeros(shape + (9,))
+    for index, value in entries.items():
+        out[..., index] = value
+    return out.reshape(shape + (3, 3))
 
-    Entry [i] is dR/d(angle_i): the corresponding single-angle factor is
+
+def euler_rotation_derivatives(euler) -> np.ndarray:
+    """Derivatives of euler_to_rotation w.r.t. each angle.
+
+    euler has shape (..., 3); the result has shape (..., 3, 3, 3) and entry
+    [..., i, :, :] is dR/d(angle_i): the corresponding single-angle factor is
     replaced by its elementwise trigonometric derivative.
     """
-    alpha, beta, gamma = np.asarray(euler, dtype=float)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    dz = np.array([[-sa, -ca, 0.0], [ca, -sa, 0.0], [0.0, 0.0, 0.0]])
-    dy = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
-    dx = np.array([[0.0, 0.0, 0.0], [0.0, -sg, -cg], [0.0, cg, -sg]])
-    ry, rx, rz = rot_y(beta), rot_x(gamma), rot_z(alpha)
-    return np.stack([dz @ ry @ rx, rz @ dy @ rx, rz @ ry @ dx])
+    e = np.asarray(euler, dtype=float)
+    shape = e.shape[:-1]
+    ca, sa = np.cos(e[..., 0]), np.sin(e[..., 0])
+    cb, sb = np.cos(e[..., 1]), np.sin(e[..., 1])
+    cg, sg = np.cos(e[..., 2]), np.sin(e[..., 2])
+    rz = _matrices(shape, {0: ca, 1: -sa, 3: sa, 4: ca, 8: 1.0})
+    ry = _matrices(shape, {0: cb, 2: sb, 4: 1.0, 6: -sb, 8: cb})
+    rx = _matrices(shape, {0: 1.0, 4: cg, 5: -sg, 7: sg, 8: cg})
+    dz = _matrices(shape, {0: -sa, 1: -ca, 3: ca, 4: -sa})
+    dy = _matrices(shape, {0: -sb, 2: cb, 6: -cb, 8: -sb})
+    dx = _matrices(shape, {4: -sg, 5: -cg, 7: cg, 8: -sg})
+    return np.stack([dz @ ry @ rx, rz @ dy @ rx, rz @ ry @ dx], axis=-3)
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -159,12 +171,15 @@ class Room:
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.max_corner - self.min_corner))
 
-    def contains(self, point: np.ndarray, margin: float = 0.0) -> bool:
-        """Closed-box membership; margin > 0 inflates the box on all sides."""
+    def contains(self, point: np.ndarray, margin: float = 0.0):
+        """Closed-box membership; margin > 0 inflates the box on all sides.
+
+        point is one 3-vector (a bool is returned) or a (..., 3) stack (a
+        boolean array over its rows).
+        """
         p = np.asarray(point, dtype=float)
-        return bool(
-            np.all(p >= self.min_corner - margin) and np.all(p <= self.max_corner + margin)
-        )
+        inside = np.all((p >= self.min_corner - margin) & (p <= self.max_corner + margin), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def clamp(self, point: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(point, dtype=float), self.min_corner, self.max_corner)

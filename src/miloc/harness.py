@@ -19,6 +19,7 @@ from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, LinkKind, coupling_coefficient
 from .config import ExperimentConfig
 from .estimators import LsProblem, SolveReport
+from .geometry import euler_to_rotation, rotation_to_euler
 from .scenario import (
     MeasurementSet,
     Scheme,
@@ -160,19 +161,23 @@ def run_trial_estimator(
         )
         return theta.reshape(-1, 6), report, True
     if estimator == "multilateration":
-        poses = []
-        converged = True
-        for agent in range(topology.n_agents):
-            measurements, anchors = _agent_anchor_links(measurement_set, topology, agent)
-            positions, distances = pairml.distance_estimates(
-                measurements, anchors, coupling
+        ranges = [
+            pairml.distance_estimates(
+                *_agent_anchor_links(measurement_set, topology, agent), coupling
             )
-            fix = estimators.multilaterate(positions, distances, room)
-            converged &= fix.report.converged
-            poses.append(np.hstack([fix.position, np.full(3, np.nan)]))
-        theta = np.hstack(poses)
+            for agent in range(topology.n_agents)
+        ]
+        # agents with fewer usable anchors are padded with NaN ranges
+        width = max(len(d) for _, d in ranges)
+        positions = np.zeros((topology.n_agents, width, 3))
+        distances = np.full((topology.n_agents, width), np.nan)
+        for agent, (p, d) in enumerate(ranges):
+            positions[agent, : len(d)] = p
+            distances[agent, : len(d)] = d
+        fix = estimators.multilaterate(positions, distances, room)
+        theta = np.hstack([fix.position, np.full((topology.n_agents, 3), np.nan)]).reshape(-1)
         report = SolveReport(
-            estimate=theta, final_cost=np.nan, iterations=0, converged=converged
+            estimate=theta, final_cost=np.nan, iterations=0, converged=fix.report.converged
         )
         return theta.reshape(-1, 6), report, False
     raise ValueError(f"unknown estimator {estimator!r}")
@@ -442,6 +447,17 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _canonical_pose(pose: np.ndarray) -> np.ndarray:
+    """The pose with canonical Euler angles; a NaN orientation stays NaN.
+
+    Estimators iterate on unconstrained angles, and equivalent triples would
+    otherwise be written differently.
+    """
+    if np.isnan(pose[3:]).any():
+        return pose
+    return np.hstack([pose[:3], rotation_to_euler(euler_to_rotation(pose[3:]))])
+
+
 def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
     """Write trials.csv, summary.csv, per-label CDF files and config.echo.
 
@@ -463,7 +479,7 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
             str(tr.noise_id),
             str(tr.agent),
             *[_fmt(v) for v in tr.true_pose],
-            *[_fmt(v) for v in tr.est_pose],
+            *[_fmt(v) for v in _canonical_pose(tr.est_pose)],
             _fmt(tr.error_m),
             _fmt(tr.final_cost),
             _fmt(tr.ref_cost),

@@ -87,13 +87,26 @@ class PairMlResult:
 
 
 def canonical_svd(a: np.ndarray) -> SvdTriple:
+    """Canonical SVD of one 3x3 matrix or of a (..., 3, 3) stack."""
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
-    v = vt.T
-    for j in range(3):
-        if v[np.argmax(np.abs(v[:, j])), j] < 0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-    return SvdTriple(u=u, s=s, v=v)
+    v = vt.swapaxes(-1, -2)
+    # the largest-magnitude entry of each column of V, the first on ties
+    lead = np.abs(v).argmax(axis=-2)[..., None, :] == np.arange(3)[:, None]
+    sign = np.where((v * lead).sum(axis=-2, keepdims=True) < 0, -1.0, 1.0)
+    return SvdTriple(u=u * sign, s=s, v=v * sign)
+
+
+def decompose_links(h_meas: np.ndarray, anchor_rotations: np.ndarray):
+    """decompose_link for stacked links, (..., 3, 3) each; degenerate links are not flagged."""
+    a = np.imag(np.asarray(h_meas)).swapaxes(-1, -2) @ anchor_rotations.swapaxes(-1, -2)
+    svd = canonical_svd(a)
+    det_uv = np.linalg.det(svd.u @ svd.v.swapaxes(-1, -2))
+    flips = np.ones(det_uv.shape + (1, 3))
+    flips[..., 1] = -1.0
+    flips[..., 2] = -det_uv[..., None]
+    o_hat = (svd.v * flips) @ svd.u.swapaxes(-1, -2)
+    z = svd.s[..., 0] + 0.5 * svd.s[..., 1] + 0.5 * svd.s[..., 2] * det_uv
+    return svd, o_hat, z
 
 
 def decompose_link(h_meas: np.ndarray, anchor: Deployment):
@@ -107,14 +120,10 @@ def decompose_link(h_meas: np.ndarray, anchor: Deployment):
     Raises:
         DegenerateMeasurement: all-zero imaginary part.
     """
-    a = np.imag(np.asarray(h_meas)).T @ anchor.rotation.T
-    svd = canonical_svd(a)
+    svd, o_hat, z = decompose_links(h_meas, anchor.rotation)
     if svd.s[0] < DEGENERATE_SV_TOL:
         raise DegenerateMeasurement("measurement has no imaginary content")
-    det_uv = float(np.linalg.det(svd.u @ svd.v.T))
-    o_hat = svd.v @ np.diag([1.0, -1.0, -det_uv]) @ svd.u.T
-    z = float(svd.s[0] + 0.5 * svd.s[1] + 0.5 * svd.s[2] * det_uv)
-    return svd, o_hat, z
+    return svd, o_hat, float(z)
 
 
 def constrained_dipole_fit(svd: SvdTriple) -> np.ndarray:
@@ -166,7 +175,7 @@ def resolve_position(
     anchor_position = np.asarray(anchor_position, dtype=float)
     step = np.asarray(direction, dtype=float) * float(distance)
     candidates = np.stack([anchor_position + step, anchor_position - step])
-    inside = [room.contains(c, margin) for c in candidates]
+    inside = room.contains(candidates, margin).tolist()
     if sum(inside) == 1:
         chosen = candidates[0] if inside[0] else candidates[1]
         return candidates, chosen, PositionValidity.UNIQUE_IN_ROOM
@@ -184,6 +193,10 @@ def estimate_link(
 ) -> PairMlResult:
     """Full closed-form pipeline for a single agent-anchor measurement."""
     svd, o_hat, z = decompose_link(h_meas, anchor)
+    return _link_result(svd, o_hat, z, anchor, coupling, room, margin)
+
+
+def _link_result(svd, o_hat, z, anchor, coupling, room, margin) -> PairMlResult:
     distance = ml_distance(z, coupling)
     direction = direction_estimate(svd)
     candidates, chosen, validity = resolve_position(
@@ -252,11 +265,21 @@ def pair_ml_estimate(
     """
     if len(measurements) != len(anchors):
         raise ValueError("measurements and anchors must align")
+    if not measurements:
+        raise NoMeasurements("no usable agent-anchor measurement")
+    svd, o_hat, z = decompose_links(
+        np.array([m.h_meas for m in measurements]), np.array([a.rotation for a in anchors])
+    )
     results = []
-    for meas, anchor in zip(measurements, anchors):
+    for i, anchor in enumerate(anchors):
+        link = SvdTriple(svd.u[i], svd.s[i], svd.v[i])
+        if link.s[0] < DEGENERATE_SV_TOL:
+            continue
         try:
-            results.append(estimate_link(meas.h_meas, anchor, coupling, room, margin))
-        except (DegenerateMeasurement, ZeroScore, AmbiguousDirection):
+            results.append(
+                _link_result(link, o_hat[i], float(z[i]), anchor, coupling, room, margin)
+            )
+        except (ZeroScore, AmbiguousDirection):
             continue
     if not results:
         raise NoMeasurements("no usable agent-anchor measurement")

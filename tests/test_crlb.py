@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miloc.channel import channel_matrix
-from miloc.crlb import SingularFim, assemble_fim, peb, peb_all
+from miloc.crlb import FisherInfo, SingularFim, assemble_fim, peb, peb_all
 from miloc.estimators import LsProblem, pack_deployments
 from miloc.geometry import Deployment
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 from conftest import random_deployment
-from oracles import fim_block, link_information
+from oracles import fim_block, link_information, position_bound
 
 SIGMA = 1e-5
 
@@ -122,6 +122,33 @@ def test_singular_fim_reports_null_direction(room, coupling):
     with pytest.raises(SingularFim) as exc:
         peb(info, 0)
     assert exc.value.null_direction is not None
+
+
+@pytest.mark.parametrize("cooperative", [True, False])
+def test_peb_matches_eigendecomposition_reference(room, anchors, coupling, cooperative):
+    for m in range(1, 11):
+        topo = _topology(m, 40 + m, room, anchors)
+        info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative)
+        expected = [position_bound(info.matrix, agent) for agent in range(m)]
+        assert np.allclose(peb_all(info), expected, rtol=1e-9, atol=0.0)
+        assert np.isclose(peb(info, m - 1), expected[-1], rtol=1e-9, atol=0.0)
+
+
+def test_singular_fim_null_direction_matches_reference():
+    rng = np.random.default_rng(14)
+    basis = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    spectra = {
+        "rank deficient": np.r_[np.zeros(1), np.logspace(0, 3, 11)],
+        "condition above 1e14": np.r_[1e-3, np.logspace(11, 12, 11)],
+    }
+    for name, spectrum in spectra.items():
+        crafted = FisherInfo(matrix=(basis * spectrum) @ basis.T, n_agents=2)
+        for bound in (lambda i: peb(i, 1), peb_all):
+            with pytest.raises(SingularFim) as exc:
+                bound(crafted)
+            with pytest.raises(SingularFim) as ref:
+                position_bound(crafted.matrix, 1)
+            assert np.array_equal(exc.value.null_direction, ref.value.null_direction), name
 
 
 def test_fim_against_monte_carlo_likelihood_curvature(room, anchors, coil, gparams, coupling):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from miloc import estimators
 from miloc.channel import coupling_coefficient
 from miloc.estimators import (
     DimensionMismatch,
@@ -12,6 +14,7 @@ from miloc.estimators import (
     parse_init_strategy,
     unpack_parameters,
 )
+from miloc.geometry import rotation_to_euler, sample_uniform_rotation
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 
@@ -81,16 +84,20 @@ def test_noncooperative_jacobian_is_block_diagonal(room, anchors, coil, gparams)
 
 
 class _Quadratic:
-    """r(x) = x - target: one Gauss-Newton step solves it."""
+    """r(x) = x - target: one Gauss-Newton step solves it.
+
+    x is one vector or a stack of rows; target broadcasts against it.
+    """
 
     def __init__(self, target):
         self.target = target
 
-    def residual(self, x):
+    def residual(self, x, index=None):
         return x - self.target
 
-    def residual_and_jacobian(self, x):
-        return x - self.target, np.eye(len(x))
+    def residual_and_jacobian(self, x, index=None):
+        size = x.shape[-1]
+        return x - self.target, np.broadcast_to(np.eye(size), x.shape + (size,))
 
 
 def test_lm_solves_linear_problem_immediately():
@@ -109,11 +116,11 @@ def test_lm_solves_linear_problem_immediately():
 class _BrokenJacobian:
     """Produces non-finite normal equations at every damping level."""
 
-    def residual(self, x):
+    def residual(self, x, index=None):
         return x - 1.0
 
-    def residual_and_jacobian(self, x):
-        return x - 1.0, np.full((len(x), len(x)), np.nan)
+    def residual_and_jacobian(self, x, index=None):
+        return x - 1.0, np.full(x.shape + (x.shape[-1],), np.nan)
 
 
 def test_lm_reports_singular_normal_equations():
@@ -139,9 +146,9 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
     costs = []
     original = problem.residual_and_jacobian
 
-    def tracking(theta):
-        res, jac = original(theta)
-        costs.append(float(res @ res))
+    def tracking(theta, index=None):
+        res, jac = original(theta, index)
+        costs.append(float(np.sum(res**2)))
         return res, jac
 
     problem.residual_and_jacobian = tracking
@@ -248,6 +255,139 @@ def test_random_restarts_deterministic_and_best_of(room, anchors, coil, gparams)
     assert rep1.final_cost <= single.final_cost + 1e-18
 
 
+def _anchor_stack(seeds, coil, gparams, room, anchors):
+    """One single-agent problem stacked over every agent of several noisy networks."""
+    singles = []
+    for seed in seeds:
+        _, problem = make_problem(4, Scheme.NONCOOP, seed, coil, gparams, room, anchors)
+        singles += [oracles.agent_problem(problem, agent) for agent in range(4)]
+    stack = LsProblem(
+        n_agents=1,
+        anchor_positions=singles[0].anchor_positions,
+        anchor_rotations=singles[0].anchor_rotations,
+        links=singles[0].links,
+        y_imag=np.stack([p.y_imag for p in singles]),
+        coupling=singles[0].coupling,
+        cooperative=False,
+    )
+    return stack, singles
+
+
+def _random_starts(count, rng, lo, hi):
+    return np.array(
+        [
+            np.hstack([rng.uniform(lo, hi, 3), rotation_to_euler(sample_uniform_rotation(rng))])
+            for _ in range(count)
+        ]
+    )
+
+
+def test_stacked_residual_and_jacobian_match_row_by_row(coil, gparams, room, anchors):
+    stack, singles = _anchor_stack([30], coil, gparams, room, anchors)
+    theta = _random_starts(len(singles), np.random.default_rng(31), 0.0, 1.5)
+    index = np.array([3, 0, 2])
+    res, jac = stack.residual_and_jacobian(theta[index], index)
+    assert res.shape == (3, 9 * len(stack.links)) and jac.shape == res.shape + (6,)
+    assert np.array_equal(stack.residual(theta[index], index), res)
+    for row, b in enumerate(index):
+        res_b, jac_b = singles[b].residual_and_jacobian(theta[b])
+        assert res_b.shape == (9 * len(stack.links),) and jac_b.shape == (len(res_b), 6)
+        assert np.allclose(res[row], res_b, rtol=0.0, atol=1e-18)
+        assert np.allclose(jac[row], jac_b, rtol=1e-13, atol=1e-20)
+
+
+def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
+    # starts inside the room and well outside it: some restarts run off
+    stack, singles = _anchor_stack([32, 33, 34], coil, gparams, room, anchors)
+    rng = np.random.default_rng(35)
+    x0 = np.vstack(
+        [
+            _random_starts(len(singles) // 2, rng, 0.0, 1.5),
+            _random_starts(len(singles) - len(singles) // 2, rng, -3.0, 4.5),
+        ]
+    )
+    solve = levenberg_marquardt(stack, x0)
+    assert solve.estimate.shape == x0.shape
+    diverged = 0
+    for b, (single, start) in enumerate(zip(singles, x0)):
+        ref = oracles.levenberg_marquardt(single, start)
+        assert solve.problem_iterations[b] == ref.iterations
+        assert solve.converged[b] == ref.converged
+        assert solve.normal_equations_singular[b] == ref.normal_equations_singular
+        assert np.isclose(solve.final_cost[b], ref.final_cost, rtol=1e-12, atol=0.0)
+        diverged += np.linalg.norm(ref.estimate[:3]) > 100.0
+    assert diverged > 0
+    assert isinstance(solve.iterations, int)
+    assert solve.iterations == int(solve.problem_iterations.sum())
+
+
+class _NanJacobianRows:
+    """A stacked problem whose Jacobian is NaN for the listed problems."""
+
+    def __init__(self, problem, broken):
+        self.problem = problem
+        self.broken = broken
+
+    def residual(self, x, index):
+        return self.problem.residual(x, index)
+
+    def residual_and_jacobian(self, x, index):
+        res, jac = self.problem.residual_and_jacobian(x, index)
+        jac = jac.copy()
+        jac[np.isin(index, self.broken)] = np.nan
+        return res, jac
+
+
+def test_nan_jacobian_problem_leaves_the_others_alone(coil, gparams, room, anchors):
+    stack, singles = _anchor_stack([36], coil, gparams, room, anchors)
+    x0 = _random_starts(len(singles), np.random.default_rng(37), 0.0, 1.5)
+    solve = levenberg_marquardt(_NanJacobianRows(stack, [1]), x0)
+    assert solve.normal_equations_singular[1] and not solve.converged[1]
+    assert np.array_equal(solve.estimate[1], x0[1])
+    for b in (0, 2, 3):
+        alone = levenberg_marquardt(singles[b], x0[b])
+        assert solve.problem_iterations[b] == alone.problem_iterations
+        assert solve.converged[b] == alone.converged
+        assert not solve.normal_equations_singular[b]
+        assert np.isclose(solve.final_cost[b], alone.final_cost, rtol=1e-13, atol=0.0)
+        assert np.allclose(solve.estimate[b], alone.estimate, rtol=1e-12, atol=1e-12)
+
+
+def test_singular_system_in_stack_is_solved_apart():
+    jtj = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2)])
+    gradient = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 2.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jtj[1], -gradient[1])
+    steps = estimators._damped_steps(jtj, gradient, np.array([1.0, 0.0, 1.0]))
+    assert np.isnan(steps[1]).all()
+    assert np.allclose(steps[0], -gradient[0] / 2.0)
+    assert np.allclose(steps[2], -gradient[2] / 4.0)
+
+
+def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams, room, anchors):
+    _, problem = make_problem(3, Scheme.NONCOOP, 38, coil, gparams, room, anchors)
+    starts = []
+    solver = estimators.levenberg_marquardt
+
+    def recording(stack, x0):
+        starts.append(np.array(x0))
+        return solver(stack, x0)
+
+    monkeypatch.setattr(estimators, "levenberg_marquardt", recording)
+    rng, rng_ref = np.random.default_rng(39), np.random.default_rng(39)
+    report = estimate(problem, "random:3", room=room, rng=rng)
+    ref, ref_starts, picks = oracles.random_restarts_per_agent(problem, 3, room, rng_ref)
+    # one stacked solve from the oracle's starts, agent-major and restart-minor
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], ref_starts.reshape(-1, 6))
+    assert rng.random() == rng_ref.random()
+    assert report.iterations == ref.iterations
+    assert report.converged == ref.converged
+    assert report.initializations_used == 3
+    assert np.isclose(report.final_cost, ref.final_cost, rtol=1e-12, atol=0.0)
+    assert np.allclose(report.estimate, ref.estimate, rtol=0.0, atol=1e-9)
+
+
 def test_parse_init_strategy():
     assert parse_init_strategy("perfect") == ("perfect", 1)
     assert parse_init_strategy("random") == ("random", 1)
@@ -305,6 +445,22 @@ def test_multilateration_scaled_distances_robust(room, anchors):
     fix = multilaterate(positions, distances, room)
     assert fix.report.converged
     assert np.linalg.norm(fix.position - target) < 0.2
+
+
+def test_multilateration_stack_matches_single_fixes(room, anchors):
+    positions = np.stack([a.position for a in anchors])
+    rng = np.random.default_rng(40)
+    targets = rng.uniform(0.1, 1.4, (3, 3))
+    distances = np.linalg.norm(positions - targets[:, None], axis=2)
+    distances *= rng.uniform(0.97, 1.03, (3, 4))
+    distances[1, 2] = np.nan  # agent 1 has no usable range to anchor 2
+    fix = multilaterate(np.broadcast_to(positions, (3, 4, 3)), distances, room)
+    assert fix.position.shape == (3, 3)
+    assert not fix.underdetermined.any()
+    for b in range(3):
+        usable = np.isfinite(distances[b])
+        alone = multilaterate(positions[usable], distances[b, usable], room)
+        assert np.allclose(fix.position[b], alone.position, rtol=0.0, atol=1e-12)
 
 
 def test_multilateration_underdetermined_flag(room, anchors):

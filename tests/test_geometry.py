@@ -14,6 +14,8 @@ from miloc.geometry import (
     sample_uniform_rotation,
 )
 
+from oracles import euler_rotation_derivatives_one
+
 
 def test_identity_angles_give_identity():
     assert np.allclose(euler_to_rotation([0, 0, 0]), np.eye(3))
@@ -116,6 +118,21 @@ def test_euler_derivatives_match_finite_differences():
             step[i] = h
             fd = (euler_to_rotation(euler + step) - euler_to_rotation(euler - step)) / (2 * h)
             assert np.abs(fd - analytic[i]).max() < 1e-8
+
+
+def test_stacked_euler_derivatives_match_one_angle_formula():
+    rng = np.random.default_rng(14)
+    eulers = rng.uniform(-4.0, 4.0, (6, 5, 3))
+    stacked = euler_rotation_derivatives(eulers)
+    assert stacked.shape == (6, 5, 3, 3, 3)
+    for index in np.ndindex(6, 5):
+        expected = euler_rotation_derivatives_one(eulers[index])
+        assert np.allclose(stacked[index], expected, rtol=0.0, atol=1e-15)
+    assert euler_rotation_derivatives(eulers[0, 0]).shape == (3, 3, 3)
+    assert np.array_equal(
+        euler_to_rotation_batch(eulers).reshape(-1, 3, 3),
+        euler_to_rotation_batch(eulers.reshape(-1, 3)),
+    )
 
 
 def test_rigid_rotation_preserves_pairwise_distances():

@@ -162,6 +162,53 @@ def test_emit_outputs_schema_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scheme="noncoop", estimator="numls", init="random:3", agents="3"),
+        dict(scheme="coop", estimator="numls", init="random:2", agents="2"),
+        dict(scheme="coop", estimator="turbols", agents="3"),
+    ],
+)
+def test_written_euler_angles_are_canonical(tmp_path, overrides):
+    import csv
+
+    from miloc.channel import coupling_coefficient
+    from miloc.harness import _build_problem, _trial_seed
+    from miloc.scenario import sample_topology, synthesize_measurements
+
+    cfg = _small_cfg(topologies=2, noise=2, **overrides)
+    emit_outputs(run_experiment(cfg), tmp_path)
+    with open(tmp_path / "trials.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows
+    alpha, beta, gamma = (
+        np.array([float(r[f"est_{k}"]) for r in rows]) for k in ("alpha", "beta", "gamma")
+    )
+    assert np.all((alpha > -np.pi) & (alpha <= np.pi))
+    assert np.all((gamma > -np.pi) & (gamma <= np.pi))
+    assert np.all(np.abs(beta) <= np.pi / 2)
+
+    m = int(rows[0]["m"])
+    coil, gparams = cfg.coil(), cfg.global_params()
+    coupling = coupling_coefficient(coil, coil, gparams)
+    scheme = cfg.scheme_enum()
+    for t in range(cfg.topologies):
+        topo = sample_topology(
+            m, cfg.room(), cfg.anchors(), cfg.min_distance(),
+            _trial_seed(cfg.seed, m, t, 0), seed=cfg.seed,
+        )
+        for k in range(cfg.noise):
+            trial = [r for r in rows if int(r["topology"]) == t and int(r["noise"]) == k]
+            columns = ("x", "y", "z", "alpha", "beta", "gamma")
+            theta = np.hstack([[float(r[f"est_{c}"]) for c in columns] for r in trial])
+            data = synthesize_measurements(
+                topo, coil, gparams, scheme, _trial_seed(cfg.seed, m, t, k, 1)
+            )
+            recomputed = _build_problem(data, topo, coupling).cost(theta)
+            assert np.isclose(float(trial[0]["final_cost"]), recomputed, rtol=1e-9, atol=0.0)
+
+
 def test_mean_peb_curve_noncoop_flat_in_m():
     cfg = _small_cfg(scheme="noncoop")
     rows = mean_peb_curve(cfg, agent_counts=[1, 3], topologies=40, scheme=Scheme.NONCOOP)
