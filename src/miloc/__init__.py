@@ -4,12 +4,10 @@ from .channel import (
     CoilParams,
     CoincidentNodes,
     GlobalParams,
-    LinkKind,
     LinkMeasurement,
     add_noise,
     channel_matrix,
     coupling_coefficient,
-    dipole_factor,
 )
 from .config import ConfigError, ExperimentConfig
 from .crlb import FisherInfo, SingularFim, assemble_fim, peb, peb_all

@@ -16,7 +16,6 @@ symmetric complex Gaussian noise per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,11 +28,6 @@ MIN_NODE_DISTANCE = 1e-9  # m; below this the dipole model blows up
 
 class CoincidentNodes(ValueError):
     """Raised when transmitter and receiver (nearly) coincide."""
-
-
-class LinkKind(Enum):
-    AGENT_ANCHOR = "agent-anchor"
-    AGENT_AGENT = "agent-agent"
 
 
 @dataclass(frozen=True)
@@ -80,11 +74,6 @@ class LinkMeasurement:
     tx: int
     rx: int
     h_meas: np.ndarray
-    kind: LinkKind
-
-    def __post_init__(self):
-        if self.tx == self.rx:
-            raise ValueError("tx and rx must differ")
 
 
 def coupling_coefficient(tx: CoilParams, rx: CoilParams, params: GlobalParams) -> float:
@@ -101,16 +90,6 @@ def coupling_coefficient(tx: CoilParams, rx: CoilParams, params: GlobalParams) -
         * params.frequency
         / np.sqrt(4.0 * tx.resistance * rx.resistance)
     )
-
-
-def dipole_factor(u: np.ndarray) -> np.ndarray:
-    """F(u) = 1.5 u u^T - 0.5 I for a unit direction u.
-
-    F has eigenvalues {1, -1/2, -1/2} and satisfies F(u) = F(-u), which is
-    the root cause of the single-link sign ambiguity.
-    """
-    u = np.asarray(u, dtype=float)
-    return 1.5 * np.outer(u, u) - 0.5 * np.eye(3)
 
 
 def channel_matrix(tx: Deployment, rx: Deployment, coupling: float) -> np.ndarray:

@@ -108,7 +108,7 @@ def _cmd_topology(args) -> int:
         counts = cfg.agent_counts()
         rng = harness._trial_seed(cfg.seed, counts[-1], 0, 0)
         topo = scenario.sample_topology(
-            counts[-1], cfg.room(), cfg.anchors(), cfg.min_distance(), rng, seed=cfg.seed
+            counts[-1], cfg.room(), cfg.anchors(), cfg.min_distance(), rng
         )
         target = Path(args.file)
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -69,7 +69,6 @@ def assemble_fim(
         links=links,
         y_imag=np.zeros((len(links), 3, 3)),
         coupling=coupling,
-        cooperative=cooperative,
     )
     _, jac = problem.residual_and_jacobian(pack_deployments(agents))
     return FisherInfo(matrix=2.0 / sigma**2 * (jac.T @ jac), n_agents=m)

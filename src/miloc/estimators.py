@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import channel as chan
-from .channel import LinkMeasurement
 from .geometry import (
     Deployment,
     Room,
@@ -32,6 +31,7 @@ from .geometry import (
     sample_uniform_rotation,
 )
 from . import pairml
+from .scenario import MeasurementSet
 
 LM_INITIAL_DAMPING = 1e-3
 LM_MAX_DAMPING = 1e12
@@ -54,9 +54,6 @@ class SolveReport:
     converged: bool
     initializations_used: int = 1
     normal_equations_singular: bool = False
-
-    def deployments(self) -> List[Deployment]:
-        return unpack_parameters(self.estimate)
 
 
 def pack_deployments(deployments: Sequence[Deployment]) -> np.ndarray:
@@ -82,7 +79,8 @@ class LsProblem:
 
     Node indexing: agents occupy ids 0 .. n_agents-1, anchors follow.  Links
     are ordered (tx, rx) pairs; the transmitter is always an agent, the
-    receiver an agent or an anchor.  y_imag holds one measurement set
+    receiver an agent or an anchor; the problem is cooperative exactly when
+    some receiver is an agent.  y_imag holds one measurement set
     (L, 3, 3), or a stack (B, L, 3, 3) of B sets over the same links and
     anchors: B independent problems that the solver advances together.
     """
@@ -93,7 +91,6 @@ class LsProblem:
     links: np.ndarray  # (L, 2) int
     y_imag: np.ndarray  # (L, 3, 3) or (B, L, 3, 3) measured imaginary parts
     coupling: float
-    cooperative: bool = True
 
     def __post_init__(self):
         self.anchor_positions = np.asarray(self.anchor_positions, dtype=float).reshape(-1, 3)
@@ -108,27 +105,45 @@ class LsProblem:
     @classmethod
     def from_measurements(
         cls,
-        measurements: Sequence[LinkMeasurement],
+        measured: MeasurementSet,
         anchors: Sequence[Deployment],
         n_agents: int,
         coupling: float,
-        cooperative: bool = True,
     ) -> "LsProblem":
-        links = np.array([[m.tx, m.rx] for m in measurements], dtype=int)
-        y = np.stack([np.imag(m.h_meas) for m in measurements])
         return cls(
             n_agents=n_agents,
             anchor_positions=np.stack([a.position for a in anchors]),
             anchor_rotations=np.stack([a.rotation for a in anchors]),
-            links=links,
-            y_imag=y,
+            links=measured.links,
+            y_imag=np.imag(measured.h_meas).copy(),
             coupling=coupling,
-            cooperative=cooperative,
         )
 
     @property
     def n_parameters(self) -> int:
         return 6 * self.n_agents
+
+    @property
+    def cooperative(self) -> bool:
+        """True when some link joins two agents, so the agents do not decouple."""
+        return bool(np.any(self.links[:, 1] < self.n_agents))
+
+    def anchor_link_rows(self) -> np.ndarray:
+        """Rows of every agent's anchor links as an (M, K) block, in link order.
+
+        Raises:
+            ValueError: the agents do not share one anchor-link pattern.
+        """
+        m = self.n_agents
+        own = np.flatnonzero(self.links[:, 1] >= m)
+        rows = own[np.argsort(self.links[own, 0], kind="stable")]
+        if len(rows) % m == 0:
+            rows = rows.reshape(m, -1)
+            if np.all(self.links[rows, 0] == np.arange(m)[:, None]) and np.all(
+                self.links[rows, 1] == self.links[rows[:1], 1]
+            ):
+                return rows
+        raise ValueError("agents must share one anchor-link pattern")
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -378,56 +393,32 @@ def _random_init(n_agents: int, room: Room, rng: np.random.Generator) -> np.ndar
 
 def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     """Closed-form per-agent initialization vector from the anchor links."""
-    anchors = [
-        Deployment.from_rotation(p, r)
-        for p, r in zip(problem.anchor_positions, problem.anchor_rotations)
-    ]
-    parts = []
-    for agent in range(problem.n_agents):
-        rows = np.where(
-            (problem.links[:, 0] == agent) & (problem.links[:, 1] >= problem.n_agents)
-        )[0]
-        measurements = [
-            LinkMeasurement(
-                tx=agent,
-                rx=int(problem.links[row, 1]),
-                h_meas=1j * problem.y_imag[row],
-                kind=chan.LinkKind.AGENT_ANCHOR,
-            )
-            for row in rows
-        ]
-        link_anchors = [anchors[problem.links[row, 1] - problem.n_agents] for row in rows]
-        estimate = pairml.pair_ml_estimate(
-            measurements, link_anchors, problem.coupling, room
-        )
-        parts.append(estimate.as_vector())
-    return np.hstack(parts)
+    rows = problem.anchor_link_rows()
+    anchors = problem.links[rows, 1] - problem.n_agents
+    return pairml.pair_ml_estimate(
+        problem.y_imag[rows],
+        problem.anchor_positions[anchors],
+        problem.anchor_rotations[anchors],
+        problem.coupling,
+        room,
+    ).reshape(-1)
 
 
 def _agent_stack(problem: LsProblem, restarts: int) -> LsProblem:
     """Single-agent problem stacked over the agents of a non-cooperative problem.
 
-    Each agent keeps only its anchor links, which must follow one pattern
-    for all agents; its measurements repeat once per restart, so the stack
-    is agent-major, restart-minor.
+    Each agent keeps only its anchor links; its measurements repeat once
+    per restart, so the stack is agent-major, restart-minor.
     """
-    m = problem.n_agents
-    own = problem.links[:, 1] >= m
-    order = np.argsort(problem.links[own, 0], kind="stable")
-    links = problem.links[own][order].reshape(m, -1, 2)
-    if np.any(links[:, :, 1] != links[:1, :, 1]) or np.any(
-        links[:, :, 0] != np.arange(m)[:, None]
-    ):
-        raise ValueError("non-cooperative agents must share one anchor-link pattern")
-    y = problem.y_imag[own][order].reshape(m, -1, 3, 3)
+    rows = problem.anchor_link_rows()
+    anchors = problem.links[rows[0], 1] - problem.n_agents
     return LsProblem(
         n_agents=1,
         anchor_positions=problem.anchor_positions,
         anchor_rotations=problem.anchor_rotations,
-        links=np.column_stack([np.zeros(links.shape[1], dtype=int), links[0, :, 1] - m + 1]),
-        y_imag=np.repeat(y, restarts, axis=0),
+        links=np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1]),
+        y_imag=np.repeat(problem.y_imag[rows], restarts, axis=0),
         coupling=problem.coupling,
-        cooperative=False,
     )
 
 

@@ -16,14 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import crlb, estimators, pairml
-from .channel import CoincidentNodes, LinkKind, coupling_coefficient
+from .channel import CoincidentNodes, coupling_coefficient
 from .config import ExperimentConfig
 from .estimators import LsProblem, SolveReport
-from .geometry import euler_to_rotation, rotation_to_euler
+from .geometry import Room, euler_to_rotation, rotation_to_euler
 from .scenario import (
-    MeasurementSet,
     Scheme,
-    Topology,
     sample_topology,
     synthesize_measurements,
     channel_gain_samples,
@@ -99,36 +97,11 @@ def _trial_seed(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
-def _build_problem(
-    measurement_set: MeasurementSet,
-    topology: Topology,
-    coupling: float,
-) -> LsProblem:
-    return LsProblem.from_measurements(
-        measurement_set.measurements,
-        topology.anchors,
-        topology.n_agents,
-        coupling,
-        cooperative=measurement_set.scheme is Scheme.COOP,
-    )
-
-
-def _agent_anchor_links(measurement_set: MeasurementSet, topology: Topology, agent: int):
-    measurements = [
-        m
-        for m in measurement_set.measurements
-        if m.tx == agent and m.kind is LinkKind.AGENT_ANCHOR
-    ]
-    anchors = [topology.anchors[m.rx - topology.n_agents] for m in measurements]
-    return measurements, anchors
-
-
 def run_trial_estimator(
     estimator: str,
     init: str,
     problem: LsProblem,
-    measurement_set: MeasurementSet,
-    topology: Topology,
+    room: Room,
     truth: np.ndarray,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, SolveReport, bool]:
@@ -138,8 +111,6 @@ def run_trial_estimator(
         (poses, report, orientation_valid): poses is the (M, 6) estimate
         matrix; orientation_valid is False for position-only estimators.
     """
-    room = topology.room
-    coupling = problem.coupling
     if estimator == "numls":
         report = estimators.estimate(problem, init, room=room, truth=truth, rng=rng)
         return report.estimate.reshape(-1, 6), report, True
@@ -147,12 +118,7 @@ def run_trial_estimator(
         report = estimators.estimate(problem, "pairml", room=room)
         return report.estimate.reshape(-1, 6), report, True
     if estimator == "pairml":
-        poses = []
-        for agent in range(topology.n_agents):
-            measurements, anchors = _agent_anchor_links(measurement_set, topology, agent)
-            dep = pairml.pair_ml_estimate(measurements, anchors, coupling, room)
-            poses.append(dep.as_vector())
-        theta = np.hstack(poses)
+        theta = estimators.pairml_initialization(problem, room)
         report = SolveReport(
             estimate=theta,
             final_cost=problem.cost(theta),
@@ -161,21 +127,13 @@ def run_trial_estimator(
         )
         return theta.reshape(-1, 6), report, True
     if estimator == "multilateration":
-        ranges = [
-            pairml.distance_estimates(
-                *_agent_anchor_links(measurement_set, topology, agent), coupling
-            )
-            for agent in range(topology.n_agents)
-        ]
-        # agents with fewer usable anchors are padded with NaN ranges
-        width = max(len(d) for _, d in ranges)
-        positions = np.zeros((topology.n_agents, width, 3))
-        distances = np.full((topology.n_agents, width), np.nan)
-        for agent, (p, d) in enumerate(ranges):
-            positions[agent, : len(d)] = p
-            distances[agent, : len(d)] = d
-        fix = estimators.multilaterate(positions, distances, room)
-        theta = np.hstack([fix.position, np.full((topology.n_agents, 3), np.nan)]).reshape(-1)
+        rows = problem.anchor_link_rows()
+        anchors = problem.links[rows, 1] - problem.n_agents
+        distances = pairml.distance_estimates(
+            problem.y_imag[rows], problem.anchor_rotations[anchors], problem.coupling
+        )
+        fix = estimators.multilaterate(problem.anchor_positions[anchors], distances, room)
+        theta = np.hstack([fix.position, np.full((problem.n_agents, 3), np.nan)]).reshape(-1)
         report = SolveReport(
             estimate=theta, final_cost=np.nan, iterations=0, converged=fix.report.converged
         )
@@ -223,7 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         counted = 0
         for t in range(cfg.topologies):
             topo = sample_topology(
-                m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0), seed=cfg.seed
+                m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0)
             )
             info = crlb.assemble_fim(topo.agents, anchors, coupling, gparams.noise_sigma, cooperative)
             try:
@@ -239,11 +197,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 measurement_set = synthesize_measurements(
                     topo, coil, gparams, scheme, noise_rng
                 )
-                problem = _build_problem(measurement_set, topo, coupling)
+                problem = LsProblem.from_measurements(measurement_set, anchors, m, coupling)
                 started = time.perf_counter()
                 try:
                     poses, report, _ = run_trial_estimator(
-                        cfg.estimator, cfg.init, problem, measurement_set, topo, truth, est_rng
+                        cfg.estimator, cfg.init, problem, room, truth, est_rng
                     )
                 except TRIAL_FAILURES:
                     failures += 1

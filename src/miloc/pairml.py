@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .channel import LinkMeasurement, dipole_factor
+from .channel import CoincidentNodes, channel_gain_batch
 from .geometry import Deployment, Room, rotation_to_euler
 
 DIRECTION_GAP_TOL = 1e-12
@@ -96,9 +96,12 @@ def canonical_svd(a: np.ndarray) -> SvdTriple:
     return SvdTriple(u=u * sign, s=s, v=v * sign)
 
 
-def decompose_links(h_meas: np.ndarray, anchor_rotations: np.ndarray):
-    """decompose_link for stacked links, (..., 3, 3) each; degenerate links are not flagged."""
-    a = np.imag(np.asarray(h_meas)).swapaxes(-1, -2) @ anchor_rotations.swapaxes(-1, -2)
+def decompose_links(y_imag: np.ndarray, anchor_rotations: np.ndarray):
+    """decompose_link for stacked links: Im(H) and anchor orientations (..., 3, 3) each.
+
+    Degenerate links are not flagged; their leading singular value is zero.
+    """
+    a = np.asarray(y_imag).swapaxes(-1, -2) @ anchor_rotations.swapaxes(-1, -2)
     svd = canonical_svd(a)
     det_uv = np.linalg.det(svd.u @ svd.v.swapaxes(-1, -2))
     flips = np.ones(det_uv.shape + (1, 3))
@@ -120,30 +123,30 @@ def decompose_link(h_meas: np.ndarray, anchor: Deployment):
     Raises:
         DegenerateMeasurement: all-zero imaginary part.
     """
-    svd, o_hat, z = decompose_links(h_meas, anchor.rotation)
+    svd, o_hat, z = decompose_links(np.imag(h_meas), anchor.rotation)
     if svd.s[0] < DEGENERATE_SV_TOL:
         raise DegenerateMeasurement("measurement has no imaginary content")
     return svd, o_hat, float(z)
 
 
-def constrained_dipole_fit(svd: SvdTriple) -> np.ndarray:
-    """ML estimate of the dipole factor, V diag(1, -1/2, -1/2) V^T.
-
-    Only its principal eigenvector (the direction estimate) feeds the
-    position pipeline; the full matrix is kept for structural checks.
-    """
-    return svd.v @ np.diag([1.0, -0.5, -0.5]) @ svd.v.T
-
-
-def ml_distance(score: float, coupling: float) -> float:
+def ml_distance(score, coupling: float):
     """Invert the trace score to the ML distance, r = (1.5 c / z)^(1/3).
 
+    score is one float, which gives a float, or an array of scores, which
+    gives the array of distances.  Every distance is computed in scalar
+    arithmetic: numpy's vectorised power can differ from the C library's in
+    the last bit, and a batch must agree with one-link calls.
+
     Raises:
-        ZeroScore: score <= 0 (no distance information).
+        ZeroScore: some score <= 0 (no distance information).
     """
-    if score <= 0.0:
+    scores = np.asarray(score, dtype=float)
+    if np.any(scores <= 0.0):
         raise ZeroScore("trace score must be positive")
-    return float((1.5 * coupling / score) ** (1.0 / 3.0))
+    distances = [(1.5 * coupling / z) ** (1.0 / 3.0) for z in scores.ravel().tolist()]
+    if scores.ndim == 0:
+        return float(distances[0])
+    return np.array(distances).reshape(scores.shape)
 
 
 def direction_estimate(svd: SvdTriple) -> np.ndarray:
@@ -156,6 +159,13 @@ def direction_estimate(svd: SvdTriple) -> np.ndarray:
     if svd.s[0] - svd.s[1] < DIRECTION_GAP_TOL * svd.s[0]:
         raise AmbiguousDirection("leading singular value is not isolated")
     return svd.v[:, 0].copy()
+
+
+def _candidates(anchor_positions, directions, distances, room: Room, margin: float):
+    """Candidates anchor +- direction * distance, (..., 2, 3), and their room membership (..., 2)."""
+    step = directions * distances[..., None]
+    candidates = np.stack([anchor_positions + step, anchor_positions - step], axis=-2)
+    return candidates, room.contains(candidates, margin)
 
 
 def resolve_position(
@@ -172,14 +182,13 @@ def resolve_position(
         anchor; chosen is set iff exactly one candidate lies inside the
         (margin-inflated) room.
     """
-    anchor_position = np.asarray(anchor_position, dtype=float)
-    step = np.asarray(direction, dtype=float) * float(distance)
-    candidates = np.stack([anchor_position + step, anchor_position - step])
-    inside = room.contains(candidates, margin).tolist()
-    if sum(inside) == 1:
-        chosen = candidates[0] if inside[0] else candidates[1]
-        return candidates, chosen, PositionValidity.UNIQUE_IN_ROOM
-    if sum(inside) == 2:
+    candidates, inside = _candidates(
+        np.asarray(anchor_position, dtype=float), np.asarray(direction, dtype=float),
+        np.asarray(float(distance)), room, margin,
+    )
+    if inside.sum() == 1:
+        return candidates, candidates[np.argmax(inside)], PositionValidity.UNIQUE_IN_ROOM
+    if inside.all():
         return candidates, None, PositionValidity.BOTH_IN_ROOM
     return candidates, None, PositionValidity.NONE_IN_ROOM
 
@@ -193,10 +202,6 @@ def estimate_link(
 ) -> PairMlResult:
     """Full closed-form pipeline for a single agent-anchor measurement."""
     svd, o_hat, z = decompose_link(h_meas, anchor)
-    return _link_result(svd, o_hat, z, anchor, coupling, room, margin)
-
-
-def _link_result(svd, o_hat, z, anchor, coupling, room, margin) -> PairMlResult:
     distance = ml_distance(z, coupling)
     direction = direction_estimate(svd)
     candidates, chosen, validity = resolve_position(
@@ -213,119 +218,118 @@ def _link_result(svd, o_hat, z, anchor, coupling, room, margin) -> PairMlResult:
     )
 
 
-def _candidate_cost(
-    position: np.ndarray,
-    rotation: np.ndarray,
-    measurements: Sequence[LinkMeasurement],
-    anchors: Sequence[Deployment],
-    coupling: float,
-) -> float:
-    """Residual cost of a candidate (position, orientation) over all links."""
-    cost = 0.0
-    for meas, anchor in zip(measurements, anchors):
-        rvec = anchor.position - position
-        r = np.linalg.norm(rvec)
-        if r < 1e-9:
-            return np.inf
-        model = coupling / r**3 * (anchor.rotation.T @ dipole_factor(rvec / r) @ rotation)
-        diff = np.imag(meas.h_meas) - model
-        cost += float(np.sum(diff * diff))
-    return cost
+def _candidate_cost(position, rotation, y_imag, anchor_positions, anchor_rotations, coupling) -> float:
+    """Residual cost of a candidate (position, orientation) over an agent's K anchor links."""
+    count = len(anchor_positions)
+    try:
+        gains, *_ = channel_gain_batch(
+            np.broadcast_to(position, (count, 3)), np.broadcast_to(rotation, (count, 3, 3)),
+            anchor_positions, anchor_rotations, coupling,
+        )
+    except CoincidentNodes:
+        return np.inf
+    return float(np.sum((y_imag - gains) ** 2))
 
 
 def pair_ml_estimate(
-    measurements: Sequence[LinkMeasurement],
-    anchors: Sequence[Deployment],
+    y_imag: np.ndarray,
+    anchor_positions: np.ndarray,
+    anchor_rotations: np.ndarray,
     coupling: float,
     room: Room,
     margin: float = DEFAULT_BOUNDARY_MARGIN,
     cost_ratio: float = COST_RATIO_DECISIVE,
-) -> Deployment:
-    """Estimate one agent's deployment from its anchor measurements.
+) -> np.ndarray:
+    """Estimate the poses of M agents, each from its K anchor measurements.
 
-    Links are visited by ascending ML distance (best expected SNR first).
-    The first link with a unique in-room candidate wins.  A link whose two
-    candidates are both plausible (or both outside) is resolved by comparing
-    the residual cost of the two hypotheses over all anchor links, accepted
+    All M*K links are decomposed, ranged and given their two candidate
+    positions in one batched pass; then each agent visits its usable links
+    by ascending ML distance (best expected SNR first).  The first link with
+    a unique in-room candidate wins.  A link whose two candidates are both
+    plausible (or both outside) is resolved by comparing the residual cost
+    of the two hypotheses over all of the agent's anchor links, accepted
     only when decisive; otherwise the next link is tried.  If no link
     resolves, the smallest-distance link falls back to the candidate closer
     to the room center (both inside) or the candidate closest to the room,
     clamped to it (both outside).
 
     Args:
-        measurements: agent-anchor measurements of a single agent.
-        anchors: anchor deployments aligned with measurements.
-        coupling: subcoil coupling constant.
-        room: deployment region for ambiguity resolution.
+        y_imag: (M, K, 3, 3) measured Im(H) of every agent's anchor links.
+        anchor_positions, anchor_rotations: (M, K, 3) and (M, K, 3, 3), the
+            anchor of every link.
         margin: room-membership slack during resolution (meters).
         cost_ratio: decisiveness threshold of the likelihood fallback.
 
-    Raises:
-        NoMeasurements: empty or fully degenerate input.
-    """
-    if len(measurements) != len(anchors):
-        raise ValueError("measurements and anchors must align")
-    if not measurements:
-        raise NoMeasurements("no usable agent-anchor measurement")
-    svd, o_hat, z = decompose_links(
-        np.array([m.h_meas for m in measurements]), np.array([a.rotation for a in anchors])
-    )
-    results = []
-    for i, anchor in enumerate(anchors):
-        link = SvdTriple(svd.u[i], svd.s[i], svd.v[i])
-        if link.s[0] < DEGENERATE_SV_TOL:
-            continue
-        try:
-            results.append(
-                _link_result(link, o_hat[i], float(z[i]), anchor, coupling, room, margin)
-            )
-        except (ZeroScore, AmbiguousDirection):
-            continue
-    if not results:
-        raise NoMeasurements("no usable agent-anchor measurement")
-    results.sort(key=lambda res: res.distance)
+    Returns (M, 6) poses [x, y, z, alpha, beta, gamma], canonical Euler angles.
 
-    for res in results:
-        if res.validity is PositionValidity.UNIQUE_IN_ROOM:
-            return Deployment(res.chosen, rotation_to_euler(res.rotation), res.rotation)
+    Raises:
+        NoMeasurements: some agent has no usable link.
+    """
+    y_imag = np.asarray(y_imag, dtype=float)
+    anchor_positions = np.asarray(anchor_positions, dtype=float)
+    anchor_rotations = np.asarray(anchor_rotations, dtype=float)
+    if not y_imag.shape[:2] == anchor_positions.shape[:2] == anchor_rotations.shape[:2]:
+        raise ValueError("measurements and anchors must align")
+    svd, o_hat, z = decompose_links(y_imag, anchor_rotations)
+    s = svd.s
+    usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
+    usable &= s[..., 0] - s[..., 1] >= DIRECTION_GAP_TOL * s[..., 0]
+    distances = np.zeros(z.shape)
+    distances[usable] = ml_distance(z[usable], coupling)
+    candidates, inside = _candidates(anchor_positions, svd.v[..., 0], distances, room, margin)
+    # usable links by ascending distance, link order on ties
+    order = np.argsort(np.where(usable, distances, np.inf), axis=-1, kind="stable")
+
+    poses = []
+    for m in range(len(y_imag)):
+        links = order[m, : usable[m].sum()]
+        if not links.size:
+            raise NoMeasurements("no usable agent-anchor measurement")
+        link, position = _resolve_agent(
+            links, candidates[m], inside[m], o_hat[m], y_imag[m],
+            anchor_positions[m], anchor_rotations[m], coupling, room, cost_ratio,
+        )
+        poses.append(np.hstack([position, rotation_to_euler(o_hat[m, link])]))
+    return np.array(poses).reshape(-1, 6)
+
+
+def _resolve_agent(
+    links, candidates, inside, rotations, y_imag, anchor_positions, anchor_rotations,
+    coupling, room, cost_ratio,
+):
+    """The deciding link of one agent and its position; links are visited in the given order."""
+    for k in links:
+        if inside[k].sum() == 1:
+            return k, candidates[k, np.argmax(inside[k])]
         costs = [
-            _candidate_cost(cand, res.rotation, measurements, anchors, coupling)
-            for cand in res.candidates
+            _candidate_cost(cand, rotations[k], y_imag, anchor_positions, anchor_rotations, coupling)
+            for cand in candidates[k]
         ]
         low, high = sorted(costs)
         if low > 0.0 and high / low >= cost_ratio:
-            pick = res.candidates[int(np.argmin(costs))]
-            return Deployment(pick, rotation_to_euler(res.rotation), res.rotation)
+            return k, candidates[k, int(np.argmin(costs))]
 
-    res = results[0]
-    if res.validity is PositionValidity.BOTH_IN_ROOM:
-        dist_to_center = np.linalg.norm(res.candidates - room.center, axis=1)
-        pick = res.candidates[int(np.argmin(dist_to_center))]
-    else:
-        overshoot = [np.linalg.norm(room.clamp(c) - c) for c in res.candidates]
-        pick = room.clamp(res.candidates[int(np.argmin(overshoot))])
-    return Deployment(pick, rotation_to_euler(res.rotation), res.rotation)
+    k = links[0]
+    if inside[k].all():
+        dist_to_center = np.linalg.norm(candidates[k] - room.center, axis=1)
+        return k, candidates[k, int(np.argmin(dist_to_center))]
+    overshoot = [np.linalg.norm(room.clamp(c) - c) for c in candidates[k]]
+    return k, room.clamp(candidates[k, int(np.argmin(overshoot))])
 
 
-def distance_estimates(
-    measurements: Sequence[LinkMeasurement],
-    anchors: Sequence[Deployment],
-    coupling: float,
-):
-    """ML distance estimate per anchor link, for range-only processing.
+def distance_estimates(y_imag: np.ndarray, anchor_rotations: np.ndarray, coupling: float):
+    """ML distance estimate of every anchor link, for range-only processing.
 
-    Returns:
-        (anchor_positions, distances): arrays of shape (n, 3) and (n,);
-        degenerate links are skipped.
+    y_imag and anchor_rotations are (..., K, 3, 3); returns the (..., K)
+    distances, NaN where a link is degenerate or its score is zero.
+
+    Raises:
+        NoMeasurements: some row of K links has no usable link.
     """
-    positions, dists = [], []
-    for meas, anchor in zip(measurements, anchors):
-        try:
-            _, _, z = decompose_link(meas.h_meas, anchor)
-            dists.append(ml_distance(z, coupling))
-        except (DegenerateMeasurement, ZeroScore):
-            continue
-        positions.append(anchor.position)
-    if not positions:
+    svd, _, z = decompose_links(y_imag, np.asarray(anchor_rotations, dtype=float))
+    usable = (svd.s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
+    if not np.all(np.any(usable, axis=-1)):
         raise NoMeasurements("no usable agent-anchor measurement")
-    return np.asarray(positions), np.asarray(dists)
+    distances = np.full(z.shape, np.nan)
+    distances[usable] = ml_distance(z[usable], coupling)
+    return distances

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import channel as chan
-from .channel import CoilParams, GlobalParams, LinkKind, LinkMeasurement
+from .channel import CoilParams, GlobalParams, LinkMeasurement
 from .geometry import Deployment, Room, sample_uniform_rotation
 
 DEFAULT_MAX_ATTEMPTS = 100_000
@@ -32,7 +32,6 @@ class Topology:
     room: Room
     anchors: List[Deployment]
     agents: List[Deployment]
-    seed: Optional[int] = None
 
     @property
     def n_agents(self) -> int:
@@ -45,11 +44,23 @@ class Topology:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """All measured channel matrices of one scheme for one topology."""
+    """All measured channel matrices of one scheme for one topology.
 
-    measurements: List[LinkMeasurement]
+    Row l of h_meas is the measured H of the ordered node pair links[l]
+    (node ids as in link_set).
+    """
+
+    links: np.ndarray  # (L, 2) int
+    h_meas: np.ndarray  # (L, 3, 3) complex
     scheme: Scheme
-    noise_seed: Optional[int] = None
+
+    @property
+    def measurements(self) -> List[LinkMeasurement]:
+        """One read-only record per link, built from the arrays."""
+        return [
+            LinkMeasurement(tx=tx, rx=rx, h_meas=h)
+            for (tx, rx), h in zip(self.links.tolist(), self.h_meas)
+        ]
 
 
 def default_anchors(room: Room) -> List[Deployment]:
@@ -80,7 +91,6 @@ def sample_topology(
     min_distance: float,
     rng: np.random.Generator,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    seed: Optional[int] = None,
 ) -> Topology:
     """Draw agent deployments uniformly, rejecting min-distance violations.
 
@@ -111,7 +121,7 @@ def sample_topology(
         agents = [
             Deployment.from_rotation(p, sample_uniform_rotation(rng)) for p in positions
         ]
-        return Topology(room=room, anchors=list(anchors), agents=agents, seed=seed)
+        return Topology(room=room, anchors=list(anchors), agents=agents)
     raise PackingInfeasible(
         f"no feasible placement of {n_agents} agents in {max_attempts} attempts"
     )
@@ -154,7 +164,6 @@ def synthesize_measurements(
     scheme: Scheme,
     rng: np.random.Generator,
     sigma: Optional[float] = None,
-    noise_seed: Optional[int] = None,
 ) -> MeasurementSet:
     """Generate noisy channel measurements for every link of the scheme.
 
@@ -166,16 +175,7 @@ def synthesize_measurements(
     coupling = chan.coupling_coefficient(coil, coil, params)
     links, gains = _link_gains(topology, coupling, scheme)
     h_meas = chan.add_noise(1j * gains, sigma, rng)
-    measurements = [
-        LinkMeasurement(
-            tx=int(tx),
-            rx=int(rx),
-            h_meas=h,
-            kind=LinkKind.AGENT_AGENT if rx < topology.n_agents else LinkKind.AGENT_ANCHOR,
-        )
-        for (tx, rx), h in zip(links.tolist(), h_meas)
-    ]
-    return MeasurementSet(measurements=measurements, scheme=scheme, noise_seed=noise_seed)
+    return MeasurementSet(links=links, h_meas=h_meas, scheme=scheme)
 
 
 def channel_gain_samples(

@@ -1,12 +1,15 @@
 """Reference implementations the batched library code is checked against.
 
-channel_gain writes the dipole model out for one link.  The channel
-Jacobians differentiate one link with explicit per-axis loops;
-test_channel validates them against central finite differences of
-channel_matrix.  The information blocks built from them give the per-link,
+dipole_factor is the single-link F(u) of the channel model, and
+constrained_dipole_fit the full ML dipole-factor estimate of pair-ML, whose
+principal eigenvector is the library's direction estimate.  channel_gain
+writes the dipole model out for one link.  The channel Jacobians
+differentiate one link with explicit per-axis loops; test_channel validates
+them against central finite differences of channel_matrix.  The information blocks built from them give the per-link,
 per-pair assembly of the Fisher matrix, which the library computes as
 (2 / sigma**2) J^T J.  euler_rotation_derivatives_one is the one-angle-triple
-formula the stacked derivatives are checked against.  levenberg_marquardt
+formula the stacked derivatives are checked against.  candidate_cost
+scores a pair-ML candidate pose link by link.  levenberg_marquardt
 solves one problem at a time with its own Python loop, and
 random_restarts_per_agent drives it through the per-agent decomposition of
 a non-cooperative problem.  position_bound inverts the information matrix
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from miloc.channel import dipole_factor
 from miloc.crlb import FIM_MAX_CONDITION, SingularFim
 from miloc.estimators import (
     LM_COST_TOL,
@@ -39,6 +41,21 @@ from miloc.geometry import (
 )
 
 
+def dipole_factor(u: np.ndarray) -> np.ndarray:
+    """F(u) = 1.5 u u^T - 0.5 I for a unit direction u.
+
+    F has eigenvalues {1, -1/2, -1/2} and satisfies F(u) = F(-u), which is
+    the root cause of the single-link sign ambiguity.
+    """
+    u = np.asarray(u, dtype=float)
+    return 1.5 * np.outer(u, u) - 0.5 * np.eye(3)
+
+
+def constrained_dipole_fit(svd) -> np.ndarray:
+    """ML estimate of the dipole factor of one link, V diag(1, -1/2, -1/2) V^T."""
+    return svd.v @ np.diag([1.0, -0.5, -0.5]) @ svd.v.T
+
+
 def euler_rotation_derivatives_one(euler) -> np.ndarray:
     """dR/d(angle_i) of one z-y-x angle triple, shape (3, 3, 3)."""
     alpha, beta, gamma = np.asarray(euler, dtype=float)
@@ -50,6 +67,20 @@ def euler_rotation_derivatives_one(euler) -> np.ndarray:
     dx = np.array([[0.0, 0.0, 0.0], [0.0, -sg, -cg], [0.0, cg, -sg]])
     ry, rx, rz = rot_y(beta), rot_x(gamma), rot_z(alpha)
     return np.stack([dz @ ry @ rx, rz @ dy @ rx, rz @ ry @ dx])
+
+
+def candidate_cost(position, rotation, y_imag, anchors, coupling: float) -> float:
+    """Residual cost of a candidate agent pose over its anchor links, one link at a time."""
+    cost = 0.0
+    for measured, anchor in zip(y_imag, anchors):
+        rvec = anchor.position - position
+        r = np.linalg.norm(rvec)
+        if r < 1e-9:
+            return np.inf
+        model = coupling / r**3 * (anchor.rotation.T @ dipole_factor(rvec / r) @ rotation)
+        diff = measured - model
+        cost += float(np.sum(diff * diff))
+    return cost
 
 
 def levenberg_marquardt(
@@ -125,7 +156,6 @@ def agent_problem(problem: LsProblem, agent: int) -> LsProblem:
         links=links,
         y_imag=problem.y_imag[rows],
         coupling=problem.coupling,
-        cooperative=False,
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from miloc import crlb
 from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ExperimentConfig
-from miloc.estimators import LsProblem, estimate, pack_deployments
+from miloc.estimators import LsProblem, estimate, pack_deployments, pairml_initialization
 from miloc.geometry import Deployment
 from miloc.harness import (
     calibrate_resistance,
@@ -21,7 +21,7 @@ from miloc.harness import (
     mean_peb_curve,
     run_experiment,
 )
-from miloc.pairml import decompose_link, pair_ml_estimate
+from miloc.pairml import decompose_link
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 pytestmark = pytest.mark.acceptance
@@ -265,20 +265,17 @@ def test_criterion_09_property_suite(calibrated):
     rng = np.random.default_rng(100)
     topo = sample_topology(4, room, anchors, cfg.min_distance(), rng)
     ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, rng, sigma=0.0)
-    problem = LsProblem.from_measurements(ms.measurements, anchors, 4, coupling)
+    problem = LsProblem.from_measurements(ms, anchors, 4, coupling)
     truth = pack_deployments(topo.agents)
     report = estimate(problem, "perfect", truth=truth)
     ls_err = max(
         np.linalg.norm(report.estimate[6 * a : 6 * a + 3] - topo.agents[a].position)
         for a in range(4)
     )
-    from miloc.harness import _agent_anchor_links
-
+    pm_poses = pairml_initialization(problem, room).reshape(-1, 6)
     pm_err = 0.0
     for agent in range(4):
-        measurements, link_anchors = _agent_anchor_links(ms, topo, agent)
-        dep = pair_ml_estimate(measurements, link_anchors, coupling, room)
-        pm_err = max(pm_err, np.linalg.norm(dep.position - topo.agents[agent].position))
+        pm_err = max(pm_err, np.linalg.norm(pm_poses[agent, :3] - topo.agents[agent].position))
     checks.append(("noiseless recovery < 1e-8 m", ls_err < 1e-8 and pm_err < 1e-8))
 
     # analytic Jacobian versus central finite differences

@@ -10,12 +10,11 @@ from miloc.channel import (
     channel_gain_batch,
     channel_matrix,
     coupling_coefficient,
-    dipole_factor,
 )
 from miloc.geometry import Deployment, euler_rotation_derivatives, sample_uniform_rotation
 
 from conftest import random_deployment
-from oracles import channel_gain, channel_jacobian, channel_jacobian_rx
+from oracles import channel_gain, channel_jacobian, channel_jacobian_rx, dipole_factor
 
 
 def test_coupling_value_for_reference_coils(coil, gparams):

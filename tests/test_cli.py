@@ -237,3 +237,21 @@ def test_simulate_trial_failures_by_kind(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(estimators, "estimate", bug)
     assert main(argv) == 3
     assert "error: forced" in capsys.readouterr().err
+
+
+def test_simulate_counts_agent_without_anchor_links_as_failed(tmp_path, capsys, monkeypatch):
+    from miloc import harness
+
+    original = harness.synthesize_measurements
+
+    def silent_agent(*args, **kwargs):
+        measured = original(*args, **kwargs)
+        measured.h_meas[measured.links[:, 0] == 0] = 0.0
+        return measured
+
+    monkeypatch.setattr(harness, "synthesize_measurements", silent_agent)
+    cfg = _write_cfg(tmp_path)
+    argv = ["simulate", "--config", str(cfg), "--estimator", "multilateration"]
+    argv += ["--scheme", "noncoop", "--agents", "2", "--topologies", "1", "--noise", "2"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    assert "warning: 2 trial(s) failed and were skipped" in capsys.readouterr().out

@@ -26,7 +26,7 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
     topo = _topology(3, 0, room, anchors)
     info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative=True)
     ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, np.random.default_rng(0), sigma=0.0)
-    problem = LsProblem.from_measurements(ms.measurements, anchors, 3, coupling)
+    problem = LsProblem.from_measurements(ms, anchors, 3, coupling)
     _, jac = problem.residual_and_jacobian(pack_deployments(topo.agents))
     expected = 2.0 / SIGMA**2 * (jac.T @ jac)
     assert np.allclose(info.matrix, expected, rtol=1e-9, atol=1e-6 * np.abs(expected).max())

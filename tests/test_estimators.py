@@ -23,9 +23,7 @@ def make_problem(m, scheme, seed, coil, gparams, room, anchors, sigma=None):
     topo = sample_topology(m, room, anchors, 0.15, rng)
     ms = synthesize_measurements(topo, coil, gparams, scheme, rng, sigma=sigma)
     coupling = coupling_coefficient(coil, coil, gparams)
-    problem = LsProblem.from_measurements(
-        ms.measurements, anchors, m, coupling, cooperative=scheme is Scheme.COOP
-    )
+    problem = LsProblem.from_measurements(ms, anchors, m, coupling)
     return topo, problem
 
 
@@ -175,31 +173,13 @@ def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gpara
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(20)
     start = truth + rng.normal(0, 0.01, truth.size)
-    joint = LsProblem(
-        n_agents=3,
-        anchor_positions=problem.anchor_positions,
-        anchor_rotations=problem.anchor_rotations,
-        links=problem.links,
-        y_imag=problem.y_imag,
-        coupling=problem.coupling,
-        cooperative=True,
-    )
-    rep_joint = estimate(joint, "perfect", truth=start)
+    rep_joint = levenberg_marquardt(problem, start)
     rep_split = estimate(problem, "perfect", truth=start)
     assert np.abs(rep_joint.estimate - rep_split.estimate).max() < 1e-10
 
     topo_n, problem_n = make_problem(3, Scheme.NONCOOP, 21, coil, gparams, room, anchors)
     truth_n = pack_deployments(topo_n.agents)
-    joint_n = LsProblem(
-        n_agents=3,
-        anchor_positions=problem_n.anchor_positions,
-        anchor_rotations=problem_n.anchor_rotations,
-        links=problem_n.links,
-        y_imag=problem_n.y_imag,
-        coupling=problem_n.coupling,
-        cooperative=True,
-    )
-    rep_joint_n = estimate(joint_n, "perfect", truth=truth_n)
+    rep_joint_n = levenberg_marquardt(problem_n, truth_n)
     rep_split_n = estimate(problem_n, "perfect", truth=truth_n)
     # with noise both stop within termination tolerance of the same minimum
     assert np.isclose(rep_joint_n.final_cost, rep_split_n.final_cost, rtol=1e-9)
@@ -220,20 +200,40 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
         links=coop_problem.links[anchor_rows],
         y_imag=coop_problem.y_imag[anchor_rows],
         coupling=coop_problem.coupling,
-        cooperative=True,
     )
-    noncoop = LsProblem(
-        n_agents=3,
-        anchor_positions=coop_problem.anchor_positions,
-        anchor_rotations=coop_problem.anchor_rotations,
-        links=coop_problem.links[anchor_rows],
-        y_imag=coop_problem.y_imag[anchor_rows],
-        coupling=coop_problem.coupling,
-        cooperative=False,
-    )
-    rep_a = estimate(stripped, "perfect", truth=truth)
-    rep_b = estimate(noncoop, "perfect", truth=truth)
+    rep_a = levenberg_marquardt(stripped, truth)
+    rep_b = estimate(stripped, "perfect", truth=truth)
     assert np.abs(rep_a.estimate - rep_b.estimate).max() < 1e-10
+
+
+def test_cooperative_follows_the_links(room, anchors, coil, gparams):
+    topo, coop = make_problem(3, Scheme.COOP, 23, coil, gparams, room, anchors)
+    _, noncoop = make_problem(3, Scheme.NONCOOP, 23, coil, gparams, room, anchors)
+    assert coop.cooperative and not noncoop.cooperative
+    # the joint solve uses every link, so its cost is the problem's cost
+    report = estimate(coop, "perfect", truth=pack_deployments(topo.agents))
+    assert np.isclose(report.final_cost, coop.cost(report.estimate), rtol=1e-12, atol=0.0)
+
+
+def test_anchor_link_rows(room, anchors, coil, gparams):
+    for scheme in (Scheme.NONCOOP, Scheme.COOP):
+        _, problem = make_problem(3, scheme, 24, coil, gparams, room, anchors)
+        rows = problem.anchor_link_rows()
+        assert rows.shape == (3, 4)
+        assert np.array_equal(problem.links[rows, 0], np.repeat([[0], [1], [2]], 4, axis=1))
+        assert np.array_equal(problem.links[rows, 1], np.tile(np.arange(3, 7), (3, 1)))
+    # agent 1 lacks its link to the last anchor
+    keep = ~((problem.links[:, 0] == 1) & (problem.links[:, 1] == 6))
+    uneven = LsProblem(
+        n_agents=3,
+        anchor_positions=problem.anchor_positions,
+        anchor_rotations=problem.anchor_rotations,
+        links=problem.links[keep],
+        y_imag=problem.y_imag[keep],
+        coupling=problem.coupling,
+    )
+    with pytest.raises(ValueError):
+        uneven.anchor_link_rows()
 
 
 def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
@@ -268,7 +268,6 @@ def _anchor_stack(seeds, coil, gparams, room, anchors):
         links=singles[0].links,
         y_imag=np.stack([p.y_imag for p in singles]),
         coupling=singles[0].coupling,
-        cooperative=False,
     )
     return stack, singles
 
@@ -411,7 +410,7 @@ def test_imaginary_residual_equals_full_objective_up_to_constant(
 
     ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, np.random.default_rng(99))
     coupling = coupling_coefficient(coil, coil, gparams)
-    problem = LsProblem.from_measurements(ms.measurements, anchors, 2, coupling)
+    problem = LsProblem.from_measurements(ms, anchors, 2, coupling)
     real_power = sum(np.sum(np.real(m.h_meas) ** 2) for m in ms.measurements)
 
     from miloc.channel import channel_matrix

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
+from miloc.estimators import LsProblem, multilaterate, pack_deployments
 from miloc.harness import (
     EmptyInput,
     calibrate_resistance,
@@ -11,6 +12,7 @@ from miloc.harness import (
     mean_peb_curve,
     run_experiment,
 )
+from miloc.pairml import NoMeasurements, distance_estimates
 from miloc.scenario import Scheme
 
 
@@ -174,7 +176,7 @@ def test_written_euler_angles_are_canonical(tmp_path, overrides):
     import csv
 
     from miloc.channel import coupling_coefficient
-    from miloc.harness import _build_problem, _trial_seed
+    from miloc.harness import _trial_seed
     from miloc.scenario import sample_topology, synthesize_measurements
 
     cfg = _small_cfg(topologies=2, noise=2, **overrides)
@@ -196,7 +198,7 @@ def test_written_euler_angles_are_canonical(tmp_path, overrides):
     for t in range(cfg.topologies):
         topo = sample_topology(
             m, cfg.room(), cfg.anchors(), cfg.min_distance(),
-            _trial_seed(cfg.seed, m, t, 0), seed=cfg.seed,
+            _trial_seed(cfg.seed, m, t, 0),
         )
         for k in range(cfg.noise):
             trial = [r for r in rows if int(r["topology"]) == t and int(r["noise"]) == k]
@@ -205,7 +207,7 @@ def test_written_euler_angles_are_canonical(tmp_path, overrides):
             data = synthesize_measurements(
                 topo, coil, gparams, scheme, _trial_seed(cfg.seed, m, t, k, 1)
             )
-            recomputed = _build_problem(data, topo, coupling).cost(theta)
+            recomputed = LsProblem.from_measurements(data, topo.anchors, m, coupling).cost(theta)
             assert np.isclose(float(trial[0]["final_cost"]), recomputed, rtol=1e-9, atol=0.0)
 
 
@@ -248,13 +250,56 @@ def test_estimator_dispatch_pairml_and_multilateration():
     assert np.isnan(result.trials[0].est_pose[3:]).all()
 
 
+def _noncoop_trial(m=3, seed=3):
+    from miloc.channel import coupling_coefficient
+    from miloc.scenario import sample_topology, synthesize_measurements
+
+    cfg = _small_cfg(agents=str(m))
+    coil, gparams = cfg.coil(), cfg.global_params()
+    rng = np.random.default_rng(seed)
+    topo = sample_topology(m, cfg.room(), cfg.anchors(), cfg.min_distance(), rng)
+    ms = synthesize_measurements(topo, coil, gparams, Scheme.NONCOOP, rng)
+    coupling = coupling_coefficient(coil, coil, gparams)
+    return topo, LsProblem.from_measurements(ms, topo.anchors, m, coupling)
+
+
+def _multilaterate_trial(topo, problem):
+    from miloc.harness import run_trial_estimator
+
+    truth = pack_deployments(topo.agents)
+    return run_trial_estimator(
+        "multilateration", "perfect", problem, topo.room, truth, np.random.default_rng(0)
+    )
+
+
+def test_multilateration_agent_without_usable_links_raises():
+    topo, problem = _noncoop_trial()
+    problem.y_imag[problem.links[:, 0] == 1] = 0.0
+    with pytest.raises(NoMeasurements):
+        _multilaterate_trial(topo, problem)
+
+
+def test_multilateration_zero_link_equals_fix_from_the_others():
+    topo, problem = _noncoop_trial()
+    rows = problem.anchor_link_rows()
+    problem.y_imag[rows[0, 1]] = 0.0
+    poses, _, orientation_valid = _multilaterate_trial(topo, problem)
+    assert not orientation_valid
+    others = [0, 2, 3]
+    distances = distance_estimates(
+        problem.y_imag[rows[0, others]], problem.anchor_rotations[others], problem.coupling
+    )
+    alone = multilaterate(problem.anchor_positions[others], distances, topo.room)
+    assert np.allclose(poses[0, :3], alone.position, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.slow
 def test_median_wall_time_ordering(room):
     # pairML < multilateration < non-cooperative turboLS < cooperative turboLS
     import time
 
     from miloc.channel import coupling_coefficient
-    from miloc.harness import _build_problem, run_trial_estimator, _trial_seed
+    from miloc.harness import run_trial_estimator, _trial_seed
     from miloc.scenario import sample_topology, synthesize_measurements
     from miloc.estimators import pack_deployments
 
@@ -273,10 +318,10 @@ def test_median_wall_time_ordering(room):
             ("turbols_coop", Scheme.COOP),
         ):
             ms = synthesize_measurements(topo, coil, gparams, scheme, _trial_seed(cfg.seed, 10, t, 1))
-            problem = _build_problem(ms, topo, coupling)
+            problem = LsProblem.from_measurements(ms, anchors, 10, coupling)
             estimator = label.split("_")[0]
             started = time.perf_counter()
-            run_trial_estimator(estimator, "perfect", problem, ms, topo, truth, _trial_seed(cfg.seed, 10, t, 2))
+            run_trial_estimator(estimator, "perfect", problem, topo.room, truth, _trial_seed(cfg.seed, 10, t, 2))
             times[label].append(time.perf_counter() - started)
     medians = {k: np.median(v) for k, v in times.items()}
     # The closed-form estimators are orders of magnitude cheaper than any

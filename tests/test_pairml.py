@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from miloc.channel import LinkKind, LinkMeasurement, channel_matrix, dipole_factor
+from miloc.channel import channel_matrix
 from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.pairml import (
     AmbiguousDirection,
@@ -9,8 +9,8 @@ from miloc.pairml import (
     NoMeasurements,
     PositionValidity,
     ZeroScore,
+    _candidate_cost,
     canonical_svd,
-    constrained_dipole_fit,
     decompose_link,
     direction_estimate,
     distance_estimates,
@@ -21,6 +21,7 @@ from miloc.pairml import (
 )
 
 from conftest import random_deployment
+from oracles import candidate_cost, constrained_dipole_fit, dipole_factor
 
 
 def _noiseless_link(rng, coupling, min_r=0.1):
@@ -193,14 +194,27 @@ def test_resolve_position_outside_room(room):
 
 
 def _measurements_for(agent, anchors, coupling, rng=None, sigma=0.0):
+    """Measured Im(H) of the agent's links to the anchors, (K, 3, 3)."""
     measurements = []
     for anchor in anchors:
         h = channel_matrix(agent, anchor, coupling)
         if sigma > 0:
             w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             h = h + w * sigma / np.sqrt(2)
-        measurements.append(LinkMeasurement(0, 1, h, LinkKind.AGENT_ANCHOR))
-    return measurements
+        measurements.append(np.imag(h))
+    return np.array(measurements).reshape(-1, 3, 3)
+
+
+def _anchor_arrays(anchors):
+    positions = np.array([a.position for a in anchors]).reshape(-1, 3)
+    return positions, np.array([a.rotation for a in anchors]).reshape(-1, 3, 3)
+
+
+def _pair_ml_one(measurements, anchors, coupling, room):
+    """pair_ml_estimate of one agent as a Deployment."""
+    positions, rotations = _anchor_arrays(anchors)
+    pose = pair_ml_estimate(measurements[None], positions[None], rotations[None], coupling, room)
+    return Deployment.from_euler(pose[0, :3], pose[0, 3:])
 
 
 def test_pair_ml_noiseless_exact_recovery(room, anchors, coupling):
@@ -210,7 +224,7 @@ def test_pair_ml_noiseless_exact_recovery(room, anchors, coupling):
         if min(np.linalg.norm(agent.position - a.position) for a in anchors) < 0.15:
             continue
         measurements = _measurements_for(agent, anchors, coupling)
-        est = pair_ml_estimate(measurements, anchors, coupling, room)
+        est = _pair_ml_one(measurements, anchors, coupling, room)
         assert np.linalg.norm(est.position - agent.position) < 1e-8
         assert np.abs(est.rotation @ agent.rotation.T - np.eye(3)).max() < 1e-9
 
@@ -219,13 +233,13 @@ def test_pair_ml_single_anchor(room, anchors, coupling):
     rng = np.random.default_rng(8)
     agent = Deployment.from_rotation([0.4, 0.9, 0.6], sample_uniform_rotation(rng))
     measurements = _measurements_for(agent, anchors[:1], coupling)
-    est = pair_ml_estimate(measurements, anchors[:1], coupling, room)
+    est = _pair_ml_one(measurements, anchors[:1], coupling, room)
     assert np.linalg.norm(est.position - agent.position) < 1e-8
 
 
 def test_pair_ml_no_measurements(room, coupling):
     with pytest.raises(NoMeasurements):
-        pair_ml_estimate([], [], coupling, room)
+        _pair_ml_one(np.zeros((0, 3, 3)), [], coupling, room)
 
 
 def test_pair_ml_noisy_accuracy(room, anchors, coupling):
@@ -239,7 +253,7 @@ def test_pair_ml_noisy_accuracy(room, anchors, coupling):
         if min(np.linalg.norm(agent.position - a.position) for a in anchors) < 0.15:
             continue
         measurements = _measurements_for(agent, anchors, coupling, rng, sigma=1e-5 * 0.0545)
-        est = pair_ml_estimate(measurements, anchors, coupling, room)
+        est = _pair_ml_one(measurements, anchors, coupling, room)
         errors.append(np.linalg.norm(est.position - agent.position))
     assert np.median(errors) < 0.05
 
@@ -274,7 +288,84 @@ def test_distance_estimates(room, anchors, coupling):
     rng = np.random.default_rng(12)
     agent = random_deployment(rng, room)
     measurements = _measurements_for(agent, anchors, coupling)
-    positions, distances = distance_estimates(measurements, anchors, coupling)
-    assert positions.shape == (4, 3)
+    distances = distance_estimates(measurements, _anchor_arrays(anchors)[1], coupling)
+    assert distances.shape == (4,)
     true = [np.linalg.norm(agent.position - a.position) for a in anchors]
     assert np.allclose(distances, true, rtol=1e-9)
+
+
+def _noisy_agents(count, room, anchors, coupling, rng, sigma):
+    """count agents at least 0.15 m from every anchor and their (count, K, 3, 3) measurements."""
+    agents, measured = [], []
+    while len(agents) < count:
+        agent = random_deployment(rng, room)
+        if min(np.linalg.norm(agent.position - a.position) for a in anchors) < 0.15:
+            continue
+        agents.append(agent)
+        measured.append(_measurements_for(agent, anchors, coupling, rng, sigma))
+    return agents, np.array(measured)
+
+
+def test_stacked_pair_ml_equals_one_agent_calls(room, anchors, coupling):
+    # strong noise sends about half of the agents through the likelihood
+    # fallback; every agent must get its one-agent result exactly
+    rng = np.random.default_rng(13)
+    _, measured = _noisy_agents(40, room, anchors, coupling, rng, sigma=2e-3)
+    positions, rotations = _anchor_arrays(anchors)
+    stacked = pair_ml_estimate(
+        measured,
+        np.broadcast_to(positions, (40,) + positions.shape),
+        np.broadcast_to(rotations, (40,) + rotations.shape),
+        coupling,
+        room,
+    )
+    assert stacked.shape == (40, 6)
+    for agent in range(40):
+        alone = pair_ml_estimate(
+            measured[agent : agent + 1], positions[None], rotations[None], coupling, room
+        )
+        assert np.array_equal(stacked[agent], alone[0])
+
+
+def test_candidate_cost_matches_per_link_oracle(room, anchors, coupling):
+    rng = np.random.default_rng(14)
+    agents, measured = _noisy_agents(20, room, anchors, coupling, rng, sigma=1e-4)
+    positions, rotations = _anchor_arrays(anchors)
+    for y_imag in measured:
+        position = room.sample_point(rng)
+        rotation = sample_uniform_rotation(rng)
+        cost = _candidate_cost(position, rotation, y_imag, positions, rotations, coupling)
+        reference = candidate_cost(position, rotation, y_imag, anchors, coupling)
+        assert abs(cost - reference) <= 1e-12 * reference
+    # a candidate on an anchor scores inf in both
+    y_imag = measured[0]
+    on_anchor = _candidate_cost(positions[2], rotations[0], y_imag, positions, rotations, coupling)
+    assert on_anchor == np.inf
+    assert candidate_cost(positions[2], rotations[0], y_imag, anchors, coupling) == np.inf
+
+
+def test_distance_estimates_match_per_link_decomposition(room, anchors, coupling):
+    rng = np.random.default_rng(15)
+    _, measured = _noisy_agents(6, room, anchors, coupling, rng, sigma=1e-5)
+    measured[1, 2] = 0.0
+    measured[4, 0] = 0.0
+    measured[4, 3] = 0.0
+    _, rotations = _anchor_arrays(anchors)
+    distances = distance_estimates(
+        measured, np.broadcast_to(rotations, (6,) + rotations.shape), coupling
+    )
+    assert distances.shape == (6, 4)
+    zero = ~measured.any(axis=(2, 3))
+    assert np.array_equal(np.isnan(distances), zero)
+    for agent in range(6):
+        for k, anchor in enumerate(anchors):
+            if zero[agent, k]:
+                with pytest.raises(DegenerateMeasurement):
+                    decompose_link(1j * measured[agent, k], anchor)
+                continue
+            _, _, z = decompose_link(1j * measured[agent, k], anchor)
+            assert distances[agent, k] == ml_distance(z, coupling)
+    # an agent without a single usable link
+    measured[3] = 0.0
+    with pytest.raises(NoMeasurements):
+        distance_estimates(measured, np.broadcast_to(rotations, (6,) + rotations.shape), coupling)
