@@ -10,7 +10,7 @@ from .channel import (
     coupling_coefficient,
 )
 from .config import ConfigError, ExperimentConfig
-from .crlb import FisherInfo, SingularFim, assemble_fim, peb, peb_all
+from .crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_all, peb_stack
 from .estimators import (
     LsProblem,
     MultilaterationResult,

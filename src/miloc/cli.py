@@ -87,6 +87,11 @@ def _cmd_simulate(args) -> int:
         )
     if result.failures:
         print(f"warning: {result.failures} trial(s) failed and were skipped")
+    if result.singular_bounds:
+        print(
+            f"warning: left {result.singular_bounds} topologies whose information "
+            "matrix is singular out of mean_peb"
+        )
     return EXIT_OK
 
 

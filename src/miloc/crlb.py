@@ -5,13 +5,15 @@ dH/d theta_l) to the information matrix.  Because H is purely imaginary
 these traces are inner products of the stacked imaginary-part derivative
 columns, which are the columns of the least-squares residual Jacobian J.
 The information matrix of a link set is therefore (2 / sigma**2) J^T J at
-the true deployments, assembled by the same LsProblem that the estimators
-solve.  In the cooperative scheme both ordered measurements of an agent
-pair exist and both are counted; without agent-agent links the matrix is
-block diagonal.
+the true deployments, which LsProblem.normal_matrix sums link by link from
+the same derivative columns the estimators use.  In the cooperative scheme
+both ordered measurements of an agent pair exist and both are counted;
+without agent-agent links the matrix is block diagonal.
 
 The position error bound of an agent is the root of the summed position
-diagonal entries of the inverse information matrix.
+diagonal entries of the inverse information matrix.  Stacks of topologies
+are assembled and solved in one call each (fim_stack, peb_stack); the
+one-topology functions are their single-matrix case.
 """
 
 from __future__ import annotations
@@ -43,6 +45,39 @@ class FisherInfo:
     n_agents: int
 
 
+def fim_stack(
+    poses: np.ndarray,
+    anchors,
+    coupling: float,
+    sigma: float,
+    cooperative: bool,
+) -> np.ndarray:
+    """Information matrices of a stack of topologies over the same anchors.
+
+    Args:
+        poses: agent parameters (..., 6M), packed as by pack_deployments.
+        anchors: sequence of Deployment.
+        cooperative: include the ordered agent-agent measurement set.
+
+    Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
+    Jacobian J of the scheme's link set at the given deployments; each
+    topology's matrix is the same whatever else is in the stack.
+    """
+    poses = np.asarray(poses, dtype=float)
+    m = poses.shape[-1] // 6
+    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
+    links = link_set(m, len(anchors), scheme)
+    problem = LsProblem(
+        n_agents=m,
+        anchor_positions=np.array([a.position for a in anchors]).reshape(-1, 3),
+        anchor_rotations=np.array([a.rotation for a in anchors]).reshape(-1, 3, 3),
+        links=links,
+        y_imag=np.zeros((len(links), 3, 3)),
+        coupling=coupling,
+    )
+    return 2.0 / sigma**2 * problem.normal_matrix(poses)
+
+
 def assemble_fim(
     agents,
     anchors,
@@ -55,44 +90,46 @@ def assemble_fim(
     Args:
         agents, anchors: sequences of Deployment.
         cooperative: include the ordered agent-agent measurement set.
-
-    Returns (2 / sigma**2) J^T J for the residual Jacobian J of the scheme's
-    link set at the true agent deployments.
     """
-    m = len(agents)
-    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
-    links = link_set(m, len(anchors), scheme)
-    problem = LsProblem(
-        n_agents=m,
-        anchor_positions=np.array([a.position for a in anchors]).reshape(-1, 3),
-        anchor_rotations=np.array([a.rotation for a in anchors]).reshape(-1, 3, 3),
-        links=links,
-        y_imag=np.zeros((len(links), 3, 3)),
-        coupling=coupling,
-    )
-    _, jac = problem.residual_and_jacobian(pack_deployments(agents))
-    return FisherInfo(matrix=2.0 / sigma**2 * (jac.T @ jac), n_agents=m)
+    matrix = fim_stack(pack_deployments(agents), anchors, coupling, sigma, cooperative)
+    return FisherInfo(matrix=matrix, n_agents=len(agents))
 
 
-def _position_solve(info: FisherInfo, agents: np.ndarray) -> np.ndarray:
-    """Position diagonal of the inverse information matrix, one row per agent.
+def _position_variances(matrices: np.ndarray, agents: np.ndarray):
+    """Position diagonal of the inverse of each information matrix.
 
-    Only the 3 * len(agents) needed columns of the inverse are solved for;
-    the full eigendecomposition runs on the failure path alone, for the
-    null direction.
+    matrices is a (T, n, n) stack.  Returns the (T, len(agents), 3)
+    variances, NaN for singular matrices, and the (T,) singular mask: a
+    matrix is singular when its eigenvalues are not all positive or their
+    ratio exceeds FIM_MAX_CONDITION.  One stacked eigvalsh tests every
+    matrix, and one stacked solve finds only the 3 * len(agents) needed
+    columns of the inverses of the others.
     """
-    eigvals = np.linalg.eigvalsh(info.matrix)
-    scale = float(eigvals[-1])
-    if scale <= 0.0 or eigvals[0] <= 0.0 or scale / eigvals[0] > FIM_MAX_CONDITION:
+    eigvals = np.linalg.eigvalsh(matrices)
+    scale, smallest = eigvals[:, -1], eigvals[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (scale <= 0.0) | (smallest <= 0.0) | (scale / smallest > FIM_MAX_CONDITION)
+    rows = (6 * agents[:, None] + np.arange(3)).reshape(-1)
+    picks = np.arange(len(rows))
+    unit = np.zeros((matrices.shape[-1], len(rows)))
+    unit[rows, picks] = 1.0
+    variances = np.full((len(matrices), len(rows)), np.nan)
+    regular = ~singular
+    if regular.any():
+        solvable = matrices if regular.all() else matrices[regular]
+        variances[regular] = np.linalg.solve(solvable, unit)[:, rows, picks]
+    return variances.reshape(len(matrices), len(agents), 3), singular
+
+
+def _checked_variances(info: FisherInfo, agents: np.ndarray) -> np.ndarray:
+    """Position variances of one matrix; the eigenvector is found on failure only."""
+    variances, singular = _position_variances(info.matrix[None], agents)
+    if singular[0]:
         null = np.linalg.eigh(info.matrix)[1][:, 0]
         raise SingularFim(
             f"information matrix condition exceeds {FIM_MAX_CONDITION:g}", null
         )
-    rows = (6 * agents[:, None] + np.arange(3)).reshape(-1)
-    unit = np.zeros((len(info.matrix), len(rows)))
-    unit[rows, np.arange(len(rows))] = 1.0
-    columns = np.linalg.solve(info.matrix, unit)
-    return columns[rows, np.arange(len(rows))].reshape(-1, 3)
+    return variances[0]
 
 
 def peb(info: FisherInfo, agent: int = 0) -> float:
@@ -101,9 +138,19 @@ def peb(info: FisherInfo, agent: int = 0) -> float:
     Raises:
         SingularFim: matrix not invertible at the configured condition limit.
     """
-    return float(np.sqrt(np.sum(_position_solve(info, np.array([agent])))))
+    return float(np.sqrt(np.sum(_checked_variances(info, np.array([agent]))[0])))
 
 
 def peb_all(info: FisherInfo) -> np.ndarray:
     """Position error bounds of every agent from a single solve."""
-    return np.sqrt(np.sum(_position_solve(info, np.arange(info.n_agents)), axis=1))
+    return np.sqrt(np.sum(_checked_variances(info, np.arange(info.n_agents)), axis=1))
+
+
+def peb_stack(matrices: np.ndarray, agent: int = 0) -> np.ndarray:
+    """Position error bound of one agent for each matrix of a (T, n, n) stack.
+
+    Singular matrices give NaN; every other bound equals peb of that matrix
+    alone, bit for bit.
+    """
+    variances, _ = _position_variances(matrices, np.array([agent]))
+    return np.sqrt(np.sum(variances[:, 0], axis=-1))

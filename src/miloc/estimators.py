@@ -7,11 +7,12 @@ do not move the minimizer.  Agent parameters are packed as a flat vector of
 six entries per agent, [x, y, z, alpha, beta, gamma], and Euler angles stay
 unconstrained during the iteration (canonicalized only on output).
 
-Batch convention: residuals and Jacobians take parameters of shape
-(..., 6M) and return (..., 9L) and (..., 9L, 6M); a 1-d vector gives one
-problem.  Independent problems (the agents of a non-cooperative network,
-random restarts) are rows of one stack, and levenberg_marquardt advances
-all rows together, each with its own damping and termination.
+Batch convention: residuals, Jacobians and normal matrices take parameters
+of shape (..., 6M) and return (..., 9L), (..., 9L, 6M) and (..., 6M, 6M);
+a 1-d vector gives one problem.  Independent problems (the agents of a
+non-cooperative network, random restarts) are rows of one stack, and
+levenberg_marquardt advances all rows together, each with its own damping
+and termination.
 """
 
 from __future__ import annotations
@@ -203,15 +204,12 @@ class LsProblem:
         np.add.at(out, self.links[:, 0], per_link)
         return out
 
-    def residual_and_jacobian(self, theta: np.ndarray, index=None):
-        """Residual and its Jacobian (..., 9L, 6M); agent-agent links fill both endpoint blocks.
+    def _link_columns(self, theta: np.ndarray):
+        """Batch shape, gains and the (batch * L, 9, 12) derivative columns of every link.
 
-        Every link's transmitter columns go to its agent's block, and its
-        receiver columns too when the receiver is an agent; anchors carry
-        zero Euler-derivative stacks.
+        Anchors carry zero Euler-derivative stacks, so their columns vanish.
         """
-        theta = self._check(theta)
-        blocks, batch, o_tx, o_rx, gains, r, u, f = self._geometry(theta)
+        blocks, batch, o_tx, o_rx, gains, r, u, f = self._geometry(self._check(theta))
         nodes = self.n_agents + len(self.anchor_positions)
         d_rot = np.zeros(batch + (nodes, 3, 3, 3))
         d_rot[..., : self.n_agents, :, :, :] = euler_rotation_derivatives(blocks[..., 3:])
@@ -222,15 +220,49 @@ class LsProblem:
             d_rot[..., rx, :, :, :].reshape(-1, 3, 3, 3),
             self.coupling,
         )
+        return batch, gains, cols
+
+    def residual_and_jacobian(self, theta: np.ndarray, index=None):
+        """Residual and its Jacobian (..., 9L, 6M); agent-agent links fill both endpoint blocks.
+
+        Every link's transmitter columns go to its agent's block, and its
+        receiver columns too when the receiver is an agent.
+        """
+        batch, gains, cols = self._link_columns(theta)
         # one row per (problem, link); node ids repeat for every problem
-        copies = len(r) // max(len(tx), 1)
-        rows, tx, rx = np.arange(len(r)), np.tile(tx, copies), np.tile(rx, copies)
+        copies = len(cols) // max(len(self.links), 1)
+        tx, rx = np.tile(self.links[:, 0], copies), np.tile(self.links[:, 1], copies)
+        rows = np.arange(len(cols))
         to_agent = rx < self.n_agents
-        jac = np.zeros((len(r), 9, self.n_agents, 6))
+        jac = np.zeros((len(cols), 9, self.n_agents, 6))
         jac[rows, :, tx] = -cols[:, :, :6]
         jac[rows[to_agent], :, rx[to_agent]] = -cols[to_agent, :, 6:]
         jac = jac.reshape(batch + (9 * len(self.links), self.n_parameters))
         return self._residual(gains, batch, index), jac
+
+    def normal_matrix(self, theta: np.ndarray) -> np.ndarray:
+        """J^T J (..., 6M, 6M) of the residual Jacobian, assembled link by link.
+
+        Each link's 12 x 12 block C^T C of its derivative columns adds its
+        transmitter block, and for an agent receiver its cross and receiver
+        blocks, into the node-pair blocks of every problem at once; the
+        dense Jacobian is never formed.  Contributions to a block are summed
+        in link order, so a problem's matrix does not depend on the other
+        rows of the batch.
+        """
+        batch, _, cols = self._link_columns(theta)
+        gram = (np.swapaxes(cols, 1, 2) @ cols).reshape(
+            (int(np.prod(batch, dtype=int)), len(self.links), 12, 12)
+        ).swapaxes(0, 1)
+        tx, rx = self.links[:, 0], self.links[:, 1]
+        pair = rx < self.n_agents
+        tx_cols, rx_cols = slice(0, 6), slice(6, 12)
+        out = np.zeros((self.n_agents, self.n_agents, gram.shape[1], 6, 6))
+        np.add.at(out, (tx, tx), gram[:, :, tx_cols, tx_cols])
+        np.add.at(out, (tx[pair], rx[pair]), gram[pair, :, tx_cols, rx_cols])
+        np.add.at(out, (rx[pair], tx[pair]), gram[pair, :, rx_cols, tx_cols])
+        np.add.at(out, (rx[pair], rx[pair]), gram[pair, :, rx_cols, rx_cols])
+        return out.transpose(2, 0, 3, 1, 4).reshape(batch + (self.n_parameters,) * 2)
 
 
 @dataclass

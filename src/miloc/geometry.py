@@ -55,15 +55,19 @@ def euler_to_rotation_batch(eulers: np.ndarray) -> np.ndarray:
     return r
 
 
-def is_rotation(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when the matrix is orthogonal with determinant +1 within tol."""
+def is_rotation(matrix: np.ndarray, tol: float = 1e-10):
+    """True when the matrix is orthogonal with determinant +1 within tol.
+
+    matrix is one 3x3 matrix (a bool is returned) or a (..., 3, 3) stack (a
+    boolean array over its matrices).
+    """
     m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         return False
-    return (
-        np.abs(m.T @ m - np.eye(3)).max() <= tol
-        and abs(np.linalg.det(m) - 1.0) <= tol
-    )
+    orthogonal = np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)).max(axis=(-2, -1)) <= tol
+    proper = np.abs(np.linalg.det(m) - 1.0) <= tol
+    ok = orthogonal & proper
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def rotation_to_euler(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -72,22 +76,23 @@ def rotation_to_euler(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     Angles are canonical: alpha, gamma in (-pi, pi], beta in [-pi/2, pi/2].
     At gimbal lock (|beta| = pi/2) gamma is set to zero and the remaining
     rotation folded into alpha, so the reconstruction is still exact.
+    A (..., 3, 3) stack gives (..., 3) angle triples.
 
     Raises:
-        NotARotation: orthogonality or determinant violated beyond tol.
+        NotARotation: orthogonality or determinant violated beyond tol, for
+            any matrix of a stack.
     """
     m = np.asarray(matrix, dtype=float)
-    if not is_rotation(m, tol):
+    if not np.all(is_rotation(m, tol)):
         raise NotARotation("input is not a proper rotation matrix")
-    beta = np.arcsin(-np.clip(m[2, 0], -1.0, 1.0))
-    if abs(np.cos(beta)) > 1e-9:
-        alpha = np.arctan2(m[1, 0], m[0, 0])
-        gamma = np.arctan2(m[2, 1], m[2, 2])
-    else:
-        # beta = +-pi/2: only alpha -+ gamma is determined; pick gamma = 0.
-        alpha = np.arctan2(-m[0, 1], m[1, 1])
-        gamma = 0.0
-    return np.array([alpha, beta, gamma])
+    beta = np.arcsin(-np.clip(m[..., 2, 0], -1.0, 1.0))
+    regular = np.abs(np.cos(beta)) > 1e-9
+    # beta = +-pi/2: only alpha -+ gamma is determined; pick gamma = 0.
+    alpha = np.where(
+        regular, np.arctan2(m[..., 1, 0], m[..., 0, 0]), np.arctan2(-m[..., 0, 1], m[..., 1, 1])
+    )
+    gamma = np.where(regular, np.arctan2(m[..., 2, 1], m[..., 2, 2]), 0.0)
+    return np.stack([alpha, beta, gamma], axis=-1)
 
 
 def _matrices(shape, entries) -> np.ndarray:
@@ -119,25 +124,40 @@ def euler_rotation_derivatives(euler) -> np.ndarray:
     return np.stack([dz @ ry @ rx, rz @ dy @ rx, rz @ ry @ dx], axis=-3)
 
 
+# Row-major rotation entries from the products p[4 i + j] = q_i q_j of a unit
+# quaternion q = (w, x, y, z): 1 - 2 (p_a + p_b) on the diagonal and
+# 2 (p_a +- p_b) off it, as (entries, a, b[, sign]).
+_DIAGONAL = (np.array([0, 4, 8]), np.array([10, 5, 5]), np.array([15, 15, 10]))
+_OFF_DIAGONAL = (
+    np.array([1, 2, 3, 5, 6, 7]),
+    np.array([6, 7, 6, 11, 7, 11]),
+    np.array([3, 2, 3, 1, 2, 1]),
+    np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]),
+)
+
+
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrix of a unit quaternion (w, x, y, z); (..., 4) gives (..., 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    batch = q.shape[:-1]
+    products = (q[..., :, None] * q[..., None, :]).reshape(batch + (16,))
+    out = np.empty(batch + (9,))
+    entries, a, b = _DIAGONAL
+    out[..., entries] = 1 - 2 * (products[..., a] + products[..., b])
+    entries, a, b, sign = _OFF_DIAGONAL
+    out[..., entries] = 2 * (products[..., a] + sign * products[..., b])
+    return out.reshape(batch + (3, 3))
 
 
-def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Draw a rotation matrix uniformly (Haar) over SO(3).
+def sample_uniform_rotation(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Draw a rotation matrix uniformly (Haar) over SO(3); size n gives (n, 3, 3).
 
-    Uses a normalized 4-d Gaussian quaternion, which is exactly uniform.
+    Uses normalized 4-d Gaussian quaternions, which are exactly uniform.  A
+    stack consumes the generator as n single draws in order would, and gives
+    the same matrices bit for bit.
     """
-    q = rng.standard_normal(4)
-    return quaternion_to_rotation(q / np.linalg.norm(q))
+    q = rng.standard_normal(4 if size is None else (size, 4))
+    return quaternion_to_rotation(q / np.sqrt(np.vecdot(q, q))[..., None])
 
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
@@ -212,4 +232,4 @@ class Deployment:
 
     def as_vector(self) -> np.ndarray:
         """Six-parameter form [x, y, z, alpha, beta, gamma]."""
-        return np.hstack([self.position, self.euler])
+        return np.concatenate((self.position, self.euler))

@@ -22,6 +22,7 @@ from .estimators import LsProblem, SolveReport
 from .geometry import Room, euler_to_rotation, rotation_to_euler
 from .scenario import (
     Scheme,
+    link_set,
     sample_topology,
     synthesize_measurements,
     channel_gain_samples,
@@ -37,6 +38,10 @@ TRIAL_FAILURES = (pairml.NoMeasurements, CoincidentNodes, np.linalg.LinAlgError)
 # Reference mean position error bound of the single-agent non-cooperative
 # setup, used as the calibration target for the coil resistance.
 REFERENCE_PEB_M1_M = 2.18627459283404e-3
+
+# Links per stacked bound assembly: a sweep's memory stays bounded whatever
+# its number of topologies.
+_LINKS_PER_CALL = 256
 
 
 class EmptyInput(ValueError):
@@ -82,6 +87,7 @@ class ExperimentResult:
     summaries: List[SummaryRecord]
     cdfs: Dict[str, np.ndarray]
     failures: int = 0
+    singular_bounds: int = 0  # topologies left out of mean_peb_m
 
 
 def compute_cdf(errors: Sequence[float]) -> np.ndarray:
@@ -141,6 +147,39 @@ def run_trial_estimator(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def agent0_bounds(
+    cfg: ExperimentConfig, m: int, topologies: int, cooperative: bool
+) -> np.ndarray:
+    """Agent 0's position error bound on each of the first topologies of count m.
+
+    Topology t is drawn from its own seed-derived stream, as in
+    run_experiment; the information matrices of many topologies are
+    assembled and solved in stacked calls of at most _LINKS_PER_CALL links.
+    Returns a (topologies,) array, NaN where the information matrix is
+    singular; each bound equals crlb.peb of its topology alone, bit for bit.
+    """
+    room = cfg.room()
+    anchors = cfg.anchors()
+    coil = cfg.coil()
+    gparams = cfg.global_params()
+    coupling = coupling_coefficient(coil, coil, gparams)
+    min_dist = cfg.min_distance()
+
+    def poses(t: int) -> np.ndarray:
+        topo = sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
+        return estimators.pack_deployments(topo.agents)
+
+    n_links = len(link_set(m, len(anchors), Scheme.COOP if cooperative else Scheme.NONCOOP))
+    chunk = max(1, _LINKS_PER_CALL // max(n_links, 1))
+    bounds = np.empty(topologies)
+    for start in range(0, topologies, chunk):
+        stop = min(start + chunk, topologies)
+        stack = np.array([poses(t) for t in range(start, stop)])
+        fim = crlb.fim_stack(stack, anchors, coupling, gparams.noise_sigma, cooperative)
+        bounds[start:stop] = crlb.peb_stack(fim, 0)
+    return bounds
+
+
 def _needs_reference(estimator: str, init: str) -> bool:
     if estimator == "turbols":
         return True
@@ -155,8 +194,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     agent-0 statistics are aggregated: mean RMSE (per-topology RMSE over the
     noise draws, averaged over topologies), mean position error bound over
     the same topologies, and the fraction of outlier trials (error above
-    10x the topology's bound).  Trial failures of the kinds in TRIAL_FAILURES
-    are counted and skipped; any other exception propagates.
+    10x the topology's bound).  Topologies with a singular information
+    matrix are left out of the mean bound and counted in singular_bounds.
+    Trial failures of the kinds in TRIAL_FAILURES are counted and skipped;
+    any other exception propagates.
     """
     room = cfg.room()
     anchors = cfg.anchors()
@@ -172,10 +213,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     summaries: List[SummaryRecord] = []
     cdfs: Dict[str, np.ndarray] = {}
     failures = 0
+    singular_bounds = 0
 
     for m in cfg.agent_counts():
+        topo_peb = agent0_bounds(cfg, m, cfg.topologies, cooperative)
+        singular_bounds += int(np.isnan(topo_peb).sum())
         topo_rmse: List[float] = []
-        topo_peb: List[float] = []
         agent0_errors: List[float] = []
         outliers = 0
         counted = 0
@@ -183,12 +226,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             topo = sample_topology(
                 m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0)
             )
-            info = crlb.assemble_fim(topo.agents, anchors, coupling, gparams.noise_sigma, cooperative)
-            try:
-                peb0 = crlb.peb(info, 0)
-            except crlb.SingularFim:
-                peb0 = np.nan
-            topo_peb.append(peb0)
+            peb0 = topo_peb[t]
             truth = estimators.pack_deployments(topo.agents)
             sq_errors: List[float] = []
             for k in range(cfg.noise):
@@ -256,7 +294,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 scheme=cfg.scheme,
                 estimator=cfg.estimator,
                 mean_rmse_m=float(np.mean(topo_rmse)) if topo_rmse else np.nan,
-                mean_peb_m=float(np.nanmean(topo_peb)) if topo_peb else np.nan,
+                mean_peb_m=_finite_mean(topo_peb),
                 outlier_frac=outliers / counted if counted else np.nan,
                 trials=counted,
             )
@@ -264,7 +302,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if agent0_errors:
             cdfs[f"M{m}_{cfg.scheme}_{cfg.estimator}"] = compute_cdf(agent0_errors)
     return ExperimentResult(
-        config=cfg, trials=trials, summaries=summaries, cdfs=cdfs, failures=failures
+        config=cfg,
+        trials=trials,
+        summaries=summaries,
+        cdfs=cdfs,
+        failures=failures,
+        singular_bounds=singular_bounds,
     )
 
 
@@ -286,32 +329,21 @@ def mean_peb_curve(
     is singular are skipped, as in run_experiment: the mean is taken over
     the finite bounds and the topologies entry counts them.
     """
-    room = cfg.room()
-    anchors = cfg.anchors()
-    coil = cfg.coil()
-    gparams = cfg.global_params()
-    coupling = coupling_coefficient(coil, coil, gparams)
     if scheme is None:
         scheme = cfg.scheme_enum()
-    cooperative = scheme is Scheme.COOP
     counts = list(agent_counts) if agent_counts is not None else cfg.agent_counts()
     n_topologies = topologies if topologies is not None else cfg.topologies
     rows = []
     for m in counts:
-        values = []
-        for t in range(n_topologies):
-            topo = sample_topology(
-                m, room, anchors, cfg.min_distance(), _trial_seed(cfg.seed, m, t, 0)
-            )
-            info = crlb.assemble_fim(
-                topo.agents, anchors, coupling, gparams.noise_sigma, cooperative
-            )
-            try:
-                values.append(crlb.peb(info, 0))
-            except crlb.SingularFim:
-                continue
-        rows.append((m, float(np.mean(values)) if values else np.nan, len(values)))
+        bounds = agent0_bounds(cfg, m, n_topologies, scheme is Scheme.COOP)
+        rows.append((m, _finite_mean(bounds), int(np.isfinite(bounds).sum())))
     return rows
+
+
+def _finite_mean(values: np.ndarray) -> float:
+    """Mean of the finite entries; NaN when there are none."""
+    finite = values[np.isfinite(values)]
+    return float(np.mean(finite)) if finite.size else np.nan
 
 
 @dataclass

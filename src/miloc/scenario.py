@@ -11,7 +11,7 @@ import numpy as np
 
 from . import channel as chan
 from .channel import CoilParams, GlobalParams, LinkMeasurement
-from .geometry import Deployment, Room, sample_uniform_rotation
+from .geometry import Deployment, Room, rotation_to_euler, sample_uniform_rotation
 
 DEFAULT_MAX_ATTEMPTS = 100_000
 
@@ -118,9 +118,9 @@ def sample_topology(
             d_an = np.linalg.norm(positions[:, None] - anchor_pos[None], axis=-1)
             if d_an.min() < min_distance:
                 continue
-        agents = [
-            Deployment.from_rotation(p, sample_uniform_rotation(rng)) for p in positions
-        ]
+        rotations = sample_uniform_rotation(rng, n_agents)
+        eulers = rotation_to_euler(rotations)
+        agents = [Deployment(*pose) for pose in zip(positions, eulers, rotations)]
         return Topology(room=room, anchors=list(anchors), agents=agents)
     raise PackingInfeasible(
         f"no feasible placement of {n_agents} agents in {max_attempts} attempts"

@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from miloc import (
@@ -42,3 +45,37 @@ def random_deployment(rng, room=None, lo=0.0, hi=1.5):
     else:
         position = rng.uniform(lo, hi, 3)
     return Deployment.from_rotation(position, sample_uniform_rotation(rng))
+
+
+LOCKED_TOPOLOGY = 2
+
+
+def gimbal_locked(topology):
+    """The topology with agent 0 turned to Euler beta = pi/2.
+
+    There the Euler parametrization is singular, and so is every
+    information matrix that includes agent 0.
+    """
+    agent = Deployment.from_euler(topology.agents[0].position, [0.4, np.pi / 2, 0.0])
+    return dataclasses.replace(topology, agents=[agent] + topology.agents[1:])
+
+
+@pytest.fixture
+def locked_topology(monkeypatch):
+    """Make the harness draw topology LOCKED_TOPOLOGY of every agent count gimbal-locked.
+
+    The topology index is read from the seed-derived stream the harness
+    passes in, so every draw of that topology is the same locked one.
+    """
+    from miloc import harness
+
+    original = harness.sample_topology
+
+    def sample(n_agents, room, anchors, min_distance, rng):
+        topology = original(n_agents, room, anchors, min_distance, rng)
+        if rng.bit_generator.seed_seq.entropy[2] == LOCKED_TOPOLOGY:
+            return gimbal_locked(topology)
+        return topology
+
+    monkeypatch.setattr(harness, "sample_topology", sample)
+    return LOCKED_TOPOLOGY

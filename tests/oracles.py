@@ -13,7 +13,9 @@ scores a pair-ML candidate pose link by link.  levenberg_marquardt
 solves one problem at a time with its own Python loop, and
 random_restarts_per_agent drives it through the per-agent decomposition of
 a non-cooperative problem.  position_bound inverts the information matrix
-through a full eigendecomposition.
+through a full eigendecomposition.  sample_topology_per_agent is the
+topology sampler that draws, converts and checks one agent orientation at a
+time, with the scalar quaternion, norm and Euler formulas written out.
 """
 
 from __future__ import annotations
@@ -300,3 +302,55 @@ def fim_block(agent: Deployment, others, anchors, coupling: float, sigma: float)
         _, rx_blk, _ = link_information(other, agent, coupling, sigma, rx_is_agent=True)
         inter_block += tx_blk + rx_blk
     return anchor_block, inter_block
+
+
+def _quaternion_rotation_one(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _rotation_to_euler_one(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    orthogonal = np.abs(m.T @ m - np.eye(3)).max() <= tol
+    if not (orthogonal and abs(np.linalg.det(m) - 1.0) <= tol):
+        raise ValueError("input is not a proper rotation matrix")
+    beta = np.arcsin(-np.clip(m[2, 0], -1.0, 1.0))
+    if abs(np.cos(beta)) > 1e-9:
+        alpha = np.arctan2(m[1, 0], m[0, 0])
+        gamma = np.arctan2(m[2, 1], m[2, 2])
+    else:
+        alpha = np.arctan2(-m[0, 1], m[1, 1])
+        gamma = 0.0
+    return np.array([alpha, beta, gamma])
+
+
+def sample_topology_per_agent(n_agents: int, room, anchors, min_distance: float, rng):
+    """Agent positions (M, 3), Euler angles (M, 3) and rotations (M, 3, 3).
+
+    The same rejection draw as scenario.sample_topology; once a placement is
+    accepted each agent draws its own quaternion, normalized by its
+    Euclidean norm, and converts it to a rotation and Euler angles alone.
+    """
+    anchor_pos = np.stack([a.position for a in anchors]) if len(anchors) else np.zeros((0, 3))
+    while True:
+        positions = rng.uniform(room.min_corner, room.max_corner, size=(n_agents, 3))
+        if n_agents > 1:
+            d_aa = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
+            d_aa[np.diag_indices(n_agents)] = np.inf
+            if d_aa.min() < min_distance:
+                continue
+        if len(anchor_pos):
+            d_an = np.linalg.norm(positions[:, None] - anchor_pos[None], axis=-1)
+            if d_an.min() < min_distance:
+                continue
+        rotations = []
+        for _ in range(n_agents):
+            q = rng.standard_normal(4)
+            rotations.append(_quaternion_rotation_one(q / np.linalg.norm(q)))
+        eulers = [_rotation_to_euler_one(r) for r in rotations]
+        return positions, np.array(eulers).reshape(-1, 3), np.array(rotations).reshape(-1, 3, 3)

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miloc.channel import channel_matrix
-from miloc.crlb import FisherInfo, SingularFim, assemble_fim, peb, peb_all
+from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_all, peb_stack
 from miloc.estimators import LsProblem, pack_deployments
 from miloc.geometry import Deployment
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
-from conftest import random_deployment
+from conftest import gimbal_locked, random_deployment
 from oracles import fim_block, link_information, position_bound
 
 SIGMA = 1e-5
@@ -21,15 +21,19 @@ def _topology(m, seed, room, anchors):
 
 
 def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupling):
-    # Independent route: the information matrix must equal (2 / sigma^2) J^T J
-    # for the noiseless residual Jacobian at the truth.
-    topo = _topology(3, 0, room, anchors)
-    info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative=True)
-    ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, np.random.default_rng(0), sigma=0.0)
+    # Independent route: every information matrix of a stack must equal
+    # (2 / sigma^2) J^T J for the noiseless residual Jacobian at the truth.
+    topos = [_topology(3, seed, room, anchors) for seed in range(4)]
+    poses = np.array([pack_deployments(t.agents) for t in topos])
+    stacked = fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
+    ms = synthesize_measurements(topos[0], coil, gparams, Scheme.COOP, np.random.default_rng(0), sigma=0.0)
     problem = LsProblem.from_measurements(ms, anchors, 3, coupling)
-    _, jac = problem.residual_and_jacobian(pack_deployments(topo.agents))
-    expected = 2.0 / SIGMA**2 * (jac.T @ jac)
-    assert np.allclose(info.matrix, expected, rtol=1e-9, atol=1e-6 * np.abs(expected).max())
+    _, jac = problem.residual_and_jacobian(poses)
+    for k, topo in enumerate(topos):
+        expected = 2.0 / SIGMA**2 * (jac[k].T @ jac[k])
+        assert np.allclose(stacked[k], expected, rtol=1e-9, atol=1e-6 * np.abs(expected).max())
+        info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative=True)
+        assert np.array_equal(stacked[k], info.matrix)
 
 
 def test_assembly_matches_per_link_reference(room, anchors, coupling):
@@ -232,6 +236,34 @@ def test_single_link_spectrum_against_oracle(coupling):
         assert eigvals[0] > 0
 
 
+def test_singular_topology_in_stack_leaves_the_others_alone(room, anchors, coupling):
+    topos = [_topology(4, 60 + k, room, anchors) for k in range(5)]
+    topos[2] = gimbal_locked(topos[2])
+    poses = np.array([pack_deployments(t.agents) for t in topos])
+    for cooperative in (True, False):
+        bounds = peb_stack(fim_stack(poses, anchors, coupling, SIGMA, cooperative))
+        assert np.isnan(bounds[2]) and np.all(np.isfinite(np.delete(bounds, 2)))
+        for k, topo in enumerate(topos):
+            info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative)
+            if k == 2:
+                with pytest.raises(SingularFim):
+                    peb(info, 0)
+            else:
+                assert bounds[k] == peb(info, 0)
+        others = np.delete(poses, 2, axis=0)
+        clean = peb_stack(fim_stack(others, anchors, coupling, SIGMA, cooperative))
+        assert np.array_equal(clean, np.delete(bounds, 2))
+
+
+def test_peb_stack_matches_peb_of_every_agent(room, anchors, coupling):
+    topos = [_topology(3, 70 + k, room, anchors) for k in range(3)]
+    poses = np.array([pack_deployments(t.agents) for t in topos])
+    matrices = fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
+    for agent in range(3):
+        expected = [peb(FisherInfo(matrix, 3), agent) for matrix in matrices]
+        assert np.array_equal(peb_stack(matrices, agent), expected)
+
+
 # Property tests: the assembly follows the network, not the bookkeeping.
 
 _PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -278,3 +310,14 @@ def test_noncoop_fim_has_zero_off_diagonal_blocks(room, anchors, coupling, seed,
     blocks = assemble_fim(topo.agents, anchors, coupling, SIGMA, False).matrix.reshape(m, 6, m, 6)
     off_diagonal = ~np.eye(m, dtype=bool)
     assert np.all(blocks.transpose(0, 2, 1, 3)[off_diagonal] == 0.0)
+
+
+@_PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), data=st.data())
+def test_permuting_the_stack_permutes_the_bounds(room, anchors, coupling, seed, m, data):
+    poses = np.array([pack_deployments(_topology(m, [seed, k], room, anchors).agents) for k in range(4)])
+    order = list(data.draw(st.permutations(range(4))))
+    for cooperative in (True, False):
+        bounds = peb_stack(fim_stack(poses, anchors, coupling, SIGMA, cooperative))
+        permuted = peb_stack(fim_stack(poses[order], anchors, coupling, SIGMA, cooperative))
+        assert np.array_equal(permuted, bounds[order], equal_nan=True)

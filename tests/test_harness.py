@@ -1,19 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from miloc import crlb
+from miloc.channel import coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
 from miloc.estimators import LsProblem, multilaterate, pack_deployments
+from miloc import harness
 from miloc.harness import (
     EmptyInput,
+    agent0_bounds,
     calibrate_resistance,
     compute_cdf,
     emit_outputs,
     gains_experiment,
     mean_peb_curve,
     run_experiment,
+    _trial_seed,
 )
 from miloc.pairml import NoMeasurements, distance_estimates
-from miloc.scenario import Scheme
+from miloc.scenario import Scheme, link_set, sample_topology
 
 
 def test_compute_cdf_basic():
@@ -335,20 +342,70 @@ def test_median_wall_time_ordering(room):
     assert medians["multilateration"] < medians["turbols_coop"]
 
 
-def test_mean_peb_curve_skips_singular_topologies(monkeypatch):
-    from miloc import crlb
-
-    original = crlb.peb
+def test_mean_peb_curve_skips_singular_topologies(locked_topology):
+    cfg = _small_cfg()
+    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), cfg.global_params())
     bounds = []
+    for t in range(5):
+        topo = sample_topology(2, cfg.room(), cfg.anchors(), cfg.min_distance(), _trial_seed(cfg.seed, 2, t, 0))
+        if t != locked_topology:
+            info = crlb.assemble_fim(topo.agents, cfg.anchors(), coupling, cfg.sigma, True)
+            bounds.append(crlb.peb(info, 0))
+    rows = mean_peb_curve(cfg, agent_counts=[2], topologies=5, scheme=Scheme.COOP)
+    assert rows == [(2, float(np.mean(bounds)), 4)]
 
-    def third_singular(info, agent=0):
-        bounds.append(original(info, agent))
-        if len(bounds) == 3:
-            raise crlb.SingularFim("forced")
-        return bounds[-1]
 
-    monkeypatch.setattr(crlb, "peb", third_singular)
-    rows = mean_peb_curve(_small_cfg(), agent_counts=[2], topologies=5, scheme=Scheme.COOP)
-    kept = bounds[:2] + bounds[3:]
-    assert rows == [(2, float(np.mean(kept)), 4)]
+def _single_topology_bounds(cfg, m, topologies, cooperative):
+    """Agent 0's bound topology by topology through the one-topology API."""
+    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), cfg.global_params())
+    bounds = []
+    for t in range(topologies):
+        rng = _trial_seed(cfg.seed, m, t, 0)
+        topo = sample_topology(m, cfg.room(), cfg.anchors(), cfg.min_distance(), rng)
+        info = crlb.assemble_fim(topo.agents, cfg.anchors(), coupling, cfg.sigma, cooperative)
+        try:
+            bounds.append(crlb.peb(info, 0))
+        except crlb.SingularFim:
+            bounds.append(np.nan)
+    return np.array(bounds)
 
+
+def _links(cfg, m, cooperative):
+    return len(link_set(m, len(cfg.anchors()), Scheme.COOP if cooperative else Scheme.NONCOOP))
+
+
+@pytest.mark.parametrize("cooperative", [True, False])
+def test_stacked_bounds_equal_single_topology_bounds(monkeypatch, cooperative):
+    # Bit for bit, for stacks of one and two topologies and for any chunking.
+    cfg = _small_cfg(seed=5)
+    for m in range(1, 11):
+        expected = _single_topology_bounds(cfg, m, 5, cooperative)
+        assert np.array_equal(agent0_bounds(cfg, m, 1, cooperative), expected[:1])
+        assert np.array_equal(agent0_bounds(cfg, m, 2, cooperative), expected[:2])
+        for per_call in (1, 2, 3, 10**9):  # topologies per stacked call
+            monkeypatch.setattr(harness, "_LINKS_PER_CALL", per_call * _links(cfg, m, cooperative))
+            assert np.array_equal(agent0_bounds(cfg, m, 5, cooperative), expected), (m, per_call)
+
+
+@pytest.mark.parametrize("m, cooperative", [(10, True), (1, False)])
+def test_stacked_bounds_across_the_default_chunk_boundary(m, cooperative):
+    cfg = _small_cfg(seed=6)
+    chunk = harness._LINKS_PER_CALL // _links(cfg, m, cooperative)
+    expected = _single_topology_bounds(cfg, m, chunk + 2, cooperative)
+    assert np.array_equal(agent0_bounds(cfg, m, chunk + 2, cooperative), expected)
+
+
+def test_bound_sweep_memory_does_not_grow_with_topologies():
+    # Stacking all 400 topologies at once would hold about 50,000 links of
+    # derivative columns, over 100 MB; chunked stacks keep the peak flat.
+    cfg = ExperimentConfig(seed=20240101)
+    mean_peb_curve(cfg, agent_counts=[10], topologies=2, scheme=Scheme.COOP)
+    peaks = []
+    for topologies in (100, 400):
+        tracemalloc.start()
+        try:
+            mean_peb_curve(cfg, agent_counts=[10], topologies=topologies, scheme=Scheme.COOP)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks

@@ -17,7 +17,7 @@ from miloc.scenario import (
     synthesize_measurements,
 )
 
-from oracles import channel_gain
+from oracles import channel_gain, sample_topology_per_agent
 
 
 def test_default_anchors_on_lateral_walls(room):
@@ -214,3 +214,18 @@ def test_measurement_records_mirror_the_arrays(room, anchors, coil, gparams):
         assert np.array_equal(record.h_meas, h)
     by_pair = {(m.tx, m.rx): m.h_meas for m in records}
     assert len(by_pair) == 18
+
+
+def test_sampler_matches_per_agent_oracle(room, anchors):
+    # The batched orientation draw reproduces, bit for bit, the sampler that
+    # draws and converts one agent orientation at a time, and leaves the
+    # generator where that sampler leaves it.
+    for seed in range(200):
+        for m in range(1, 11):
+            rng, oracle_rng = np.random.default_rng([seed, m]), np.random.default_rng([seed, m])
+            topo = sample_topology(m, room, anchors, 0.15, rng)
+            positions, eulers, rotations = sample_topology_per_agent(m, room, anchors, 0.15, oracle_rng)
+            assert np.array_equal(np.array([a.position for a in topo.agents]), positions)
+            assert np.array_equal(np.array([a.euler for a in topo.agents]), eulers)
+            assert np.array_equal(np.array([a.rotation for a in topo.agents]), rotations)
+            assert rng.standard_normal() == oracle_rng.standard_normal()
