@@ -28,8 +28,8 @@ from .geometry import (
     Room,
     euler_rotation_derivatives,
     euler_to_rotation_batch,
+    quaternion_to_rotation,
     rotation_to_euler,
-    sample_uniform_rotation,
 )
 from . import pairml
 from .scenario import MeasurementSet
@@ -414,13 +414,17 @@ def levenberg_marquardt(
     )
 
 
-def _random_init(n_agents: int, room: Room, rng: np.random.Generator) -> np.ndarray:
-    parts = []
-    for _ in range(n_agents):
-        position = room.sample_point(rng)
-        euler = rotation_to_euler(sample_uniform_rotation(rng))
-        parts.append(np.hstack([position, euler]))
-    return np.hstack(parts)
+def _random_poses(count: int, room: Room, rng: np.random.Generator) -> np.ndarray:
+    """count (position, Euler angles) rows (count, 6), uniform in the room and Haar-uniform.
+
+    Each pose draws its position, then its quaternion, from rng in turn;
+    all quaternions are converted in one batched call.
+    """
+    positions, quaternions = np.empty((count, 3)), np.empty((count, 4))
+    for k in range(count):
+        positions[k] = room.sample_point(rng)
+        quaternions[k] = rng.standard_normal(4)
+    return np.hstack([positions, rotation_to_euler(quaternion_to_rotation(quaternions))])
 
 
 def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
@@ -503,12 +507,7 @@ def estimate(
     elif strategy == "pairml":
         inits = pairml_initialization(problem, room).reshape(groups, 1, size)
     else:
-        inits = np.array(
-            [
-                [_random_init(size // 6, room, rng) for _ in range(restarts)]
-                for _ in range(groups)
-            ]
-        )
+        inits = _random_poses(problem.n_agents * restarts, room, rng)
     solve = levenberg_marquardt(stack, inits.reshape(-1, size))
     # lowest final cost per group, first on ties
     costs = solve.final_cost.reshape(groups, restarts)

@@ -137,8 +137,13 @@ _OFF_DIAGONAL = (
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z); (..., 4) gives (..., 3, 3)."""
+    """Rotation matrix of the quaternion (w, x, y, z) scaled to unit length.
+
+    (..., 4) gives (..., 3, 3); each quaternion is divided by
+    sqrt(vecdot(q, q)), which matches np.linalg.norm of one quaternion bit for bit.
+    """
     q = np.asarray(q, dtype=float)
+    q = q / np.sqrt(np.vecdot(q, q))[..., None]
     batch = q.shape[:-1]
     products = (q[..., :, None] * q[..., None, :]).reshape(batch + (16,))
     out = np.empty(batch + (9,))
@@ -156,8 +161,7 @@ def sample_uniform_rotation(rng: np.random.Generator, size=None) -> np.ndarray:
     stack consumes the generator as n single draws in order would, and gives
     the same matrices bit for bit.
     """
-    q = rng.standard_normal(4 if size is None else (size, 4))
-    return quaternion_to_rotation(q / np.sqrt(np.vecdot(q, q))[..., None])
+    return quaternion_to_rotation(rng.standard_normal(4 if size is None else (size, 4)))
 
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:

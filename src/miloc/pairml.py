@@ -280,17 +280,17 @@ def pair_ml_estimate(
     # usable links by ascending distance, link order on ties
     order = np.argsort(np.where(usable, distances, np.inf), axis=-1, kind="stable")
 
-    poses = []
+    positions, rotations = np.empty((len(y_imag), 3)), np.empty((len(y_imag), 3, 3))
     for m in range(len(y_imag)):
         links = order[m, : usable[m].sum()]
         if not links.size:
             raise NoMeasurements("no usable agent-anchor measurement")
-        link, position = _resolve_agent(
+        link, positions[m] = _resolve_agent(
             links, candidates[m], inside[m], o_hat[m], y_imag[m],
             anchor_positions[m], anchor_rotations[m], coupling, room, cost_ratio,
         )
-        poses.append(np.hstack([position, rotation_to_euler(o_hat[m, link])]))
-    return np.array(poses).reshape(-1, 6)
+        rotations[m] = o_hat[m, link]
+    return np.hstack([positions, rotation_to_euler(rotations)])
 
 
 def _resolve_agent(
