@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from miloc import crlb
+from miloc import crlb, harness
 from miloc.channel import coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
 from miloc.estimators import LsProblem, multilaterate, pack_deployments
-from miloc import harness
 from miloc.harness import (
     EmptyInput,
     agent0_bounds,
@@ -344,15 +343,9 @@ def test_median_wall_time_ordering(room):
 
 def test_mean_peb_curve_skips_singular_topologies(locked_topology):
     cfg = _small_cfg()
-    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), cfg.global_params())
-    bounds = []
-    for t in range(5):
-        topo = sample_topology(2, cfg.room(), cfg.anchors(), cfg.min_distance(), _trial_seed(cfg.seed, 2, t, 0))
-        if t != locked_topology:
-            info = crlb.assemble_fim(topo.agents, cfg.anchors(), coupling, cfg.sigma, True)
-            bounds.append(crlb.peb(info, 0))
+    kept = np.delete(_single_topology_bounds(cfg, 2, 5, True), locked_topology)
     rows = mean_peb_curve(cfg, agent_counts=[2], topologies=5, scheme=Scheme.COOP)
-    assert rows == [(2, float(np.mean(bounds)), 4)]
+    assert rows == [(2, float(np.mean(kept)), 4)]
 
 
 def _single_topology_bounds(cfg, m, topologies, cooperative):
