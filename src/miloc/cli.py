@@ -87,6 +87,8 @@ def _cmd_simulate(args) -> int:
         )
     if result.failures:
         print(f"warning: {result.failures} trial(s) failed and were skipped")
+        kinds = sorted(result.failures_by_kind.items())
+        print("failed trials by kind: " + ", ".join(f"{kind} {count}" for kind, count in kinds))
     if result.singular_bounds:
         print(
             f"warning: left {result.singular_bounds} topologies whose information "

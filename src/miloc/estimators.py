@@ -17,7 +17,7 @@ and termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +55,7 @@ class SolveReport:
     converged: bool
     initializations_used: int = 1
     normal_equations_singular: bool = False
+    reference: Optional[SolveReport] = None  # perfect-init solve, when asked for
 
 
 def pack_deployments(deployments: Sequence[Deployment]) -> np.ndarray:
@@ -106,17 +107,24 @@ class LsProblem:
     @classmethod
     def from_measurements(
         cls,
-        measured: MeasurementSet,
+        measured,
         anchors: Sequence[Deployment],
         n_agents: int,
         coupling: float,
     ) -> "LsProblem":
+        """The problem of one MeasurementSet, or of a list of T sets over the same links.
+
+        A list gives the stacked y_imag (T, L, 3, 3).
+        """
+        single = isinstance(measured, MeasurementSet)
+        sets = [measured] if single else measured
+        y_imag = np.imag([s.h_meas for s in sets])
         return cls(
             n_agents=n_agents,
             anchor_positions=np.stack([a.position for a in anchors]),
             anchor_rotations=np.stack([a.rotation for a in anchors]),
-            links=measured.links,
-            y_imag=np.imag(measured.h_meas).copy(),
+            links=sets[0].links,
+            y_imag=y_imag[0] if single else y_imag,
             coupling=coupling,
         )
 
@@ -192,16 +200,19 @@ class LsProblem:
         return float(res @ res)
 
     def per_agent_costs(self, theta: np.ndarray) -> np.ndarray:
-        """Cost grouped by transmitting agent.
+        """Cost grouped by transmitting agent, (..., M) for parameter rows theta (..., 6M).
 
         For anchor-only link sets this partitions the total cost into the
-        independent per-agent objectives.
+        independent per-agent objectives.  A stacked y_imag (T, L, 3, 3)
+        pairs with theta rows (..., T, 6M).
         """
         theta = self._check(theta)
-        *_, gains, _, _, _ = self._geometry(theta)
-        per_link = np.sum((self.y_imag - gains) ** 2, axis=(1, 2))
-        out = np.zeros(self.n_agents)
-        np.add.at(out, self.links[:, 0], per_link)
+        _, batch, _, _, gains, _, _, _ = self._geometry(theta)
+        residual = self.y_imag - gains.reshape(batch + (len(self.links), 3, 3))
+        per_link = np.sum(residual**2, axis=(-2, -1))
+        out = np.zeros(per_link.shape[:-1] + (self.n_agents,))
+        # link by link in link order, whatever the batch shape
+        np.add.at(out.T, self.links[:, 0], per_link.T)
         return out
 
     def _link_columns(self, theta: np.ndarray):
@@ -428,24 +439,35 @@ def _random_poses(count: int, room: Room, rng: np.random.Generator) -> np.ndarra
 
 
 def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
-    """Closed-form per-agent initialization vector from the anchor links."""
+    """Closed-form per-agent initialization from the anchor links.
+
+    Returns the (6M,) parameter vector, or (T, 6M) for a stack of T
+    measurement sets; every agent of the stack goes through one pair-ML call.
+    """
     rows = problem.anchor_link_rows()
     anchors = problem.links[rows, 1] - problem.n_agents
+    y_imag = problem.y_imag[..., rows, :, :]
+    batch, k = y_imag.shape[:-4], rows.shape[1]
+    positions = np.broadcast_to(problem.anchor_positions[anchors], batch + rows.shape + (3,))
+    rotations = np.broadcast_to(problem.anchor_rotations[anchors], batch + rows.shape + (3, 3))
     return pairml.pair_ml_estimate(
-        problem.y_imag[rows],
-        problem.anchor_positions[anchors],
-        problem.anchor_rotations[anchors],
+        y_imag.reshape(-1, k, 3, 3),
+        positions.reshape(-1, k, 3),
+        rotations.reshape(-1, k, 3, 3),
         problem.coupling,
         room,
-    ).reshape(-1)
+    ).reshape(batch + (problem.n_parameters,))
 
 
-def _agent_stack(problem: LsProblem, restarts: int) -> LsProblem:
-    """Single-agent problem stacked over the agents of a non-cooperative problem.
+def _problem_stack(problem: LsProblem, y_imag: np.ndarray, copies: int) -> LsProblem:
+    """The independent problems of T measurement sets y_imag (T, L, 3, 3), each copies times.
 
-    Each agent keeps only its anchor links; its measurements repeat once
-    per restart, so the stack is agent-major, restart-minor.
+    A cooperative set is one problem.  A non-cooperative set splits into one
+    single-agent problem per agent, which keeps only its anchor links.  The
+    stack is set-major, then agent-major, then copy-minor.
     """
+    if problem.cooperative:
+        return replace(problem, y_imag=np.repeat(y_imag, copies, axis=0))
     rows = problem.anchor_link_rows()
     anchors = problem.links[rows[0], 1] - problem.n_agents
     return LsProblem(
@@ -453,8 +475,33 @@ def _agent_stack(problem: LsProblem, restarts: int) -> LsProblem:
         anchor_positions=problem.anchor_positions,
         anchor_rotations=problem.anchor_rotations,
         links=np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1]),
-        y_imag=np.repeat(problem.y_imag[rows], restarts, axis=0),
+        y_imag=np.repeat(y_imag[:, rows].reshape(-1, len(anchors), 3, 3), copies, axis=0),
         coupling=problem.coupling,
+    )
+
+
+def _solve_in_calls(
+    problem: LsProblem, x0: np.ndarray, max_elements: Optional[int]
+) -> StackedSolve:
+    """levenberg_marquardt on the (B, P) starts x0 of a stacked problem, split into calls.
+
+    A call holds as many problems as max_elements dense Jacobian elements
+    admit (rows times parameters per problem), at least one; None puts
+    every problem into one call.  The problems are independent, so the
+    split changes no result.
+    """
+    per_call = len(x0)
+    if max_elements is not None:
+        per_call = max(1, max_elements // (9 * len(problem.links) * x0.shape[-1]))
+    parts = [
+        levenberg_marquardt(
+            replace(problem, y_imag=problem.y_imag[start : start + per_call]),
+            x0[start : start + per_call],
+        )
+        for start in range(0, len(x0), per_call)
+    ]
+    return StackedSolve(
+        *(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(StackedSolve))
     )
 
 
@@ -479,8 +526,10 @@ def estimate(
     init: str,
     room: Optional[Room] = None,
     truth: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> SolveReport:
+    rng=None,
+    with_reference: bool = False,
+    max_elements: Optional[int] = None,
+):
     """Solve a deployment estimation problem with the requested initialization.
 
     init is one of 'perfect' (start from the true parameters, evaluation
@@ -489,32 +538,58 @@ def estimate(
     (closed-form per-agent initialization, one LM run).  Non-cooperative
     problems decompose into independent single-agent problems; all agents
     and restarts are solved as one stacked LM.
+
+    A stack of T measurement sets, problem.y_imag (T, L, 3, 3), takes truth
+    (T, 6M) and rng as a sequence of T generators, and gives a list of T
+    reports: each set's report equals the one of the set solved alone, its
+    random starts drawn from its own rng.  with_reference adds each set's
+    perfect-init solve to the same stack and attaches its report as
+    report.reference.  max_elements splits the stacked LM into calls of at
+    most that many dense Jacobian elements (see _solve_in_calls).
     """
     strategy, restarts = parse_init_strategy(init)
-    if strategy == "perfect" and truth is None:
+    if (strategy == "perfect" or with_reference) and truth is None:
         raise ValueError("perfect initialization requires the true parameters")
     if strategy in ("random", "pairml") and room is None:
         raise ValueError(f"{strategy} initialization requires the room")
     if strategy == "random" and rng is None:
         raise ValueError("random initialization requires an rng")
 
+    single = problem.y_imag.ndim == 3
+    y_imag = problem.y_imag[None] if single else problem.y_imag
+    sets = len(y_imag)
     # non-cooperative problems decompose into independent single-agent ones
     groups = 1 if problem.cooperative else problem.n_agents
-    stack = problem if problem.cooperative else _agent_stack(problem, restarts)
     size = problem.n_parameters // groups
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float).reshape(sets, groups, 1, size)
     if strategy == "perfect":
-        inits = np.asarray(truth, dtype=float).reshape(groups, 1, size)
+        starts = truth
     elif strategy == "pairml":
-        inits = pairml_initialization(problem, room).reshape(groups, 1, size)
+        starts = pairml_initialization(problem, room).reshape(sets, groups, 1, size)
     else:
-        inits = _random_poses(problem.n_agents * restarts, room, rng)
-    solve = levenberg_marquardt(stack, inits.reshape(-1, size))
+        rngs = [rng] if single else rng
+        starts = np.stack(
+            [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
+        ).reshape(sets, groups, restarts, size)
+    if with_reference:
+        starts = np.concatenate([starts, truth], axis=2)
+    copies = starts.shape[2]
+    solve = _solve_in_calls(
+        _problem_stack(problem, y_imag, copies), starts.reshape(-1, size), max_elements
+    )
     # lowest final cost per group, first on ties
-    costs = solve.final_cost.reshape(groups, restarts)
-    best = np.zeros(groups, dtype=int)
+    costs = solve.final_cost.reshape(sets, groups, copies)
+    best = np.zeros((sets, groups), dtype=int)
     for restart in range(1, restarts):
-        best[costs[:, restart] < costs[np.arange(groups), best]] = restart
-    return solve.report(np.arange(groups) * restarts + best, restarts)
+        lowest = np.take_along_axis(costs, best[..., None], axis=-1)[..., 0]
+        best[costs[..., restart] < lowest] = restart
+    first = copies * np.arange(sets * groups).reshape(sets, groups)
+    reports = [solve.report(first[t] + best[t], restarts) for t in range(sets)]
+    if with_reference:
+        for t, report in enumerate(reports):
+            report.reference = solve.report(first[t] + restarts)
+    return reports[0] if single else reports
 
 
 @dataclass
@@ -547,6 +622,7 @@ class MultilaterationResult:
     position: np.ndarray
     report: SolveReport
     underdetermined: np.ndarray
+    converged: np.ndarray  # per fix
 
 
 def multilaterate(
@@ -560,9 +636,9 @@ def multilaterate(
     leading index; all fixes are solved as one stacked LM, each initialized
     at the room center, and clamped to the room.  A NaN distance marks an
     anchor without a usable estimate, so fixes over different anchor counts
-    can share a stack.  The report is the joint one of all fixes.  Fewer
-    than three usable anchors leave a 3-d fix underdetermined, which is
-    flagged rather than raised.
+    can share a stack.  The report is the joint one of all fixes, and
+    converged flags each fix on its own.  Fewer than three usable anchors
+    leave a 3-d fix underdetermined, which is flagged rather than raised.
     """
     anchor_positions = np.asarray(anchor_positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
@@ -576,4 +652,5 @@ def multilaterate(
         position=room.clamp(solve.estimate),
         report=solve.report(np.arange(len(problem.distances))),
         underdetermined=np.sum(np.isfinite(distances), axis=-1) < 3,
+        converged=solve.converged,
     )

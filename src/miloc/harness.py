@@ -2,14 +2,17 @@
 
 Seeds are derived per (agent count, topology, noise draw) through
 numpy SeedSequence, so runs are reproducible bit for bit and trials are
-independent.  Per-trial wall times go to a separate timings file because the
-data outputs are required to be byte-identical across reruns.
+independent.  Trials are solved in chunks that share stacked solver calls;
+each trial's wall time, its chunk's time split evenly over the chunk's
+trials, goes to a separate timings file because the data outputs are
+required to be byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from itertools import groupby
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,9 +22,10 @@ from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, coupling_coefficient
 from .config import ExperimentConfig
 from .estimators import LsProblem, SolveReport
-from .geometry import Room, euler_to_rotation, rotation_to_euler
+from .geometry import Room, euler_to_rotation_batch, rotation_to_euler
 from .scenario import (
     Scheme,
+    Topology,
     link_set,
     sample_topology,
     synthesize_measurements,
@@ -42,6 +46,12 @@ REFERENCE_PEB_M1_M = 2.18627459283404e-3
 # Links per stacked bound assembly: a sweep's memory stays bounded whatever
 # its number of topologies.
 _LINKS_PER_CALL = 256
+
+# Dense Jacobian elements (rows x parameters per problem, summed over the
+# problems) per stacked LM call of a chunk of trials: memory stays bounded
+# whatever the number of trials, and a cooperative M=10 problem (1170 x 60)
+# still runs alone.
+_JACOBIAN_ELEMENTS_PER_CALL = 1 << 17
 
 
 class EmptyInput(ValueError):
@@ -87,6 +97,7 @@ class ExperimentResult:
     summaries: List[SummaryRecord]
     cdfs: Dict[str, np.ndarray]
     failures: int = 0
+    failures_by_kind: Dict[str, int] = field(default_factory=dict)  # TRIAL_FAILURES names
     singular_bounds: int = 0  # topologies left out of mean_peb_m
 
 
@@ -103,6 +114,67 @@ def _trial_seed(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
+def solve_trials(
+    estimator: str,
+    init: str,
+    problem: LsProblem,
+    room: Room,
+    truths: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    with_reference: bool = False,
+) -> Tuple[np.ndarray, List[SolveReport]]:
+    """Run one estimator on each of the T trials stacked in problem.
+
+    problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
+    (T, 6M) true parameters and rngs their start streams.  The estimates
+    and, with_reference, the perfect-init reference solves of all trials
+    share stacked LM calls of at most _JACOBIAN_ELEMENTS_PER_CALL elements;
+    pair-ML and multilateration run once for every agent of the stack.
+    Each trial's results equal those of the trial solved alone.
+
+    Returns:
+        (poses, reports): the (T, M, 6) estimates, orientation NaN for
+        position-only estimators, and one SolveReport per trial, carrying
+        its reference solve with_reference.
+    """
+    trials, m = len(problem.y_imag), problem.n_agents
+    if estimator in ("numls", "turbols"):
+        reports = estimators.estimate(
+            problem, init if estimator == "numls" else "pairml", room, truths, rngs,
+            with_reference, _JACOBIAN_ELEMENTS_PER_CALL,
+        )
+        return np.array([r.estimate for r in reports]).reshape(trials, m, 6), reports
+    if estimator == "pairml":
+        theta = estimators.pairml_initialization(problem, room)
+        residual = problem.residual(theta)
+        reports = [
+            SolveReport(estimate=theta[t], final_cost=float(r @ r), iterations=0, converged=True)
+            for t, r in enumerate(residual)
+        ]
+        return theta.reshape(trials, m, 6), reports
+    if estimator == "multilateration":
+        rows = problem.anchor_link_rows()
+        anchors = problem.links[rows, 1] - m
+        distances = pairml.distance_estimates(
+            problem.y_imag[:, rows], problem.anchor_rotations[anchors], problem.coupling
+        )
+        fix = estimators.multilaterate(
+            np.broadcast_to(problem.anchor_positions[anchors], distances.shape + (3,)),
+            distances,
+            room,
+        )
+        poses = np.concatenate([fix.position, np.full(fix.position.shape, np.nan)], axis=-1)
+        reports = [
+            SolveReport(
+                estimate=poses[t].reshape(-1), final_cost=np.nan, iterations=0,
+                converged=bool(fix.converged[t].all()),
+            )
+            for t in range(trials)
+        ]
+        return poses, reports
+    raise ValueError(f"unknown estimator {estimator!r}")
+
+
 def run_trial_estimator(
     estimator: str,
     init: str,
@@ -111,40 +183,60 @@ def run_trial_estimator(
     truth: np.ndarray,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, SolveReport, bool]:
-    """Dispatch one estimator run.
+    """One trial: solve_trials on a stack of one.
 
     Returns:
         (poses, report, orientation_valid): poses is the (M, 6) estimate
         matrix; orientation_valid is False for position-only estimators.
     """
-    if estimator == "numls":
-        report = estimators.estimate(problem, init, room=room, truth=truth, rng=rng)
-        return report.estimate.reshape(-1, 6), report, True
-    if estimator == "turbols":
-        report = estimators.estimate(problem, "pairml", room=room)
-        return report.estimate.reshape(-1, 6), report, True
-    if estimator == "pairml":
-        theta = estimators.pairml_initialization(problem, room)
-        report = SolveReport(
-            estimate=theta,
-            final_cost=problem.cost(theta),
-            iterations=0,
-            converged=True,
+    poses, reports = solve_trials(
+        estimator, init, replace(problem, y_imag=problem.y_imag[None]), room,
+        np.asarray(truth)[None], [rng],
+    )
+    return poses[0], reports[0], estimator != "multilateration"
+
+
+def _topology_chunk(m: int, n_anchors: int, cooperative: bool) -> int:
+    """Topologies per stacked bound assembly of _LINKS_PER_CALL links."""
+    n_links = len(link_set(m, n_anchors, Scheme.COOP if cooperative else Scheme.NONCOOP))
+    return max(1, _LINKS_PER_CALL // max(n_links, 1))
+
+
+def pose_bounds(cfg: ExperimentConfig, poses: np.ndarray, cooperative: bool) -> np.ndarray:
+    """Agent 0's position error bound for each row of a (T, 6M) agent-pose stack.
+
+    The information matrices are assembled and solved in stacked calls of at
+    most _LINKS_PER_CALL links.  Returns a (T,) array, NaN where the matrix
+    is singular; each bound equals crlb.peb of its topology alone, bit for
+    bit.
+    """
+    anchors = cfg.anchors()
+    coil = cfg.coil()
+    gparams = cfg.global_params()
+    coupling = coupling_coefficient(coil, coil, gparams)
+    chunk = _topology_chunk(poses.shape[-1] // 6, len(anchors), cooperative)
+    bounds = np.empty(len(poses))
+    for start in range(0, len(poses), chunk):
+        fim = crlb.fim_stack(
+            poses[start : start + chunk], anchors, coupling, gparams.noise_sigma, cooperative
         )
-        return theta.reshape(-1, 6), report, True
-    if estimator == "multilateration":
-        rows = problem.anchor_link_rows()
-        anchors = problem.links[rows, 1] - problem.n_agents
-        distances = pairml.distance_estimates(
-            problem.y_imag[rows], problem.anchor_rotations[anchors], problem.coupling
-        )
-        fix = estimators.multilaterate(problem.anchor_positions[anchors], distances, room)
-        theta = np.hstack([fix.position, np.full((problem.n_agents, 3), np.nan)]).reshape(-1)
-        report = SolveReport(
-            estimate=theta, final_cost=np.nan, iterations=0, converged=fix.report.converged
-        )
-        return theta.reshape(-1, 6), report, False
-    raise ValueError(f"unknown estimator {estimator!r}")
+        bounds[start : start + chunk] = crlb.peb_stack(fim, 0)
+    return bounds
+
+
+def _draw_topologies(cfg: ExperimentConfig, m: int, indices) -> List[Topology]:
+    """Topologies t of agent count m, each from its own seed-derived stream."""
+    room, anchors, min_dist = cfg.room(), cfg.anchors(), cfg.min_distance()
+    return [
+        sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
+        for t in indices
+    ]
+
+
+def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
+    return np.array([estimators.pack_deployments(topo.agents) for topo in topologies]).reshape(
+        -1, 6 * m
+    )
 
 
 def agent0_bounds(
@@ -153,37 +245,37 @@ def agent0_bounds(
     """Agent 0's position error bound on each of the first topologies of count m.
 
     Topology t is drawn from its own seed-derived stream, as in
-    run_experiment; the information matrices of many topologies are
-    assembled and solved in stacked calls of at most _LINKS_PER_CALL links.
-    Returns a (topologies,) array, NaN where the information matrix is
-    singular; each bound equals crlb.peb of its topology alone, bit for bit.
+    run_experiment, one stacked assembly at a time, so memory stays bounded
+    whatever the number of topologies.  Returns pose_bounds of the drawn
+    poses.
     """
-    room = cfg.room()
-    anchors = cfg.anchors()
-    coil = cfg.coil()
-    gparams = cfg.global_params()
-    coupling = coupling_coefficient(coil, coil, gparams)
-    min_dist = cfg.min_distance()
-
-    def poses(t: int) -> np.ndarray:
-        topo = sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
-        return estimators.pack_deployments(topo.agents)
-
-    n_links = len(link_set(m, len(anchors), Scheme.COOP if cooperative else Scheme.NONCOOP))
-    chunk = max(1, _LINKS_PER_CALL // max(n_links, 1))
-    bounds = np.empty(topologies)
+    chunk = _topology_chunk(m, len(cfg.anchors()), cooperative)
+    bounds = []
     for start in range(0, topologies, chunk):
-        stop = min(start + chunk, topologies)
-        stack = np.array([poses(t) for t in range(start, stop)])
-        fim = crlb.fim_stack(stack, anchors, coupling, gparams.noise_sigma, cooperative)
-        bounds[start:stop] = crlb.peb_stack(fim, 0)
-    return bounds
+        drawn = _draw_topologies(cfg, m, range(start, min(start + chunk, topologies)))
+        bounds.append(pose_bounds(cfg, _poses(drawn, m), cooperative))
+    return np.concatenate(bounds) if bounds else np.empty(0)
 
 
 def _needs_reference(estimator: str, init: str) -> bool:
     if estimator == "turbols":
         return True
     return estimator == "numls" and init.startswith("random")
+
+
+def _trials_per_chunk(cfg: ExperimentConfig, m: int, with_reference: bool) -> int:
+    """Trials of count m whose problems fit into one LM call, at least one.
+
+    A trial holds one copy of its problem per start and reference.  With L
+    links, a cooperative copy is 9L x 6M Jacobian elements, and a
+    non-cooperative one is M single-agent problems of 9L/M x 6.
+    """
+    scheme = cfg.scheme_enum()
+    restarts = estimators.parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
+    params = 6 * m if scheme is Scheme.COOP else 6
+    n_links = len(link_set(m, len(cfg.anchors()), scheme))
+    elements = (restarts + with_reference) * 9 * n_links * params
+    return max(1, _JACOBIAN_ELEMENTS_PER_CALL // elements)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -196,8 +288,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     the same topologies, and the fraction of outlier trials (error above
     10x the topology's bound).  Topologies with a singular information
     matrix are left out of the mean bound and counted in singular_bounds.
-    Trial failures of the kinds in TRIAL_FAILURES are counted and skipped;
-    any other exception propagates.
+
+    Trials are solved in chunks (solve_trials) of as many as one LM call of
+    _JACOBIAN_ELEMENTS_PER_CALL elements holds.  A chunk that raises one of
+    TRIAL_FAILURES is solved again trial by trial; a trial that raises alone
+    is counted by kind and skipped.  Any other exception propagates.
     """
     room = cfg.room()
     anchors = cfg.anchors()
@@ -206,88 +301,91 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     coupling = coupling_coefficient(coil, coil, gparams)
     scheme = cfg.scheme_enum()
     cooperative = scheme is Scheme.COOP
-    min_dist = cfg.min_distance()
     with_reference = _needs_reference(cfg.estimator, cfg.init)
 
     trials: List[TrialRecord] = []
     summaries: List[SummaryRecord] = []
     cdfs: Dict[str, np.ndarray] = {}
-    failures = 0
+    failures: Dict[str, int] = {}
     singular_bounds = 0
 
-    for m in cfg.agent_counts():
-        topo_peb = agent0_bounds(cfg, m, cfg.topologies, cooperative)
-        singular_bounds += int(np.isnan(topo_peb).sum())
-        topo_rmse: List[float] = []
-        agent0_errors: List[float] = []
-        outliers = 0
-        counted = 0
-        for t in range(cfg.topologies):
-            topo = sample_topology(
-                m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0)
+    def solve_chunk(m, topologies, keys) -> List[TrialRecord]:
+        """Records of the (topology, noise) trials in keys, in key order."""
+        sets = [
+            synthesize_measurements(
+                topologies[t], coil, gparams, scheme, _trial_seed(cfg.seed, m, t, k, 1)
             )
-            peb0 = topo_peb[t]
-            truth = estimators.pack_deployments(topo.agents)
-            sq_errors: List[float] = []
-            for k in range(cfg.noise):
-                noise_rng = _trial_seed(cfg.seed, m, t, k, 1)
-                est_rng = _trial_seed(cfg.seed, m, t, k, 2)
-                measurement_set = synthesize_measurements(
-                    topo, coil, gparams, scheme, noise_rng
-                )
-                problem = LsProblem.from_measurements(measurement_set, anchors, m, coupling)
-                started = time.perf_counter()
-                try:
-                    poses, report, _ = run_trial_estimator(
-                        cfg.estimator, cfg.init, problem, room, truth, est_rng
-                    )
-                except TRIAL_FAILURES:
-                    failures += 1
-                    continue
-                wall = time.perf_counter() - started
-                ref_cost = np.nan
-                global_min: Optional[bool] = None
-                agent_flags = None
-                if with_reference:
-                    ref = estimators.estimate(problem, "perfect", truth=truth)
-                    ref_cost = ref.final_cost
-                    if cooperative:
-                        global_min = report.final_cost <= ref_cost + GLOBAL_MIN_COST_SLACK
-                    else:
-                        # the non-cooperative objective decomposes per agent
-                        est_costs = problem.per_agent_costs(report.estimate)
-                        ref_costs = problem.per_agent_costs(ref.estimate)
-                        agent_flags = est_costs <= ref_costs + GLOBAL_MIN_COST_SLACK
-                for agent in range(m):
-                    err = float(np.linalg.norm(poses[agent, :3] - topo.agents[agent].position))
-                    flag = global_min if agent_flags is None else bool(agent_flags[agent])
-                    trials.append(
-                        TrialRecord(
-                            m=m,
-                            scheme=cfg.scheme,
-                            estimator=cfg.estimator,
-                            topology_id=t,
-                            noise_id=k,
-                            agent=agent,
-                            true_pose=topo.agents[agent].as_vector(),
-                            est_pose=poses[agent],
-                            error_m=err,
-                            final_cost=report.final_cost,
-                            ref_cost=ref_cost,
-                            global_min=flag,
-                            converged=report.converged,
-                            iterations=report.iterations,
-                            wall_time_s=wall,
-                        )
-                    )
-                    if agent == 0:
-                        agent0_errors.append(err)
-                        sq_errors.append(err * err)
-                        counted += 1
-                        if np.isfinite(peb0) and err > OUTLIER_PEB_FACTOR * peb0:
-                            outliers += 1
-            if sq_errors:
-                topo_rmse.append(float(np.sqrt(np.mean(sq_errors))))
+            for t, k in keys
+        ]
+        problem = LsProblem.from_measurements(sets, anchors, m, coupling)
+        started = time.perf_counter()
+        try:
+            poses, reports = solve_trials(
+                cfg.estimator, cfg.init, problem, room,
+                _poses([topologies[t] for t, _ in keys], m),
+                [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys], with_reference,
+            )
+        except TRIAL_FAILURES as exc:
+            if len(keys) > 1:
+                return [record for key in keys for record in solve_chunk(m, topologies, [key])]
+            kind = next(kind.__name__ for kind in TRIAL_FAILURES if isinstance(exc, kind))
+            failures[kind] = failures.get(kind, 0) + 1
+            return []
+        wall = (time.perf_counter() - started) / len(keys)
+        flags = None
+        if with_reference:
+            if cooperative:
+                costs = np.array([[r.final_cost, r.reference.final_cost] for r in reports])
+                costs = costs.T[..., None]
+            else:
+                # the non-cooperative objective decomposes per agent
+                estimates = [[r.estimate, r.reference.estimate] for r in reports]
+                costs = problem.per_agent_costs(np.array(estimates).swapaxes(0, 1))
+            flags = np.broadcast_to(costs[0] <= costs[1] + GLOBAL_MIN_COST_SLACK, (len(keys), m))
+        return [
+            TrialRecord(
+                m=m,
+                scheme=cfg.scheme,
+                estimator=cfg.estimator,
+                topology_id=t,
+                noise_id=k,
+                agent=agent,
+                true_pose=topologies[t].agents[agent].as_vector(),
+                est_pose=poses[i, agent],
+                error_m=float(
+                    np.linalg.norm(poses[i, agent, :3] - topologies[t].agents[agent].position)
+                ),
+                final_cost=reports[i].final_cost,
+                ref_cost=np.nan if flags is None else reports[i].reference.final_cost,
+                global_min=None if flags is None else bool(flags[i, agent]),
+                converged=reports[i].converged,
+                iterations=reports[i].iterations,
+                wall_time_s=wall,
+            )
+            for i, (t, k) in enumerate(keys)
+            for agent in range(m)
+        ]
+
+    for m in cfg.agent_counts():
+        topologies = _draw_topologies(cfg, m, range(cfg.topologies))
+        topo_peb = pose_bounds(cfg, _poses(topologies, m), cooperative)
+        singular_bounds += int(np.isnan(topo_peb).sum())
+        keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
+        chunk = _trials_per_chunk(cfg, m, with_reference)
+        records = [
+            record
+            for start in range(0, len(keys), chunk)
+            for record in solve_chunk(m, topologies, keys[start : start + chunk])
+        ]
+        trials += records
+        agent0 = [r for r in records if r.agent == 0]
+        topo_rmse = [
+            float(np.sqrt(np.mean([r.error_m * r.error_m for r in group])))
+            for _, group in groupby(agent0, key=lambda r: r.topology_id)
+        ]
+        pebs = topo_peb[[r.topology_id for r in agent0]]
+        errors = np.array([r.error_m for r in agent0])
+        outliers = int(np.sum(np.isfinite(pebs) & (errors > OUTLIER_PEB_FACTOR * pebs)))
         summaries.append(
             SummaryRecord(
                 m=m,
@@ -295,18 +393,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 estimator=cfg.estimator,
                 mean_rmse_m=float(np.mean(topo_rmse)) if topo_rmse else np.nan,
                 mean_peb_m=_finite_mean(topo_peb),
-                outlier_frac=outliers / counted if counted else np.nan,
-                trials=counted,
+                outlier_frac=outliers / len(agent0) if agent0 else np.nan,
+                trials=len(agent0),
             )
         )
-        if agent0_errors:
-            cdfs[f"M{m}_{cfg.scheme}_{cfg.estimator}"] = compute_cdf(agent0_errors)
+        if agent0:
+            cdfs[f"M{m}_{cfg.scheme}_{cfg.estimator}"] = compute_cdf(errors)
     return ExperimentResult(
         config=cfg,
         trials=trials,
         summaries=summaries,
         cdfs=cdfs,
-        failures=failures,
+        failures=sum(failures.values()),
+        failures_by_kind=failures,
         singular_bounds=singular_bounds,
     )
 
@@ -437,15 +536,18 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _canonical_pose(pose: np.ndarray) -> np.ndarray:
-    """The pose with canonical Euler angles; a NaN orientation stays NaN.
+def _canonical_poses(poses: np.ndarray) -> np.ndarray:
+    """The (N, 6) poses with canonical Euler angles, all converted in one call.
 
     Estimators iterate on unconstrained angles, and equivalent triples would
-    otherwise be written differently.
+    otherwise be written differently.  A row with a NaN orientation stays
+    as it is.
     """
-    if np.isnan(pose[3:]).any():
-        return pose
-    return np.hstack([pose[:3], rotation_to_euler(euler_to_rotation(pose[3:]))])
+    out = np.array(poses, dtype=float).reshape(-1, 6)
+    oriented = ~np.isnan(out[:, 3:]).any(axis=1)
+    if oriented.any():
+        out[oriented, 3:] = rotation_to_euler(euler_to_rotation_batch(out[oriented, 3:]))
+    return out
 
 
 def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
@@ -460,7 +562,8 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
 
     rows = [TRIALS_HEADER]
     timing_rows = [TIMINGS_HEADER]
-    for tr in result.trials:
+    est_poses = _canonical_poses([tr.est_pose for tr in result.trials])
+    for tr, est_pose in zip(result.trials, est_poses):
         fields = [
             str(tr.m),
             tr.scheme,
@@ -469,7 +572,7 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
             str(tr.noise_id),
             str(tr.agent),
             *[_fmt(v) for v in tr.true_pose],
-            *[_fmt(v) for v in _canonical_pose(tr.est_pose)],
+            *[_fmt(v) for v in est_pose],
             _fmt(tr.error_m),
             _fmt(tr.final_cost),
             _fmt(tr.ref_cost),

@@ -256,3 +256,25 @@ def test_simulate_counts_agent_without_anchor_links_as_failed(tmp_path, capsys, 
     argv += ["--scheme", "noncoop", "--agents", "2", "--topologies", "1", "--noise", "2"]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 0
     assert "warning: 2 trial(s) failed and were skipped" in capsys.readouterr().out
+
+
+def test_simulate_prints_failure_counts_by_kind(tmp_path, capsys, monkeypatch):
+    from miloc import harness
+    from miloc.pairml import NoMeasurements
+
+    original = harness.synthesize_measurements
+
+    def silent_agent(topology, coil, params, scheme, rng, sigma=None):
+        measured = original(topology, coil, params, scheme, rng, sigma)
+        if rng.bit_generator.seed_seq.entropy[3] == 1:  # the second noise draw
+            measured.h_meas[measured.links[:, 0] == 0] = 0.0
+        return measured
+
+    monkeypatch.setattr(harness, "synthesize_measurements", silent_agent)
+    cfg = _write_cfg(tmp_path)
+    argv = ["simulate", "--config", str(cfg), "--estimator", "pairml", "--scheme", "noncoop"]
+    argv += ["--agents", "2", "--topologies", "3", "--noise", "2", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    warning = lines.index("warning: 3 trial(s) failed and were skipped")
+    assert lines[warning + 1] == f"failed trials by kind: {NoMeasurements.__name__} 3"

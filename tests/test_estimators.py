@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -466,3 +468,76 @@ def test_multilateration_underdetermined_flag(room, anchors):
     positions = np.stack([a.position for a in anchors[:2]])
     fix = multilaterate(positions, np.array([0.5, 0.5]), room)
     assert fix.underdetermined
+
+
+def _stacked(problems):
+    """One problem whose y_imag stacks the measurement sets of problems over the same links."""
+    return dataclasses.replace(problems[0], y_imag=np.stack([p.y_imag for p in problems]))
+
+
+def _coop_sets(m, seeds, coil, gparams, room, anchors):
+    """Noisy cooperative measurement sets of count m stacked into one problem, and their truths."""
+    problems, truths = [], []
+    for seed in seeds:
+        topo, problem = make_problem(m, Scheme.COOP, seed, coil, gparams, room, anchors)
+        problems.append(problem)
+        truths.append(pack_deployments(topo.agents))
+    stack = _stacked(problems)
+    return stack, problems, np.array(truths)
+
+
+@pytest.mark.parametrize("m", [3, 10])
+def test_stacked_coop_problems_do_not_depend_on_each_other(m, coil, gparams, room, anchors):
+    # bit for bit: each problem's normal equations are its own gemm and solve
+    stack, problems, truths = _coop_sets(m, [50, 51, 52], coil, gparams, room, anchors)
+    rng = np.random.default_rng(53)
+    x0 = truths + rng.normal(0.0, 0.02, truths.shape)
+    solve = levenberg_marquardt(stack, x0)
+    for b, (problem, start) in enumerate(zip(problems, x0)):
+        alone = levenberg_marquardt(problem, start)
+        assert np.array_equal(solve.estimate[b], alone.estimate)
+        assert solve.final_cost[b] == alone.final_cost
+        assert solve.problem_iterations[b] == alone.problem_iterations
+        assert solve.converged[b] == alone.converged
+    # and in any split over calls
+    split = estimators._solve_in_calls(stack, x0, 9 * len(stack.links) * 6 * m)
+    assert np.array_equal(split.estimate, solve.estimate)
+    assert np.array_equal(split.final_cost, solve.final_cost)
+
+
+@pytest.mark.parametrize(
+    "scheme, init",
+    [(Scheme.COOP, "random:2"), (Scheme.NONCOOP, "random:3"), (Scheme.NONCOOP, "pairml")],
+)
+def test_estimate_on_a_stack_equals_each_set_alone(scheme, init, coil, gparams, room, anchors):
+    sets = [make_problem(3, scheme, seed, coil, gparams, room, anchors) for seed in (54, 55, 56)]
+    problems = [problem for _, problem in sets]
+    truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
+    stack = _stacked(problems)
+    rngs = [np.random.default_rng(57 + t) for t in range(3)]
+    reports = estimate(stack, init, room, truths, rngs, with_reference=True, max_elements=1)
+    for t, problem in enumerate(problems):
+        rng = np.random.default_rng(57 + t)
+        alone = estimate(problem, init, room=room, truth=truths[t], rng=rng)
+        reference = estimate(problem, "perfect", truth=truths[t])
+        for got, want in ((reports[t], alone), (reports[t].reference, reference)):
+            assert np.array_equal(got.estimate, want.estimate)
+            assert got.final_cost == want.final_cost
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+            assert got.initializations_used == want.initializations_used
+        assert alone.reference is None
+
+
+def test_per_agent_costs_of_a_stack_equal_row_by_row(coil, gparams, room, anchors):
+    sets = [make_problem(4, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (58, 59)]
+    problems = [problem for _, problem in sets]
+    stack = _stacked(problems)
+    rng = np.random.default_rng(60)
+    theta = np.array([pack_deployments(topo.agents) for topo, _ in sets])
+    theta = theta + rng.normal(0.0, 0.05, (3,) + theta.shape)
+    costs = stack.per_agent_costs(theta)
+    assert costs.shape == (3, 2, 4)
+    for copy in range(3):
+        for t, problem in enumerate(problems):
+            assert np.array_equal(costs[copy, t], problem.per_agent_costs(theta[copy, t]))

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from miloc import crlb, harness
+from miloc import crlb, estimators, harness
 from miloc.channel import coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
-from miloc.estimators import LsProblem, multilaterate, pack_deployments
+from miloc.estimators import LsProblem, multilaterate, pack_deployments, parse_init_strategy
 from miloc.harness import (
     EmptyInput,
     agent0_bounds,
@@ -402,3 +402,177 @@ def test_bound_sweep_memory_does_not_grow_with_topologies():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# Trial chunks: one stacked solve per chunk of trials.
+# ---------------------------------------------------------------------------
+
+CHUNKED_RUNS = [
+    (scheme, estimator, init)
+    for scheme in ("coop", "noncoop")
+    for estimator, init in (
+        ("numls", "perfect"),
+        ("numls", "random:2"),
+        ("turbols", "perfect"),
+        ("pairml", "perfect"),
+        ("multilateration", "perfect"),
+    )
+]
+
+
+def _problem_elements(cfg, m):
+    """Dense Jacobian elements of one stacked problem of a trial of count m."""
+    cooperative = cfg.scheme == "coop"
+    if cooperative:
+        return 9 * _links(cfg, m, True) * 6 * m
+    return 9 * len(cfg.anchors()) * 6
+
+
+def _trial_elements(cfg, m):
+    copies = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
+    copies += harness._needs_reference(cfg.estimator, cfg.init)
+    problems = copies * (1 if cfg.scheme == "coop" else m)
+    return problems * _problem_elements(cfg, m)
+
+
+def _emitted(result, path):
+    emit_outputs(result, path)
+    names = sorted(p.name for p in path.iterdir() if p.name not in ("timings.csv", "config.echo"))
+    return {name: (path / name).read_bytes() for name in names}
+
+
+def _counting_lm(monkeypatch):
+    """Record the number of problems of every levenberg_marquardt call."""
+    calls = []
+    solver = estimators.levenberg_marquardt
+
+    def counting(problem, x0, *args, **kwargs):
+        calls.append(len(np.asarray(x0).reshape(-1, np.shape(x0)[-1])))
+        return solver(problem, x0, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "levenberg_marquardt", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme, estimator, init", CHUNKED_RUNS)
+def test_outputs_identical_for_every_chunk_budget(tmp_path, monkeypatch, scheme, estimator, init):
+    # one problem per call, two trials per chunk and the default all give the same bytes
+    cfg = _small_cfg(
+        agents="3", topologies=2, noise=3, scheme=scheme, estimator=estimator, init=init, seed=41
+    )
+    calls = _counting_lm(monkeypatch)
+    budgets = {
+        "one problem": _problem_elements(cfg, 3),
+        "two trials": 2 * _trial_elements(cfg, 3),
+        "default": harness._JACOBIAN_ELEMENTS_PER_CALL,
+    }
+    outputs, counts = {}, {}
+    for label, budget in budgets.items():
+        monkeypatch.setattr(harness, "_JACOBIAN_ELEMENTS_PER_CALL", budget)
+        calls.clear()
+        result = run_experiment(cfg)
+        assert result.failures == 0
+        outputs[label] = _emitted(result, tmp_path / label.replace(" ", "_"))
+        counts[label] = list(calls)
+    assert outputs["one problem"] == outputs["two trials"] == outputs["default"]
+    assert "trials.csv" in outputs["default"] and "summary.csv" in outputs["default"]
+    assert f"cdf_M3_{scheme}_{estimator}.csv" in outputs["default"]
+    if estimator == "pairml":
+        return  # no iterative solve
+    # every trial's problems are solved in the calls the budget admits; the
+    # range fixes of a trial's three agents share one multilateration call
+    per_trial = sum(counts["one problem"]) // 6
+    assert set(counts["one problem"]) == {3 if estimator == "multilateration" else 1}
+    assert counts["two trials"] == [2 * per_trial] * 3
+    assert counts["default"] == [6 * per_trial]
+
+
+def _run_with_failing_trial(monkeypatch, cfg, failing):
+    """run_experiment in which every stack holding trial failing = (t, k) raises CoincidentNodes."""
+    from miloc.channel import CoincidentNodes
+
+    solve = harness.solve_trials
+
+    def raising(estimator, init, problem, room, truths, rngs, with_reference=False):
+        if any(tuple(rng.bit_generator.seed_seq.entropy[2:4]) == failing for rng in rngs):
+            raise CoincidentNodes("forced")
+        return solve(estimator, init, problem, room, truths, rngs, with_reference)
+
+    monkeypatch.setattr(harness, "solve_trials", raising)
+    return run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scheme="noncoop", estimator="numls", init="random:2"),
+        dict(scheme="coop", estimator="turbols"),
+    ],
+)
+def test_failing_trial_in_a_chunk_leaves_the_others(tmp_path, monkeypatch, overrides):
+    cfg = _small_cfg(agents="3", topologies=2, noise=3, seed=43, **overrides)
+    default = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
+    monkeypatch.setattr(harness, "_JACOBIAN_ELEMENTS_PER_CALL", 1)  # chunks of one trial
+    alone = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
+    for result in (default, alone):
+        assert result.failures == 1
+        assert result.failures_by_kind == {"CoincidentNodes": 1}
+        assert len(result.trials) == 5 * 3
+        assert (1, 0) not in {(tr.topology_id, tr.noise_id) for tr in result.trials}
+    assert _emitted(default, tmp_path / "default") == _emitted(alone, tmp_path / "alone")
+
+
+def test_agent_without_anchor_links_fails_only_its_trial(tmp_path, monkeypatch):
+    # a real NoMeasurements from the batched pair-ML pass of a chunk
+    original = harness.synthesize_measurements
+
+    def silent_agent(topology, coil, params, scheme, rng, sigma=None):
+        measured = original(topology, coil, params, scheme, rng, sigma)
+        if tuple(rng.bit_generator.seed_seq.entropy[2:4]) == (0, 1):
+            measured.h_meas[measured.links[:, 0] == 2] = 0.0
+        return measured
+
+    monkeypatch.setattr(harness, "synthesize_measurements", silent_agent)
+    cfg = _small_cfg(agents="3", topologies=2, noise=2, scheme="noncoop", estimator="pairml")
+    result = run_experiment(cfg)
+    assert result.failures == 1
+    assert result.failures_by_kind == {"NoMeasurements": 1}
+    assert [(tr.topology_id, tr.noise_id) for tr in result.trials[::3]] == [(0, 0), (1, 0), (1, 1)]
+
+
+def test_each_topology_is_drawn_once(monkeypatch):
+    drawn = []
+    original = harness.sample_topology
+
+    def counting(n_agents, room, anchors, min_distance, rng):
+        drawn.append((n_agents, rng.bit_generator.seed_seq.entropy[2]))
+        return original(n_agents, room, anchors, min_distance, rng)
+
+    monkeypatch.setattr(harness, "sample_topology", counting)
+    run_experiment(_small_cfg(agents="1,3", topologies=3, noise=2))
+    assert drawn == [(m, t) for m in (1, 3) for t in range(3)]
+
+
+def _canonical_pose_one(pose):
+    """Canonical Euler angles of one pose through the one-triple rotation."""
+    from miloc.geometry import euler_to_rotation, rotation_to_euler
+
+    if np.isnan(pose[3:]).any():
+        return pose
+    return np.hstack([pose[:3], rotation_to_euler(euler_to_rotation(pose[3:]))])
+
+
+def test_canonical_poses_match_one_pose_at_a_time():
+    rng = np.random.default_rng(44)
+    poses = np.hstack([rng.uniform(0, 1.5, (500, 3)), rng.uniform(-10, 10, (500, 3))])
+    poses[::7, 3:] = np.nan  # position-only estimates
+    poses[5, 4] = np.pi / 2  # gimbal lock
+    canonical = harness._canonical_poses(poses)
+    expected = np.array([_canonical_pose_one(p) for p in poses])
+    assert np.array_equal(canonical[:, :3], poses[:, :3])
+    assert np.array_equal(np.isnan(canonical), np.isnan(expected))
+    assert np.allclose(canonical, expected, rtol=0.0, atol=1e-12, equal_nan=True)
+    regular = np.abs(np.cos(poses[:, 4])) > 1e-6
+    assert np.array_equal(canonical[regular], expected[regular], equal_nan=True)
+    assert harness._canonical_poses([]).shape == (0, 6)
