@@ -202,7 +202,7 @@ def _topology_chunk(m: int, n_anchors: int, cooperative: bool) -> int:
     return max(1, _LINKS_PER_CALL // max(n_links, 1))
 
 
-def pose_bounds(cfg: ExperimentConfig, poses: np.ndarray, cooperative: bool) -> np.ndarray:
+def _pose_bounds(cfg: ExperimentConfig, poses: np.ndarray, cooperative: bool) -> np.ndarray:
     """Agent 0's position error bound for each row of a (T, 6M) agent-pose stack.
 
     The information matrices are assembled and solved in stacked calls of at
@@ -246,14 +246,14 @@ def agent0_bounds(
 
     Topology t is drawn from its own seed-derived stream, as in
     run_experiment, one stacked assembly at a time, so memory stays bounded
-    whatever the number of topologies.  Returns pose_bounds of the drawn
+    whatever the number of topologies.  Returns _pose_bounds of the drawn
     poses.
     """
     chunk = _topology_chunk(m, len(cfg.anchors()), cooperative)
     bounds = []
     for start in range(0, topologies, chunk):
         drawn = _draw_topologies(cfg, m, range(start, min(start + chunk, topologies)))
-        bounds.append(pose_bounds(cfg, _poses(drawn, m), cooperative))
+        bounds.append(_pose_bounds(cfg, _poses(drawn, m), cooperative))
     return np.concatenate(bounds) if bounds else np.empty(0)
 
 
@@ -368,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     for m in cfg.agent_counts():
         topologies = _draw_topologies(cfg, m, range(cfg.topologies))
-        topo_peb = pose_bounds(cfg, _poses(topologies, m), cooperative)
+        topo_peb = _pose_bounds(cfg, _poses(topologies, m), cooperative)
         singular_bounds += int(np.isnan(topo_peb).sum())
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
         chunk = _trials_per_chunk(cfg, m, with_reference)
