@@ -266,15 +266,18 @@ def _needs_reference(estimator: str, init: str) -> bool:
 def _trials_per_chunk(cfg: ExperimentConfig, m: int, with_reference: bool) -> int:
     """Trials of count m whose problems fit into one LM call, at least one.
 
-    A trial holds one copy of its problem per start and reference.  With L
-    links, a cooperative copy is 9L x 6M Jacobian elements, and a
-    non-cooperative one is M single-agent problems of 9L/M x 6.
+    A trial holds one copy of its problem per start and reference.  A
+    non-cooperative copy is M single-agent problems of 9K x 6 Jacobian
+    elements for K anchors, and so is every pair-ML or multilateration
+    trial, which reads only the anchor links.  A cooperative copy is one
+    problem of 9L x 6M for L links.
     """
-    scheme = cfg.scheme_enum()
     restarts = estimators.parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
-    params = 6 * m if scheme is Scheme.COOP else 6
-    n_links = len(link_set(m, len(cfg.anchors()), scheme))
-    elements = (restarts + with_reference) * 9 * n_links * params
+    copies = restarts + with_reference
+    n_anchors = len(cfg.anchors())
+    elements = copies * m * 9 * n_anchors * 6
+    if cfg.scheme_enum() is Scheme.COOP and cfg.estimator in ("numls", "turbols"):
+        elements = copies * 9 * len(link_set(m, n_anchors, Scheme.COOP)) * 6 * m
     return max(1, _JACOBIAN_ELEMENTS_PER_CALL // elements)
 
 

@@ -421,19 +421,22 @@ CHUNKED_RUNS = [
 ]
 
 
+def _joint(cfg):
+    """True when a trial solves one joint problem: a cooperative iterative estimate."""
+    return cfg.scheme == "coop" and cfg.estimator in ("numls", "turbols")
+
+
 def _problem_elements(cfg, m):
-    """Dense Jacobian elements of one stacked problem of a trial of count m."""
-    cooperative = cfg.scheme == "coop"
-    if cooperative:
+    """Dense Jacobian elements of one problem of a trial of count m."""
+    if _joint(cfg):
         return 9 * _links(cfg, m, True) * 6 * m
-    return 9 * len(cfg.anchors()) * 6
+    return 9 * len(cfg.anchors()) * 6  # one agent's anchor links
 
 
 def _trial_elements(cfg, m):
     copies = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
     copies += harness._needs_reference(cfg.estimator, cfg.init)
-    problems = copies * (1 if cfg.scheme == "coop" else m)
-    return problems * _problem_elements(cfg, m)
+    return copies * (1 if _joint(cfg) else m) * _problem_elements(cfg, m)
 
 
 def _emitted(result, path):
