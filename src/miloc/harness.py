@@ -196,65 +196,47 @@ def run_trial_estimator(
     return poses[0], reports[0], estimator != "multilateration"
 
 
-def _topology_chunk(m: int, n_anchors: int, cooperative: bool) -> int:
-    """Topologies per stacked bound assembly of _LINKS_PER_CALL links."""
-    n_links = len(link_set(m, n_anchors, Scheme.COOP if cooperative else Scheme.NONCOOP))
-    return max(1, _LINKS_PER_CALL // max(n_links, 1))
-
-
-def _pose_bounds(cfg: ExperimentConfig, poses: np.ndarray, cooperative: bool) -> np.ndarray:
-    """Agent 0's position error bound for each row of a (T, 6M) agent-pose stack.
-
-    The information matrices are assembled and solved in stacked calls of at
-    most _LINKS_PER_CALL links.  Returns a (T,) array, NaN where the matrix
-    is singular; each bound equals crlb.peb of its topology alone, bit for
-    bit.
-    """
-    anchors = cfg.anchors()
-    coil = cfg.coil()
-    gparams = cfg.global_params()
-    coupling = coupling_coefficient(coil, coil, gparams)
-    chunk = _topology_chunk(poses.shape[-1] // 6, len(anchors), cooperative)
-    bounds = np.empty(len(poses))
-    for start in range(0, len(poses), chunk):
-        fim = crlb.fim_stack(
-            poses[start : start + chunk], anchors, coupling, gparams.noise_sigma, cooperative
-        )
-        bounds[start : start + chunk] = crlb.peb_stack(fim, 0)
-    return bounds
-
-
-def _draw_topologies(cfg: ExperimentConfig, m: int, indices) -> List[Topology]:
-    """Topologies t of agent count m, each from its own seed-derived stream."""
-    room, anchors, min_dist = cfg.room(), cfg.anchors(), cfg.min_distance()
-    return [
-        sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
-        for t in indices
-    ]
-
-
 def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
-    return np.array([estimators.pack_deployments(topo.agents) for topo in topologies]).reshape(
-        -1, 6 * m
-    )
+    """The (T, 6m) packed agent poses of T topologies."""
+    return np.array([estimators.pack_deployments(t.agents) for t in topologies]).reshape(-1, 6 * m)
 
 
 def agent0_bounds(
-    cfg: ExperimentConfig, m: int, topologies: int, cooperative: bool
+    cfg: ExperimentConfig,
+    m: int,
+    topologies: int,
+    cooperative: bool,
+    drawn: Optional[Sequence[Topology]] = None,
 ) -> np.ndarray:
     """Agent 0's position error bound on each of the first topologies of count m.
 
     Topology t is drawn from its own seed-derived stream, as in
-    run_experiment, one stacked assembly at a time, so memory stays bounded
-    whatever the number of topologies.  Returns _pose_bounds of the drawn
-    poses.
+    run_experiment, unless drawn already holds the topologies; the
+    information matrices of many topologies are assembled and solved in
+    stacked calls of at most _LINKS_PER_CALL links, and the topologies are
+    drawn one call at a time, so memory stays bounded.  Returns a
+    (topologies,) array, NaN where the information matrix is singular; each
+    bound equals crlb.peb of its topology alone, bit for bit.
     """
-    chunk = _topology_chunk(m, len(cfg.anchors()), cooperative)
-    bounds = []
+    room = cfg.room()
+    anchors = cfg.anchors()
+    coil = cfg.coil()
+    gparams = cfg.global_params()
+    coupling = coupling_coefficient(coil, coil, gparams)
+    min_dist = cfg.min_distance()
+
+    n_links = len(link_set(m, len(anchors), Scheme.COOP if cooperative else Scheme.NONCOOP))
+    chunk = max(1, _LINKS_PER_CALL // max(n_links, 1))
+    bounds = np.empty(topologies)
     for start in range(0, topologies, chunk):
-        drawn = _draw_topologies(cfg, m, range(start, min(start + chunk, topologies)))
-        bounds.append(_pose_bounds(cfg, _poses(drawn, m), cooperative))
-    return np.concatenate(bounds) if bounds else np.empty(0)
+        stop = min(start + chunk, topologies)
+        stack = drawn[start:stop] if drawn is not None else [
+            sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
+            for t in range(start, stop)
+        ]
+        fim = crlb.fim_stack(_poses(stack, m), anchors, coupling, gparams.noise_sigma, cooperative)
+        bounds[start:stop] = crlb.peb_stack(fim, 0)
+    return bounds
 
 
 def _needs_reference(estimator: str, init: str) -> bool:
@@ -304,6 +286,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     coupling = coupling_coefficient(coil, coil, gparams)
     scheme = cfg.scheme_enum()
     cooperative = scheme is Scheme.COOP
+    min_dist = cfg.min_distance()
     with_reference = _needs_reference(cfg.estimator, cfg.init)
 
     trials: List[TrialRecord] = []
@@ -370,8 +353,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ]
 
     for m in cfg.agent_counts():
-        topologies = _draw_topologies(cfg, m, range(cfg.topologies))
-        topo_peb = _pose_bounds(cfg, _poses(topologies, m), cooperative)
+        topologies = [
+            sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
+            for t in range(cfg.topologies)
+        ]
+        topo_peb = agent0_bounds(cfg, m, cfg.topologies, cooperative, topologies)
         singular_bounds += int(np.isnan(topo_peb).sum())
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
         chunk = _trials_per_chunk(cfg, m, with_reference)
