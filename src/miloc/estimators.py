@@ -18,7 +18,7 @@ and termination.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -526,10 +526,10 @@ def estimate(
     init: str,
     room: Optional[Room] = None,
     truth: Optional[np.ndarray] = None,
-    rng=None,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
     with_reference: bool = False,
     max_elements: Optional[int] = None,
-):
+) -> Union[SolveReport, List[SolveReport]]:
     """Solve a deployment estimation problem with the requested initialization.
 
     init is one of 'perfect' (start from the true parameters, evaluation

@@ -11,8 +11,8 @@ required to be byte-identical across reruns.
 from __future__ import annotations
 
 import time
-from itertools import groupby
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -198,7 +198,8 @@ def run_trial_estimator(
 
 def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
     """The (T, 6m) packed agent poses of T topologies."""
-    return np.array([estimators.pack_deployments(t.agents) for t in topologies]).reshape(-1, 6 * m)
+    poses = [estimators.pack_deployments(topology.agents) for topology in topologies]
+    return np.array(poses).reshape(-1, 6 * m)
 
 
 def agent0_bounds(
@@ -234,7 +235,8 @@ def agent0_bounds(
             sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
             for t in range(start, stop)
         ]
-        fim = crlb.fim_stack(_poses(stack, m), anchors, coupling, gparams.noise_sigma, cooperative)
+        poses = _poses(stack, m)
+        fim = crlb.fim_stack(poses, anchors, coupling, gparams.noise_sigma, cooperative)
         bounds[start:stop] = crlb.peb_stack(fim, 0)
     return bounds
 
