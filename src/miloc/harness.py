@@ -316,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         except TRIAL_FAILURES as exc:
             if len(keys) > 1:
                 return [record for key in keys for record in solve_chunk(m, topologies, [key])]
-            kind = next(kind.__name__ for kind in TRIAL_FAILURES if isinstance(exc, kind))
+            kind = next(f.__name__ for f in TRIAL_FAILURES if isinstance(exc, f))
             failures[kind] = failures.get(kind, 0) + 1
             return []
         wall = (time.perf_counter() - started) / len(keys)
