@@ -40,6 +40,12 @@ LM_MAX_ITERATIONS = 500
 LM_STEP_TOL = 1e-10
 LM_COST_TOL = 1e-12
 
+# Dense Jacobian elements (rows x parameters per problem, summed over the
+# problems) per stacked LM call: memory stays bounded whatever the number of
+# measurement sets, and a cooperative M=10 problem (1170 x 60) takes a call
+# of its own unless one set's restarts are solved together.
+_JACOBIAN_ELEMENTS_PER_CALL = 1 << 17
+
 
 class DimensionMismatch(ValueError):
     """Parameter vector length does not match the problem."""
@@ -480,19 +486,16 @@ def _problem_stack(problem: LsProblem, y_imag: np.ndarray, copies: int) -> LsPro
     )
 
 
-def _solve_in_calls(
-    problem: LsProblem, x0: np.ndarray, max_elements: Optional[int]
-) -> StackedSolve:
+def _solve_in_calls(problem: LsProblem, x0: np.ndarray, min_per_call: int) -> StackedSolve:
     """levenberg_marquardt on the (B, P) starts x0 of a stacked problem, split into calls.
 
-    A call holds as many problems as max_elements dense Jacobian elements
-    admit (rows times parameters per problem), at least one; None puts
-    every problem into one call.  The problems are independent, so the
-    split changes no result.
+    A call holds as many problems as _JACOBIAN_ELEMENTS_PER_CALL dense
+    Jacobian elements admit (rows times parameters per problem), and never
+    fewer than min_per_call.  The problems are independent, so the split
+    changes no result.
     """
-    per_call = len(x0)
-    if max_elements is not None:
-        per_call = max(1, max_elements // (9 * len(problem.links) * x0.shape[-1]))
+    elements = 9 * len(problem.links) * x0.shape[-1]
+    per_call = max(min_per_call, _JACOBIAN_ELEMENTS_PER_CALL // elements)
     parts = [
         levenberg_marquardt(
             replace(problem, y_imag=problem.y_imag[start : start + per_call]),
@@ -528,7 +531,6 @@ def estimate(
     truth: Optional[np.ndarray] = None,
     rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
     with_reference: bool = False,
-    max_elements: Optional[int] = None,
 ) -> Union[SolveReport, List[SolveReport]]:
     """Solve a deployment estimation problem with the requested initialization.
 
@@ -544,8 +546,9 @@ def estimate(
     reports: each set's report equals the one of the set solved alone, its
     random starts drawn from its own rng.  with_reference adds each set's
     perfect-init solve to the same stack and attaches its report as
-    report.reference.  max_elements splits the stacked LM into calls of at
-    most that many dense Jacobian elements (see _solve_in_calls).
+    report.reference.  The stack is solved in LM calls of bounded Jacobian
+    size (_solve_in_calls); no call is made smaller than one set's
+    estimate, all its agents and restarts.
     """
     strategy, restarts = parse_init_strategy(init)
     if (strategy == "perfect" or with_reference) and truth is None:
@@ -576,7 +579,7 @@ def estimate(
         starts = np.concatenate([starts, truth], axis=2)
     copies = starts.shape[2]
     solve = _solve_in_calls(
-        _problem_stack(problem, y_imag, copies), starts.reshape(-1, size), max_elements
+        _problem_stack(problem, y_imag, copies), starts.reshape(-1, size), groups * restarts
     )
     # lowest final cost per group, first on ties
     costs = solve.final_cost.reshape(sets, groups, copies)

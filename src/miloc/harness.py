@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +47,9 @@ REFERENCE_PEB_M1_M = 2.18627459283404e-3
 # its number of topologies.
 _LINKS_PER_CALL = 256
 
-# Dense Jacobian elements (rows x parameters per problem, summed over the
-# problems) per stacked LM call of a chunk of trials: memory stays bounded
-# whatever the number of trials, and a cooperative M=10 problem (1170 x 60)
-# still runs alone.
-_JACOBIAN_ELEMENTS_PER_CALL = 1 << 17
+# Trials per chunk: a chunk's measurements and closed-form estimates stay
+# small whatever the number of trials; estimators bounds each LM call.
+_TRIALS_PER_CHUNK = 32
 
 
 class EmptyInput(ValueError):
@@ -128,8 +126,7 @@ def solve_trials(
     problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
     (T, 6M) true parameters and rngs their start streams.  The estimates
     and, with_reference, the perfect-init reference solves of all trials
-    share stacked LM calls of at most _JACOBIAN_ELEMENTS_PER_CALL elements;
-    pair-ML and multilateration run once for every agent of the stack.
+    share stacked LM calls of bounded size (estimators.estimate); pair-ML and multilateration run once for every agent of the stack.
     Each trial's results equal those of the trial solved alone.
 
     Returns:
@@ -141,7 +138,7 @@ def solve_trials(
     if estimator in ("numls", "turbols"):
         reports = estimators.estimate(
             problem, init if estimator == "numls" else "pairml", room, truths, rngs,
-            with_reference, _JACOBIAN_ELEMENTS_PER_CALL,
+            with_reference,
         )
         return np.array([r.estimate for r in reports]).reshape(trials, m, 6), reports
     if estimator == "pairml":
@@ -202,67 +199,44 @@ def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
     return np.array(poses).reshape(-1, 6 * m)
 
 
-def agent0_bounds(
-    cfg: ExperimentConfig,
-    m: int,
-    topologies: int,
-    cooperative: bool,
-    drawn: Optional[Sequence[Topology]] = None,
-) -> np.ndarray:
-    """Agent 0's position error bound on each of the first topologies of count m.
+def draw_topologies(cfg: ExperimentConfig, m: int, count: int) -> Iterator[Topology]:
+    """Topologies 0..count-1 of agent count m, each from its own seed-derived stream."""
+    room, anchors, min_dist = cfg.room(), cfg.anchors(), cfg.min_distance()
+    for t in range(count):
+        yield sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
 
-    Topology t is drawn from its own seed-derived stream, as in
-    run_experiment, unless drawn already holds the topologies; the
-    information matrices of many topologies are assembled and solved in
-    stacked calls of at most _LINKS_PER_CALL links, and the topologies are
-    drawn one call at a time, so memory stays bounded.  Returns a
-    (topologies,) array, NaN where the information matrix is singular; each
-    bound equals crlb.peb of its topology alone, bit for bit.
+
+def agent0_bounds(
+    cfg: ExperimentConfig, m: int, topologies: Iterable[Topology], cooperative: bool
+) -> np.ndarray:
+    """Agent 0's position error bound on each of the topologies of count m.
+
+    The information matrices of many topologies are assembled and solved in
+    stacked calls of at most _LINKS_PER_CALL links, and topologies are taken
+    from the iterable one call at a time, so a generator such as
+    draw_topologies keeps memory bounded.  Returns one bound per topology,
+    NaN where the information matrix is singular; each bound equals
+    crlb.peb of its topology alone, bit for bit.
     """
-    room = cfg.room()
     anchors = cfg.anchors()
     coil = cfg.coil()
     gparams = cfg.global_params()
     coupling = coupling_coefficient(coil, coil, gparams)
-    min_dist = cfg.min_distance()
 
     n_links = len(link_set(m, len(anchors), Scheme.COOP if cooperative else Scheme.NONCOOP))
     chunk = max(1, _LINKS_PER_CALL // max(n_links, 1))
-    bounds = np.empty(topologies)
-    for start in range(0, topologies, chunk):
-        stop = min(start + chunk, topologies)
-        stack = drawn[start:stop] if drawn is not None else [
-            sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
-            for t in range(start, stop)
-        ]
-        poses = _poses(stack, m)
-        fim = crlb.fim_stack(poses, anchors, coupling, gparams.noise_sigma, cooperative)
-        bounds[start:stop] = crlb.peb_stack(fim, 0)
-    return bounds
+    topologies = iter(topologies)
+    bounds = [np.empty(0)]
+    while stack := list(islice(topologies, chunk)):
+        fim = crlb.fim_stack(_poses(stack, m), anchors, coupling, gparams.noise_sigma, cooperative)
+        bounds.append(crlb.peb_stack(fim, 0))
+    return np.concatenate(bounds)
 
 
 def _needs_reference(estimator: str, init: str) -> bool:
     if estimator == "turbols":
         return True
     return estimator == "numls" and init.startswith("random")
-
-
-def _trials_per_chunk(cfg: ExperimentConfig, m: int, with_reference: bool) -> int:
-    """Trials of count m whose problems fit into one LM call, at least one.
-
-    A trial holds one copy of its problem per start and reference.  A
-    non-cooperative copy is M single-agent problems of 9K x 6 Jacobian
-    elements for K anchors, and so is every pair-ML or multilateration
-    trial, which reads only the anchor links.  A cooperative copy is one
-    problem of 9L x 6M for L links.
-    """
-    restarts = estimators.parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
-    copies = restarts + with_reference
-    n_anchors = len(cfg.anchors())
-    elements = copies * m * 9 * n_anchors * 6
-    if cfg.scheme_enum() is Scheme.COOP and cfg.estimator in ("numls", "turbols"):
-        elements = copies * 9 * len(link_set(m, n_anchors, Scheme.COOP)) * 6 * m
-    return max(1, _JACOBIAN_ELEMENTS_PER_CALL // elements)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -276,10 +250,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     10x the topology's bound).  Topologies with a singular information
     matrix are left out of the mean bound and counted in singular_bounds.
 
-    Trials are solved in chunks (solve_trials) of as many as one LM call of
-    _JACOBIAN_ELEMENTS_PER_CALL elements holds.  A chunk that raises one of
-    TRIAL_FAILURES is solved again trial by trial; a trial that raises alone
-    is counted by kind and skipped.  Any other exception propagates.
+    Trials are solved in chunks of _TRIALS_PER_CHUNK (solve_trials).  A
+    chunk that raises one of TRIAL_FAILURES is solved again trial by trial;
+    a trial that raises alone is counted by kind and skipped.  Any other exception propagates.
     """
     room = cfg.room()
     anchors = cfg.anchors()
@@ -288,7 +261,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     coupling = coupling_coefficient(coil, coil, gparams)
     scheme = cfg.scheme_enum()
     cooperative = scheme is Scheme.COOP
-    min_dist = cfg.min_distance()
     with_reference = _needs_reference(cfg.estimator, cfg.init)
 
     trials: List[TrialRecord] = []
@@ -355,18 +327,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ]
 
     for m in cfg.agent_counts():
-        topologies = [
-            sample_topology(m, room, anchors, min_dist, _trial_seed(cfg.seed, m, t, 0))
-            for t in range(cfg.topologies)
-        ]
-        topo_peb = agent0_bounds(cfg, m, cfg.topologies, cooperative, topologies)
+        topologies = list(draw_topologies(cfg, m, cfg.topologies))
+        topo_peb = agent0_bounds(cfg, m, topologies, cooperative)
         singular_bounds += int(np.isnan(topo_peb).sum())
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
-        chunk = _trials_per_chunk(cfg, m, with_reference)
         records = [
             record
-            for start in range(0, len(keys), chunk)
-            for record in solve_chunk(m, topologies, keys[start : start + chunk])
+            for start in range(0, len(keys), _TRIALS_PER_CHUNK)
+            for record in solve_chunk(m, topologies, keys[start : start + _TRIALS_PER_CHUNK])
         ]
         trials += records
         agent0 = [r for r in records if r.agent == 0]
@@ -425,7 +393,9 @@ def mean_peb_curve(
     n_topologies = topologies if topologies is not None else cfg.topologies
     rows = []
     for m in counts:
-        bounds = agent0_bounds(cfg, m, n_topologies, scheme is Scheme.COOP)
+        bounds = agent0_bounds(
+            cfg, m, draw_topologies(cfg, m, n_topologies), scheme is Scheme.COOP
+        )
         rows.append((m, _finite_mean(bounds), int(np.isfinite(bounds).sum())))
     return rows
 
@@ -481,17 +451,12 @@ def gains_experiment(cfg: ExperimentConfig, m: Optional[int] = None):
     Returns a dict with the flat |h| sample arrays per link kind, their dB
     CDFs and the fraction of all gains below the measurement error level.
     """
-    room = cfg.room()
-    anchors = cfg.anchors()
     coil = cfg.coil()
     gparams = cfg.global_params()
     if m is None:
         m = cfg.agent_counts()[-1]
     agent_agent, agent_anchor = [], []
-    for t in range(cfg.topologies):
-        topo = sample_topology(
-            m, room, anchors, cfg.min_distance(), _trial_seed(cfg.seed, m, t, 0)
-        )
+    for topo in draw_topologies(cfg, m, cfg.topologies):
         aa, an = channel_gain_samples(topo, coil, gparams)
         agent_agent.append(aa)
         agent_anchor.append(an)

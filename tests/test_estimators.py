@@ -487,7 +487,9 @@ def _coop_sets(m, seeds, coil, gparams, room, anchors):
 
 
 @pytest.mark.parametrize("m", [3, 10])
-def test_stacked_coop_problems_do_not_depend_on_each_other(m, coil, gparams, room, anchors):
+def test_stacked_coop_problems_do_not_depend_on_each_other(
+    m, monkeypatch, coil, gparams, room, anchors
+):
     # bit for bit: each problem's normal equations are its own gemm and solve
     stack, problems, truths = _coop_sets(m, [50, 51, 52], coil, gparams, room, anchors)
     rng = np.random.default_rng(53)
@@ -499,23 +501,28 @@ def test_stacked_coop_problems_do_not_depend_on_each_other(m, coil, gparams, roo
         assert solve.final_cost[b] == alone.final_cost
         assert solve.problem_iterations[b] == alone.problem_iterations
         assert solve.converged[b] == alone.converged
-    # and in any split over calls
-    split = estimators._solve_in_calls(stack, x0, 9 * len(stack.links) * 6 * m)
+    # and split over calls of one problem
+    monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", 0)
+    split = estimators._solve_in_calls(stack, x0, 1)
     assert np.array_equal(split.estimate, solve.estimate)
     assert np.array_equal(split.final_cost, solve.final_cost)
 
 
+@pytest.mark.parametrize("elements", [0, estimators._JACOBIAN_ELEMENTS_PER_CALL])
 @pytest.mark.parametrize(
     "scheme, init",
     [(Scheme.COOP, "random:2"), (Scheme.NONCOOP, "random:3"), (Scheme.NONCOOP, "pairml")],
 )
-def test_estimate_on_a_stack_equals_each_set_alone(scheme, init, coil, gparams, room, anchors):
+def test_estimate_on_a_stack_equals_each_set_alone(
+    scheme, init, elements, monkeypatch, coil, gparams, room, anchors
+):
+    monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", elements)
     sets = [make_problem(3, scheme, seed, coil, gparams, room, anchors) for seed in (54, 55, 56)]
     problems = [problem for _, problem in sets]
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
     stack = _stacked(problems)
     rngs = [np.random.default_rng(57 + t) for t in range(3)]
-    reports = estimate(stack, init, room, truths, rngs, with_reference=True, max_elements=1)
+    reports = estimate(stack, init, room, truths, rngs, with_reference=True)
     for t, problem in enumerate(problems):
         rng = np.random.default_rng(57 + t)
         alone = estimate(problem, init, room=room, truth=truths[t], rng=rng)
@@ -541,3 +548,25 @@ def test_per_agent_costs_of_a_stack_equal_row_by_row(coil, gparams, room, anchor
     for copy in range(3):
         for t, problem in enumerate(problems):
             assert np.array_equal(costs[copy, t], problem.per_agent_costs(theta[copy, t]))
+
+
+@pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [5, 1])])
+def test_one_sets_restarts_share_one_lm_call(
+    with_reference, calls, monkeypatch, coil, gparams, room, anchors
+):
+    # the per-call Jacobian budget admits one cooperative M=10 problem, yet
+    # a set's five restarts are solved together and its reference after them
+    topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
+    assert 2 * 9 * len(problem.links) * 60 > estimators._JACOBIAN_ELEMENTS_PER_CALL
+    sizes = []
+    solver = estimators.levenberg_marquardt
+
+    def counting(problem, x0, *args, **kwargs):
+        sizes.append(len(x0))
+        return solver(problem, x0, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "levenberg_marquardt", counting)
+    truth = pack_deployments(topo.agents)
+    rng = np.random.default_rng(62)
+    estimate(problem, "random:5", room, truth, rng, with_reference=with_reference)
+    assert sizes == calls

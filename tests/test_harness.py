@@ -363,6 +363,11 @@ def _single_topology_bounds(cfg, m, topologies, cooperative):
     return np.array(bounds)
 
 
+def _agent0_bounds(cfg, m, topologies, cooperative):
+    """agent0_bounds on the first topologies of count m, drawn one by one."""
+    return agent0_bounds(cfg, m, harness.draw_topologies(cfg, m, topologies), cooperative)
+
+
 def _links(cfg, m, cooperative):
     return len(link_set(m, len(cfg.anchors()), Scheme.COOP if cooperative else Scheme.NONCOOP))
 
@@ -373,11 +378,11 @@ def test_stacked_bounds_equal_single_topology_bounds(monkeypatch, cooperative):
     cfg = _small_cfg(seed=5)
     for m in range(1, 11):
         expected = _single_topology_bounds(cfg, m, 5, cooperative)
-        assert np.array_equal(agent0_bounds(cfg, m, 1, cooperative), expected[:1])
-        assert np.array_equal(agent0_bounds(cfg, m, 2, cooperative), expected[:2])
+        assert np.array_equal(_agent0_bounds(cfg, m, 1, cooperative), expected[:1])
+        assert np.array_equal(_agent0_bounds(cfg, m, 2, cooperative), expected[:2])
         for per_call in (1, 2, 3, 10**9):  # topologies per stacked call
             monkeypatch.setattr(harness, "_LINKS_PER_CALL", per_call * _links(cfg, m, cooperative))
-            assert np.array_equal(agent0_bounds(cfg, m, 5, cooperative), expected), (m, per_call)
+            assert np.array_equal(_agent0_bounds(cfg, m, 5, cooperative), expected), (m, per_call)
 
 
 @pytest.mark.parametrize("m, cooperative", [(10, True), (1, False)])
@@ -385,7 +390,7 @@ def test_stacked_bounds_across_the_default_chunk_boundary(m, cooperative):
     cfg = _small_cfg(seed=6)
     chunk = harness._LINKS_PER_CALL // _links(cfg, m, cooperative)
     expected = _single_topology_bounds(cfg, m, chunk + 2, cooperative)
-    assert np.array_equal(agent0_bounds(cfg, m, chunk + 2, cooperative), expected)
+    assert np.array_equal(_agent0_bounds(cfg, m, chunk + 2, cooperative), expected)
 
 
 def test_bound_sweep_memory_does_not_grow_with_topologies():
@@ -421,22 +426,14 @@ CHUNKED_RUNS = [
 ]
 
 
-def _joint(cfg):
-    """True when a trial solves one joint problem: a cooperative iterative estimate."""
-    return cfg.scheme == "coop" and cfg.estimator in ("numls", "turbols")
-
-
-def _problem_elements(cfg, m):
-    """Dense Jacobian elements of one problem of a trial of count m."""
-    if _joint(cfg):
-        return 9 * _links(cfg, m, True) * 6 * m
-    return 9 * len(cfg.anchors()) * 6  # one agent's anchor links
-
-
-def _trial_elements(cfg, m):
-    copies = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
-    copies += harness._needs_reference(cfg.estimator, cfg.init)
-    return copies * (1 if _joint(cfg) else m) * _problem_elements(cfg, m)
+def _calls_of_one_trial(cfg, m):
+    """Problems per LM call of one trial solved alone: its estimate, then its reference."""
+    if cfg.estimator == "multilateration":
+        return [m]  # one range fix per agent
+    groups = 1 if cfg.scheme == "coop" and cfg.estimator != "pairml" else m
+    restarts = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
+    reference = [groups] if harness._needs_reference(cfg.estimator, cfg.init) else []
+    return [groups * restarts] + reference
 
 
 def _emitted(result, path):
@@ -460,35 +457,36 @@ def _counting_lm(monkeypatch):
 
 @pytest.mark.parametrize("scheme, estimator, init", CHUNKED_RUNS)
 def test_outputs_identical_for_every_chunk_budget(tmp_path, monkeypatch, scheme, estimator, init):
-    # one problem per call, two trials per chunk and the default all give the same bytes
+    # chunks of one and two trials, and the default, all give the same bytes
     cfg = _small_cfg(
         agents="3", topologies=2, noise=3, scheme=scheme, estimator=estimator, init=init, seed=41
     )
     calls = _counting_lm(monkeypatch)
-    budgets = {
-        "one problem": _problem_elements(cfg, 3),
-        "two trials": 2 * _trial_elements(cfg, 3),
-        "default": harness._JACOBIAN_ELEMENTS_PER_CALL,
+    budgets = {  # trials per chunk, Jacobian elements per LM call
+        "smallest calls": (1, 0),
+        "two trials": (2, estimators._JACOBIAN_ELEMENTS_PER_CALL),
+        "default": (harness._TRIALS_PER_CHUNK, estimators._JACOBIAN_ELEMENTS_PER_CALL),
     }
     outputs, counts = {}, {}
-    for label, budget in budgets.items():
-        monkeypatch.setattr(harness, "_JACOBIAN_ELEMENTS_PER_CALL", budget)
+    for label, (trials, elements) in budgets.items():
+        monkeypatch.setattr(harness, "_TRIALS_PER_CHUNK", trials)
+        monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", elements)
         calls.clear()
         result = run_experiment(cfg)
         assert result.failures == 0
         outputs[label] = _emitted(result, tmp_path / label.replace(" ", "_"))
         counts[label] = list(calls)
-    assert outputs["one problem"] == outputs["two trials"] == outputs["default"]
+    assert outputs["smallest calls"] == outputs["two trials"] == outputs["default"]
     assert "trials.csv" in outputs["default"] and "summary.csv" in outputs["default"]
     assert f"cdf_M3_{scheme}_{estimator}.csv" in outputs["default"]
     if estimator == "pairml":
         return  # no iterative solve
-    # every trial's problems are solved in the calls the budget admits; the
-    # range fixes of a trial's three agents share one multilateration call
-    per_trial = sum(counts["one problem"]) // 6
-    assert set(counts["one problem"]) == {3 if estimator == "multilateration" else 1}
-    assert counts["two trials"] == [2 * per_trial] * 3
-    assert counts["default"] == [6 * per_trial]
+    # the smallest calls split each trial as it is split when solved alone;
+    # otherwise all problems of a chunk share one call
+    one_trial = _calls_of_one_trial(cfg, 3)
+    assert counts["smallest calls"] == one_trial * 6
+    assert counts["two trials"] == [2 * sum(one_trial)] * 3
+    assert counts["default"] == [6 * sum(one_trial)]
 
 
 def _run_with_failing_trial(monkeypatch, cfg, failing):
@@ -516,7 +514,7 @@ def _run_with_failing_trial(monkeypatch, cfg, failing):
 def test_failing_trial_in_a_chunk_leaves_the_others(tmp_path, monkeypatch, overrides):
     cfg = _small_cfg(agents="3", topologies=2, noise=3, seed=43, **overrides)
     default = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
-    monkeypatch.setattr(harness, "_JACOBIAN_ELEMENTS_PER_CALL", 1)  # chunks of one trial
+    monkeypatch.setattr(harness, "_TRIALS_PER_CHUNK", 1)
     alone = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
     for result in (default, alone):
         assert result.failures == 1
