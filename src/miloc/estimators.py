@@ -465,37 +465,45 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     ).reshape(batch + (problem.n_parameters,))
 
 
-def _problem_stack(problem: LsProblem, y_imag: np.ndarray, copies: int) -> LsProblem:
+def _problem_stack(
+    problem: LsProblem, y_imag: np.ndarray, copies: int, with_reference: bool
+) -> LsProblem:
     """The independent problems of T measurement sets y_imag (T, L, 3, 3), each copies times.
 
     A cooperative set is one problem.  A non-cooperative set splits into one
     single-agent problem per agent, which keeps only its anchor links.  The
-    stack is set-major, then agent-major, then copy-minor.
+    stack is set-major, then agent-major, then copy-minor; with_reference
+    appends every set's problems once more, in the same order.
     """
-    if problem.cooperative:
-        return replace(problem, y_imag=np.repeat(y_imag, copies, axis=0))
-    rows = problem.anchor_link_rows()
-    anchors = problem.links[rows[0], 1] - problem.n_agents
-    return LsProblem(
-        n_agents=1,
-        anchor_positions=problem.anchor_positions,
-        anchor_rotations=problem.anchor_rotations,
-        links=np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1]),
-        y_imag=np.repeat(y_imag[:, rows].reshape(-1, len(anchors), 3, 3), copies, axis=0),
-        coupling=problem.coupling,
-    )
+    base = problem
+    if not problem.cooperative:
+        rows = problem.anchor_link_rows()
+        anchors = problem.links[rows[0], 1] - problem.n_agents
+        y_imag = y_imag[:, rows].reshape(-1, len(anchors), 3, 3)
+        base = LsProblem(
+            n_agents=1,
+            anchor_positions=problem.anchor_positions,
+            anchor_rotations=problem.anchor_rotations,
+            links=np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1]),
+            y_imag=y_imag,
+            coupling=problem.coupling,
+        )
+    stack = np.repeat(y_imag, copies, axis=0)
+    if with_reference:
+        stack = np.concatenate([stack, y_imag])
+    return replace(base, y_imag=stack)
 
 
-def _solve_in_calls(problem: LsProblem, x0: np.ndarray, min_per_call: int) -> StackedSolve:
+def _solve_in_calls(problem: LsProblem, x0: np.ndarray, per_set: int) -> StackedSolve:
     """levenberg_marquardt on the (B, P) starts x0 of a stacked problem, split into calls.
 
-    A call holds as many problems as _JACOBIAN_ELEMENTS_PER_CALL dense
-    Jacobian elements admit (rows times parameters per problem), and never
-    fewer than min_per_call.  The problems are independent, so the split
-    changes no result.
+    A call holds as many whole runs of per_set problems (one set's estimate)
+    as _JACOBIAN_ELEMENTS_PER_CALL dense Jacobian elements admit (rows times
+    parameters per problem), and at least one, so no set's estimate is
+    split.  The problems are independent, so the split changes no result.
     """
-    elements = 9 * len(problem.links) * x0.shape[-1]
-    per_call = max(min_per_call, _JACOBIAN_ELEMENTS_PER_CALL // elements)
+    elements = 9 * len(problem.links) * x0.shape[-1] * per_set
+    per_call = per_set * max(1, _JACOBIAN_ELEMENTS_PER_CALL // elements)
     parts = [
         levenberg_marquardt(
             replace(problem, y_imag=problem.y_imag[start : start + per_call]),
@@ -547,8 +555,8 @@ def estimate(
     random starts drawn from its own rng.  with_reference adds each set's
     perfect-init solve to the same stack and attaches its report as
     report.reference.  The stack is solved in LM calls of bounded Jacobian
-    size (_solve_in_calls); no call is made smaller than one set's
-    estimate, all its agents and restarts.
+    size (_solve_in_calls), each holding whole sets' estimates, all their
+    agents and restarts; the references follow after every estimate.
     """
     strategy, restarts = parse_init_strategy(init)
     if (strategy == "perfect" or with_reference) and truth is None:
@@ -575,23 +583,25 @@ def estimate(
         starts = np.stack(
             [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
         ).reshape(sets, groups, restarts, size)
+    x0 = starts.reshape(-1, size)
     if with_reference:
-        starts = np.concatenate([starts, truth], axis=2)
-    copies = starts.shape[2]
+        x0 = np.concatenate([x0, truth.reshape(-1, size)])
     solve = _solve_in_calls(
-        _problem_stack(problem, y_imag, copies), starts.reshape(-1, size), groups * restarts
+        _problem_stack(problem, y_imag, restarts, with_reference), x0, groups * restarts
     )
     # lowest final cost per group, first on ties
-    costs = solve.final_cost.reshape(sets, groups, copies)
+    costs = solve.final_cost[: sets * groups * restarts].reshape(sets, groups, restarts)
     best = np.zeros((sets, groups), dtype=int)
     for restart in range(1, restarts):
         lowest = np.take_along_axis(costs, best[..., None], axis=-1)[..., 0]
         best[costs[..., restart] < lowest] = restart
-    first = copies * np.arange(sets * groups).reshape(sets, groups)
+    first = restarts * np.arange(sets * groups).reshape(sets, groups)
     reports = [solve.report(first[t] + best[t], restarts) for t in range(sets)]
     if with_reference:
+        # one reference problem per group, after all the estimates
+        references = sets * groups * restarts + np.arange(sets * groups).reshape(sets, groups)
         for t, report in enumerate(reports):
-            report.reference = solve.report(first[t] + restarts)
+            report.reference = solve.report(references[t])
     return reports[0] if single else reports
 
 

@@ -126,7 +126,8 @@ def solve_trials(
     problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
     (T, 6M) true parameters and rngs their start streams.  The estimates
     and, with_reference, the perfect-init reference solves of all trials
-    share stacked LM calls of bounded size (estimators.estimate); pair-ML and multilateration run once for every agent of the stack.
+    share stacked LM calls of bounded size (estimators.estimate); pair-ML
+    and multilateration run once for every agent of the stack.
     Each trial's results equal those of the trial solved alone.
 
     Returns:
@@ -252,7 +253,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     Trials are solved in chunks of _TRIALS_PER_CHUNK (solve_trials).  A
     chunk that raises one of TRIAL_FAILURES is solved again trial by trial;
-    a trial that raises alone is counted by kind and skipped.  Any other exception propagates.
+    a trial that raises alone is counted by kind and skipped.  Any other
+    exception propagates.
     """
     room = cfg.room()
     anchors = cfg.anchors()
