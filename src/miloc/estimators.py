@@ -43,7 +43,7 @@ LM_COST_TOL = 1e-12
 # Dense Jacobian elements (rows x parameters per problem, summed over the
 # problems) per stacked LM call: memory stays bounded whatever the number of
 # measurement sets, and a cooperative M=10 problem (1170 x 60) takes a call
-# of its own unless one set's restarts are solved together.
+# of its own, except that one set's restarts always share a call.
 _JACOBIAN_ELEMENTS_PER_CALL = 1 << 17
 
 

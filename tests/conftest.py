@@ -79,3 +79,19 @@ def locked_topology(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_topology", sample)
     return LOCKED_TOPOLOGY
+
+
+@pytest.fixture
+def lm_calls(monkeypatch):
+    """Record the number of problems of every levenberg_marquardt call."""
+    from miloc import estimators
+
+    calls = []
+    solver = estimators.levenberg_marquardt
+
+    def counting(problem, x0, *args, **kwargs):
+        calls.append(len(np.asarray(x0).reshape(-1, np.shape(x0)[-1])))
+        return solver(problem, x0, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "levenberg_marquardt", counting)
+    return calls

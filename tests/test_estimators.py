@@ -550,42 +550,29 @@ def test_per_agent_costs_of_a_stack_equal_row_by_row(coil, gparams, room, anchor
             assert np.array_equal(costs[copy, t], problem.per_agent_costs(theta[copy, t]))
 
 
-def _counting_lm(monkeypatch):
-    """Record the number of problems of every levenberg_marquardt call."""
-    sizes = []
-    solver = estimators.levenberg_marquardt
-
-    def counting(problem, x0, *args, **kwargs):
-        sizes.append(len(x0))
-        return solver(problem, x0, *args, **kwargs)
-
-    monkeypatch.setattr(estimators, "levenberg_marquardt", counting)
-    return sizes
-
-
 @pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [5, 1])])
 def test_one_sets_restarts_share_one_lm_call(
-    with_reference, calls, monkeypatch, coil, gparams, room, anchors
+    with_reference, calls, lm_calls, coil, gparams, room, anchors
 ):
     # the per-call Jacobian budget admits one cooperative M=10 problem, yet
     # a set's five restarts are solved together and its reference after them
     topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
     assert 2 * 9 * len(problem.links) * 60 > estimators._JACOBIAN_ELEMENTS_PER_CALL
-    sizes = _counting_lm(monkeypatch)
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(62)
     estimate(problem, "random:5", room, truth, rng, with_reference=with_reference)
-    assert sizes == calls
+    assert lm_calls == calls
 
 
-def test_lm_calls_hold_whole_sets_then_the_references(monkeypatch, coil, gparams, room, anchors):
+def test_lm_calls_hold_whole_sets_then_the_references(
+    monkeypatch, lm_calls, coil, gparams, room, anchors
+):
     # three non-cooperative M=2 sets, two restarts each: a set's estimate is
     # 4 single-agent problems, and a budget of 5 problems admits one set
     sets = [make_problem(2, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (63, 64, 65)]
     stack = _stacked([problem for _, problem in sets])
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
     monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", 5 * 9 * len(anchors) * 6)
-    sizes = _counting_lm(monkeypatch)
     rngs = [np.random.default_rng(66 + t) for t in range(3)]
     estimate(stack, "random:2", room, truths, rngs, with_reference=True)
-    assert sizes == [4, 4, 4, 4, 2]
+    assert lm_calls == [4, 4, 4, 4, 2]

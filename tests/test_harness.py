@@ -442,26 +442,14 @@ def _emitted(result, path):
     return {name: (path / name).read_bytes() for name in names}
 
 
-def _counting_lm(monkeypatch):
-    """Record the number of problems of every levenberg_marquardt call."""
-    calls = []
-    solver = estimators.levenberg_marquardt
-
-    def counting(problem, x0, *args, **kwargs):
-        calls.append(len(np.asarray(x0).reshape(-1, np.shape(x0)[-1])))
-        return solver(problem, x0, *args, **kwargs)
-
-    monkeypatch.setattr(estimators, "levenberg_marquardt", counting)
-    return calls
-
-
 @pytest.mark.parametrize("scheme, estimator, init", CHUNKED_RUNS)
-def test_outputs_identical_for_every_chunk_budget(tmp_path, monkeypatch, scheme, estimator, init):
+def test_outputs_identical_for_every_chunk_budget(
+    tmp_path, monkeypatch, lm_calls, scheme, estimator, init
+):
     # chunks of one and two trials, and the default, all give the same bytes
     cfg = _small_cfg(
         agents="3", topologies=2, noise=3, scheme=scheme, estimator=estimator, init=init, seed=41
     )
-    calls = _counting_lm(monkeypatch)
     budgets = {  # trials per chunk, Jacobian elements per LM call
         "smallest calls": (1, 0),
         "two trials": (2, estimators._JACOBIAN_ELEMENTS_PER_CALL),
@@ -471,11 +459,11 @@ def test_outputs_identical_for_every_chunk_budget(tmp_path, monkeypatch, scheme,
     for label, (trials, elements) in budgets.items():
         monkeypatch.setattr(harness, "_TRIALS_PER_CHUNK", trials)
         monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", elements)
-        calls.clear()
+        lm_calls.clear()
         result = run_experiment(cfg)
         assert result.failures == 0
         outputs[label] = _emitted(result, tmp_path / label.replace(" ", "_"))
-        counts[label] = list(calls)
+        counts[label] = list(lm_calls)
     assert outputs["smallest calls"] == outputs["two trials"] == outputs["default"]
     assert "trials.csv" in outputs["default"] and "summary.csv" in outputs["default"]
     assert f"cdf_M3_{scheme}_{estimator}.csv" in outputs["default"]
