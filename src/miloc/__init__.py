@@ -10,7 +10,7 @@ from .channel import (
     coupling_coefficient,
 )
 from .config import ConfigError, ExperimentConfig
-from .crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_all, peb_stack
+from .crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
 from .estimators import (
     LsProblem,
     MultilaterationResult,
@@ -20,15 +20,16 @@ from .estimators import (
     levenberg_marquardt,
     multilaterate,
     pack_deployments,
-    unpack_parameters,
 )
 from .geometry import (
     Deployment,
     NotARotation,
     Room,
     euler_to_rotation,
+    join_poses,
     rotation_to_euler,
     sample_uniform_rotation,
+    split_poses,
 )
 from .harness import (
     CalibrationResult,
@@ -40,16 +41,7 @@ from .harness import (
     mean_peb_curve,
     run_experiment,
 )
-from .pairml import (
-    PairMlResult,
-    PositionValidity,
-    SvdTriple,
-    decompose_link,
-    direction_estimate,
-    ml_distance,
-    pair_ml_estimate,
-    resolve_position,
-)
+from .pairml import SvdTriple, ml_distance, pair_ml_estimate
 from .scenario import (
     MeasurementSet,
     PackingInfeasible,

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Deployment
+from .geometry import Deployment, skew
 
 VACUUM_PERMEABILITY = 4e-7 * np.pi  # H/m
 
 MIN_NODE_DISTANCE = 1e-9  # m; below this the dipole model blows up
+
+# [e_i]x for the three axes, (3, 3, 3): the generators of local rotations
+_AXIS_GENERATORS = skew(np.eye(3))
 
 
 class CoincidentNodes(ValueError):
@@ -144,19 +147,21 @@ def channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling):
     return gains, r, u, f
 
 
-def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, d_rot_tx, d_rot_rx, coupling):
+def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, coupling):
     """Derivative columns of Im(H) w.r.t. both endpoints' poses.
 
-    Inputs are the stacked quantities returned by channel_gain_batch plus the
-    Euler-derivative stacks d_rot_tx, d_rot_rx of shape (L, 3, 3, 3).
+    Inputs are the stacked quantities returned by channel_gain_batch.
     Returns an (L, 9, 12) array whose column k holds vec(d Im H / d theta_k)
-    for theta = [p_tx, euler_tx, p_rx, euler_rx].
+    for theta = [p_tx, phi_tx, p_rx, phi_rx], where each orientation moves
+    by a local rotation O <- O exp([phi]x) about its own axes.
 
     With rvec = p_rx - p_tx the spatial chain rule gives
         du/d[p_tx]_i      = -(e_i - u_i u) / r,
         d(r^-3)/d[p_tx]_i = 3 u_i / r^4,
     and H depends on positions only through rvec, so the receiver position
-    columns are the negated transmitter ones.
+    columns are the negated transmitter ones.  The gains G are linear in
+    O_tx and in O_rx^T, so the orientation columns are G [e_i]x for the
+    transmitter and -[e_i]x G for the receiver ([e_i]x^T = -[e_i]x).
     """
     scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None, None]
     # w[l, i] = du/d[p_tx]_i and df[l, i] = dF/d[p_tx]_i
@@ -166,7 +171,7 @@ def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, d_rot_tx, d_rot_rx, c
     spatial = scale * (o_rx_t @ df @ o_tx[:, None]) + (
         3.0 * u / r[:, None]
     )[:, :, None, None] * gains[:, None]
-    angular_tx = scale * ((o_rx_t @ f[:, None]) @ d_rot_tx)
-    angular_rx = scale * (np.swapaxes(d_rot_rx, 2, 3) @ (f @ o_tx)[:, None])
+    angular_tx = gains[:, None] @ _AXIS_GENERATORS
+    angular_rx = -(_AXIS_GENERATORS @ gains[:, None])
     cols = np.concatenate([spatial, angular_tx, -spatial, angular_rx], axis=1)
     return cols.reshape(len(r), 12, 9).transpose(0, 2, 1)

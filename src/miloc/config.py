@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import List
 
 from .channel import VACUUM_PERMEABILITY, CoilParams, GlobalParams
+from .estimators import parse_init_strategy
 from .geometry import Deployment, Room
 from .scenario import Scheme, default_anchors, load_topology
 
@@ -75,18 +76,10 @@ class ExperimentConfig:
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}")
         parse_agent_spec(self.agents)
-        init_name, _, init_arg = self.init.partition(":")
-        if init_name not in ("perfect", "random", "pairml"):
-            raise ConfigError(f"init must be perfect, random[:k] or pairml, got {self.init!r}")
-        if init_arg:
-            if init_name != "random":
-                raise ConfigError(f"init strategy {init_name!r} takes no argument")
-            try:
-                restarts = int(init_arg)
-            except ValueError as exc:
-                raise ConfigError(f"bad restart count in {self.init!r}") from exc
-            if restarts < 1:
-                raise ConfigError("random restart count must be >= 1")
+        try:
+            parse_init_strategy(self.init)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- derived objects -----------------------------------------------------
 

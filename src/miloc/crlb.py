@@ -8,7 +8,12 @@ The information matrix of a link set is therefore (2 / sigma**2) J^T J at
 the true deployments, which LsProblem.normal_matrix sums link by link from
 the same derivative columns the estimators use.  In the cooperative scheme
 both ordered measurements of an agent pair exist and both are counted;
-without agent-agent links the matrix is block diagonal.
+without agent-agent links the matrix is block diagonal.  Each agent
+contributes six parameters, its position and a local rotation of its
+orientation, R exp([phi]x) at phi = 0.  No orientation chart enters, so
+no orientation (gimbal lock included) is a singular point of the
+parametrization, and the position bound does not depend on how the agents
+are turned.
 
 The position error bound of an agent is the root of the summed position
 diagonal entries of the inverse information matrix.  Stacks of topologies
@@ -55,7 +60,7 @@ def fim_stack(
     """Information matrices of a stack of topologies over the same anchors.
 
     Args:
-        poses: agent parameters (..., 6M), packed as by pack_deployments.
+        poses: agent pose rows (..., 12M), packed as by pack_deployments.
         anchors: sequence of Deployment.
         cooperative: include the ordered agent-agent measurement set.
 
@@ -64,7 +69,7 @@ def fim_stack(
     topology's matrix is the same whatever else is in the stack.
     """
     poses = np.asarray(poses, dtype=float)
-    m = poses.shape[-1] // 6
+    m = poses.shape[-1] // 12
     scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
     links = link_set(m, len(anchors), scheme)
     problem = LsProblem(
@@ -139,11 +144,6 @@ def peb(info: FisherInfo, agent: int = 0) -> float:
         SingularFim: matrix not invertible at the configured condition limit.
     """
     return float(np.sqrt(np.sum(_checked_variances(info, np.array([agent]))[0])))
-
-
-def peb_all(info: FisherInfo) -> np.ndarray:
-    """Position error bounds of every agent from a single solve."""
-    return np.sqrt(np.sum(_checked_variances(info, np.arange(info.n_agents)), axis=1))
 
 
 def peb_stack(matrices: np.ndarray, agent: int = 0) -> np.ndarray:

@@ -3,13 +3,17 @@
 The measurement model is purely imaginary, so the residual stacks only the
 imaginary parts Im(H_meas) - Im(H(theta)) of every link (9 reals per link);
 the real-part terms of the Frobenius objective are parameter independent and
-do not move the minimizer.  Agent parameters are packed as a flat vector of
-six entries per agent, [x, y, z, alpha, beta, gamma], and Euler angles stay
-unconstrained during the iteration (canonicalized only on output).
+do not move the minimizer.  An agent's pose is its position and its
+rotation matrix, packed into pose rows of twelve numbers per agent
+(geometry.join_poses).  The solver steps six numbers per agent, a position
+step dp and a local rotation phi, and LsProblem.retract applies them as
+p + dp and R exp([phi]x), so every iterate's rotation stays a rotation
+and no orientation chart has a singularity.
 
-Batch convention: residuals, Jacobians and normal matrices take parameters
-of shape (..., 6M) and return (..., 9L), (..., 9L, 6M) and (..., 6M, 6M);
-a 1-d vector gives one problem.  Independent problems (the agents of a
+Batch convention: residuals, Jacobians and normal matrices take pose rows
+of shape (..., 12M) and return (..., 9L), (..., 9L, 6M) and (..., 6M, 6M),
+with Jacobian columns over the 6M step parameters; a 1-d row gives one
+problem.  Independent problems (the agents of a
 non-cooperative network, random restarts) are rows of one stack, and
 levenberg_marquardt advances all rows together, each with its own damping
 and termination.
@@ -26,10 +30,11 @@ from . import channel as chan
 from .geometry import (
     Deployment,
     Room,
-    euler_rotation_derivatives,
-    euler_to_rotation_batch,
+    exp_rotation,
+    group_poses,
+    join_poses,
     quaternion_to_rotation,
-    rotation_to_euler,
+    split_poses,
 )
 from . import pairml
 from .scenario import MeasurementSet
@@ -40,7 +45,7 @@ LM_MAX_ITERATIONS = 500
 LM_STEP_TOL = 1e-10
 LM_COST_TOL = 1e-12
 
-# Dense Jacobian elements (rows x parameters per problem, summed over the
+# Dense Jacobian elements (rows x step parameters per problem, summed over the
 # problems) per stacked LM call: memory stays bounded whatever the number of
 # measurement sets, and a cooperative M=10 problem (1170 x 60) takes a call
 # of its own, except that one set's restarts always share a call.
@@ -48,7 +53,7 @@ _JACOBIAN_ELEMENTS_PER_CALL = 1 << 17
 
 
 class DimensionMismatch(ValueError):
-    """Parameter vector length does not match the problem."""
+    """Pose row length does not match the problem."""
 
 
 @dataclass
@@ -65,20 +70,11 @@ class SolveReport:
 
 
 def pack_deployments(deployments: Sequence[Deployment]) -> np.ndarray:
-    """Stack agent poses into the flat 6M parameter vector."""
-    return np.hstack([d.as_vector() for d in deployments])
-
-
-def unpack_parameters(theta: np.ndarray) -> List[Deployment]:
-    """Inverse of pack_deployments; Euler angles are canonicalized."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size % 6:
-        raise DimensionMismatch("parameter vector length must be a multiple of 6")
-    out = []
-    for block in theta.reshape(-1, 6):
-        rot = euler_to_rotation_batch(block[None, 3:])[0]
-        out.append(Deployment(block[:3].copy(), rotation_to_euler(rot), rot))
-    return out
+    """The (12M,) pose row of M agents' deployments (geometry.join_poses)."""
+    return join_poses(
+        np.reshape([d.position for d in deployments], (-1, 3)),
+        np.reshape([d.rotation for d in deployments], (-1, 3, 3)),
+    )
 
 
 @dataclass
@@ -162,20 +158,27 @@ class LsProblem:
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape[-1:] != (self.n_parameters,):
-            raise DimensionMismatch(
-                f"expected parameter vectors of length {self.n_parameters}"
-            )
+        if theta.shape[-1:] != (12 * self.n_agents,):
+            raise DimensionMismatch(f"expected pose rows of length {12 * self.n_agents}")
         return theta
 
+    def retract(self, theta: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Pose rows theta (..., 12M) moved by steps (..., 6M): p + dp and R exp([phi]x).
+
+        A step holds [dp, phi] for every agent in turn.
+        """
+        positions, rotations = split_poses(self._check(theta))
+        step = np.reshape(step, positions.shape[:-1] + (6,))
+        return join_poses(positions + step[..., :3], rotations @ exp_rotation(step[..., 3:]))
+
     def _geometry(self, theta: np.ndarray):
-        """Parameter blocks, batch shape and the flattened (batch * L) link quantities."""
-        blocks = theta.reshape(theta.shape[:-1] + (self.n_agents, 6))
-        batch = blocks.shape[:-2]
+        """Batch shape and the flattened (batch * L) link quantities of pose rows theta."""
+        agent_p, agent_o = split_poses(theta)
+        batch = agent_p.shape[:-2]
         anchors_p = np.broadcast_to(self.anchor_positions, batch + self.anchor_positions.shape)
         anchors_o = np.broadcast_to(self.anchor_rotations, batch + self.anchor_rotations.shape)
-        positions = np.concatenate([blocks[..., :3], anchors_p], axis=-2)
-        rotations = np.concatenate([euler_to_rotation_batch(blocks[..., 3:]), anchors_o], axis=-3)
+        positions = np.concatenate([agent_p, anchors_p], axis=-2)
+        rotations = np.concatenate([agent_o, anchors_o], axis=-3)
         tx, rx = self.links[:, 0], self.links[:, 1]
         o_tx = rotations[..., tx, :, :].reshape(-1, 3, 3)
         o_rx = rotations[..., rx, :, :].reshape(-1, 3, 3)
@@ -183,7 +186,7 @@ class LsProblem:
             positions[..., tx, :].reshape(-1, 3), o_tx,
             positions[..., rx, :].reshape(-1, 3), o_rx, self.coupling,
         )
-        return blocks, batch, o_tx, o_rx, gains, r, u, f
+        return batch, o_tx, o_rx, gains, r, u, f
 
     def _residual(self, gains, batch, index) -> np.ndarray:
         stacked = self.y_imag.ndim == 4 and index is not None
@@ -192,13 +195,13 @@ class LsProblem:
         return res.reshape(res.shape[:-3] + (-1,))
 
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
-        """Residual rows of shape (..., 9L) for parameter rows theta (..., 6M).
+        """Residual rows of shape (..., 9L) for pose rows theta (..., 12M).
 
         With a stacked y_imag, index lists the problems theta's rows belong
         to (default: all of them, in order).
         """
         theta = self._check(theta)
-        _, batch, _, _, gains, _, _, _ = self._geometry(theta)
+        batch, _, _, gains, _, _, _ = self._geometry(theta)
         return self._residual(gains, batch, index)
 
     def cost(self, theta: np.ndarray) -> float:
@@ -206,14 +209,14 @@ class LsProblem:
         return float(res @ res)
 
     def per_agent_costs(self, theta: np.ndarray) -> np.ndarray:
-        """Cost grouped by transmitting agent, (..., M) for parameter rows theta (..., 6M).
+        """Cost grouped by transmitting agent, (..., M) for pose rows theta (..., 12M).
 
         For anchor-only link sets this partitions the total cost into the
         independent per-agent objectives.  A stacked y_imag (T, L, 3, 3)
         pairs with theta rows (..., T, 6M).
         """
         theta = self._check(theta)
-        _, batch, _, _, gains, _, _, _ = self._geometry(theta)
+        batch, _, _, gains, _, _, _ = self._geometry(theta)
         residual = self.y_imag - gains.reshape(batch + (len(self.links), 3, 3))
         per_link = np.sum(residual**2, axis=(-2, -1))
         out = np.zeros(per_link.shape[:-1] + (self.n_agents,))
@@ -222,21 +225,9 @@ class LsProblem:
         return out
 
     def _link_columns(self, theta: np.ndarray):
-        """Batch shape, gains and the (batch * L, 9, 12) derivative columns of every link.
-
-        Anchors carry zero Euler-derivative stacks, so their columns vanish.
-        """
-        blocks, batch, o_tx, o_rx, gains, r, u, f = self._geometry(self._check(theta))
-        nodes = self.n_agents + len(self.anchor_positions)
-        d_rot = np.zeros(batch + (nodes, 3, 3, 3))
-        d_rot[..., : self.n_agents, :, :, :] = euler_rotation_derivatives(blocks[..., 3:])
-        tx, rx = self.links[:, 0], self.links[:, 1]
-        cols = chan.channel_derivative_columns(
-            r, u, f, gains, o_tx, o_rx,
-            d_rot[..., tx, :, :, :].reshape(-1, 3, 3, 3),
-            d_rot[..., rx, :, :, :].reshape(-1, 3, 3, 3),
-            self.coupling,
-        )
+        """Batch shape, gains and the (batch * L, 9, 12) derivative columns of every link."""
+        batch, o_tx, o_rx, gains, r, u, f = self._geometry(self._check(theta))
+        cols = chan.channel_derivative_columns(r, u, f, gains, o_tx, o_rx, self.coupling)
         return batch, gains, cols
 
     def residual_and_jacobian(self, theta: np.ndarray, index=None):
@@ -355,9 +346,11 @@ def levenberg_marquardt(
 ) -> StackedSolve:
     """Damped Gauss-Newton iteration with the classic Marquardt schedule.
 
-    x0 has shape (..., P): one start per independent problem of a stack.
+    x0 has shape (..., W): one start per independent problem of a stack.
     problem.residual(x, index) and problem.residual_and_jacobian(x, index)
-    evaluate the rows x (n, P) of the problems listed in index.  Every
+    evaluate the rows x (n, W) of the problems listed in index, with
+    Jacobian columns over P step parameters, and problem.retract(x, step)
+    moves rows x by steps (n, P).  Every
     problem keeps its own damping, cost, iteration count and flags; each
     round makes one residual call for the problems trying a step and one
     Jacobian call for those that accepted one.
@@ -397,7 +390,7 @@ def levenberg_marquardt(
         trying, step = trying[finite], step[finite]
         if not trying.size:
             continue
-        trial = x[trying] + step
+        trial = problem.retract(x[trying], step)
         trial_cost = _sum_squares(problem.residual(trial, trying))
         accept = trial_cost <= cost[trying]
         lam[trying[~accept]] *= 10.0
@@ -431,8 +424,8 @@ def levenberg_marquardt(
     )
 
 
-def _random_poses(count: int, room: Room, rng: np.random.Generator) -> np.ndarray:
-    """count (position, Euler angles) rows (count, 6), uniform in the room and Haar-uniform.
+def _random_poses(count: int, room: Room, rng: np.random.Generator):
+    """count positions (count, 3), uniform in the room, and Haar-uniform rotations (count, 3, 3).
 
     Each pose draws its position, then its quaternion, from rng in turn;
     all quaternions are converted in one batched call.
@@ -441,14 +434,14 @@ def _random_poses(count: int, room: Room, rng: np.random.Generator) -> np.ndarra
     for k in range(count):
         positions[k] = room.sample_point(rng)
         quaternions[k] = rng.standard_normal(4)
-    return np.hstack([positions, rotation_to_euler(quaternion_to_rotation(quaternions))])
+    return positions, quaternion_to_rotation(quaternions)
 
 
 def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     """Closed-form per-agent initialization from the anchor links.
 
-    Returns the (6M,) parameter vector, or (T, 6M) for a stack of T
-    measurement sets; every agent of the stack goes through one pair-ML call.
+    Returns the (12M,) pose row, or (T, 12M) for a stack of T measurement
+    sets; every agent of the stack goes through one pair-ML call.
     """
     rows = problem.anchor_link_rows()
     anchors = problem.links[rows, 1] - problem.n_agents
@@ -456,13 +449,15 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     batch, k = y_imag.shape[:-4], rows.shape[1]
     positions = np.broadcast_to(problem.anchor_positions[anchors], batch + rows.shape + (3,))
     rotations = np.broadcast_to(problem.anchor_rotations[anchors], batch + rows.shape + (3, 3))
-    return pairml.pair_ml_estimate(
+    agent_p, agent_o = pairml.pair_ml_estimate(
         y_imag.reshape(-1, k, 3, 3),
         positions.reshape(-1, k, 3),
         rotations.reshape(-1, k, 3, 3),
         problem.coupling,
         room,
-    ).reshape(batch + (problem.n_parameters,))
+    )
+    agents = batch + (problem.n_agents,)
+    return join_poses(agent_p.reshape(agents + (3,)), agent_o.reshape(agents + (3, 3)))
 
 
 def _problem_stack(
@@ -499,10 +494,10 @@ def _solve_in_calls(problem: LsProblem, x0: np.ndarray, per_set: int) -> Stacked
 
     A call holds as many whole runs of per_set problems (one set's estimate)
     as _JACOBIAN_ELEMENTS_PER_CALL dense Jacobian elements admit (rows times
-    parameters per problem), and at least one, so no set's estimate is
+    step parameters per problem), and at least one, so no set's estimate is
     split.  The problems are independent, so the split changes no result.
     """
-    elements = 9 * len(problem.links) * x0.shape[-1] * per_set
+    elements = 9 * len(problem.links) * problem.n_parameters * per_set
     per_call = per_set * max(1, _JACOBIAN_ELEMENTS_PER_CALL // elements)
     parts = [
         levenberg_marquardt(
@@ -517,11 +512,17 @@ def _solve_in_calls(problem: LsProblem, x0: np.ndarray, per_set: int) -> Stacked
 
 
 def parse_init_strategy(spec: str) -> Tuple[str, int]:
-    """Parse 'perfect', 'pairml', 'random' or 'random:<k>'."""
+    """Parse 'perfect', 'pairml', 'random' or 'random:<k>', spelled exactly so.
+
+    Raises:
+        ValueError: any other spelling, or a restart count below one.
+    """
     name, _, arg = spec.partition(":")
-    name = name.strip().lower()
     if name == "random":
-        count = int(arg) if arg else 1
+        try:
+            count = int(arg) if arg else 1
+        except ValueError as exc:
+            raise ValueError(f"bad restart count in {spec!r}") from exc
         if count < 1:
             raise ValueError("random restart count must be >= 1")
         return name, count
@@ -529,7 +530,7 @@ def parse_init_strategy(spec: str) -> Tuple[str, int]:
         if arg:
             raise ValueError(f"init strategy {name!r} takes no argument")
         return name, 1
-    raise ValueError(f"unknown init strategy {spec!r}")
+    raise ValueError(f"init must be perfect, random[:k] or pairml, got {spec!r}")
 
 
 def estimate(
@@ -549,12 +550,13 @@ def estimate(
     problems decompose into independent single-agent problems; all agents
     and restarts are solved as one stacked LM.
 
-    A stack of T measurement sets, problem.y_imag (T, L, 3, 3), takes truth
-    (T, 6M) and rng as a sequence of T generators, and gives a list of T
-    reports: each set's report equals the one of the set solved alone, its
-    random starts drawn from its own rng.  with_reference adds each set's
-    perfect-init solve to the same stack and attaches its report as
-    report.reference.  The stack is solved in LM calls of bounded Jacobian
+    truth holds pose rows (pack_deployments), and so does each report's
+    estimate.  A stack of T measurement sets, problem.y_imag (T, L, 3, 3),
+    takes truth (T, 12M) and rng as a sequence of T generators, and gives a
+    list of T reports: each set's report equals the one of the set solved
+    alone, its random starts drawn from its own rng.  with_reference adds
+    each set's perfect-init solve to the same stack and attaches its report
+    as report.reference.  The stack is solved in LM calls of bounded Jacobian
     size (_solve_in_calls), each holding whole sets' estimates, all their
     agents and restarts; the references follow after every estimate.
     """
@@ -571,21 +573,24 @@ def estimate(
     sets = len(y_imag)
     # non-cooperative problems decompose into independent single-agent ones
     groups = 1 if problem.cooperative else problem.n_agents
-    size = problem.n_parameters // groups
+    width = 12 * problem.n_agents // groups
     if truth is not None:
-        truth = np.asarray(truth, dtype=float).reshape(sets, groups, 1, size)
+        truth = group_poses(np.reshape(truth, (sets, -1)), groups)[:, :, None]
     if strategy == "perfect":
         starts = truth
     elif strategy == "pairml":
-        starts = pairml_initialization(problem, room).reshape(sets, groups, 1, size)
+        starts = pairml_initialization(problem, room).reshape(sets, -1)
+        starts = group_poses(starts, groups)[:, :, None]
     else:
         rngs = [rng] if single else rng
-        starts = np.stack(
-            [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
-        ).reshape(sets, groups, restarts, size)
-    x0 = starts.reshape(-1, size)
+        drawn = [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
+        # a set's draws fill its groups, then their restarts, then their agents
+        positions = np.stack([p for p, _ in drawn]).reshape(sets, groups, restarts, -1, 3)
+        rotations = np.stack([o for _, o in drawn]).reshape(sets, groups, restarts, -1, 3, 3)
+        starts = join_poses(positions, rotations)
+    x0 = starts.reshape(-1, width)
     if with_reference:
-        x0 = np.concatenate([x0, truth.reshape(-1, size)])
+        x0 = np.concatenate([x0, truth.reshape(-1, width)])
     solve = _solve_in_calls(
         _problem_stack(problem, y_imag, restarts, with_reference), x0, groups * restarts
     )
@@ -596,13 +601,21 @@ def estimate(
         lowest = np.take_along_axis(costs, best[..., None], axis=-1)[..., 0]
         best[costs[..., restart] < lowest] = restart
     first = restarts * np.arange(sets * groups).reshape(sets, groups)
-    reports = [solve.report(first[t] + best[t], restarts) for t in range(sets)]
+    reports = [_joint_report(solve, first[t] + best[t], restarts) for t in range(sets)]
     if with_reference:
         # one reference problem per group, after all the estimates
         references = sets * groups * restarts + np.arange(sets * groups).reshape(sets, groups)
         for t, report in enumerate(reports):
-            report.reference = solve.report(references[t])
+            report.reference = _joint_report(solve, references[t])
     return reports[0] if single else reports
+
+
+def _joint_report(solve: StackedSolve, pick: np.ndarray, initializations_used: int = 1):
+    """solve.report of the groups in pick, their poses joined into one pose row."""
+    report = solve.report(pick, initializations_used)
+    positions, rotations = split_poses(report.estimate.reshape(len(pick), -1))
+    report.estimate = join_poses(positions.reshape(-1, 3), rotations.reshape(-1, 3, 3))
+    return report
 
 
 @dataclass
@@ -628,6 +641,9 @@ class _RangeProblem:
 
     def residual(self, p: np.ndarray, index=None) -> np.ndarray:
         return self.residual_and_jacobian(p, index)[0]
+
+    def retract(self, p: np.ndarray, step: np.ndarray) -> np.ndarray:
+        return p + step
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Poses, rotation/Euler conversions, random orientations and room geometry."""
+"""Poses, rotation/Euler conversions, the rotation exponential, random orientations and rooms."""
 
 from __future__ import annotations
 
@@ -11,33 +11,17 @@ class NotARotation(ValueError):
     """Raised when a matrix fails the proper-rotation check."""
 
 
-def rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def euler_to_rotation(euler) -> np.ndarray:
     """Build the orientation matrix from intrinsic z-y-x Euler angles.
 
     The convention used throughout this package is R = Rz(alpha) @ Ry(beta)
-    @ Rx(gamma), with angles in radians.
+    @ Rx(gamma), with angles in radians; one triple of euler_to_rotation_batch.
     """
-    alpha, beta, gamma = np.asarray(euler, dtype=float)
-    return rot_z(alpha) @ rot_y(beta) @ rot_x(gamma)
+    return euler_to_rotation_batch(euler)
 
 
 def euler_to_rotation_batch(eulers: np.ndarray) -> np.ndarray:
-    """Vectorized euler_to_rotation for a (..., 3) array of angle triples."""
+    """Rotation matrices (..., 3, 3) of a (..., 3) array of z-y-x angle triples."""
     e = np.asarray(eulers, dtype=float)
     ca, sa = np.cos(e[..., 0]), np.sin(e[..., 0])
     cb, sb = np.cos(e[..., 1]), np.sin(e[..., 1])
@@ -95,33 +79,54 @@ def rotation_to_euler(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.stack([alpha, beta, gamma], axis=-1)
 
 
-def _matrices(shape, entries) -> np.ndarray:
-    """(*shape, 3, 3) matrices with the given row-major {index: value} entries, zero elsewhere."""
-    out = np.zeros(shape + (9,))
-    for index, value in entries.items():
-        out[..., index] = value
-    return out.reshape(shape + (3, 3))
+def skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [v]x, (..., 3, 3), of a (..., 3) array: [v]x w = v x w."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
 
 
-def euler_rotation_derivatives(euler) -> np.ndarray:
-    """Derivatives of euler_to_rotation w.r.t. each angle.
+def exp_rotation(phi: np.ndarray) -> np.ndarray:
+    """Rotations exp([phi]x), (..., 3, 3), of (..., 3) rotation vectors (Rodrigues).
 
-    euler has shape (..., 3); the result has shape (..., 3, 3, 3) and entry
-    [..., i, :, :] is dR/d(angle_i): the corresponding single-angle factor is
-    replaced by its elementwise trigonometric derivative.
+    exp([phi]x) = I + sin(t)/t [phi]x + (1 - cos t)/t^2 [phi]x^2 with t = |phi|;
+    the second coefficient is written (sin(t/2)/(t/2))^2 / 2, and np.sinc
+    carries both through t = 0, where a zero vector gives the identity exactly.
     """
-    e = np.asarray(euler, dtype=float)
-    shape = e.shape[:-1]
-    ca, sa = np.cos(e[..., 0]), np.sin(e[..., 0])
-    cb, sb = np.cos(e[..., 1]), np.sin(e[..., 1])
-    cg, sg = np.cos(e[..., 2]), np.sin(e[..., 2])
-    rz = _matrices(shape, {0: ca, 1: -sa, 3: sa, 4: ca, 8: 1.0})
-    ry = _matrices(shape, {0: cb, 2: sb, 4: 1.0, 6: -sb, 8: cb})
-    rx = _matrices(shape, {0: 1.0, 4: cg, 5: -sg, 7: sg, 8: cg})
-    dz = _matrices(shape, {0: -sa, 1: -ca, 3: ca, 4: -sa})
-    dy = _matrices(shape, {0: -sb, 2: cb, 6: -cb, 8: -sb})
-    dx = _matrices(shape, {4: -sg, 5: -cg, 7: cg, 8: -sg})
-    return np.stack([dz @ ry @ rx, rz @ dy @ rx, rz @ ry @ dx], axis=-3)
+    k = skew(phi)
+    t = np.sqrt(np.sum(np.asarray(phi, dtype=float) ** 2, axis=-1))[..., None, None]
+    return np.eye(3) + np.sinc(t / np.pi) * k + 0.5 * np.sinc(t / (2 * np.pi)) ** 2 * (k @ k)
+
+
+def join_poses(positions: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Pose rows (..., 12M) of M agents' positions (..., M, 3) and rotations (..., M, 3, 3).
+
+    An agent's pose is twelve numbers, its position and then its rotation
+    matrix row by row.  A pose row stores the first six numbers of every
+    agent, then the last six, so agent a's position sits at entries
+    6a..6a+2, where its position step sits in a step vector of six numbers
+    per agent.  A one-agent row is [position, rotation.ravel()].
+    """
+    positions = np.asarray(positions, dtype=float)
+    batch, m = positions.shape[:-2], positions.shape[-2]
+    poses = np.concatenate([positions, np.reshape(rotations, batch + (m, 9))], axis=-1)
+    return poses.reshape(batch + (m, 2, 6)).swapaxes(-3, -2).reshape(batch + (12 * m,))
+
+
+def split_poses(rows: np.ndarray):
+    """Positions (..., M, 3) and rotations (..., M, 3, 3) of pose rows (..., 12M), as join_poses."""
+    rows = np.asarray(rows, dtype=float)
+    batch, m = rows.shape[:-1], rows.shape[-1] // 12
+    poses = rows.reshape(batch + (2, m, 6)).swapaxes(-3, -2).reshape(batch + (m, 12))
+    return poses[..., :3], poses[..., 3:].reshape(batch + (m, 3, 3))
+
+
+def group_poses(rows: np.ndarray, groups: int) -> np.ndarray:
+    """Pose rows (..., 12M) split into (..., groups, 12M / groups), one row per group of agents."""
+    positions, rotations = split_poses(rows)
+    shape = positions.shape[:-2] + (groups, -1)
+    return join_poses(positions.reshape(shape + (3,)), rotations.reshape(shape + (3, 3)))
 
 
 # Row-major rotation entries from the products p[4 i + j] = q_i q_j of a unit
@@ -162,12 +167,6 @@ def sample_uniform_rotation(rng: np.random.Generator, size=None) -> np.ndarray:
     the same matrices bit for bit.
     """
     return quaternion_to_rotation(rng.standard_normal(4 if size is None else (size, 4)))
-
-
-def rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
-    """Geodesic angle in radians between two rotations."""
-    cos_val = (np.trace(ra.T @ rb) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos_val, -1.0, 1.0)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, coupling_coefficient
 from .config import ExperimentConfig
 from .estimators import LsProblem, SolveReport
-from .geometry import Room, euler_to_rotation_batch, rotation_to_euler
+from .geometry import Room, group_poses, join_poses, rotation_to_euler
 from .scenario import (
     Scheme,
     Topology,
@@ -66,8 +66,8 @@ class TrialRecord:
     topology_id: int
     noise_id: int
     agent: int
-    true_pose: np.ndarray  # (6,)
-    est_pose: np.ndarray  # (6,), orientation nan for position-only estimators
+    true_pose: np.ndarray  # (6,) position and Euler angles
+    est_pose: np.ndarray  # (12,) position and rotation, rotation nan for position-only estimators
     error_m: float
     final_cost: float
     ref_cost: float  # perfect-init reference cost; nan when not computed
@@ -131,9 +131,10 @@ def solve_trials(
     Each trial's results equal those of the trial solved alone.
 
     Returns:
-        (poses, reports): the (T, M, 6) estimates, orientation NaN for
-        position-only estimators, and one SolveReport per trial, carrying
-        its reference solve with_reference.
+        (poses, reports): the (T, M, 12) one-agent pose rows of the
+        estimates (geometry.join_poses), rotation NaN for position-only
+        estimators, and one SolveReport per trial, carrying its reference
+        solve with_reference.
     """
     trials, m = len(problem.y_imag), problem.n_agents
     if estimator in ("numls", "turbols"):
@@ -141,7 +142,7 @@ def solve_trials(
             problem, init if estimator == "numls" else "pairml", room, truths, rngs,
             with_reference,
         )
-        return np.array([r.estimate for r in reports]).reshape(trials, m, 6), reports
+        return group_poses(np.array([r.estimate for r in reports]), m), reports
     if estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
         residual = problem.residual(theta)
@@ -149,7 +150,7 @@ def solve_trials(
             SolveReport(estimate=theta[t], final_cost=float(r @ r), iterations=0, converged=True)
             for t, r in enumerate(residual)
         ]
-        return theta.reshape(trials, m, 6), reports
+        return group_poses(theta, m), reports
     if estimator == "multilateration":
         rows = problem.anchor_link_rows()
         anchors = problem.links[rows, 1] - m
@@ -161,15 +162,15 @@ def solve_trials(
             distances,
             room,
         )
-        poses = np.concatenate([fix.position, np.full(fix.position.shape, np.nan)], axis=-1)
+        poses = join_poses(fix.position, np.full(fix.position.shape + (3,), np.nan))
         reports = [
             SolveReport(
-                estimate=poses[t].reshape(-1), final_cost=np.nan, iterations=0,
+                estimate=poses[t], final_cost=np.nan, iterations=0,
                 converged=bool(fix.converged[t].all()),
             )
             for t in range(trials)
         ]
-        return poses, reports
+        return group_poses(poses, m), reports
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -184,8 +185,9 @@ def run_trial_estimator(
     """One trial: solve_trials on a stack of one.
 
     Returns:
-        (poses, report, orientation_valid): poses is the (M, 6) estimate
-        matrix; orientation_valid is False for position-only estimators.
+        (poses, report, orientation_valid): poses holds the (M, 12)
+        one-agent pose rows of the estimate; orientation_valid is False for
+        position-only estimators.
     """
     poses, reports = solve_trials(
         estimator, init, replace(problem, y_imag=problem.y_imag[None]), room,
@@ -195,9 +197,9 @@ def run_trial_estimator(
 
 
 def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
-    """The (T, 6m) packed agent poses of T topologies."""
+    """The (T, 12m) agent pose rows of T topologies."""
     poses = [estimators.pack_deployments(topology.agents) for topology in topologies]
-    return np.array(poses).reshape(-1, 6 * m)
+    return np.array(poses).reshape(-1, 12 * m)
 
 
 def draw_topologies(cfg: ExperimentConfig, m: int, count: int) -> Iterator[Topology]:
@@ -237,7 +239,7 @@ def agent0_bounds(
 def _needs_reference(estimator: str, init: str) -> bool:
     if estimator == "turbols":
         return True
-    return estimator == "numls" and init.startswith("random")
+    return estimator == "numls" and estimators.parse_init_strategy(init)[0] == "random"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -495,16 +497,16 @@ def _fmt(value: float) -> str:
 
 
 def _canonical_poses(poses: np.ndarray) -> np.ndarray:
-    """The (N, 6) poses with canonical Euler angles, all converted in one call.
+    """The written (N, 6) poses, position and canonical Euler angles, of N one-agent pose rows.
 
-    Estimators iterate on unconstrained angles, and equivalent triples would
-    otherwise be written differently.  A row with a NaN orientation stays
-    as it is.
+    Every orientation is converted in one call; a row with a NaN rotation
+    (a position-only estimate) gets NaN angles.
     """
-    out = np.array(poses, dtype=float).reshape(-1, 6)
-    oriented = ~np.isnan(out[:, 3:]).any(axis=1)
-    if oriented.any():
-        out[oriented, 3:] = rotation_to_euler(euler_to_rotation_batch(out[oriented, 3:]))
+    poses = np.asarray(poses, dtype=float).reshape(-1, 12)
+    out = np.full((len(poses), 6), np.nan)
+    out[:, :3] = poses[:, :3]
+    oriented = ~np.isnan(poses[:, 3:]).any(axis=1)
+    out[oriented, 3:] = rotation_to_euler(poses[oriented, 3:].reshape(-1, 3, 3))
     return out
 
 

@@ -16,13 +16,11 @@ geometry leaves both candidates plausible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .channel import CoincidentNodes, channel_gain_batch
-from .geometry import Deployment, Room, rotation_to_euler
+from .geometry import Room
 
 DIRECTION_GAP_TOL = 1e-12
 DEGENERATE_SV_TOL = 1e-15
@@ -37,26 +35,12 @@ DEFAULT_BOUNDARY_MARGIN = 0.10  # m
 COST_RATIO_DECISIVE = 10.0
 
 
-class DegenerateMeasurement(ValueError):
-    """Imaginary part of the measurement is (numerically) zero."""
-
-
 class ZeroScore(ValueError):
     """Trace score carries no distance information."""
 
 
-class AmbiguousDirection(ValueError):
-    """Leading singular value is not isolated; direction undefined."""
-
-
 class NoMeasurements(ValueError):
     """No usable agent-anchor measurement was provided."""
-
-
-class PositionValidity(Enum):
-    UNIQUE_IN_ROOM = "unique"
-    BOTH_IN_ROOM = "both"
-    NONE_IN_ROOM = "none"
 
 
 @dataclass(frozen=True)
@@ -73,19 +57,6 @@ class SvdTriple:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairMlResult:
-    """Closed-form estimates extracted from one agent-anchor link."""
-
-    rotation: np.ndarray
-    direction: np.ndarray
-    score: float
-    distance: float
-    candidates: np.ndarray  # (2, 3): anchor +- direction * distance
-    chosen: Optional[np.ndarray]
-    validity: PositionValidity
-
-
 def canonical_svd(a: np.ndarray) -> SvdTriple:
     """Canonical SVD of one 3x3 matrix or of a (..., 3, 3) stack."""
     u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
@@ -97,9 +68,13 @@ def canonical_svd(a: np.ndarray) -> SvdTriple:
 
 
 def decompose_links(y_imag: np.ndarray, anchor_rotations: np.ndarray):
-    """decompose_link for stacked links: Im(H) and anchor orientations (..., 3, 3) each.
+    """SVD decomposition, ML orientation and trace score of stacked links.
 
-    Degenerate links are not flagged; their leading singular value is zero.
+    y_imag and anchor_rotations are (..., 3, 3) each.  Returns (svd, o_hat,
+    z): the canonical SVD of A = Im(H)^T O_anchor^T, the agent orientation
+    estimates (always proper rotations) and the scores
+    z = s1 + s2/2 + (s3/2) det(U V^T) >= 0.  Degenerate links are not
+    flagged; their leading singular value is zero.
     """
     a = np.asarray(y_imag).swapaxes(-1, -2) @ anchor_rotations.swapaxes(-1, -2)
     svd = canonical_svd(a)
@@ -110,23 +85,6 @@ def decompose_links(y_imag: np.ndarray, anchor_rotations: np.ndarray):
     o_hat = (svd.v * flips) @ svd.u.swapaxes(-1, -2)
     z = svd.s[..., 0] + 0.5 * svd.s[..., 1] + 0.5 * svd.s[..., 2] * det_uv
     return svd, o_hat, z
-
-
-def decompose_link(h_meas: np.ndarray, anchor: Deployment):
-    """SVD decomposition, ML orientation and trace score of one link.
-
-    Returns:
-        (svd, o_hat, z): canonical SVD of A = Im(H)^T O_anchor^T, the agent
-        orientation estimate (always a proper rotation) and the score
-        z = s1 + s2/2 + (s3/2) det(U V^T) >= 0.
-
-    Raises:
-        DegenerateMeasurement: all-zero imaginary part.
-    """
-    svd, o_hat, z = decompose_links(np.imag(h_meas), anchor.rotation)
-    if svd.s[0] < DEGENERATE_SV_TOL:
-        raise DegenerateMeasurement("measurement has no imaginary content")
-    return svd, o_hat, float(z)
 
 
 def ml_distance(score, coupling: float):
@@ -149,73 +107,11 @@ def ml_distance(score, coupling: float):
     return np.array(distances).reshape(scores.shape)
 
 
-def direction_estimate(svd: SvdTriple) -> np.ndarray:
-    """Unit direction estimate: the leading right singular vector, sign-free.
-
-    Raises:
-        AmbiguousDirection: s1 - s2 below tolerance, no unique principal
-        direction.
-    """
-    if svd.s[0] - svd.s[1] < DIRECTION_GAP_TOL * svd.s[0]:
-        raise AmbiguousDirection("leading singular value is not isolated")
-    return svd.v[:, 0].copy()
-
-
 def _candidates(anchor_positions, directions, distances, room: Room, margin: float):
     """Candidates anchor +- direction * distance, (..., 2, 3), and their room membership (..., 2)."""
     step = directions * distances[..., None]
     candidates = np.stack([anchor_positions + step, anchor_positions - step], axis=-2)
     return candidates, room.contains(candidates, margin)
-
-
-def resolve_position(
-    anchor_position: np.ndarray,
-    direction: np.ndarray,
-    distance: float,
-    room: Room,
-    margin: float = 0.0,
-):
-    """Form the two candidate positions and classify them by room membership.
-
-    Returns:
-        (candidates, chosen, validity): candidates (2, 3) symmetric about the
-        anchor; chosen is set iff exactly one candidate lies inside the
-        (margin-inflated) room.
-    """
-    candidates, inside = _candidates(
-        np.asarray(anchor_position, dtype=float), np.asarray(direction, dtype=float),
-        np.asarray(float(distance)), room, margin,
-    )
-    if inside.sum() == 1:
-        return candidates, candidates[np.argmax(inside)], PositionValidity.UNIQUE_IN_ROOM
-    if inside.all():
-        return candidates, None, PositionValidity.BOTH_IN_ROOM
-    return candidates, None, PositionValidity.NONE_IN_ROOM
-
-
-def estimate_link(
-    h_meas: np.ndarray,
-    anchor: Deployment,
-    coupling: float,
-    room: Room,
-    margin: float = 0.0,
-) -> PairMlResult:
-    """Full closed-form pipeline for a single agent-anchor measurement."""
-    svd, o_hat, z = decompose_link(h_meas, anchor)
-    distance = ml_distance(z, coupling)
-    direction = direction_estimate(svd)
-    candidates, chosen, validity = resolve_position(
-        anchor.position, direction, distance, room, margin
-    )
-    return PairMlResult(
-        rotation=o_hat,
-        direction=direction,
-        score=z,
-        distance=distance,
-        candidates=candidates,
-        chosen=chosen,
-        validity=validity,
-    )
 
 
 def _candidate_cost(position, rotation, y_imag, anchor_positions, anchor_rotations, coupling) -> float:
@@ -260,7 +156,8 @@ def pair_ml_estimate(
         margin: room-membership slack during resolution (meters).
         cost_ratio: decisiveness threshold of the likelihood fallback.
 
-    Returns (M, 6) poses [x, y, z, alpha, beta, gamma], canonical Euler angles.
+    Returns (positions, rotations): the (M, 3) positions and the (M, 3, 3)
+    orientations of the deciding links.
 
     Raises:
         NoMeasurements: some agent has no usable link.
@@ -290,7 +187,7 @@ def pair_ml_estimate(
             anchor_positions[m], anchor_rotations[m], coupling, room, cost_ratio,
         )
         rotations[m] = o_hat[m, link]
-    return np.hstack([positions, rotation_to_euler(rotations)])
+    return positions, rotations
 
 
 def _resolve_agent(

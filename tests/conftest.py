@@ -47,25 +47,30 @@ def random_deployment(rng, room=None, lo=0.0, hi=1.5):
     return Deployment.from_rotation(position, sample_uniform_rotation(rng))
 
 
-LOCKED_TOPOLOGY = 2
+SINGULAR_TOPOLOGY = 2
+FAR_OUT_M = 100.0
 
 
-def gimbal_locked(topology):
-    """The topology with agent 0 turned to Euler beta = pi/2.
+def far_out(topology):
+    """The topology with agent 0 moved FAR_OUT_M meters out of the room along x.
 
-    There the Euler parametrization is singular, and so is every
-    information matrix that includes agent 0.
+    Agent 0's links are then so weak that, from two agents on, every
+    information matrix that includes agent 0 exceeds the FIM_MAX_CONDITION
+    rule (about 6e17 cooperative, 3e19 non-cooperative).  With one agent
+    the condition grows only as the squared distance, so tests that need a
+    singular matrix use at least two agents.
     """
-    agent = Deployment.from_euler(topology.agents[0].position, [0.4, np.pi / 2, 0.0])
-    return dataclasses.replace(topology, agents=[agent] + topology.agents[1:])
+    agent = topology.agents[0]
+    moved = Deployment(agent.position + [FAR_OUT_M, 0.0, 0.0], agent.euler, agent.rotation)
+    return dataclasses.replace(topology, agents=[moved] + topology.agents[1:])
 
 
 @pytest.fixture
-def locked_topology(monkeypatch):
-    """Make the harness draw topology LOCKED_TOPOLOGY of every agent count gimbal-locked.
+def singular_topology(monkeypatch):
+    """Make the harness draw topology SINGULAR_TOPOLOGY of every agent count far out.
 
     The topology index is read from the seed-derived stream the harness
-    passes in, so every draw of that topology is the same locked one.
+    passes in, so every draw of that topology is the same far-out one.
     """
     from miloc import harness
 
@@ -73,12 +78,12 @@ def locked_topology(monkeypatch):
 
     def sample(n_agents, room, anchors, min_distance, rng):
         topology = original(n_agents, room, anchors, min_distance, rng)
-        if rng.bit_generator.seed_seq.entropy[2] == LOCKED_TOPOLOGY:
-            return gimbal_locked(topology)
+        if rng.bit_generator.seed_seq.entropy[2] == SINGULAR_TOPOLOGY:
+            return far_out(topology)
         return topology
 
     monkeypatch.setattr(harness, "sample_topology", sample)
-    return LOCKED_TOPOLOGY
+    return SINGULAR_TOPOLOGY
 
 
 @pytest.fixture

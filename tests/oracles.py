@@ -3,26 +3,36 @@
 dipole_factor is the single-link F(u) of the channel model, and
 constrained_dipole_fit the full ML dipole-factor estimate of pair-ML, whose
 principal eigenvector is the library's direction estimate.  channel_gain
-writes the dipole model out for one link.  The channel Jacobians
-differentiate one link with explicit per-axis loops; test_channel validates
-them against central finite differences of channel_matrix.  The information blocks built from them give the per-link,
-per-pair assembly of the Fisher matrix, which the library computes as
-(2 / sigma**2) J^T J.  euler_rotation_derivatives_one is the one-angle-triple
-formula the stacked derivatives are checked against.  candidate_cost
-scores a pair-ML candidate pose link by link.  levenberg_marquardt
-solves one problem at a time with its own Python loop, and
-random_restarts_per_agent drives it through the per-agent decomposition of
-a non-cooperative problem.  position_bound inverts the information matrix
-through a full eigendecomposition.  sample_topology_per_agent is the
-topology sampler that draws, converts and checks one agent orientation at a
-time, with the scalar quaternion, norm and Euler formulas written out.
+writes the dipole model out for one link, and euler_to_rotation_one the
+z-y-x Euler convention for one triple.  retracted moves one deployment
+by a position step and a local rotation R expm([phi]x), with scipy's matrix
+exponential, and rotation_angle is the geodesic angle between rotations.
+The channel Jacobians differentiate one link with explicit per-axis loops
+w.r.t. those steps; test_channel validates them against central finite
+differences of channel_matrix along retracted.  The information blocks
+built from them give the per-link, per-pair assembly of the Fisher matrix,
+which the library computes as (2 / sigma**2) J^T J, and peb_all calls the
+library's bound for every agent of one matrix.  decompose_link,
+direction_estimate and resolve_position are the one-link pair-ML steps:
+SVD, orientation and score, the sign-free direction and the room test of
+the two candidate positions.  candidate_cost scores a pair-ML candidate pose link by link.
+levenberg_marquardt solves one problem at a time with its own Python loop,
+and random_restarts_per_agent drives it through the per-agent
+decomposition of a non-cooperative problem.  position_bound inverts the
+information matrix through a full eigendecomposition.
+sample_topology_per_agent is the topology sampler that draws, converts and
+checks one agent orientation at a time, with the scalar quaternion, norm
+and Euler formulas written out.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from enum import Enum
 
-from miloc.crlb import FIM_MAX_CONDITION, SingularFim
+import numpy as np
+from scipy.linalg import expm
+
+from miloc.crlb import FIM_MAX_CONDITION, FisherInfo, SingularFim, peb
 from miloc.estimators import (
     LM_COST_TOL,
     LM_INITIAL_DAMPING,
@@ -32,15 +42,8 @@ from miloc.estimators import (
     LsProblem,
     SolveReport,
 )
-from miloc.geometry import (
-    Deployment,
-    euler_rotation_derivatives,
-    rot_x,
-    rot_y,
-    rot_z,
-    rotation_to_euler,
-    sample_uniform_rotation,
-)
+from miloc.geometry import Deployment, join_poses, sample_uniform_rotation
+from miloc.pairml import DEGENERATE_SV_TOL, DIRECTION_GAP_TOL, SvdTriple, decompose_links
 
 
 def dipole_factor(u: np.ndarray) -> np.ndarray:
@@ -58,17 +61,36 @@ def constrained_dipole_fit(svd) -> np.ndarray:
     return svd.v @ np.diag([1.0, -0.5, -0.5]) @ svd.v.T
 
 
-def euler_rotation_derivatives_one(euler) -> np.ndarray:
-    """dR/d(angle_i) of one z-y-x angle triple, shape (3, 3, 3)."""
+def cross_matrix(v) -> np.ndarray:
+    """[v]x, the matrix of w -> v x w."""
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def retracted(deployment: Deployment, step) -> Deployment:
+    """The deployment moved by step = [dp, phi]: position + dp, rotation expm([phi]x)."""
+    step = np.asarray(step, dtype=float)
+    return Deployment.from_rotation(
+        deployment.position + step[:3], deployment.rotation @ expm(cross_matrix(step[3:]))
+    )
+
+
+def euler_to_rotation_one(euler) -> np.ndarray:
+    """Rz(alpha) @ Ry(beta) @ Rx(gamma) of one z-y-x angle triple, as a product of axis turns."""
     alpha, beta, gamma = np.asarray(euler, dtype=float)
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
     cg, sg = np.cos(gamma), np.sin(gamma)
-    dz = np.array([[-sa, -ca, 0.0], [ca, -sa, 0.0], [0.0, 0.0, 0.0]])
-    dy = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
-    dx = np.array([[0.0, 0.0, 0.0], [0.0, -sg, -cg], [0.0, cg, -sg]])
-    ry, rx, rz = rot_y(beta), rot_x(gamma), rot_z(alpha)
-    return np.stack([dz @ ry @ rx, rz @ dy @ rx, rz @ ry @ dx])
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
+    return rz @ ry @ rx
+
+
+def rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
+    """Geodesic angle in radians between two rotations."""
+    cos_val = (np.trace(ra.T @ rb) - 1.0) / 2.0
+    return float(np.arccos(np.clip(cos_val, -1.0, 1.0)))
 
 
 def candidate_cost(position, rotation, y_imag, anchors, coupling: float) -> float:
@@ -94,7 +116,9 @@ def levenberg_marquardt(
     initial_damping: float = LM_INITIAL_DAMPING,
     max_damping: float = LM_MAX_DAMPING,
 ) -> SolveReport:
-    """One problem at a time: problem.residual(x) and residual_and_jacobian(x) on a 1-d x.
+    """One problem at a time: problem.residual(x), residual_and_jacobian(x), retract(x, step).
+
+    x is one 1-d pose row.
 
     The classic Marquardt schedule: lambda times 10 on every rejected step,
     divided by 10 after an accepted one; termination on a small step, a small
@@ -122,7 +146,7 @@ def levenberg_marquardt(
                 singular = True
                 lam *= 10.0
                 continue
-            trial = x + step
+            trial = problem.retract(x, step)
             trial_res = problem.residual(trial)
             trial_cost = float(trial_res @ trial_res)
             if trial_cost <= cost:
@@ -164,7 +188,8 @@ def agent_problem(problem: LsProblem, agent: int) -> LsProblem:
 def random_restarts_per_agent(problem: LsProblem, restarts: int, room, rng):
     """Non-cooperative random restarts agent by agent, one LM solve each.
 
-    Returns (report, starts, picks): the joint report, the (M, restarts, 6)
+    Returns (report, starts, picks): the joint report, whose estimate
+    joins the agents' poses into one pose row, the (M, restarts, 12)
     starts in drawing order and the chosen restart of every agent (lowest
     final cost, first on ties).
     """
@@ -174,7 +199,7 @@ def random_restarts_per_agent(problem: LsProblem, restarts: int, room, rng):
         best, pick, agent_starts = None, 0, []
         for restart in range(restarts):
             position = room.sample_point(rng)
-            x0 = np.hstack([position, rotation_to_euler(sample_uniform_rotation(rng))])
+            x0 = np.hstack([position, sample_uniform_rotation(rng).ravel()])
             agent_starts.append(x0)
             report = levenberg_marquardt(sub, x0)
             if best is None or report.final_cost < best.final_cost:
@@ -183,7 +208,10 @@ def random_restarts_per_agent(problem: LsProblem, restarts: int, room, rng):
         starts.append(agent_starts)
         picks.append(pick)
     joint = SolveReport(
-        estimate=np.hstack([r.estimate for r in reports]),
+        estimate=join_poses(
+            np.array([r.estimate[:3] for r in reports]),
+            np.array([r.estimate[3:].reshape(3, 3) for r in reports]),
+        ),
         final_cost=float(sum(r.final_cost for r in reports)),
         iterations=max(r.iterations for r in reports),
         converged=all(r.converged for r in reports),
@@ -191,6 +219,11 @@ def random_restarts_per_agent(problem: LsProblem, restarts: int, room, rng):
         normal_equations_singular=any(r.normal_equations_singular for r in reports),
     )
     return joint, np.array(starts), picks
+
+
+def peb_all(info: FisherInfo) -> np.ndarray:
+    """Position error bounds of every agent of one information matrix, agent by agent."""
+    return np.array([peb(info, agent) for agent in range(info.n_agents)])
 
 
 def position_bound(matrix: np.ndarray, agent: int) -> float:
@@ -221,8 +254,8 @@ def channel_jacobian(tx: Deployment, rx: Deployment, coupling: float):
 
     Returns:
         (d_pos, d_ori): two complex arrays of shape (3, 3, 3); d_pos[i] is
-        dH/d[p_tx]_i and d_ori[i] is dH/d[angle_tx]_i for the z-y-x Euler
-        angles of the transmitter.
+        dH/d[p_tx]_i and d_ori[i] is dH/d[phi_tx]_i for the local rotation
+        O_tx expm([phi]x) of the transmitter.
 
     With rvec = p_rx - p_tx the spatial chain rule gives
         du/d[p_tx]_i   = -(e_i - u_i u) / r,
@@ -236,10 +269,10 @@ def channel_jacobian(tx: Deployment, rx: Deployment, coupling: float):
         w = -(eye[i] - u[i] * u) / r
         df = 1.5 * (np.outer(u, w) + np.outer(w, u))
         d_pos[i] = 1j * coupling * (rx.rotation.T @ (df / r**3 + 3.0 * u[i] / r**4 * f) @ tx.rotation)
-    d_rot = euler_rotation_derivatives(tx.euler)
     d_ori = np.empty((3, 3, 3), dtype=complex)
     for i in range(3):
-        d_ori[i] = 1j * coupling / r**3 * (rx.rotation.T @ f @ d_rot[i])
+        d_rot = tx.rotation @ cross_matrix(eye[i])
+        d_ori[i] = 1j * coupling / r**3 * (rx.rotation.T @ f @ d_rot)
     return d_pos, d_ori
 
 
@@ -248,15 +281,15 @@ def channel_jacobian_rx(tx: Deployment, rx: Deployment, coupling: float):
 
     The channel depends on positions only through rvec = p_rx - p_tx, so the
     spatial part is the negated transmitter derivative; the orientation part
-    differentiates the left factor O_rx^T.
+    differentiates the left factor O_rx^T along O_rx expm([phi]x).
     """
     r, u = _link_geometry(tx, rx)
     f = dipole_factor(u)
     d_pos_tx, _ = channel_jacobian(tx, rx, coupling)
-    d_rot = euler_rotation_derivatives(rx.euler)
     d_ori = np.empty((3, 3, 3), dtype=complex)
     for i in range(3):
-        d_ori[i] = 1j * coupling / r**3 * (d_rot[i].T @ f @ tx.rotation)
+        d_rot = rx.rotation @ cross_matrix(np.eye(3)[i])
+        d_ori[i] = 1j * coupling / r**3 * (d_rot.T @ f @ tx.rotation)
     return -d_pos_tx, d_ori
 
 
@@ -315,7 +348,7 @@ def _quaternion_rotation_one(q: np.ndarray) -> np.ndarray:
     )
 
 
-def _rotation_to_euler_one(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def rotation_to_euler_one(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     orthogonal = np.abs(m.T @ m - np.eye(3)).max() <= tol
     if not (orthogonal and abs(np.linalg.det(m) - 1.0) <= tol):
         raise ValueError("input is not a proper rotation matrix")
@@ -352,5 +385,60 @@ def sample_topology_per_agent(n_agents: int, room, anchors, min_distance: float,
         for _ in range(n_agents):
             q = rng.standard_normal(4)
             rotations.append(_quaternion_rotation_one(q / np.linalg.norm(q)))
-        eulers = [_rotation_to_euler_one(r) for r in rotations]
+        eulers = [rotation_to_euler_one(r) for r in rotations]
         return positions, np.array(eulers).reshape(-1, 3), np.array(rotations).reshape(-1, 3, 3)
+
+
+class DegenerateMeasurement(ValueError):
+    """Imaginary part of the measurement is (numerically) zero."""
+
+
+class AmbiguousDirection(ValueError):
+    """Leading singular value is not isolated; direction undefined."""
+
+
+class PositionValidity(Enum):
+    UNIQUE_IN_ROOM = "unique"
+    BOTH_IN_ROOM = "both"
+    NONE_IN_ROOM = "none"
+
+
+def decompose_link(h_meas: np.ndarray, anchor: Deployment):
+    """SVD, ML orientation and trace score of one link (pairml.decompose_links).
+
+    Raises:
+        DegenerateMeasurement: all-zero imaginary part.
+    """
+    svd, o_hat, z = decompose_links(np.imag(h_meas), anchor.rotation)
+    if svd.s[0] < DEGENERATE_SV_TOL:
+        raise DegenerateMeasurement("measurement has no imaginary content")
+    return svd, o_hat, float(z)
+
+
+def direction_estimate(svd: SvdTriple) -> np.ndarray:
+    """Unit direction estimate of one link: the leading right singular vector, sign-free.
+
+    Raises:
+        AmbiguousDirection: s1 - s2 below tolerance, no unique principal
+        direction.
+    """
+    if svd.s[0] - svd.s[1] < DIRECTION_GAP_TOL * svd.s[0]:
+        raise AmbiguousDirection("leading singular value is not isolated")
+    return svd.v[:, 0].copy()
+
+
+def resolve_position(anchor_position, direction, distance: float, room, margin: float = 0.0):
+    """The two candidates anchor +- direction * distance and their room test.
+
+    Returns:
+        (candidates, chosen, validity): chosen is set iff exactly one
+        candidate lies inside the (margin-inflated) room.
+    """
+    step = np.asarray(direction, dtype=float) * distance
+    candidates = np.array([anchor_position + step, anchor_position - step])
+    inside = [room.contains(c, margin) for c in candidates]
+    if sum(inside) == 1:
+        return candidates, candidates[inside.index(True)], PositionValidity.UNIQUE_IN_ROOM
+    if all(inside):
+        return candidates, None, PositionValidity.BOTH_IN_ROOM
+    return candidates, None, PositionValidity.NONE_IN_ROOM

@@ -11,10 +11,10 @@ from miloc.channel import (
     channel_matrix,
     coupling_coefficient,
 )
-from miloc.geometry import Deployment, euler_rotation_derivatives, sample_uniform_rotation
+from miloc.geometry import Deployment, sample_uniform_rotation
 
 from conftest import random_deployment
-from oracles import channel_gain, channel_jacobian, channel_jacobian_rx, dipole_factor
+from oracles import channel_gain, channel_jacobian, channel_jacobian_rx, dipole_factor, retracted
 
 
 def test_coupling_value_for_reference_coils(coil, gparams):
@@ -135,15 +135,12 @@ def test_noise_moments():
 def _fd_jacobian(tx, rx, coupling, h=1e-6):
     d_pos = np.empty((3, 3, 3), dtype=complex)
     d_ori = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        dp = np.zeros(3)
-        dp[i] = h
-        plus = Deployment.from_euler(tx.position + dp, tx.euler)
-        minus = Deployment.from_euler(tx.position - dp, tx.euler)
-        d_pos[i] = (channel_matrix(plus, rx, coupling) - channel_matrix(minus, rx, coupling)) / (2 * h)
-        plus = Deployment.from_euler(tx.position, tx.euler + dp)
-        minus = Deployment.from_euler(tx.position, tx.euler - dp)
-        d_ori[i] = (channel_matrix(plus, rx, coupling) - channel_matrix(minus, rx, coupling)) / (2 * h)
+    for i, out in enumerate([*d_pos, *d_ori]):
+        step = np.zeros(6)
+        step[i] = h
+        plus, minus = retracted(tx, step), retracted(tx, -step)
+        out[...] = channel_matrix(plus, rx, coupling) - channel_matrix(minus, rx, coupling)
+        out /= 2 * h
     return d_pos, d_ori
 
 
@@ -191,14 +188,13 @@ def test_rx_jacobian_matches_finite_differences(coupling):
             continue
         d_pos, d_ori = channel_jacobian_rx(tx, rx, coupling)
         for i in range(3):
-            dp = np.zeros(3)
-            dp[i] = h
-            plus = Deployment.from_euler(rx.position + dp, rx.euler)
-            minus = Deployment.from_euler(rx.position - dp, rx.euler)
+            step = np.zeros(6)
+            step[i] = h
+            plus, minus = retracted(rx, step), retracted(rx, -step)
             fd = (channel_matrix(tx, plus, coupling) - channel_matrix(tx, minus, coupling)) / (2 * h)
             assert np.abs(fd - d_pos[i]).max() / np.abs(fd).max() < 1e-5
-            plus = Deployment.from_euler(rx.position, rx.euler + dp)
-            minus = Deployment.from_euler(rx.position, rx.euler - dp)
+            step = np.roll(step, 3)
+            plus, minus = retracted(rx, step), retracted(rx, -step)
             fd = (channel_matrix(tx, plus, coupling) - channel_matrix(tx, minus, coupling)) / (2 * h)
             assert np.abs(fd - d_ori[i]).max() / max(np.abs(fd).max(), 1e-30) < 1e-5
 
@@ -212,11 +208,9 @@ def test_batched_kernels_match_single_link(coupling):
     o_tx = np.stack([t.rotation for t, _ in pairs])
     p_rx = np.stack([r.position for _, r in pairs])
     o_rx = np.stack([r.rotation for _, r in pairs])
-    d_rot_tx = np.stack([euler_rotation_derivatives(t.euler) for t, _ in pairs])
-    d_rot_rx = np.stack([euler_rotation_derivatives(r.euler) for _, r in pairs])
 
     gains, r, u, f = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
-    cols = channel_derivative_columns(r, u, f, gains, o_tx, o_rx, d_rot_tx, d_rot_rx, coupling)
+    cols = channel_derivative_columns(r, u, f, gains, o_tx, o_rx, coupling)
     assert cols.shape == (len(pairs), 9, 12)
 
     for idx, (tx, rx) in enumerate(pairs):

@@ -195,26 +195,26 @@ def test_runtime_error_exit_code(tmp_path):
     assert code == 3
 
 
-def test_peb_warns_about_singular_topologies(tmp_path, capsys, locked_topology):
+def test_peb_warns_about_singular_topologies(tmp_path, capsys, singular_topology):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "peb"
-    argv = ["peb", "--config", str(cfg), "--agents", "1", "--topologies", "5", "--out", str(out)]
+    argv = ["peb", "--config", str(cfg), "--agents", "2", "--topologies", "5", "--out", str(out)]
     assert main(argv) == 0
     assert (out / "peb.csv").read_text().splitlines()[1].endswith(",4")
     assert "warning: skipped 1 topologies whose information matrix is singular" in capsys.readouterr().out
 
 
-def test_simulate_warns_about_singular_topologies(tmp_path, capsys, locked_topology):
+def test_simulate_warns_about_singular_topologies(tmp_path, capsys, singular_topology):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "run"
     argv = ["simulate", "--config", str(cfg), "--estimator", "multilateration", "--scheme", "noncoop"]
-    argv += ["--agents", "1", "--topologies", "4", "--noise", "1", "--out", str(out)]
+    argv += ["--agents", "2", "--topologies", "4", "--noise", "1", "--out", str(out)]
     assert main(argv) == 0
     printed = capsys.readouterr().out
     assert "warning: left 1 topologies whose information matrix is singular out of mean_peb" in printed
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "M,scheme,estimator,mean_rmse_m,mean_peb_m,outlier_frac,trials"
-    assert summary[1].endswith(",4")  # the locked topology's trial still counts
+    assert summary[1].endswith(",4")  # the singular topology's trial still counts
 
 
 def test_simulate_trial_failures_by_kind(tmp_path, capsys, monkeypatch):

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miloc.channel import channel_matrix
-from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_all, peb_stack
+from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
 from miloc.estimators import LsProblem, pack_deployments
-from miloc.geometry import Deployment
+from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
-from conftest import gimbal_locked, random_deployment
-from oracles import fim_block, link_information, position_bound
+from conftest import far_out, random_deployment
+from oracles import fim_block, link_information, peb_all, position_bound, retracted
 
 SIGMA = 1e-5
 
@@ -157,7 +157,8 @@ def test_singular_fim_null_direction_matches_reference():
 
 def test_fim_against_monte_carlo_likelihood_curvature(room, anchors, coil, gparams, coupling):
     """Single-agent information vs the averaged finite-difference Hessian of
-    the log-likelihood over 10^4 noise draws.
+    the log-likelihood over 10^4 noise draws, along steps p + dp and
+    R expm([phi]x) from the true pose.
 
     The log-likelihood is quadratic in the noise, so the finite-difference
     Hessian averaged over draws equals the finite-difference Hessian of the
@@ -178,15 +179,14 @@ def test_fim_against_monte_carlo_likelihood_curvature(room, anchors, coil, gpara
         ) * (SIGMA / np.sqrt(2.0))
         mean_meas.append(h0 + noise.mean(axis=0))
 
-    def log_lhf(psi):
-        dep = Deployment.from_euler(psi[:3], psi[3:])
+    def log_lhf(step):
+        dep = retracted(agent, step)
         total = 0.0
         for h_meas, anchor in zip(mean_meas, anchors):
             diff = h_meas - channel_matrix(dep, anchor, coupling)
             total += float(np.sum(np.abs(diff) ** 2))
         return -total / SIGMA**2
 
-    psi0 = agent.as_vector()
     steps = np.array([1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-4])
     hessian = np.empty((6, 6))
     for i in range(6):
@@ -196,10 +196,7 @@ def test_fim_against_monte_carlo_likelihood_curvature(room, anchors, coil, gpara
             ei[i] = steps[i]
             ej[j] = steps[j]
             value = (
-                log_lhf(psi0 + ei + ej)
-                - log_lhf(psi0 + ei - ej)
-                - log_lhf(psi0 - ei + ej)
-                + log_lhf(psi0 - ei - ej)
+                log_lhf(ei + ej) - log_lhf(ei - ej) - log_lhf(-ei + ej) + log_lhf(-ei - ej)
             ) / (4 * steps[i] * steps[j])
             hessian[i, j] = hessian[j, i] = value
 
@@ -238,7 +235,7 @@ def test_single_link_spectrum_against_oracle(coupling):
 
 def test_singular_topology_in_stack_leaves_the_others_alone(room, anchors, coupling):
     topos = [_topology(4, 60 + k, room, anchors) for k in range(5)]
-    topos[2] = gimbal_locked(topos[2])
+    topos[2] = far_out(topos[2])
     poses = np.array([pack_deployments(t.agents) for t in topos])
     for cooperative in (True, False):
         bounds = peb_stack(fim_stack(poses, anchors, coupling, SIGMA, cooperative))
@@ -321,3 +318,33 @@ def test_permuting_the_stack_permutes_the_bounds(room, anchors, coupling, seed, 
         bounds = peb_stack(fim_stack(poses, anchors, coupling, SIGMA, cooperative))
         permuted = peb_stack(fim_stack(poses[order], anchors, coupling, SIGMA, cooperative))
         assert np.array_equal(permuted, bounds[order], equal_nan=True)
+
+
+def _reoriented(agents, rotations):
+    return [Deployment.from_rotation(a.position, r) for a, r in zip(agents, rotations)]
+
+
+@_PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
+def test_bounds_do_not_depend_on_agent_orientations(room, anchors, coupling, seed, m):
+    # orientation is a nuisance: turning every agent leaves every position bound
+    topo = _topology(m, seed, room, anchors)
+    turned = _reoriented(topo.agents, sample_uniform_rotation(np.random.default_rng(seed), m))
+    for cooperative in (True, False):
+        bounds = peb_all(assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative))
+        again = peb_all(assemble_fim(turned, anchors, coupling, SIGMA, cooperative))
+        assert np.allclose(again, bounds, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [np.pi / 2, -np.pi / 2])
+def test_gimbal_locked_agent_keeps_its_bound(room, anchors, coupling, beta):
+    # Euler beta = +-pi/2 is no special orientation for the bound
+    for m in (1, 3):
+        topo = _topology(m, 80 + m, room, anchors)
+        locked = [Deployment.from_euler(topo.agents[0].position, [0.4, beta, 0.0])]
+        locked += topo.agents[1:]
+        for cooperative in (True, False):
+            bounds = peb_all(assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative))
+            turned = peb_all(assemble_fim(locked, anchors, coupling, SIGMA, cooperative))
+            assert np.all(np.isfinite(turned))
+            assert np.allclose(turned, bounds, rtol=1e-9, atol=0.0)

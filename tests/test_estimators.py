@@ -14,9 +14,9 @@ from miloc.estimators import (
     multilaterate,
     pack_deployments,
     parse_init_strategy,
-    unpack_parameters,
 )
-from miloc.geometry import rotation_to_euler, sample_uniform_rotation
+from miloc.config import ConfigError, ExperimentConfig
+from miloc.geometry import Deployment, is_rotation, sample_uniform_rotation, split_poses
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 
@@ -30,22 +30,40 @@ def make_problem(m, scheme, seed, coil, gparams, room, anchors, sigma=None):
 
 
 def test_pack_unpack_roundtrip(room, anchors, coil, gparams):
-    topo, _ = make_problem(3, Scheme.COOP, 0, coil, gparams, room, anchors)
+    topo, problem = make_problem(3, Scheme.COOP, 0, coil, gparams, room, anchors)
     theta = pack_deployments(topo.agents)
-    assert theta.shape == (18,)
-    back = unpack_parameters(theta)
-    for dep, orig in zip(back, topo.agents):
-        assert np.allclose(dep.position, orig.position)
-        assert np.abs(dep.rotation - orig.rotation).max() < 1e-9
+    assert theta.shape == (36,)
+    positions, rotations = split_poses(theta)
+    for position, rotation, orig in zip(positions, rotations, topo.agents):
+        assert np.array_equal(position, orig.position)
+        assert np.array_equal(rotation, orig.rotation)
     with pytest.raises(DimensionMismatch):
-        unpack_parameters(np.zeros(7))
+        problem.retract(np.zeros(7), np.zeros(18))
+
+
+def test_zero_step_retracts_to_the_same_poses(room, anchors, coil, gparams):
+    topo, problem = make_problem(3, Scheme.COOP, 0, coil, gparams, room, anchors)
+    step = np.random.default_rng(1).normal(0, 0.3, 18)
+    theta = problem.retract(pack_deployments(topo.agents), step)
+    assert np.array_equal(problem.retract(theta, np.zeros(18)), theta)
+    assert problem.retract(theta, np.zeros(18)).tobytes() == theta.tobytes()
+
+
+def test_rotations_stay_rotations_along_many_steps(room, anchors, coil, gparams):
+    topo, problem = make_problem(2, Scheme.COOP, 0, coil, gparams, room, anchors)
+    rng = np.random.default_rng(2)
+    theta = np.stack([pack_deployments(topo.agents)] * 5)
+    for _ in range(1000):
+        theta = problem.retract(theta, rng.normal(0.0, 0.5, (5, 12)))
+    _, rotations = split_poses(theta)
+    assert np.all(is_rotation(rotations, 1e-12))
 
 
 def test_residual_zero_at_truth_noiseless(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 1, coil, gparams, room, anchors, sigma=0.0)
     res = problem.residual(pack_deployments(topo.agents))
-    # nonzero only through the euler round trip of the true orientations
-    assert np.abs(res).max() < 1e-15
+    # the true rotations enter unchanged, so the model reproduces the synthesis
+    assert np.abs(res).max() == 0.0
     assert len(res) == 9 * (4 * 4 + 4 * 3)
 
 
@@ -58,13 +76,14 @@ def test_residual_dimension_check(room, anchors, coil, gparams):
 def test_jacobian_matches_finite_differences(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.COOP, 3, coil, gparams, room, anchors)
     rng = np.random.default_rng(4)
-    theta = pack_deployments(topo.agents) + rng.normal(0, 0.02, 18)
+    theta = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.02, 18))
     _, jac = problem.residual_and_jacobian(theta)
     h = 1e-7
     for k in range(18):
         step = np.zeros(18)
         step[k] = h
-        fd = (problem.residual(theta + step) - problem.residual(theta - step)) / (2 * h)
+        plus, minus = problem.retract(theta, step), problem.retract(theta, -step)
+        fd = (problem.residual(plus) - problem.residual(minus)) / (2 * h)
         denom = max(np.abs(fd).max(), 1e-30)
         assert np.abs(fd - jac[:, k]).max() / denom < 1e-5
 
@@ -99,6 +118,9 @@ class _Quadratic:
         size = x.shape[-1]
         return x - self.target, np.broadcast_to(np.eye(size), x.shape + (size,))
 
+    def retract(self, x, step):
+        return x + step
+
 
 def test_lm_solves_linear_problem_immediately():
     # With damping 1e-3 the first accepted step lands within 0.1% of the
@@ -122,6 +144,9 @@ class _BrokenJacobian:
     def residual_and_jacobian(self, x, index=None):
         return x - 1.0, np.full(x.shape + (x.shape[-1],), np.nan)
 
+    def retract(self, x, step):
+        return x + step
+
 
 def test_lm_reports_singular_normal_equations():
     report = levenberg_marquardt(_BrokenJacobian(), np.zeros(2))
@@ -141,7 +166,7 @@ def test_lm_perfect_init_noiseless(room, anchors, coil, gparams):
 def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
     topo, problem = make_problem(2, Scheme.COOP, 7, coil, gparams, room, anchors)
     rng = np.random.default_rng(8)
-    x0 = pack_deployments(topo.agents) + rng.normal(0, 0.1, 12)
+    x0 = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.1, 12))
 
     costs = []
     original = problem.residual_and_jacobian
@@ -174,7 +199,7 @@ def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gpara
     topo, problem = make_problem(3, Scheme.NONCOOP, 10, coil, gparams, room, anchors, sigma=0.0)
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(20)
-    start = truth + rng.normal(0, 0.01, truth.size)
+    start = problem.retract(truth, rng.normal(0, 0.01, 18))
     rep_joint = levenberg_marquardt(problem, start)
     rep_split = estimate(problem, "perfect", truth=start)
     assert np.abs(rep_joint.estimate - rep_split.estimate).max() < 1e-10
@@ -193,7 +218,7 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
     topo, coop_problem = make_problem(3, Scheme.COOP, 11, coil, gparams, room, anchors, sigma=0.0)
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(22)
-    truth = truth + rng.normal(0, 0.01, truth.size)
+    truth = coop_problem.retract(truth, rng.normal(0, 0.01, 18))
     anchor_rows = np.where(coop_problem.links[:, 1] >= 3)[0]
     stripped = LsProblem(
         n_agents=3,
@@ -277,7 +302,7 @@ def _anchor_stack(seeds, coil, gparams, room, anchors):
 def _random_starts(count, rng, lo, hi):
     return np.array(
         [
-            np.hstack([rng.uniform(lo, hi, 3), rotation_to_euler(sample_uniform_rotation(rng))])
+            np.hstack([rng.uniform(lo, hi, 3), sample_uniform_rotation(rng).ravel()])
             for _ in range(count)
         ]
     )
@@ -338,6 +363,9 @@ class _NanJacobianRows:
         jac[np.isin(index, self.broken)] = np.nan
         return res, jac
 
+    def retract(self, x, step):
+        return self.problem.retract(x, step)
+
 
 def test_nan_jacobian_problem_leaves_the_others_alone(coil, gparams, room, anchors):
     stack, singles = _anchor_stack([36], coil, gparams, room, anchors)
@@ -380,7 +408,7 @@ def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams,
     ref, ref_starts, picks = oracles.random_restarts_per_agent(problem, 3, room, rng_ref)
     # one stacked solve from the oracle's starts, agent-major and restart-minor
     assert len(starts) == 1
-    assert np.array_equal(starts[0], ref_starts.reshape(-1, 6))
+    assert np.array_equal(starts[0], ref_starts.reshape(-1, 12))
     assert rng.random() == rng_ref.random()
     assert report.iterations == ref.iterations
     assert report.converged == ref.converged
@@ -398,6 +426,12 @@ def test_parse_init_strategy():
         parse_init_strategy("random:0")
     with pytest.raises(ValueError):
         parse_init_strategy("magic")
+    # one spelling for the solver, the harness and the configuration
+    for spelling in ("Random:3", " random", "PERFECT"):
+        with pytest.raises(ValueError):
+            parse_init_strategy(spelling)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(init=spelling)
 
 
 def test_imaginary_residual_equals_full_objective_up_to_constant(
@@ -416,11 +450,10 @@ def test_imaginary_residual_equals_full_objective_up_to_constant(
     real_power = sum(np.sum(np.real(m.h_meas) ** 2) for m in ms.measurements)
 
     from miloc.channel import channel_matrix
-    from miloc.estimators import unpack_parameters
 
     for _ in range(5):
-        theta = pack_deployments(topo.agents) + rng.normal(0, 0.05, 12)
-        deployments = unpack_parameters(theta)
+        theta = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.05, 12))
+        deployments = [Deployment.from_rotation(*pose) for pose in zip(*split_poses(theta))]
         nodes = deployments + list(anchors)
         full = sum(
             np.sum(np.abs(m.h_meas - channel_matrix(nodes[m.tx], nodes[m.rx], coupling)) ** 2)
@@ -493,7 +526,7 @@ def test_stacked_coop_problems_do_not_depend_on_each_other(
     # bit for bit: each problem's normal equations are its own gemm and solve
     stack, problems, truths = _coop_sets(m, [50, 51, 52], coil, gparams, room, anchors)
     rng = np.random.default_rng(53)
-    x0 = truths + rng.normal(0.0, 0.02, truths.shape)
+    x0 = stack.retract(truths, rng.normal(0.0, 0.02, (len(truths), 6 * m)))
     solve = levenberg_marquardt(stack, x0)
     for b, (problem, start) in enumerate(zip(problems, x0)):
         alone = levenberg_marquardt(problem, start)
@@ -542,7 +575,7 @@ def test_per_agent_costs_of_a_stack_equal_row_by_row(coil, gparams, room, anchor
     stack = _stacked(problems)
     rng = np.random.default_rng(60)
     theta = np.array([pack_deployments(topo.agents) for topo, _ in sets])
-    theta = theta + rng.normal(0.0, 0.05, (3,) + theta.shape)
+    theta = stack.retract(np.stack([theta] * 3), rng.normal(0.0, 0.05, (3, 2, 24)))
     costs = stack.per_agent_costs(theta)
     assert costs.shape == (3, 2, 4)
     for copy in range(3):

@@ -5,16 +5,19 @@ from miloc.geometry import (
     Deployment,
     NotARotation,
     Room,
-    euler_rotation_derivatives,
     euler_to_rotation,
     euler_to_rotation_batch,
+    exp_rotation,
+    group_poses,
     is_rotation,
-    rotation_angle,
+    join_poses,
     rotation_to_euler,
     sample_uniform_rotation,
+    skew,
+    split_poses,
 )
 
-from oracles import euler_rotation_derivatives_one
+from oracles import cross_matrix, euler_to_rotation_one, rotation_angle
 
 
 def test_identity_angles_give_identity():
@@ -104,35 +107,47 @@ def test_batch_matches_single():
     eulers = rng.uniform(-np.pi, np.pi, (50, 3))
     batch = euler_to_rotation_batch(eulers)
     for e, r in zip(eulers, batch):
-        assert np.allclose(r, euler_to_rotation(e), atol=1e-14)
-
-
-def test_euler_derivatives_match_finite_differences():
-    rng = np.random.default_rng(11)
-    h = 1e-7
-    for _ in range(50):
-        euler = rng.uniform(-1.2, 1.2, 3)
-        analytic = euler_rotation_derivatives(euler)
-        for i in range(3):
-            step = np.zeros(3)
-            step[i] = h
-            fd = (euler_to_rotation(euler + step) - euler_to_rotation(euler - step)) / (2 * h)
-            assert np.abs(fd - analytic[i]).max() < 1e-8
-
-
-def test_stacked_euler_derivatives_match_one_angle_formula():
-    rng = np.random.default_rng(14)
-    eulers = rng.uniform(-4.0, 4.0, (6, 5, 3))
-    stacked = euler_rotation_derivatives(eulers)
-    assert stacked.shape == (6, 5, 3, 3, 3)
-    for index in np.ndindex(6, 5):
-        expected = euler_rotation_derivatives_one(eulers[index])
-        assert np.allclose(stacked[index], expected, rtol=0.0, atol=1e-15)
-    assert euler_rotation_derivatives(eulers[0, 0]).shape == (3, 3, 3)
+        assert np.allclose(r, euler_to_rotation_one(e), atol=1e-14)
+        assert np.array_equal(euler_to_rotation(e), r)
+    stacked = rng.uniform(-4.0, 4.0, (6, 5, 3))
     assert np.array_equal(
-        euler_to_rotation_batch(eulers).reshape(-1, 3, 3),
-        euler_to_rotation_batch(eulers.reshape(-1, 3)),
+        euler_to_rotation_batch(stacked).reshape(-1, 3, 3),
+        euler_to_rotation_batch(stacked.reshape(-1, 3)),
     )
+
+
+def test_exp_rotation_matches_matrix_exponential():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(11)
+    vectors = np.vstack([rng.normal(0.0, 1.5, (40, 3)), rng.normal(0.0, 1e-9, (5, 3)), np.zeros(3)])
+    rotations = exp_rotation(vectors)
+    assert rotations.shape == (46, 3, 3)
+    assert np.all(is_rotation(rotations, 1e-14))
+    for phi, r in zip(vectors, rotations):
+        assert np.array_equal(skew(phi), cross_matrix(phi))
+        assert np.allclose(r, expm(cross_matrix(phi)), rtol=0.0, atol=1e-12)
+        angle = np.arccos(np.cos(np.linalg.norm(phi)))  # |phi| folded into [0, pi]
+        assert np.isclose(rotation_angle(np.eye(3), r), angle, rtol=0.0, atol=1e-7)
+    assert np.array_equal(exp_rotation(np.zeros(3)), np.eye(3))
+
+
+def test_pose_rows_put_positions_where_steps_put_them():
+    rng = np.random.default_rng(14)
+    positions = rng.uniform(0.0, 1.5, (2, 4, 3))
+    rotations = sample_uniform_rotation(rng, 8).reshape(2, 4, 3, 3)
+    rows = join_poses(positions, rotations)
+    assert rows.shape == (2, 48)
+    for a in range(4):
+        assert np.array_equal(rows[:, 6 * a : 6 * a + 3], positions[:, a])
+    back_p, back_o = split_poses(rows)
+    assert np.array_equal(back_p, positions) and np.array_equal(back_o, rotations)
+    one = join_poses(positions[0, :1], rotations[0, :1])
+    assert np.array_equal(one, np.hstack([positions[0, 0], rotations[0, 0].ravel()]))
+    per_agent = group_poses(rows, 4)
+    assert per_agent.shape == (2, 4, 12)
+    assert np.array_equal(per_agent[0, 0], one)
+    assert np.array_equal(group_poses(rows, 1)[:, 0], rows)
 
 
 def test_rigid_rotation_preserves_pairwise_distances():

@@ -7,6 +7,7 @@ from miloc import crlb, estimators, harness
 from miloc.channel import coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
 from miloc.estimators import LsProblem, multilaterate, pack_deployments, parse_init_strategy
+from miloc.geometry import Deployment
 from miloc.harness import (
     EmptyInput,
     agent0_bounds,
@@ -209,7 +210,8 @@ def test_written_euler_angles_are_canonical(tmp_path, overrides):
         for k in range(cfg.noise):
             trial = [r for r in rows if int(r["topology"]) == t and int(r["noise"]) == k]
             columns = ("x", "y", "z", "alpha", "beta", "gamma")
-            theta = np.hstack([[float(r[f"est_{c}"]) for c in columns] for r in trial])
+            poses = [[float(r[f"est_{c}"]) for c in columns] for r in trial]
+            theta = pack_deployments([Deployment.from_euler(p[:3], p[3:]) for p in poses])
             data = synthesize_measurements(
                 topo, coil, gparams, scheme, _trial_seed(cfg.seed, m, t, k, 1)
             )
@@ -341,9 +343,9 @@ def test_median_wall_time_ordering(room):
     assert medians["multilateration"] < medians["turbols_coop"]
 
 
-def test_mean_peb_curve_skips_singular_topologies(locked_topology):
+def test_mean_peb_curve_skips_singular_topologies(singular_topology):
     cfg = _small_cfg()
-    kept = np.delete(_single_topology_bounds(cfg, 2, 5, True), locked_topology)
+    kept = np.delete(_single_topology_bounds(cfg, 2, 5, True), singular_topology)
     rows = mean_peb_curve(cfg, agent_counts=[2], topologies=5, scheme=Scheme.COOP)
     assert rows == [(2, float(np.mean(kept)), 4)]
 
@@ -544,24 +546,24 @@ def test_each_topology_is_drawn_once(monkeypatch):
 
 
 def _canonical_pose_one(pose):
-    """Canonical Euler angles of one pose through the one-triple rotation."""
-    from miloc.geometry import euler_to_rotation, rotation_to_euler
+    """Position and canonical Euler angles of one one-agent pose row."""
+    from oracles import rotation_to_euler_one
 
     if np.isnan(pose[3:]).any():
-        return pose
-    return np.hstack([pose[:3], rotation_to_euler(euler_to_rotation(pose[3:]))])
+        return np.hstack([pose[:3], np.full(3, np.nan)])
+    return np.hstack([pose[:3], rotation_to_euler_one(pose[3:].reshape(3, 3))])
 
 
 def test_canonical_poses_match_one_pose_at_a_time():
+    from miloc.geometry import euler_to_rotation_batch, sample_uniform_rotation
+
     rng = np.random.default_rng(44)
-    poses = np.hstack([rng.uniform(0, 1.5, (500, 3)), rng.uniform(-10, 10, (500, 3))])
+    rotations = sample_uniform_rotation(rng, 500)
+    rotations[5] = euler_to_rotation_batch([0.4, np.pi / 2, 0.0])  # gimbal lock
+    poses = np.hstack([rng.uniform(0, 1.5, (500, 3)), rotations.reshape(500, 9)])
     poses[::7, 3:] = np.nan  # position-only estimates
-    poses[5, 4] = np.pi / 2  # gimbal lock
     canonical = harness._canonical_poses(poses)
     expected = np.array([_canonical_pose_one(p) for p in poses])
     assert np.array_equal(canonical[:, :3], poses[:, :3])
-    assert np.array_equal(np.isnan(canonical), np.isnan(expected))
-    assert np.allclose(canonical, expected, rtol=0.0, atol=1e-12, equal_nan=True)
-    regular = np.abs(np.cos(poses[:, 4])) > 1e-6
-    assert np.array_equal(canonical[regular], expected[regular], equal_nan=True)
+    assert np.array_equal(canonical, expected, equal_nan=True)
     assert harness._canonical_poses([]).shape == (0, 6)

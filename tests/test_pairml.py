@@ -4,24 +4,27 @@ import pytest
 from miloc.channel import channel_matrix
 from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.pairml import (
-    AmbiguousDirection,
-    DegenerateMeasurement,
     NoMeasurements,
-    PositionValidity,
     ZeroScore,
     _candidate_cost,
     canonical_svd,
-    decompose_link,
-    direction_estimate,
     distance_estimates,
-    estimate_link,
     ml_distance,
     pair_ml_estimate,
-    resolve_position,
 )
 
 from conftest import random_deployment
-from oracles import candidate_cost, constrained_dipole_fit, dipole_factor
+from oracles import (
+    AmbiguousDirection,
+    DegenerateMeasurement,
+    PositionValidity,
+    candidate_cost,
+    constrained_dipole_fit,
+    decompose_link,
+    dipole_factor,
+    direction_estimate,
+    resolve_position,
+)
 
 
 def _noiseless_link(rng, coupling, min_r=0.1):
@@ -213,8 +216,10 @@ def _anchor_arrays(anchors):
 def _pair_ml_one(measurements, anchors, coupling, room):
     """pair_ml_estimate of one agent as a Deployment."""
     positions, rotations = _anchor_arrays(anchors)
-    pose = pair_ml_estimate(measurements[None], positions[None], rotations[None], coupling, room)
-    return Deployment.from_euler(pose[0, :3], pose[0, 3:])
+    position, rotation = pair_ml_estimate(
+        measurements[None], positions[None], rotations[None], coupling, room
+    )
+    return Deployment.from_rotation(position[0], rotation[0])
 
 
 def test_pair_ml_noiseless_exact_recovery(room, anchors, coupling):
@@ -274,13 +279,17 @@ def test_scale_equivariance(room, anchors, coupling):
 
 
 def test_estimate_link_reports_candidates(room, anchors, coupling):
+    # one link's score, ML distance and direction put the agent on a candidate
     rng = np.random.default_rng(11)
     agent = random_deployment(rng, room)
     h = channel_matrix(agent, anchors[0], coupling)
-    result = estimate_link(h, anchors[0], coupling, room)
-    assert result.candidates.shape == (2, 3)
-    assert result.score > 0
-    errs = np.linalg.norm(result.candidates - agent.position, axis=1)
+    svd, _, score = decompose_link(h, anchors[0])
+    distance = ml_distance(score, coupling)
+    direction = direction_estimate(svd)
+    candidates, _, _ = resolve_position(anchors[0].position, direction, distance, room)
+    assert candidates.shape == (2, 3)
+    assert score > 0
+    errs = np.linalg.norm(candidates - agent.position, axis=1)
     assert errs.min() < 1e-9
 
 
@@ -312,19 +321,20 @@ def test_stacked_pair_ml_equals_one_agent_calls(room, anchors, coupling):
     rng = np.random.default_rng(13)
     _, measured = _noisy_agents(40, room, anchors, coupling, rng, sigma=2e-3)
     positions, rotations = _anchor_arrays(anchors)
-    stacked = pair_ml_estimate(
+    stacked_p, stacked_o = pair_ml_estimate(
         measured,
         np.broadcast_to(positions, (40,) + positions.shape),
         np.broadcast_to(rotations, (40,) + rotations.shape),
         coupling,
         room,
     )
-    assert stacked.shape == (40, 6)
+    assert stacked_p.shape == (40, 3) and stacked_o.shape == (40, 3, 3)
     for agent in range(40):
-        alone = pair_ml_estimate(
+        alone_p, alone_o = pair_ml_estimate(
             measured[agent : agent + 1], positions[None], rotations[None], coupling, room
         )
-        assert np.array_equal(stacked[agent], alone[0])
+        assert np.array_equal(stacked_p[agent], alone_p[0])
+        assert np.array_equal(stacked_o[agent], alone_o[0])
 
 
 def test_candidate_cost_matches_per_link_oracle(room, anchors, coupling):
