@@ -5,10 +5,11 @@ dH/d theta_l) to the information matrix.  Because H is purely imaginary
 these traces are inner products of the stacked imaginary-part derivative
 columns, which are the columns of the least-squares residual Jacobian J.
 The information matrix of a link set is therefore (2 / sigma**2) J^T J at
-the true deployments, which LsProblem.normal_matrix sums link by link from
-the same derivative columns the estimators use.  In the cooperative scheme
-both ordered measurements of an agent pair exist and both are counted;
-without agent-agent links the matrix is block diagonal.  Each agent
+the true deployments, summed link by link by LsProblem.normal_equations,
+the assembly the estimators' normal equations use.  In the cooperative
+scheme both ordered measurements of an agent pair exist and both are
+counted; without agent-agent links the matrix is block diagonal, each
+block the matrix of one agent alone on its anchor links.  Each agent
 contributes six parameters, its position and a local rotation of its
 orientation, R exp([phi]x) at phi = 0.  No orientation chart enters, so
 no orientation (gimbal lock included) is a singular point of the
@@ -16,8 +17,11 @@ parametrization, and the position bound does not depend on how the agents
 are turned.
 
 The position error bound of an agent is the root of the summed position
-diagonal entries of the inverse information matrix.  Stacks of topologies
-are assembled and solved in one call each (fim_stack, peb_stack); the
+diagonal entries of the inverse information matrix.  An agent that shares
+no information with any other (all its off-diagonal blocks zero, as in
+the non-cooperative scheme) takes it from its own 6 x 6 block, so another
+agent's singular block does not void its bound.  Stacks of topologies are
+assembled and solved in one call each (fim_stack, peb_stack); the
 one-topology functions are their single-matrix case.
 """
 
@@ -66,7 +70,9 @@ def fim_stack(
 
     Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
     Jacobian J of the scheme's link set at the given deployments; each
-    topology's matrix is the same whatever else is in the stack.
+    topology's matrix is the same whatever else is in the stack.  Without
+    cooperation each diagonal block equals the matrix of its agent alone
+    (M = 1) bit for bit.
     """
     poses = np.asarray(poses, dtype=float)
     m = poses.shape[-1] // 12
@@ -80,7 +86,7 @@ def fim_stack(
         y_imag=np.zeros((len(links), 3, 3)),
         coupling=coupling,
     )
-    return 2.0 / sigma**2 * problem.normal_matrix(poses)
+    return 2.0 / sigma**2 * problem.normal_equations(poses)[1]
 
 
 def assemble_fim(
@@ -100,57 +106,61 @@ def assemble_fim(
     return FisherInfo(matrix=matrix, n_agents=len(agents))
 
 
-def _position_variances(matrices: np.ndarray, agents: np.ndarray):
-    """Position diagonal of the inverse of each information matrix.
+def _decoupled(matrices: np.ndarray, own: slice) -> bool:
+    """Whether the rows own of every matrix of a (T, n, n) stack vanish outside columns own."""
+    rows = matrices[:, own]
+    return np.count_nonzero(rows) == np.count_nonzero(rows[:, :, own])
 
-    matrices is a (T, n, n) stack.  Returns the (T, len(agents), 3)
-    variances, NaN for singular matrices, and the (T,) singular mask: a
-    matrix is singular when its eigenvalues are not all positive or their
-    ratio exceeds FIM_MAX_CONDITION.  One stacked eigvalsh tests every
-    matrix, and one stacked solve finds only the 3 * len(agents) needed
-    columns of the inverses of the others.
+
+def _position_variances(matrices: np.ndarray, agent: int):
+    """Position diagonal of the inverse of each information matrix, for one agent.
+
+    matrices is a (T, n, n) stack.  Returns the (T, 3) variances, NaN for
+    singular matrices, and the (T,) singular mask: a matrix is singular
+    when its eigenvalues are not all positive or their ratio exceeds
+    FIM_MAX_CONDITION.  An agent decoupled in every matrix takes its own
+    blocks (module docstring).  One stacked eigvalsh tests every matrix,
+    and one stacked solve finds only the three needed columns of the
+    inverses of the others.
     """
+    own = slice(6 * agent, 6 * agent + 6)
+    if _decoupled(matrices, own):
+        matrices, agent = matrices[:, own, own], 0
     eigvals = np.linalg.eigvalsh(matrices)
     scale, smallest = eigvals[:, -1], eigvals[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = (scale <= 0.0) | (smallest <= 0.0) | (scale / smallest > FIM_MAX_CONDITION)
-    rows = (6 * agents[:, None] + np.arange(3)).reshape(-1)
-    picks = np.arange(len(rows))
-    unit = np.zeros((matrices.shape[-1], len(rows)))
+    rows, picks = 6 * agent + np.arange(3), np.arange(3)
+    unit = np.zeros((matrices.shape[-1], 3))
     unit[rows, picks] = 1.0
-    variances = np.full((len(matrices), len(rows)), np.nan)
+    variances = np.full((len(matrices), 3), np.nan)
     regular = ~singular
     if regular.any():
         solvable = matrices if regular.all() else matrices[regular]
         variances[regular] = np.linalg.solve(solvable, unit)[:, rows, picks]
-    return variances.reshape(len(matrices), len(agents), 3), singular
-
-
-def _checked_variances(info: FisherInfo, agents: np.ndarray) -> np.ndarray:
-    """Position variances of one matrix; the eigenvector is found on failure only."""
-    variances, singular = _position_variances(info.matrix[None], agents)
-    if singular[0]:
-        null = np.linalg.eigh(info.matrix)[1][:, 0]
-        raise SingularFim(
-            f"information matrix condition exceeds {FIM_MAX_CONDITION:g}", null
-        )
-    return variances[0]
+    return variances, singular
 
 
 def peb(info: FisherInfo, agent: int = 0) -> float:
     """Position error bound of one agent, in meters.
 
     Raises:
-        SingularFim: matrix not invertible at the configured condition limit.
+        SingularFim: matrix not invertible at the configured condition
+        limit; the null direction is found on failure only.
     """
-    return float(np.sqrt(np.sum(_checked_variances(info, np.array([agent]))[0])))
+    variances, singular = _position_variances(info.matrix[None], agent)
+    if singular[0]:
+        null = np.linalg.eigh(info.matrix)[1][:, 0]
+        raise SingularFim(f"information matrix condition exceeds {FIM_MAX_CONDITION:g}", null)
+    return float(np.sqrt(np.sum(variances[0])))
 
 
 def peb_stack(matrices: np.ndarray, agent: int = 0) -> np.ndarray:
     """Position error bound of one agent for each matrix of a (T, n, n) stack.
 
     Singular matrices give NaN; every other bound equals peb of that matrix
-    alone, bit for bit.
+    alone, bit for bit, when the agent is decoupled in all the matrices or
+    in none (as in any one scheme).
     """
-    variances, _ = _position_variances(matrices, np.array([agent]))
-    return np.sqrt(np.sum(variances[:, 0], axis=-1))
+    variances, _ = _position_variances(matrices, agent)
+    return np.sqrt(np.sum(variances, axis=-1))

@@ -10,18 +10,23 @@ step dp and a local rotation phi, and LsProblem.retract applies them as
 p + dp and R exp([phi]x), so every iterate's rotation stays a rotation
 and no orientation chart has a singularity.
 
-Batch convention: residuals, Jacobians and normal matrices take pose rows
-of shape (..., 12M) and return (..., 9L), (..., 9L, 6M) and (..., 6M, 6M),
-with Jacobian columns over the 6M step parameters; a 1-d row gives one
-problem.  Independent problems (the agents of a
-non-cooperative network, random restarts) are rows of one stack, and
+Batch convention: residuals and normal equations take pose rows of shape
+(..., 12M) and return (..., 9L) residuals, (..., 6M, 6M) normal matrices
+J^T J and (..., 6M) gradients J^T r, over the 6M step parameters; a 1-d
+row gives one problem.  They are summed link by link from each link's
+derivative columns (LsProblem.normal_equations), so no dense Jacobian is
+formed.  Independent problems (the agents of a non-cooperative network,
+random restarts, the trials of a chunk) are rows of one stack, and
 levenberg_marquardt advances all rows together, each with its own damping
-and termination.
+and termination.  Memory is bounded in links: link columns are formed for
+at most LINKS_PER_SLICE links at a time, and estimate splits a stack into
+LM calls of at most _LINKS_PER_LM_CALL links (whole sets, at least one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,11 +50,13 @@ LM_MAX_ITERATIONS = 500
 LM_STEP_TOL = 1e-10
 LM_COST_TOL = 1e-12
 
-# Dense Jacobian elements (rows x step parameters per problem, summed over the
-# problems) per stacked LM call: memory stays bounded whatever the number of
-# measurement sets, and a cooperative M=10 problem (1170 x 60) takes a call
-# of its own, except that one set's restarts always share a call.
-_JACOBIAN_ELEMENTS_PER_CALL = 1 << 17
+# Links whose derivative columns are formed at once (whole problems, at least
+# one): the memory of the link sums of any stack or bound sweep stays flat.
+LINKS_PER_SLICE = 256
+
+# Links per stacked LM call, summed over its problems, to bound the problems'
+# state; fifteen cooperative M=10 problems (130 links each) fit in a call.
+_LINKS_PER_LM_CALL = 2048
 
 
 class DimensionMismatch(ValueError):
@@ -188,11 +195,9 @@ class LsProblem:
         )
         return batch, o_tx, o_rx, gains, r, u, f
 
-    def _residual(self, gains, batch, index) -> np.ndarray:
-        stacked = self.y_imag.ndim == 4 and index is not None
-        measured = self.y_imag[index] if stacked else self.y_imag
-        res = measured - gains.reshape(batch + (len(self.links), 3, 3))
-        return res.reshape(res.shape[:-3] + (-1,))
+    def _measured(self, index) -> np.ndarray:
+        """The measured sets of the problems in index (default: all of them, in order)."""
+        return self.y_imag[index] if self.y_imag.ndim == 4 and index is not None else self.y_imag
 
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
         """Residual rows of shape (..., 9L) for pose rows theta (..., 12M).
@@ -202,7 +207,8 @@ class LsProblem:
         """
         theta = self._check(theta)
         batch, _, _, gains, _, _, _ = self._geometry(theta)
-        return self._residual(gains, batch, index)
+        res = self._measured(index) - gains.reshape(batch + (len(self.links), 3, 3))
+        return res.reshape(res.shape[:-3] + (-1,))
 
     def cost(self, theta: np.ndarray) -> float:
         res = self.residual(theta)
@@ -224,53 +230,90 @@ class LsProblem:
         np.add.at(out.T, self.links[:, 0], per_link.T)
         return out
 
-    def _link_columns(self, theta: np.ndarray):
-        """Batch shape, gains and the (batch * L, 9, 12) derivative columns of every link."""
-        batch, o_tx, o_rx, gains, r, u, f = self._geometry(self._check(theta))
+    def normal_equations(self, theta: np.ndarray, index=None):
+        """Residual (..., 9L), J^T J (..., 6M, 6M) and J^T r (..., 6M) at pose rows (..., 12M).
+
+        index is as for residual.  Summed link by link (_link_sums) in
+        slices of whole problems, at most LINKS_PER_SLICE links or one
+        problem, so no problem's sums depend on the stack or the slicing.
+        """
+        theta = self._check(theta)
+        batch, n_links = theta.shape[:-1], len(self.links)
+        rows = theta.reshape(-1, theta.shape[-1])
+        measured = np.broadcast_to(self._measured(index), batch + (n_links, 3, 3))
+        measured = measured.reshape(len(rows), n_links, 3, 3)
+        step = max(1, LINKS_PER_SLICE // max(n_links, 1))
+        parts = [
+            self._link_sums(rows[s : s + step], measured[s : s + step])
+            for s in range(0, len(rows), step)
+        ]
+        sums = parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
+        return tuple(part.reshape(batch + part.shape[1:]) for part in sums)
+
+    def _link_columns(self, rows: np.ndarray, measured: np.ndarray):
+        """Residuals (n, 9L) and link columns (n * L, 9, 12) of rows (n, 12M), geometry freed."""
+        _, o_tx, o_rx, gains, r, u, f = self._geometry(rows)
         cols = chan.channel_derivative_columns(r, u, f, gains, o_tx, o_rx, self.coupling)
-        return batch, gains, cols
+        return (measured - gains.reshape(measured.shape)).reshape(len(rows), -1), cols
 
-    def residual_and_jacobian(self, theta: np.ndarray, index=None):
-        """Residual and its Jacobian (..., 9L, 6M); agent-agent links fill both endpoint blocks.
+    def _link_sums(self, rows: np.ndarray, measured: np.ndarray):
+        """normal_equations of k pose rows (k, 12M) and their measured sets (k, L, 3, 3).
 
-        Every link's transmitter columns go to its agent's block, and its
-        receiver columns too when the receiver is an agent.
+        The residual derivatives are -C: each link's transmitter columns
+        C_tx, and C_rx for an agent receiver.  An agent's diagonal block is
+        the Gram matrix of the stacked columns of its links, and an
+        agent-agent link adds C_tx^T C_rx to its (tx, rx) block and the
+        transpose to its (rx, tx) block.  One agent has anchor links only:
+        its sums are one plain product, without the gathers.
         """
-        batch, gains, cols = self._link_columns(theta)
-        # one row per (problem, link); node ids repeat for every problem
-        copies = len(cols) // max(len(self.links), 1)
-        tx, rx = np.tile(self.links[:, 0], copies), np.tile(self.links[:, 1], copies)
-        rows = np.arange(len(cols))
-        to_agent = rx < self.n_agents
-        jac = np.zeros((len(cols), 9, self.n_agents, 6))
-        jac[rows, :, tx] = -cols[:, :, :6]
-        jac[rows[to_agent], :, rx[to_agent]] = -cols[to_agent, :, 6:]
-        jac = jac.reshape(batch + (9 * len(self.links), self.n_parameters))
-        return self._residual(gains, batch, index), jac
+        residual, cols = self._link_columns(rows, measured)
+        count, m, n_links = len(rows), self.n_agents, len(self.links)
+        if m == 1:
+            stacked = cols[:, :, :6].reshape(count, -1, 6)  # (k, 9L, 6)
+            stacked_t = np.swapaxes(stacked, -1, -2)
+            return residual, stacked_t @ stacked, -(stacked_t @ residual[..., None])[..., 0]
+        touch, pad, pairs = _link_tables(m, self.links.tobytes())
+        ends_t = cols.transpose(0, 2, 1).reshape(count, 2 * n_links, 6, 9)  # C^T of link ends
+        stacked = np.swapaxes(ends_t, -1, -2)[:, touch]  # (k, M, K, 9, 6)
+        res = residual.reshape(count, n_links, 9)[:, touch // 2]  # (k, M, K, 9)
+        stacked[:, pad], res[:, pad] = 0.0, 0.0
+        stacked = stacked.reshape(count, m, -1, 6)
+        stacked_t = np.swapaxes(stacked, -1, -2)
+        blocks = np.zeros((count, m, m, 6, 6))
+        blocks[:, np.arange(m), np.arange(m)] = stacked_t @ stacked
+        pulls = stacked_t @ res.reshape(count, m, -1, 1)
+        del stacked, stacked_t, res  # before the cross blocks, to bound the peak
+        sides = ends_t.reshape(count, n_links, 2, 6, 9)[:, pairs]
+        tx, rx = self.links[pairs].T
+        blocks[:, tx, rx] = sides[:, :, 0] @ np.swapaxes(sides[:, :, 1], -1, -2)
+        blocks[:, rx, tx] += np.swapaxes(blocks[:, tx, rx], -1, -2)
+        jtj = blocks.transpose(0, 1, 3, 2, 4).reshape(count, 6 * m, 6 * m)
+        return residual, jtj, -pulls.reshape(count, 6 * m)
 
-    def normal_matrix(self, theta: np.ndarray) -> np.ndarray:
-        """J^T J (..., 6M, 6M) of the residual Jacobian, assembled link by link.
 
-        Each link's 12 x 12 block C^T C of its derivative columns adds its
-        transmitter block, and for an agent receiver its cross and receiver
-        blocks, into the node-pair blocks of every problem at once; the
-        dense Jacobian is never formed.  Contributions to a block are summed
-        in link order, so a problem's matrix does not depend on the other
-        rows of the batch.
-        """
-        batch, _, cols = self._link_columns(theta)
-        gram = (np.swapaxes(cols, 1, 2) @ cols).reshape(
-            (int(np.prod(batch, dtype=int)), len(self.links), 12, 12)
-        ).swapaxes(0, 1)
-        tx, rx = self.links[:, 0], self.links[:, 1]
-        pair = rx < self.n_agents
-        tx_cols, rx_cols = slice(0, 6), slice(6, 12)
-        out = np.zeros((self.n_agents, self.n_agents, gram.shape[1], 6, 6))
-        np.add.at(out, (tx, tx), gram[:, :, tx_cols, tx_cols])
-        np.add.at(out, (tx[pair], rx[pair]), gram[pair, :, tx_cols, rx_cols])
-        np.add.at(out, (rx[pair], tx[pair]), gram[pair, :, rx_cols, tx_cols])
-        np.add.at(out, (rx[pair], rx[pair]), gram[pair, :, rx_cols, rx_cols])
-        return out.transpose(2, 0, 3, 1, 4).reshape(batch + (self.n_parameters,) * 2)
+@lru_cache(maxsize=64)
+def _link_tables(n_agents: int, links_key: bytes):
+    """Gather tables of the link set whose (L, 2) int array has the bytes links_key.
+
+    touch (M, K) holds each agent's link ends 2 l + side (0 transmitter,
+    1 receiver) in link order, padded to the longest; pad (M, K) marks the
+    padding; pairs lists the agent-agent links.  Read-only.  Raises
+    ValueError if two links join the same agents in the same direction.
+    """
+    links = np.frombuffer(links_key, dtype=int).reshape(-1, 2)
+    pairs = np.flatnonzero(links[:, 1] < n_agents)
+    if np.any(np.bincount(links[pairs, 0] * n_agents + links[pairs, 1]) > 1):
+        raise ValueError("agent-agent links must join two agents once per direction")
+    nodes = links.ravel()
+    ends = np.flatnonzero(nodes < n_agents)
+    ends = ends[np.argsort(nodes[ends], kind="stable")]
+    counts = np.bincount(nodes[ends], minlength=n_agents)
+    pad = np.arange(counts.max(initial=0)) >= counts[:, None]
+    touch = np.zeros(pad.shape, dtype=int)
+    touch[~pad] = ends
+    for table in (touch, pad, pairs):
+        table.setflags(write=False)
+    return touch, pad, pairs
 
 
 @dataclass
@@ -304,11 +347,6 @@ class StackedSolve:
                 self.normal_equations_singular.reshape(-1)[pick].any()
             ),
         )
-
-
-def _normal_equations(residual: np.ndarray, jac: np.ndarray):
-    jac_t = np.swapaxes(jac, -1, -2)
-    return jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
 
 
 def _sum_squares(residual: np.ndarray) -> np.ndarray:
@@ -347,13 +385,13 @@ def levenberg_marquardt(
     """Damped Gauss-Newton iteration with the classic Marquardt schedule.
 
     x0 has shape (..., W): one start per independent problem of a stack.
-    problem.residual(x, index) and problem.residual_and_jacobian(x, index)
-    evaluate the rows x (n, W) of the problems listed in index, with
-    Jacobian columns over P step parameters, and problem.retract(x, step)
-    moves rows x by steps (n, P).  Every
-    problem keeps its own damping, cost, iteration count and flags; each
-    round makes one residual call for the problems trying a step and one
-    Jacobian call for those that accepted one.
+    problem.residual(x, index) evaluates the residual rows of the rows x
+    (n, W) of the problems listed in index, problem.normal_equations(x,
+    index) their residuals, normal matrices (n, P, P) and gradients (n, P)
+    over P step parameters, and problem.retract(x, step) moves rows x by
+    steps (n, P).  Every problem keeps its own damping, cost, iteration
+    count and flags; each round makes one residual call for the problems
+    trying a step and one normal-equation call for those that accepted one.
 
     The damping term scales the diagonal of the normal equations; lambda is
     multiplied by 10 on every rejected step and divided by 10 after an
@@ -367,9 +405,8 @@ def levenberg_marquardt(
     x = x0.reshape(-1, x0.shape[-1]).copy()
     count = len(x)
     everyone = np.arange(count)
-    residual, jac = problem.residual_and_jacobian(x, everyone)
+    residual, jtj, gradient = problem.normal_equations(x, everyone)
     cost = _sum_squares(residual)
-    jtj, gradient = _normal_equations(residual, jac)
     lam = np.full(count, initial_damping)
     iteration = np.ones(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -411,8 +448,7 @@ def levenberg_marquardt(
         going = going[~exhausted]
         if going.size:
             iteration[going] += 1
-            residual, jac = problem.residual_and_jacobian(x[going], going)
-            jtj[going], gradient[going] = _normal_equations(residual, jac)
+            _, jtj[going], gradient[going] = problem.normal_equations(x[going], going)
 
     shape = x0.shape[:-1]
     return StackedSolve(
@@ -493,12 +529,12 @@ def _solve_in_calls(problem: LsProblem, x0: np.ndarray, per_set: int) -> Stacked
     """levenberg_marquardt on the (B, P) starts x0 of a stacked problem, split into calls.
 
     A call holds as many whole runs of per_set problems (one set's estimate)
-    as _JACOBIAN_ELEMENTS_PER_CALL dense Jacobian elements admit (rows times
-    step parameters per problem), and at least one, so no set's estimate is
-    split.  The problems are independent, so the split changes no result.
+    as _LINKS_PER_LM_CALL links admit, and at least one, so no set's
+    estimate is split.  The problems are independent, so the split changes
+    no result.
     """
-    elements = 9 * len(problem.links) * problem.n_parameters * per_set
-    per_call = per_set * max(1, _JACOBIAN_ELEMENTS_PER_CALL // elements)
+    links = len(problem.links) * per_set
+    per_call = per_set * max(1, _LINKS_PER_LM_CALL // links)
     parts = [
         levenberg_marquardt(
             replace(problem, y_imag=problem.y_imag[start : start + per_call]),
@@ -556,8 +592,8 @@ def estimate(
     list of T reports: each set's report equals the one of the set solved
     alone, its random starts drawn from its own rng.  with_reference adds
     each set's perfect-init solve to the same stack and attaches its report
-    as report.reference.  The stack is solved in LM calls of bounded Jacobian
-    size (_solve_in_calls), each holding whole sets' estimates, all their
+    as report.reference.  The stack is solved in LM calls of a bounded number
+    of links (_solve_in_calls), each holding whole sets' estimates, all their
     agents and restarts; the references follow after every estimate.
     """
     strategy, restarts = parse_init_strategy(init)
@@ -594,12 +630,9 @@ def estimate(
     solve = _solve_in_calls(
         _problem_stack(problem, y_imag, restarts, with_reference), x0, groups * restarts
     )
-    # lowest final cost per group, first on ties
+    # lowest final cost per group, first on ties (final costs are finite)
     costs = solve.final_cost[: sets * groups * restarts].reshape(sets, groups, restarts)
-    best = np.zeros((sets, groups), dtype=int)
-    for restart in range(1, restarts):
-        lowest = np.take_along_axis(costs, best[..., None], axis=-1)[..., 0]
-        best[costs[..., restart] < lowest] = restart
+    best = np.argmin(costs, axis=-1)
     first = restarts * np.arange(sets * groups).reshape(sets, groups)
     reports = [_joint_report(solve, first[t] + best[t], restarts) for t in range(sets)]
     if with_reference:
@@ -629,7 +662,7 @@ class _RangeProblem:
     anchor_positions: np.ndarray
     distances: np.ndarray
 
-    def residual_and_jacobian(self, p: np.ndarray, index=None):
+    def normal_equations(self, p: np.ndarray, index=None):
         anchors, distances = self.anchor_positions, self.distances
         if index is not None:
             anchors, distances = anchors[index], distances[index]
@@ -637,10 +670,12 @@ class _RangeProblem:
         norms = np.maximum(np.linalg.norm(diff, axis=-1), 1e-12)
         usable = np.isfinite(distances)
         residual = np.where(usable, norms - distances, 0.0)
-        return residual, np.where(usable[..., None], diff / norms[..., None], 0.0)
+        jac = np.where(usable[..., None], diff / norms[..., None], 0.0)
+        jac_t = np.swapaxes(jac, -1, -2)
+        return residual, jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
 
     def residual(self, p: np.ndarray, index=None) -> np.ndarray:
-        return self.residual_and_jacobian(p, index)[0]
+        return self.normal_equations(p, index)[0]
 
     def retract(self, p: np.ndarray, step: np.ndarray) -> np.ndarray:
         return p + step

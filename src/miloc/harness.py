@@ -43,10 +43,6 @@ TRIAL_FAILURES = (pairml.NoMeasurements, CoincidentNodes, np.linalg.LinAlgError)
 # setup, used as the calibration target for the coil resistance.
 REFERENCE_PEB_M1_M = 2.18627459283404e-3
 
-# Links per stacked bound assembly: a sweep's memory stays bounded whatever
-# its number of topologies.
-_LINKS_PER_CALL = 256
-
 # Trials per chunk: a chunk's measurements and closed-form estimates stay
 # small whatever the number of trials; estimators bounds each LM call.
 _TRIALS_PER_CHUNK = 32
@@ -215,23 +211,27 @@ def agent0_bounds(
     """Agent 0's position error bound on each of the topologies of count m.
 
     The information matrices of many topologies are assembled and solved in
-    stacked calls of at most _LINKS_PER_CALL links, and topologies are taken
-    from the iterable one call at a time, so a generator such as
-    draw_topologies keeps memory bounded.  Returns one bound per topology,
-    NaN where the information matrix is singular; each bound equals
-    crlb.peb of its topology alone, bit for bit.
+    stacked calls of at most estimators.LINKS_PER_SLICE links, and
+    topologies are taken from the iterable one call at a time, so a
+    generator such as draw_topologies keeps memory bounded.  Without
+    cooperation agent 0 shares no information with the other agents, so
+    only its own anchor links are assembled, as a one-agent problem.
+    Returns one bound per topology, NaN where the information matrix is
+    singular; each bound equals crlb.peb of its topology alone, bit for bit.
     """
     anchors = cfg.anchors()
     coil = cfg.coil()
     gparams = cfg.global_params()
     coupling = coupling_coefficient(coil, coil, gparams)
 
-    n_links = len(link_set(m, len(anchors), Scheme.COOP if cooperative else Scheme.NONCOOP))
-    chunk = max(1, _LINKS_PER_CALL // max(n_links, 1))
+    n_links = len(link_set(m, len(anchors), Scheme.COOP)) if cooperative else len(anchors)
+    chunk = max(1, estimators.LINKS_PER_SLICE // max(n_links, 1))
     topologies = iter(topologies)
     bounds = [np.empty(0)]
     while stack := list(islice(topologies, chunk)):
-        fim = crlb.fim_stack(_poses(stack, m), anchors, coupling, gparams.noise_sigma, cooperative)
+        # without cooperation, agent 0 alone (M = 1) on its anchor links
+        poses = _poses(stack, m) if cooperative else group_poses(_poses(stack, m), m)[:, 0]
+        fim = crlb.fim_stack(poses, anchors, coupling, gparams.noise_sigma, cooperative)
         bounds.append(crlb.peb_stack(fim, 0))
     return np.concatenate(bounds)
 
@@ -510,27 +510,33 @@ def _canonical_poses(poses: np.ndarray) -> np.ndarray:
     return out
 
 
+def _write(path: Path, lines: Iterable[str]) -> Path:
+    """path with one line per entry of lines, each ended by a newline."""
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _outdir(outdir) -> Path:
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
     """Write trials.csv, summary.csv, per-label CDF files and config.echo.
 
     Wall times are emitted to timings.csv; all other files are byte-stable
     for a fixed configuration and seed.
     """
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
+    out = _outdir(outdir)
     rows = [TRIALS_HEADER]
     timing_rows = [TIMINGS_HEADER]
     est_poses = _canonical_poses([tr.est_pose for tr in result.trials])
     for tr, est_pose in zip(result.trials, est_poses):
+        key = [str(tr.m), tr.scheme, tr.estimator]
+        key += [str(tr.topology_id), str(tr.noise_id), str(tr.agent)]
         fields = [
-            str(tr.m),
-            tr.scheme,
-            tr.estimator,
-            str(tr.topology_id),
-            str(tr.noise_id),
-            str(tr.agent),
+            *key,
             *[_fmt(v) for v in tr.true_pose],
             *[_fmt(v) for v in est_pose],
             _fmt(tr.error_m),
@@ -541,96 +547,45 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
             str(tr.iterations),
         ]
         rows.append(",".join(fields))
-        timing_rows.append(
-            ",".join(
-                [
-                    str(tr.m),
-                    tr.scheme,
-                    tr.estimator,
-                    str(tr.topology_id),
-                    str(tr.noise_id),
-                    str(tr.agent),
-                    _fmt(tr.wall_time_s),
-                ]
-            )
-        )
-    trials_path = out / "trials.csv"
-    trials_path.write_text("\n".join(rows) + "\n")
-    written.append(trials_path)
-    timings_path = out / "timings.csv"
-    timings_path.write_text("\n".join(timing_rows) + "\n")
-    written.append(timings_path)
-
+        timing_rows.append(",".join(key + [_fmt(tr.wall_time_s)]))
     summary_rows = [SUMMARY_HEADER]
     for s in result.summaries:
-        summary_rows.append(
-            ",".join(
-                [
-                    str(s.m),
-                    s.scheme,
-                    s.estimator,
-                    _fmt(s.mean_rmse_m),
-                    _fmt(s.mean_peb_m),
-                    _fmt(s.outlier_frac),
-                    str(s.trials),
-                ]
-            )
-        )
-    summary_path = out / "summary.csv"
-    summary_path.write_text("\n".join(summary_rows) + "\n")
-    written.append(summary_path)
-
+        values = [_fmt(s.mean_rmse_m), _fmt(s.mean_peb_m), _fmt(s.outlier_frac), str(s.trials)]
+        summary_rows.append(",".join([str(s.m), s.scheme, s.estimator] + values))
+    written = [
+        _write(out / "trials.csv", rows),
+        _write(out / "timings.csv", timing_rows),
+        _write(out / "summary.csv", summary_rows),
+    ]
     for label, cdf in result.cdfs.items():
-        path = out / f"cdf_{label}.csv"
         lines = ["error_m,cdf"] + [f"{_fmt(v)},{_fmt(p)}" for v, p in cdf]
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-
+        written.append(_write(out / f"cdf_{label}.csv", lines))
     echo_path = out / "config.echo"
     echo_path.write_text(result.config.echo())
-    written.append(echo_path)
-    return written
+    return written + [echo_path]
 
 
 def emit_peb_curve(rows, cfg: ExperimentConfig, scheme: Scheme, outdir) -> List[Path]:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(outdir)
     lines = ["M,scheme,mean_peb_m,topologies"]
-    for m, value, n in rows:
-        lines.append(f"{m},{scheme.value},{_fmt(value)},{n}")
-    path = out / "peb.csv"
-    path.write_text("\n".join(lines) + "\n")
+    lines += [f"{m},{scheme.value},{_fmt(value)},{n}" for m, value, n in rows]
     echo = out / "config.echo"
     echo.write_text(cfg.echo())
-    return [path, echo]
+    return [_write(out / "peb.csv", lines), echo]
 
 
 def emit_gains(stats, cfg: ExperimentConfig, outdir) -> List[Path]:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for key in ("agent_agent", "agent_anchor"):
-        path = out / f"cdf_gains_{key}.csv"
-        lines = ["gain_db,cdf"] + [
-            f"{_fmt(v)},{_fmt(p)}" for v, p in stats[f"cdf_{key}_db"]
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    summary = out / "gains_summary.csv"
-    summary.write_text(
-        "fraction_below_sigma,median_agent_agent_db,median_agent_anchor_db\n"
-        + ",".join(
-            _fmt(stats[k])
-            for k in (
-                "fraction_below_sigma",
-                "median_agent_agent_db",
-                "median_agent_anchor_db",
-            )
+    out = _outdir(outdir)
+    written = [
+        _write(
+            out / f"cdf_gains_{key}.csv",
+            ["gain_db,cdf"] + [f"{_fmt(v)},{_fmt(p)}" for v, p in stats[f"cdf_{key}_db"]],
         )
-        + "\n"
-    )
-    written.append(summary)
+        for key in ("agent_agent", "agent_anchor")
+    ]
+    names = ("fraction_below_sigma", "median_agent_agent_db", "median_agent_anchor_db")
+    summary = [",".join(names), ",".join(_fmt(stats[k]) for k in names)]
+    written.append(_write(out / "gains_summary.csv", summary))
     echo = out / "config.echo"
     echo.write_text(cfg.echo())
-    written.append(echo)
-    return written
+    return written + [echo]

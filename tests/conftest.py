@@ -48,17 +48,18 @@ def random_deployment(rng, room=None, lo=0.0, hi=1.5):
 
 
 SINGULAR_TOPOLOGY = 2
-FAR_OUT_M = 100.0
+FAR_OUT_M = 1e8
 
 
 def far_out(topology):
     """The topology with agent 0 moved FAR_OUT_M meters out of the room along x.
 
-    Agent 0's links are then so weak that, from two agents on, every
-    information matrix that includes agent 0 exceeds the FIM_MAX_CONDITION
-    rule (about 6e17 cooperative, 3e19 non-cooperative).  With one agent
-    the condition grows only as the squared distance, so tests that need a
-    singular matrix use at least two agents.
+    Agent 0's links are then so weak that its own information block is
+    singular by the FIM_MAX_CONDITION rule: the block's condition grows as
+    the squared distance (about 3e14 at 1e7 m), and at 1e8 m its smallest
+    eigenvalue is lost to rounding.  So agent 0's bound is singular in both
+    schemes and for every agent count, also where, as without cooperation,
+    only agent 0's own block enters it.
     """
     agent = topology.agents[0]
     moved = Deployment(agent.position + [FAR_OUT_M, 0.0, 0.0], agent.euler, agent.rotation)

@@ -16,9 +16,13 @@ library's bound for every agent of one matrix.  decompose_link,
 direction_estimate and resolve_position are the one-link pair-ML steps:
 SVD, orientation and score, the sign-free direction and the room test of
 the two candidate positions.  candidate_cost scores a pair-ML candidate pose link by link.
-levenberg_marquardt solves one problem at a time with its own Python loop,
-and random_restarts_per_agent drives it through the per-agent
-decomposition of a non-cooperative problem.  position_bound inverts the
+residual_and_jacobian builds the dense residual Jacobian (..., 9L, 6M) of
+an LsProblem, each link's derivative columns placed in its endpoints'
+agent blocks, and normal_equations forms J^T J and J^T r from it: the
+reference for LsProblem.normal_equations, which never forms J.
+levenberg_marquardt solves one problem at a time with its own Python loop
+on that dense Jacobian, and random_restarts_per_agent drives it through
+the per-agent decomposition of a non-cooperative problem.  position_bound inverts the
 information matrix through a full eigendecomposition.
 sample_topology_per_agent is the topology sampler that draws, converts and
 checks one agent orientation at a time, with the scalar quaternion, norm
@@ -42,7 +46,8 @@ from miloc.estimators import (
     LsProblem,
     SolveReport,
 )
-from miloc.geometry import Deployment, join_poses, sample_uniform_rotation
+from miloc.channel import channel_derivative_columns, channel_gain_batch
+from miloc.geometry import Deployment, join_poses, sample_uniform_rotation, split_poses
 from miloc.pairml import DEGENERATE_SV_TOL, DIRECTION_GAP_TOL, SvdTriple, decompose_links
 
 
@@ -107,6 +112,47 @@ def candidate_cost(position, rotation, y_imag, anchors, coupling: float) -> floa
     return cost
 
 
+def residual_and_jacobian(problem: LsProblem, theta, index=None):
+    """Residual (..., 9L) and dense Jacobian (..., 9L, 6M) of problem at pose rows theta (..., 12M).
+
+    Every link's transmitter columns go to its agent's block, and its
+    receiver columns too when the receiver is an agent; index is as for
+    problem.residual.
+    """
+    theta = np.asarray(theta, dtype=float)
+    agent_p, agent_o = split_poses(theta)
+    batch, m = agent_p.shape[:-2], problem.n_agents
+    positions = np.concatenate(
+        [agent_p, np.broadcast_to(problem.anchor_positions, batch + problem.anchor_positions.shape)],
+        axis=-2,
+    )
+    rotations = np.concatenate(
+        [agent_o, np.broadcast_to(problem.anchor_rotations, batch + problem.anchor_rotations.shape)],
+        axis=-3,
+    )
+    tx, rx = problem.links[:, 0], problem.links[:, 1]
+    o_tx, o_rx = rotations[..., tx, :, :].reshape(-1, 3, 3), rotations[..., rx, :, :].reshape(-1, 3, 3)
+    gains, r, u, f = channel_gain_batch(
+        positions[..., tx, :].reshape(-1, 3), o_tx, positions[..., rx, :].reshape(-1, 3), o_rx,
+        problem.coupling,
+    )
+    cols = channel_derivative_columns(r, u, f, gains, o_tx, o_rx, problem.coupling)
+    cols = cols.reshape(-1, len(tx), 9, 12)
+    jac = np.zeros((len(cols), len(tx), 9, m, 6))
+    for link, (t, s) in enumerate(problem.links):
+        jac[:, link, :, t] = -cols[:, link, :, :6]
+        if s < m:
+            jac[:, link, :, s] = -cols[:, link, :, 6:]
+    jac = jac.reshape(batch + (9 * len(tx), 6 * m))
+    return problem.residual(theta, index), jac
+
+
+def normal_equations(residual: np.ndarray, jac: np.ndarray):
+    """(residual, J^T J, J^T r) of residual rows (..., R) and their Jacobian (..., R, P)."""
+    jac_t = np.swapaxes(jac, -1, -2)
+    return residual, jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
+
+
 def levenberg_marquardt(
     problem,
     x0: np.ndarray,
@@ -116,16 +162,16 @@ def levenberg_marquardt(
     initial_damping: float = LM_INITIAL_DAMPING,
     max_damping: float = LM_MAX_DAMPING,
 ) -> SolveReport:
-    """One problem at a time: problem.residual(x), residual_and_jacobian(x), retract(x, step).
+    """One problem at a time: problem.residual(x), residual_and_jacobian(problem, x), retract(x, step).
 
-    x is one 1-d pose row.
+    x is one 1-d pose row of an LsProblem.
 
     The classic Marquardt schedule: lambda times 10 on every rejected step,
     divided by 10 after an accepted one; termination on a small step, a small
     relative cost decrease, the iteration budget or the damping ceiling.
     """
     x = np.asarray(x0, dtype=float).copy()
-    residual, jac = problem.residual_and_jacobian(x)
+    residual, jac = residual_and_jacobian(problem, x)
     cost = float(residual @ residual)
     lam = initial_damping
     singular = False
@@ -162,7 +208,7 @@ def levenberg_marquardt(
         lam = max(lam / 10.0, 1e-15)
         if np.linalg.norm(step) < step_tol or decrease <= cost_tol * max(cost, 1e-300):
             return SolveReport(x, cost, iteration, True, normal_equations_singular=singular)
-        residual, jac = problem.residual_and_jacobian(x)
+        residual, jac = residual_and_jacobian(problem, x)
 
     return SolveReport(x, cost, max_iterations, False, normal_equations_singular=singular)
 

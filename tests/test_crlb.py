@@ -10,7 +10,14 @@ from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 from conftest import far_out, random_deployment
-from oracles import fim_block, link_information, peb_all, position_bound, retracted
+from oracles import (
+    fim_block,
+    link_information,
+    peb_all,
+    position_bound,
+    residual_and_jacobian,
+    retracted,
+)
 
 SIGMA = 1e-5
 
@@ -28,7 +35,7 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
     stacked = fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
     ms = synthesize_measurements(topos[0], coil, gparams, Scheme.COOP, np.random.default_rng(0), sigma=0.0)
     problem = LsProblem.from_measurements(ms, anchors, 3, coupling)
-    _, jac = problem.residual_and_jacobian(poses)
+    _, jac = residual_and_jacobian(problem, poses)
     for k, topo in enumerate(topos):
         expected = 2.0 / SIGMA**2 * (jac[k].T @ jac[k])
         assert np.allclose(stacked[k], expected, rtol=1e-9, atol=1e-6 * np.abs(expected).max())
@@ -348,3 +355,15 @@ def test_gimbal_locked_agent_keeps_its_bound(room, anchors, coupling, beta):
             turned = peb_all(assemble_fim(locked, anchors, coupling, SIGMA, cooperative))
             assert np.all(np.isfinite(turned))
             assert np.allclose(turned, bounds, rtol=1e-9, atol=0.0)
+
+
+def test_noncooperative_bound_ignores_the_other_agents(room, anchors, coupling):
+    # agent 0 shares no parameter with agent 2 without cooperation, so
+    # moving agent 2 far out leaves agent 0's bound as it was, bit for bit
+    topo = _topology(3, 3, room, anchors)
+    agent = topo.agents[2]
+    moved = topo.agents[:2] + [Deployment.from_rotation(agent.position + [100.0, 0.0, 0.0], agent.rotation)]
+    expected = peb(assemble_fim(topo.agents, anchors, coupling, SIGMA, False), 0)
+    assert peb(assemble_fim(moved, anchors, coupling, SIGMA, False), 0) == expected
+    with pytest.raises(SingularFim):
+        peb(assemble_fim(moved, anchors, coupling, SIGMA, True), 0)

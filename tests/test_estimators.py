@@ -77,7 +77,7 @@ def test_jacobian_matches_finite_differences(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.COOP, 3, coil, gparams, room, anchors)
     rng = np.random.default_rng(4)
     theta = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.02, 18))
-    _, jac = problem.residual_and_jacobian(theta)
+    _, jac = oracles.residual_and_jacobian(problem, theta)
     h = 1e-7
     for k in range(18):
         step = np.zeros(18)
@@ -90,7 +90,7 @@ def test_jacobian_matches_finite_differences(room, anchors, coil, gparams):
 
 def test_noncooperative_jacobian_is_block_diagonal(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.NONCOOP, 5, coil, gparams, room, anchors)
-    _, jac = problem.residual_and_jacobian(pack_deployments(topo.agents))
+    _, jac = oracles.residual_and_jacobian(problem, pack_deployments(topo.agents))
     # rows of agent m's links must have zero columns for every other agent
     for row, (tx, _) in enumerate(problem.links):
         block = jac[9 * row : 9 * row + 9]
@@ -114,9 +114,9 @@ class _Quadratic:
     def residual(self, x, index=None):
         return x - self.target
 
-    def residual_and_jacobian(self, x, index=None):
+    def normal_equations(self, x, index=None):
         size = x.shape[-1]
-        return x - self.target, np.broadcast_to(np.eye(size), x.shape + (size,))
+        return oracles.normal_equations(x - self.target, np.broadcast_to(np.eye(size), x.shape + (size,)))
 
     def retract(self, x, step):
         return x + step
@@ -141,8 +141,8 @@ class _BrokenJacobian:
     def residual(self, x, index=None):
         return x - 1.0
 
-    def residual_and_jacobian(self, x, index=None):
-        return x - 1.0, np.full(x.shape + (x.shape[-1],), np.nan)
+    def normal_equations(self, x, index=None):
+        return oracles.normal_equations(x - 1.0, np.full(x.shape + (x.shape[-1],), np.nan))
 
     def retract(self, x, step):
         return x + step
@@ -169,14 +169,14 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
     x0 = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.1, 12))
 
     costs = []
-    original = problem.residual_and_jacobian
+    original = problem.normal_equations
 
     def tracking(theta, index=None):
-        res, jac = original(theta, index)
+        res, jtj, gradient = original(theta, index)
         costs.append(float(np.sum(res**2)))
-        return res, jac
+        return res, jtj, gradient
 
-    problem.residual_and_jacobian = tracking
+    problem.normal_equations = tracking
     levenberg_marquardt(problem, x0)
     # evaluations happen only at accepted iterates; the sequence never rises
     assert all(b <= a + 1e-300 for a, b in zip(costs, costs[1:]))
@@ -312,11 +312,11 @@ def test_stacked_residual_and_jacobian_match_row_by_row(coil, gparams, room, anc
     stack, singles = _anchor_stack([30], coil, gparams, room, anchors)
     theta = _random_starts(len(singles), np.random.default_rng(31), 0.0, 1.5)
     index = np.array([3, 0, 2])
-    res, jac = stack.residual_and_jacobian(theta[index], index)
+    res, jac = oracles.residual_and_jacobian(stack, theta[index], index)
     assert res.shape == (3, 9 * len(stack.links)) and jac.shape == res.shape + (6,)
     assert np.array_equal(stack.residual(theta[index], index), res)
     for row, b in enumerate(index):
-        res_b, jac_b = singles[b].residual_and_jacobian(theta[b])
+        res_b, jac_b = oracles.residual_and_jacobian(singles[b], theta[b])
         assert res_b.shape == (9 * len(stack.links),) and jac_b.shape == (len(res_b), 6)
         assert np.allclose(res[row], res_b, rtol=0.0, atol=1e-18)
         assert np.allclose(jac[row], jac_b, rtol=1e-13, atol=1e-20)
@@ -348,7 +348,7 @@ def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
 
 
 class _NanJacobianRows:
-    """A stacked problem whose Jacobian is NaN for the listed problems."""
+    """A stacked problem whose normal equations are NaN for the listed problems."""
 
     def __init__(self, problem, broken):
         self.problem = problem
@@ -357,11 +357,11 @@ class _NanJacobianRows:
     def residual(self, x, index):
         return self.problem.residual(x, index)
 
-    def residual_and_jacobian(self, x, index):
-        res, jac = self.problem.residual_and_jacobian(x, index)
-        jac = jac.copy()
-        jac[np.isin(index, self.broken)] = np.nan
-        return res, jac
+    def normal_equations(self, x, index):
+        res, jtj, gradient = self.problem.normal_equations(x, index)
+        jtj[np.isin(index, self.broken)] = np.nan
+        gradient[np.isin(index, self.broken)] = np.nan
+        return res, jtj, gradient
 
     def retract(self, x, step):
         return self.problem.retract(x, step)
@@ -535,21 +535,21 @@ def test_stacked_coop_problems_do_not_depend_on_each_other(
         assert solve.problem_iterations[b] == alone.problem_iterations
         assert solve.converged[b] == alone.converged
     # and split over calls of one problem
-    monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", 0)
+    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", 0)
     split = estimators._solve_in_calls(stack, x0, 1)
     assert np.array_equal(split.estimate, solve.estimate)
     assert np.array_equal(split.final_cost, solve.final_cost)
 
 
-@pytest.mark.parametrize("elements", [0, estimators._JACOBIAN_ELEMENTS_PER_CALL])
+@pytest.mark.parametrize("links", [0, estimators._LINKS_PER_LM_CALL])
 @pytest.mark.parametrize(
     "scheme, init",
     [(Scheme.COOP, "random:2"), (Scheme.NONCOOP, "random:3"), (Scheme.NONCOOP, "pairml")],
 )
 def test_estimate_on_a_stack_equals_each_set_alone(
-    scheme, init, elements, monkeypatch, coil, gparams, room, anchors
+    scheme, init, links, monkeypatch, coil, gparams, room, anchors
 ):
-    monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", elements)
+    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", links)
     sets = [make_problem(3, scheme, seed, coil, gparams, room, anchors) for seed in (54, 55, 56)]
     problems = [problem for _, problem in sets]
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
@@ -585,12 +585,12 @@ def test_per_agent_costs_of_a_stack_equal_row_by_row(coil, gparams, room, anchor
 
 @pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [5, 1])])
 def test_one_sets_restarts_share_one_lm_call(
-    with_reference, calls, lm_calls, coil, gparams, room, anchors
+    with_reference, calls, monkeypatch, lm_calls, coil, gparams, room, anchors
 ):
-    # the per-call Jacobian budget admits one cooperative M=10 problem, yet
+    # a per-call link budget that admits two cooperative M=10 problems, yet
     # a set's five restarts are solved together and its reference after them
     topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
-    assert 2 * 9 * len(problem.links) * 60 > estimators._JACOBIAN_ELEMENTS_PER_CALL
+    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", 2 * len(problem.links))
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(62)
     estimate(problem, "random:5", room, truth, rng, with_reference=with_reference)
@@ -605,7 +605,86 @@ def test_lm_calls_hold_whole_sets_then_the_references(
     sets = [make_problem(2, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (63, 64, 65)]
     stack = _stacked([problem for _, problem in sets])
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
-    monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", 5 * 9 * len(anchors) * 6)
+    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", 5 * len(anchors))
     rngs = [np.random.default_rng(66 + t) for t in range(3)]
     estimate(stack, "random:2", room, truths, rngs, with_reference=True)
     assert lm_calls == [4, 4, 4, 4, 2]
+
+
+def _uneven(problem):
+    """problem without agent 1's links to the last anchor and to agent 0.
+
+    Its agents take part in unequal numbers of links, and a cooperative
+    pair is measured in one direction only.
+    """
+    tx, rx = problem.links.T
+    keep = ~((tx == 1) & ((rx == rx.max()) | (rx == 0)))
+    return dataclasses.replace(problem, links=problem.links[keep], y_imag=problem.y_imag[..., keep, :, :])
+
+
+@pytest.mark.parametrize("scheme", [Scheme.COOP, Scheme.NONCOOP])
+def test_normal_equations_match_the_dense_oracle(scheme, coil, gparams, room, anchors):
+    # residual, J^T J and J^T r of stacks, with and without index, against
+    # the products of the dense Jacobian
+    rng = np.random.default_rng(70)
+    for m in range(1, 11):
+        stack, _, truths = _coop_sets(m, [71, 72, 73], coil, gparams, room, anchors)
+        if scheme is Scheme.NONCOOP:
+            rows = stack.links[:, 1] >= m
+            stack = dataclasses.replace(stack, links=stack.links[rows], y_imag=stack.y_imag[:, rows])
+        theta = stack.retract(truths, rng.normal(0.0, 0.05, (3, 6 * m)))
+        index = np.array([2, 0])
+        problems = [stack] if m == 1 else [stack, _uneven(stack)]
+        for problem in problems:
+            for rows, pick in ((theta, None), (theta[index], index)):
+                got = problem.normal_equations(rows, pick)
+                want = oracles.normal_equations(*oracles.residual_and_jacobian(problem, rows, pick))
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (m, scheme)
+
+
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_normal_equations_do_not_depend_on_the_stack_or_the_slices(
+    m, monkeypatch, coil, gparams, room, anchors
+):
+    # bit for bit: alone, inside a stack, and with slice boundaries between
+    # the stack's problems
+    stack, problems, truths = _coop_sets(m, [74, 75, 76, 77], coil, gparams, room, anchors)
+    theta = stack.retract(truths, np.random.default_rng(78).normal(0.0, 0.05, (4, 6 * m)))
+    whole = stack.normal_equations(theta)
+    for per_slice in (1, 2, 3):
+        monkeypatch.setattr(estimators, "LINKS_PER_SLICE", per_slice * len(stack.links))
+        for got, want in zip(stack.normal_equations(theta), whole):
+            assert np.array_equal(got, want)
+    for b, problem in enumerate(problems):
+        for got, want in zip(problem.normal_equations(theta[b]), whole):
+            assert np.array_equal(got, want[b])
+
+
+def test_range_normal_equations_match_finite_differences(room, anchors):
+    positions = np.stack([a.position for a in anchors])
+    rng = np.random.default_rng(79)
+    distances = np.linalg.norm(positions - rng.uniform(0.1, 1.4, (3, 1, 3)), axis=2)
+    distances[1, 2] = np.nan  # a padded anchor
+    problem = estimators._RangeProblem(np.broadcast_to(positions, (3, 4, 3)), distances)
+    p = rng.uniform(0.0, 1.5, (2, 3))
+    index = np.array([1, 2])
+    h = 1e-6
+    jac = np.stack(
+        [
+            (problem.residual(p + h * e, index) - problem.residual(p - h * e, index)) / (2 * h)
+            for e in np.eye(3)
+        ],
+        axis=-1,
+    )
+    for got, want in zip(problem.normal_equations(p, index), oracles.normal_equations(problem.residual(p, index), jac)):
+        assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
+
+
+def test_agent_links_are_not_repeated(room, anchors, coil, gparams):
+    topo, problem = make_problem(3, Scheme.COOP, 80, coil, gparams, room, anchors)
+    links = np.vstack([problem.links, [1, 2]])
+    repeated = dataclasses.replace(problem, links=links, y_imag=np.zeros((len(links), 3, 3)))
+    with pytest.raises(ValueError, match="once per direction"):
+        repeated.normal_equations(pack_deployments(topo.agents))

@@ -371,7 +371,10 @@ def _agent0_bounds(cfg, m, topologies, cooperative):
 
 
 def _links(cfg, m, cooperative):
-    return len(link_set(m, len(cfg.anchors()), Scheme.COOP if cooperative else Scheme.NONCOOP))
+    """Links of agent 0's bound: the whole cooperative set, or agent 0's anchor links."""
+    if not cooperative:
+        return len(cfg.anchors())
+    return len(link_set(m, len(cfg.anchors()), Scheme.COOP))
 
 
 @pytest.mark.parametrize("cooperative", [True, False])
@@ -383,14 +386,14 @@ def test_stacked_bounds_equal_single_topology_bounds(monkeypatch, cooperative):
         assert np.array_equal(_agent0_bounds(cfg, m, 1, cooperative), expected[:1])
         assert np.array_equal(_agent0_bounds(cfg, m, 2, cooperative), expected[:2])
         for per_call in (1, 2, 3, 10**9):  # topologies per stacked call
-            monkeypatch.setattr(harness, "_LINKS_PER_CALL", per_call * _links(cfg, m, cooperative))
+            monkeypatch.setattr(estimators, "LINKS_PER_SLICE", per_call * _links(cfg, m, cooperative))
             assert np.array_equal(_agent0_bounds(cfg, m, 5, cooperative), expected), (m, per_call)
 
 
 @pytest.mark.parametrize("m, cooperative", [(10, True), (1, False)])
 def test_stacked_bounds_across_the_default_chunk_boundary(m, cooperative):
     cfg = _small_cfg(seed=6)
-    chunk = harness._LINKS_PER_CALL // _links(cfg, m, cooperative)
+    chunk = estimators.LINKS_PER_SLICE // _links(cfg, m, cooperative)
     expected = _single_topology_bounds(cfg, m, chunk + 2, cooperative)
     assert np.array_equal(_agent0_bounds(cfg, m, chunk + 2, cooperative), expected)
 
@@ -409,6 +412,49 @@ def test_bound_sweep_memory_does_not_grow_with_topologies():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+# Warm tracemalloc peaks, in bytes, of the two runs below at commit 31cb4db,
+# whose LM summed J^T J from dense Jacobians (Python 3.11.7, numpy 2.4.6):
+# the link-by-link assembly must not need more memory.
+DENSE_SWEEP_PEAK = 582_333
+DENSE_TURBOLS_PEAK = 1_704_472
+
+
+def _warm_peak(run):
+    """tracemalloc peak of run's second call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bound_sweep_peak_memory():
+    cfg = ExperimentConfig(seed=20240101)
+
+    def sweep():
+        mean_peb_curve(cfg, agent_counts=range(1, 11), topologies=3, scheme=Scheme.COOP)
+        mean_peb_curve(cfg, agent_counts=[10], topologies=3, scheme=Scheme.NONCOOP)
+
+    assert _warm_peak(sweep) <= DENSE_SWEEP_PEAK
+
+
+def test_cooperative_turbols_chunk_peak_memory():
+    cfg = ExperimentConfig(
+        seed=20240101, agents="10", topologies=1, noise=4, scheme="coop", estimator="turbols"
+    )
+    assert _warm_peak(lambda: run_experiment(cfg)) <= DENSE_TURBOLS_PEAK
+
+
+def test_cooperative_turbols_chunk_takes_one_lm_call(lm_calls):
+    # four M=10 estimates and their four perfect-init references
+    cfg = _small_cfg(agents="10", topologies=1, noise=4, scheme="coop", estimator="turbols")
+    result = run_experiment(cfg)
+    assert result.failures == 0 and len(result.trials) == 40
+    assert lm_calls == [8]
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +498,15 @@ def test_outputs_identical_for_every_chunk_budget(
     cfg = _small_cfg(
         agents="3", topologies=2, noise=3, scheme=scheme, estimator=estimator, init=init, seed=41
     )
-    budgets = {  # trials per chunk, Jacobian elements per LM call
+    budgets = {  # trials per chunk, links per LM call
         "smallest calls": (1, 0),
-        "two trials": (2, estimators._JACOBIAN_ELEMENTS_PER_CALL),
-        "default": (harness._TRIALS_PER_CHUNK, estimators._JACOBIAN_ELEMENTS_PER_CALL),
+        "two trials": (2, estimators._LINKS_PER_LM_CALL),
+        "default": (harness._TRIALS_PER_CHUNK, estimators._LINKS_PER_LM_CALL),
     }
     outputs, counts = {}, {}
-    for label, (trials, elements) in budgets.items():
+    for label, (trials, links) in budgets.items():
         monkeypatch.setattr(harness, "_TRIALS_PER_CHUNK", trials)
-        monkeypatch.setattr(estimators, "_JACOBIAN_ELEMENTS_PER_CALL", elements)
+        monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", links)
         lm_calls.clear()
         result = run_experiment(cfg)
         assert result.failures == 0
