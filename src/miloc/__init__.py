@@ -14,7 +14,6 @@ from .crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_sta
 from .estimators import (
     LsProblem,
     MultilaterationResult,
-    SolveReport,
     StackedSolve,
     estimate,
     levenberg_marquardt,

@@ -122,9 +122,7 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown configuration key {key!r}")
             default = getattr(cls, key)
-            if isinstance(default, bool):
-                values[key] = str(raw).lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 try:
                     values[key] = int(raw)
                 except ValueError as exc:

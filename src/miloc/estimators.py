@@ -21,13 +21,17 @@ levenberg_marquardt advances all rows together, each with its own damping
 and termination.  Memory is bounded in links: link columns are formed for
 at most LINKS_PER_SLICE links at a time, and estimate splits a stack into
 LM calls of at most _LINKS_PER_LM_CALL links (whole sets, at least one).
+Results stay arrays: levenberg_marquardt and estimate return a StackedSolve,
+one entry per problem, and estimate's are shaped by measurement set and
+group of agents (one group for a cooperative problem, one per agent for a
+non-cooperative one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,19 +65,6 @@ _LINKS_PER_LM_CALL = 2048
 
 class DimensionMismatch(ValueError):
     """Pose row length does not match the problem."""
-
-
-@dataclass
-class SolveReport:
-    """Outcome of one estimation run."""
-
-    estimate: np.ndarray
-    final_cost: float
-    iterations: int
-    converged: bool
-    initializations_used: int = 1
-    normal_equations_singular: bool = False
-    reference: Optional[SolveReport] = None  # perfect-init solve, when asked for
 
 
 def pack_deployments(deployments: Sequence[Deployment]) -> np.ndarray:
@@ -214,22 +205,6 @@ class LsProblem:
         res = self.residual(theta)
         return float(res @ res)
 
-    def per_agent_costs(self, theta: np.ndarray) -> np.ndarray:
-        """Cost grouped by transmitting agent, (..., M) for pose rows theta (..., 12M).
-
-        For anchor-only link sets this partitions the total cost into the
-        independent per-agent objectives.  A stacked y_imag (T, L, 3, 3)
-        pairs with theta rows (..., T, 6M).
-        """
-        theta = self._check(theta)
-        batch, _, _, gains, _, _, _ = self._geometry(theta)
-        residual = self.y_imag - gains.reshape(batch + (len(self.links), 3, 3))
-        per_link = np.sum(residual**2, axis=(-2, -1))
-        out = np.zeros(per_link.shape[:-1] + (self.n_agents,))
-        # link by link in link order, whatever the batch shape
-        np.add.at(out.T, self.links[:, 0], per_link.T)
-        return out
-
     def normal_equations(self, theta: np.ndarray, index=None):
         """Residual (..., 9L), J^T J (..., 6M, 6M) and J^T r (..., 6M) at pose rows (..., 12M).
 
@@ -320,8 +295,10 @@ def _link_tables(n_agents: int, links_key: bytes):
 class StackedSolve:
     """Outcome of one stacked Levenberg-Marquardt solve.
 
-    The per-problem fields have the batch shape of the start x0 (0-d for a
-    single 1-d start); iterations totals the per-problem counts.
+    The per-problem fields share one batch shape: that of the starts x0 of
+    levenberg_marquardt (0-d for a single 1-d start), or the sets and groups
+    of estimate.  estimate holds each problem's final pose row, and
+    iterations totals the per-problem counts.
     """
 
     estimate: np.ndarray
@@ -333,20 +310,6 @@ class StackedSolve:
     @property
     def iterations(self) -> int:
         return int(self.problem_iterations.sum())
-
-    def report(self, pick: np.ndarray, initializations_used: int = 1) -> SolveReport:
-        """Joint report of the problems in pick, concatenated in that order."""
-        flat = self.estimate.reshape(-1, self.estimate.shape[-1])
-        return SolveReport(
-            estimate=flat[pick].reshape(-1),
-            final_cost=float(sum(self.final_cost.reshape(-1)[pick].tolist())),
-            iterations=int(self.problem_iterations.reshape(-1)[pick].max()),
-            converged=bool(self.converged.reshape(-1)[pick].all()),
-            initializations_used=initializations_used,
-            normal_equations_singular=bool(
-                self.normal_equations_singular.reshape(-1)[pick].any()
-            ),
-        )
 
 
 def _sum_squares(residual: np.ndarray) -> np.ndarray:
@@ -373,15 +336,7 @@ def _damped_steps(jtj: np.ndarray, gradient: np.ndarray, lam: np.ndarray) -> np.
         return steps
 
 
-def levenberg_marquardt(
-    problem,
-    x0: np.ndarray,
-    max_iterations: int = LM_MAX_ITERATIONS,
-    step_tol: float = LM_STEP_TOL,
-    cost_tol: float = LM_COST_TOL,
-    initial_damping: float = LM_INITIAL_DAMPING,
-    max_damping: float = LM_MAX_DAMPING,
-) -> StackedSolve:
+def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     """Damped Gauss-Newton iteration with the classic Marquardt schedule.
 
     x0 has shape (..., W): one start per independent problem of a stack.
@@ -396,8 +351,9 @@ def levenberg_marquardt(
     The damping term scales the diagonal of the normal equations; lambda is
     multiplied by 10 on every rejected step and divided by 10 after an
     accepted one, so the accepted cost sequence is non-increasing.
-    Termination: step norm below step_tol, relative cost decrease below
-    cost_tol, or the iteration budget.  If no acceptable step exists up to
+    Termination: step norm below LM_STEP_TOL, relative cost decrease below
+    LM_COST_TOL, or the budget of LM_MAX_ITERATIONS; the LM_* settings are
+    read at call time.  If no acceptable step exists up to
     the damping ceiling the problem reports failure instead of raising; a
     singular or non-finite system marks only its own problem.
     """
@@ -407,7 +363,7 @@ def levenberg_marquardt(
     everyone = np.arange(count)
     residual, jtj, gradient = problem.normal_equations(x, everyone)
     cost = _sum_squares(residual)
-    lam = np.full(count, initial_damping)
+    lam = np.full(count, LM_INITIAL_DAMPING)
     iteration = np.ones(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     singular = np.zeros(count, dtype=bool)
@@ -415,7 +371,7 @@ def levenberg_marquardt(
 
     while True:
         # a problem whose damping passed the ceiling has no acceptable step
-        active &= lam <= max_damping
+        active &= lam <= LM_MAX_DAMPING
         trying = everyone[active]
         if not trying.size:
             break
@@ -437,13 +393,13 @@ def levenberg_marquardt(
         x[moved] = trial[accept]
         cost[moved] = new_cost
         lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
-        done = (np.linalg.norm(step, axis=1) < step_tol) | (
-            decrease <= cost_tol * np.maximum(new_cost, 1e-300)
+        done = (np.linalg.norm(step, axis=1) < LM_STEP_TOL) | (
+            decrease <= LM_COST_TOL * np.maximum(new_cost, 1e-300)
         )
         converged[moved[done]] = True
         active[moved[done]] = False
         going = moved[~done]
-        exhausted = iteration[going] >= max_iterations
+        exhausted = iteration[going] >= LM_MAX_ITERATIONS
         active[going[exhausted]] = False
         going = going[~exhausted]
         if going.size:
@@ -576,25 +532,29 @@ def estimate(
     truth: Optional[np.ndarray] = None,
     rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
     with_reference: bool = False,
-) -> Union[SolveReport, List[SolveReport]]:
+) -> Tuple[StackedSolve, Optional[StackedSolve]]:
     """Solve a deployment estimation problem with the requested initialization.
 
     init is one of 'perfect' (start from the true parameters, evaluation
     mode), 'random' / 'random:<k>' (uniform position in the room, uniform
-    orientation; the restart with the lowest final cost wins) or 'pairml'
-    (closed-form per-agent initialization, one LM run).  Non-cooperative
-    problems decompose into independent single-agent problems; all agents
-    and restarts are solved as one stacked LM.
+    orientation; the restart with the lowest final cost wins, the first on
+    ties) or 'pairml' (closed-form per-agent initialization, one LM run).
 
-    truth holds pose rows (pack_deployments), and so does each report's
-    estimate.  A stack of T measurement sets, problem.y_imag (T, L, 3, 3),
-    takes truth (T, 12M) and rng as a sequence of T generators, and gives a
-    list of T reports: each set's report equals the one of the set solved
-    alone, its random starts drawn from its own rng.  with_reference adds
-    each set's perfect-init solve to the same stack and attaches its report
-    as report.reference.  The stack is solved in LM calls of a bounded number
-    of links (_solve_in_calls), each holding whole sets' estimates, all their
-    agents and restarts; the references follow after every estimate.
+    A cooperative problem is one group of agents.  A non-cooperative one
+    decomposes into M independent groups of one agent, each on its own
+    anchor links, so a group's final cost is its agent's own objective.
+    truth holds pose rows (pack_deployments).  A stack of T measurement
+    sets, problem.y_imag (T, L, 3, 3), takes truth (T, 12M) and rng as a
+    sequence of T generators; each set's results equal those of the set
+    solved alone, its random starts drawn from its own rng.
+
+    Returns (solve, reference): the estimates and, with_reference, the
+    perfect-init solves (else None).  Their per-problem fields have the
+    shape y_imag.shape[:-3] + (groups,), and estimate holds each group's
+    pose row, (..., groups, 12M / groups).  All sets, groups, restarts and
+    references share LM calls of a bounded number of links
+    (_solve_in_calls), each holding whole sets' estimates; the references
+    follow after every estimate.
     """
     strategy, restarts = parse_init_strategy(init)
     if (strategy == "perfect" or with_reference) and truth is None:
@@ -607,7 +567,6 @@ def estimate(
     single = problem.y_imag.ndim == 3
     y_imag = problem.y_imag[None] if single else problem.y_imag
     sets = len(y_imag)
-    # non-cooperative problems decompose into independent single-agent ones
     groups = 1 if problem.cooperative else problem.n_agents
     width = 12 * problem.n_agents // groups
     if truth is not None:
@@ -630,25 +589,17 @@ def estimate(
     solve = _solve_in_calls(
         _problem_stack(problem, y_imag, restarts, with_reference), x0, groups * restarts
     )
+    group = np.arange(sets * groups).reshape(problem.y_imag.shape[:-3] + (groups,))
     # lowest final cost per group, first on ties (final costs are finite)
-    costs = solve.final_cost[: sets * groups * restarts].reshape(sets, groups, restarts)
-    best = np.argmin(costs, axis=-1)
-    first = restarts * np.arange(sets * groups).reshape(sets, groups)
-    reports = [_joint_report(solve, first[t] + best[t], restarts) for t in range(sets)]
-    if with_reference:
-        # one reference problem per group, after all the estimates
-        references = sets * groups * restarts + np.arange(sets * groups).reshape(sets, groups)
-        for t, report in enumerate(reports):
-            report.reference = _joint_report(solve, references[t])
-    return reports[0] if single else reports
+    costs = solve.final_cost[: group.size * restarts].reshape(group.shape + (restarts,))
+    best = _take(solve, restarts * group + np.argmin(costs, axis=-1))
+    # one reference problem per group, after all the estimates
+    return best, _take(solve, group.size * restarts + group) if with_reference else None
 
 
-def _joint_report(solve: StackedSolve, pick: np.ndarray, initializations_used: int = 1):
-    """solve.report of the groups in pick, their poses joined into one pose row."""
-    report = solve.report(pick, initializations_used)
-    positions, rotations = split_poses(report.estimate.reshape(len(pick), -1))
-    report.estimate = join_poses(positions.reshape(-1, 3), rotations.reshape(-1, 3, 3))
-    return report
+def _take(solve: StackedSolve, index: np.ndarray) -> StackedSolve:
+    """The problems index of a solve with one batch axis, in the shape of index."""
+    return StackedSolve(*(getattr(solve, f.name)[index] for f in fields(StackedSolve)))
 
 
 @dataclass
@@ -684,9 +635,8 @@ class _RangeProblem:
 @dataclass
 class MultilaterationResult:
     position: np.ndarray
-    report: SolveReport
     underdetermined: np.ndarray
-    converged: np.ndarray  # per fix
+    converged: np.ndarray
 
 
 def multilaterate(
@@ -700,9 +650,9 @@ def multilaterate(
     leading index; all fixes are solved as one stacked LM, each initialized
     at the room center, and clamped to the room.  A NaN distance marks an
     anchor without a usable estimate, so fixes over different anchor counts
-    can share a stack.  The report is the joint one of all fixes, and
-    converged flags each fix on its own.  Fewer than three usable anchors
-    leave a 3-d fix underdetermined, which is flagged rather than raised.
+    can share a stack.  converged flags each fix on its own.  Fewer than
+    three usable anchors leave a 3-d fix underdetermined, which is flagged
+    rather than raised.
     """
     anchor_positions = np.asarray(anchor_positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
@@ -714,7 +664,6 @@ def multilaterate(
     solve = levenberg_marquardt(problem, start)
     return MultilaterationResult(
         position=room.clamp(solve.estimate),
-        report=solve.report(np.arange(len(problem.distances))),
         underdetermined=np.sum(np.isfinite(distances), axis=-1) < 3,
         converged=solve.converged,
     )

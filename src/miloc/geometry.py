@@ -12,17 +12,12 @@ class NotARotation(ValueError):
 
 
 def euler_to_rotation(euler) -> np.ndarray:
-    """Build the orientation matrix from intrinsic z-y-x Euler angles.
+    """Rotation matrices (..., 3, 3) of a (..., 3) array of intrinsic z-y-x Euler angles.
 
     The convention used throughout this package is R = Rz(alpha) @ Ry(beta)
-    @ Rx(gamma), with angles in radians; one triple of euler_to_rotation_batch.
+    @ Rx(gamma), with angles in radians.
     """
-    return euler_to_rotation_batch(euler)
-
-
-def euler_to_rotation_batch(eulers: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of a (..., 3) array of z-y-x angle triples."""
-    e = np.asarray(eulers, dtype=float)
+    e = np.asarray(euler, dtype=float)
     ca, sa = np.cos(e[..., 0]), np.sin(e[..., 0])
     cb, sb = np.cos(e[..., 1]), np.sin(e[..., 1])
     cg, sg = np.cos(e[..., 2]), np.sin(e[..., 2])

@@ -2,16 +2,18 @@
 
 Seeds are derived per (agent count, topology, noise draw) through
 numpy SeedSequence, so runs are reproducible bit for bit and trials are
-independent.  Trials are solved in chunks that share stacked solver calls;
-each trial's wall time, its chunk's time split evenly over the chunk's
-trials, goes to a separate timings file because the data outputs are
-required to be byte-identical across reruns.
+independent.  Trials are solved in chunks that share stacked solver calls.
+solve_trials hands a chunk's results over as arrays, a StackedSolve per
+trial and group of agents (estimators.estimate), and the trial records are
+read off them.  Each trial's wall time, its chunk's time split evenly over
+the chunk's trials, goes to a separate timings file because the data
+outputs are required to be byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby, islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -21,7 +23,7 @@ import numpy as np
 from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, coupling_coefficient
 from .config import ExperimentConfig
-from .estimators import LsProblem, SolveReport
+from .estimators import LsProblem, StackedSolve
 from .geometry import Room, group_poses, join_poses, rotation_to_euler
 from .scenario import (
     Scheme,
@@ -116,38 +118,35 @@ def solve_trials(
     truths: np.ndarray,
     rngs: Sequence[np.random.Generator],
     with_reference: bool = False,
-) -> Tuple[np.ndarray, List[SolveReport]]:
+) -> Tuple[np.ndarray, StackedSolve, Optional[StackedSolve]]:
     """Run one estimator on each of the T trials stacked in problem.
 
     problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
-    (T, 6M) true parameters and rngs their start streams.  The estimates
+    (T, 12M) true pose rows and rngs their start streams.  The estimates
     and, with_reference, the perfect-init reference solves of all trials
     share stacked LM calls of bounded size (estimators.estimate); pair-ML
     and multilateration run once for every agent of the stack.
     Each trial's results equal those of the trial solved alone.
 
     Returns:
-        (poses, reports): the (T, M, 12) one-agent pose rows of the
+        (poses, solve, reference): the (T, M, 12) one-agent pose rows of the
         estimates (geometry.join_poses), rotation NaN for position-only
-        estimators, and one SolveReport per trial, carrying its reference
-        solve with_reference.
+        estimators, and the estimates' and the references' solves (reference
+        None unless with_reference), shaped (T, groups) as in
+        estimators.estimate.  Pair-ML and multilateration give one group
+        per trial with 0 iterations; multilateration's cost is NaN.
     """
     trials, m = len(problem.y_imag), problem.n_agents
+    reference = None
     if estimator in ("numls", "turbols"):
-        reports = estimators.estimate(
+        solve, reference = estimators.estimate(
             problem, init if estimator == "numls" else "pairml", room, truths, rngs,
             with_reference,
         )
-        return group_poses(np.array([r.estimate for r in reports]), m), reports
-    if estimator == "pairml":
+    elif estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
-        residual = problem.residual(theta)
-        reports = [
-            SolveReport(estimate=theta[t], final_cost=float(r @ r), iterations=0, converged=True)
-            for t, r in enumerate(residual)
-        ]
-        return group_poses(theta, m), reports
-    if estimator == "multilateration":
+        solve = _closed_form(theta, [r @ r for r in problem.residual(theta)], True)
+    elif estimator == "multilateration":
         rows = problem.anchor_link_rows()
         anchors = problem.links[rows, 1] - m
         distances = pairml.distance_estimates(
@@ -158,38 +157,24 @@ def solve_trials(
             distances,
             room,
         )
-        poses = join_poses(fix.position, np.full(fix.position.shape + (3,), np.nan))
-        reports = [
-            SolveReport(
-                estimate=poses[t], final_cost=np.nan, iterations=0,
-                converged=bool(fix.converged[t].all()),
-            )
-            for t in range(trials)
-        ]
-        return group_poses(poses, m), reports
-    raise ValueError(f"unknown estimator {estimator!r}")
+        theta = join_poses(fix.position, np.full(fix.position.shape + (3,), np.nan))
+        solve = _closed_form(theta, np.nan, fix.converged.all(axis=-1))
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    poses = group_poses(solve.estimate, solve.estimate.shape[-1] // 12)
+    return poses.reshape(trials, m, 12), solve, reference
 
 
-def run_trial_estimator(
-    estimator: str,
-    init: str,
-    problem: LsProblem,
-    room: Room,
-    truth: np.ndarray,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, SolveReport, bool]:
-    """One trial: solve_trials on a stack of one.
-
-    Returns:
-        (poses, report, orientation_valid): poses holds the (M, 12)
-        one-agent pose rows of the estimate; orientation_valid is False for
-        position-only estimators.
-    """
-    poses, reports = solve_trials(
-        estimator, init, replace(problem, y_imag=problem.y_imag[None]), room,
-        np.asarray(truth)[None], [rng],
+def _closed_form(theta: np.ndarray, costs, converged) -> StackedSolve:
+    """The solve of closed-form estimates theta (T, 12M): one group per trial, 0 iterations."""
+    column = (len(theta), 1)
+    return StackedSolve(
+        estimate=theta[:, None],
+        final_cost=np.broadcast_to(np.reshape(costs, (-1, 1)), column),
+        problem_iterations=np.zeros(column, dtype=int),
+        converged=np.broadcast_to(np.reshape(converged, (-1, 1)), column),
+        normal_equations_singular=np.zeros(column, dtype=bool),
     )
-    return poses[0], reports[0], estimator != "multilateration"
 
 
 def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
@@ -284,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         problem = LsProblem.from_measurements(sets, anchors, m, coupling)
         started = time.perf_counter()
         try:
-            poses, reports = solve_trials(
+            poses, solve, reference = solve_trials(
                 cfg.estimator, cfg.init, problem, room,
                 _poses([topologies[t] for t, _ in keys], m),
                 [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys], with_reference,
@@ -296,16 +281,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             failures[kind] = failures.get(kind, 0) + 1
             return []
         wall = (time.perf_counter() - started) / len(keys)
-        flags = None
-        if with_reference:
-            if cooperative:
-                costs = np.array([[r.final_cost, r.reference.final_cost] for r in reports])
-                costs = costs.T[..., None]
-            else:
-                # the non-cooperative objective decomposes per agent
-                estimates = [[r.estimate, r.reference.estimate] for r in reports]
-                costs = problem.per_agent_costs(np.array(estimates).swapaxes(0, 1))
-            flags = np.broadcast_to(costs[0] <= costs[1] + GLOBAL_MIN_COST_SLACK, (len(keys), m))
+        # a trial's figures join its groups': Python sums of the costs in group order
+        costs = [sum(groups) for groups in solve.final_cost.tolist()]
+        iterations = solve.problem_iterations.max(axis=-1).tolist()
+        converged = solve.converged.all(axis=-1).tolist()
+        ref_costs, flags = [np.nan] * len(keys), [[None] * m] * len(keys)
+        if reference is not None:
+            ref_costs = [sum(groups) for groups in reference.final_cost.tolist()]
+            # a group holds whole agents, and its cost is their joint objective
+            flags = solve.final_cost <= reference.final_cost + GLOBAL_MIN_COST_SLACK
+            flags = np.repeat(flags, m // flags.shape[-1], axis=-1).tolist()
         return [
             TrialRecord(
                 m=m,
@@ -319,11 +304,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 error_m=float(
                     np.linalg.norm(poses[i, agent, :3] - topologies[t].agents[agent].position)
                 ),
-                final_cost=reports[i].final_cost,
-                ref_cost=np.nan if flags is None else reports[i].reference.final_cost,
-                global_min=None if flags is None else bool(flags[i, agent]),
-                converged=reports[i].converged,
-                iterations=reports[i].iterations,
+                final_cost=costs[i],
+                ref_cost=ref_costs[i],
+                global_min=flags[i][agent],
+                converged=converged[i],
+                iterations=iterations[i],
                 wall_time_s=wall,
             )
             for i, (t, k) in enumerate(keys)

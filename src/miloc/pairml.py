@@ -107,11 +107,11 @@ def ml_distance(score, coupling: float):
     return np.array(distances).reshape(scores.shape)
 
 
-def _candidates(anchor_positions, directions, distances, room: Room, margin: float):
+def _candidates(anchor_positions, directions, distances, room: Room):
     """Candidates anchor +- direction * distance, (..., 2, 3), and their room membership (..., 2)."""
     step = directions * distances[..., None]
     candidates = np.stack([anchor_positions + step, anchor_positions - step], axis=-2)
-    return candidates, room.contains(candidates, margin)
+    return candidates, room.contains(candidates, DEFAULT_BOUNDARY_MARGIN)
 
 
 def _candidate_cost(position, rotation, y_imag, anchor_positions, anchor_rotations, coupling) -> float:
@@ -133,8 +133,6 @@ def pair_ml_estimate(
     anchor_rotations: np.ndarray,
     coupling: float,
     room: Room,
-    margin: float = DEFAULT_BOUNDARY_MARGIN,
-    cost_ratio: float = COST_RATIO_DECISIVE,
 ) -> np.ndarray:
     """Estimate the poses of M agents, each from its K anchor measurements.
 
@@ -153,8 +151,6 @@ def pair_ml_estimate(
         y_imag: (M, K, 3, 3) measured Im(H) of every agent's anchor links.
         anchor_positions, anchor_rotations: (M, K, 3) and (M, K, 3, 3), the
             anchor of every link.
-        margin: room-membership slack during resolution (meters).
-        cost_ratio: decisiveness threshold of the likelihood fallback.
 
     Returns (positions, rotations): the (M, 3) positions and the (M, 3, 3)
     orientations of the deciding links.
@@ -173,7 +169,7 @@ def pair_ml_estimate(
     usable &= s[..., 0] - s[..., 1] >= DIRECTION_GAP_TOL * s[..., 0]
     distances = np.zeros(z.shape)
     distances[usable] = ml_distance(z[usable], coupling)
-    candidates, inside = _candidates(anchor_positions, svd.v[..., 0], distances, room, margin)
+    candidates, inside = _candidates(anchor_positions, svd.v[..., 0], distances, room)
     # usable links by ascending distance, link order on ties
     order = np.argsort(np.where(usable, distances, np.inf), axis=-1, kind="stable")
 
@@ -184,7 +180,7 @@ def pair_ml_estimate(
             raise NoMeasurements("no usable agent-anchor measurement")
         link, positions[m] = _resolve_agent(
             links, candidates[m], inside[m], o_hat[m], y_imag[m],
-            anchor_positions[m], anchor_rotations[m], coupling, room, cost_ratio,
+            anchor_positions[m], anchor_rotations[m], coupling, room,
         )
         rotations[m] = o_hat[m, link]
     return positions, rotations
@@ -192,7 +188,7 @@ def pair_ml_estimate(
 
 def _resolve_agent(
     links, candidates, inside, rotations, y_imag, anchor_positions, anchor_rotations,
-    coupling, room, cost_ratio,
+    coupling, room,
 ):
     """The deciding link of one agent and its position; links are visited in the given order."""
     for k in links:
@@ -203,7 +199,7 @@ def _resolve_agent(
             for cand in candidates[k]
         ]
         low, high = sorted(costs)
-        if low > 0.0 and high / low >= cost_ratio:
+        if low > 0.0 and high / low >= COST_RATIO_DECISIVE:
             return k, candidates[k, int(np.argmin(costs))]
 
     k = links[0]

@@ -21,7 +21,8 @@ an LsProblem, each link's derivative columns placed in its endpoints'
 agent blocks, and normal_equations forms J^T J and J^T r from it: the
 reference for LsProblem.normal_equations, which never forms J.
 levenberg_marquardt solves one problem at a time with its own Python loop
-on that dense Jacobian, and random_restarts_per_agent drives it through
+on that dense Jacobian, into a 0-d StackedSolve, and
+random_restarts_per_agent drives it through
 the per-agent decomposition of a non-cooperative problem.  position_bound inverts the
 information matrix through a full eigendecomposition.
 sample_topology_per_agent is the topology sampler that draws, converts and
@@ -31,6 +32,7 @@ and Euler formulas written out.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from enum import Enum
 
 import numpy as np
@@ -44,10 +46,10 @@ from miloc.estimators import (
     LM_MAX_ITERATIONS,
     LM_STEP_TOL,
     LsProblem,
-    SolveReport,
+    StackedSolve,
 )
 from miloc.channel import channel_derivative_columns, channel_gain_batch
-from miloc.geometry import Deployment, join_poses, sample_uniform_rotation, split_poses
+from miloc.geometry import Deployment, sample_uniform_rotation, split_poses
 from miloc.pairml import DEGENERATE_SV_TOL, DIRECTION_GAP_TOL, SvdTriple, decompose_links
 
 
@@ -153,18 +155,15 @@ def normal_equations(residual: np.ndarray, jac: np.ndarray):
     return residual, jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
 
 
-def levenberg_marquardt(
-    problem,
-    x0: np.ndarray,
-    max_iterations: int = LM_MAX_ITERATIONS,
-    step_tol: float = LM_STEP_TOL,
-    cost_tol: float = LM_COST_TOL,
-    initial_damping: float = LM_INITIAL_DAMPING,
-    max_damping: float = LM_MAX_DAMPING,
-) -> SolveReport:
+def _solved(x, cost, iteration, converged, singular) -> StackedSolve:
+    """The 0-d StackedSolve of one problem."""
+    return StackedSolve(x, np.array(cost), np.array(iteration), np.array(converged), np.array(singular))
+
+
+def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     """One problem at a time: problem.residual(x), residual_and_jacobian(problem, x), retract(x, step).
 
-    x is one 1-d pose row of an LsProblem.
+    x is one 1-d pose row of an LsProblem; the result is a 0-d StackedSolve.
 
     The classic Marquardt schedule: lambda times 10 on every rejected step,
     divided by 10 after an accepted one; termination on a small step, a small
@@ -173,15 +172,15 @@ def levenberg_marquardt(
     x = np.asarray(x0, dtype=float).copy()
     residual, jac = residual_and_jacobian(problem, x)
     cost = float(residual @ residual)
-    lam = initial_damping
+    lam = LM_INITIAL_DAMPING
     singular = False
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, LM_MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
         gradient = jac.T @ residual
         damping_scale = np.maximum(np.diag(jtj), 1e-30)
         accepted = False
-        while lam <= max_damping:
+        while lam <= LM_MAX_DAMPING:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(damping_scale), -gradient)
             except np.linalg.LinAlgError:
@@ -200,17 +199,17 @@ def levenberg_marquardt(
                 break
             lam *= 10.0
         if not accepted:
-            return SolveReport(x, cost, iteration, False, normal_equations_singular=singular)
+            return _solved(x, cost, iteration, False, singular)
 
         decrease = cost - trial_cost
         x = trial
         cost = trial_cost
         lam = max(lam / 10.0, 1e-15)
-        if np.linalg.norm(step) < step_tol or decrease <= cost_tol * max(cost, 1e-300):
-            return SolveReport(x, cost, iteration, True, normal_equations_singular=singular)
+        if np.linalg.norm(step) < LM_STEP_TOL or decrease <= LM_COST_TOL * max(cost, 1e-300):
+            return _solved(x, cost, iteration, True, singular)
         residual, jac = residual_and_jacobian(problem, x)
 
-    return SolveReport(x, cost, max_iterations, False, normal_equations_singular=singular)
+    return _solved(x, cost, LM_MAX_ITERATIONS, False, singular)
 
 
 def agent_problem(problem: LsProblem, agent: int) -> LsProblem:
@@ -234,12 +233,11 @@ def agent_problem(problem: LsProblem, agent: int) -> LsProblem:
 def random_restarts_per_agent(problem: LsProblem, restarts: int, room, rng):
     """Non-cooperative random restarts agent by agent, one LM solve each.
 
-    Returns (report, starts, picks): the joint report, whose estimate
-    joins the agents' poses into one pose row, the (M, restarts, 12)
-    starts in drawing order and the chosen restart of every agent (lowest
-    final cost, first on ties).
+    Returns (solve, starts, picks): the (M,) StackedSolve of every agent's
+    chosen restart (lowest final cost, first on ties), the (M, restarts, 12)
+    starts in drawing order and the chosen restarts.
     """
-    reports, starts, picks = [], [], []
+    solves, starts, picks = [], [], []
     for agent in range(problem.n_agents):
         sub = agent_problem(problem, agent)
         best, pick, agent_starts = None, 0, []
@@ -247,22 +245,14 @@ def random_restarts_per_agent(problem: LsProblem, restarts: int, room, rng):
             position = room.sample_point(rng)
             x0 = np.hstack([position, sample_uniform_rotation(rng).ravel()])
             agent_starts.append(x0)
-            report = levenberg_marquardt(sub, x0)
-            if best is None or report.final_cost < best.final_cost:
-                best, pick = report, restart
-        reports.append(best)
+            solve = levenberg_marquardt(sub, x0)
+            if best is None or solve.final_cost < best.final_cost:
+                best, pick = solve, restart
+        solves.append(best)
         starts.append(agent_starts)
         picks.append(pick)
-    joint = SolveReport(
-        estimate=join_poses(
-            np.array([r.estimate[:3] for r in reports]),
-            np.array([r.estimate[3:].reshape(3, 3) for r in reports]),
-        ),
-        final_cost=float(sum(r.final_cost for r in reports)),
-        iterations=max(r.iterations for r in reports),
-        converged=all(r.converged for r in reports),
-        initializations_used=restarts,
-        normal_equations_singular=any(r.normal_equations_singular for r in reports),
+    joint = StackedSolve(
+        *(np.stack([getattr(s, f.name) for s in solves]) for f in fields(StackedSolve))
     )
     return joint, np.array(starts), picks
 

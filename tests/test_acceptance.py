@@ -268,9 +268,9 @@ def test_criterion_09_property_suite(calibrated):
     ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, rng, sigma=0.0)
     problem = LsProblem.from_measurements(ms, anchors, 4, coupling)
     truth = pack_deployments(topo.agents)
-    report = estimate(problem, "perfect", truth=truth)
+    solve, _ = estimate(problem, "perfect", truth=truth)
     ls_err = max(
-        np.linalg.norm(report.estimate[6 * a : 6 * a + 3] - topo.agents[a].position)
+        np.linalg.norm(solve.estimate[0, 6 * a : 6 * a + 3] - topo.agents[a].position)
         for a in range(4)
     )
     pm_poses = pairml_initialization(problem, room).reshape(-1, 6)

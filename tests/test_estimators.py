@@ -16,7 +16,7 @@ from miloc.estimators import (
     parse_init_strategy,
 )
 from miloc.config import ConfigError, ExperimentConfig
-from miloc.geometry import Deployment, is_rotation, sample_uniform_rotation, split_poses
+from miloc.geometry import Deployment, group_poses, is_rotation, sample_uniform_rotation, split_poses
 from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 
 
@@ -122,11 +122,13 @@ class _Quadratic:
         return x + step
 
 
-def test_lm_solves_linear_problem_immediately():
+def test_lm_solves_linear_problem_immediately(monkeypatch):
     # With damping 1e-3 the first accepted step lands within 0.1% of the
     # solution; the remaining iterations only polish to machine precision.
     target = np.array([1.0, -2.0, 3.0])
-    first = levenberg_marquardt(_Quadratic(target), np.zeros(3), max_iterations=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "LM_MAX_ITERATIONS", 1)
+        first = levenberg_marquardt(_Quadratic(target), np.zeros(3))
     assert np.linalg.norm(first.estimate - target) < 2e-3 * np.linalg.norm(target)
     report = levenberg_marquardt(_Quadratic(target), np.zeros(3))
     assert report.converged
@@ -185,9 +187,9 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
 def test_perfect_init_exact_recovery(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 9, coil, gparams, room, anchors, sigma=0.0)
     truth = pack_deployments(topo.agents)
-    report = estimate(problem, "perfect", truth=truth)
+    solve, _ = estimate(problem, "perfect", truth=truth)
     for agent in range(4):
-        est = report.estimate[6 * agent : 6 * agent + 3]
+        est = solve.estimate[0, 6 * agent : 6 * agent + 3]
         assert np.linalg.norm(est - topo.agents[agent].position) < 1e-8
 
 
@@ -201,16 +203,16 @@ def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gpara
     rng = np.random.default_rng(20)
     start = problem.retract(truth, rng.normal(0, 0.01, 18))
     rep_joint = levenberg_marquardt(problem, start)
-    rep_split = estimate(problem, "perfect", truth=start)
-    assert np.abs(rep_joint.estimate - rep_split.estimate).max() < 1e-10
+    rep_split, _ = estimate(problem, "perfect", truth=start)
+    assert np.abs(group_poses(rep_joint.estimate, 3) - rep_split.estimate).max() < 1e-10
 
     topo_n, problem_n = make_problem(3, Scheme.NONCOOP, 21, coil, gparams, room, anchors)
     truth_n = pack_deployments(topo_n.agents)
     rep_joint_n = levenberg_marquardt(problem_n, truth_n)
-    rep_split_n = estimate(problem_n, "perfect", truth=truth_n)
+    rep_split_n, _ = estimate(problem_n, "perfect", truth=truth_n)
     # with noise both stop within termination tolerance of the same minimum
-    assert np.isclose(rep_joint_n.final_cost, rep_split_n.final_cost, rtol=1e-9)
-    assert np.abs(rep_joint_n.estimate - rep_split_n.estimate).max() < 1e-5
+    assert np.isclose(rep_joint_n.final_cost, rep_split_n.final_cost.sum(), rtol=1e-9)
+    assert np.abs(group_poses(rep_joint_n.estimate, 3) - rep_split_n.estimate).max() < 1e-5
 
 
 def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
@@ -229,8 +231,8 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
         coupling=coop_problem.coupling,
     )
     rep_a = levenberg_marquardt(stripped, truth)
-    rep_b = estimate(stripped, "perfect", truth=truth)
-    assert np.abs(rep_a.estimate - rep_b.estimate).max() < 1e-10
+    rep_b, _ = estimate(stripped, "perfect", truth=truth)
+    assert np.abs(group_poses(rep_a.estimate, 3) - rep_b.estimate).max() < 1e-10
 
 
 def test_cooperative_follows_the_links(room, anchors, coil, gparams):
@@ -238,8 +240,9 @@ def test_cooperative_follows_the_links(room, anchors, coil, gparams):
     _, noncoop = make_problem(3, Scheme.NONCOOP, 23, coil, gparams, room, anchors)
     assert coop.cooperative and not noncoop.cooperative
     # the joint solve uses every link, so its cost is the problem's cost
-    report = estimate(coop, "perfect", truth=pack_deployments(topo.agents))
-    assert np.isclose(report.final_cost, coop.cost(report.estimate), rtol=1e-12, atol=0.0)
+    solve, _ = estimate(coop, "perfect", truth=pack_deployments(topo.agents))
+    assert solve.final_cost.shape == (1,)
+    assert np.isclose(solve.final_cost[0], coop.cost(solve.estimate[0]), rtol=1e-12, atol=0.0)
 
 
 def test_anchor_link_rows(room, anchors, coil, gparams):
@@ -265,21 +268,20 @@ def test_anchor_link_rows(room, anchors, coil, gparams):
 
 def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 12, coil, gparams, room, anchors)
-    report = estimate(problem, "pairml", room=room)
+    solve, _ = estimate(problem, "pairml", room=room)
     from miloc.estimators import pairml_initialization
 
     init_cost = problem.cost(pairml_initialization(problem, room))
-    assert report.final_cost <= init_cost + 1e-18
+    assert solve.final_cost[0] <= init_cost + 1e-18
 
 
 def test_random_restarts_deterministic_and_best_of(room, anchors, coil, gparams):
     topo, problem = make_problem(1, Scheme.NONCOOP, 13, coil, gparams, room, anchors)
-    rep1 = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
-    rep2 = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
+    rep1, _ = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
+    rep2, _ = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
     assert np.array_equal(rep1.estimate, rep2.estimate)
-    assert rep1.initializations_used == 3
-    single = estimate(problem, "random:1", room=room, rng=np.random.default_rng(42))
-    assert rep1.final_cost <= single.final_cost + 1e-18
+    single, _ = estimate(problem, "random:1", room=room, rng=np.random.default_rng(42))
+    assert rep1.final_cost[0] <= single.final_cost[0] + 1e-18
 
 
 def _anchor_stack(seeds, coil, gparams, room, anchors):
@@ -404,17 +406,19 @@ def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams,
 
     monkeypatch.setattr(estimators, "levenberg_marquardt", recording)
     rng, rng_ref = np.random.default_rng(39), np.random.default_rng(39)
-    report = estimate(problem, "random:3", room=room, rng=rng)
+    solve, reference = estimate(problem, "random:3", room=room, rng=rng)
     ref, ref_starts, picks = oracles.random_restarts_per_agent(problem, 3, room, rng_ref)
     # one stacked solve from the oracle's starts, agent-major and restart-minor
     assert len(starts) == 1
     assert np.array_equal(starts[0], ref_starts.reshape(-1, 12))
     assert rng.random() == rng_ref.random()
-    assert report.iterations == ref.iterations
-    assert report.converged == ref.converged
-    assert report.initializations_used == 3
-    assert np.isclose(report.final_cost, ref.final_cost, rtol=1e-12, atol=0.0)
-    assert np.allclose(report.estimate, ref.estimate, rtol=0.0, atol=1e-9)
+    assert reference is None
+    # one group per agent, each the agent's chosen restart
+    assert solve.estimate.shape == (3, 12)
+    assert np.array_equal(solve.problem_iterations, ref.problem_iterations)
+    assert np.array_equal(solve.converged, ref.converged)
+    assert np.allclose(solve.final_cost, ref.final_cost, rtol=1e-12, atol=0.0)
+    assert np.allclose(solve.estimate, ref.estimate, rtol=0.0, atol=1e-9)
 
 
 def test_parse_init_strategy():
@@ -468,7 +472,7 @@ def test_multilateration_exact_distances(room, anchors):
     distances = np.linalg.norm(positions - target, axis=1)
     fix = multilaterate(positions, distances, room)
     assert not fix.underdetermined
-    assert fix.report.converged
+    assert fix.converged
     assert np.linalg.norm(fix.position - target) < 1e-8
 
 
@@ -477,7 +481,7 @@ def test_multilateration_scaled_distances_robust(room, anchors):
     positions = np.stack([a.position for a in anchors])
     distances = np.linalg.norm(positions - target, axis=1) * 1.05
     fix = multilaterate(positions, distances, room)
-    assert fix.report.converged
+    assert fix.converged
     assert np.linalg.norm(fix.position - target) < 0.2
 
 
@@ -555,32 +559,17 @@ def test_estimate_on_a_stack_equals_each_set_alone(
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
     stack = _stacked(problems)
     rngs = [np.random.default_rng(57 + t) for t in range(3)]
-    reports = estimate(stack, init, room, truths, rngs, with_reference=True)
+    solve, reference = estimate(stack, init, room, truths, rngs, with_reference=True)
+    groups = 1 if scheme is Scheme.COOP else 3
+    assert solve.final_cost.shape == reference.final_cost.shape == (3, groups)
     for t, problem in enumerate(problems):
         rng = np.random.default_rng(57 + t)
-        alone = estimate(problem, init, room=room, truth=truths[t], rng=rng)
-        reference = estimate(problem, "perfect", truth=truths[t])
-        for got, want in ((reports[t], alone), (reports[t].reference, reference)):
-            assert np.array_equal(got.estimate, want.estimate)
-            assert got.final_cost == want.final_cost
-            assert got.iterations == want.iterations
-            assert got.converged == want.converged
-            assert got.initializations_used == want.initializations_used
-        assert alone.reference is None
-
-
-def test_per_agent_costs_of_a_stack_equal_row_by_row(coil, gparams, room, anchors):
-    sets = [make_problem(4, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (58, 59)]
-    problems = [problem for _, problem in sets]
-    stack = _stacked(problems)
-    rng = np.random.default_rng(60)
-    theta = np.array([pack_deployments(topo.agents) for topo, _ in sets])
-    theta = stack.retract(np.stack([theta] * 3), rng.normal(0.0, 0.05, (3, 2, 24)))
-    costs = stack.per_agent_costs(theta)
-    assert costs.shape == (3, 2, 4)
-    for copy in range(3):
-        for t, problem in enumerate(problems):
-            assert np.array_equal(costs[copy, t], problem.per_agent_costs(theta[copy, t]))
+        alone, no_reference = estimate(problem, init, room=room, truth=truths[t], rng=rng)
+        alone_reference, _ = estimate(problem, "perfect", truth=truths[t])
+        assert no_reference is None
+        for got, want in ((solve, alone), (reference, alone_reference)):
+            for field in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, field.name)[t], getattr(want, field.name))
 
 
 @pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [5, 1])])

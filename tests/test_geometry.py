@@ -6,7 +6,6 @@ from miloc.geometry import (
     NotARotation,
     Room,
     euler_to_rotation,
-    euler_to_rotation_batch,
     exp_rotation,
     group_poses,
     is_rotation,
@@ -105,14 +104,14 @@ def test_sampler_mean_is_zero_matrix():
 def test_batch_matches_single():
     rng = np.random.default_rng(10)
     eulers = rng.uniform(-np.pi, np.pi, (50, 3))
-    batch = euler_to_rotation_batch(eulers)
+    batch = euler_to_rotation(eulers)
     for e, r in zip(eulers, batch):
         assert np.allclose(r, euler_to_rotation_one(e), atol=1e-14)
         assert np.array_equal(euler_to_rotation(e), r)
     stacked = rng.uniform(-4.0, 4.0, (6, 5, 3))
     assert np.array_equal(
-        euler_to_rotation_batch(stacked).reshape(-1, 3, 3),
-        euler_to_rotation_batch(stacked.reshape(-1, 3)),
+        euler_to_rotation(stacked).reshape(-1, 3, 3),
+        euler_to_rotation(stacked.reshape(-1, 3)),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -271,13 +272,17 @@ def _noncoop_trial(m=3, seed=3):
     return topo, LsProblem.from_measurements(ms, topo.anchors, m, coupling)
 
 
-def _multilaterate_trial(topo, problem):
-    from miloc.harness import run_trial_estimator
+def _solve_one(estimator, problem, room, truth, rng):
+    """solve_trials on a stack of one trial."""
+    from miloc.harness import solve_trials
 
+    stack = dataclasses.replace(problem, y_imag=problem.y_imag[None])
+    return solve_trials(estimator, "perfect", stack, room, np.asarray(truth)[None], [rng])
+
+
+def _multilaterate_trial(topo, problem):
     truth = pack_deployments(topo.agents)
-    return run_trial_estimator(
-        "multilateration", "perfect", problem, topo.room, truth, np.random.default_rng(0)
-    )
+    return _solve_one("multilateration", problem, topo.room, truth, np.random.default_rng(0))
 
 
 def test_multilateration_agent_without_usable_links_raises():
@@ -291,14 +296,45 @@ def test_multilateration_zero_link_equals_fix_from_the_others():
     topo, problem = _noncoop_trial()
     rows = problem.anchor_link_rows()
     problem.y_imag[rows[0, 1]] = 0.0
-    poses, _, orientation_valid = _multilaterate_trial(topo, problem)
-    assert not orientation_valid
+    poses, _, _ = _multilaterate_trial(topo, problem)
+    assert np.isnan(poses[0, :, 3:]).all()  # a position-only estimate
     others = [0, 2, 3]
     distances = distance_estimates(
         problem.y_imag[rows[0, others]], problem.anchor_rotations[others], problem.coupling
     )
     alone = multilaterate(problem.anchor_positions[others], distances, topo.room)
-    assert np.allclose(poses[0, :3], alone.position, rtol=0.0, atol=1e-12)
+    assert np.allclose(poses[0, 0, :3], alone.position, rtol=0.0, atol=1e-12)
+
+
+def test_noncoop_group_costs_are_the_agents_own_objectives(monkeypatch):
+    # a non-cooperative group is one agent on its anchor links, so its LM cost
+    # is that agent's own objective, and the global_min flags the harness
+    # takes from the LM costs equal those from costs evaluated afresh
+    from oracles import agent_problem
+
+    chunks = []
+    solve_trials = harness.solve_trials
+
+    def recording(*args, **kwargs):
+        out = solve_trials(*args, **kwargs)
+        chunks.append((args[2], out))
+        return out
+
+    monkeypatch.setattr(harness, "solve_trials", recording)
+    cfg = _small_cfg(agents="3", topologies=3, noise=2, scheme="noncoop", init="random:3")
+    result = run_experiment(cfg)
+    flags = []
+    for problem, (_, solve, reference) in chunks:
+        for t in range(len(problem.y_imag)):
+            trial = dataclasses.replace(problem, y_imag=problem.y_imag[t])
+            costs = np.empty((2, problem.n_agents))
+            for which, solved in enumerate((solve, reference)):
+                for agent in range(problem.n_agents):
+                    costs[which, agent] = agent_problem(trial, agent).cost(solved.estimate[t, agent])
+                assert np.allclose(solved.final_cost[t], costs[which], rtol=1e-12, atol=0.0)
+            flags += (costs[0] <= costs[1] + harness.GLOBAL_MIN_COST_SLACK).tolist()
+    assert len(flags) == len(result.trials) == 18
+    assert [record.global_min for record in result.trials] == flags
 
 
 @pytest.mark.slow
@@ -307,7 +343,7 @@ def test_median_wall_time_ordering(room):
     import time
 
     from miloc.channel import coupling_coefficient
-    from miloc.harness import run_trial_estimator, _trial_seed
+    from miloc.harness import _trial_seed
     from miloc.scenario import sample_topology, synthesize_measurements
     from miloc.estimators import pack_deployments
 
@@ -329,7 +365,7 @@ def test_median_wall_time_ordering(room):
             problem = LsProblem.from_measurements(ms, anchors, 10, coupling)
             estimator = label.split("_")[0]
             started = time.perf_counter()
-            run_trial_estimator(estimator, "perfect", problem, topo.room, truth, _trial_seed(cfg.seed, 10, t, 2))
+            _solve_one(estimator, problem, topo.room, truth, _trial_seed(cfg.seed, 10, t, 2))
             times[label].append(time.perf_counter() - started)
     medians = {k: np.median(v) for k, v in times.items()}
     # The closed-form estimators are orders of magnitude cheaper than any
@@ -601,11 +637,11 @@ def _canonical_pose_one(pose):
 
 
 def test_canonical_poses_match_one_pose_at_a_time():
-    from miloc.geometry import euler_to_rotation_batch, sample_uniform_rotation
+    from miloc.geometry import euler_to_rotation, sample_uniform_rotation
 
     rng = np.random.default_rng(44)
     rotations = sample_uniform_rotation(rng, 500)
-    rotations[5] = euler_to_rotation_batch([0.4, np.pi / 2, 0.0])  # gimbal lock
+    rotations[5] = euler_to_rotation([0.4, np.pi / 2, 0.0])  # gimbal lock
     poses = np.hstack([rng.uniform(0, 1.5, (500, 3)), rotations.reshape(500, 9)])
     poses[::7, 3:] = np.nan  # position-only estimates
     canonical = harness._canonical_poses(poses)

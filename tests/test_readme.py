@@ -1,0 +1,14 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    cost, bound = (float(word) for word in capsys.readouterr().out.split())
+    assert cost > 0.0 and 0.0 < bound < 1.0
