@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import ESTIMATORS, SCHEMES, ConfigError, ExperimentConfig
 from . import harness, scenario
 
 EXIT_OK = 0
@@ -28,21 +28,9 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_file(args.config)
     else:
         cfg = ExperimentConfig()
-    overrides = {}
-    for flag, key in (
-        ("agents", "agents"),
-        ("topologies", "topologies"),
-        ("noise", "noise"),
-        ("seed", "seed"),
-        ("out", "out"),
-        ("estimator", "estimator"),
-        ("init", "init"),
-        ("scheme", "scheme"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return cfg.override(**overrides)
+    # each flag overrides the configuration key of the same name
+    keys = ("agents", "topologies", "noise", "seed", "out", "estimator", "init", "scheme")
+    return cfg.override(**{key: getattr(args, key, None) for key in keys})
 
 
 def _add_common(parser, with_noise=False, with_estimator=False, with_scheme=False):
@@ -54,12 +42,10 @@ def _add_common(parser, with_noise=False, with_estimator=False, with_scheme=Fals
     if with_noise:
         parser.add_argument("--noise", type=int, help="noise realizations per topology")
     if with_estimator:
-        parser.add_argument(
-            "--estimator", choices=["numls", "pairml", "turbols", "multilateration"]
-        )
+        parser.add_argument("--estimator", choices=ESTIMATORS)
         parser.add_argument("--init", help="numls initialization: perfect, random:<k> or pairml")
     if with_estimator or with_scheme:
-        parser.add_argument("--scheme", choices=["coop", "noncoop"])
+        parser.add_argument("--scheme", choices=SCHEMES)
 
 
 def _cmd_peb(args) -> int:

@@ -18,9 +18,9 @@ derivative columns (LsProblem.normal_equations), so no dense Jacobian is
 formed.  Independent problems (the agents of a non-cooperative network,
 random restarts, the trials of a chunk) are rows of one stack, and
 levenberg_marquardt advances all rows together, each with its own damping
-and termination.  Memory is bounded in links: link columns are formed for
-at most LINKS_PER_SLICE links at a time, and estimate splits a stack into
-LM calls of at most _LINKS_PER_LM_CALL links (whole sets, at least one).
+and termination.  Link columns are formed for at most LINKS_PER_SLICE links
+at a time; estimate solves whatever stack it is given in one LM call, and
+the harness bounds the stack by sizing its chunks of trials in links.
 Results stay arrays: levenberg_marquardt and estimate return a StackedSolve,
 one entry per problem, and estimate's are shaped by measurement set and
 group of agents (one group for a cooperative problem, one per agent for a
@@ -57,10 +57,6 @@ LM_COST_TOL = 1e-12
 # Links whose derivative columns are formed at once (whole problems, at least
 # one): the memory of the link sums of any stack or bound sweep stays flat.
 LINKS_PER_SLICE = 256
-
-# Links per stacked LM call, summed over its problems, to bound the problems'
-# state; fifteen cooperative M=10 problems (130 links each) fit in a call.
-_LINKS_PER_LM_CALL = 2048
 
 
 class DimensionMismatch(ValueError):
@@ -481,28 +477,6 @@ def _problem_stack(
     return replace(base, y_imag=stack)
 
 
-def _solve_in_calls(problem: LsProblem, x0: np.ndarray, per_set: int) -> StackedSolve:
-    """levenberg_marquardt on the (B, P) starts x0 of a stacked problem, split into calls.
-
-    A call holds as many whole runs of per_set problems (one set's estimate)
-    as _LINKS_PER_LM_CALL links admit, and at least one, so no set's
-    estimate is split.  The problems are independent, so the split changes
-    no result.
-    """
-    links = len(problem.links) * per_set
-    per_call = per_set * max(1, _LINKS_PER_LM_CALL // links)
-    parts = [
-        levenberg_marquardt(
-            replace(problem, y_imag=problem.y_imag[start : start + per_call]),
-            x0[start : start + per_call],
-        )
-        for start in range(0, len(x0), per_call)
-    ]
-    return StackedSolve(
-        *(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(StackedSolve))
-    )
-
-
 def parse_init_strategy(spec: str) -> Tuple[str, int]:
     """Parse 'perfect', 'pairml', 'random' or 'random:<k>', spelled exactly so.
 
@@ -552,9 +526,8 @@ def estimate(
     perfect-init solves (else None).  Their per-problem fields have the
     shape y_imag.shape[:-3] + (groups,), and estimate holds each group's
     pose row, (..., groups, 12M / groups).  All sets, groups, restarts and
-    references share LM calls of a bounded number of links
-    (_solve_in_calls), each holding whole sets' estimates; the references
-    follow after every estimate.
+    references are solved in one levenberg_marquardt call, the references
+    after every estimate; the caller bounds the stack.
     """
     strategy, restarts = parse_init_strategy(init)
     if (strategy == "perfect" or with_reference) and truth is None:
@@ -586,9 +559,7 @@ def estimate(
     x0 = starts.reshape(-1, width)
     if with_reference:
         x0 = np.concatenate([x0, truth.reshape(-1, width)])
-    solve = _solve_in_calls(
-        _problem_stack(problem, y_imag, restarts, with_reference), x0, groups * restarts
-    )
+    solve = levenberg_marquardt(_problem_stack(problem, y_imag, restarts, with_reference), x0)
     group = np.arange(sets * groups).reshape(problem.y_imag.shape[:-3] + (groups,))
     # lowest final cost per group, first on ties (final costs are finite)
     costs = solve.final_cost[: group.size * restarts].reshape(group.shape + (restarts,))

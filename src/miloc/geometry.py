@@ -174,6 +174,8 @@ class Room:
     def __post_init__(self):
         object.__setattr__(self, "min_corner", np.asarray(self.min_corner, dtype=float))
         object.__setattr__(self, "max_corner", np.asarray(self.max_corner, dtype=float))
+        if self.min_corner.shape != (3,) or self.max_corner.shape != (3,):
+            raise ValueError("room corners must be 3-vectors")
         if not np.all(self.max_corner > self.min_corner):
             raise ValueError("max_corner must exceed min_corner componentwise")
 

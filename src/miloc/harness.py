@@ -2,7 +2,8 @@
 
 Seeds are derived per (agent count, topology, noise draw) through
 numpy SeedSequence, so runs are reproducible bit for bit and trials are
-independent.  Trials are solved in chunks that share stacked solver calls.
+independent.  Trials are solved in chunks of whole trials, sized in links
+(_LINKS_PER_CHUNK), and each chunk is one stacked solver call.
 solve_trials hands a chunk's results over as arrays, a StackedSolve per
 trial and group of agents (estimators.estimate), and the trial records are
 read off them.  Each trial's wall time, its chunk's time split evenly over
@@ -45,9 +46,9 @@ TRIAL_FAILURES = (pairml.NoMeasurements, CoincidentNodes, np.linalg.LinAlgError)
 # setup, used as the calibration target for the coil resistance.
 REFERENCE_PEB_M1_M = 2.18627459283404e-3
 
-# Trials per chunk: a chunk's measurements and closed-form estimates stay
-# small whatever the number of trials; estimators bounds each LM call.
-_TRIALS_PER_CHUNK = 32
+# Links per chunk of trials, summed over their LM problems (whole trials, at
+# least one): a chunk's measurements and its one LM call stay bounded.
+_LINKS_PER_CHUNK = 2048
 
 
 class EmptyInput(ValueError):
@@ -92,9 +93,13 @@ class ExperimentResult:
     trials: List[TrialRecord]
     summaries: List[SummaryRecord]
     cdfs: Dict[str, np.ndarray]
-    failures: int = 0
     failures_by_kind: Dict[str, int] = field(default_factory=dict)  # TRIAL_FAILURES names
     singular_bounds: int = 0  # topologies left out of mean_peb_m
+
+    @property
+    def failures(self) -> int:
+        """Failed trials, of every kind."""
+        return sum(self.failures_by_kind.values())
 
 
 def compute_cdf(errors: Sequence[float]) -> np.ndarray:
@@ -124,8 +129,8 @@ def solve_trials(
     problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
     (T, 12M) true pose rows and rngs their start streams.  The estimates
     and, with_reference, the perfect-init reference solves of all trials
-    share stacked LM calls of bounded size (estimators.estimate); pair-ML
-    and multilateration run once for every agent of the stack.
+    share one stacked LM call (estimators.estimate); pair-ML and
+    multilateration run once for every agent of the stack.
     Each trial's results equal those of the trial solved alone.
 
     Returns:
@@ -137,11 +142,10 @@ def solve_trials(
         per trial with 0 iterations; multilateration's cost is NaN.
     """
     trials, m = len(problem.y_imag), problem.n_agents
-    reference = None
-    if estimator in ("numls", "turbols"):
+    reference, lm_init = None, _lm_start(estimator, init)[0]
+    if lm_init is not None:
         solve, reference = estimators.estimate(
-            problem, init if estimator == "numls" else "pairml", room, truths, rngs,
-            with_reference,
+            problem, lm_init, room, truths, rngs, with_reference
         )
     elif estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
@@ -221,10 +225,18 @@ def agent0_bounds(
     return np.concatenate(bounds)
 
 
-def _needs_reference(estimator: str, init: str) -> bool:
-    if estimator == "turbols":
-        return True
-    return estimator == "numls" and estimators.parse_init_strategy(init)[0] == "random"
+def _lm_start(estimator: str, init: str) -> Tuple[Optional[str], int, bool]:
+    """The init of the estimator's LM solve, its restarts, and whether a reference checks it.
+
+    turboLS is the LM started from pair-ML.  A turboLS or random-start
+    estimate is checked against a perfect-init reference solve.  The
+    closed-form estimators start no LM: (None, 1, False).
+    """
+    if estimator not in ("numls", "turbols"):
+        return None, 1, False
+    lm_init = "pairml" if estimator == "turbols" else init
+    strategy, restarts = estimators.parse_init_strategy(lm_init)
+    return lm_init, restarts, estimator == "turbols" or strategy == "random"
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -238,7 +250,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     10x the topology's bound).  Topologies with a singular information
     matrix are left out of the mean bound and counted in singular_bounds.
 
-    Trials are solved in chunks of _TRIALS_PER_CHUNK (solve_trials).  A
+    Trials are solved in chunks of as many whole trials as _LINKS_PER_CHUNK
+    links admit, and at least one; a trial's links are its link set's times
+    its LM problems (_lm_start: its restarts, plus one for a reference).  A
     chunk that raises one of TRIAL_FAILURES is solved again trial by trial;
     a trial that raises alone is counted by kind and skipped.  Any other
     exception propagates.
@@ -250,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     coupling = coupling_coefficient(coil, coil, gparams)
     scheme = cfg.scheme_enum()
     cooperative = scheme is Scheme.COOP
-    with_reference = _needs_reference(cfg.estimator, cfg.init)
+    _, restarts, with_reference = _lm_start(cfg.estimator, cfg.init)
 
     trials: List[TrialRecord] = []
     summaries: List[SummaryRecord] = []
@@ -320,10 +334,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         topo_peb = agent0_bounds(cfg, m, topologies, cooperative)
         singular_bounds += int(np.isnan(topo_peb).sum())
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
+        links = len(link_set(m, len(anchors), scheme)) * (restarts + with_reference)
+        chunk = max(1, _LINKS_PER_CHUNK // max(links, 1))
         records = [
             record
-            for start in range(0, len(keys), _TRIALS_PER_CHUNK)
-            for record in solve_chunk(m, topologies, keys[start : start + _TRIALS_PER_CHUNK])
+            for start in range(0, len(keys), chunk)
+            for record in solve_chunk(m, topologies, keys[start : start + chunk])
         ]
         trials += records
         agent0 = [r for r in records if r.agent == 0]
@@ -352,7 +368,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         trials=trials,
         summaries=summaries,
         cdfs=cdfs,
-        failures=sum(failures.values()),
         failures_by_kind=failures,
         singular_bounds=singular_bounds,
     )

@@ -52,7 +52,6 @@ class MeasurementSet:
 
     links: np.ndarray  # (L, 2) int
     h_meas: np.ndarray  # (L, 3, 3) complex
-    scheme: Scheme
 
     @property
     def measurements(self) -> List[LinkMeasurement]:
@@ -175,7 +174,7 @@ def synthesize_measurements(
     coupling = chan.coupling_coefficient(coil, coil, params)
     links, gains = _link_gains(topology, coupling, scheme)
     h_meas = chan.add_noise(1j * gains, sigma, rng)
-    return MeasurementSet(links=links, h_meas=h_meas, scheme=scheme)
+    return MeasurementSet(links=links, h_meas=h_meas)
 
 
 def channel_gain_samples(
@@ -232,8 +231,10 @@ def load_topology(path, room: Optional[Room] = None) -> Topology:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["room"] and room is None:
-                vals = [float(v) for v in parts[1:7]]
-                room = Room(np.array(vals[:3]), np.array(vals[3:]))
+                if len(parts) != 7:
+                    raise ValueError(f"room header needs six numbers: {line!r}")
+                vals = np.array([float(v) for v in parts[1:]])
+                room = Room(vals[:3], vals[3:])
             continue
         fields = line.split()
         if len(fields) != 8:

@@ -174,6 +174,14 @@ def test_topology_sample_and_check(tmp_path):
     assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
 
 
+def test_topology_check_rejects_a_short_room_header(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    fixture.write_text("# room 0 0 0 1.5\n0 anchor 0.1 0.2 0.3 0 0 0\n1 agent 0.5 0.5 0.5 0 0 0\n")
+    assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
+    assert "# room 0 0 0 1.5" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")

@@ -524,9 +524,7 @@ def _coop_sets(m, seeds, coil, gparams, room, anchors):
 
 
 @pytest.mark.parametrize("m", [3, 10])
-def test_stacked_coop_problems_do_not_depend_on_each_other(
-    m, monkeypatch, coil, gparams, room, anchors
-):
+def test_stacked_coop_problems_do_not_depend_on_each_other(m, coil, gparams, room, anchors):
     # bit for bit: each problem's normal equations are its own gemm and solve
     stack, problems, truths = _coop_sets(m, [50, 51, 52], coil, gparams, room, anchors)
     rng = np.random.default_rng(53)
@@ -538,14 +536,9 @@ def test_stacked_coop_problems_do_not_depend_on_each_other(
         assert solve.final_cost[b] == alone.final_cost
         assert solve.problem_iterations[b] == alone.problem_iterations
         assert solve.converged[b] == alone.converged
-    # and split over calls of one problem
-    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", 0)
-    split = estimators._solve_in_calls(stack, x0, 1)
-    assert np.array_equal(split.estimate, solve.estimate)
-    assert np.array_equal(split.final_cost, solve.final_cost)
 
 
-@pytest.mark.parametrize("links", [0, estimators._LINKS_PER_LM_CALL])
+@pytest.mark.parametrize("links", [0, 2048])
 @pytest.mark.parametrize(
     "scheme, init",
     [(Scheme.COOP, "random:2"), (Scheme.NONCOOP, "random:3"), (Scheme.NONCOOP, "pairml")],
@@ -553,7 +546,8 @@ def test_stacked_coop_problems_do_not_depend_on_each_other(
 def test_estimate_on_a_stack_equals_each_set_alone(
     scheme, init, links, monkeypatch, coil, gparams, room, anchors
 ):
-    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", links)
+    # link columns formed one problem at a time (0), or for the whole stack at once
+    monkeypatch.setattr(estimators, "LINKS_PER_SLICE", links)
     sets = [make_problem(3, scheme, seed, coil, gparams, room, anchors) for seed in (54, 55, 56)]
     problems = [problem for _, problem in sets]
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
@@ -572,32 +566,46 @@ def test_estimate_on_a_stack_equals_each_set_alone(
                 assert np.array_equal(getattr(got, field.name)[t], getattr(want, field.name))
 
 
-@pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [5, 1])])
+@pytest.fixture
+def lm_starts(monkeypatch, lm_calls):
+    """Record the starts of every levenberg_marquardt call (after lm_calls)."""
+    starts = []
+    solver = estimators.levenberg_marquardt
+
+    def recording(problem, x0):
+        starts.append(np.array(x0))
+        return solver(problem, x0)
+
+    monkeypatch.setattr(estimators, "levenberg_marquardt", recording)
+    return starts
+
+
+@pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [6])])
 def test_one_sets_restarts_share_one_lm_call(
-    with_reference, calls, monkeypatch, lm_calls, coil, gparams, room, anchors
+    with_reference, calls, lm_calls, lm_starts, coil, gparams, room, anchors
 ):
-    # a per-call link budget that admits two cooperative M=10 problems, yet
-    # a set's five restarts are solved together and its reference after them
+    # one cooperative M=10 set: its five restarts, then its reference, in one call
     topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
-    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", 2 * len(problem.links))
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(62)
     estimate(problem, "random:5", room, truth, rng, with_reference=with_reference)
     assert lm_calls == calls
+    if with_reference:
+        assert np.array_equal(lm_starts[0][5], truth)
 
 
 def test_lm_calls_hold_whole_sets_then_the_references(
-    monkeypatch, lm_calls, coil, gparams, room, anchors
+    lm_calls, lm_starts, coil, gparams, room, anchors
 ):
-    # three non-cooperative M=2 sets, two restarts each: a set's estimate is
-    # 4 single-agent problems, and a budget of 5 problems admits one set
+    # three non-cooperative M=2 sets, two restarts each: 3 x 2 x 2
+    # single-agent estimates, then the 3 x 2 agents' references, in one call
     sets = [make_problem(2, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (63, 64, 65)]
     stack = _stacked([problem for _, problem in sets])
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
-    monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", 5 * len(anchors))
     rngs = [np.random.default_rng(66 + t) for t in range(3)]
     estimate(stack, "random:2", room, truths, rngs, with_reference=True)
-    assert lm_calls == [4, 4, 4, 4, 2]
+    assert lm_calls == [18]
+    assert np.array_equal(lm_starts[0][12:], group_poses(truths, 2).reshape(6, 12))
 
 
 def _uneven(problem):

@@ -177,6 +177,12 @@ def test_room_membership_and_clamp():
         Room(np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("corners", [(np.zeros(2), np.ones(2)), (np.zeros(3), np.ones(4))])
+def test_room_corners_must_be_3_vectors(corners):
+    with pytest.raises(ValueError, match="3-vectors"):
+        Room(*corners)
+
+
 def test_deployment_consistency():
     rng = np.random.default_rng(13)
     r = sample_uniform_rotation(rng)

@@ -493,6 +493,20 @@ def test_cooperative_turbols_chunk_takes_one_lm_call(lm_calls):
     assert lm_calls == [8]
 
 
+def test_chunks_hold_whole_trials_within_the_link_budget(lm_calls):
+    # a cooperative M=10 turboLS trial is 2 x 130 links, so 7 trials fit in
+    # 2,048 links: 32 trials take five chunks, each one LM call
+    cfg = _small_cfg(agents="10", topologies=8, noise=4, scheme="coop", estimator="turbols")
+    assert run_experiment(cfg).failures == 0
+    assert lm_calls == [14, 14, 14, 14, 8]
+    # a non-cooperative M=10 random:5 trial is 6 x 40 links: two trials are
+    # one chunk of 2 x 10 x (5 + 1) single-agent problems
+    lm_calls.clear()
+    cfg = _small_cfg(agents="10", topologies=1, noise=2, scheme="noncoop", init="random:5")
+    assert run_experiment(cfg).failures == 0
+    assert lm_calls == [120]
+
+
 # ---------------------------------------------------------------------------
 # Trial chunks: one stacked solve per chunk of trials.
 # ---------------------------------------------------------------------------
@@ -510,14 +524,17 @@ CHUNKED_RUNS = [
 ]
 
 
-def _calls_of_one_trial(cfg, m):
-    """Problems per LM call of one trial solved alone: its estimate, then its reference."""
-    if cfg.estimator == "multilateration":
-        return [m]  # one range fix per agent
-    groups = 1 if cfg.scheme == "coop" and cfg.estimator != "pairml" else m
+def _one_trial(cfg, m):
+    """The LM problems and the links of one trial: its estimates, then its references."""
     restarts = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
-    reference = [groups] if harness._needs_reference(cfg.estimator, cfg.init) else []
-    return [groups * restarts] + reference
+    checked = cfg.estimator == "turbols" or (
+        cfg.estimator == "numls" and cfg.init.startswith("random")
+    )
+    links = len(link_set(m, len(cfg.anchors()), Scheme(cfg.scheme))) * (restarts + checked)
+    if cfg.estimator == "multilateration":
+        return m, links  # one range fix per agent
+    groups = 1 if cfg.scheme == "coop" and cfg.estimator != "pairml" else m
+    return groups * (restarts + checked), links
 
 
 def _emitted(result, path):
@@ -534,31 +551,29 @@ def test_outputs_identical_for_every_chunk_budget(
     cfg = _small_cfg(
         agents="3", topologies=2, noise=3, scheme=scheme, estimator=estimator, init=init, seed=41
     )
-    budgets = {  # trials per chunk, links per LM call
-        "smallest calls": (1, 0),
-        "two trials": (2, estimators._LINKS_PER_LM_CALL),
-        "default": (harness._TRIALS_PER_CHUNK, estimators._LINKS_PER_LM_CALL),
+    problems, links = _one_trial(cfg, 3)
+    budgets = {  # links per chunk
+        "one trial": 0,
+        "two trials": 2 * links,
+        "default": harness._LINKS_PER_CHUNK,
     }
     outputs, counts = {}, {}
-    for label, (trials, links) in budgets.items():
-        monkeypatch.setattr(harness, "_TRIALS_PER_CHUNK", trials)
-        monkeypatch.setattr(estimators, "_LINKS_PER_LM_CALL", links)
+    for label, budget in budgets.items():
+        monkeypatch.setattr(harness, "_LINKS_PER_CHUNK", budget)
         lm_calls.clear()
         result = run_experiment(cfg)
         assert result.failures == 0
         outputs[label] = _emitted(result, tmp_path / label.replace(" ", "_"))
         counts[label] = list(lm_calls)
-    assert outputs["smallest calls"] == outputs["two trials"] == outputs["default"]
+    assert outputs["one trial"] == outputs["two trials"] == outputs["default"]
     assert "trials.csv" in outputs["default"] and "summary.csv" in outputs["default"]
     assert f"cdf_M3_{scheme}_{estimator}.csv" in outputs["default"]
     if estimator == "pairml":
         return  # no iterative solve
-    # the smallest calls split each trial as it is split when solved alone;
-    # otherwise all problems of a chunk share one call
-    one_trial = _calls_of_one_trial(cfg, 3)
-    assert counts["smallest calls"] == one_trial * 6
-    assert counts["two trials"] == [2 * sum(one_trial)] * 3
-    assert counts["default"] == [6 * sum(one_trial)]
+    # every chunk is one LM call of all its trials' problems
+    assert counts["one trial"] == [problems] * 6
+    assert counts["two trials"] == [2 * problems] * 3
+    assert counts["default"] == [6 * problems]
 
 
 def _run_with_failing_trial(monkeypatch, cfg, failing):
@@ -586,7 +601,7 @@ def _run_with_failing_trial(monkeypatch, cfg, failing):
 def test_failing_trial_in_a_chunk_leaves_the_others(tmp_path, monkeypatch, overrides):
     cfg = _small_cfg(agents="3", topologies=2, noise=3, seed=43, **overrides)
     default = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
-    monkeypatch.setattr(harness, "_TRIALS_PER_CHUNK", 1)
+    monkeypatch.setattr(harness, "_LINKS_PER_CHUNK", 0)  # one trial per chunk
     alone = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
     for result in (default, alone):
         assert result.failures == 1

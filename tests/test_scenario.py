@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -145,6 +147,14 @@ def test_load_topology_rejects_bad_rows(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# room 0 0 0 1 1 1\n0 anchor 0.1 0.2\n")
     with pytest.raises(ValueError):
+        load_topology(path)
+
+
+@pytest.mark.parametrize("header", ["# room 0 0 0 1.5", "# room 0 0 0", "# room 0 0 0 1 1 1 1"])
+def test_load_topology_requires_six_room_numbers(tmp_path, header):
+    path = tmp_path / "room.txt"
+    path.write_text(header + "\n0 anchor 0.1 0.2 0.3 0 0 0\n")
+    with pytest.raises(ValueError, match=re.escape(header)):
         load_topology(path)
 
 
