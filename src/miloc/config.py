@@ -80,6 +80,8 @@ class ExperimentConfig:
             parse_init_strategy(self.init)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.init != "perfect" and self.estimator != "numls":
+            raise ConfigError(f"init {self.init!r} applies to numls only, not to {self.estimator}")
 
     # -- derived objects -----------------------------------------------------
 

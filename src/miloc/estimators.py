@@ -46,7 +46,6 @@ from .geometry import (
     split_poses,
 )
 from . import pairml
-from .scenario import MeasurementSet
 
 LM_INITIAL_DAMPING = 1e-3
 LM_MAX_DAMPING = 1e12
@@ -108,19 +107,13 @@ class LsProblem:
         n_agents: int,
         coupling: float,
     ) -> "LsProblem":
-        """The problem of one MeasurementSet, or of a list of T sets over the same links.
-
-        A list gives the stacked y_imag (T, L, 3, 3).
-        """
-        single = isinstance(measured, MeasurementSet)
-        sets = [measured] if single else measured
-        y_imag = np.imag([s.h_meas for s in sets])
+        """The problem of one measurement set (scenario.MeasurementSet)."""
         return cls(
             n_agents=n_agents,
             anchor_positions=np.stack([a.position for a in anchors]),
             anchor_rotations=np.stack([a.rotation for a in anchors]),
-            links=sets[0].links,
-            y_imag=y_imag[0] if single else y_imag,
+            links=measured.links,
+            y_imag=np.imag(measured.h_meas),
             coupling=coupling,
         )
 
@@ -463,14 +456,8 @@ def _problem_stack(
         rows = problem.anchor_link_rows()
         anchors = problem.links[rows[0], 1] - problem.n_agents
         y_imag = y_imag[:, rows].reshape(-1, len(anchors), 3, 3)
-        base = LsProblem(
-            n_agents=1,
-            anchor_positions=problem.anchor_positions,
-            anchor_rotations=problem.anchor_rotations,
-            links=np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1]),
-            y_imag=y_imag,
-            coupling=problem.coupling,
-        )
+        links = np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1])
+        base = replace(problem, n_agents=1, links=links, y_imag=y_imag)
     stack = np.repeat(y_imag, copies, axis=0)
     if with_reference:
         stack = np.concatenate([stack, y_imag])

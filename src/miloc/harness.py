@@ -3,7 +3,9 @@
 Seeds are derived per (agent count, topology, noise draw) through
 numpy SeedSequence, so runs are reproducible bit for bit and trials are
 independent.  Trials are solved in chunks of whole trials, sized in links
-(_LINKS_PER_CHUNK), and each chunk is one stacked solver call.
+(_LINKS_PER_CHUNK), and each chunk is one stacked solver call.  A chunk
+evaluates its topologies' noiseless gains once each and adds each trial's
+noise from the trial's own stream, as scenario.synthesize_measurements does.
 solve_trials hands a chunk's results over as arrays, a StackedSolve per
 trial and group of agents (estimators.estimate), and the trial records are
 read off them.  Each trial's wall time, its chunk's time split evenly over
@@ -14,7 +16,7 @@ outputs are required to be byte-identical across reruns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby, islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -22,17 +24,17 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import crlb, estimators, pairml
-from .channel import CoincidentNodes, coupling_coefficient
+from .channel import CoincidentNodes, add_noise, coupling_coefficient
 from .config import ExperimentConfig
 from .estimators import LsProblem, StackedSolve
-from .geometry import Room, group_poses, join_poses, rotation_to_euler
+from .geometry import Room, group_poses, join_poses, rotation_to_euler, split_poses
 from .scenario import (
     Scheme,
     Topology,
+    channel_gain_samples,
+    link_gains,
     link_set,
     sample_topology,
-    synthesize_measurements,
-    channel_gain_samples,
 )
 
 GLOBAL_MIN_COST_SLACK = 1e-12
@@ -263,42 +265,42 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     gparams = cfg.global_params()
     coupling = coupling_coefficient(coil, coil, gparams)
     scheme = cfg.scheme_enum()
-    cooperative = scheme is Scheme.COOP
     _, restarts, with_reference = _lm_start(cfg.estimator, cfg.init)
+    result = ExperimentResult(config=cfg, trials=[], summaries=[], cdfs={})
 
-    trials: List[TrialRecord] = []
-    summaries: List[SummaryRecord] = []
-    cdfs: Dict[str, np.ndarray] = {}
-    failures: Dict[str, int] = {}
-    singular_bounds = 0
+    def solve_chunk(keys) -> List[TrialRecord]:
+        """Records of the (topology, noise) trials in keys, in key order.
 
-    def solve_chunk(m, topologies, keys) -> List[TrialRecord]:
-        """Records of the (topology, noise) trials in keys, in key order."""
-        sets = [
-            synthesize_measurements(
-                topologies[t], coil, gparams, scheme, _trial_seed(cfg.seed, m, t, k, 1)
-            )
+        The chunk belongs to the agent count m of the loop below: it reads
+        that count's topologies, their pose rows truths, and its problem,
+        into which it puts the chunk's measurements.
+        """
+        index = [t for t, _ in keys]
+        gains = {t: link_gains(topologies[t], coupling, scheme)[1] for t in dict.fromkeys(index)}
+        measured = [
+            add_noise(1j * gains[t], gparams.noise_sigma, _trial_seed(cfg.seed, m, t, k, 1))
             for t, k in keys
         ]
-        problem = LsProblem.from_measurements(sets, anchors, m, coupling)
         started = time.perf_counter()
         try:
             poses, solve, reference = solve_trials(
-                cfg.estimator, cfg.init, problem, room,
-                _poses([topologies[t] for t, _ in keys], m),
-                [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys], with_reference,
+                cfg.estimator, cfg.init, replace(problem, y_imag=np.imag(measured)), room,
+                truths[index], [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys],
+                with_reference,
             )
         except TRIAL_FAILURES as exc:
             if len(keys) > 1:
-                return [record for key in keys for record in solve_chunk(m, topologies, [key])]
+                return [record for key in keys for record in solve_chunk([key])]
             kind = next(f.__name__ for f in TRIAL_FAILURES if isinstance(exc, f))
-            failures[kind] = failures.get(kind, 0) + 1
+            result.failures_by_kind[kind] = result.failures_by_kind.get(kind, 0) + 1
             return []
         wall = (time.perf_counter() - started) / len(keys)
         # a trial's figures join its groups': Python sums of the costs in group order
         costs = [sum(groups) for groups in solve.final_cost.tolist()]
         iterations = solve.problem_iterations.max(axis=-1).tolist()
         converged = solve.converged.all(axis=-1).tolist()
+        miss = poses[..., :3] - split_poses(truths[index])[0]
+        errors = np.sqrt(np.vecdot(miss, miss)).tolist()
         ref_costs, flags = [np.nan] * len(keys), [[None] * m] * len(keys)
         if reference is not None:
             ref_costs = [sum(groups) for groups in reference.final_cost.tolist()]
@@ -315,9 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 agent=agent,
                 true_pose=topologies[t].agents[agent].as_vector(),
                 est_pose=poses[i, agent],
-                error_m=float(
-                    np.linalg.norm(poses[i, agent, :3] - topologies[t].agents[agent].position)
-                ),
+                error_m=errors[i][agent],
                 final_cost=costs[i],
                 ref_cost=ref_costs[i],
                 global_min=flags[i][agent],
@@ -331,17 +331,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     for m in cfg.agent_counts():
         topologies = list(draw_topologies(cfg, m, cfg.topologies))
-        topo_peb = agent0_bounds(cfg, m, topologies, cooperative)
-        singular_bounds += int(np.isnan(topo_peb).sum())
+        topo_peb = agent0_bounds(cfg, m, topologies, scheme is Scheme.COOP)
+        result.singular_bounds += int(np.isnan(topo_peb).sum())
+        truths = _poses(topologies, m)
+        links = link_set(m, len(anchors), scheme)
+        problem = LsProblem(
+            n_agents=m,
+            anchor_positions=[a.position for a in anchors],
+            anchor_rotations=[a.rotation for a in anchors],
+            links=links,
+            y_imag=np.empty((0, len(links), 3, 3)),
+            coupling=coupling,
+        )
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
-        links = len(link_set(m, len(anchors), scheme)) * (restarts + with_reference)
-        chunk = max(1, _LINKS_PER_CHUNK // max(links, 1))
+        chunk = max(1, _LINKS_PER_CHUNK // max(len(links) * (restarts + with_reference), 1))
         records = [
             record
             for start in range(0, len(keys), chunk)
-            for record in solve_chunk(m, topologies, keys[start : start + chunk])
+            for record in solve_chunk(keys[start : start + chunk])
         ]
-        trials += records
+        result.trials += records
         agent0 = [r for r in records if r.agent == 0]
         topo_rmse = [
             float(np.sqrt(np.mean([r.error_m * r.error_m for r in group])))
@@ -350,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pebs = topo_peb[[r.topology_id for r in agent0]]
         errors = np.array([r.error_m for r in agent0])
         outliers = int(np.sum(np.isfinite(pebs) & (errors > OUTLIER_PEB_FACTOR * pebs)))
-        summaries.append(
+        result.summaries.append(
             SummaryRecord(
                 m=m,
                 scheme=cfg.scheme,
@@ -362,15 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
         )
         if agent0:
-            cdfs[f"M{m}_{cfg.scheme}_{cfg.estimator}"] = compute_cdf(errors)
-    return ExperimentResult(
-        config=cfg,
-        trials=trials,
-        summaries=summaries,
-        cdfs=cdfs,
-        failures_by_kind=failures,
-        singular_bounds=singular_bounds,
-    )
+            result.cdfs[f"M{m}_{cfg.scheme}_{cfg.estimator}"] = compute_cdf(errors)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +451,16 @@ def calibrate_resistance(
     )
 
 
-def gains_experiment(cfg: ExperimentConfig, m: Optional[int] = None):
+def gains_experiment(cfg: ExperimentConfig):
     """Noiseless channel-gain statistics of the cooperative link set.
 
+    The topologies are those of the largest configured agent count.
     Returns a dict with the flat |h| sample arrays per link kind, their dB
     CDFs and the fraction of all gains below the measurement error level.
     """
     coil = cfg.coil()
     gparams = cfg.global_params()
-    if m is None:
-        m = cfg.agent_counts()[-1]
+    m = cfg.agent_counts()[-1]
     agent_agent, agent_anchor = [], []
     for topo in draw_topologies(cfg, m, cfg.topologies):
         aa, an = channel_gain_samples(topo, coil, gparams)

@@ -143,7 +143,7 @@ def link_set(n_agents: int, n_anchors: int, scheme: Scheme) -> np.ndarray:
     return np.array(links, dtype=int).reshape(-1, 2)
 
 
-def _link_gains(topology: Topology, coupling: float, scheme: Scheme):
+def link_gains(topology: Topology, coupling: float, scheme: Scheme):
     """Ordered links of the scheme and their noiseless Im(H), (L, 3, 3)."""
     links = link_set(topology.n_agents, topology.n_anchors, scheme)
     nodes = list(topology.agents) + list(topology.anchors)
@@ -162,18 +162,16 @@ def synthesize_measurements(
     params: GlobalParams,
     scheme: Scheme,
     rng: np.random.Generator,
-    sigma: Optional[float] = None,
 ) -> MeasurementSet:
     """Generate noisy channel measurements for every link of the scheme.
 
-    Noise is drawn independently per link and per entry, in link order; the
-    two ordered measurements of an agent pair get independent draws.
+    Noise of level params.noise_sigma is drawn independently per link and
+    per entry, in link order; the two ordered measurements of an agent pair
+    get independent draws.
     """
-    if sigma is None:
-        sigma = params.noise_sigma
     coupling = chan.coupling_coefficient(coil, coil, params)
-    links, gains = _link_gains(topology, coupling, scheme)
-    h_meas = chan.add_noise(1j * gains, sigma, rng)
+    links, gains = link_gains(topology, coupling, scheme)
+    h_meas = chan.add_noise(1j * gains, params.noise_sigma, rng)
     return MeasurementSet(links=links, h_meas=h_meas)
 
 
@@ -188,7 +186,7 @@ def channel_gain_samples(
         (agent_agent, agent_anchor): flat arrays of the 9 per-link entries.
     """
     coupling = chan.coupling_coefficient(coil, coil, params)
-    links, gains = _link_gains(topology, coupling, Scheme.COOP)
+    links, gains = link_gains(topology, coupling, Scheme.COOP)
     magnitudes = np.abs(gains)
     to_agent = links[:, 1] < topology.n_agents
     return magnitudes[to_agent].ravel(), magnitudes[~to_agent].ravel()

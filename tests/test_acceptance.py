@@ -6,6 +6,8 @@ finishes in minutes while keeping the Monte-Carlo error well inside the
 tolerances.  All runs are seeded and deterministic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -265,7 +267,8 @@ def test_criterion_09_property_suite(calibrated):
     # noiseless exact recovery: pairML and perfectly initialized LS
     rng = np.random.default_rng(100)
     topo = sample_topology(4, room, anchors, cfg.min_distance(), rng)
-    ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, rng, sigma=0.0)
+    noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
+    ms = synthesize_measurements(topo, coil, noiseless, Scheme.COOP, rng)
     problem = LsProblem.from_measurements(ms, anchors, 4, coupling)
     truth = pack_deployments(topo.agents)
     solve, _ = estimate(problem, "perfect", truth=truth)

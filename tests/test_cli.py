@@ -1,4 +1,7 @@
+import pytest
+
 from miloc.cli import main
+from miloc.scenario import Scheme, link_set
 
 
 BASE_CFG = """
@@ -195,6 +198,20 @@ def test_bad_flag_exit_code():
     assert main(["simulate", "--estimator", "bogus", "--agents", "1"]) == 2
 
 
+@pytest.mark.parametrize("estimator", ["turbols", "pairml", "multilateration"])
+def test_simulate_rejects_an_init_its_estimator_ignores(tmp_path, capsys, estimator):
+    # only numls reads --init; elsewhere a random start would never run
+    cfg = _write_cfg(tmp_path)
+    argv = ["simulate", "--config", str(cfg), "--estimator", estimator, "--scheme", "noncoop"]
+    argv += ["--agents", "1", "--topologies", "1", "--noise", "1"]
+    out = tmp_path / "random"
+    assert main(argv + ["--init", "random:5", "--out", str(out)]) == 2
+    assert "configuration error: init 'random:5' applies to numls only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--init", "perfect", "--out", str(tmp_path / "perfect")]) == 0
+    assert "init = perfect" in (tmp_path / "perfect" / "config.echo").read_text()
+
+
 def test_runtime_error_exit_code(tmp_path):
     cfg = _write_cfg(tmp_path, "min_dist_factor = 200\n")  # infeasible packing
     code = main(
@@ -251,14 +268,15 @@ def test_simulate_trial_failures_by_kind(tmp_path, capsys, monkeypatch):
 def test_simulate_counts_agent_without_anchor_links_as_failed(tmp_path, capsys, monkeypatch):
     from miloc import harness
 
-    original = harness.synthesize_measurements
+    original = harness.add_noise
+    agent0 = link_set(2, 4, Scheme.NONCOOP)[:, 0] == 0  # the default layout's four anchors
 
     def silent_agent(*args, **kwargs):
         measured = original(*args, **kwargs)
-        measured.h_meas[measured.links[:, 0] == 0] = 0.0
+        measured[agent0] = 0.0
         return measured
 
-    monkeypatch.setattr(harness, "synthesize_measurements", silent_agent)
+    monkeypatch.setattr(harness, "add_noise", silent_agent)
     cfg = _write_cfg(tmp_path)
     argv = ["simulate", "--config", str(cfg), "--estimator", "multilateration"]
     argv += ["--scheme", "noncoop", "--agents", "2", "--topologies", "1", "--noise", "2"]
@@ -270,15 +288,16 @@ def test_simulate_prints_failure_counts_by_kind(tmp_path, capsys, monkeypatch):
     from miloc import harness
     from miloc.pairml import NoMeasurements
 
-    original = harness.synthesize_measurements
+    original = harness.add_noise
+    agent0 = link_set(2, 4, Scheme.NONCOOP)[:, 0] == 0  # the default layout's four anchors
 
-    def silent_agent(topology, coil, params, scheme, rng, sigma=None):
-        measured = original(topology, coil, params, scheme, rng, sigma)
+    def silent_agent(h, sigma, rng):
+        measured = original(h, sigma, rng)
         if rng.bit_generator.seed_seq.entropy[3] == 1:  # the second noise draw
-            measured.h_meas[measured.links[:, 0] == 0] = 0.0
+            measured[agent0] = 0.0
         return measured
 
-    monkeypatch.setattr(harness, "synthesize_measurements", silent_agent)
+    monkeypatch.setattr(harness, "add_noise", silent_agent)
     cfg = _write_cfg(tmp_path)
     argv = ["simulate", "--config", str(cfg), "--estimator", "pairml", "--scheme", "noncoop"]
     argv += ["--agents", "2", "--topologies", "3", "--noise", "2", "--out", str(tmp_path / "run")]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,8 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
     topos = [_topology(3, seed, room, anchors) for seed in range(4)]
     poses = np.array([pack_deployments(t.agents) for t in topos])
     stacked = fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
-    ms = synthesize_measurements(topos[0], coil, gparams, Scheme.COOP, np.random.default_rng(0), sigma=0.0)
+    noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
+    ms = synthesize_measurements(topos[0], coil, noiseless, Scheme.COOP, np.random.default_rng(0))
     problem = LsProblem.from_measurements(ms, anchors, 3, coupling)
     _, jac = residual_and_jacobian(problem, poses)
     for k, topo in enumerate(topos):

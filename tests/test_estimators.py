@@ -23,7 +23,9 @@ from miloc.scenario import Scheme, sample_topology, synthesize_measurements
 def make_problem(m, scheme, seed, coil, gparams, room, anchors, sigma=None):
     rng = np.random.default_rng(seed)
     topo = sample_topology(m, room, anchors, 0.15, rng)
-    ms = synthesize_measurements(topo, coil, gparams, scheme, rng, sigma=sigma)
+    if sigma is not None:
+        gparams = dataclasses.replace(gparams, noise_sigma=sigma)
+    ms = synthesize_measurements(topo, coil, gparams, scheme, rng)
     coupling = coupling_coefficient(coil, coil, gparams)
     problem = LsProblem.from_measurements(ms, anchors, m, coupling)
     return topo, problem

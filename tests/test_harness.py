@@ -82,6 +82,11 @@ def test_config_rejects_bad_values():
         ExperimentConfig(estimator="magic")
     with pytest.raises(ConfigError):
         ExperimentConfig(init="random:x")
+    for estimator in ("turbols", "pairml", "multilateration"):
+        with pytest.raises(ConfigError, match="applies to numls only"):
+            ExperimentConfig(estimator=estimator, init="pairml")
+        with pytest.raises(ConfigError, match="applies to numls only"):
+            ExperimentConfig().override(init="random:2").override(estimator=estimator)
 
 
 def test_config_echo_contains_all_keys():
@@ -337,6 +342,40 @@ def test_noncoop_group_costs_are_the_agents_own_objectives(monkeypatch):
     assert [record.global_min for record in result.trials] == flags
 
 
+@pytest.mark.parametrize("scheme", ["coop", "noncoop"])
+def test_chunk_measurements_equal_the_synthesized_sets(monkeypatch, scheme):
+    # Each trial's measurements in a chunk are those synthesize_measurements
+    # gives the trial's topology and noise stream, bit for bit, in chunks that
+    # split a topology's noise draws and chunks that hold two topologies.
+    from miloc.scenario import synthesize_measurements
+
+    chunks = []
+    solve_trials = harness.solve_trials
+
+    def recording(*args, **kwargs):
+        problem, rngs = args[2], args[5]
+        chunks.append((problem.y_imag, [rng.bit_generator.seed_seq.entropy for rng in rngs]))
+        return solve_trials(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_trials", recording)
+    cfg = _small_cfg(agents="3", topologies=3, noise=3, scheme=scheme)
+    monkeypatch.setattr(harness, "_LINKS_PER_CHUNK", 2 * len(link_set(3, 4, Scheme(scheme))))
+    run_experiment(cfg)
+    assert [len(keys) for _, keys in chunks] == [2, 2, 2, 2, 1]
+    trials = []
+    for y_imag, keys in chunks:
+        for measured, (seed, m, t, k, _) in zip(y_imag, keys):
+            topo = sample_topology(
+                m, cfg.room(), cfg.anchors(), cfg.min_distance(), _trial_seed(seed, m, t, 0)
+            )
+            data = synthesize_measurements(
+                topo, cfg.coil(), cfg.global_params(), Scheme(scheme), _trial_seed(seed, m, t, k, 1)
+            )
+            assert np.array_equal(measured, np.imag(data.h_meas))
+            trials.append((t, k))
+    assert trials == [(t, k) for t in range(3) for k in range(3)]
+
+
 @pytest.mark.slow
 def test_median_wall_time_ordering(room):
     # pairML < multilateration < non-cooperative turboLS < cooperative turboLS
@@ -563,6 +602,8 @@ def test_outputs_identical_for_every_chunk_budget(
         lm_calls.clear()
         result = run_experiment(cfg)
         assert result.failures == 0
+        for r in result.trials:
+            assert r.error_m == float(np.linalg.norm(r.est_pose[:3] - r.true_pose[:3]))
         outputs[label] = _emitted(result, tmp_path / label.replace(" ", "_"))
         counts[label] = list(lm_calls)
     assert outputs["one trial"] == outputs["two trials"] == outputs["default"]
@@ -613,16 +654,17 @@ def test_failing_trial_in_a_chunk_leaves_the_others(tmp_path, monkeypatch, overr
 
 def test_agent_without_anchor_links_fails_only_its_trial(tmp_path, monkeypatch):
     # a real NoMeasurements from the batched pair-ML pass of a chunk
-    original = harness.synthesize_measurements
+    cfg = _small_cfg(agents="3", topologies=2, noise=2, scheme="noncoop", estimator="pairml")
+    original = harness.add_noise
+    agent2 = link_set(3, len(cfg.anchors()), Scheme.NONCOOP)[:, 0] == 2
 
-    def silent_agent(topology, coil, params, scheme, rng, sigma=None):
-        measured = original(topology, coil, params, scheme, rng, sigma)
+    def silent_agent(h, sigma, rng):
+        measured = original(h, sigma, rng)
         if tuple(rng.bit_generator.seed_seq.entropy[2:4]) == (0, 1):
-            measured.h_meas[measured.links[:, 0] == 2] = 0.0
+            measured[agent2] = 0.0
         return measured
 
-    monkeypatch.setattr(harness, "synthesize_measurements", silent_agent)
-    cfg = _small_cfg(agents="3", topologies=2, noise=2, scheme="noncoop", estimator="pairml")
+    monkeypatch.setattr(harness, "add_noise", silent_agent)
     result = run_experiment(cfg)
     assert result.failures == 1
     assert result.failures_by_kind == {"NoMeasurements": 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -102,7 +103,8 @@ def test_zero_sigma_measurements_are_exact(room, anchors, coil, gparams, couplin
 
     rng = np.random.default_rng(6)
     topo = sample_topology(3, room, anchors, 0.15, rng)
-    ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, rng, sigma=0.0)
+    noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
+    ms = synthesize_measurements(topo, coil, noiseless, Scheme.COOP, rng)
     nodes = list(topo.agents) + list(topo.anchors)
     for m in ms.measurements:
         assert np.array_equal(m.h_meas, channel_matrix(nodes[m.tx], nodes[m.rx], coupling))
