@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
     harness.emit_outputs(result, cfg.out)
     for s in result.summaries:
         print(
-            f"M={s.m} scheme={s.scheme} estimator={s.estimator} "
+            f"M={s.m} scheme={cfg.scheme} estimator={cfg.estimator} "
             f"mean_rmse={s.mean_rmse_m * 1e3:.4f} mm mean_peb={s.mean_peb_m * 1e3:.4f} mm "
             f"outliers={s.outlier_frac:.3f} trials={s.trials}"
         )
@@ -98,11 +98,7 @@ def _cmd_gains(args) -> int:
 def _cmd_topology(args) -> int:
     cfg = _load_config(args)
     if args.action == "sample":
-        counts = cfg.agent_counts()
-        rng = harness._trial_seed(cfg.seed, counts[-1], 0, 0)
-        topo = scenario.sample_topology(
-            counts[-1], cfg.room(), cfg.anchors(), cfg.min_distance(), rng
-        )
+        topo = next(harness.draw_topologies(cfg, cfg.agent_counts()[-1], 1))
         target = Path(args.file)
         target.parent.mkdir(parents=True, exist_ok=True)
         scenario.save_topology(topo, target)

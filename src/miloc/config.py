@@ -20,9 +20,7 @@ class ConfigError(ValueError):
 
 
 def parse_agent_spec(spec) -> List[int]:
-    """Parse an agent-count spec: '10', '1..10' or '1,5,10'."""
-    if isinstance(spec, int):
-        return [spec]
+    """Parse an agent-count spec: '10', '1..10' or '1,5,10', each count at most once."""
     text = str(spec).strip()
     try:
         if ".." in text:
@@ -34,8 +32,12 @@ def parse_agent_spec(spec) -> List[int]:
             values = [int(text)]
     except ValueError as exc:
         raise ConfigError(f"bad agent spec {spec!r}") from exc
-    if not values or any(v < 1 for v in values):
+    if not values:
+        raise ConfigError(f"agent range {spec!r} is empty")
+    if any(v < 1 for v in values):
         raise ConfigError(f"agent counts must be >= 1, got {spec!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"agent counts repeat in {spec!r}")
     return values
 
 

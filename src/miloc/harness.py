@@ -7,17 +7,19 @@ independent.  Trials are solved in chunks of whole trials, sized in links
 evaluates its topologies' noiseless gains once each and adds each trial's
 noise from the trial's own stream, as scenario.synthesize_measurements does.
 solve_trials hands a chunk's results over as arrays, a StackedSolve per
-trial and group of agents (estimators.estimate), and the trial records are
-read off them.  Each trial's wall time, its chunk's time split evenly over
-the chunk's trials, goes to a separate timings file because the data
-outputs are required to be byte-identical across reruns.
+trial and group of agents (estimators.estimate), and the chunk keeps them
+as a Trials block: one row per trial, one column per agent.  An agent
+count's chunks join into one block, and the summaries, CDFs and CSV rows
+are read off the blocks.  Each trial's wall time, its chunk's time split
+evenly over the chunk's trials, goes to a separate timings file because
+the data outputs are required to be byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from itertools import groupby, islice
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,7 +29,7 @@ from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, add_noise, coupling_coefficient
 from .config import ExperimentConfig
 from .estimators import LsProblem, StackedSolve
-from .geometry import Room, group_poses, join_poses, rotation_to_euler, split_poses
+from .geometry import Room, group_poses, join_poses, rotation_to_euler
 from .scenario import (
     Scheme,
     Topology,
@@ -58,31 +60,38 @@ class EmptyInput(ValueError):
 
 
 @dataclass
-class TrialRecord:
-    """One estimated agent in one (topology, noise) trial."""
+class Trials:
+    """The kept (topology, noise) trials of one agent count m: T rows, in key order."""
 
-    m: int
-    scheme: str
-    estimator: str
-    topology_id: int
-    noise_id: int
-    agent: int
-    true_pose: np.ndarray  # (6,) position and Euler angles
-    est_pose: np.ndarray  # (12,) position and rotation, rotation nan for position-only estimators
-    error_m: float
-    final_cost: float
-    ref_cost: float  # perfect-init reference cost; nan when not computed
-    global_min: Optional[bool]
-    converged: bool
-    iterations: int
-    wall_time_s: float
+    keys: np.ndarray  # (T, 2) topology and noise ids
+    true_pose: np.ndarray  # (T, m, 12) one-agent pose rows (geometry.join_poses)
+    est_pose: np.ndarray  # (T, m, 12), rotation NaN for position-only estimators
+    error_m: np.ndarray  # (T, m)
+    global_min: np.ndarray  # (T, m) bool; all False in a run without reference solves
+    final_cost: np.ndarray  # (T,)
+    ref_cost: np.ndarray  # (T,) perfect-init reference cost; NaN when not computed
+    converged: np.ndarray  # (T,) bool
+    iterations: np.ndarray  # (T,) int
+    wall_time_s: np.ndarray  # (T,)
+
+    @classmethod
+    def empty(cls, m: int) -> "Trials":
+        """The block of no trials of agent count m."""
+        return cls(
+            np.empty((0, 2), dtype=int), np.empty((0, m, 12)), np.empty((0, m, 12)),
+            np.empty((0, m)), np.empty((0, m), dtype=bool), np.empty(0), np.empty(0),
+            np.empty(0, dtype=bool), np.empty(0, dtype=int), np.empty(0),
+        )
+
+
+def _join(blocks: Sequence[Trials]) -> Trials:
+    """One block of the trials of blocks, in order."""
+    return Trials(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(Trials)))
 
 
 @dataclass
 class SummaryRecord:
     m: int
-    scheme: str
-    estimator: str
     mean_rmse_m: float
     mean_peb_m: float
     outlier_frac: float
@@ -92,9 +101,8 @@ class SummaryRecord:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    trials: List[TrialRecord]
-    summaries: List[SummaryRecord]
-    cdfs: Dict[str, np.ndarray]
+    trials: List[Trials] = field(default_factory=list)  # one block per agent count
+    summaries: List[SummaryRecord] = field(default_factory=list)
     failures_by_kind: Dict[str, int] = field(default_factory=dict)  # TRIAL_FAILURES names
     singular_bounds: int = 0  # topologies left out of mean_peb_m
 
@@ -266,10 +274,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     coupling = coupling_coefficient(coil, coil, gparams)
     scheme = cfg.scheme_enum()
     _, restarts, with_reference = _lm_start(cfg.estimator, cfg.init)
-    result = ExperimentResult(config=cfg, trials=[], summaries=[], cdfs={})
+    result = ExperimentResult(config=cfg)
 
-    def solve_chunk(keys) -> List[TrialRecord]:
-        """Records of the (topology, noise) trials in keys, in key order.
+    def solve_chunk(keys) -> Trials:
+        """The block of the (topology, noise) trials in keys, in key order.
 
         The chunk belongs to the agent count m of the loop below: it reads
         that count's topologies, their pose rows truths, and its problem,
@@ -290,44 +298,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
         except TRIAL_FAILURES as exc:
             if len(keys) > 1:
-                return [record for key in keys for record in solve_chunk([key])]
+                return _join([solve_chunk([key]) for key in keys])
             kind = next(f.__name__ for f in TRIAL_FAILURES if isinstance(exc, f))
             result.failures_by_kind[kind] = result.failures_by_kind.get(kind, 0) + 1
-            return []
+            return Trials.empty(m)
         wall = (time.perf_counter() - started) / len(keys)
-        # a trial's figures join its groups': Python sums of the costs in group order
-        costs = [sum(groups) for groups in solve.final_cost.tolist()]
-        iterations = solve.problem_iterations.max(axis=-1).tolist()
-        converged = solve.converged.all(axis=-1).tolist()
-        miss = poses[..., :3] - split_poses(truths[index])[0]
-        errors = np.sqrt(np.vecdot(miss, miss)).tolist()
-        ref_costs, flags = [np.nan] * len(keys), [[None] * m] * len(keys)
+        true_pose = group_poses(truths[index], m)
+        miss = poses[..., :3] - true_pose[..., :3]
+        # a trial's figures join its groups': costs summed in group order, as
+        # cumsum adds (a row sum adds pairwise, which can move the last bit)
+        ref_costs, flags = np.full(len(keys), np.nan), np.zeros((len(keys), m), dtype=bool)
         if reference is not None:
-            ref_costs = [sum(groups) for groups in reference.final_cost.tolist()]
+            ref_costs = np.cumsum(reference.final_cost, axis=-1)[:, -1]
             # a group holds whole agents, and its cost is their joint objective
             flags = solve.final_cost <= reference.final_cost + GLOBAL_MIN_COST_SLACK
-            flags = np.repeat(flags, m // flags.shape[-1], axis=-1).tolist()
-        return [
-            TrialRecord(
-                m=m,
-                scheme=cfg.scheme,
-                estimator=cfg.estimator,
-                topology_id=t,
-                noise_id=k,
-                agent=agent,
-                true_pose=topologies[t].agents[agent].as_vector(),
-                est_pose=poses[i, agent],
-                error_m=errors[i][agent],
-                final_cost=costs[i],
-                ref_cost=ref_costs[i],
-                global_min=flags[i][agent],
-                converged=converged[i],
-                iterations=iterations[i],
-                wall_time_s=wall,
-            )
-            for i, (t, k) in enumerate(keys)
-            for agent in range(m)
-        ]
+            flags = np.repeat(flags, m // flags.shape[-1], axis=-1)
+        return Trials(
+            keys=np.array(keys),
+            true_pose=true_pose,
+            est_pose=poses,
+            error_m=np.sqrt(np.vecdot(miss, miss)),
+            global_min=flags,
+            final_cost=np.cumsum(solve.final_cost, axis=-1)[:, -1],
+            ref_cost=ref_costs,
+            converged=solve.converged.all(axis=-1),
+            iterations=solve.problem_iterations.max(axis=-1),
+            wall_time_s=np.full(len(keys), wall),
+        )
 
     for m in cfg.agent_counts():
         topologies = list(draw_topologies(cfg, m, cfg.topologies))
@@ -345,34 +342,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
         chunk = max(1, _LINKS_PER_CHUNK // max(len(links) * (restarts + with_reference), 1))
-        records = [
-            record
-            for start in range(0, len(keys), chunk)
-            for record in solve_chunk(keys[start : start + chunk])
-        ]
-        result.trials += records
-        agent0 = [r for r in records if r.agent == 0]
-        topo_rmse = [
-            float(np.sqrt(np.mean([r.error_m * r.error_m for r in group])))
-            for _, group in groupby(agent0, key=lambda r: r.topology_id)
-        ]
-        pebs = topo_peb[[r.topology_id for r in agent0]]
-        errors = np.array([r.error_m for r in agent0])
-        outliers = int(np.sum(np.isfinite(pebs) & (errors > OUTLIER_PEB_FACTOR * pebs)))
-        result.summaries.append(
-            SummaryRecord(
-                m=m,
-                scheme=cfg.scheme,
-                estimator=cfg.estimator,
-                mean_rmse_m=float(np.mean(topo_rmse)) if topo_rmse else np.nan,
-                mean_peb_m=_finite_mean(topo_peb),
-                outlier_frac=outliers / len(agent0) if agent0 else np.nan,
-                trials=len(agent0),
-            )
-        )
-        if agent0:
-            result.cdfs[f"M{m}_{cfg.scheme}_{cfg.estimator}"] = compute_cdf(errors)
+        starts = range(0, len(keys), chunk)
+        block = _join([solve_chunk(keys[start : start + chunk]) for start in starts])
+        result.trials.append(block)
+        result.summaries.append(_summary(m, block, topo_peb))
     return result
+
+
+def _summary(m: int, block: Trials, topo_peb: np.ndarray) -> SummaryRecord:
+    """Agent 0's statistics over the trials of block, whose topologies have the bounds topo_peb."""
+    errors, topology = block.error_m[:, 0], block.keys[:, 0]
+    if not len(errors):
+        return SummaryRecord(m, np.nan, _finite_mean(topo_peb), np.nan, 0)
+    # one part per topology: its trials are consecutive
+    parts = np.split(errors * errors, np.flatnonzero(np.diff(topology)) + 1)
+    pebs = topo_peb[topology]
+    outliers = int(np.sum(np.isfinite(pebs) & (errors > OUTLIER_PEB_FACTOR * pebs)))
+    return SummaryRecord(
+        m=m,
+        mean_rmse_m=float(np.mean([np.sqrt(np.mean(part)) for part in parts])),
+        mean_peb_m=_finite_mean(topo_peb),
+        outlier_frac=outliers / len(errors),
+        trials=len(errors),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,42 +520,47 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
     """Write trials.csv, summary.csv, per-label CDF files and config.echo.
 
     Wall times are emitted to timings.csv; all other files are byte-stable
-    for a fixed configuration and seed.
+    for a fixed configuration and seed.  global_min is left empty in a run
+    without reference solves.
     """
-    out = _outdir(outdir)
-    rows = [TRIALS_HEADER]
-    timing_rows = [TIMINGS_HEADER]
-    est_poses = _canonical_poses([tr.est_pose for tr in result.trials])
-    for tr, est_pose in zip(result.trials, est_poses):
-        key = [str(tr.m), tr.scheme, tr.estimator]
-        key += [str(tr.topology_id), str(tr.noise_id), str(tr.agent)]
-        fields = [
-            *key,
-            *[_fmt(v) for v in tr.true_pose],
-            *[_fmt(v) for v in est_pose],
-            _fmt(tr.error_m),
-            _fmt(tr.final_cost),
-            _fmt(tr.ref_cost),
-            "" if tr.global_min is None else str(int(tr.global_min)),
-            str(int(tr.converged)),
-            str(tr.iterations),
-        ]
-        rows.append(",".join(fields))
-        timing_rows.append(",".join(key + [_fmt(tr.wall_time_s)]))
+    cfg, out = result.config, _outdir(outdir)
+    with_reference = _lm_start(cfg.estimator, cfg.init)[2]
+    rows, timing_rows, cdf_files = [TRIALS_HEADER], [TIMINGS_HEADER], []
+    for block in result.trials:
+        trials, m = block.error_m.shape
+        # a trial's own columns repeat on each of its m agent rows
+        costs = np.repeat(np.column_stack([block.final_cost, block.ref_cost]), m, axis=0)
+        status = np.repeat(np.column_stack([block.converged, block.iterations]), m, axis=0)
+        keys = np.column_stack([np.repeat(block.keys, m, axis=0), np.tile(np.arange(m), trials)])
+        values = np.column_stack([
+            _canonical_poses(block.true_pose), _canonical_poses(block.est_pose),
+            block.error_m.ravel(), costs,
+        ])
+        flags = np.column_stack([block.global_min.ravel(), status])
+        walls = np.repeat(block.wall_time_s, m).tolist()
+        for key, row, (global_min, *rest), wall in zip(
+            keys.tolist(), values.tolist(), flags.tolist(), walls
+        ):
+            key = [str(m), cfg.scheme, cfg.estimator, *map(str, key)]
+            flag = [str(global_min) if with_reference else "", *map(str, rest)]
+            rows.append(",".join(key + [_fmt(v) for v in row] + flag))
+            timing_rows.append(",".join(key + [_fmt(wall)]))
+        if trials:
+            cdf = compute_cdf(block.error_m[:, 0])
+            lines = ["error_m,cdf"] + [f"{_fmt(v)},{_fmt(p)}" for v, p in cdf]
+            cdf_files.append(_write(out / f"cdf_M{m}_{cfg.scheme}_{cfg.estimator}.csv", lines))
     summary_rows = [SUMMARY_HEADER]
     for s in result.summaries:
         values = [_fmt(s.mean_rmse_m), _fmt(s.mean_peb_m), _fmt(s.outlier_frac), str(s.trials)]
-        summary_rows.append(",".join([str(s.m), s.scheme, s.estimator] + values))
+        summary_rows.append(",".join([str(s.m), cfg.scheme, cfg.estimator] + values))
     written = [
         _write(out / "trials.csv", rows),
         _write(out / "timings.csv", timing_rows),
         _write(out / "summary.csv", summary_rows),
+        *cdf_files,
     ]
-    for label, cdf in result.cdfs.items():
-        lines = ["error_m,cdf"] + [f"{_fmt(v)},{_fmt(p)}" for v, p in cdf]
-        written.append(_write(out / f"cdf_{label}.csv", lines))
     echo_path = out / "config.echo"
-    echo_path.write_text(result.config.echo())
+    echo_path.write_text(cfg.echo())
     return written + [echo_path]
 
 

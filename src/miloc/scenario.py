@@ -13,7 +13,7 @@ from . import channel as chan
 from .channel import CoilParams, GlobalParams, LinkMeasurement
 from .geometry import Deployment, Room, rotation_to_euler, sample_uniform_rotation
 
-DEFAULT_MAX_ATTEMPTS = 100_000
+MAX_ATTEMPTS = 100_000  # rejection draws of one topology
 
 
 class PackingInfeasible(RuntimeError):
@@ -89,7 +89,6 @@ def sample_topology(
     anchors: Sequence[Deployment],
     min_distance: float,
     rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> Topology:
     """Draw agent deployments uniformly, rejecting min-distance violations.
 
@@ -99,12 +98,12 @@ def sample_topology(
     draw is exactly uniform on the constrained set.
 
     Raises:
-        PackingInfeasible: attempt budget exhausted.
+        PackingInfeasible: no draw of MAX_ATTEMPTS was feasible.
     """
     anchor_pos = (
         np.stack([a.position for a in anchors]) if len(anchors) else np.zeros((0, 3))
     )
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         positions = rng.uniform(
             room.min_corner, room.max_corner, size=(n_agents, 3)
         )
@@ -122,7 +121,7 @@ def sample_topology(
         agents = [Deployment(*pose) for pose in zip(positions, eulers, rotations)]
         return Topology(room=room, anchors=list(anchors), agents=agents)
     raise PackingInfeasible(
-        f"no feasible placement of {n_agents} agents in {max_attempts} attempts"
+        f"no feasible placement of {n_agents} agents in {MAX_ATTEMPTS} attempts"
     )
 
 

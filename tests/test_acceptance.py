@@ -180,13 +180,11 @@ def perfect_run_m10(calibrated):
 
 
 def test_criterion_05_turbols_robustness(turbols_run, perfect_run_m10):
-    agent0 = [t for t in turbols_run.trials if t.agent == 0]
-    n_trials = len(agent0)
-    dominated = sum(bool(t.global_min) for t in agent0)
-    turbo_median = np.median([t.error_m for t in agent0])
-    perfect_median = np.median(
-        [t.error_m for t in perfect_run_m10.trials if t.agent == 0]
-    )
+    [turbols] = turbols_run.trials
+    n_trials = len(turbols.global_min)
+    dominated = int(turbols.global_min[:, 0].sum())
+    turbo_median = np.median(turbols.error_m[:, 0])
+    perfect_median = np.median(perfect_run_m10.trials[0].error_m[:, 0])
     median_gap = abs(turbo_median / perfect_median - 1.0)
     _report(
         5,
@@ -203,8 +201,7 @@ def test_criterion_06_random_init_failure_rates(calibrated):
         seed=VERIFY_SEED,
     )
     single = run_experiment(base.override(init="random:1"))
-    agent0 = [t for t in single.trials if t.agent == 0]
-    success = np.mean([bool(t.global_min) for t in agent0])
+    success = np.mean(single.trials[0].global_min[:, 0])
     five = run_experiment(base.override(init="random:5"))
     outlier = five.summaries[0].outlier_frac
     _report(
@@ -227,12 +224,8 @@ def test_criterion_07_estimator_ordering(calibrated, turbols_run):
             seed=VERIFY_SEED,
         )
         result = run_experiment(cfg)
-        medians[estimator] = np.median(
-            [t.error_m for t in result.trials if t.agent == 0]
-        )
-    medians["turbols"] = np.median(
-        [t.error_m for t in turbols_run.trials if t.agent == 0]
-    )
+        medians[estimator] = np.median(result.trials[0].error_m[:, 0])
+    medians["turbols"] = np.median(turbols_run.trials[0].error_m[:, 0])
     ok = medians["multilateration"] > medians["pairml"] > medians["turbols"]
     _report(
         7,

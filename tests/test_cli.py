@@ -177,6 +177,30 @@ def test_topology_sample_and_check(tmp_path):
     assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
 
 
+def test_topology_sample_is_topology_0_of_the_simulate_stream(tmp_path):
+    import numpy as np
+
+    from miloc import harness
+    from miloc.config import ExperimentConfig
+    from miloc.scenario import load_topology
+
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    argv = ["--config", str(cfg), "--agents", "4", "--seed", "9"]
+    assert main(["topology", "sample", str(fixture)] + argv) == 0
+    saved = load_topology(fixture)
+    drawn = next(harness.draw_topologies(ExperimentConfig.from_file(cfg).override(seed=9), 4, 1))
+    # the fixture's 17 significant digits give the drawn agents back exactly
+    for agent, expected in zip(saved.agents, drawn.agents, strict=True):
+        assert np.array_equal(agent.as_vector(), expected.as_vector())
+    out = tmp_path / "run"
+    run = ["simulate", "--topologies", "1", "--noise", "1", "--out", str(out)] + argv
+    assert main(run) == 0
+    rows = (out / "trials.csv").read_text().splitlines()[1:]
+    written = [row.split(",")[6:12] for row in rows]
+    assert written == [[f"{v:.12g}" for v in agent.as_vector()] for agent in saved.agents]
+
+
 def test_topology_check_rejects_a_short_room_header(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     fixture = tmp_path / "topo.txt"
@@ -192,6 +216,19 @@ def test_config_error_exit_code(tmp_path):
     missing_value = tmp_path / "bad2.cfg"
     missing_value.write_text("sigma\n")
     assert main(["peb", "--config", str(missing_value)]) == 2
+
+
+@pytest.mark.parametrize(
+    "agents, message",
+    [("2,2", "agent counts repeat in '2,2'"), ("5..1", "agent range '5..1' is empty")],
+)
+def test_agent_spec_error_exit_code(tmp_path, capsys, agents, message):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(cfg), "--agents", agents, "--topologies", "1"]
+    assert main(argv + ["--noise", "1", "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_flag_exit_code():

@@ -50,10 +50,20 @@ def test_parse_agent_spec():
     assert parse_agent_spec("10") == [10]
     assert parse_agent_spec("1..4") == [1, 2, 3, 4]
     assert parse_agent_spec("1,5,10") == [1, 5, 10]
-    with pytest.raises(ConfigError):
-        parse_agent_spec("0")
-    with pytest.raises(ConfigError):
+    assert parse_agent_spec(3) == [3]
+    for spec in ("0", 0, -2):
+        with pytest.raises(ConfigError, match=">= 1"):
+            parse_agent_spec(spec)
+    with pytest.raises(ConfigError, match="bad agent spec"):
         parse_agent_spec("x..y")
+    # an empty range, and a count given twice, which would run that count twice
+    with pytest.raises(ConfigError, match="agent range '5..1' is empty"):
+        parse_agent_spec("5..1")
+    for spec in ("2,2", "1,3,1"):
+        with pytest.raises(ConfigError, match="agent counts repeat"):
+            parse_agent_spec(spec)
+    with pytest.raises(ConfigError, match="agent counts repeat"):
+        ExperimentConfig(agents="2,2")
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -132,26 +142,37 @@ def test_run_experiment_noiseless_exact():
     cfg = _small_cfg(sigma=1e-30, topologies=1, noise=1)
     result = run_experiment(cfg)
     assert result.failures == 0
-    assert all(t.error_m < 1e-8 for t in result.trials)
+    [block] = result.trials
+    assert block.error_m.shape == (1, 2) and (block.error_m < 1e-8).all()
 
 
-def test_run_experiment_structure_and_rmse():
+def test_run_experiment_structure_and_rmse(tmp_path):
     cfg = _small_cfg()
     result = run_experiment(cfg)
-    assert len(result.trials) == 2 * 2 * 2  # topologies x noise x agents
+    [block] = result.trials
+    assert block.error_m.shape == (2 * 2, 2)  # topologies x noise trials, agents
+    assert block.keys.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert block.true_pose.shape == block.est_pose.shape == (4, 2, 12)
     assert len(result.summaries) == 1
     s = result.summaries[0]
     assert s.m == 2 and s.trials == 4
     assert s.mean_rmse_m > 0 and s.mean_peb_m > 0
-    assert "M2_coop_numls" in result.cdfs
+    assert tmp_path / "cdf_M2_coop_numls.csv" in emit_outputs(result, tmp_path)
+    # a run without reference solves writes no reference cost and no flag
+    rows = _csv_rows((tmp_path / "trials.csv").read_bytes())
+    assert [(r["ref_cost"], r["global_min"]) for r in rows] == [("nan", "")] * 8
 
 
-def test_run_experiment_reference_costs():
+def test_run_experiment_reference_costs(tmp_path):
     cfg = _small_cfg(estimator="turbols")
     result = run_experiment(cfg)
-    for t in result.trials:
-        assert np.isfinite(t.ref_cost)
-        assert t.global_min is not None
+    [block] = result.trials
+    assert len(block.ref_cost) == 4 and np.isfinite(block.ref_cost).all()
+    assert block.global_min.dtype == bool and block.global_min.shape == (4, 2)
+    # a run with reference solves writes a flag for every agent row
+    emit_outputs(result, tmp_path)
+    flags = [row["global_min"] for row in _csv_rows((tmp_path / "trials.csv").read_bytes())]
+    assert flags == [str(int(flag)) for flag in block.global_min.ravel()]
 
 
 def test_emit_outputs_schema_and_determinism(tmp_path):
@@ -259,9 +280,10 @@ def test_estimator_dispatch_pairml_and_multilateration():
         cfg = _small_cfg(estimator=estimator, topologies=1, noise=1)
         result = run_experiment(cfg)
         assert result.failures == 0
-        assert all(np.isfinite(t.error_m) for t in result.trials)
+        [block] = result.trials
+        assert block.error_m.shape == (1, 2) and np.isfinite(block.error_m).all()
     # multilateration reports no orientation
-    assert np.isnan(result.trials[0].est_pose[3:]).all()
+    assert np.isnan(block.est_pose[..., 3:]).all()
 
 
 def _noncoop_trial(m=3, seed=3):
@@ -338,8 +360,27 @@ def test_noncoop_group_costs_are_the_agents_own_objectives(monkeypatch):
                     costs[which, agent] = agent_problem(trial, agent).cost(solved.estimate[t, agent])
                 assert np.allclose(solved.final_cost[t], costs[which], rtol=1e-12, atol=0.0)
             flags += (costs[0] <= costs[1] + harness.GLOBAL_MIN_COST_SLACK).tolist()
-    assert len(flags) == len(result.trials) == 18
-    assert [record.global_min for record in result.trials] == flags
+    [block] = result.trials
+    assert len(flags) == block.global_min.size == 18
+    assert block.global_min.ravel().tolist() == flags
+
+
+def test_trial_costs_sum_their_group_costs_in_group_order(monkeypatch):
+    # ten non-cooperative groups per trial, where numpy's pairwise sum of a
+    # row differs in the last bit from the sum in order for some trials
+    solves = []
+    solve_trials = harness.solve_trials
+
+    def recording(*args, **kwargs):
+        out = solve_trials(*args, **kwargs)
+        solves.append(out[1])
+        return out
+
+    monkeypatch.setattr(harness, "solve_trials", recording)
+    cfg = _small_cfg(agents="10", topologies=2, noise=4, scheme="noncoop")
+    [block] = run_experiment(cfg).trials
+    expected = [sum(groups) for solve in solves for groups in solve.final_cost.tolist()]
+    assert block.final_cost.tolist() == expected
 
 
 @pytest.mark.parametrize("scheme", ["coop", "noncoop"])
@@ -528,7 +569,7 @@ def test_cooperative_turbols_chunk_takes_one_lm_call(lm_calls):
     # four M=10 estimates and their four perfect-init references
     cfg = _small_cfg(agents="10", topologies=1, noise=4, scheme="coop", estimator="turbols")
     result = run_experiment(cfg)
-    assert result.failures == 0 and len(result.trials) == 40
+    assert result.failures == 0 and result.trials[0].error_m.shape == (4, 10)
     assert lm_calls == [8]
 
 
@@ -602,8 +643,12 @@ def test_outputs_identical_for_every_chunk_budget(
         lm_calls.clear()
         result = run_experiment(cfg)
         assert result.failures == 0
-        for r in result.trials:
-            assert r.error_m == float(np.linalg.norm(r.est_pose[:3] - r.true_pose[:3]))
+        [block] = result.trials
+        assert block.error_m.shape == (6, 3)
+        for est, true, error in zip(
+            block.est_pose.reshape(-1, 12), block.true_pose.reshape(-1, 12), block.error_m.ravel()
+        ):
+            assert error == float(np.linalg.norm(est[:3] - true[:3]))
         outputs[label] = _emitted(result, tmp_path / label.replace(" ", "_"))
         counts[label] = list(lm_calls)
     assert outputs["one trial"] == outputs["two trials"] == outputs["default"]
@@ -641,15 +686,79 @@ def _run_with_failing_trial(monkeypatch, cfg, failing):
 )
 def test_failing_trial_in_a_chunk_leaves_the_others(tmp_path, monkeypatch, overrides):
     cfg = _small_cfg(agents="3", topologies=2, noise=3, seed=43, **overrides)
+    # errors above one bound, not ten, so that the outlier count is not 0
+    monkeypatch.setattr(harness, "OUTLIER_PEB_FACTOR", 1.0)
     default = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
     monkeypatch.setattr(harness, "_LINKS_PER_CHUNK", 0)  # one trial per chunk
     alone = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
     for result in (default, alone):
         assert result.failures == 1
         assert result.failures_by_kind == {"CoincidentNodes": 1}
-        assert len(result.trials) == 5 * 3
-        assert (1, 0) not in {(tr.topology_id, tr.noise_id) for tr in result.trials}
-    assert _emitted(default, tmp_path / "default") == _emitted(alone, tmp_path / "alone")
+        [block] = result.trials
+        assert block.error_m.shape == (5, 3)
+        assert block.keys.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2]]
+    emitted = _emitted(default, tmp_path / "default")
+    assert emitted == _emitted(alone, tmp_path / "alone")
+    # the summary of topologies with 3 and 2 kept trials, from the written agent-0 rows
+    rows = _csv_rows(emitted["trials.csv"])
+    agent0 = [(int(r["topology"]), float(r["error_m"])) for r in rows if r["agent"] == "0"]
+    bounds = _agent0_bounds(cfg, 3, cfg.topologies, cfg.scheme == "coop")
+    rmse = [np.sqrt(np.mean([e * e for t, e in agent0 if t == topo])) for topo in (0, 1)]
+    outliers = sum(e > bounds[t] for t, e in agent0)
+    assert 0 < outliers < 5
+    [summary] = _csv_rows(emitted["summary.csv"])
+    assert np.isclose(float(summary["mean_rmse_m"]), np.mean(rmse), rtol=1e-10, atol=0.0)
+    assert float(summary["outlier_frac"]) == outliers / 5
+    assert summary["trials"] == "5" and len(agent0) == 5
+
+
+def _csv_rows(data: bytes):
+    import csv
+    import io
+
+    return list(csv.DictReader(io.StringIO(data.decode())))
+
+
+def test_run_without_a_kept_trial_writes_no_rows(tmp_path, monkeypatch):
+    from miloc.channel import CoincidentNodes
+
+    def raising(*args, **kwargs):
+        raise CoincidentNodes("forced")
+
+    monkeypatch.setattr(harness, "solve_trials", raising)
+    cfg = _small_cfg(agents="1,2", topologies=2, noise=2)
+    result = run_experiment(cfg)
+    assert result.failures_by_kind == {"CoincidentNodes": 8}
+    assert [block.error_m.shape for block in result.trials] == [(0, 1), (0, 2)]
+    emitted = _emitted(result, tmp_path)
+    assert sorted(emitted) == ["summary.csv", "trials.csv"]  # no CDF
+    assert emitted["trials.csv"].decode() == harness.TRIALS_HEADER + "\n"
+    assert (tmp_path / "timings.csv").read_text() == harness.TIMINGS_HEADER + "\n"
+    summaries = _csv_rows(emitted["summary.csv"])
+    assert [s["M"] for s in summaries] == ["1", "2"]
+    for s in summaries:
+        assert s["mean_rmse_m"] == s["outlier_frac"] == "nan" and s["trials"] == "0"
+        assert float(s["mean_peb_m"]) > 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scheme="coop", estimator="numls", agents="1,3"),
+        dict(scheme="noncoop", estimator="multilateration", agents="2"),
+    ],
+)
+def test_written_true_poses_are_the_drawn_topologies(tmp_path, overrides):
+    cfg = _small_cfg(topologies=3, noise=2, **overrides)
+    result = run_experiment(cfg)
+    rows = _csv_rows(_emitted(result, tmp_path)["trials.csv"])
+    columns = [f"true_{c}" for c in ("x", "y", "z", "alpha", "beta", "gamma")]
+    for block, m in zip(result.trials, cfg.agent_counts()):
+        drawn = [topology.agents for topology in harness.draw_topologies(cfg, m, cfg.topologies)]
+        expected = np.array([[drawn[t][a].as_vector() for a in range(m)] for t, _ in block.keys])
+        assert np.array_equal(harness._canonical_poses(block.true_pose), expected.reshape(-1, 6))
+        written = [[r[c] for c in columns] for r in rows if r["m"] == str(m)]
+        assert written == [[f"{v:.12g}" for v in pose] for pose in expected.reshape(-1, 6)]
 
 
 def test_agent_without_anchor_links_fails_only_its_trial(tmp_path, monkeypatch):
@@ -668,7 +777,9 @@ def test_agent_without_anchor_links_fails_only_its_trial(tmp_path, monkeypatch):
     result = run_experiment(cfg)
     assert result.failures == 1
     assert result.failures_by_kind == {"NoMeasurements": 1}
-    assert [(tr.topology_id, tr.noise_id) for tr in result.trials[::3]] == [(0, 0), (1, 0), (1, 1)]
+    [block] = result.trials
+    assert block.keys.tolist() == [[0, 0], [1, 0], [1, 1]]
+    assert block.error_m.shape == (3, 3)
 
 
 def test_each_topology_is_drawn_once(monkeypatch):

@@ -61,10 +61,13 @@ def test_sample_topology_single_agent(room, anchors):
     assert topo.n_agents == 1
 
 
-def test_sample_topology_infeasible(room, anchors):
+def test_sample_topology_infeasible(room, anchors, monkeypatch):
+    from miloc import scenario
+
+    monkeypatch.setattr(scenario, "MAX_ATTEMPTS", 200)
     rng = np.random.default_rng(3)
-    with pytest.raises(PackingInfeasible):
-        sample_topology(2, room, anchors, room.diagonal, rng, max_attempts=200)
+    with pytest.raises(PackingInfeasible, match="in 200 attempts"):
+        sample_topology(2, room, anchors, room.diagonal, rng)
 
 
 def test_agent_positions_uniform(room, anchors):
