@@ -49,6 +49,7 @@ from .scenario import (
     default_anchors,
     link_set,
     load_topology,
+    network_problem,
     sample_topology,
     save_topology,
     synthesize_measurements,

@@ -9,7 +9,9 @@ the true deployments, summed link by link by LsProblem.normal_equations,
 the assembly the estimators' normal equations use.  In the cooperative
 scheme both ordered measurements of an agent pair exist and both are
 counted; without agent-agent links the matrix is block diagonal, each
-block the matrix of one agent alone on its anchor links.  Each agent
+block the matrix of one agent alone on its anchor links.  The link set,
+anchors and coupling come from one LsProblem (scenario.network_problem),
+the problem whose measurements the estimators fit.  Each agent
 contributes six parameters, its position and a local rotation of its
 orientation, R exp([phi]x) at phi = 0.  No orientation chart enters, so
 no orientation (gimbal lock included) is a singular point of the
@@ -21,19 +23,19 @@ diagonal entries of the inverse information matrix.  An agent that shares
 no information with any other (all its off-diagonal blocks zero, as in
 the non-cooperative scheme) takes it from its own 6 x 6 block, so another
 agent's singular block does not void its bound.  Stacks of topologies are
-assembled and solved in one call each (fim_stack, peb_stack); the
-one-topology functions are their single-matrix case.
+assembled and solved in one call each (fim_stack of a problem, peb_stack);
+the one-topology functions are their single-matrix case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .estimators import LsProblem, pack_deployments
-from .scenario import Scheme, link_set
+from .scenario import Scheme, network_problem
 
 FIM_MAX_CONDITION = 1e14
 
@@ -54,39 +56,22 @@ class FisherInfo:
     n_agents: int
 
 
-def fim_stack(
-    poses: np.ndarray,
-    anchors,
-    coupling: float,
-    sigma: float,
-    cooperative: bool,
-) -> np.ndarray:
-    """Information matrices of a stack of topologies over the same anchors.
+def fim_stack(problem: LsProblem, poses: np.ndarray, sigma: float) -> np.ndarray:
+    """Information matrices of the problem's link set at a stack of deployments.
 
     Args:
+        problem: the link set, anchors and coupling (scenario.network_problem);
+            its measurements do not enter.
         poses: agent pose rows (..., 12M), packed as by pack_deployments.
-        anchors: sequence of Deployment.
-        cooperative: include the ordered agent-agent measurement set.
 
     Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
-    Jacobian J of the scheme's link set at the given deployments; each
-    topology's matrix is the same whatever else is in the stack.  Without
-    cooperation each diagonal block equals the matrix of its agent alone
-    (M = 1) bit for bit.
+    Jacobian J of the links at the given deployments; each topology's matrix
+    is the same whatever else is in the stack.  Without cooperation each
+    diagonal block equals the matrix of its agent alone
+    (problem.anchor_problem) bit for bit.
     """
-    poses = np.asarray(poses, dtype=float)
-    m = poses.shape[-1] // 12
-    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
-    links = link_set(m, len(anchors), scheme)
-    problem = LsProblem(
-        n_agents=m,
-        anchor_positions=np.array([a.position for a in anchors]).reshape(-1, 3),
-        anchor_rotations=np.array([a.rotation for a in anchors]).reshape(-1, 3, 3),
-        links=links,
-        y_imag=np.zeros((len(links), 3, 3)),
-        coupling=coupling,
-    )
-    return 2.0 / sigma**2 * problem.normal_equations(poses)[1]
+    unmeasured = replace(problem, y_imag=np.zeros(problem.y_imag.shape[-3:]))
+    return 2.0 / sigma**2 * unmeasured.normal_equations(poses)[1]
 
 
 def assemble_fim(
@@ -102,7 +87,9 @@ def assemble_fim(
         agents, anchors: sequences of Deployment.
         cooperative: include the ordered agent-agent measurement set.
     """
-    matrix = fim_stack(pack_deployments(agents), anchors, coupling, sigma, cooperative)
+    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
+    problem = network_problem(len(agents), anchors, coupling, scheme)
+    matrix = fim_stack(problem, pack_deployments(agents), sigma)
     return FisherInfo(matrix=matrix, n_agents=len(agents))
 
 

@@ -10,6 +10,12 @@ step dp and a local rotation phi, and LsProblem.retract applies them as
 p + dp and R exp([phi]x), so every iterate's rotation stays a rotation
 and no orientation chart has a singularity.
 
+An LsProblem is the network's measurement model: its links, anchors and
+coupling give the noiseless gains of every link (LsProblem.gains), which the
+synthesis and the residual share.  Without agent-agent links it splits into
+one problem per agent on that agent's anchor links (LsProblem.anchor_problem),
+the problems the non-cooperative solve, pair-ML and multilateration work on.
+
 Batch convention: residuals and normal equations take pose rows of shape
 (..., 12M) and return (..., 9L) residuals, (..., 6M, 6M) normal matrices
 J^T J and (..., 6M) gradients J^T r, over the 6M step parameters; a 1-d
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -126,8 +133,13 @@ class LsProblem:
         """True when some link joins two agents, so the agents do not decouple."""
         return bool(np.any(self.links[:, 1] < self.n_agents))
 
-    def anchor_link_rows(self) -> np.ndarray:
-        """Rows of every agent's anchor links as an (M, K) block, in link order.
+    def anchor_problem(self) -> "LsProblem":
+        """Every agent alone on its anchor links: a stack of one-agent problems.
+
+        The stack is set-major, then agent-major: a single set (L, 3, 3)
+        gives M problems, a stack of T sets T * M.  Each problem keeps the
+        anchors, and its links (0, 1 + a) run over the anchors a the agents
+        share, in link order.
 
         Raises:
             ValueError: the agents do not share one anchor-link pattern.
@@ -140,7 +152,10 @@ class LsProblem:
             if np.all(self.links[rows, 0] == np.arange(m)[:, None]) and np.all(
                 self.links[rows, 1] == self.links[rows[:1], 1]
             ):
-                return rows
+                links = self.links[rows[0]] - [0, m - 1]
+                y_imag = self.y_imag[..., rows, :, :]
+                y_imag = y_imag.reshape((prod(y_imag.shape[:-3]),) + y_imag.shape[-3:])
+                return replace(self, n_agents=1, links=links, y_imag=y_imag)
         raise ValueError("agents must share one anchor-link pattern")
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
@@ -179,15 +194,18 @@ class LsProblem:
         """The measured sets of the problems in index (default: all of them, in order)."""
         return self.y_imag[index] if self.y_imag.ndim == 4 and index is not None else self.y_imag
 
+    def gains(self, theta: np.ndarray) -> np.ndarray:
+        """Noiseless Im(H) of every link, (..., L, 3, 3), at pose rows theta (..., 12M)."""
+        batch, _, _, gains, _, _, _ = self._geometry(self._check(theta))
+        return gains.reshape(batch + (len(self.links), 3, 3))
+
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
         """Residual rows of shape (..., 9L) for pose rows theta (..., 12M).
 
         With a stacked y_imag, index lists the problems theta's rows belong
         to (default: all of them, in order).
         """
-        theta = self._check(theta)
-        batch, _, _, gains, _, _, _ = self._geometry(theta)
-        res = self._measured(index) - gains.reshape(batch + (len(self.links), 3, 3))
+        res = self._measured(index) - self.gains(theta)
         return res.reshape(res.shape[:-3] + (-1,))
 
     def cost(self, theta: np.ndarray) -> float:
@@ -424,20 +442,17 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     Returns the (12M,) pose row, or (T, 12M) for a stack of T measurement
     sets; every agent of the stack goes through one pair-ML call.
     """
-    rows = problem.anchor_link_rows()
-    anchors = problem.links[rows, 1] - problem.n_agents
-    y_imag = problem.y_imag[..., rows, :, :]
-    batch, k = y_imag.shape[:-4], rows.shape[1]
-    positions = np.broadcast_to(problem.anchor_positions[anchors], batch + rows.shape + (3,))
-    rotations = np.broadcast_to(problem.anchor_rotations[anchors], batch + rows.shape + (3, 3))
+    alone = problem.anchor_problem()
+    anchors = alone.links[:, 1] - 1
+    shape = alone.y_imag.shape[:-2]  # (problems, K)
     agent_p, agent_o = pairml.pair_ml_estimate(
-        y_imag.reshape(-1, k, 3, 3),
-        positions.reshape(-1, k, 3),
-        rotations.reshape(-1, k, 3, 3),
+        alone.y_imag,
+        np.broadcast_to(alone.anchor_positions[anchors], shape + (3,)),
+        np.broadcast_to(alone.anchor_rotations[anchors], shape + (3, 3)),
         problem.coupling,
         room,
     )
-    agents = batch + (problem.n_agents,)
+    agents = problem.y_imag.shape[:-3] + (problem.n_agents,)
     return join_poses(agent_p.reshape(agents + (3,)), agent_o.reshape(agents + (3, 3)))
 
 
@@ -451,16 +466,12 @@ def _problem_stack(
     stack is set-major, then agent-major, then copy-minor; with_reference
     appends every set's problems once more, in the same order.
     """
-    base = problem
+    base = replace(problem, y_imag=y_imag)
     if not problem.cooperative:
-        rows = problem.anchor_link_rows()
-        anchors = problem.links[rows[0], 1] - problem.n_agents
-        y_imag = y_imag[:, rows].reshape(-1, len(anchors), 3, 3)
-        links = np.column_stack([np.zeros(len(anchors), dtype=int), anchors + 1])
-        base = replace(problem, n_agents=1, links=links, y_imag=y_imag)
-    stack = np.repeat(y_imag, copies, axis=0)
+        base = base.anchor_problem()
+    stack = np.repeat(base.y_imag, copies, axis=0)
     if with_reference:
-        stack = np.concatenate([stack, y_imag])
+        stack = np.concatenate([stack, base.y_imag])
     return replace(base, y_imag=stack)
 
 

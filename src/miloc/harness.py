@@ -2,10 +2,13 @@
 
 Seeds are derived per (agent count, topology, noise draw) through
 numpy SeedSequence, so runs are reproducible bit for bit and trials are
-independent.  Trials are solved in chunks of whole trials, sized in links
-(_LINKS_PER_CHUNK), and each chunk is one stacked solver call.  A chunk
-evaluates its topologies' noiseless gains once each and adds each trial's
-noise from the trial's own stream, as scenario.synthesize_measurements does.
+independent.  An agent count's network is one LsProblem
+(scenario.network_problem): its bounds, its trials' noiseless gains and
+its estimates all read that problem's links.  Trials are solved in chunks
+of whole trials, sized in links (_LINKS_PER_CHUNK), and each chunk is one
+stacked solver call.  A chunk evaluates its topologies' gains once each
+and adds each trial's noise from the trial's own stream, as
+scenario.synthesize_measurements does.
 solve_trials hands a chunk's results over as arrays, a StackedSolve per
 trial and group of agents (estimators.estimate), and the chunk keeps them
 as a Trials block: one row per trial, one column per agent.  An agent
@@ -27,17 +30,10 @@ import numpy as np
 
 from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, add_noise, coupling_coefficient
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .estimators import LsProblem, StackedSolve
 from .geometry import Room, group_poses, join_poses, rotation_to_euler
-from .scenario import (
-    Scheme,
-    Topology,
-    channel_gain_samples,
-    link_gains,
-    link_set,
-    sample_topology,
-)
+from .scenario import Scheme, Topology, network_problem, sample_topology
 
 GLOBAL_MIN_COST_SLACK = 1e-12
 OUTLIER_PEB_FACTOR = 10.0
@@ -161,18 +157,19 @@ def solve_trials(
         theta = estimators.pairml_initialization(problem, room)
         solve = _closed_form(theta, [r @ r for r in problem.residual(theta)], True)
     elif estimator == "multilateration":
-        rows = problem.anchor_link_rows()
-        anchors = problem.links[rows, 1] - m
+        alone = problem.anchor_problem()
+        anchors = alone.links[:, 1] - 1
         distances = pairml.distance_estimates(
-            problem.y_imag[:, rows], problem.anchor_rotations[anchors], problem.coupling
+            alone.y_imag, alone.anchor_rotations[anchors], alone.coupling
         )
         fix = estimators.multilaterate(
-            np.broadcast_to(problem.anchor_positions[anchors], distances.shape + (3,)),
+            np.broadcast_to(alone.anchor_positions[anchors], distances.shape + (3,)),
             distances,
             room,
         )
-        theta = join_poses(fix.position, np.full(fix.position.shape + (3,), np.nan))
-        solve = _closed_form(theta, np.nan, fix.converged.all(axis=-1))
+        position = fix.position.reshape(trials, m, 3)
+        theta = join_poses(position, np.full(position.shape + (3,), np.nan))
+        solve = _closed_form(theta, np.nan, fix.converged.reshape(trials, m).all(axis=-1))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     poses = group_poses(solve.estimate, solve.estimate.shape[-1] // 12)
@@ -205,33 +202,31 @@ def draw_topologies(cfg: ExperimentConfig, m: int, count: int) -> Iterator[Topol
 
 
 def agent0_bounds(
-    cfg: ExperimentConfig, m: int, topologies: Iterable[Topology], cooperative: bool
+    problem: LsProblem, topologies: Iterable[Topology], sigma: float
 ) -> np.ndarray:
-    """Agent 0's position error bound on each of the topologies of count m.
+    """Agent 0's position error bound on each of the topologies of the problem's network.
 
-    The information matrices of many topologies are assembled and solved in
-    stacked calls of at most estimators.LINKS_PER_SLICE links, and
-    topologies are taken from the iterable one call at a time, so a
-    generator such as draw_topologies keeps memory bounded.  Without
-    cooperation agent 0 shares no information with the other agents, so
-    only its own anchor links are assembled, as a one-agent problem.
+    problem is the network's link set (scenario.network_problem) and sigma
+    the noise level.  The information matrices of many topologies are
+    assembled and solved in stacked calls of at most
+    estimators.LINKS_PER_SLICE links, and topologies are taken from the
+    iterable one call at a time, so a generator such as draw_topologies
+    keeps memory bounded.  Without cooperation agent 0 shares no
+    information with the other agents, so only its own anchor links are
+    assembled, as a one-agent problem (LsProblem.anchor_problem).
     Returns one bound per topology, NaN where the information matrix is
     singular; each bound equals crlb.peb of its topology alone, bit for bit.
     """
-    anchors = cfg.anchors()
-    coil = cfg.coil()
-    gparams = cfg.global_params()
-    coupling = coupling_coefficient(coil, coil, gparams)
-
-    n_links = len(link_set(m, len(anchors), Scheme.COOP)) if cooperative else len(anchors)
-    chunk = max(1, estimators.LINKS_PER_SLICE // max(n_links, 1))
+    m = problem.n_agents
+    bound = problem if problem.cooperative else problem.anchor_problem()
+    chunk = max(1, estimators.LINKS_PER_SLICE // max(len(bound.links), 1))
     topologies = iter(topologies)
     bounds = [np.empty(0)]
     while stack := list(islice(topologies, chunk)):
-        # without cooperation, agent 0 alone (M = 1) on its anchor links
-        poses = _poses(stack, m) if cooperative else group_poses(_poses(stack, m), m)[:, 0]
-        fim = crlb.fim_stack(poses, anchors, coupling, gparams.noise_sigma, cooperative)
-        bounds.append(crlb.peb_stack(fim, 0))
+        poses = _poses(stack, m)
+        if not problem.cooperative:
+            poses = group_poses(poses, m)[:, 0]  # agent 0's own pose row
+        bounds.append(crlb.peb_stack(crlb.fim_stack(bound, poses, sigma), 0))
     return np.concatenate(bounds)
 
 
@@ -280,11 +275,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         """The block of the (topology, noise) trials in keys, in key order.
 
         The chunk belongs to the agent count m of the loop below: it reads
-        that count's topologies, their pose rows truths, and its problem,
-        into which it puts the chunk's measurements.
+        that count's problem and its topologies' pose rows truths, and puts
+        the chunk's measurements into the problem.
         """
         index = [t for t, _ in keys]
-        gains = {t: link_gains(topologies[t], coupling, scheme)[1] for t in dict.fromkeys(index)}
+        drawn = list(dict.fromkeys(index))
+        gains = dict(zip(drawn, problem.gains(truths[drawn])))
         measured = [
             add_noise(1j * gains[t], gparams.noise_sigma, _trial_seed(cfg.seed, m, t, k, 1))
             for t, k in keys
@@ -327,21 +323,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
 
     for m in cfg.agent_counts():
+        problem = network_problem(m, anchors, coupling, scheme)
         topologies = list(draw_topologies(cfg, m, cfg.topologies))
-        topo_peb = agent0_bounds(cfg, m, topologies, scheme is Scheme.COOP)
+        topo_peb = agent0_bounds(problem, topologies, gparams.noise_sigma)
         result.singular_bounds += int(np.isnan(topo_peb).sum())
         truths = _poses(topologies, m)
-        links = link_set(m, len(anchors), scheme)
-        problem = LsProblem(
-            n_agents=m,
-            anchor_positions=[a.position for a in anchors],
-            anchor_rotations=[a.rotation for a in anchors],
-            links=links,
-            y_imag=np.empty((0, len(links), 3, 3)),
-            coupling=coupling,
-        )
         keys = [(t, k) for t in range(cfg.topologies) for k in range(cfg.noise)]
-        chunk = max(1, _LINKS_PER_CHUNK // max(len(links) * (restarts + with_reference), 1))
+        chunk = max(1, _LINKS_PER_CHUNK // max(len(problem.links) * (restarts + with_reference), 1))
         starts = range(0, len(keys), chunk)
         block = _join([solve_chunk(keys[start : start + chunk]) for start in starts])
         result.trials.append(block)
@@ -389,11 +377,12 @@ def mean_peb_curve(
         scheme = cfg.scheme_enum()
     counts = list(agent_counts) if agent_counts is not None else cfg.agent_counts()
     n_topologies = topologies if topologies is not None else cfg.topologies
+    anchors, gparams = cfg.anchors(), cfg.global_params()
+    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), gparams)
     rows = []
     for m in counts:
-        bounds = agent0_bounds(
-            cfg, m, draw_topologies(cfg, m, n_topologies), scheme is Scheme.COOP
-        )
+        problem = network_problem(m, anchors, coupling, scheme)
+        bounds = agent0_bounds(problem, draw_topologies(cfg, m, n_topologies), gparams.noise_sigma)
         rows.append((m, _finite_mean(bounds), int(np.isfinite(bounds).sum())))
     return rows
 
@@ -447,19 +436,27 @@ def gains_experiment(cfg: ExperimentConfig):
     """Noiseless channel-gain statistics of the cooperative link set.
 
     The topologies are those of the largest configured agent count.
-    Returns a dict with the flat |h| sample arrays per link kind, their dB
-    CDFs and the fraction of all gains below the measurement error level.
+    Returns a dict with the flat |h| sample arrays per link kind, each in
+    topology, then link, then entry order, their dB CDFs and the fraction
+    of all gains below the measurement error level.
+
+    Raises:
+        ConfigError: fewer than two agents, which have no agent-agent link.
     """
+    m = cfg.agent_counts()[-1]
+    if m < 2:
+        raise ConfigError("the gains study needs at least two agents")
     coil = cfg.coil()
     gparams = cfg.global_params()
-    m = cfg.agent_counts()[-1]
-    agent_agent, agent_anchor = [], []
-    for topo in draw_topologies(cfg, m, cfg.topologies):
-        aa, an = channel_gain_samples(topo, coil, gparams)
-        agent_agent.append(aa)
-        agent_anchor.append(an)
-    aa = np.concatenate(agent_agent)
-    an = np.concatenate(agent_anchor)
+    coupling = coupling_coefficient(coil, coil, gparams)
+    problem = network_problem(m, cfg.anchors(), coupling, Scheme.COOP)
+    magnitudes = np.array([
+        np.abs(problem.gains(estimators.pack_deployments(topo.agents)))
+        for topo in draw_topologies(cfg, m, cfg.topologies)
+    ])
+    to_agent = problem.links[:, 1] < m
+    aa = magnitudes[:, to_agent].ravel()
+    an = magnitudes[:, ~to_agent].ravel()
     everything = np.concatenate([aa, an])
     return {
         "agent_agent": aa,
@@ -510,10 +507,13 @@ def _write(path: Path, lines: Iterable[str]) -> Path:
     return path
 
 
-def _outdir(outdir) -> Path:
+def _outdir(outdir, cfg: ExperimentConfig) -> Tuple[Path, Path]:
+    """The output directory, made if missing, and its config.echo, written from cfg."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    echo = out / "config.echo"
+    echo.write_text(cfg.echo())
+    return out, echo
 
 
 def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
@@ -523,7 +523,8 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
     for a fixed configuration and seed.  global_min is left empty in a run
     without reference solves.
     """
-    cfg, out = result.config, _outdir(outdir)
+    cfg = result.config
+    out, echo = _outdir(outdir, cfg)
     with_reference = _lm_start(cfg.estimator, cfg.init)[2]
     rows, timing_rows, cdf_files = [TRIALS_HEADER], [TIMINGS_HEADER], []
     for block in result.trials:
@@ -553,28 +554,24 @@ def emit_outputs(result: ExperimentResult, outdir) -> List[Path]:
     for s in result.summaries:
         values = [_fmt(s.mean_rmse_m), _fmt(s.mean_peb_m), _fmt(s.outlier_frac), str(s.trials)]
         summary_rows.append(",".join([str(s.m), cfg.scheme, cfg.estimator] + values))
-    written = [
+    return [
         _write(out / "trials.csv", rows),
         _write(out / "timings.csv", timing_rows),
         _write(out / "summary.csv", summary_rows),
         *cdf_files,
+        echo,
     ]
-    echo_path = out / "config.echo"
-    echo_path.write_text(cfg.echo())
-    return written + [echo_path]
 
 
 def emit_peb_curve(rows, cfg: ExperimentConfig, scheme: Scheme, outdir) -> List[Path]:
-    out = _outdir(outdir)
+    out, echo = _outdir(outdir, cfg)
     lines = ["M,scheme,mean_peb_m,topologies"]
     lines += [f"{m},{scheme.value},{_fmt(value)},{n}" for m, value, n in rows]
-    echo = out / "config.echo"
-    echo.write_text(cfg.echo())
     return [_write(out / "peb.csv", lines), echo]
 
 
 def emit_gains(stats, cfg: ExperimentConfig, outdir) -> List[Path]:
-    out = _outdir(outdir)
+    out, echo = _outdir(outdir, cfg)
     written = [
         _write(
             out / f"cdf_gains_{key}.csv",
@@ -584,7 +581,4 @@ def emit_gains(stats, cfg: ExperimentConfig, outdir) -> List[Path]:
     ]
     names = ("fraction_below_sigma", "median_agent_agent_db", "median_agent_anchor_db")
     summary = [",".join(names), ",".join(_fmt(stats[k]) for k in names)]
-    written.append(_write(out / "gains_summary.csv", summary))
-    echo = out / "config.echo"
-    echo.write_text(cfg.echo())
-    return written + [echo]
+    return written + [_write(out / "gains_summary.csv", summary), echo]

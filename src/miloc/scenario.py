@@ -11,6 +11,7 @@ import numpy as np
 
 from . import channel as chan
 from .channel import CoilParams, GlobalParams, LinkMeasurement
+from .estimators import LsProblem, pack_deployments
 from .geometry import Deployment, Room, rotation_to_euler, sample_uniform_rotation
 
 MAX_ATTEMPTS = 100_000  # rejection draws of one topology
@@ -142,17 +143,24 @@ def link_set(n_agents: int, n_anchors: int, scheme: Scheme) -> np.ndarray:
     return np.array(links, dtype=int).reshape(-1, 2)
 
 
-def link_gains(topology: Topology, coupling: float, scheme: Scheme):
-    """Ordered links of the scheme and their noiseless Im(H), (L, 3, 3)."""
-    links = link_set(topology.n_agents, topology.n_anchors, scheme)
-    nodes = list(topology.agents) + list(topology.anchors)
-    positions = np.array([n.position for n in nodes])
-    rotations = np.array([n.rotation for n in nodes])
-    tx, rx = links[:, 0], links[:, 1]
-    gains, *_ = chan.channel_gain_batch(
-        positions[tx], rotations[tx], positions[rx], rotations[rx], coupling
+def network_problem(
+    n_agents: int, anchors: Sequence[Deployment], coupling: float, scheme: Scheme
+) -> LsProblem:
+    """The least-squares problem of the scheme's link set over the anchors, unmeasured.
+
+    It holds no measured set (y_imag of shape (0, L, 3, 3)); its noiseless
+    gains (LsProblem.gains), bounds and, with measurements put in, estimates
+    all read the one link set.
+    """
+    links = link_set(n_agents, len(anchors), scheme)
+    return LsProblem(
+        n_agents=n_agents,
+        anchor_positions=[a.position for a in anchors],
+        anchor_rotations=[a.rotation for a in anchors],
+        links=links,
+        y_imag=np.empty((0, len(links), 3, 3)),
+        coupling=coupling,
     )
-    return links, gains
 
 
 def synthesize_measurements(
@@ -169,26 +177,10 @@ def synthesize_measurements(
     get independent draws.
     """
     coupling = chan.coupling_coefficient(coil, coil, params)
-    links, gains = link_gains(topology, coupling, scheme)
+    problem = network_problem(topology.n_agents, topology.anchors, coupling, scheme)
+    gains = problem.gains(pack_deployments(topology.agents))
     h_meas = chan.add_noise(1j * gains, params.noise_sigma, rng)
-    return MeasurementSet(links=links, h_meas=h_meas)
-
-
-def channel_gain_samples(
-    topology: Topology,
-    coil: CoilParams,
-    params: GlobalParams,
-):
-    """Noiseless subcoil channel-gain magnitudes |h| of the cooperative set.
-
-    Returns:
-        (agent_agent, agent_anchor): flat arrays of the 9 per-link entries.
-    """
-    coupling = chan.coupling_coefficient(coil, coil, params)
-    links, gains = link_gains(topology, coupling, Scheme.COOP)
-    magnitudes = np.abs(gains)
-    to_agent = links[:, 1] < topology.n_agents
-    return magnitudes[to_agent].ravel(), magnitudes[~to_agent].ravel()
+    return MeasurementSet(links=problem.links, h_meas=h_meas)
 
 
 # ---------------------------------------------------------------------------

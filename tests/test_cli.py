@@ -144,6 +144,16 @@ def test_gains_subcommand(tmp_path):
     assert (out / "gains_summary.csv").exists()
 
 
+def test_gains_with_one_agent_is_a_config_error(tmp_path, capsys):
+    # one agent has no agent-agent link to draw gains from
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "gains"
+    argv = ["gains", "--config", str(cfg), "--agents", "1", "--topologies", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "configuration error: the gains study needs at least two agents" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_topology_sample_and_check(tmp_path):
     cfg = _write_cfg(tmp_path)
     fixture = tmp_path / "topo.txt"

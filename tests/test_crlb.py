@@ -9,7 +9,7 @@ from miloc.channel import channel_matrix
 from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
 from miloc.estimators import LsProblem, pack_deployments
 from miloc.geometry import Deployment, sample_uniform_rotation
-from miloc.scenario import Scheme, sample_topology, synthesize_measurements
+from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
 from conftest import far_out, random_deployment
 from oracles import (
@@ -24,6 +24,12 @@ from oracles import (
 SIGMA = 1e-5
 
 
+def _fim_stack(poses, anchors, coupling, sigma, cooperative):
+    """fim_stack of the network problem of the scheme, for pose rows (..., 12M)."""
+    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
+    return fim_stack(network_problem(poses.shape[-1] // 12, anchors, coupling, scheme), poses, sigma)
+
+
 def _topology(m, seed, room, anchors):
     rng = np.random.default_rng(seed)
     return sample_topology(m, room, anchors, 0.15, rng)
@@ -34,7 +40,7 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
     # (2 / sigma^2) J^T J for the noiseless residual Jacobian at the truth.
     topos = [_topology(3, seed, room, anchors) for seed in range(4)]
     poses = np.array([pack_deployments(t.agents) for t in topos])
-    stacked = fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
+    stacked = _fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
     noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
     ms = synthesize_measurements(topos[0], coil, noiseless, Scheme.COOP, np.random.default_rng(0))
     problem = LsProblem.from_measurements(ms, anchors, 3, coupling)
@@ -248,7 +254,7 @@ def test_singular_topology_in_stack_leaves_the_others_alone(room, anchors, coupl
     topos[2] = far_out(topos[2])
     poses = np.array([pack_deployments(t.agents) for t in topos])
     for cooperative in (True, False):
-        bounds = peb_stack(fim_stack(poses, anchors, coupling, SIGMA, cooperative))
+        bounds = peb_stack(_fim_stack(poses, anchors, coupling, SIGMA, cooperative))
         assert np.isnan(bounds[2]) and np.all(np.isfinite(np.delete(bounds, 2)))
         for k, topo in enumerate(topos):
             info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative)
@@ -258,14 +264,14 @@ def test_singular_topology_in_stack_leaves_the_others_alone(room, anchors, coupl
             else:
                 assert bounds[k] == peb(info, 0)
         others = np.delete(poses, 2, axis=0)
-        clean = peb_stack(fim_stack(others, anchors, coupling, SIGMA, cooperative))
+        clean = peb_stack(_fim_stack(others, anchors, coupling, SIGMA, cooperative))
         assert np.array_equal(clean, np.delete(bounds, 2))
 
 
 def test_peb_stack_matches_peb_of_every_agent(room, anchors, coupling):
     topos = [_topology(3, 70 + k, room, anchors) for k in range(3)]
     poses = np.array([pack_deployments(t.agents) for t in topos])
-    matrices = fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
+    matrices = _fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
     for agent in range(3):
         expected = [peb(FisherInfo(matrix, 3), agent) for matrix in matrices]
         assert np.array_equal(peb_stack(matrices, agent), expected)
@@ -325,8 +331,8 @@ def test_permuting_the_stack_permutes_the_bounds(room, anchors, coupling, seed, 
     poses = np.array([pack_deployments(_topology(m, [seed, k], room, anchors).agents) for k in range(4)])
     order = list(data.draw(st.permutations(range(4))))
     for cooperative in (True, False):
-        bounds = peb_stack(fim_stack(poses, anchors, coupling, SIGMA, cooperative))
-        permuted = peb_stack(fim_stack(poses[order], anchors, coupling, SIGMA, cooperative))
+        bounds = peb_stack(_fim_stack(poses, anchors, coupling, SIGMA, cooperative))
+        permuted = peb_stack(_fim_stack(poses[order], anchors, coupling, SIGMA, cooperative))
         assert np.array_equal(permuted, bounds[order], equal_nan=True)
 
 

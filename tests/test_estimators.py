@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from miloc import estimators
-from miloc.channel import coupling_coefficient
+from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.estimators import (
     DimensionMismatch,
     LsProblem,
@@ -17,7 +17,7 @@ from miloc.estimators import (
 )
 from miloc.config import ConfigError, ExperimentConfig
 from miloc.geometry import Deployment, group_poses, is_rotation, sample_uniform_rotation, split_poses
-from miloc.scenario import Scheme, sample_topology, synthesize_measurements
+from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
 
 def make_problem(m, scheme, seed, coil, gparams, room, anchors, sigma=None):
@@ -247,13 +247,27 @@ def test_cooperative_follows_the_links(room, anchors, coil, gparams):
     assert np.isclose(solve.final_cost[0], coop.cost(solve.estimate[0]), rtol=1e-12, atol=0.0)
 
 
-def test_anchor_link_rows(room, anchors, coil, gparams):
+def test_anchor_problem(room, anchors, coil, gparams):
     for scheme in (Scheme.NONCOOP, Scheme.COOP):
         _, problem = make_problem(3, scheme, 24, coil, gparams, room, anchors)
-        rows = problem.anchor_link_rows()
-        assert rows.shape == (3, 4)
-        assert np.array_equal(problem.links[rows, 0], np.repeat([[0], [1], [2]], 4, axis=1))
-        assert np.array_equal(problem.links[rows, 1], np.tile(np.arange(3, 7), (3, 1)))
+        # rows[a, k]: the row of agent a's link to anchor k
+        links = problem.links.tolist()
+        rows = np.array([[links.index([a, 3 + k]) for k in range(4)] for a in range(3)])
+        other = make_problem(3, scheme, 25, coil, gparams, room, anchors)[1].y_imag
+        stacked = dataclasses.replace(problem, y_imag=np.stack([problem.y_imag, other]))
+        for sets, gathered in ((problem, problem.y_imag[rows]), (stacked, stacked.y_imag[:, rows])):
+            alone = sets.anchor_problem()
+            assert alone.n_agents == 1 and not alone.cooperative
+            assert np.array_equal(alone.links, [[0, 1], [0, 2], [0, 3], [0, 4]])
+            assert np.array_equal(alone.anchor_positions, problem.anchor_positions)
+            assert alone.coupling == problem.coupling
+            assert np.array_equal(alone.y_imag, gathered.reshape(-1, 4, 3, 3))
+            # set-major, then agent-major, each agent's links in anchor order
+            for t, measured in enumerate(sets.y_imag.reshape(-1, len(links), 3, 3)):
+                for a in range(3):
+                    assert np.array_equal(alone.y_imag[3 * t + a], measured[rows[a]])
+    unmeasured = network_problem(3, anchors, problem.coupling, Scheme.COOP).anchor_problem()
+    assert unmeasured.y_imag.shape == (0, 4, 3, 3)
     # agent 1 lacks its link to the last anchor
     keep = ~((problem.links[:, 0] == 1) & (problem.links[:, 1] == 6))
     uneven = LsProblem(
@@ -264,8 +278,22 @@ def test_anchor_link_rows(room, anchors, coil, gparams):
         y_imag=problem.y_imag[keep],
         coupling=problem.coupling,
     )
-    with pytest.raises(ValueError):
-        uneven.anchor_link_rows()
+    with pytest.raises(ValueError, match="one anchor-link pattern"):
+        uneven.anchor_problem()
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NONCOOP, Scheme.COOP])
+def test_gains_equal_the_one_link_channel(room, anchors, coil, gparams, scheme):
+    coupling = coupling_coefficient(coil, coil, gparams)
+    problem = network_problem(3, anchors, coupling, scheme)
+    topos = [sample_topology(3, room, anchors, 0.15, np.random.default_rng(30 + k)) for k in range(2)]
+    stacked = problem.gains(np.array([pack_deployments(t.agents) for t in topos]))
+    assert stacked.shape == (2, len(problem.links), 3, 3)
+    for topo, gains in zip(topos, stacked):
+        assert np.array_equal(problem.gains(pack_deployments(topo.agents)), gains)
+        nodes = topo.agents + topo.anchors
+        for (tx, rx), gain in zip(problem.links.tolist(), gains):
+            assert np.array_equal(gain, np.imag(channel_matrix(nodes[tx], nodes[rx], coupling)))
 
 
 def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):

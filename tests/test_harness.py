@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from miloc import crlb, estimators, harness
-from miloc.channel import coupling_coefficient
+from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
 from miloc.estimators import LsProblem, multilaterate, pack_deployments, parse_init_strategy
 from miloc.geometry import Deployment
@@ -21,7 +21,7 @@ from miloc.harness import (
     _trial_seed,
 )
 from miloc.pairml import NoMeasurements, distance_estimates
-from miloc.scenario import Scheme, link_set, sample_topology
+from miloc.scenario import Scheme, link_set, network_problem, sample_topology
 
 
 def test_compute_cdf_basic():
@@ -273,6 +273,17 @@ def test_gains_experiment_outputs():
     assert stats["agent_anchor"].shape == (3 * 3 * 4 * 9,)
     assert 0.0 <= stats["fraction_below_sigma"] <= 1.0
     assert stats["cdf_agent_agent_db"][0, 1] > 0
+    # every cooperative link of every drawn topology, one link at a time, in order
+    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), cfg.global_params())
+    expected = {"agent_agent": [], "agent_anchor": []}
+    for topo in harness.draw_topologies(cfg, 3, 3):
+        nodes = topo.agents + topo.anchors
+        for tx, rx in link_set(3, 4, Scheme.COOP).tolist():
+            gain = np.abs(np.imag(channel_matrix(nodes[tx], nodes[rx], coupling)))
+            expected["agent_agent" if rx < 3 else "agent_anchor"].append(gain.ravel())
+    for kind, gains in expected.items():
+        assert np.array_equal(stats[kind], np.concatenate(gains)), kind
+        assert np.all(stats[kind] > 0), kind
 
 
 def test_estimator_dispatch_pairml_and_multilateration():
@@ -321,13 +332,13 @@ def test_multilateration_agent_without_usable_links_raises():
 
 def test_multilateration_zero_link_equals_fix_from_the_others():
     topo, problem = _noncoop_trial()
-    rows = problem.anchor_link_rows()
-    problem.y_imag[rows[0, 1]] = 0.0
+    agent0 = np.flatnonzero(problem.links[:, 0] == 0)  # its anchor links, in anchor order
+    problem.y_imag[agent0[1]] = 0.0
     poses, _, _ = _multilaterate_trial(topo, problem)
     assert np.isnan(poses[0, :, 3:]).all()  # a position-only estimate
     others = [0, 2, 3]
     distances = distance_estimates(
-        problem.y_imag[rows[0, others]], problem.anchor_rotations[others], problem.coupling
+        problem.y_imag[agent0[others]], problem.anchor_rotations[others], problem.coupling
     )
     alone = multilaterate(problem.anchor_positions[others], distances, topo.room)
     assert np.allclose(poses[0, 0, :3], alone.position, rtol=0.0, atol=1e-12)
@@ -483,7 +494,10 @@ def _single_topology_bounds(cfg, m, topologies, cooperative):
 
 def _agent0_bounds(cfg, m, topologies, cooperative):
     """agent0_bounds on the first topologies of count m, drawn one by one."""
-    return agent0_bounds(cfg, m, harness.draw_topologies(cfg, m, topologies), cooperative)
+    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), cfg.global_params())
+    scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
+    problem = network_problem(m, cfg.anchors(), coupling, scheme)
+    return agent0_bounds(problem, harness.draw_topologies(cfg, m, topologies), cfg.sigma)
 
 
 def _links(cfg, m, cooperative):

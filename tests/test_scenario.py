@@ -11,7 +11,6 @@ from miloc.scenario import (
     Scheme,
     Topology,
     check_topology,
-    channel_gain_samples,
     default_anchors,
     link_set,
     load_topology,
@@ -189,15 +188,6 @@ def test_regression_fixture_is_stable(room):
     for a, b in zip(stored.agents, regenerated.agents):
         assert np.allclose(a.position, b.position, atol=1e-15)
         assert np.allclose(a.euler, b.euler, atol=1e-15)
-
-
-def test_channel_gain_samples_shapes(room, anchors, coil, gparams):
-    rng = np.random.default_rng(10)
-    topo = sample_topology(3, room, anchors, 0.15, rng)
-    aa, an = channel_gain_samples(topo, coil, gparams)
-    assert aa.shape == (3 * 2 * 9,)
-    assert an.shape == (3 * 4 * 9,)
-    assert np.all(aa > 0) and np.all(an > 0)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.NONCOOP, Scheme.COOP])
