@@ -13,7 +13,6 @@ from .config import ConfigError, ExperimentConfig
 from .crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
 from .estimators import (
     LsProblem,
-    MultilaterationResult,
     StackedSolve,
     estimate,
     levenberg_marquardt,

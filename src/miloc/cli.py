@@ -98,7 +98,7 @@ def _cmd_gains(args) -> int:
 def _cmd_topology(args) -> int:
     cfg = _load_config(args)
     if args.action == "sample":
-        topo = next(harness.draw_topologies(cfg, cfg.agent_counts()[-1], 1))
+        topo = next(harness.draw_topologies(cfg, max(cfg.agent_counts()), 1))
         target = Path(args.file)
         target.parent.mkdir(parents=True, exist_ok=True)
         scenario.save_topology(topo, target)

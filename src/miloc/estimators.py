@@ -14,7 +14,8 @@ An LsProblem is the network's measurement model: its links, anchors and
 coupling give the noiseless gains of every link (LsProblem.gains), which the
 synthesis and the residual share.  Without agent-agent links it splits into
 one problem per agent on that agent's anchor links (LsProblem.anchor_problem),
-the problems the non-cooperative solve, pair-ML and multilateration work on.
+the problems the non-cooperative solve, pair-ML and multilateration work on;
+their link k goes to anchor k, so the anchor arrays are per-link arrays.
 
 Batch convention: residuals and normal equations take pose rows of shape
 (..., 12M) and return (..., 9L) residuals, (..., 6M, 6M) normal matrices
@@ -27,10 +28,10 @@ levenberg_marquardt advances all rows together, each with its own damping
 and termination.  Link columns are formed for at most LINKS_PER_SLICE links
 at a time; estimate solves whatever stack it is given in one LM call, and
 the harness bounds the stack by sizing its chunks of trials in links.
-Results stay arrays: levenberg_marquardt and estimate return a StackedSolve,
-one entry per problem, and estimate's are shaped by measurement set and
-group of agents (one group for a cooperative problem, one per agent for a
-non-cooperative one).
+Results stay arrays: levenberg_marquardt, estimate and multilaterate return
+a StackedSolve, one entry per problem, and estimate's are shaped by
+measurement set and group of agents (one group for a cooperative problem,
+one per agent for a non-cooperative one).
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ class LsProblem:
         """Every agent alone on its anchor links: a stack of one-agent problems.
 
         The stack is set-major, then agent-major: a single set (L, 3, 3)
-        gives M problems, a stack of T sets T * M.  Each problem keeps the
-        anchors, and its links (0, 1 + a) run over the anchors a the agents
-        share, in link order.
+        gives M problems, a stack of T sets T * M.  Each problem keeps only
+        the anchors the agents link to, in link order, so its link k,
+        (0, 1 + k), goes to anchor k.
 
         Raises:
             ValueError: the agents do not share one anchor-link pattern.
@@ -152,10 +153,14 @@ class LsProblem:
             if np.all(self.links[rows, 0] == np.arange(m)[:, None]) and np.all(
                 self.links[rows, 1] == self.links[rows[:1], 1]
             ):
-                links = self.links[rows[0]] - [0, m - 1]
+                anchors = self.links[rows[0], 1] - m
                 y_imag = self.y_imag[..., rows, :, :]
                 y_imag = y_imag.reshape((prod(y_imag.shape[:-3]),) + y_imag.shape[-3:])
-                return replace(self, n_agents=1, links=links, y_imag=y_imag)
+                return replace(
+                    self, n_agents=1, anchor_positions=self.anchor_positions[anchors],
+                    anchor_rotations=self.anchor_rotations[anchors],
+                    links=[(0, 1 + k) for k in range(len(anchors))], y_imag=y_imag,
+                )
         raise ValueError("agents must share one anchor-link pattern")
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
@@ -442,16 +447,7 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     Returns the (12M,) pose row, or (T, 12M) for a stack of T measurement
     sets; every agent of the stack goes through one pair-ML call.
     """
-    alone = problem.anchor_problem()
-    anchors = alone.links[:, 1] - 1
-    shape = alone.y_imag.shape[:-2]  # (problems, K)
-    agent_p, agent_o = pairml.pair_ml_estimate(
-        alone.y_imag,
-        np.broadcast_to(alone.anchor_positions[anchors], shape + (3,)),
-        np.broadcast_to(alone.anchor_rotations[anchors], shape + (3, 3)),
-        problem.coupling,
-        room,
-    )
+    agent_p, agent_o = pairml.pair_ml_estimate(problem.anchor_problem(), room)
     agents = problem.y_imag.shape[:-3] + (problem.n_agents,)
     return join_poses(agent_p.reshape(agents + (3,)), agent_o.reshape(agents + (3, 3)))
 
@@ -601,38 +597,21 @@ class _RangeProblem:
         return p + step
 
 
-@dataclass
-class MultilaterationResult:
-    position: np.ndarray
-    underdetermined: np.ndarray
-    converged: np.ndarray
-
-
-def multilaterate(
-    anchor_positions: np.ndarray,
-    distances: np.ndarray,
-    room: Room,
-) -> MultilaterationResult:
+def multilaterate(anchor_positions: np.ndarray, distances: np.ndarray, room: Room) -> StackedSolve:
     """Range-only position fixes from per-anchor distance estimates.
 
-    anchor_positions (..., N, 3) and distances (..., N) hold one fix per
-    leading index; all fixes are solved as one stacked LM, each initialized
-    at the room center, and clamped to the room.  A NaN distance marks an
-    anchor without a usable estimate, so fixes over different anchor counts
-    can share a stack.  converged flags each fix on its own.  Fewer than
-    three usable anchors leave a 3-d fix underdetermined, which is flagged
-    rather than raised.
+    anchor_positions (N, 3) are shared by every fix, and distances (..., N)
+    hold one fix per leading index; all fixes are solved as one stacked LM,
+    each initialized at the room center.  A NaN distance marks an anchor
+    without a usable estimate, so fixes over different anchor counts can
+    share a stack.  Returns the LM's solve with each fix, clamped to the
+    room, as its estimate (..., 3); converged flags each fix on its own.
+    Fewer than three usable anchors leave a 3-d fix underdetermined: it
+    still returns a point in the room rather than raising.
     """
-    anchor_positions = np.asarray(anchor_positions, dtype=float)
     distances = np.asarray(distances, dtype=float)
-    problem = _RangeProblem(
-        anchor_positions.reshape(-1, distances.shape[-1], 3),
-        distances.reshape(-1, distances.shape[-1]),
-    )
+    flat = distances.reshape(-1, distances.shape[-1])
+    anchors = np.broadcast_to(anchor_positions, flat.shape + (3,))
     start = np.broadcast_to(room.center, distances.shape[:-1] + (3,))
-    solve = levenberg_marquardt(problem, start)
-    return MultilaterationResult(
-        position=room.clamp(solve.estimate),
-        underdetermined=np.sum(np.isfinite(distances), axis=-1) < 3,
-        converged=solve.converged,
-    )
+    solve = levenberg_marquardt(_RangeProblem(anchors, flat), start)
+    return replace(solve, estimate=room.clamp(solve.estimate))

@@ -158,16 +158,10 @@ def solve_trials(
         solve = _closed_form(theta, [r @ r for r in problem.residual(theta)], True)
     elif estimator == "multilateration":
         alone = problem.anchor_problem()
-        anchors = alone.links[:, 1] - 1
-        distances = pairml.distance_estimates(
-            alone.y_imag, alone.anchor_rotations[anchors], alone.coupling
-        )
         fix = estimators.multilaterate(
-            np.broadcast_to(alone.anchor_positions[anchors], distances.shape + (3,)),
-            distances,
-            room,
+            alone.anchor_positions, pairml.distance_estimates(alone), room
         )
-        position = fix.position.reshape(trials, m, 3)
+        position = fix.estimate.reshape(trials, m, 3)
         theta = join_poses(position, np.full(position.shape + (3,), np.nan))
         solve = _closed_form(theta, np.nan, fix.converged.reshape(trials, m).all(axis=-1))
     else:
@@ -443,7 +437,7 @@ def gains_experiment(cfg: ExperimentConfig):
     Raises:
         ConfigError: fewer than two agents, which have no agent-agent link.
     """
-    m = cfg.agent_counts()[-1]
+    m = max(cfg.agent_counts())
     if m < 2:
         raise ConfigError("the gains study needs at least two agents")
     coil = cfg.coil()

@@ -11,6 +11,11 @@ score z = s1 + s2/2 + (s3/2) det(U V^T) inverts to the ML distance.  The
 sign ambiguity of the direction (the dipole factor satisfies F(u) = F(-u))
 is resolved by room membership, with a likelihood fallback for links whose
 geometry leaves both candidates plausible.
+
+pair_ml_estimate and distance_estimates work on a stack of one-agent
+anchor problems (estimators.LsProblem.anchor_problem), whose link k goes to
+anchor k; they read its measurements, anchors and coupling, and the
+fallback scores a candidate pose by that problem's residual.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CoincidentNodes, channel_gain_batch
+from .channel import CoincidentNodes
 from .geometry import Room
 
 DIRECTION_GAP_TOL = 1e-12
@@ -114,90 +119,65 @@ def _candidates(anchor_positions, directions, distances, room: Room):
     return candidates, room.contains(candidates, DEFAULT_BOUNDARY_MARGIN)
 
 
-def _candidate_cost(position, rotation, y_imag, anchor_positions, anchor_rotations, coupling) -> float:
-    """Residual cost of a candidate (position, orientation) over an agent's K anchor links."""
-    count = len(anchor_positions)
+def _candidate_cost(alone, index: int, position, rotation) -> float:
+    """Residual cost of a candidate pose of problem index of the one-agent stack alone."""
     try:
-        gains, *_ = channel_gain_batch(
-            np.broadcast_to(position, (count, 3)), np.broadcast_to(rotation, (count, 3, 3)),
-            anchor_positions, anchor_rotations, coupling,
-        )
+        residual = alone.residual(np.concatenate([position, rotation.ravel()]), [index])
     except CoincidentNodes:
         return np.inf
-    return float(np.sum((y_imag - gains) ** 2))
+    return float(np.sum(residual**2))
 
 
-def pair_ml_estimate(
-    y_imag: np.ndarray,
-    anchor_positions: np.ndarray,
-    anchor_rotations: np.ndarray,
-    coupling: float,
-    room: Room,
-) -> np.ndarray:
-    """Estimate the poses of M agents, each from its K anchor measurements.
+def pair_ml_estimate(alone, room: Room):
+    """Estimate the poses of n agents, each from its K anchor links.
 
-    All M*K links are decomposed, ranged and given their two candidate
+    alone is a stack of n one-agent problems whose link k goes to anchor k
+    (estimators.LsProblem.anchor_problem), measured y_imag (n, K, 3, 3).
+    All n*K links are decomposed, ranged and given their two candidate
     positions in one batched pass; then each agent visits its usable links
     by ascending ML distance (best expected SNR first).  The first link with
     a unique in-room candidate wins.  A link whose two candidates are both
-    plausible (or both outside) is resolved by comparing the residual cost
-    of the two hypotheses over all of the agent's anchor links, accepted
-    only when decisive; otherwise the next link is tried.  If no link
-    resolves, the smallest-distance link falls back to the candidate closer
-    to the room center (both inside) or the candidate closest to the room,
-    clamped to it (both outside).
+    plausible (or both outside) is resolved by comparing the costs of the
+    two hypotheses, the squared residuals of the agent's own problem over
+    all of its anchor links, accepted only when decisive; otherwise the next
+    link is tried.  If no link resolves, the smallest-distance link falls
+    back to the candidate closer to the room center (both inside) or the
+    candidate closest to the room, clamped to it (both outside).
 
-    Args:
-        y_imag: (M, K, 3, 3) measured Im(H) of every agent's anchor links.
-        anchor_positions, anchor_rotations: (M, K, 3) and (M, K, 3, 3), the
-            anchor of every link.
-
-    Returns (positions, rotations): the (M, 3) positions and the (M, 3, 3)
+    Returns (positions, rotations): the (n, 3) positions and the (n, 3, 3)
     orientations of the deciding links.
 
     Raises:
         NoMeasurements: some agent has no usable link.
     """
-    y_imag = np.asarray(y_imag, dtype=float)
-    anchor_positions = np.asarray(anchor_positions, dtype=float)
-    anchor_rotations = np.asarray(anchor_rotations, dtype=float)
-    if not y_imag.shape[:2] == anchor_positions.shape[:2] == anchor_rotations.shape[:2]:
-        raise ValueError("measurements and anchors must align")
-    svd, o_hat, z = decompose_links(y_imag, anchor_rotations)
+    svd, o_hat, z = decompose_links(alone.y_imag, alone.anchor_rotations)
     s = svd.s
     usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
     usable &= s[..., 0] - s[..., 1] >= DIRECTION_GAP_TOL * s[..., 0]
     distances = np.zeros(z.shape)
-    distances[usable] = ml_distance(z[usable], coupling)
-    candidates, inside = _candidates(anchor_positions, svd.v[..., 0], distances, room)
+    distances[usable] = ml_distance(z[usable], alone.coupling)
+    candidates, inside = _candidates(alone.anchor_positions, svd.v[..., 0], distances, room)
     # usable links by ascending distance, link order on ties
     order = np.argsort(np.where(usable, distances, np.inf), axis=-1, kind="stable")
 
-    positions, rotations = np.empty((len(y_imag), 3)), np.empty((len(y_imag), 3, 3))
-    for m in range(len(y_imag)):
+    positions, rotations = np.empty((len(z), 3)), np.empty((len(z), 3, 3))
+    for m in range(len(z)):
         links = order[m, : usable[m].sum()]
         if not links.size:
             raise NoMeasurements("no usable agent-anchor measurement")
         link, positions[m] = _resolve_agent(
-            links, candidates[m], inside[m], o_hat[m], y_imag[m],
-            anchor_positions[m], anchor_rotations[m], coupling, room,
+            alone, m, links, candidates[m], inside[m], o_hat[m], room
         )
         rotations[m] = o_hat[m, link]
     return positions, rotations
 
 
-def _resolve_agent(
-    links, candidates, inside, rotations, y_imag, anchor_positions, anchor_rotations,
-    coupling, room,
-):
-    """The deciding link of one agent and its position; links are visited in the given order."""
+def _resolve_agent(alone, index, links, candidates, inside, rotations, room):
+    """The deciding link of agent index of alone and its position, visiting links in order."""
     for k in links:
         if inside[k].sum() == 1:
             return k, candidates[k, np.argmax(inside[k])]
-        costs = [
-            _candidate_cost(cand, rotations[k], y_imag, anchor_positions, anchor_rotations, coupling)
-            for cand in candidates[k]
-        ]
+        costs = [_candidate_cost(alone, index, cand, rotations[k]) for cand in candidates[k]]
         low, high = sorted(costs)
         if low > 0.0 and high / low >= COST_RATIO_DECISIVE:
             return k, candidates[k, int(np.argmin(costs))]
@@ -210,19 +190,20 @@ def _resolve_agent(
     return k, room.clamp(candidates[k, int(np.argmin(overshoot))])
 
 
-def distance_estimates(y_imag: np.ndarray, anchor_rotations: np.ndarray, coupling: float):
+def distance_estimates(alone):
     """ML distance estimate of every anchor link, for range-only processing.
 
-    y_imag and anchor_rotations are (..., K, 3, 3); returns the (..., K)
-    distances, NaN where a link is degenerate or its score is zero.
+    alone is a stack of n one-agent problems as for pair_ml_estimate;
+    returns the (n, K) distances, NaN where a link is degenerate or its
+    score is zero.
 
     Raises:
-        NoMeasurements: some row of K links has no usable link.
+        NoMeasurements: some agent has no usable link.
     """
-    svd, _, z = decompose_links(y_imag, np.asarray(anchor_rotations, dtype=float))
+    svd, _, z = decompose_links(alone.y_imag, alone.anchor_rotations)
     usable = (svd.s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
     if not np.all(np.any(usable, axis=-1)):
         raise NoMeasurements("no usable agent-anchor measurement")
     distances = np.full(z.shape, np.nan)
-    distances[usable] = ml_distance(z[usable], coupling)
+    distances[usable] = ml_distance(z[usable], alone.coupling)
     return distances

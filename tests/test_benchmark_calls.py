@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from miloc import channel, cli, config, crlb, estimators, harness, scenario
+from miloc import channel, cli, config, crlb, estimators, harness, pairml, scenario
 from miloc.estimators import LsProblem, pack_deployments
 
 # the calibrated resistance the benchmark writes into its configuration file
@@ -136,3 +136,24 @@ def test_emitters_return_the_written_paths(bench, tmp_path):
     names = {p.name for p in written}
     assert {"trials.csv", "timings.csv", "peb.csv", "gains_summary.csv"} <= names
     assert all(p.stat().st_size > 0 for p in written)
+
+
+def test_one_pair_ml_call_per_chunk(bench, monkeypatch):
+    # the benchmark counts pair-ML calls (pairml.pair_ml_estimate.calls) by
+    # replacing the module attribute, so the estimators must call through it;
+    # the two trials of a cooperative turboLS run share one chunk and one call
+    _, cfg = bench
+    calls = []
+    wrapped = pairml.pair_ml_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(pairml, "pair_ml_estimate", counted)
+    small = cfg.override(
+        agents="2", topologies=1, noise=2, scheme="coop", estimator="turbols", seed=8
+    )
+    result = harness.run_experiment(small)
+    assert result.failures == 0 and len(result.trials[0].keys) == 2
+    assert len(calls) == 1

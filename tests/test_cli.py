@@ -154,6 +154,25 @@ def test_gains_with_one_agent_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gains_takes_the_largest_agent_count(tmp_path):
+    # the last count of the spec has one agent, the largest three
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "gains"
+    argv = ["gains", "--config", str(cfg), "--agents", "3,1", "--topologies", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert (out / "gains_summary.csv").exists()
+
+
+def test_topology_sample_takes_the_largest_agent_count(tmp_path):
+    from miloc.scenario import load_topology
+
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    argv = ["topology", "sample", str(fixture), "--config", str(cfg), "--agents", "10,3"]
+    assert main(argv) == 0
+    assert load_topology(fixture).n_agents == 10
+
+
 def test_topology_sample_and_check(tmp_path):
     cfg = _write_cfg(tmp_path)
     fixture = tmp_path / "topo.txt"

@@ -282,6 +282,31 @@ def test_anchor_problem(room, anchors, coil, gparams):
         uneven.anchor_problem()
 
 
+def test_anchor_problem_puts_link_k_on_anchor_k(room, anchors, coil, gparams):
+    # rows that visit the anchors out of order, agents interleaved, give the
+    # problem whose anchors are listed in the visiting order
+    topo, problem = make_problem(3, Scheme.NONCOOP, 26, coil, gparams, room, anchors)
+    visit = [2, 0, 3, 1]
+    links = problem.links.tolist()
+    rows = [links.index([a, 3 + k]) for k in visit for a in range(3)]
+    shuffled = dataclasses.replace(
+        problem, links=problem.links[rows], y_imag=problem.y_imag[rows]
+    )
+    in_order = dataclasses.replace(
+        problem,
+        anchor_positions=problem.anchor_positions[visit],
+        anchor_rotations=problem.anchor_rotations[visit],
+        links=[(a, 3 + k) for a in range(3) for k in range(4)],
+        y_imag=problem.y_imag[[links.index([a, 3 + k]) for a in range(3) for k in visit]],
+    )
+    alone, expected = shuffled.anchor_problem(), in_order.anchor_problem()
+    assert np.array_equal(alone.links, [[0, 1], [0, 2], [0, 3], [0, 4]])
+    assert np.array_equal(alone.anchor_positions, problem.anchor_positions[visit])
+    assert np.array_equal(alone.anchor_rotations, problem.anchor_rotations[visit])
+    poses = group_poses(pack_deployments(topo.agents), 3)
+    assert np.array_equal(alone.residual(poses), expected.residual(poses))
+
+
 @pytest.mark.parametrize("scheme", [Scheme.NONCOOP, Scheme.COOP])
 def test_gains_equal_the_one_link_channel(room, anchors, coil, gparams, scheme):
     coupling = coupling_coefficient(coil, coil, gparams)
@@ -501,9 +526,8 @@ def test_multilateration_exact_distances(room, anchors):
     positions = np.stack([a.position for a in anchors])
     distances = np.linalg.norm(positions - target, axis=1)
     fix = multilaterate(positions, distances, room)
-    assert not fix.underdetermined
     assert fix.converged
-    assert np.linalg.norm(fix.position - target) < 1e-8
+    assert np.linalg.norm(fix.estimate - target) < 1e-8
 
 
 def test_multilateration_scaled_distances_robust(room, anchors):
@@ -512,7 +536,7 @@ def test_multilateration_scaled_distances_robust(room, anchors):
     distances = np.linalg.norm(positions - target, axis=1) * 1.05
     fix = multilaterate(positions, distances, room)
     assert fix.converged
-    assert np.linalg.norm(fix.position - target) < 0.2
+    assert np.linalg.norm(fix.estimate - target) < 0.2
 
 
 def test_multilateration_stack_matches_single_fixes(room, anchors):
@@ -522,19 +546,22 @@ def test_multilateration_stack_matches_single_fixes(room, anchors):
     distances = np.linalg.norm(positions - targets[:, None], axis=2)
     distances *= rng.uniform(0.97, 1.03, (3, 4))
     distances[1, 2] = np.nan  # agent 1 has no usable range to anchor 2
-    fix = multilaterate(np.broadcast_to(positions, (3, 4, 3)), distances, room)
-    assert fix.position.shape == (3, 3)
-    assert not fix.underdetermined.any()
+    fix = multilaterate(positions, distances, room)
+    assert fix.estimate.shape == (3, 3)
     for b in range(3):
         usable = np.isfinite(distances[b])
         alone = multilaterate(positions[usable], distances[b, usable], room)
-        assert np.allclose(fix.position[b], alone.position, rtol=0.0, atol=1e-12)
+        assert np.allclose(fix.estimate[b], alone.estimate, rtol=0.0, atol=1e-12)
 
 
-def test_multilateration_underdetermined_flag(room, anchors):
+def test_multilateration_underdetermined_fix_stays_in_the_room(room, anchors):
+    # two ranges leave a circle of solutions: the fix is a point of the room,
+    # not an error
     positions = np.stack([a.position for a in anchors[:2]])
     fix = multilaterate(positions, np.array([0.5, 0.5]), room)
-    assert fix.underdetermined
+    assert fix.estimate.shape == (3,)
+    assert np.all(np.isfinite(fix.estimate))
+    assert room.contains(fix.estimate)
 
 
 def _stacked(problems):

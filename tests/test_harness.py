@@ -286,6 +286,12 @@ def test_gains_experiment_outputs():
         assert np.all(stats[kind] > 0), kind
 
 
+def test_gains_experiment_takes_the_largest_agent_count():
+    stats = gains_experiment(ExperimentConfig(agents="10,3", topologies=1, seed=1))
+    assert stats["agent_agent"].shape == (10 * 9 * 9,)
+    assert stats["agent_anchor"].shape == (10 * 4 * 9,)
+
+
 def test_estimator_dispatch_pairml_and_multilateration():
     for estimator in ("pairml", "multilateration"):
         cfg = _small_cfg(estimator=estimator, topologies=1, noise=1)
@@ -337,11 +343,16 @@ def test_multilateration_zero_link_equals_fix_from_the_others():
     poses, _, _ = _multilaterate_trial(topo, problem)
     assert np.isnan(poses[0, :, 3:]).all()  # a position-only estimate
     others = [0, 2, 3]
-    distances = distance_estimates(
-        problem.y_imag[agent0[others]], problem.anchor_rotations[others], problem.coupling
+    own = LsProblem(
+        n_agents=1,
+        anchor_positions=problem.anchor_positions[others],
+        anchor_rotations=problem.anchor_rotations[others],
+        links=[(0, 1), (0, 2), (0, 3)],
+        y_imag=problem.y_imag[agent0[others]][None],
+        coupling=problem.coupling,
     )
-    alone = multilaterate(problem.anchor_positions[others], distances, topo.room)
-    assert np.allclose(poses[0, 0, :3], alone.position, rtol=0.0, atol=1e-12)
+    alone = multilaterate(own.anchor_positions, distance_estimates(own), topo.room)
+    assert np.allclose(poses[0, 0, :3], alone.estimate[0], rtol=0.0, atol=1e-12)
 
 
 def test_noncoop_group_costs_are_the_agents_own_objectives(monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from miloc import pairml
 from miloc.channel import channel_matrix
-from miloc.geometry import Deployment, sample_uniform_rotation
+from miloc.estimators import LsProblem
+from miloc.geometry import Deployment, join_poses, sample_uniform_rotation
 from miloc.pairml import (
     NoMeasurements,
     ZeroScore,
@@ -213,12 +215,23 @@ def _anchor_arrays(anchors):
     return positions, np.array([a.rotation for a in anchors]).reshape(-1, 3, 3)
 
 
+def _anchor_problems(measured, anchors, coupling):
+    """The stack of one-agent problems of measurements (n, K, 3, 3), link k to anchor k."""
+    positions, rotations = _anchor_arrays(anchors)
+    return LsProblem(
+        n_agents=1,
+        anchor_positions=positions,
+        anchor_rotations=rotations,
+        links=[(0, 1 + k) for k in range(len(positions))],
+        y_imag=measured,
+        coupling=coupling,
+    )
+
+
 def _pair_ml_one(measurements, anchors, coupling, room):
     """pair_ml_estimate of one agent as a Deployment."""
-    positions, rotations = _anchor_arrays(anchors)
-    position, rotation = pair_ml_estimate(
-        measurements[None], positions[None], rotations[None], coupling, room
-    )
+    alone = _anchor_problems(measurements[None], anchors, coupling)
+    position, rotation = pair_ml_estimate(alone, room)
     return Deployment.from_rotation(position[0], rotation[0])
 
 
@@ -297,10 +310,10 @@ def test_distance_estimates(room, anchors, coupling):
     rng = np.random.default_rng(12)
     agent = random_deployment(rng, room)
     measurements = _measurements_for(agent, anchors, coupling)
-    distances = distance_estimates(measurements, _anchor_arrays(anchors)[1], coupling)
-    assert distances.shape == (4,)
+    distances = distance_estimates(_anchor_problems(measurements[None], anchors, coupling))
+    assert distances.shape == (1, 4)
     true = [np.linalg.norm(agent.position - a.position) for a in anchors]
-    assert np.allclose(distances, true, rtol=1e-9)
+    assert np.allclose(distances[0], true, rtol=1e-9)
 
 
 def _noisy_agents(count, room, anchors, coupling, rng, sigma):
@@ -320,18 +333,11 @@ def test_stacked_pair_ml_equals_one_agent_calls(room, anchors, coupling):
     # fallback; every agent must get its one-agent result exactly
     rng = np.random.default_rng(13)
     _, measured = _noisy_agents(40, room, anchors, coupling, rng, sigma=2e-3)
-    positions, rotations = _anchor_arrays(anchors)
-    stacked_p, stacked_o = pair_ml_estimate(
-        measured,
-        np.broadcast_to(positions, (40,) + positions.shape),
-        np.broadcast_to(rotations, (40,) + rotations.shape),
-        coupling,
-        room,
-    )
+    stacked_p, stacked_o = pair_ml_estimate(_anchor_problems(measured, anchors, coupling), room)
     assert stacked_p.shape == (40, 3) and stacked_o.shape == (40, 3, 3)
     for agent in range(40):
         alone_p, alone_o = pair_ml_estimate(
-            measured[agent : agent + 1], positions[None], rotations[None], coupling, room
+            _anchor_problems(measured[agent : agent + 1], anchors, coupling), room
         )
         assert np.array_equal(stacked_p[agent], alone_p[0])
         assert np.array_equal(stacked_o[agent], alone_o[0])
@@ -341,15 +347,16 @@ def test_candidate_cost_matches_per_link_oracle(room, anchors, coupling):
     rng = np.random.default_rng(14)
     agents, measured = _noisy_agents(20, room, anchors, coupling, rng, sigma=1e-4)
     positions, rotations = _anchor_arrays(anchors)
-    for y_imag in measured:
+    alone = _anchor_problems(measured, anchors, coupling)
+    for index, y_imag in enumerate(measured):
         position = room.sample_point(rng)
         rotation = sample_uniform_rotation(rng)
-        cost = _candidate_cost(position, rotation, y_imag, positions, rotations, coupling)
+        cost = _candidate_cost(alone, index, position, rotation)
         reference = candidate_cost(position, rotation, y_imag, anchors, coupling)
         assert abs(cost - reference) <= 1e-12 * reference
     # a candidate on an anchor scores inf in both
     y_imag = measured[0]
-    on_anchor = _candidate_cost(positions[2], rotations[0], y_imag, positions, rotations, coupling)
+    on_anchor = _candidate_cost(alone, 0, positions[2], rotations[0])
     assert on_anchor == np.inf
     assert candidate_cost(positions[2], rotations[0], y_imag, anchors, coupling) == np.inf
 
@@ -360,10 +367,7 @@ def test_distance_estimates_match_per_link_decomposition(room, anchors, coupling
     measured[1, 2] = 0.0
     measured[4, 0] = 0.0
     measured[4, 3] = 0.0
-    _, rotations = _anchor_arrays(anchors)
-    distances = distance_estimates(
-        measured, np.broadcast_to(rotations, (6,) + rotations.shape), coupling
-    )
+    distances = distance_estimates(_anchor_problems(measured, anchors, coupling))
     assert distances.shape == (6, 4)
     zero = ~measured.any(axis=(2, 3))
     assert np.array_equal(np.isnan(distances), zero)
@@ -378,4 +382,19 @@ def test_distance_estimates_match_per_link_decomposition(room, anchors, coupling
     # an agent without a single usable link
     measured[3] = 0.0
     with pytest.raises(NoMeasurements):
-        distance_estimates(measured, np.broadcast_to(rotations, (6,) + rotations.shape), coupling)
+        distance_estimates(_anchor_problems(measured, anchors, coupling))
+
+
+def test_candidate_cost_is_the_agents_own_residual(room, anchors, coupling):
+    # a candidate of agent index of a stack scores the squared residual norm
+    # of that agent's own one-agent problem, and pairml has no gain path of its own
+    rng = np.random.default_rng(16)
+    _, measured = _noisy_agents(5, room, anchors, coupling, rng, sigma=1e-4)
+    alone = _anchor_problems(measured, anchors, coupling)
+    for index in range(5):
+        position = room.sample_point(rng)
+        rotation = sample_uniform_rotation(rng)
+        own = _anchor_problems(measured[index : index + 1], anchors, coupling)
+        residual = own.residual(join_poses(position[None], rotation[None]))
+        assert _candidate_cost(alone, index, position, rotation) == np.sum(residual**2)
+    assert not hasattr(pairml, "channel_gain_batch")
