@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List
@@ -64,13 +65,16 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("room_size_m", "diameter_m", "resistance_ohm", "frequency_hz", "mu", "sigma"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.nu < 1:
             raise ConfigError("nu must be a positive integer")
-        if self.min_dist_factor < 0:
-            raise ConfigError("min_dist_factor must be non-negative")
+        if not 0 <= self.min_dist_factor < math.inf:
+            raise ConfigError("min_dist_factor must be non-negative and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.topologies < 1 or self.noise < 1:
             raise ConfigError("topologies and noise counts must be >= 1")
         if self.scheme not in SCHEMES:

@@ -27,7 +27,9 @@ random restarts, the trials of a chunk) are rows of one stack, and
 levenberg_marquardt advances all rows together, each with its own damping
 and termination.  Link columns are formed for at most LINKS_PER_SLICE links
 at a time; estimate solves whatever stack it is given in one LM call, and
-the harness bounds the stack by sizing its chunks of trials in links.
+the harness bounds the stack by sizing its chunks of trials in links.  A
+perfect-init estimate is the reference that checks whether another start
+reached the global minimum.
 Results stay arrays: levenberg_marquardt, estimate and multilaterate return
 a StackedSolve, one entry per problem, and estimate's are shaped by
 measurement set and group of agents (one group for a cooperative problem,
@@ -452,25 +454,6 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     return join_poses(agent_p.reshape(agents + (3,)), agent_o.reshape(agents + (3, 3)))
 
 
-def _problem_stack(
-    problem: LsProblem, y_imag: np.ndarray, copies: int, with_reference: bool
-) -> LsProblem:
-    """The independent problems of T measurement sets y_imag (T, L, 3, 3), each copies times.
-
-    A cooperative set is one problem.  A non-cooperative set splits into one
-    single-agent problem per agent, which keeps only its anchor links.  The
-    stack is set-major, then agent-major, then copy-minor; with_reference
-    appends every set's problems once more, in the same order.
-    """
-    base = replace(problem, y_imag=y_imag)
-    if not problem.cooperative:
-        base = base.anchor_problem()
-    stack = np.repeat(base.y_imag, copies, axis=0)
-    if with_reference:
-        stack = np.concatenate([stack, base.y_imag])
-    return replace(base, y_imag=stack)
-
-
 def parse_init_strategy(spec: str) -> Tuple[str, int]:
     """Parse 'perfect', 'pairml', 'random' or 'random:<k>', spelled exactly so.
 
@@ -499,32 +482,31 @@ def estimate(
     room: Optional[Room] = None,
     truth: Optional[np.ndarray] = None,
     rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
-    with_reference: bool = False,
-) -> Tuple[StackedSolve, Optional[StackedSolve]]:
+) -> StackedSolve:
     """Solve a deployment estimation problem with the requested initialization.
 
-    init is one of 'perfect' (start from the true parameters, evaluation
+    init is one of 'perfect' (start from the true pose rows truth, evaluation
     mode), 'random' / 'random:<k>' (uniform position in the room, uniform
     orientation; the restart with the lowest final cost wins, the first on
     ties) or 'pairml' (closed-form per-agent initialization, one LM run).
 
     A cooperative problem is one group of agents.  A non-cooperative one
     decomposes into M independent groups of one agent, each on its own
-    anchor links, so a group's final cost is its agent's own objective.
-    truth holds pose rows (pack_deployments).  A stack of T measurement
-    sets, problem.y_imag (T, L, 3, 3), takes truth (T, 12M) and rng as a
-    sequence of T generators; each set's results equal those of the set
-    solved alone, its random starts drawn from its own rng.
+    anchor links (LsProblem.anchor_problem), so a group's final cost is its
+    agent's own objective.  truth holds pose rows (pack_deployments).  A
+    stack of T measurement sets, problem.y_imag (T, L, 3, 3), takes truth
+    (T, 12M) and rng as a sequence of T generators; each set's results
+    equal those of the set solved alone, its random starts drawn from its
+    own rng.
 
-    Returns (solve, reference): the estimates and, with_reference, the
-    perfect-init solves (else None).  Their per-problem fields have the
-    shape y_imag.shape[:-3] + (groups,), and estimate holds each group's
-    pose row, (..., groups, 12M / groups).  All sets, groups, restarts and
-    references are solved in one levenberg_marquardt call, the references
-    after every estimate; the caller bounds the stack.
+    Returns the solve of the winning starts.  Its per-problem fields have
+    the shape y_imag.shape[:-3] + (groups,), and estimate holds each group's
+    pose row, (..., groups, 12M / groups).  All sets, groups and restarts
+    are solved in one levenberg_marquardt call, set-major, then group-major,
+    then restart-minor; the caller bounds the stack.
     """
     strategy, restarts = parse_init_strategy(init)
-    if (strategy == "perfect" or with_reference) and truth is None:
+    if strategy == "perfect" and truth is None:
         raise ValueError("perfect initialization requires the true parameters")
     if strategy in ("random", "pairml") and room is None:
         raise ValueError(f"{strategy} initialization requires the room")
@@ -532,39 +514,27 @@ def estimate(
         raise ValueError("random initialization requires an rng")
 
     single = problem.y_imag.ndim == 3
-    y_imag = problem.y_imag[None] if single else problem.y_imag
-    sets = len(y_imag)
+    sets = 1 if single else len(problem.y_imag)
     groups = 1 if problem.cooperative else problem.n_agents
-    width = 12 * problem.n_agents // groups
-    if truth is not None:
-        truth = group_poses(np.reshape(truth, (sets, -1)), groups)[:, :, None]
-    if strategy == "perfect":
-        starts = truth
-    elif strategy == "pairml":
-        starts = pairml_initialization(problem, room).reshape(sets, -1)
-        starts = group_poses(starts, groups)[:, :, None]
-    else:
+    if strategy == "random":
         rngs = [rng] if single else rng
         drawn = [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
         # a set's draws fill its groups, then their restarts, then their agents
         positions = np.stack([p for p, _ in drawn]).reshape(sets, groups, restarts, -1, 3)
         rotations = np.stack([o for _, o in drawn]).reshape(sets, groups, restarts, -1, 3, 3)
         starts = join_poses(positions, rotations)
-    x0 = starts.reshape(-1, width)
-    if with_reference:
-        x0 = np.concatenate([x0, truth.reshape(-1, width)])
-    solve = levenberg_marquardt(_problem_stack(problem, y_imag, restarts, with_reference), x0)
+    else:
+        starts = truth if strategy == "perfect" else pairml_initialization(problem, room)
+        starts = group_poses(np.reshape(starts, (sets, -1)), groups)
+    base = problem if problem.cooperative else problem.anchor_problem()
+    y_imag = base.y_imag.reshape((-1,) + base.y_imag.shape[-3:])
+    stack = replace(base, y_imag=np.repeat(y_imag, restarts, axis=0))
+    solve = levenberg_marquardt(stack, starts.reshape(-1, 12 * problem.n_agents // groups))
     group = np.arange(sets * groups).reshape(problem.y_imag.shape[:-3] + (groups,))
     # lowest final cost per group, first on ties (final costs are finite)
-    costs = solve.final_cost[: group.size * restarts].reshape(group.shape + (restarts,))
-    best = _take(solve, restarts * group + np.argmin(costs, axis=-1))
-    # one reference problem per group, after all the estimates
-    return best, _take(solve, group.size * restarts + group) if with_reference else None
-
-
-def _take(solve: StackedSolve, index: np.ndarray) -> StackedSolve:
-    """The problems index of a solve with one batch axis, in the shape of index."""
-    return StackedSolve(*(getattr(solve, f.name)[index] for f in fields(StackedSolve)))
+    costs = solve.final_cost.reshape(group.shape + (restarts,))
+    best = restarts * group + np.argmin(costs, axis=-1)
+    return StackedSolve(*(getattr(solve, f.name)[best] for f in fields(StackedSolve)))
 
 
 @dataclass

@@ -5,10 +5,11 @@ numpy SeedSequence, so runs are reproducible bit for bit and trials are
 independent.  An agent count's network is one LsProblem
 (scenario.network_problem): its bounds, its trials' noiseless gains and
 its estimates all read that problem's links.  Trials are solved in chunks
-of whole trials, sized in links (_LINKS_PER_CHUNK), and each chunk is one
-stacked solver call.  A chunk evaluates its topologies' gains once each
-and adds each trial's noise from the trial's own stream, as
-scenario.synthesize_measurements does.
+of whole trials, sized in links (_LINKS_PER_CHUNK).  A chunk's estimates
+are one stacked solver call, and a checked estimator's perfect-init
+references a second one on the same problem.  A chunk evaluates its
+topologies' gains once each and adds each trial's noise from the trial's
+own stream, as scenario.synthesize_measurements does.
 solve_trials hands a chunk's results over as arrays, a StackedSolve per
 trial and group of agents (estimators.estimate), and the chunk keeps them
 as a Trials block: one row per trial, one column per agent.  An agent
@@ -47,7 +48,7 @@ TRIAL_FAILURES = (pairml.NoMeasurements, CoincidentNodes, np.linalg.LinAlgError)
 REFERENCE_PEB_M1_M = 2.18627459283404e-3
 
 # Links per chunk of trials, summed over their LM problems (whole trials, at
-# least one): a chunk's measurements and its one LM call stay bounded.
+# least one): a chunk's measurements and its LM calls stay bounded.
 _LINKS_PER_CHUNK = 2048
 
 
@@ -128,31 +129,32 @@ def solve_trials(
     room: Room,
     truths: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    with_reference: bool = False,
 ) -> Tuple[np.ndarray, StackedSolve, Optional[StackedSolve]]:
     """Run one estimator on each of the T trials stacked in problem.
 
     problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
-    (T, 12M) true pose rows and rngs their start streams.  The estimates
-    and, with_reference, the perfect-init reference solves of all trials
-    share one stacked LM call (estimators.estimate); pair-ML and
-    multilateration run once for every agent of the stack.
-    Each trial's results equal those of the trial solved alone.
+    (T, 12M) true pose rows and rngs their start streams.  The estimates of
+    all trials share one stacked LM call (estimators.estimate), and an
+    estimate that _lm_start checks gets its perfect-init references from a
+    second call on the same problem; pair-ML and multilateration run once
+    for every agent of the stack.  Each trial's results equal those of the
+    trial solved alone.
 
     Returns:
         (poses, solve, reference): the (T, M, 12) one-agent pose rows of the
         estimates (geometry.join_poses), rotation NaN for position-only
         estimators, and the estimates' and the references' solves (reference
-        None unless with_reference), shaped (T, groups) as in
+        None for an unchecked estimate), shaped (T, groups) as in
         estimators.estimate.  Pair-ML and multilateration give one group
         per trial with 0 iterations; multilateration's cost is NaN.
     """
     trials, m = len(problem.y_imag), problem.n_agents
-    reference, lm_init = None, _lm_start(estimator, init)[0]
+    lm_init, _, checked = _lm_start(estimator, init)
+    reference = None
     if lm_init is not None:
-        solve, reference = estimators.estimate(
-            problem, lm_init, room, truths, rngs, with_reference
-        )
+        solve = estimators.estimate(problem, lm_init, room, truths, rngs)
+        if checked:
+            reference = estimators.estimate(problem, "perfect", truth=truths)
     elif estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
         solve = _closed_form(theta, [r @ r for r in problem.residual(theta)], True)
@@ -284,7 +286,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             poses, solve, reference = solve_trials(
                 cfg.estimator, cfg.init, replace(problem, y_imag=np.imag(measured)), room,
                 truths[index], [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys],
-                with_reference,
             )
         except TRIAL_FAILURES as exc:
             if len(keys) > 1:

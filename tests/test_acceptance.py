@@ -264,7 +264,7 @@ def test_criterion_09_property_suite(calibrated):
     ms = synthesize_measurements(topo, coil, noiseless, Scheme.COOP, rng)
     problem = LsProblem.from_measurements(ms, anchors, 4, coupling)
     truth = pack_deployments(topo.agents)
-    solve, _ = estimate(problem, "perfect", truth=truth)
+    solve = estimate(problem, "perfect", truth=truth)
     ls_err = max(
         np.linalg.norm(solve.estimate[0, 6 * a : 6 * a + 3] - topo.agents[a].position)
         for a in range(4)

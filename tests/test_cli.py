@@ -248,6 +248,23 @@ def test_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        ("sigma = nan\n", [], "sigma must be positive and finite"),
+        ("", ["--seed", "-1"], "seed must be non-negative"),
+    ],
+    ids=["nan_sigma", "negative_seed"],
+)
+def test_non_finite_value_and_negative_seed_exit_code(tmp_path, capsys, lines, flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "run"
+    assert main(["peb", "--config", str(cfg), "--agents", "1", "--out", str(out)] + flags) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "agents, message",
     [("2,2", "agent counts repeat in '2,2'"), ("5..1", "agent range '5..1' is empty")],
 )

@@ -16,7 +16,9 @@ from miloc.estimators import (
     parse_init_strategy,
 )
 from miloc.config import ConfigError, ExperimentConfig
-from miloc.geometry import Deployment, group_poses, is_rotation, sample_uniform_rotation, split_poses
+from miloc.geometry import (
+    Deployment, group_poses, is_rotation, join_poses, sample_uniform_rotation, split_poses,
+)
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
 
@@ -189,7 +191,7 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
 def test_perfect_init_exact_recovery(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 9, coil, gparams, room, anchors, sigma=0.0)
     truth = pack_deployments(topo.agents)
-    solve, _ = estimate(problem, "perfect", truth=truth)
+    solve = estimate(problem, "perfect", truth=truth)
     for agent in range(4):
         est = solve.estimate[0, 6 * agent : 6 * agent + 3]
         assert np.linalg.norm(est - topo.agents[agent].position) < 1e-8
@@ -205,13 +207,13 @@ def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gpara
     rng = np.random.default_rng(20)
     start = problem.retract(truth, rng.normal(0, 0.01, 18))
     rep_joint = levenberg_marquardt(problem, start)
-    rep_split, _ = estimate(problem, "perfect", truth=start)
+    rep_split = estimate(problem, "perfect", truth=start)
     assert np.abs(group_poses(rep_joint.estimate, 3) - rep_split.estimate).max() < 1e-10
 
     topo_n, problem_n = make_problem(3, Scheme.NONCOOP, 21, coil, gparams, room, anchors)
     truth_n = pack_deployments(topo_n.agents)
     rep_joint_n = levenberg_marquardt(problem_n, truth_n)
-    rep_split_n, _ = estimate(problem_n, "perfect", truth=truth_n)
+    rep_split_n = estimate(problem_n, "perfect", truth=truth_n)
     # with noise both stop within termination tolerance of the same minimum
     assert np.isclose(rep_joint_n.final_cost, rep_split_n.final_cost.sum(), rtol=1e-9)
     assert np.abs(group_poses(rep_joint_n.estimate, 3) - rep_split_n.estimate).max() < 1e-5
@@ -233,7 +235,7 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
         coupling=coop_problem.coupling,
     )
     rep_a = levenberg_marquardt(stripped, truth)
-    rep_b, _ = estimate(stripped, "perfect", truth=truth)
+    rep_b = estimate(stripped, "perfect", truth=truth)
     assert np.abs(group_poses(rep_a.estimate, 3) - rep_b.estimate).max() < 1e-10
 
 
@@ -242,7 +244,7 @@ def test_cooperative_follows_the_links(room, anchors, coil, gparams):
     _, noncoop = make_problem(3, Scheme.NONCOOP, 23, coil, gparams, room, anchors)
     assert coop.cooperative and not noncoop.cooperative
     # the joint solve uses every link, so its cost is the problem's cost
-    solve, _ = estimate(coop, "perfect", truth=pack_deployments(topo.agents))
+    solve = estimate(coop, "perfect", truth=pack_deployments(topo.agents))
     assert solve.final_cost.shape == (1,)
     assert np.isclose(solve.final_cost[0], coop.cost(solve.estimate[0]), rtol=1e-12, atol=0.0)
 
@@ -323,7 +325,7 @@ def test_gains_equal_the_one_link_channel(room, anchors, coil, gparams, scheme):
 
 def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 12, coil, gparams, room, anchors)
-    solve, _ = estimate(problem, "pairml", room=room)
+    solve = estimate(problem, "pairml", room=room)
     from miloc.estimators import pairml_initialization
 
     init_cost = problem.cost(pairml_initialization(problem, room))
@@ -332,10 +334,10 @@ def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
 
 def test_random_restarts_deterministic_and_best_of(room, anchors, coil, gparams):
     topo, problem = make_problem(1, Scheme.NONCOOP, 13, coil, gparams, room, anchors)
-    rep1, _ = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
-    rep2, _ = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
+    rep1 = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
+    rep2 = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
     assert np.array_equal(rep1.estimate, rep2.estimate)
-    single, _ = estimate(problem, "random:1", room=room, rng=np.random.default_rng(42))
+    single = estimate(problem, "random:1", room=room, rng=np.random.default_rng(42))
     assert rep1.final_cost[0] <= single.final_cost[0] + 1e-18
 
 
@@ -461,13 +463,13 @@ def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams,
 
     monkeypatch.setattr(estimators, "levenberg_marquardt", recording)
     rng, rng_ref = np.random.default_rng(39), np.random.default_rng(39)
-    solve, reference = estimate(problem, "random:3", room=room, rng=rng)
+    solve = estimate(problem, "random:3", room=room, rng=rng)
     ref, ref_starts, picks = oracles.random_restarts_per_agent(problem, 3, room, rng_ref)
     # one stacked solve from the oracle's starts, agent-major and restart-minor
     assert len(starts) == 1
     assert np.array_equal(starts[0], ref_starts.reshape(-1, 12))
     assert rng.random() == rng_ref.random()
-    assert reference is None
+    assert isinstance(solve, estimators.StackedSolve)
     # one group per agent, each the agent's chosen restart
     assert solve.estimate.shape == (3, 12)
     assert np.array_equal(solve.problem_iterations, ref.problem_iterations)
@@ -610,14 +612,14 @@ def test_estimate_on_a_stack_equals_each_set_alone(
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
     stack = _stacked(problems)
     rngs = [np.random.default_rng(57 + t) for t in range(3)]
-    solve, reference = estimate(stack, init, room, truths, rngs, with_reference=True)
+    solve = estimate(stack, init, room, truths, rngs)
+    reference = estimate(stack, "perfect", truth=truths)
     groups = 1 if scheme is Scheme.COOP else 3
     assert solve.final_cost.shape == reference.final_cost.shape == (3, groups)
     for t, problem in enumerate(problems):
         rng = np.random.default_rng(57 + t)
-        alone, no_reference = estimate(problem, init, room=room, truth=truths[t], rng=rng)
-        alone_reference, _ = estimate(problem, "perfect", truth=truths[t])
-        assert no_reference is None
+        alone = estimate(problem, init, room=room, truth=truths[t], rng=rng)
+        alone_reference = estimate(problem, "perfect", truth=truths[t])
         for got, want in ((solve, alone), (reference, alone_reference)):
             for field in dataclasses.fields(got):
                 assert np.array_equal(getattr(got, field.name)[t], getattr(want, field.name))
@@ -637,32 +639,28 @@ def lm_starts(monkeypatch, lm_calls):
     return starts
 
 
-@pytest.mark.parametrize("with_reference, calls", [(False, [5]), (True, [6])])
-def test_one_sets_restarts_share_one_lm_call(
-    with_reference, calls, lm_calls, lm_starts, coil, gparams, room, anchors
-):
-    # one cooperative M=10 set: its five restarts, then its reference, in one call
+def test_one_sets_restarts_share_one_lm_call(lm_calls, coil, gparams, room, anchors):
+    # one cooperative M=10 set: its five restarts in one call
     topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
     truth = pack_deployments(topo.agents)
     rng = np.random.default_rng(62)
-    estimate(problem, "random:5", room, truth, rng, with_reference=with_reference)
-    assert lm_calls == calls
-    if with_reference:
-        assert np.array_equal(lm_starts[0][5], truth)
+    estimate(problem, "random:5", room, truth, rng)
+    assert lm_calls == [5]
 
 
-def test_lm_calls_hold_whole_sets_then_the_references(
-    lm_calls, lm_starts, coil, gparams, room, anchors
-):
+def test_lm_call_holds_whole_sets_restart_minor(lm_calls, lm_starts, coil, gparams, room, anchors):
     # three non-cooperative M=2 sets, two restarts each: 3 x 2 x 2
-    # single-agent estimates, then the 3 x 2 agents' references, in one call
+    # single-agent estimates in one call, set-major, agent-major, restart-minor
     sets = [make_problem(2, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (63, 64, 65)]
     stack = _stacked([problem for _, problem in sets])
     truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
     rngs = [np.random.default_rng(66 + t) for t in range(3)]
-    estimate(stack, "random:2", room, truths, rngs, with_reference=True)
-    assert lm_calls == [18]
-    assert np.array_equal(lm_starts[0][12:], group_poses(truths, 2).reshape(6, 12))
+    estimate(stack, "random:2", room, truths, rngs)
+    assert lm_calls == [12]
+    # a set's four draws fill its two agents, then their two restarts
+    drawn = [estimators._random_poses(4, room, np.random.default_rng(66 + t)) for t in range(3)]
+    starts = [join_poses(p.reshape(2, 2, 1, 3), o.reshape(2, 2, 1, 3, 3)) for p, o in drawn]
+    assert np.array_equal(lm_starts[0], np.reshape(starts, (12, 12)))
 
 
 def _uneven(problem):

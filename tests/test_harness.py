@@ -8,7 +8,7 @@ from miloc import crlb, estimators, harness
 from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
 from miloc.estimators import LsProblem, multilaterate, pack_deployments, parse_init_strategy
-from miloc.geometry import Deployment
+from miloc.geometry import Deployment, group_poses
 from miloc.harness import (
     EmptyInput,
     agent0_bounds,
@@ -88,6 +88,16 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         ExperimentConfig(sigma=-1.0)
+    float_keys = (
+        "room_size_m", "diameter_m", "resistance_ohm", "frequency_hz", "mu", "sigma",
+        "min_dist_factor",
+    )
+    for key in float_keys:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be"):
+                ExperimentConfig.from_mapping({key: value})
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(estimator="magic")
     with pytest.raises(ConfigError):
@@ -467,7 +477,12 @@ def test_median_wall_time_ordering(room):
             problem = LsProblem.from_measurements(ms, anchors, 10, coupling)
             estimator = label.split("_")[0]
             started = time.perf_counter()
-            _solve_one(estimator, problem, topo.room, truth, _trial_seed(cfg.seed, 10, t, 2))
+            if estimator == "turbols":
+                # the estimate alone, without solve_trials' perfect-init references
+                stack = dataclasses.replace(problem, y_imag=problem.y_imag[None])
+                estimators.estimate(stack, "pairml", topo.room)
+            else:
+                _solve_one(estimator, problem, topo.room, truth, _trial_seed(cfg.seed, 10, t, 2))
             times[label].append(time.perf_counter() - started)
     medians = {k: np.median(v) for k, v in times.items()}
     # The closed-form estimators are orders of magnitude cheaper than any
@@ -590,26 +605,67 @@ def test_cooperative_turbols_chunk_peak_memory():
     assert _warm_peak(lambda: run_experiment(cfg)) <= DENSE_TURBOLS_PEAK
 
 
-def test_cooperative_turbols_chunk_takes_one_lm_call(lm_calls):
-    # four M=10 estimates and their four perfect-init references
+def test_cooperative_turbols_chunk_takes_an_estimate_and_a_reference_call(lm_calls):
+    # four M=10 estimates in one call, then their four perfect-init references
     cfg = _small_cfg(agents="10", topologies=1, noise=4, scheme="coop", estimator="turbols")
     result = run_experiment(cfg)
     assert result.failures == 0 and result.trials[0].error_m.shape == (4, 10)
-    assert lm_calls == [8]
+    assert lm_calls == [4, 4]
 
 
 def test_chunks_hold_whole_trials_within_the_link_budget(lm_calls):
     # a cooperative M=10 turboLS trial is 2 x 130 links, so 7 trials fit in
-    # 2,048 links: 32 trials take five chunks, each one LM call
+    # 2,048 links: 32 trials take five chunks, each an estimate call and a
+    # reference call
     cfg = _small_cfg(agents="10", topologies=8, noise=4, scheme="coop", estimator="turbols")
     assert run_experiment(cfg).failures == 0
-    assert lm_calls == [14, 14, 14, 14, 8]
+    assert lm_calls == [7, 7, 7, 7, 7, 7, 7, 7, 4, 4]
     # a non-cooperative M=10 random:5 trial is 6 x 40 links: two trials are
-    # one chunk of 2 x 10 x (5 + 1) single-agent problems
+    # one chunk of 2 x 10 x 5 single-agent estimates and 2 x 10 references
     lm_calls.clear()
     cfg = _small_cfg(agents="10", topologies=1, noise=2, scheme="noncoop", init="random:5")
     assert run_experiment(cfg).failures == 0
-    assert lm_calls == [120]
+    assert lm_calls == [100, 20]
+
+
+@pytest.mark.parametrize(
+    "scheme, estimator, init", [("coop", "turbols", "perfect"), ("noncoop", "numls", "random:2")]
+)
+def test_checked_chunk_references_are_perfect_init_estimates(
+    monkeypatch, lm_calls, scheme, estimator, init
+):
+    # the second LM call of a checked chunk starts at the chunk's true pose
+    # rows, one group per agent without cooperation, and its references are
+    # each trial's own perfect-init estimate, bit for bit
+    cfg = _small_cfg(
+        agents="3", topologies=2, noise=2, scheme=scheme, estimator=estimator, init=init, seed=45
+    )
+    starts, chunks = [], []
+    solver, solve_trials = estimators.levenberg_marquardt, harness.solve_trials
+
+    def recording_solver(problem, x0):
+        starts.append(np.array(x0))
+        return solver(problem, x0)
+
+    def recording_chunk(estimator, init, problem, room, truths, rngs):
+        out = solve_trials(estimator, init, problem, room, truths, rngs)
+        chunks.append((problem, truths, out[2]))
+        return out
+
+    monkeypatch.setattr(estimators, "levenberg_marquardt", recording_solver)
+    monkeypatch.setattr(harness, "solve_trials", recording_chunk)
+    assert run_experiment(cfg).failures == 0
+    [(problem, truths, reference)] = chunks
+    groups = 1 if scheme == "coop" else 3
+    assert len(starts) == 2 and lm_calls[1] == 4 * groups
+    assert np.array_equal(starts[1], group_poses(truths, groups).reshape(4 * groups, -1))
+    assert reference.final_cost.shape == (4, groups)
+    monkeypatch.setattr(estimators, "levenberg_marquardt", solver)
+    for t in range(4):
+        alone = dataclasses.replace(problem, y_imag=problem.y_imag[t])
+        want = estimators.estimate(alone, "perfect", truth=truths[t])
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(reference, field.name)[t], getattr(want, field.name))
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +686,16 @@ CHUNKED_RUNS = [
 
 
 def _one_trial(cfg, m):
-    """The LM problems and the links of one trial: its estimates, then its references."""
+    """One trial's LM problems per LM call (estimates, then references) and its links."""
     restarts = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
     checked = cfg.estimator == "turbols" or (
         cfg.estimator == "numls" and cfg.init.startswith("random")
     )
     links = len(link_set(m, len(cfg.anchors()), Scheme(cfg.scheme))) * (restarts + checked)
     if cfg.estimator == "multilateration":
-        return m, links  # one range fix per agent
+        return [m], links  # one range fix per agent
     groups = 1 if cfg.scheme == "coop" and cfg.estimator != "pairml" else m
-    return groups * (restarts + checked), links
+    return [groups * restarts] + [groups] * checked, links
 
 
 def _emitted(result, path):
@@ -681,10 +737,11 @@ def test_outputs_identical_for_every_chunk_budget(
     assert f"cdf_M3_{scheme}_{estimator}.csv" in outputs["default"]
     if estimator == "pairml":
         return  # no iterative solve
-    # every chunk is one LM call of all its trials' problems
-    assert counts["one trial"] == [problems] * 6
-    assert counts["two trials"] == [2 * problems] * 3
-    assert counts["default"] == [6 * problems]
+    # every chunk is one LM call of all its trials' estimates, and one of
+    # their references if the estimator is checked
+    assert counts["one trial"] == problems * 6
+    assert counts["two trials"] == [2 * p for p in problems] * 3
+    assert counts["default"] == [6 * p for p in problems]
 
 
 def _run_with_failing_trial(monkeypatch, cfg, failing):
@@ -693,10 +750,10 @@ def _run_with_failing_trial(monkeypatch, cfg, failing):
 
     solve = harness.solve_trials
 
-    def raising(estimator, init, problem, room, truths, rngs, with_reference=False):
+    def raising(estimator, init, problem, room, truths, rngs):
         if any(tuple(rng.bit_generator.seed_seq.entropy[2:4]) == failing for rng in rngs):
             raise CoincidentNodes("forced")
-        return solve(estimator, init, problem, room, truths, rngs, with_reference)
+        return solve(estimator, init, problem, room, truths, rngs)
 
     monkeypatch.setattr(harness, "solve_trials", raising)
     return run_experiment(cfg)
