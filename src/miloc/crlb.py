@@ -6,17 +6,17 @@ these traces are inner products of the stacked imaginary-part derivative
 columns, which are the columns of the least-squares residual Jacobian J.
 The information matrix of a link set is therefore (2 / sigma**2) J^T J at
 the true deployments, summed link by link by LsProblem.normal_equations,
-the assembly the estimators' normal equations use.  In the cooperative
-scheme both ordered measurements of an agent pair exist and both are
-counted; without agent-agent links the matrix is block diagonal, each
-block the matrix of one agent alone on its anchor links.  The link set,
-anchors and coupling come from one LsProblem (scenario.network_problem),
-the problem whose measurements the estimators fit.  Each agent
-contributes six parameters, its position and a local rotation of its
-orientation, R exp([phi]x) at phi = 0.  No orientation chart enters, so
-no orientation (gimbal lock included) is a singular point of the
-parametrization, and the position bound does not depend on how the agents
-are turned.
+the assembly the estimators' normal equations use.  A cooperative agent
+pair's two ordered links carry the information of its one folded link
+(LsProblem.folded), on which it is assembled; without agent-agent links
+the matrix is block diagonal, each block the matrix of one agent alone on
+its anchor links.  The link set, anchors and coupling come from one
+LsProblem (scenario.network_problem), the problem whose measurements the
+estimators fit.  Each agent contributes six parameters, its position and
+a local rotation of its orientation, R exp([phi]x) at phi = 0.  No
+orientation chart enters, so no orientation (gimbal lock included) is a
+singular point of the parametrization, and the position bound does not
+depend on how the agents are turned.
 
 The position error bound of an agent is the root of the summed position
 diagonal entries of the inverse information matrix.  An agent that shares
@@ -65,12 +65,12 @@ def fim_stack(problem: LsProblem, poses: np.ndarray, sigma: float) -> np.ndarray
         poses: agent pose rows (..., 12M), packed as by pack_deployments.
 
     Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
-    Jacobian J of the links at the given deployments; each topology's matrix
-    is the same whatever else is in the stack.  Without cooperation each
-    diagonal block equals the matrix of its agent alone
-    (problem.anchor_problem) bit for bit.
+    Jacobian J of the links at the given deployments, summed over the folded
+    links (LsProblem.folded); each topology's matrix is the same whatever
+    else is in the stack.  Without cooperation each diagonal block equals
+    the matrix of its agent alone (problem.anchor_problem) bit for bit.
     """
-    unmeasured = replace(problem, y_imag=np.zeros(problem.y_imag.shape[-3:]))
+    unmeasured = replace(problem, y_imag=np.zeros(problem.y_imag.shape[-3:])).folded()[0]
     return 2.0 / sigma**2 * unmeasured.normal_equations(poses)[1]
 
 

@@ -16,6 +16,9 @@ synthesis and the residual share.  Without agent-agent links it splits into
 one problem per agent on that agent's anchor links (LsProblem.anchor_problem),
 the problems the non-cooperative solve, pair-ML and multilateration work on;
 their link k goes to anchor k, so the anchor arrays are per-link arrays.
+A cooperative solve reads the folded problem, each agent pair's two ordered
+links as one (LsProblem.folded): the same minimizer and J^T J on fewer
+links.  The ordered links stay the measurement model and define every cost.
 
 Batch convention: residuals and normal equations take pose rows of shape
 (..., 12M) and return (..., 9L) residuals, (..., 6M, 6M) normal matrices
@@ -90,6 +93,7 @@ class LsProblem:
     some receiver is an agent.  y_imag holds one measurement set
     (L, 3, 3), or a stack (B, L, 3, 3) of B sets over the same links and
     anchors: B independent problems that the solver advances together.
+    coupling is one for all links or one per link (L,), as in folded.
     """
 
     n_agents: int
@@ -97,7 +101,7 @@ class LsProblem:
     anchor_rotations: np.ndarray  # (N, 3, 3)
     links: np.ndarray  # (L, 2) int
     y_imag: np.ndarray  # (L, 3, 3) or (B, L, 3, 3) measured imaginary parts
-    coupling: float
+    coupling: Union[float, np.ndarray]  # scalar or (L,)
 
     def __post_init__(self):
         self.anchor_positions = np.asarray(self.anchor_positions, dtype=float).reshape(-1, 3)
@@ -142,7 +146,7 @@ class LsProblem:
         The stack is set-major, then agent-major: a single set (L, 3, 3)
         gives M problems, a stack of T sets T * M.  Each problem keeps only
         the anchors the agents link to, in link order, so its link k,
-        (0, 1 + k), goes to anchor k.
+        (0, 1 + k), goes to anchor k, with the coupling of those links.
 
         Raises:
             ValueError: the agents do not share one anchor-link pattern.
@@ -162,8 +166,39 @@ class LsProblem:
                     self, n_agents=1, anchor_positions=self.anchor_positions[anchors],
                     anchor_rotations=self.anchor_rotations[anchors],
                     links=[(0, 1 + k) for k in range(len(anchors))], y_imag=y_imag,
+                    coupling=float(np.broadcast_to(self.coupling, len(self.links))[rows[0, 0]]),
                 )
         raise ValueError("agents must share one anchor-link pattern")
+
+    def folded(self) -> Tuple["LsProblem", np.ndarray]:
+        """One link per agent pair measured both ways, and the cost that drops out.
+
+        One coil on every node and a symmetric dipole factor make the gains
+        of link (j, i) the transpose of those of (i, j), so the pair's cost
+        terms are ||(y_ij + y_ji^T) / sqrt(2) - sqrt(2) G_ij||^2 plus the
+        constant ||y_ij - y_ji^T||^2 / 2.  The folded problem keeps (i, j),
+        i < j, with that measurement and coupling sqrt(2) c, drops (j, i)
+        and keeps the other links, in order: the ordered J^T J, and the
+        ordered cost less the constant (one per set, y_imag.shape[:-3]).
+        """
+        m, (tx, rx) = self.n_agents, self.links.T
+        pairs = np.flatnonzero(rx < m)
+        index = np.full((m, m), -1)
+        index[tx[pairs], rx[pairs]] = pairs
+        forward = pairs[tx[pairs] < rx[pairs]]
+        reverse = index[rx[forward], tx[forward]]
+        forward, reverse = forward[reverse >= 0], reverse[reverse >= 0]
+        y_forward = self.y_imag[..., forward, :, :]
+        y_reverse = np.swapaxes(self.y_imag[..., reverse, :, :], -1, -2)
+        gap, y_imag = y_forward - y_reverse, self.y_imag.copy()
+        y_imag[..., forward, :, :] = (y_forward + y_reverse) / np.sqrt(2.0)
+        coupling = np.full(len(self.links), self.coupling, dtype=float)
+        coupling[forward] *= np.sqrt(2.0)
+        keep = np.delete(np.arange(len(self.links)), reverse)
+        folded = replace(
+            self, links=self.links[keep], y_imag=y_imag[..., keep, :, :], coupling=coupling[keep]
+        )
+        return folded, 0.5 * np.einsum("...lij,...lij->...", gap, gap)
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -189,13 +224,14 @@ class LsProblem:
         positions = np.concatenate([agent_p, anchors_p], axis=-2)
         rotations = np.concatenate([agent_o, anchors_o], axis=-3)
         tx, rx = self.links[:, 0], self.links[:, 1]
+        couplings = np.broadcast_to(self.coupling, batch + (len(tx),)).reshape(-1)
         o_tx = rotations[..., tx, :, :].reshape(-1, 3, 3)
         o_rx = rotations[..., rx, :, :].reshape(-1, 3, 3)
         gains, r, u, f = chan.channel_gain_batch(
             positions[..., tx, :].reshape(-1, 3), o_tx,
-            positions[..., rx, :].reshape(-1, 3), o_rx, self.coupling,
+            positions[..., rx, :].reshape(-1, 3), o_rx, couplings,
         )
-        return batch, o_tx, o_rx, gains, r, u, f
+        return batch, o_tx, o_rx, gains, r, u, f, couplings
 
     def _measured(self, index) -> np.ndarray:
         """The measured sets of the problems in index (default: all of them, in order)."""
@@ -203,7 +239,7 @@ class LsProblem:
 
     def gains(self, theta: np.ndarray) -> np.ndarray:
         """Noiseless Im(H) of every link, (..., L, 3, 3), at pose rows theta (..., 12M)."""
-        batch, _, _, gains, _, _, _ = self._geometry(self._check(theta))
+        batch, _, _, gains, _, _, _, _ = self._geometry(self._check(theta))
         return gains.reshape(batch + (len(self.links), 3, 3))
 
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
@@ -241,8 +277,8 @@ class LsProblem:
 
     def _link_columns(self, rows: np.ndarray, measured: np.ndarray):
         """Residuals (n, 9L) and link columns (n * L, 9, 12) of rows (n, 12M), geometry freed."""
-        _, o_tx, o_rx, gains, r, u, f = self._geometry(rows)
-        cols = chan.channel_derivative_columns(r, u, f, gains, o_tx, o_rx, self.coupling)
+        _, o_tx, o_rx, gains, r, u, f, couplings = self._geometry(rows)
+        cols = chan.channel_derivative_columns(r, u, f, gains, o_tx, o_rx, couplings)
         return (measured - gains.reshape(measured.shape)).reshape(len(rows), -1), cols
 
     def _link_sums(self, rows: np.ndarray, measured: np.ndarray):
@@ -490,8 +526,9 @@ def estimate(
     orientation; the restart with the lowest final cost wins, the first on
     ties) or 'pairml' (closed-form per-agent initialization, one LM run).
 
-    A cooperative problem is one group of agents.  A non-cooperative one
-    decomposes into M independent groups of one agent, each on its own
+    A cooperative problem is one group of agents, solved on its folded links
+    (LsProblem.folded) and its final cost the ordered one.  A non-cooperative
+    one decomposes into M independent groups of one agent, each on its own
     anchor links (LsProblem.anchor_problem), so a group's final cost is its
     agent's own objective.  truth holds pose rows (pack_deployments).  A
     stack of T measurement sets, problem.y_imag (T, L, 3, 3), takes truth
@@ -526,7 +563,7 @@ def estimate(
     else:
         starts = truth if strategy == "perfect" else pairml_initialization(problem, room)
         starts = group_poses(np.reshape(starts, (sets, -1)), groups)
-    base = problem if problem.cooperative else problem.anchor_problem()
+    base, dropped = problem.folded() if problem.cooperative else (problem.anchor_problem(), 0.0)
     y_imag = base.y_imag.reshape((-1,) + base.y_imag.shape[-3:])
     stack = replace(base, y_imag=np.repeat(y_imag, restarts, axis=0))
     solve = levenberg_marquardt(stack, starts.reshape(-1, 12 * problem.n_agents // groups))
@@ -534,7 +571,8 @@ def estimate(
     # lowest final cost per group, first on ties (final costs are finite)
     costs = solve.final_cost.reshape(group.shape + (restarts,))
     best = restarts * group + np.argmin(costs, axis=-1)
-    return StackedSolve(*(getattr(solve, f.name)[best] for f in fields(StackedSolve)))
+    winners = StackedSolve(*(getattr(solve, f.name)[best] for f in fields(StackedSolve)))
+    return replace(winners, final_cost=winners.final_cost + np.expand_dims(dropped, -1))
 
 
 @dataclass

@@ -209,7 +209,8 @@ def agent0_bounds(
     iterable one call at a time, so a generator such as draw_topologies
     keeps memory bounded.  Without cooperation agent 0 shares no
     information with the other agents, so only its own anchor links are
-    assembled, as a one-agent problem (LsProblem.anchor_problem).
+    assembled, as a one-agent problem (LsProblem.anchor_problem).  Calls
+    are sized in ordered links and bounds kept as floats, to keep memory flat.
     Returns one bound per topology, NaN where the information matrix is
     singular; each bound equals crlb.peb of its topology alone, bit for bit.
     """
@@ -217,13 +218,13 @@ def agent0_bounds(
     bound = problem if problem.cooperative else problem.anchor_problem()
     chunk = max(1, estimators.LINKS_PER_SLICE // max(len(bound.links), 1))
     topologies = iter(topologies)
-    bounds = [np.empty(0)]
+    bounds = []
     while stack := list(islice(topologies, chunk)):
         poses = _poses(stack, m)
         if not problem.cooperative:
             poses = group_poses(poses, m)[:, 0]  # agent 0's own pose row
-        bounds.append(crlb.peb_stack(crlb.fim_stack(bound, poses, sigma), 0))
-    return np.concatenate(bounds)
+        bounds.extend(crlb.peb_stack(crlb.fim_stack(bound, poses, sigma), 0).tolist())
+    return np.array(bounds, dtype=float)
 
 
 def _lm_start(estimator: str, init: str) -> Tuple[Optional[str], int, bool]:

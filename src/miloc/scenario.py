@@ -132,6 +132,7 @@ def link_set(n_agents: int, n_anchors: int, scheme: Scheme) -> np.ndarray:
     Agents are ids 0..n_agents-1, anchors follow.  Non-cooperative: every
     agent transmits to every anchor.  Cooperative: additionally every ordered
     agent pair, so an agent pair is measured twice (once per direction).
+    The solver and the bounds fold each pair into one link (LsProblem.folded).
     """
     links = [
         (m, n_agents + a) for m in range(n_agents) for a in range(n_anchors)
@@ -174,7 +175,7 @@ def synthesize_measurements(
 
     Noise of level params.noise_sigma is drawn independently per link and
     per entry, in link order; the two ordered measurements of an agent pair
-    get independent draws.
+    get independent draws, which the estimators fold into one (LsProblem.folded).
     """
     coupling = chan.coupling_coefficient(coil, coil, params)
     problem = network_problem(topology.n_agents, topology.anchors, coupling, scheme)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miloc.channel import channel_matrix
+from miloc.channel import channel_gain_batch, channel_matrix
 from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
 from miloc.estimators import LsProblem, pack_deployments
 from miloc.geometry import Deployment, sample_uniform_rotation
@@ -22,6 +22,8 @@ from oracles import (
 )
 
 SIGMA = 1e-5
+
+_PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _fim_stack(poses, anchors, coupling, sigma, cooperative):
@@ -50,6 +52,65 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
         assert np.allclose(stacked[k], expected, rtol=1e-9, atol=1e-6 * np.abs(expected).max())
         info = assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative=True)
         assert np.array_equal(stacked[k], info.matrix)
+
+
+def _poses(m, seeds, room, anchors):
+    return np.array([pack_deployments(_topology(m, seed, room, anchors).agents) for seed in seeds])
+
+
+def test_folded_fim_equals_the_ordered_fim(room, anchors, coupling):
+    # fim_stack assembles one link per agent pair; the sum over both ordered
+    # links of every pair is the same matrix up to rounding
+    for m in range(2, 11):
+        problem = network_problem(m, anchors, coupling, Scheme.COOP)
+        folded, _ = problem.folded()
+        assert len(folded.links) == 4 * m + m * (m - 1) // 2 < len(problem.links)
+        poses = _poses(m, [40 + m, 60 + m], room, anchors)
+        ordered = dataclasses.replace(problem, y_imag=np.zeros(problem.y_imag.shape[1:]))
+        expected = 2.0 / SIGMA**2 * ordered.normal_equations(poses)[1]
+        stacked = fim_stack(problem, poses, SIGMA)
+        assert np.abs(stacked - expected).max() <= 1e-13 * np.abs(expected).max(), m
+
+
+def test_folded_cost_plus_the_dropped_constant_is_the_ordered_cost(
+    room, anchors, coil, gparams, coupling
+):
+    # at random poses, for stacks of noisy sets, and with a pair measured one
+    # way only (its link is kept as it is)
+    rng = np.random.default_rng(81)
+    for m in (2, 3, 10):
+        topos = [_topology(m, 80 + k, room, anchors) for k in range(3)]
+        sets = [synthesize_measurements(t, coil, gparams, Scheme.COOP, rng) for t in topos]
+        ordered = LsProblem.from_measurements(sets[0], anchors, m, coupling)
+        ordered = dataclasses.replace(ordered, y_imag=np.stack([np.imag(s.h_meas) for s in sets]))
+        one_way = ~((ordered.links[:, 0] == 1) & (ordered.links[:, 1] == 0))
+        uneven = dataclasses.replace(
+            ordered, links=ordered.links[one_way], y_imag=ordered.y_imag[:, one_way]
+        )
+        poses = _poses(m, [85, 86, 87], room, anchors)
+        poses = ordered.retract(poses, rng.normal(0.0, 0.05, (3, 6 * m)))
+        for problem in (ordered, uneven):
+            folded, dropped = problem.folded()
+            assert dropped.shape == (3,)
+            assert np.array_equal(folded.links[: 4 * m], problem.links[: 4 * m])
+            expected = np.sum(problem.residual(poses) ** 2, axis=-1)
+            got = np.sum(folded.residual(poses) ** 2, axis=-1) + dropped
+            assert np.abs(got - expected).max() <= 1e-12 * expected.min(), m
+
+
+@_PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-9, 1e3))
+def test_channel_gains_are_swap_symmetric(seed, scale):
+    # the gains of link (j, i) are the transpose of those of (i, j): the
+    # invariant the folded cooperative links rest on
+    rng = np.random.default_rng(seed)
+    p_i, p_j = rng.uniform(-2.0, 2.0, (2, 16, 3))
+    o_i, o_j = sample_uniform_rotation(rng, 16), sample_uniform_rotation(rng, 16)
+    coupling = scale * rng.uniform(0.5, 2.0, 16)
+    forward = channel_gain_batch(p_i, o_i, p_j, o_j, coupling)[0]
+    backward = channel_gain_batch(p_j, o_j, p_i, o_i, coupling)[0]
+    gap = np.linalg.norm(backward - np.swapaxes(forward, 1, 2), axis=(1, 2))
+    assert np.all(gap <= 1e-15 * np.linalg.norm(forward, axis=(1, 2)))
 
 
 def test_assembly_matches_per_link_reference(room, anchors, coupling):
@@ -278,8 +339,6 @@ def test_peb_stack_matches_peb_of_every_agent(room, anchors, coupling):
 
 
 # Property tests: the assembly follows the network, not the bookkeeping.
-
-_PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _relative_gap(a, b):
