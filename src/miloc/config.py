@@ -124,24 +124,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = {f.name: f.type for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         values = {}
         for key, raw in mapping.items():
             if key not in known:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            default = getattr(cls, key)
-            if isinstance(default, int):
-                try:
-                    values[key] = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"key {key!r} expects an integer") from exc
-            elif isinstance(default, float):
-                try:
-                    values[key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"key {key!r} expects a number") from exc
-            else:
-                values[key] = str(raw)
+            kind = type(getattr(cls, key))  # int, float or str, as the default
+            try:
+                values[key] = kind(raw)
+            except ValueError as exc:
+                expected = "an integer" if kind is int else "a number"
+                raise ConfigError(f"key {key!r} expects {expected}") from exc
         return cls(**values)
 
     @classmethod

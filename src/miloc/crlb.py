@@ -66,9 +66,10 @@ def fim_stack(problem: LsProblem, poses: np.ndarray, sigma: float) -> np.ndarray
 
     Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
     Jacobian J of the links at the given deployments, summed over the folded
-    links (LsProblem.folded); each topology's matrix is the same whatever
-    else is in the stack.  Without cooperation each diagonal block equals
-    the matrix of its agent alone (problem.anchor_problem) bit for bit.
+    links (LsProblem.folded; a folded problem, as agent0_bounds passes, is
+    its own fold); each topology's matrix is the same whatever else is in
+    the stack.  Without cooperation each diagonal block equals the matrix
+    of its agent alone (problem.anchor_problem) bit for bit.
     """
     unmeasured = replace(problem, y_imag=np.zeros(problem.y_imag.shape[-3:])).folded()[0]
     return 2.0 / sigma**2 * unmeasured.normal_equations(poses)[1]

@@ -188,6 +188,8 @@ class LsProblem:
         forward = pairs[tx[pairs] < rx[pairs]]
         reverse = index[rx[forward], tx[forward]]
         forward, reverse = forward[reverse >= 0], reverse[reverse >= 0]
+        if not len(forward):  # no pair measured both ways: the problem is its own fold
+            return self, np.zeros(self.y_imag.shape[:-3])
         y_forward = self.y_imag[..., forward, :, :]
         y_reverse = np.swapaxes(self.y_imag[..., reverse, :, :], -1, -2)
         gap, y_imag = y_forward - y_reverse, self.y_imag.copy()

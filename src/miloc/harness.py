@@ -185,9 +185,9 @@ def _closed_form(theta: np.ndarray, costs, converged) -> StackedSolve:
 
 
 def _poses(topologies: Sequence[Topology], m: int) -> np.ndarray:
-    """The (T, 12m) agent pose rows of T topologies."""
-    poses = [estimators.pack_deployments(topology.agents) for topology in topologies]
-    return np.array(poses).reshape(-1, 12 * m)
+    """The (T, 12m) agent pose rows of T topologies, joined from their arrays in one call."""
+    positions = np.reshape([t.positions for t in topologies], (-1, m, 3))
+    return join_poses(positions, np.reshape([t.rotations for t in topologies], (-1, m, 3, 3)))
 
 
 def draw_topologies(cfg: ExperimentConfig, m: int, count: int) -> Iterator[Topology]:
@@ -209,14 +209,17 @@ def agent0_bounds(
     iterable one call at a time, so a generator such as draw_topologies
     keeps memory bounded.  Without cooperation agent 0 shares no
     information with the other agents, so only its own anchor links are
-    assembled, as a one-agent problem (LsProblem.anchor_problem).  Calls
-    are sized in ordered links and bounds kept as floats, to keep memory flat.
+    assembled, as a one-agent problem (LsProblem.anchor_problem); with it,
+    the cooperative link set is folded once per call (LsProblem.folded), and
+    every stack is assembled on that folded problem.  Calls are sized in
+    ordered links and bounds kept as floats, to keep memory flat.
     Returns one bound per topology, NaN where the information matrix is
     singular; each bound equals crlb.peb of its topology alone, bit for bit.
     """
     m = problem.n_agents
     bound = problem if problem.cooperative else problem.anchor_problem()
     chunk = max(1, estimators.LINKS_PER_SLICE // max(len(bound.links), 1))
+    bound = bound.folded()[0] if problem.cooperative else bound
     topologies = iter(topologies)
     bounds = []
     while stack := list(islice(topologies, chunk)):
@@ -446,10 +449,8 @@ def gains_experiment(cfg: ExperimentConfig):
     gparams = cfg.global_params()
     coupling = coupling_coefficient(coil, coil, gparams)
     problem = network_problem(m, cfg.anchors(), coupling, Scheme.COOP)
-    magnitudes = np.array([
-        np.abs(problem.gains(estimators.pack_deployments(topo.agents)))
-        for topo in draw_topologies(cfg, m, cfg.topologies)
-    ])
+    topologies = draw_topologies(cfg, m, cfg.topologies)
+    magnitudes = np.array([np.abs(problem.gains(topo.pose_row)) for topo in topologies])
     to_agent = problem.links[:, 1] < m
     aa = magnitudes[:, to_agent].ravel()
     an = magnitudes[:, ~to_agent].ravel()

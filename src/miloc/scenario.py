@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -11,8 +11,8 @@ import numpy as np
 
 from . import channel as chan
 from .channel import CoilParams, GlobalParams, LinkMeasurement
-from .estimators import LsProblem, pack_deployments
-from .geometry import Deployment, Room, rotation_to_euler, sample_uniform_rotation
+from .estimators import LsProblem
+from .geometry import Deployment, Room, join_poses, rotation_to_euler, sample_uniform_rotation
 
 MAX_ATTEMPTS = 100_000  # rejection draws of one topology
 
@@ -28,15 +28,34 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class Topology:
-    """One drawn network: known anchors plus ground-truth agent deployments."""
+    """One drawn network: known anchors plus the agents' true poses as arrays.
+
+    Agent a sits at positions[a], turned by rotations[a]; all but the edges
+    read these arrays (pose_row).  agents builds Deployments on each read,
+    their Euler angles from one stacked rotation_to_euler call or as a
+    fixture file gave them (eulers).
+    """
 
     room: Room
     anchors: List[Deployment]
-    agents: List[Deployment]
+    positions: np.ndarray  # (M, 3)
+    rotations: np.ndarray  # (M, 3, 3)
+    eulers: Optional[np.ndarray] = field(default=None, repr=False)  # (M, 3) as read
+
+    @property
+    def pose_row(self) -> np.ndarray:
+        """The agents' (12M,) pose row (geometry.join_poses)."""
+        return join_poses(self.positions, self.rotations)
+
+    @property
+    def agents(self) -> List[Deployment]:
+        """One read-only Deployment per agent, built from the arrays."""
+        eulers = rotation_to_euler(self.rotations) if self.eulers is None else self.eulers
+        return [Deployment(*pose) for pose in zip(self.positions, eulers, self.rotations)]
 
     @property
     def n_agents(self) -> int:
-        return len(self.agents)
+        return len(self.positions)
 
     @property
     def n_anchors(self) -> int:
@@ -84,6 +103,17 @@ def default_anchors(room: Room) -> List[Deployment]:
     return [Deployment.identity(np.array(p)) for p in positions]
 
 
+def _distances(positions: np.ndarray, anchor_positions: np.ndarray) -> np.ndarray:
+    """Distances (M, M + K) of M agents to the agents, then the K anchors.
+
+    An agent pair appears once, as (i, j) with i < j; inf fills the rest of the agent block.
+    """
+    nodes = np.concatenate([positions, anchor_positions])
+    distances = np.linalg.norm(positions[:, None] - nodes[None], axis=-1)
+    distances[:, : len(positions)][np.tri(len(positions), dtype=bool)] = np.inf
+    return distances
+
+
 def sample_topology(
     n_agents: int,
     room: Room,
@@ -91,36 +121,22 @@ def sample_topology(
     min_distance: float,
     rng: np.random.Generator,
 ) -> Topology:
-    """Draw agent deployments uniformly, rejecting min-distance violations.
+    """Draw agent poses uniformly, rejecting min-distance violations.
 
     Positions are uniform in the room and orientations Haar-uniform; the
     whole configuration is resampled until every pairwise distance
     (agent-agent and agent-anchor) is at least min_distance, so the accepted
-    draw is exactly uniform on the constrained set.
+    draw is exactly uniform on the constrained set.  The topology holds the
+    drawn positions and rotation matrices; no Euler angle is computed.
 
     Raises:
         PackingInfeasible: no draw of MAX_ATTEMPTS was feasible.
     """
-    anchor_pos = (
-        np.stack([a.position for a in anchors]) if len(anchors) else np.zeros((0, 3))
-    )
+    anchor_positions = np.reshape([a.position for a in anchors], (-1, 3))
     for _ in range(MAX_ATTEMPTS):
-        positions = rng.uniform(
-            room.min_corner, room.max_corner, size=(n_agents, 3)
-        )
-        if n_agents > 1:
-            d_aa = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
-            d_aa[np.diag_indices(n_agents)] = np.inf
-            if d_aa.min() < min_distance:
-                continue
-        if len(anchor_pos):
-            d_an = np.linalg.norm(positions[:, None] - anchor_pos[None], axis=-1)
-            if d_an.min() < min_distance:
-                continue
-        rotations = sample_uniform_rotation(rng, n_agents)
-        eulers = rotation_to_euler(rotations)
-        agents = [Deployment(*pose) for pose in zip(positions, eulers, rotations)]
-        return Topology(room=room, anchors=list(anchors), agents=agents)
+        positions = rng.uniform(room.min_corner, room.max_corner, size=(n_agents, 3))
+        if _distances(positions, anchor_positions).min(initial=np.inf) >= min_distance:
+            return Topology(room, list(anchors), positions, sample_uniform_rotation(rng, n_agents))
     raise PackingInfeasible(
         f"no feasible placement of {n_agents} agents in {MAX_ATTEMPTS} attempts"
     )
@@ -179,7 +195,7 @@ def synthesize_measurements(
     """
     coupling = chan.coupling_coefficient(coil, coil, params)
     problem = network_problem(topology.n_agents, topology.anchors, coupling, scheme)
-    gains = problem.gains(pack_deployments(topology.agents))
+    gains = problem.gains(topology.pose_row)
     h_meas = chan.add_noise(1j * gains, params.noise_sigma, rng)
     return MeasurementSet(links=problem.links, h_meas=h_meas)
 
@@ -192,28 +208,19 @@ def synthesize_measurements(
 
 
 def save_topology(topology: Topology, path) -> None:
-    lines = [
-        "# miloc topology",
-        "# room {} {}".format(
-            " ".join(f"{v:.12g}" for v in topology.room.min_corner),
-            " ".join(f"{v:.12g}" for v in topology.room.max_corner),
-        ),
-        "# id kind x y z alpha beta gamma",
-    ]
-    node_id = 0
-    for kind, nodes in (("anchor", topology.anchors), ("agent", topology.agents)):
-        for node in nodes:
-            fields = [str(node_id), kind] + [
-                f"{v:.17g}" for v in np.hstack([node.position, node.euler])
-            ]
-            lines.append(" ".join(fields))
-            node_id += 1
+    corners = np.concatenate([topology.room.min_corner, topology.room.max_corner])
+    room = " ".join(f"{v:.12g}" for v in corners)
+    lines = ["# miloc topology", f"# room {room}", "# id kind x y z alpha beta gamma"]
+    nodes = [("anchor", a) for a in topology.anchors] + [("agent", a) for a in topology.agents]
+    for node_id, (kind, node) in enumerate(nodes):
+        values = np.hstack([node.position, node.euler])
+        lines.append(" ".join([str(node_id), kind] + [f"{v:.17g}" for v in values]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_topology(path, room: Optional[Room] = None) -> Topology:
     """Read a topology fixture; the room comes from the header unless given."""
-    anchors, agents = [], []
+    nodes = {"anchor": [], "agent": []}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line:
@@ -229,35 +236,31 @@ def load_topology(path, room: Optional[Room] = None) -> Topology:
         fields = line.split()
         if len(fields) != 8:
             raise ValueError(f"expected 8 fields per node row, got {len(fields)}")
-        kind = fields[1]
-        position = np.array([float(v) for v in fields[2:5]])
-        euler = np.array([float(v) for v in fields[5:8]])
-        node = Deployment.from_euler(position, euler)
-        if kind == "anchor":
-            anchors.append(node)
-        elif kind == "agent":
-            agents.append(node)
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
+        values = np.array([float(v) for v in fields[2:]])
+        node = Deployment.from_euler(values[:3], values[3:])
+        if fields[1] not in nodes:
+            raise ValueError(f"unknown node kind {fields[1]!r}")
+        nodes[fields[1]].append(node)
     if room is None:
         raise ValueError("topology file lacks a room header and no room was given")
-    return Topology(room=room, anchors=anchors, agents=agents)
+    agents = nodes["agent"]
+    positions = np.reshape([a.position for a in agents], (-1, 3))
+    rotations = np.reshape([a.rotation for a in agents], (-1, 3, 3))
+    eulers = np.reshape([a.euler for a in agents], (-1, 3))
+    return Topology(room, nodes["anchor"], positions, rotations, eulers)
 
 
 def check_topology(topology: Topology, min_distance: float) -> List[str]:
-    """Validate the topology invariants; returns a list of violations."""
-    problems = []
-    for i, agent in enumerate(topology.agents):
-        if not topology.room.contains(agent.position):
-            problems.append(f"agent {i} outside the room")
-    positions = [a.position for a in topology.agents]
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            d = np.linalg.norm(positions[i] - positions[j])
-            if d < min_distance:
-                problems.append(f"agents {i},{j} distance {d:.4f} below minimum")
-        for k, anchor in enumerate(topology.anchors):
-            d = np.linalg.norm(positions[i] - anchor.position)
-            if d < min_distance:
-                problems.append(f"agent {i} anchor {k} distance {d:.4f} below minimum")
+    """Validate the topology invariants; returns a list of violations.
+
+    Agents outside the room come first, then, agent by agent, the later
+    agents and then the anchors closer to it than min_distance.
+    """
+    m, anchors = topology.n_agents, [a.position for a in topology.anchors]
+    outside = np.flatnonzero(~topology.room.contains(topology.positions))
+    problems = [f"agent {i} outside the room" for i in outside]
+    distances = _distances(topology.positions, np.reshape(anchors, (-1, 3)))
+    for i, j in zip(*np.nonzero(distances < min_distance)):
+        pair = f"agents {i},{j}" if j < m else f"agent {i} anchor {j - m}"
+        problems.append(f"{pair} distance {distances[i, j]:.4f} below minimum")
     return problems

@@ -61,9 +61,9 @@ def far_out(topology):
     schemes and for every agent count, also where, as without cooperation,
     only agent 0's own block enters it.
     """
-    agent = topology.agents[0]
-    moved = Deployment(agent.position + [FAR_OUT_M, 0.0, 0.0], agent.euler, agent.rotation)
-    return dataclasses.replace(topology, agents=[moved] + topology.agents[1:])
+    positions = topology.positions.copy()
+    positions[0, 0] += FAR_OUT_M
+    return dataclasses.replace(topology, positions=positions)
 
 
 @pytest.fixture

@@ -27,7 +27,8 @@ the per-agent decomposition of a non-cooperative problem.  position_bound invert
 information matrix through a full eigendecomposition.
 sample_topology_per_agent is the topology sampler that draws, converts and
 checks one agent orientation at a time, with the scalar quaternion, norm
-and Euler formulas written out.
+and Euler formulas written out, and check_topology_per_pair validates a
+topology with one distance per agent pair and agent-anchor pair.
 """
 
 from __future__ import annotations
@@ -423,6 +424,25 @@ def sample_topology_per_agent(n_agents: int, room, anchors, min_distance: float,
             rotations.append(_quaternion_rotation_one(q / np.linalg.norm(q)))
         eulers = [rotation_to_euler_one(r) for r in rotations]
         return positions, np.array(eulers).reshape(-1, 3), np.array(rotations).reshape(-1, 3, 3)
+
+
+def check_topology_per_pair(topology, min_distance: float):
+    """The violations scenario.check_topology lists, found pair by pair in Python loops."""
+    problems = []
+    for i, agent in enumerate(topology.agents):
+        if not topology.room.contains(agent.position):
+            problems.append(f"agent {i} outside the room")
+    positions = [a.position for a in topology.agents]
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            d = np.linalg.norm(positions[i] - positions[j])
+            if d < min_distance:
+                problems.append(f"agents {i},{j} distance {d:.4f} below minimum")
+        for k, anchor in enumerate(topology.anchors):
+            d = np.linalg.norm(positions[i] - anchor.position)
+            if d < min_distance:
+                problems.append(f"agent {i} anchor {k} distance {d:.4f} below minimum")
+    return problems
 
 
 class DegenerateMeasurement(ValueError):

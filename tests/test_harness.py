@@ -554,6 +554,24 @@ def test_stacked_bounds_across_the_default_chunk_boundary(m, cooperative):
     assert np.array_equal(_agent0_bounds(cfg, m, chunk + 2, cooperative), expected)
 
 
+def test_bound_sweep_folds_each_link_set_once(monkeypatch):
+    # One fold per cooperative agent count (M=1 has no agent pair): folding
+    # again in every stacked call, at 3 topologies, would fold 13 times,
+    # twice each at M=8 and 9 and three times at M=10.
+    folds, fold = [], LsProblem.folded
+
+    def counting(problem):
+        folded, dropped = fold(problem)
+        if len(folded.links) < len(problem.links):
+            folds.append(problem.n_agents)
+        return folded, dropped
+
+    monkeypatch.setattr(LsProblem, "folded", counting)
+    cfg = ExperimentConfig(seed=20240101)
+    mean_peb_curve(cfg, agent_counts=range(1, 11), topologies=3, scheme=Scheme.COOP)
+    assert folds == list(range(2, 11))
+
+
 def test_bound_sweep_memory_does_not_grow_with_topologies():
     # Stacking all 400 topologies at once would hold about 50,000 links of
     # derivative columns, over 100 MB; chunked stacks keep the peak flat.

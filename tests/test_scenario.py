@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from miloc.geometry import Deployment
+from miloc.estimators import pack_deployments
+from miloc.geometry import Deployment, join_poses, rotation_to_euler, sample_uniform_rotation
 from miloc.scenario import (
     PackingInfeasible,
     Scheme,
@@ -19,7 +20,7 @@ from miloc.scenario import (
     synthesize_measurements,
 )
 
-from oracles import channel_gain, sample_topology_per_agent
+from oracles import channel_gain, check_topology_per_pair, sample_topology_per_agent
 
 
 def test_default_anchors_on_lateral_walls(room):
@@ -163,12 +164,43 @@ def test_load_topology_requires_six_room_numbers(tmp_path, header):
 
 
 def test_check_topology_reports_violations(room, anchors):
-    agents = [Deployment.identity([0.5, 0.5, 0.5]), Deployment.identity([0.5, 0.5, 0.55])]
-    topo = Topology(room=room, anchors=list(anchors), agents=agents)
+    identity = np.broadcast_to(np.eye(3), (2, 3, 3))
+    topo = Topology(room, list(anchors), np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.55]]), identity)
     problems = check_topology(topo, 0.15)
     assert any("distance" in p for p in problems)
-    outside = Topology(room=room, anchors=list(anchors), agents=[Deployment.identity([2.0, 0.5, 0.5])])
+    outside = Topology(room, list(anchors), np.array([[2.0, 0.5, 0.5]]), identity[:1])
     assert any("outside" in p for p in check_topology(outside, 0.15))
+
+
+@pytest.mark.parametrize("min_distance", [0.15, 0.4])
+def test_check_topology_matches_per_pair_oracle(room, anchors, min_distance):
+    # the same messages in the same order as the pair-by-pair loops, with
+    # an agent out of the room next to an anchor and two agents too close
+    rng = np.random.default_rng(21)
+    for m in range(1, 11):
+        positions = rng.uniform(room.min_corner, room.max_corner, size=(m, 3))
+        positions[0] = anchors[1].position + [0.05, 0.0, 0.0]
+        if m > 1:
+            positions[m - 1] = positions[(m - 1) // 2] + [0.03, 0.04, 0.0]
+        topo = Topology(room, list(anchors), positions, sample_uniform_rotation(rng, m))
+        problems = check_topology(topo, min_distance)
+        assert problems == check_topology_per_pair(topo, min_distance)
+        assert len(problems) >= (2 if m == 1 else 3), problems
+        assert problems[0] == "agent 0 outside the room"
+
+
+def test_agents_view_packs_to_the_arrays(room, anchors):
+    # the Deployment view is the sampler's former output: the drawn arrays,
+    # and Euler angles from one stacked conversion
+    for m in range(1, 11):
+        topo = sample_topology(m, room, anchors, 0.15, np.random.default_rng([22, m]))
+        agents = topo.agents
+        assert len(agents) == topo.n_agents == m
+        assert np.array_equal(pack_deployments(agents), topo.pose_row)
+        assert np.array_equal(topo.pose_row, join_poses(topo.positions, topo.rotations))
+        assert np.array_equal(np.array([a.position for a in agents]), topo.positions)
+        assert np.array_equal(np.array([a.rotation for a in agents]), topo.rotations)
+        assert np.array_equal(np.array([a.euler for a in agents]), rotation_to_euler(topo.rotations))
 
 
 def test_regression_fixture_is_stable(room):
