@@ -17,7 +17,6 @@ from .estimators import (
     estimate,
     levenberg_marquardt,
     multilaterate,
-    pack_deployments,
 )
 from .geometry import (
     Deployment,

@@ -106,7 +106,10 @@ class ExperimentConfig:
         path = Path(self.anchor_layout)
         if not path.exists():
             raise ConfigError(f"anchor_layout file not found: {path}")
-        topo = load_topology(path, room=self.room())
+        try:
+            topo = load_topology(path, room=self.room())
+        except ValueError as exc:
+            raise ConfigError(f"anchor_layout file {path}: {exc}") from exc
         if not topo.anchors:
             raise ConfigError(f"anchor_layout file {path} contains no anchors")
         return topo.anchors

@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import LsProblem, pack_deployments
+from .estimators import LsProblem
+from .geometry import join_poses
 from .scenario import Scheme, network_problem
 
 FIM_MAX_CONDITION = 1e14
@@ -62,7 +63,7 @@ def fim_stack(problem: LsProblem, poses: np.ndarray, sigma: float) -> np.ndarray
     Args:
         problem: the link set, anchors and coupling (scenario.network_problem);
             its measurements do not enter.
-        poses: agent pose rows (..., 12M), packed as by pack_deployments.
+        poses: agent pose rows (..., 12M) (geometry.join_poses).
 
     Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
     Jacobian J of the links at the given deployments, summed over the folded
@@ -90,7 +91,8 @@ def assemble_fim(
     """
     scheme = Scheme.COOP if cooperative else Scheme.NONCOOP
     problem = network_problem(len(agents), anchors, coupling, scheme)
-    matrix = fim_stack(problem, pack_deployments(agents), sigma)
+    poses = join_poses([a.position for a in agents], [a.rotation for a in agents])
+    matrix = fim_stack(problem, poses, sigma)
     return FisherInfo(matrix=matrix, n_agents=len(agents))
 
 

@@ -53,7 +53,6 @@ from .geometry import (
     Deployment,
     Room,
     exp_rotation,
-    group_poses,
     join_poses,
     quaternion_to_rotation,
     split_poses,
@@ -73,14 +72,6 @@ LINKS_PER_SLICE = 256
 
 class DimensionMismatch(ValueError):
     """Pose row length does not match the problem."""
-
-
-def pack_deployments(deployments: Sequence[Deployment]) -> np.ndarray:
-    """The (12M,) pose row of M agents' deployments (geometry.join_poses)."""
-    return join_poses(
-        np.reshape([d.position for d in deployments], (-1, 3)),
-        np.reshape([d.rotation for d in deployments], (-1, 3, 3)),
-    )
 
 
 @dataclass
@@ -488,8 +479,7 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
     sets; every agent of the stack goes through one pair-ML call.
     """
     agent_p, agent_o = pairml.pair_ml_estimate(problem.anchor_problem(), room)
-    agents = problem.y_imag.shape[:-3] + (problem.n_agents,)
-    return join_poses(agent_p.reshape(agents + (3,)), agent_o.reshape(agents + (3, 3)))
+    return join_poses(agent_p, agent_o).reshape(problem.y_imag.shape[:-3] + (-1,))
 
 
 def parse_init_strategy(spec: str) -> Tuple[str, int]:
@@ -532,7 +522,7 @@ def estimate(
     (LsProblem.folded) and its final cost the ordered one.  A non-cooperative
     one decomposes into M independent groups of one agent, each on its own
     anchor links (LsProblem.anchor_problem), so a group's final cost is its
-    agent's own objective.  truth holds pose rows (pack_deployments).  A
+    agent's own objective.  truth holds pose rows (geometry.join_poses).  A
     stack of T measurement sets, problem.y_imag (T, L, 3, 3), takes truth
     (T, 12M) and rng as a sequence of T generators; each set's results
     equal those of the set solved alone, its random starts drawn from its
@@ -559,16 +549,13 @@ def estimate(
         rngs = [rng] if single else rng
         drawn = [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
         # a set's draws fill its groups, then their restarts, then their agents
-        positions = np.stack([p for p, _ in drawn]).reshape(sets, groups, restarts, -1, 3)
-        rotations = np.stack([o for _, o in drawn]).reshape(sets, groups, restarts, -1, 3, 3)
-        starts = join_poses(positions, rotations)
+        starts = join_poses(np.stack([p for p, _ in drawn]), np.stack([o for _, o in drawn]))
     else:
         starts = truth if strategy == "perfect" else pairml_initialization(problem, room)
-        starts = group_poses(np.reshape(starts, (sets, -1)), groups)
     base, dropped = problem.folded() if problem.cooperative else (problem.anchor_problem(), 0.0)
     y_imag = base.y_imag.reshape((-1,) + base.y_imag.shape[-3:])
     stack = replace(base, y_imag=np.repeat(y_imag, restarts, axis=0))
-    solve = levenberg_marquardt(stack, starts.reshape(-1, 12 * problem.n_agents // groups))
+    solve = levenberg_marquardt(stack, np.reshape(starts, (-1, 12 * problem.n_agents // groups)))
     group = np.arange(sets * groups).reshape(problem.y_imag.shape[:-3] + (groups,))
     # lowest final cost per group, first on ties (final costs are finite)
     costs = solve.final_cost.reshape(group.shape + (restarts,))

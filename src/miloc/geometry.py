@@ -98,30 +98,22 @@ def join_poses(positions: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """Pose rows (..., 12M) of M agents' positions (..., M, 3) and rotations (..., M, 3, 3).
 
     An agent's pose is twelve numbers, its position and then its rotation
-    matrix row by row.  A pose row stores the first six numbers of every
-    agent, then the last six, so agent a's position sits at entries
-    6a..6a+2, where its position step sits in a step vector of six numbers
-    per agent.  A one-agent row is [position, rotation.ravel()].
+    matrix row by row, and agent a's pose sits at entries 12a..12a+11.  A
+    row reshaped to (..., M, 12) holds one agent per row, so the rows of
+    groups of agents are a reshape; a one-agent row is
+    [position, rotation.ravel()].
     """
     positions = np.asarray(positions, dtype=float)
     batch, m = positions.shape[:-2], positions.shape[-2]
     poses = np.concatenate([positions, np.reshape(rotations, batch + (m, 9))], axis=-1)
-    return poses.reshape(batch + (m, 2, 6)).swapaxes(-3, -2).reshape(batch + (12 * m,))
+    return poses.reshape(batch + (12 * m,))
 
 
 def split_poses(rows: np.ndarray):
     """Positions (..., M, 3) and rotations (..., M, 3, 3) of pose rows (..., 12M), as join_poses."""
     rows = np.asarray(rows, dtype=float)
-    batch, m = rows.shape[:-1], rows.shape[-1] // 12
-    poses = rows.reshape(batch + (2, m, 6)).swapaxes(-3, -2).reshape(batch + (m, 12))
-    return poses[..., :3], poses[..., 3:].reshape(batch + (m, 3, 3))
-
-
-def group_poses(rows: np.ndarray, groups: int) -> np.ndarray:
-    """Pose rows (..., 12M) split into (..., groups, 12M / groups), one row per group of agents."""
-    positions, rotations = split_poses(rows)
-    shape = positions.shape[:-2] + (groups, -1)
-    return join_poses(positions.reshape(shape + (3,)), rotations.reshape(shape + (3, 3)))
+    poses = rows.reshape(rows.shape[:-1] + (rows.shape[-1] // 12, 12))
+    return poses[..., :3], poses[..., 3:].reshape(poses.shape[:-1] + (3, 3))
 
 
 # Row-major rotation entries from the products p[4 i + j] = q_i q_j of a unit

@@ -33,7 +33,7 @@ from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, add_noise, coupling_coefficient
 from .config import ConfigError, ExperimentConfig
 from .estimators import LsProblem, StackedSolve
-from .geometry import Room, group_poses, join_poses, rotation_to_euler
+from .geometry import Room, join_poses, rotation_to_euler
 from .scenario import Scheme, Topology, network_problem, sample_topology
 
 GLOBAL_MIN_COST_SLACK = 1e-12
@@ -168,8 +168,7 @@ def solve_trials(
         solve = _closed_form(theta, np.nan, fix.converged.reshape(trials, m).all(axis=-1))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    poses = group_poses(solve.estimate, solve.estimate.shape[-1] // 12)
-    return poses.reshape(trials, m, 12), solve, reference
+    return solve.estimate.reshape(trials, m, 12), solve, reference
 
 
 def _closed_form(theta: np.ndarray, costs, converged) -> StackedSolve:
@@ -225,7 +224,7 @@ def agent0_bounds(
     while stack := list(islice(topologies, chunk)):
         poses = _poses(stack, m)
         if not problem.cooperative:
-            poses = group_poses(poses, m)[:, 0]  # agent 0's own pose row
+            poses = poses[:, :12]  # agent 0's own pose row
         bounds.extend(crlb.peb_stack(crlb.fim_stack(bound, poses, sigma), 0).tolist())
     return np.array(bounds, dtype=float)
 
@@ -298,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             result.failures_by_kind[kind] = result.failures_by_kind.get(kind, 0) + 1
             return Trials.empty(m)
         wall = (time.perf_counter() - started) / len(keys)
-        true_pose = group_poses(truths[index], m)
+        true_pose = truths[index].reshape(-1, m, 12)
         miss = poses[..., :3] - true_pose[..., :3]
         # a trial's figures join its groups': costs summed in group order, as
         # cumsum adds (a row sum adds pairwise, which can move the last bit)

@@ -14,8 +14,8 @@ import pytest
 from miloc import crlb
 from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ExperimentConfig
-from miloc.estimators import LsProblem, estimate, pack_deployments, pairml_initialization
-from miloc.geometry import Deployment
+from miloc.estimators import LsProblem, estimate, pairml_initialization
+from miloc.geometry import Deployment, split_poses
 from miloc.harness import (
     calibrate_resistance,
     emit_outputs,
@@ -263,16 +263,12 @@ def test_criterion_09_property_suite(calibrated):
     noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
     ms = synthesize_measurements(topo, coil, noiseless, Scheme.COOP, rng)
     problem = LsProblem.from_measurements(ms, anchors, 4, coupling)
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     solve = estimate(problem, "perfect", truth=truth)
-    ls_err = max(
-        np.linalg.norm(solve.estimate[0, 6 * a : 6 * a + 3] - topo.agents[a].position)
-        for a in range(4)
-    )
-    pm_poses = pairml_initialization(problem, room).reshape(-1, 6)
-    pm_err = 0.0
-    for agent in range(4):
-        pm_err = max(pm_err, np.linalg.norm(pm_poses[agent, :3] - topo.agents[agent].position))
+    ls_positions = split_poses(solve.estimate[0])[0]
+    pm_positions = split_poses(pairml_initialization(problem, room))[0]
+    ls_err = np.linalg.norm(ls_positions - topo.positions, axis=-1).max()
+    pm_err = np.linalg.norm(pm_positions - topo.positions, axis=-1).max()
     checks.append(("noiseless recovery < 1e-8 m", ls_err < 1e-8 and pm_err < 1e-8))
 
     # analytic Jacobian versus central finite differences

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from miloc import channel, cli, config, crlb, estimators, harness, pairml, scenario
-from miloc.estimators import LsProblem, pack_deployments
+from miloc.estimators import LsProblem
 
 # the calibrated resistance the benchmark writes into its configuration file
 BENCH_CONFIG = "resistance_ohm = 0.055148806366607225\n"
@@ -73,7 +73,7 @@ def test_observed_results(bench):
         topo, cfg.coil(), cfg.global_params(), scenario.Scheme.COOP, np.random.default_rng(5)
     )
     problem = LsProblem.from_measurements(data, topo.anchors, 2, coupling)
-    solve = estimators.levenberg_marquardt(problem, pack_deployments(topo.agents))
+    solve = estimators.levenberg_marquardt(problem, topo.pose_row)
     assert isinstance(solve.iterations, int) and solve.iterations >= 1
 
 

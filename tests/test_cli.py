@@ -1,6 +1,8 @@
 import pytest
 
+from miloc import scenario
 from miloc.cli import main
+from miloc.geometry import Room
 from miloc.scenario import Scheme, link_set
 
 
@@ -295,12 +297,57 @@ def test_simulate_rejects_an_init_its_estimator_ignores(tmp_path, capsys, estima
     assert "init = perfect" in (tmp_path / "perfect" / "config.echo").read_text()
 
 
-def test_runtime_error_exit_code(tmp_path):
-    cfg = _write_cfg(tmp_path, "min_dist_factor = 200\n")  # infeasible packing
+def test_anchor_layout_file_of_the_default_anchors(tmp_path):
+    # fixture rows (id kind x y z alpha beta gamma) of the default anchors
+    rows = [
+        f"{k} anchor " + " ".join(f"{v:.17g}" for v in a.position) + " 0 0 0"
+        for k, a in enumerate(scenario.default_anchors(Room.cube(1.5)))
+    ]
+    path = tmp_path / "anchors.txt"
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["peb", "--agents", "1..3", "--topologies", "3", "--seed", "2"]
+    written = []
+    for name, extra in (("default", ""), ("file", f"anchor_layout = {path}\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(BASE_CFG + extra)
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "peb.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (None, "not found"),
+        (["0 agent 0.5 0.5 0.5 0 0 0"], "contains no anchors"),
+        (["0 anchor 0.75 0 0.375"], "expected 8 fields per node row, got 5"),
+        (["0 anchor 0.75 0 0.375 0 0 zero"], "could not convert string to float"),
+    ],
+    ids=["missing", "no_anchors", "short_row", "non_numeric"],
+)
+def test_bad_anchor_layout_file_is_a_config_error(tmp_path, capsys, rows, message):
+    path = tmp_path / "anchors.txt"
+    if rows is not None:
+        path.write_text("\n".join(rows) + "\n")
+    cfg = _write_cfg(tmp_path, f"anchor_layout = {path}\n")
+    out = tmp_path / "peb"
+    argv = ["peb", "--config", str(cfg), "--agents", "1", "--topologies", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: anchor_layout file")
+    assert message in err and str(path) in err
+    assert not out.exists()
+
+
+def test_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
+    # infeasible packing; a short attempt budget raises the same error sooner
+    monkeypatch.setattr(scenario, "MAX_ATTEMPTS", 10)
+    cfg = _write_cfg(tmp_path, "min_dist_factor = 200\n")
     code = main(
         ["simulate", "--config", str(cfg), "--agents", "2", "--topologies", "1", "--noise", "1"]
     )
     assert code == 3
+    assert "error: no feasible placement of 2 agents in 10 attempts" in capsys.readouterr().err
 
 
 def test_peb_warns_about_singular_topologies(tmp_path, capsys, singular_topology):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from miloc.channel import channel_gain_batch, channel_matrix
 from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
-from miloc.estimators import LsProblem, pack_deployments
+from miloc.estimators import LsProblem
 from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
@@ -41,7 +41,7 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
     # Independent route: every information matrix of a stack must equal
     # (2 / sigma^2) J^T J for the noiseless residual Jacobian at the truth.
     topos = [_topology(3, seed, room, anchors) for seed in range(4)]
-    poses = np.array([pack_deployments(t.agents) for t in topos])
+    poses = np.array([t.pose_row for t in topos])
     stacked = _fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
     noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
     ms = synthesize_measurements(topos[0], coil, noiseless, Scheme.COOP, np.random.default_rng(0))
@@ -55,7 +55,7 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
 
 
 def _poses(m, seeds, room, anchors):
-    return np.array([pack_deployments(_topology(m, seed, room, anchors).agents) for seed in seeds])
+    return np.array([_topology(m, seed, room, anchors).pose_row for seed in seeds])
 
 
 def test_folded_fim_equals_the_ordered_fim(room, anchors, coupling):
@@ -313,7 +313,7 @@ def test_single_link_spectrum_against_oracle(coupling):
 def test_singular_topology_in_stack_leaves_the_others_alone(room, anchors, coupling):
     topos = [_topology(4, 60 + k, room, anchors) for k in range(5)]
     topos[2] = far_out(topos[2])
-    poses = np.array([pack_deployments(t.agents) for t in topos])
+    poses = np.array([t.pose_row for t in topos])
     for cooperative in (True, False):
         bounds = peb_stack(_fim_stack(poses, anchors, coupling, SIGMA, cooperative))
         assert np.isnan(bounds[2]) and np.all(np.isfinite(np.delete(bounds, 2)))
@@ -331,7 +331,7 @@ def test_singular_topology_in_stack_leaves_the_others_alone(room, anchors, coupl
 
 def test_peb_stack_matches_peb_of_every_agent(room, anchors, coupling):
     topos = [_topology(3, 70 + k, room, anchors) for k in range(3)]
-    poses = np.array([pack_deployments(t.agents) for t in topos])
+    poses = np.array([t.pose_row for t in topos])
     matrices = _fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
     for agent in range(3):
         expected = [peb(FisherInfo(matrix, 3), agent) for matrix in matrices]
@@ -387,7 +387,7 @@ def test_noncoop_fim_has_zero_off_diagonal_blocks(room, anchors, coupling, seed,
 @_PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), data=st.data())
 def test_permuting_the_stack_permutes_the_bounds(room, anchors, coupling, seed, m, data):
-    poses = np.array([pack_deployments(_topology(m, [seed, k], room, anchors).agents) for k in range(4)])
+    poses = np.array([_topology(m, [seed, k], room, anchors).pose_row for k in range(4)])
     order = list(data.draw(st.permutations(range(4))))
     for cooperative in (True, False):
         bounds = peb_stack(_fim_stack(poses, anchors, coupling, SIGMA, cooperative))

@@ -12,12 +12,11 @@ from miloc.estimators import (
     estimate,
     levenberg_marquardt,
     multilaterate,
-    pack_deployments,
     parse_init_strategy,
 )
 from miloc.config import ConfigError, ExperimentConfig
 from miloc.geometry import (
-    Deployment, group_poses, is_rotation, join_poses, sample_uniform_rotation, split_poses,
+    Deployment, is_rotation, join_poses, sample_uniform_rotation, split_poses,
 )
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
@@ -35,7 +34,7 @@ def make_problem(m, scheme, seed, coil, gparams, room, anchors, sigma=None):
 
 def test_pack_unpack_roundtrip(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.COOP, 0, coil, gparams, room, anchors)
-    theta = pack_deployments(topo.agents)
+    theta = topo.pose_row
     assert theta.shape == (36,)
     positions, rotations = split_poses(theta)
     for position, rotation, orig in zip(positions, rotations, topo.agents):
@@ -48,7 +47,7 @@ def test_pack_unpack_roundtrip(room, anchors, coil, gparams):
 def test_zero_step_retracts_to_the_same_poses(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.COOP, 0, coil, gparams, room, anchors)
     step = np.random.default_rng(1).normal(0, 0.3, 18)
-    theta = problem.retract(pack_deployments(topo.agents), step)
+    theta = problem.retract(topo.pose_row, step)
     assert np.array_equal(problem.retract(theta, np.zeros(18)), theta)
     assert problem.retract(theta, np.zeros(18)).tobytes() == theta.tobytes()
 
@@ -56,7 +55,7 @@ def test_zero_step_retracts_to_the_same_poses(room, anchors, coil, gparams):
 def test_rotations_stay_rotations_along_many_steps(room, anchors, coil, gparams):
     topo, problem = make_problem(2, Scheme.COOP, 0, coil, gparams, room, anchors)
     rng = np.random.default_rng(2)
-    theta = np.stack([pack_deployments(topo.agents)] * 5)
+    theta = np.stack([topo.pose_row] * 5)
     for _ in range(1000):
         theta = problem.retract(theta, rng.normal(0.0, 0.5, (5, 12)))
     _, rotations = split_poses(theta)
@@ -65,7 +64,7 @@ def test_rotations_stay_rotations_along_many_steps(room, anchors, coil, gparams)
 
 def test_residual_zero_at_truth_noiseless(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 1, coil, gparams, room, anchors, sigma=0.0)
-    res = problem.residual(pack_deployments(topo.agents))
+    res = problem.residual(topo.pose_row)
     # the true rotations enter unchanged, so the model reproduces the synthesis
     assert np.abs(res).max() == 0.0
     assert len(res) == 9 * (4 * 4 + 4 * 3)
@@ -80,7 +79,7 @@ def test_residual_dimension_check(room, anchors, coil, gparams):
 def test_jacobian_matches_finite_differences(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.COOP, 3, coil, gparams, room, anchors)
     rng = np.random.default_rng(4)
-    theta = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.02, 18))
+    theta = problem.retract(topo.pose_row, rng.normal(0, 0.02, 18))
     _, jac = oracles.residual_and_jacobian(problem, theta)
     h = 1e-7
     for k in range(18):
@@ -94,7 +93,7 @@ def test_jacobian_matches_finite_differences(room, anchors, coil, gparams):
 
 def test_noncooperative_jacobian_is_block_diagonal(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.NONCOOP, 5, coil, gparams, room, anchors)
-    _, jac = oracles.residual_and_jacobian(problem, pack_deployments(topo.agents))
+    _, jac = oracles.residual_and_jacobian(problem, topo.pose_row)
     # rows of agent m's links must have zero columns for every other agent
     for row, (tx, _) in enumerate(problem.links):
         block = jac[9 * row : 9 * row + 9]
@@ -162,7 +161,7 @@ def test_lm_reports_singular_normal_equations():
 
 def test_lm_perfect_init_noiseless(room, anchors, coil, gparams):
     topo, problem = make_problem(3, Scheme.COOP, 6, coil, gparams, room, anchors, sigma=0.0)
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     report = levenberg_marquardt(problem, truth)
     assert report.converged
     assert report.iterations <= 2
@@ -172,7 +171,7 @@ def test_lm_perfect_init_noiseless(room, anchors, coil, gparams):
 def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
     topo, problem = make_problem(2, Scheme.COOP, 7, coil, gparams, room, anchors)
     rng = np.random.default_rng(8)
-    x0 = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.1, 12))
+    x0 = problem.retract(topo.pose_row, rng.normal(0, 0.1, 12))
 
     costs = []
     original = problem.normal_equations
@@ -190,11 +189,10 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
 
 def test_perfect_init_exact_recovery(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 9, coil, gparams, room, anchors, sigma=0.0)
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     solve = estimate(problem, "perfect", truth=truth)
-    for agent in range(4):
-        est = solve.estimate[0, 6 * agent : 6 * agent + 3]
-        assert np.linalg.norm(est - topo.agents[agent].position) < 1e-8
+    positions, _ = split_poses(solve.estimate[0])
+    assert np.linalg.norm(positions - topo.positions, axis=-1).max() < 1e-8
 
 
 def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gparams):
@@ -203,26 +201,26 @@ def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gpara
     # noiseless minimum, where solver termination slack does not blur the
     # solutions; the noisy variant below is bounded by the stopping tolerance.
     topo, problem = make_problem(3, Scheme.NONCOOP, 10, coil, gparams, room, anchors, sigma=0.0)
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     rng = np.random.default_rng(20)
     start = problem.retract(truth, rng.normal(0, 0.01, 18))
     rep_joint = levenberg_marquardt(problem, start)
     rep_split = estimate(problem, "perfect", truth=start)
-    assert np.abs(group_poses(rep_joint.estimate, 3) - rep_split.estimate).max() < 1e-10
+    assert np.abs(rep_joint.estimate.reshape(3, 12) - rep_split.estimate).max() < 1e-10
 
     topo_n, problem_n = make_problem(3, Scheme.NONCOOP, 21, coil, gparams, room, anchors)
-    truth_n = pack_deployments(topo_n.agents)
+    truth_n = topo_n.pose_row
     rep_joint_n = levenberg_marquardt(problem_n, truth_n)
     rep_split_n = estimate(problem_n, "perfect", truth=truth_n)
     # with noise both stop within termination tolerance of the same minimum
     assert np.isclose(rep_joint_n.final_cost, rep_split_n.final_cost.sum(), rtol=1e-9)
-    assert np.abs(group_poses(rep_joint_n.estimate, 3) - rep_split_n.estimate).max() < 1e-5
+    assert np.abs(rep_joint_n.estimate.reshape(3, 12) - rep_split_n.estimate).max() < 1e-5
 
 
 def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
     # noiseless, perturbed start: both paths converge to the same sharp minimum
     topo, coop_problem = make_problem(3, Scheme.COOP, 11, coil, gparams, room, anchors, sigma=0.0)
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     rng = np.random.default_rng(22)
     truth = coop_problem.retract(truth, rng.normal(0, 0.01, 18))
     anchor_rows = np.where(coop_problem.links[:, 1] >= 3)[0]
@@ -236,7 +234,7 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
     )
     rep_a = levenberg_marquardt(stripped, truth)
     rep_b = estimate(stripped, "perfect", truth=truth)
-    assert np.abs(group_poses(rep_a.estimate, 3) - rep_b.estimate).max() < 1e-10
+    assert np.abs(rep_a.estimate.reshape(3, 12) - rep_b.estimate).max() < 1e-10
 
 
 def test_cooperative_follows_the_links(room, anchors, coil, gparams):
@@ -244,7 +242,7 @@ def test_cooperative_follows_the_links(room, anchors, coil, gparams):
     _, noncoop = make_problem(3, Scheme.NONCOOP, 23, coil, gparams, room, anchors)
     assert coop.cooperative and not noncoop.cooperative
     # the joint solve uses every link, so its cost is the problem's cost
-    solve = estimate(coop, "perfect", truth=pack_deployments(topo.agents))
+    solve = estimate(coop, "perfect", truth=topo.pose_row)
     assert solve.final_cost.shape == (1,)
     assert np.isclose(solve.final_cost[0], coop.cost(solve.estimate[0]), rtol=1e-12, atol=0.0)
 
@@ -305,7 +303,7 @@ def test_anchor_problem_puts_link_k_on_anchor_k(room, anchors, coil, gparams):
     assert np.array_equal(alone.links, [[0, 1], [0, 2], [0, 3], [0, 4]])
     assert np.array_equal(alone.anchor_positions, problem.anchor_positions[visit])
     assert np.array_equal(alone.anchor_rotations, problem.anchor_rotations[visit])
-    poses = group_poses(pack_deployments(topo.agents), 3)
+    poses = topo.pose_row.reshape(3, 12)
     assert np.array_equal(alone.residual(poses), expected.residual(poses))
 
 
@@ -314,10 +312,10 @@ def test_gains_equal_the_one_link_channel(room, anchors, coil, gparams, scheme):
     coupling = coupling_coefficient(coil, coil, gparams)
     problem = network_problem(3, anchors, coupling, scheme)
     topos = [sample_topology(3, room, anchors, 0.15, np.random.default_rng(30 + k)) for k in range(2)]
-    stacked = problem.gains(np.array([pack_deployments(t.agents) for t in topos]))
+    stacked = problem.gains(np.array([t.pose_row for t in topos]))
     assert stacked.shape == (2, len(problem.links), 3, 3)
     for topo, gains in zip(topos, stacked):
-        assert np.array_equal(problem.gains(pack_deployments(topo.agents)), gains)
+        assert np.array_equal(problem.gains(topo.pose_row), gains)
         nodes = topo.agents + topo.anchors
         for (tx, rx), gain in zip(problem.links.tolist(), gains):
             assert np.array_equal(gain, np.imag(channel_matrix(nodes[tx], nodes[rx], coupling)))
@@ -513,7 +511,7 @@ def test_imaginary_residual_equals_full_objective_up_to_constant(
     from miloc.channel import channel_matrix
 
     for _ in range(5):
-        theta = problem.retract(pack_deployments(topo.agents), rng.normal(0, 0.05, 12))
+        theta = problem.retract(topo.pose_row, rng.normal(0, 0.05, 12))
         deployments = [Deployment.from_rotation(*pose) for pose in zip(*split_poses(theta))]
         nodes = deployments + list(anchors)
         full = sum(
@@ -577,7 +575,7 @@ def _coop_sets(m, seeds, coil, gparams, room, anchors):
     for seed in seeds:
         topo, problem = make_problem(m, Scheme.COOP, seed, coil, gparams, room, anchors)
         problems.append(problem)
-        truths.append(pack_deployments(topo.agents))
+        truths.append(topo.pose_row)
     stack = _stacked(problems)
     return stack, problems, np.array(truths)
 
@@ -609,7 +607,7 @@ def test_estimate_on_a_stack_equals_each_set_alone(
     monkeypatch.setattr(estimators, "LINKS_PER_SLICE", links)
     sets = [make_problem(3, scheme, seed, coil, gparams, room, anchors) for seed in (54, 55, 56)]
     problems = [problem for _, problem in sets]
-    truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
+    truths = np.array([topo.pose_row for topo, _ in sets])
     stack = _stacked(problems)
     rngs = [np.random.default_rng(57 + t) for t in range(3)]
     solve = estimate(stack, init, room, truths, rngs)
@@ -642,7 +640,7 @@ def lm_starts(monkeypatch, lm_calls):
 def test_one_sets_restarts_share_one_lm_call(lm_calls, coil, gparams, room, anchors):
     # one cooperative M=10 set: its five restarts in one call
     topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     rng = np.random.default_rng(62)
     estimate(problem, "random:5", room, truth, rng)
     assert lm_calls == [5]
@@ -653,7 +651,7 @@ def test_lm_call_holds_whole_sets_restart_minor(lm_calls, lm_starts, coil, gpara
     # single-agent estimates in one call, set-major, agent-major, restart-minor
     sets = [make_problem(2, Scheme.NONCOOP, s, coil, gparams, room, anchors) for s in (63, 64, 65)]
     stack = _stacked([problem for _, problem in sets])
-    truths = np.array([pack_deployments(topo.agents) for topo, _ in sets])
+    truths = np.array([topo.pose_row for topo, _ in sets])
     rngs = [np.random.default_rng(66 + t) for t in range(3)]
     estimate(stack, "random:2", room, truths, rngs)
     assert lm_calls == [12]
@@ -739,4 +737,4 @@ def test_agent_links_are_not_repeated(room, anchors, coil, gparams):
     links = np.vstack([problem.links, [1, 2]])
     repeated = dataclasses.replace(problem, links=links, y_imag=np.zeros((len(links), 3, 3)))
     with pytest.raises(ValueError, match="once per direction"):
-        repeated.normal_equations(pack_deployments(topo.agents))
+        repeated.normal_equations(topo.pose_row)

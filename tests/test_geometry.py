@@ -7,7 +7,6 @@ from miloc.geometry import (
     Room,
     euler_to_rotation,
     exp_rotation,
-    group_poses,
     is_rotation,
     join_poses,
     rotation_to_euler,
@@ -131,22 +130,21 @@ def test_exp_rotation_matches_matrix_exponential():
     assert np.array_equal(exp_rotation(np.zeros(3)), np.eye(3))
 
 
-def test_pose_rows_put_positions_where_steps_put_them():
+def test_pose_rows_are_agent_major():
+    # agent a's twelve numbers sit at 12a..12a+11: a row reshaped to (M, 12)
+    # is its agents' one-agent rows, so a group of agents is a reshape
     rng = np.random.default_rng(14)
     positions = rng.uniform(0.0, 1.5, (2, 4, 3))
     rotations = sample_uniform_rotation(rng, 8).reshape(2, 4, 3, 3)
     rows = join_poses(positions, rotations)
     assert rows.shape == (2, 48)
     for a in range(4):
-        assert np.array_equal(rows[:, 6 * a : 6 * a + 3], positions[:, a])
+        one = join_poses(positions[:, a : a + 1], rotations[:, a : a + 1])
+        assert np.array_equal(rows.reshape(2, 4, 12)[:, a], one)
+        assert np.array_equal(one, np.hstack([positions[:, a], rotations[:, a].reshape(2, 9)]))
     back_p, back_o = split_poses(rows)
     assert np.array_equal(back_p, positions) and np.array_equal(back_o, rotations)
-    one = join_poses(positions[0, :1], rotations[0, :1])
-    assert np.array_equal(one, np.hstack([positions[0, 0], rotations[0, 0].ravel()]))
-    per_agent = group_poses(rows, 4)
-    assert per_agent.shape == (2, 4, 12)
-    assert np.array_equal(per_agent[0, 0], one)
-    assert np.array_equal(group_poses(rows, 1)[:, 0], rows)
+    assert np.array_equal(join_poses(back_p, back_o), rows)
 
 
 def test_rigid_rotation_preserves_pairwise_distances():

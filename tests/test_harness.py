@@ -7,8 +7,8 @@ import pytest
 from miloc import crlb, estimators, harness
 from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ConfigError, ExperimentConfig, parse_agent_spec
-from miloc.estimators import LsProblem, multilaterate, pack_deployments, parse_init_strategy
-from miloc.geometry import Deployment, group_poses
+from miloc.estimators import LsProblem, multilaterate, parse_init_strategy
+from miloc.geometry import euler_to_rotation, join_poses
 from miloc.harness import (
     EmptyInput,
     agent0_bounds,
@@ -247,8 +247,8 @@ def test_written_euler_angles_are_canonical(tmp_path, overrides):
         for k in range(cfg.noise):
             trial = [r for r in rows if int(r["topology"]) == t and int(r["noise"]) == k]
             columns = ("x", "y", "z", "alpha", "beta", "gamma")
-            poses = [[float(r[f"est_{c}"]) for c in columns] for r in trial]
-            theta = pack_deployments([Deployment.from_euler(p[:3], p[3:]) for p in poses])
+            poses = np.array([[float(r[f"est_{c}"]) for c in columns] for r in trial])
+            theta = join_poses(poses[:, :3], euler_to_rotation(poses[:, 3:]))
             data = synthesize_measurements(
                 topo, coil, gparams, scheme, _trial_seed(cfg.seed, m, t, k, 1)
             )
@@ -335,7 +335,7 @@ def _solve_one(estimator, problem, room, truth, rng):
 
 
 def _multilaterate_trial(topo, problem):
-    truth = pack_deployments(topo.agents)
+    truth = topo.pose_row
     return _solve_one("multilateration", problem, topo.room, truth, np.random.default_rng(0))
 
 
@@ -457,7 +457,6 @@ def test_median_wall_time_ordering(room):
     from miloc.channel import coupling_coefficient
     from miloc.harness import _trial_seed
     from miloc.scenario import sample_topology, synthesize_measurements
-    from miloc.estimators import pack_deployments
 
     cfg = _small_cfg(agents="10", topologies=10, noise=1)
     coil, gparams = cfg.coil(), cfg.global_params()
@@ -466,7 +465,7 @@ def test_median_wall_time_ordering(room):
     times = {k: [] for k in ("pairml", "multilateration", "turbols_noncoop", "turbols_coop")}
     for t in range(10):
         topo = sample_topology(10, cfg.room(), anchors, 0.15, _trial_seed(cfg.seed, 10, t, 0))
-        truth = pack_deployments(topo.agents)
+        truth = topo.pose_row
         for label, scheme in (
             ("pairml", Scheme.NONCOOP),
             ("multilateration", Scheme.NONCOOP),
@@ -676,7 +675,7 @@ def test_checked_chunk_references_are_perfect_init_estimates(
     [(problem, truths, reference)] = chunks
     groups = 1 if scheme == "coop" else 3
     assert len(starts) == 2 and lm_calls[1] == 4 * groups
-    assert np.array_equal(starts[1], group_poses(truths, groups).reshape(4 * groups, -1))
+    assert np.array_equal(starts[1], truths.reshape(4 * groups, -1))
     assert reference.final_cost.shape == (4, groups)
     monkeypatch.setattr(estimators, "levenberg_marquardt", solver)
     for t in range(4):

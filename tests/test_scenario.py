@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from miloc.estimators import pack_deployments
 from miloc.geometry import Deployment, join_poses, rotation_to_euler, sample_uniform_rotation
 from miloc.scenario import (
     PackingInfeasible,
@@ -196,7 +195,6 @@ def test_agents_view_packs_to_the_arrays(room, anchors):
         topo = sample_topology(m, room, anchors, 0.15, np.random.default_rng([22, m]))
         agents = topo.agents
         assert len(agents) == topo.n_agents == m
-        assert np.array_equal(pack_deployments(agents), topo.pose_row)
         assert np.array_equal(topo.pose_row, join_poses(topo.positions, topo.rotations))
         assert np.array_equal(np.array([a.position for a in agents]), topo.positions)
         assert np.array_equal(np.array([a.rotation for a in agents]), topo.rotations)
