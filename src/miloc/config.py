@@ -7,6 +7,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List
 
+import numpy as np
+
 from .channel import VACUUM_PERMEABILITY, CoilParams, GlobalParams
 from .estimators import parse_init_strategy
 from .geometry import Deployment, Room
@@ -112,6 +114,16 @@ class ExperimentConfig:
             raise ConfigError(f"anchor_layout file {path}: {exc}") from exc
         if not topo.anchors:
             raise ConfigError(f"anchor_layout file {path} contains no anchors")
+        # anchors are counted in file order, among the anchor rows only
+        positions, least = np.array([a.position for a in topo.anchors]), self.min_distance()
+        outside = np.flatnonzero(~self.room().contains(positions))
+        if len(outside):
+            raise ConfigError(f"anchor_layout file {path}: anchor {outside[0]} outside the room")
+        gaps = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
+        close = np.argwhere(np.triu(gaps < least, 1))
+        if len(close):
+            i, j = close[0]
+            raise ConfigError(f"anchor_layout file {path}: anchors {i},{j} closer than {least:g} m")
         return topo.anchors
 
     def min_distance(self) -> float:

@@ -67,8 +67,8 @@ def fim_stack(problem: LsProblem, poses: np.ndarray, sigma: float) -> np.ndarray
 
     Returns (2 / sigma**2) J^T J, shape (..., 6M, 6M), for the residual
     Jacobian J of the links at the given deployments, summed over the folded
-    links (LsProblem.folded; a folded problem, as agent0_bounds passes, is
-    its own fold); each topology's matrix is the same whatever else is in
+    links (LsProblem.folded; a problem with no pair measured both ways, as
+    agent0_bounds passes, is its own fold); each topology's matrix is the same whatever else is in
     the stack.  Without cooperation each diagonal block equals the matrix
     of its agent alone (problem.anchor_problem) bit for bit.
     """

@@ -50,7 +50,6 @@ import numpy as np
 
 from . import channel as chan
 from .geometry import (
-    Deployment,
     Room,
     exp_rotation,
     join_poses,
@@ -103,24 +102,6 @@ class LsProblem:
             raise DimensionMismatch("one measurement required per link")
         if np.any(self.links[:, 0] >= self.n_agents):
             raise ValueError("link transmitters must be agents")
-
-    @classmethod
-    def from_measurements(
-        cls,
-        measured,
-        anchors: Sequence[Deployment],
-        n_agents: int,
-        coupling: float,
-    ) -> "LsProblem":
-        """The problem of one measurement set (scenario.MeasurementSet)."""
-        return cls(
-            n_agents=n_agents,
-            anchor_positions=np.stack([a.position for a in anchors]),
-            anchor_rotations=np.stack([a.rotation for a in anchors]),
-            links=measured.links,
-            y_imag=np.imag(measured.h_meas),
-            coupling=coupling,
-        )
 
     @property
     def n_parameters(self) -> int:
@@ -244,9 +225,13 @@ class LsProblem:
         res = self._measured(index) - self.gains(theta)
         return res.reshape(res.shape[:-3] + (-1,))
 
-    def cost(self, theta: np.ndarray) -> float:
+    def cost(self, theta: np.ndarray):
+        """Summed squared residual: a float for one residual row, else one per row (...,)."""
         res = self.residual(theta)
-        return float(res @ res)
+        if res.ndim == 1:
+            return float(res @ res)
+        rows = res.reshape(-1, res.shape[-1])
+        return np.reshape([r @ r for r in rows], res.shape[:-1])
 
     def normal_equations(self, theta: np.ndarray, index=None):
         """Residual (..., 9L), J^T J (..., 6M, 6M) and J^T r (..., 6M) at pose rows (..., 12M).
@@ -518,15 +503,16 @@ def estimate(
     orientation; the restart with the lowest final cost wins, the first on
     ties) or 'pairml' (closed-form per-agent initialization, one LM run).
 
-    A cooperative problem is one group of agents, solved on its folded links
-    (LsProblem.folded) and its final cost the ordered one.  A non-cooperative
-    one decomposes into M independent groups of one agent, each on its own
-    anchor links (LsProblem.anchor_problem), so a group's final cost is its
-    agent's own objective.  truth holds pose rows (geometry.join_poses).  A
-    stack of T measurement sets, problem.y_imag (T, L, 3, 3), takes truth
-    (T, 12M) and rng as a sequence of T generators; each set's results
-    equal those of the set solved alone, its random starts drawn from its
-    own rng.
+    A cooperative problem is solved on its folded links (LsProblem.folded),
+    its final cost the ordered one.  A non-cooperative one decomposes into M
+    independent one-agent problems on their own anchor links
+    (LsProblem.anchor_problem), so a final cost is one agent's own objective.
+    A group is the agents of one solved problem, read off the problem
+    solved: one group of M agents with cooperation, M of one agent without.
+    truth holds pose rows (geometry.join_poses).  A stack of T measurement
+    sets, problem.y_imag (T, L, 3, 3), takes truth (T, 12M) and rng as a
+    sequence of T generators; each set's results equal those of the set
+    solved alone, its random starts drawn from its own rng.
 
     Returns the solve of the winning starts.  Its per-problem fields have
     the shape y_imag.shape[:-3] + (groups,), and estimate holds each group's
@@ -543,8 +529,6 @@ def estimate(
         raise ValueError("random initialization requires an rng")
 
     single = problem.y_imag.ndim == 3
-    sets = 1 if single else len(problem.y_imag)
-    groups = 1 if problem.cooperative else problem.n_agents
     if strategy == "random":
         rngs = [rng] if single else rng
         drawn = [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
@@ -555,8 +539,9 @@ def estimate(
     base, dropped = problem.folded() if problem.cooperative else (problem.anchor_problem(), 0.0)
     y_imag = base.y_imag.reshape((-1,) + base.y_imag.shape[-3:])
     stack = replace(base, y_imag=np.repeat(y_imag, restarts, axis=0))
-    solve = levenberg_marquardt(stack, np.reshape(starts, (-1, 12 * problem.n_agents // groups)))
-    group = np.arange(sets * groups).reshape(problem.y_imag.shape[:-3] + (groups,))
+    solve = levenberg_marquardt(stack, np.reshape(starts, (-1, 12 * base.n_agents)))
+    # a group is one solved problem's agents: base's rows per set
+    group = np.arange(len(y_imag)).reshape(problem.y_imag.shape[:-3] + (-1,))
     # lowest final cost per group, first on ties (final costs are finite)
     costs = solve.final_cost.reshape(group.shape + (restarts,))
     best = restarts * group + np.argmin(costs, axis=-1)

@@ -157,7 +157,7 @@ def solve_trials(
             reference = estimators.estimate(problem, "perfect", truth=truths)
     elif estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
-        solve = _closed_form(theta, [r @ r for r in problem.residual(theta)], True)
+        solve = _closed_form(theta, problem.cost(theta), True)
     elif estimator == "multilateration":
         alone = problem.anchor_problem()
         fix = estimators.multilaterate(
@@ -208,23 +208,22 @@ def agent0_bounds(
     iterable one call at a time, so a generator such as draw_topologies
     keeps memory bounded.  Without cooperation agent 0 shares no
     information with the other agents, so only its own anchor links are
-    assembled, as a one-agent problem (LsProblem.anchor_problem); with it,
-    the cooperative link set is folded once per call (LsProblem.folded), and
-    every stack is assembled on that folded problem.  Calls are sized in
-    ordered links and bounds kept as floats, to keep memory flat.
+    assembled, as a one-agent problem (LsProblem.anchor_problem).  Whichever
+    problem is picked is folded once per call (LsProblem.folded; an anchor
+    problem is its own fold), and every stack is assembled on the fold at
+    agent 0's group, the first 12 * n_agents entries of each pose row.
+    Calls are sized in ordered links and bounds kept as floats, to keep
+    memory flat.
     Returns one bound per topology, NaN where the information matrix is
     singular; each bound equals crlb.peb of its topology alone, bit for bit.
     """
-    m = problem.n_agents
     bound = problem if problem.cooperative else problem.anchor_problem()
     chunk = max(1, estimators.LINKS_PER_SLICE // max(len(bound.links), 1))
-    bound = bound.folded()[0] if problem.cooperative else bound
+    bound = bound.folded()[0]
     topologies = iter(topologies)
     bounds = []
     while stack := list(islice(topologies, chunk)):
-        poses = _poses(stack, m)
-        if not problem.cooperative:
-            poses = poses[:, :12]  # agent 0's own pose row
+        poses = _poses(stack, problem.n_agents)[:, : 12 * bound.n_agents]  # agent 0's group
         bounds.extend(crlb.peb_stack(crlb.fim_stack(bound, poses, sigma), 0).tolist())
     return np.array(bounds, dtype=float)
 

@@ -14,7 +14,7 @@ import pytest
 from miloc import crlb
 from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ExperimentConfig
-from miloc.estimators import LsProblem, estimate, pairml_initialization
+from miloc.estimators import estimate, pairml_initialization
 from miloc.geometry import Deployment, split_poses
 from miloc.harness import (
     calibrate_resistance,
@@ -23,7 +23,7 @@ from miloc.harness import (
     mean_peb_curve,
     run_experiment,
 )
-from miloc.scenario import Scheme, sample_topology, synthesize_measurements
+from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
 from oracles import decompose_link, peb_all, residual_and_jacobian
 
@@ -262,7 +262,8 @@ def test_criterion_09_property_suite(calibrated):
     topo = sample_topology(4, room, anchors, cfg.min_distance(), rng)
     noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
     ms = synthesize_measurements(topo, coil, noiseless, Scheme.COOP, rng)
-    problem = LsProblem.from_measurements(ms, anchors, 4, coupling)
+    problem = network_problem(4, anchors, coupling, Scheme.COOP)
+    problem = dataclasses.replace(problem, y_imag=np.imag(ms.h_meas))
     truth = topo.pose_row
     solve = estimate(problem, "perfect", truth=truth)
     ls_positions = split_poses(solve.estimate[0])[0]

@@ -7,13 +7,13 @@ those calls once, cheaply, to catch a change that would break a benchmark
 run.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from miloc import channel, cli, config, crlb, estimators, harness, pairml, scenario
-from miloc.estimators import LsProblem
 
 # the calibrated resistance the benchmark writes into its configuration file
 BENCH_CONFIG = "resistance_ohm = 0.055148806366607225\n"
@@ -72,7 +72,8 @@ def test_observed_results(bench):
     data = scenario.synthesize_measurements(
         topo, cfg.coil(), cfg.global_params(), scenario.Scheme.COOP, np.random.default_rng(5)
     )
-    problem = LsProblem.from_measurements(data, topo.anchors, 2, coupling)
+    problem = scenario.network_problem(2, topo.anchors, coupling, scenario.Scheme.COOP)
+    problem = dataclasses.replace(problem, y_imag=np.imag(data.h_meas))
     solve = estimators.levenberg_marquardt(problem, topo.pose_row)
     assert isinstance(solve.iterations, int) and solve.iterations >= 1
 

@@ -322,8 +322,13 @@ def test_anchor_layout_file_of_the_default_anchors(tmp_path):
         (["0 agent 0.5 0.5 0.5 0 0 0"], "contains no anchors"),
         (["0 anchor 0.75 0 0.375"], "expected 8 fields per node row, got 5"),
         (["0 anchor 0.75 0 0.375 0 0 zero"], "could not convert string to float"),
+        # the room is room_size_m's (1.5 m): the header of the file does not widen it
+        (["# room -10 -10 -10 10 10 10", "0 anchor 0.75 0 0.375 0 0 0", "1 anchor 5 5 5 0 0 0"],
+         "anchor 1 outside the room"),
+        (["0 anchor 0.75 0 0.375 0 0 0", "1 anchor 1.5 0.75 1.125 0 0 0",
+          "2 anchor 0.75 0 0.375 0 0 0"], "anchors 0,2 closer than 0.15 m"),
     ],
-    ids=["missing", "no_anchors", "short_row", "non_numeric"],
+    ids=["missing", "no_anchors", "short_row", "non_numeric", "outside_room", "too_close"],
 )
 def test_bad_anchor_layout_file_is_a_config_error(tmp_path, capsys, rows, message):
     path = tmp_path / "anchors.txt"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from miloc.channel import channel_gain_batch, channel_matrix
 from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_stack
-from miloc.estimators import LsProblem
 from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
@@ -45,7 +44,8 @@ def test_fim_matches_residual_normal_matrix(room, anchors, coil, gparams, coupli
     stacked = _fim_stack(poses, anchors, coupling, SIGMA, cooperative=True)
     noiseless = dataclasses.replace(gparams, noise_sigma=0.0)
     ms = synthesize_measurements(topos[0], coil, noiseless, Scheme.COOP, np.random.default_rng(0))
-    problem = LsProblem.from_measurements(ms, anchors, 3, coupling)
+    problem = network_problem(3, anchors, coupling, Scheme.COOP)
+    problem = dataclasses.replace(problem, y_imag=np.imag(ms.h_meas))
     _, jac = residual_and_jacobian(problem, poses)
     for k, topo in enumerate(topos):
         expected = 2.0 / SIGMA**2 * (jac[k].T @ jac[k])
@@ -81,7 +81,7 @@ def test_folded_cost_plus_the_dropped_constant_is_the_ordered_cost(
     for m in (2, 3, 10):
         topos = [_topology(m, 80 + k, room, anchors) for k in range(3)]
         sets = [synthesize_measurements(t, coil, gparams, Scheme.COOP, rng) for t in topos]
-        ordered = LsProblem.from_measurements(sets[0], anchors, m, coupling)
+        ordered = network_problem(m, anchors, coupling, Scheme.COOP)
         ordered = dataclasses.replace(ordered, y_imag=np.stack([np.imag(s.h_meas) for s in sets]))
         one_way = ~((ordered.links[:, 0] == 1) & (ordered.links[:, 1] == 0))
         uneven = dataclasses.replace(
@@ -96,6 +96,21 @@ def test_folded_cost_plus_the_dropped_constant_is_the_ordered_cost(
             expected = np.sum(problem.residual(poses) ** 2, axis=-1)
             got = np.sum(folded.residual(poses) ** 2, axis=-1) + dropped
             assert np.abs(got - expected).max() <= 1e-12 * expected.min(), m
+
+
+def test_a_problem_without_a_pair_measured_both_ways_is_its_own_fold(anchors, coupling):
+    # fim_stack and agent0_bounds fold whatever problem they are given: an
+    # anchor problem, or one folded already, comes back as it is
+    rng = np.random.default_rng(83)
+    for scheme in Scheme:
+        network = network_problem(3, anchors, coupling, scheme)
+        for sets in ((), (2,)):
+            y_imag = rng.normal(size=sets + network.y_imag.shape[1:])
+            measured = dataclasses.replace(network, y_imag=y_imag)
+            for problem in (measured.anchor_problem(), measured.folded()[0]):
+                folded, dropped = problem.folded()
+                assert folded is problem, (scheme, sets)
+                assert dropped.shape == problem.y_imag.shape[:-3] and not dropped.any()
 
 
 @_PROPERTY_SETTINGS

@@ -28,7 +28,8 @@ def make_problem(m, scheme, seed, coil, gparams, room, anchors, sigma=None):
         gparams = dataclasses.replace(gparams, noise_sigma=sigma)
     ms = synthesize_measurements(topo, coil, gparams, scheme, rng)
     coupling = coupling_coefficient(coil, coil, gparams)
-    problem = LsProblem.from_measurements(ms, anchors, m, coupling)
+    problem = network_problem(m, anchors, coupling, scheme)
+    problem = dataclasses.replace(problem, y_imag=np.imag(ms.h_meas))
     return topo, problem
 
 
@@ -379,6 +380,20 @@ def test_stacked_residual_and_jacobian_match_row_by_row(coil, gparams, room, anc
         assert np.allclose(jac[row], jac_b, rtol=1e-13, atol=1e-20)
 
 
+def test_stacked_cost_is_one_cost_per_set(coil, gparams, room, anchors):
+    # two measured sets of a cooperative network, at one pose row per set
+    # and at one row for both; a single set's cost stays a float
+    (topo_a, a), (topo_b, b) = (
+        make_problem(3, Scheme.COOP, seed, coil, gparams, room, anchors) for seed in (35, 36)
+    )
+    stack = dataclasses.replace(a, y_imag=np.stack([a.y_imag, b.y_imag]))
+    theta = np.array([topo_a.pose_row, topo_b.pose_row])
+    theta = stack.retract(theta, np.random.default_rng(37).normal(0.0, 0.05, (2, 18)))
+    assert stack.cost(theta).shape == (2,) and isinstance(a.cost(theta[0]), float)
+    assert stack.cost(theta).tolist() == [a.cost(theta[0]), b.cost(theta[1])]
+    assert stack.cost(theta[0]).tolist() == [a.cost(theta[0]), b.cost(theta[0])]
+
+
 def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
     # starts inside the room and well outside it: some restarts run off
     stack, singles = _anchor_stack([32, 33, 34], coil, gparams, room, anchors)
@@ -505,7 +520,8 @@ def test_imaginary_residual_equals_full_objective_up_to_constant(
 
     ms = synthesize_measurements(topo, coil, gparams, Scheme.COOP, np.random.default_rng(99))
     coupling = coupling_coefficient(coil, coil, gparams)
-    problem = LsProblem.from_measurements(ms, anchors, 2, coupling)
+    problem = network_problem(2, anchors, coupling, Scheme.COOP)
+    problem = dataclasses.replace(problem, y_imag=np.imag(ms.h_meas))
     real_power = sum(np.sum(np.real(m.h_meas) ** 2) for m in ms.measurements)
 
     from miloc.channel import channel_matrix
