@@ -7,12 +7,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List
 
-import numpy as np
-
 from .channel import VACUUM_PERMEABILITY, CoilParams, GlobalParams
 from .estimators import parse_init_strategy
 from .geometry import Deployment, Room
-from .scenario import Scheme, default_anchors, load_topology
+from .scenario import Scheme, check_topology, default_anchors, load_topology
 
 ESTIMATORS = ("numls", "pairml", "turbols", "multilateration")
 SCHEMES = ("coop", "noncoop")
@@ -103,6 +101,7 @@ class ExperimentConfig:
         return GlobalParams(frequency=self.frequency_hz, permeability=self.mu, noise_sigma=self.sigma)
 
     def anchors(self) -> List[Deployment]:
+        """The default anchors, or the anchor_layout file's anchors, checked alone in room()."""
         if self.anchor_layout == "default":
             return default_anchors(self.room())
         path = Path(self.anchor_layout)
@@ -114,16 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"anchor_layout file {path}: {exc}") from exc
         if not topo.anchors:
             raise ConfigError(f"anchor_layout file {path} contains no anchors")
-        # anchors are counted in file order, among the anchor rows only
-        positions, least = np.array([a.position for a in topo.anchors]), self.min_distance()
-        outside = np.flatnonzero(~self.room().contains(positions))
-        if len(outside):
-            raise ConfigError(f"anchor_layout file {path}: anchor {outside[0]} outside the room")
-        gaps = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
-        close = np.argwhere(np.triu(gaps < least, 1))
-        if len(close):
-            i, j = close[0]
-            raise ConfigError(f"anchor_layout file {path}: anchors {i},{j} closer than {least:g} m")
+        anchors_only = replace(topo, positions=topo.positions[:0], rotations=topo.rotations[:0])
+        problems = check_topology(anchors_only, self.min_distance())
+        if problems:
+            raise ConfigError(f"anchor_layout file {path}: {problems[0]}")
         return topo.anchors
 
     def min_distance(self) -> float:

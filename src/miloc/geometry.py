@@ -168,8 +168,9 @@ class Room:
         object.__setattr__(self, "max_corner", np.asarray(self.max_corner, dtype=float))
         if self.min_corner.shape != (3,) or self.max_corner.shape != (3,):
             raise ValueError("room corners must be 3-vectors")
-        if not np.all(self.max_corner > self.min_corner):
-            raise ValueError("max_corner must exceed min_corner componentwise")
+        extent = self.max_corner - self.min_corner  # NaN fails both comparisons
+        if not np.all((extent > 0) & (extent < np.inf)):
+            raise ValueError("max_corner must exceed min_corner componentwise, by a finite amount")
 
     @classmethod
     def cube(cls, side: float) -> "Room":

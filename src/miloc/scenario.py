@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -28,19 +28,17 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class Topology:
-    """One drawn network: known anchors plus the agents' true poses as arrays.
+    """One network, drawn or loaded: known anchors plus the agents' true poses as arrays.
 
     Agent a sits at positions[a], turned by rotations[a]; all but the edges
     read these arrays (pose_row).  agents builds Deployments on each read,
-    their Euler angles from one stacked rotation_to_euler call or as a
-    fixture file gave them (eulers).
+    their canonical Euler angles from one stacked rotation_to_euler call.
     """
 
     room: Room
     anchors: List[Deployment]
     positions: np.ndarray  # (M, 3)
     rotations: np.ndarray  # (M, 3, 3)
-    eulers: Optional[np.ndarray] = field(default=None, repr=False)  # (M, 3) as read
 
     @property
     def pose_row(self) -> np.ndarray:
@@ -50,7 +48,7 @@ class Topology:
     @property
     def agents(self) -> List[Deployment]:
         """One read-only Deployment per agent, built from the arrays."""
-        eulers = rotation_to_euler(self.rotations) if self.eulers is None else self.eulers
+        eulers = rotation_to_euler(self.rotations)
         return [Deployment(*pose) for pose in zip(self.positions, eulers, self.rotations)]
 
     @property
@@ -103,14 +101,13 @@ def default_anchors(room: Room) -> List[Deployment]:
     return [Deployment.identity(np.array(p)) for p in positions]
 
 
-def _distances(positions: np.ndarray, anchor_positions: np.ndarray) -> np.ndarray:
-    """Distances (M, M + K) of M agents to the agents, then the K anchors.
+def _distances(nodes: np.ndarray, checked: int) -> np.ndarray:
+    """Distances (n, N) of the first n = checked of N nodes to every node.
 
-    An agent pair appears once, as (i, j) with i < j; inf fills the rest of the agent block.
+    A pair of checked nodes appears once, as (i, j) with i < j; inf fills the rest of their block.
     """
-    nodes = np.concatenate([positions, anchor_positions])
-    distances = np.linalg.norm(positions[:, None] - nodes[None], axis=-1)
-    distances[:, : len(positions)][np.tri(len(positions), dtype=bool)] = np.inf
+    distances = np.linalg.norm(nodes[:checked, None] - nodes[None], axis=-1)
+    distances[:, :checked][np.tri(checked, dtype=bool)] = np.inf
     return distances
 
 
@@ -135,7 +132,8 @@ def sample_topology(
     anchor_positions = np.reshape([a.position for a in anchors], (-1, 3))
     for _ in range(MAX_ATTEMPTS):
         positions = rng.uniform(room.min_corner, room.max_corner, size=(n_agents, 3))
-        if _distances(positions, anchor_positions).min(initial=np.inf) >= min_distance:
+        nodes = np.concatenate([positions, anchor_positions])
+        if _distances(nodes, n_agents).min(initial=np.inf) >= min_distance:
             return Topology(room, list(anchors), positions, sample_uniform_rotation(rng, n_agents))
     raise PackingInfeasible(
         f"no feasible placement of {n_agents} agents in {MAX_ATTEMPTS} attempts"
@@ -219,7 +217,11 @@ def save_topology(topology: Topology, path) -> None:
 
 
 def load_topology(path, room: Optional[Room] = None) -> Topology:
-    """Read a topology fixture; the room comes from the header unless given."""
+    """Read a topology fixture; the room comes from the header unless given.
+
+    Agents are held as positions and rotations, as drawn ones are.  A malformed
+    header or node row (a non-finite number included) raises a ValueError naming it.
+    """
     nodes = {"anchor": [], "agent": []}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -237,30 +239,33 @@ def load_topology(path, room: Optional[Room] = None) -> Topology:
         if len(fields) != 8:
             raise ValueError(f"expected 8 fields per node row, got {len(fields)}")
         values = np.array([float(v) for v in fields[2:]])
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite number in node row {line!r}")
         node = Deployment.from_euler(values[:3], values[3:])
         if fields[1] not in nodes:
             raise ValueError(f"unknown node kind {fields[1]!r}")
         nodes[fields[1]].append(node)
     if room is None:
         raise ValueError("topology file lacks a room header and no room was given")
-    agents = nodes["agent"]
-    positions = np.reshape([a.position for a in agents], (-1, 3))
-    rotations = np.reshape([a.rotation for a in agents], (-1, 3, 3))
-    eulers = np.reshape([a.euler for a in agents], (-1, 3))
-    return Topology(room, nodes["anchor"], positions, rotations, eulers)
+    positions = np.reshape([a.position for a in nodes["agent"]], (-1, 3))
+    rotations = np.reshape([a.rotation for a in nodes["agent"]], (-1, 3, 3))
+    return Topology(room, nodes["anchor"], positions, rotations)
 
 
 def check_topology(topology: Topology, min_distance: float) -> List[str]:
-    """Validate the topology invariants; returns a list of violations.
+    """Validate every node, agents then anchors (each counted from 0); returns the violations.
 
-    Agents outside the room come first, then, agent by agent, the later
-    agents and then the anchors closer to it than min_distance.
+    Nodes outside the room come first, then, node by node, the later ones closer than min_distance.
     """
     m, anchors = topology.n_agents, [a.position for a in topology.anchors]
-    outside = np.flatnonzero(~topology.room.contains(topology.positions))
-    problems = [f"agent {i} outside the room" for i in outside]
-    distances = _distances(topology.positions, np.reshape(anchors, (-1, 3)))
+    nodes = np.concatenate([topology.positions, np.reshape(anchors, (-1, 3))])
+    outside = np.flatnonzero(~topology.room.contains(nodes))
+    problems = [f"agent {i} outside the room" for i in outside[outside < m]]
+    problems += [f"anchor {k - m} outside the room" for k in outside[outside >= m]]
+    distances = _distances(nodes, len(nodes))
     for i, j in zip(*np.nonzero(distances < min_distance)):
-        pair = f"agents {i},{j}" if j < m else f"agent {i} anchor {j - m}"
+        pair = f"agents {i},{j}" if j < m else f"agent {i} anchor {j - m}"  # as i < j
+        if i >= m:
+            pair = f"anchors {i - m},{j - m}"
         problems.append(f"{pair} distance {distances[i, j]:.4f} below minimum")
     return problems

@@ -28,7 +28,8 @@ information matrix through a full eigendecomposition.
 sample_topology_per_agent is the topology sampler that draws, converts and
 checks one agent orientation at a time, with the scalar quaternion, norm
 and Euler formulas written out, and check_topology_per_pair validates a
-topology with one distance per agent pair and agent-anchor pair.
+topology with one room test per node and one distance per agent pair,
+agent-anchor pair and anchor pair.
 """
 
 from __future__ import annotations
@@ -432,6 +433,9 @@ def check_topology_per_pair(topology, min_distance: float):
     for i, agent in enumerate(topology.agents):
         if not topology.room.contains(agent.position):
             problems.append(f"agent {i} outside the room")
+    for k, anchor in enumerate(topology.anchors):
+        if not topology.room.contains(anchor.position):
+            problems.append(f"anchor {k} outside the room")
     positions = [a.position for a in topology.agents]
     for i in range(len(positions)):
         for j in range(i + 1, len(positions)):
@@ -442,6 +446,12 @@ def check_topology_per_pair(topology, min_distance: float):
             d = np.linalg.norm(positions[i] - anchor.position)
             if d < min_distance:
                 problems.append(f"agent {i} anchor {k} distance {d:.4f} below minimum")
+    anchors = [a.position for a in topology.anchors]
+    for k in range(len(anchors)):
+        for n in range(k + 1, len(anchors)):
+            d = np.linalg.norm(anchors[k] - anchors[n])
+            if d < min_distance:
+                problems.append(f"anchors {k},{n} distance {d:.4f} below minimum")
     return problems
 
 

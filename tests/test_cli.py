@@ -17,6 +17,13 @@ min_dist_factor = 3
 """
 
 
+# the default anchors, the first with a NaN Euler angle
+NAN_ANGLE_ANCHORS = [
+    "0 anchor 0.75 0 0.375 nan 0 0", "1 anchor 1.5 0.75 1.125 0 0 0",
+    "2 anchor 0.75 1.5 0.375 0 0 0", "3 anchor 0 0.75 1.125 0 0 0",
+]
+
+
 def _write_cfg(tmp_path, extra=""):
     path = tmp_path / "exp.cfg"
     path.write_text(BASE_CFG + extra)
@@ -219,17 +226,41 @@ def test_topology_sample_is_topology_0_of_the_simulate_stream(tmp_path):
     fixture = tmp_path / "topo.txt"
     argv = ["--config", str(cfg), "--agents", "4", "--seed", "9"]
     assert main(["topology", "sample", str(fixture)] + argv) == 0
-    saved = load_topology(fixture)
     drawn = next(harness.draw_topologies(ExperimentConfig.from_file(cfg).override(seed=9), 4, 1))
     # the fixture's 17 significant digits give the drawn agents back exactly
-    for agent, expected in zip(saved.agents, drawn.agents, strict=True):
-        assert np.array_equal(agent.as_vector(), expected.as_vector())
+    agent_rows = [line.split() for line in fixture.read_text().splitlines() if " agent " in line]
+    read = np.array([[float(v) for v in row[2:]] for row in agent_rows])
+    assert np.array_equal(read, [agent.as_vector() for agent in drawn.agents])
+    assert np.array_equal(load_topology(fixture).positions, drawn.positions)
     out = tmp_path / "run"
     run = ["simulate", "--topologies", "1", "--noise", "1", "--out", str(out)] + argv
     assert main(run) == 0
     rows = (out / "trials.csv").read_text().splitlines()[1:]
     written = [row.split(",")[6:12] for row in rows]
-    assert written == [[f"{v:.12g}" for v in agent.as_vector()] for agent in saved.agents]
+    assert written == [[f"{v:.12g}" for v in agent.as_vector()] for agent in drawn.agents]
+
+
+def test_topology_check_validates_the_anchors(tmp_path, capsys):
+    # an anchor out of the 1.5 m room and two anchors on one point
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    rows = ["# room 0 0 0 1.5 1.5 1.5", "0 anchor 5 5 5 0 0 0", "1 anchor 0.75 0 0.375 0 0 0",
+            "2 anchor 0.75 0 0.375 0 0 0", "3 agent 0.5 0.5 0.5 0 0 0"]
+    fixture.write_text("\n".join(rows) + "\n")
+    assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: anchor 0 outside the room",
+        "violation: anchors 1,2 distance 0.0000 below minimum",
+    ]
+
+
+def test_topology_check_rejects_a_non_finite_angle(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    fixture.write_text("\n".join(["# room 0 0 0 1.5 1.5 1.5"] + NAN_ANGLE_ANCHORS) + "\n")
+    assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: non-finite number in node row {NAN_ANGLE_ANCHORS[0]!r}" in err
 
 
 def test_topology_check_rejects_a_short_room_header(tmp_path, capsys):
@@ -326,9 +357,13 @@ def test_anchor_layout_file_of_the_default_anchors(tmp_path):
         (["# room -10 -10 -10 10 10 10", "0 anchor 0.75 0 0.375 0 0 0", "1 anchor 5 5 5 0 0 0"],
          "anchor 1 outside the room"),
         (["0 anchor 0.75 0 0.375 0 0 0", "1 anchor 1.5 0.75 1.125 0 0 0",
-          "2 anchor 0.75 0 0.375 0 0 0"], "anchors 0,2 closer than 0.15 m"),
+          "2 anchor 0.75 0 0.375 0 0 0"], "anchors 0,2 distance 0.0000 below minimum"),
+        (NAN_ANGLE_ANCHORS, f"non-finite number in node row {NAN_ANGLE_ANCHORS[0]!r}"),
     ],
-    ids=["missing", "no_anchors", "short_row", "non_numeric", "outside_room", "too_close"],
+    ids=[
+        "missing", "no_anchors", "short_row", "non_numeric", "outside_room", "too_close",
+        "nan_angle",
+    ],
 )
 def test_bad_anchor_layout_file_is_a_config_error(tmp_path, capsys, rows, message):
     path = tmp_path / "anchors.txt"

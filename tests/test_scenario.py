@@ -162,6 +162,17 @@ def test_load_topology_requires_six_room_numbers(tmp_path, header):
         load_topology(path)
 
 
+@pytest.mark.parametrize(
+    "header", ["# room 0 0 0 inf inf inf", "# room 0 0 0 1.5 nan 1.5", "# room -inf 0 0 1.5 1.5 1.5"]
+)
+def test_load_topology_rejects_a_non_finite_room(tmp_path, header):
+    # an unbounded room would put every node inside it
+    path = tmp_path / "room.txt"
+    path.write_text(header + "\n0 anchor 50 50 50 0 0 0\n")
+    with pytest.raises(ValueError, match="by a finite amount"):
+        load_topology(path)
+
+
 def test_check_topology_reports_violations(room, anchors):
     identity = np.broadcast_to(np.eye(3), (2, 3, 3))
     topo = Topology(room, list(anchors), np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.55]]), identity)
@@ -171,21 +182,41 @@ def test_check_topology_reports_violations(room, anchors):
     assert any("outside" in p for p in check_topology(outside, 0.15))
 
 
+# by anchor layout, the violations the anchors add on their own
+ANCHOR_VIOLATIONS = {
+    "default": [],
+    "anchor_outside": ["anchor 2 outside the room"],
+    "anchors_close": ["anchors 0,3 distance 0.0500 below minimum"],
+}
+
+
 @pytest.mark.parametrize("min_distance", [0.15, 0.4])
 def test_check_topology_matches_per_pair_oracle(room, anchors, min_distance):
     # the same messages in the same order as the pair-by-pair loops, with
-    # an agent out of the room next to an anchor and two agents too close
-    rng = np.random.default_rng(21)
-    for m in range(1, 11):
-        positions = rng.uniform(room.min_corner, room.max_corner, size=(m, 3))
-        positions[0] = anchors[1].position + [0.05, 0.0, 0.0]
-        if m > 1:
-            positions[m - 1] = positions[(m - 1) // 2] + [0.03, 0.04, 0.0]
-        topo = Topology(room, list(anchors), positions, sample_uniform_rotation(rng, m))
-        problems = check_topology(topo, min_distance)
-        assert problems == check_topology_per_pair(topo, min_distance)
-        assert len(problems) >= (2 if m == 1 else 3), problems
-        assert problems[0] == "agent 0 outside the room"
+    # an agent out of the room next to an anchor and two agents too close,
+    # and anchor 2 moved 20 cm out of the room or anchor 3 put 5 cm from anchor 0
+    for layout, violations in ANCHOR_VIOLATIONS.items():
+        layout_anchors = list(anchors)
+        if layout == "anchor_outside":
+            layout_anchors[2] = Deployment.identity(anchors[2].position + [0.0, 0.2, 0.0])
+        elif layout == "anchors_close":
+            layout_anchors[3] = Deployment.identity(anchors[0].position + [0.0, 0.03, 0.04])
+        rng = np.random.default_rng(21)
+        for m in range(0, 11):
+            positions = rng.uniform(room.min_corner, room.max_corner, size=(m, 3))
+            if m > 0:
+                positions[0] = anchors[1].position + [0.05, 0.0, 0.0]
+            if m > 1:
+                positions[m - 1] = positions[(m - 1) // 2] + [0.03, 0.04, 0.0]
+            topo = Topology(room, layout_anchors, positions, sample_uniform_rotation(rng, m))
+            problems = check_topology(topo, min_distance)
+            assert problems == check_topology_per_pair(topo, min_distance)
+            if m == 0:
+                assert problems == violations
+                continue
+            assert set(violations) <= set(problems)
+            assert len(problems) >= (2 if m == 1 else 3) + len(violations), problems
+            assert problems[0] == "agent 0 outside the room"
 
 
 def test_agents_view_packs_to_the_arrays(room, anchors):

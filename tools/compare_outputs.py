@@ -7,6 +7,8 @@ Each tree is a checkout holding src/miloc.  The script runs one fixed-seed
 matrix of CLI runs in each tree (RUNS below), each tree from its own
 scratch directory with output directories of the same relative names, one
 BLAS thread, and the calibrated coil resistance from a configuration file.
+The ANCHOR_RUNS read a second configuration file that also sets
+anchor_layout to a valid non-default layout (ANCHORS).
 It then compares every file the runs wrote (timings.csv, which holds wall
 times, left out) and each run's exit code, stdout and stderr.  It prints
 each difference and exits 1 if there is any, 0 otherwise.
@@ -32,6 +34,14 @@ VIOLATIONS = """# room 0 0 0 1.5 1.5 1.5
 3 agent 2 0.7 0.02 0 0 0
 """
 
+# a valid anchor_layout: the four anchors moved off the default layout, two of them turned
+ANCHORS = """# room 0 0 0 1.5 1.5 1.5
+0 anchor 0.6 0 0.3 0 0 0
+1 anchor 1.5 0.9 1.2 0.4 -0.3 1.1
+2 anchor 0.8 1.5 0.5 0 0 0
+3 anchor 0 0.7 1.0 -1.2 0.5 0.2
+"""
+
 
 def _simulate(estimator, scheme, agents, trials, init="perfect"):
     return [
@@ -55,18 +65,26 @@ RUNS = {
     "topology_sample": ["topology", "sample", "out/topology_sample/m7.txt", "--agents", "7"],
     "topology_check": ["topology", "check", "out/topology_sample/m7.txt"],
     "topology_check_violations": ["topology", "check", "violations.txt"],
+    "peb_anchor_layout": ["peb", "--scheme", "coop", "--agents", "1..6", "--topologies", "10"],
+    "turbols_anchor_layout": _simulate("turbols", "coop", "4", "2"),
 }
+ANCHOR_RUNS = {"peb_anchor_layout", "turbols_anchor_layout"}
 
 
 def run_tree(tree: Path, work: Path) -> dict:
     """Run RUNS in order with tree's sources from work; (exit code, stdout, stderr) per run."""
     work.mkdir(parents=True)
     (work / "bench.cfg").write_text(f"resistance_ohm = {RESISTANCE_OHM!r}\n")
+    (work / "anchors.cfg").write_text(
+        f"resistance_ohm = {RESISTANCE_OHM!r}\nanchor_layout = anchors.txt\n"
+    )
     (work / "violations.txt").write_text(VIOLATIONS)
+    (work / "anchors.txt").write_text(ANCHORS)
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     results = {}
     for name, args in RUNS.items():
-        argv = args + ["--config", "bench.cfg", "--seed", SEED, "--out", f"out/{name}"]
+        config = "anchors.cfg" if name in ANCHOR_RUNS else "bench.cfg"
+        argv = args + ["--config", config, "--seed", SEED, "--out", f"out/{name}"]
         done = subprocess.run(
             [sys.executable, "-m", "miloc.cli", *argv],
             cwd=work, env=env, capture_output=True, text=True,
