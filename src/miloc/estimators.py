@@ -29,14 +29,15 @@ formed.  Independent problems (the agents of a non-cooperative network,
 random restarts, the trials of a chunk) are rows of one stack, and
 levenberg_marquardt advances all rows together, each with its own damping
 and termination.  Link columns are formed for at most LINKS_PER_SLICE links
-at a time; estimate solves whatever stack it is given in one LM call, and
-the harness bounds the stack by sizing its chunks of trials in links.  A
-perfect-init estimate is the reference that checks whether another start
-reached the global minimum.
-Results stay arrays: levenberg_marquardt, estimate and multilaterate return
-a StackedSolve, one entry per problem, and estimate's are shaped by
-measurement set and group of agents (one group for a cooperative problem,
-one per agent for a non-cooperative one).
+at a time; estimate solves whatever stack it is given in one LM call, for
+every initialization it is asked for, and the harness bounds the stack by
+sizing its chunks of trials in links.  A perfect-init estimate is the
+reference that checks whether another start reached the global minimum, so
+an estimate and its references share one call.
+Results stay arrays: levenberg_marquardt and multilaterate return a
+StackedSolve, one entry per problem, and estimate one StackedSolve per
+initialization, shaped by measurement set and group of agents (one group
+for a cooperative problem, one per agent for a non-cooperative one).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from math import prod
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -192,11 +193,11 @@ class LsProblem:
     def _geometry(self, theta: np.ndarray):
         """Batch shape and the flattened (batch * L) link quantities of pose rows theta."""
         agent_p, agent_o = split_poses(theta)
-        batch = agent_p.shape[:-2]
-        anchors_p = np.broadcast_to(self.anchor_positions, batch + self.anchor_positions.shape)
-        anchors_o = np.broadcast_to(self.anchor_rotations, batch + self.anchor_rotations.shape)
-        positions = np.concatenate([agent_p, anchors_p], axis=-2)
-        rotations = np.concatenate([agent_o, anchors_o], axis=-3)
+        batch, m = agent_p.shape[:-2], self.n_agents
+        positions = np.empty(batch + (m + len(self.anchor_positions), 3))
+        rotations = np.empty(positions.shape + (3,))
+        positions[..., :m, :], positions[..., m:, :] = agent_p, self.anchor_positions
+        rotations[..., :m, :, :], rotations[..., m:, :, :] = agent_o, self.anchor_rotations
         tx, rx = self.links[:, 0], self.links[:, 1]
         couplings = np.broadcast_to(self.coupling, batch + (len(tx),)).reshape(-1)
         o_tx = rotations[..., tx, :, :].reshape(-1, 3, 3)
@@ -388,8 +389,7 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     x0 = np.asarray(x0, dtype=float)
     x = x0.reshape(-1, x0.shape[-1]).copy()
     count = len(x)
-    everyone = np.arange(count)
-    residual, jtj, gradient = problem.normal_equations(x, everyone)
+    residual, jtj, gradient = problem.normal_equations(x, np.arange(count))
     cost = _sum_squares(residual)
     lam = np.full(count, LM_INITIAL_DAMPING)
     iteration = np.ones(count, dtype=int)
@@ -397,39 +397,46 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     singular = np.zeros(count, dtype=bool)
     active = np.ones(count, dtype=bool)
 
+    # each mask below is gathered only when it leaves some problem out
     while True:
         # a problem whose damping passed the ceiling has no acceptable step
         active &= lam <= LM_MAX_DAMPING
-        trying = everyone[active]
+        trying = np.flatnonzero(active)
         if not trying.size:
             break
         step = _damped_steps(jtj[trying], gradient[trying], lam[trying])
         finite = np.all(np.isfinite(step), axis=1)
-        failed = trying[~finite]
-        singular[failed] = True
-        lam[failed] *= 10.0
-        trying, step = trying[finite], step[finite]
-        if not trying.size:
-            continue
+        if not finite.all():
+            failed = trying[~finite]
+            singular[failed] = True
+            lam[failed] *= 10.0
+            trying, step = trying[finite], step[finite]
+            if not trying.size:
+                continue
         trial = problem.retract(x[trying], step)
         trial_cost = _sum_squares(problem.residual(trial, trying))
         accept = trial_cost <= cost[trying]
-        lam[trying[~accept]] *= 10.0
-
-        moved, step, new_cost = trying[accept], step[accept], trial_cost[accept]
+        moved, new_cost = trying, trial_cost
+        if not accept.all():
+            lam[trying[~accept]] *= 10.0
+            moved, step, trial = trying[accept], step[accept], trial[accept]
+            new_cost = trial_cost[accept]
         decrease = cost[moved] - new_cost
-        x[moved] = trial[accept]
+        x[moved] = trial
         cost[moved] = new_cost
         lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
         done = (np.linalg.norm(step, axis=1) < LM_STEP_TOL) | (
             decrease <= LM_COST_TOL * np.maximum(new_cost, 1e-300)
         )
-        converged[moved[done]] = True
-        active[moved[done]] = False
-        going = moved[~done]
+        going = moved
+        if done.any():
+            converged[moved[done]] = True
+            active[moved[done]] = False
+            going = moved[~done]
         exhausted = iteration[going] >= LM_MAX_ITERATIONS
-        active[going[exhausted]] = False
-        going = going[~exhausted]
+        if exhausted.any():
+            active[going[exhausted]] = False
+            going = going[~exhausted]
         if going.size:
             iteration[going] += 1
             _, jtj[going], gradient[going] = problem.normal_equations(x[going], going)
@@ -470,20 +477,22 @@ def pairml_initialization(problem: LsProblem, room: Room) -> np.ndarray:
 def parse_init_strategy(spec: str) -> Tuple[str, int]:
     """Parse 'perfect', 'pairml', 'random' or 'random:<k>', spelled exactly so.
 
+    k is written in the decimal digits 0-9 alone: no sign, space or
+    underscore.
+
     Raises:
         ValueError: any other spelling, or a restart count below one.
     """
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name == "random":
-        try:
-            count = int(arg) if arg else 1
-        except ValueError as exc:
-            raise ValueError(f"bad restart count in {spec!r}") from exc
+        if colon and not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"bad restart count in {spec!r}")
+        count = int(arg) if colon else 1
         if count < 1:
             raise ValueError("random restart count must be >= 1")
         return name, count
     if name in ("perfect", "pairml"):
-        if arg:
+        if colon:
             raise ValueError(f"init strategy {name!r} takes no argument")
         return name, 1
     raise ValueError(f"init must be perfect, random[:k] or pairml, got {spec!r}")
@@ -491,17 +500,19 @@ def parse_init_strategy(spec: str) -> Tuple[str, int]:
 
 def estimate(
     problem: LsProblem,
-    init: str,
+    inits: Sequence[str],
     room: Optional[Room] = None,
     truth: Optional[np.ndarray] = None,
     rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
-) -> StackedSolve:
-    """Solve a deployment estimation problem with the requested initialization.
+) -> List[StackedSolve]:
+    """Solve a deployment estimation problem from each of the requested initializations.
 
-    init is one of 'perfect' (start from the true pose rows truth, evaluation
-    mode), 'random' / 'random:<k>' (uniform position in the room, uniform
-    orientation; the restart with the lowest final cost wins, the first on
-    ties) or 'pairml' (closed-form per-agent initialization, one LM run).
+    Each init is one of 'perfect' (start from the true pose rows truth,
+    evaluation mode), 'random' / 'random:<k>' (uniform position in the room,
+    uniform orientation; the restart with the lowest final cost wins, the
+    first on ties) or 'pairml' (closed-form per-agent initialization, one LM
+    run).  A perfect-init solve is the reference that checks whether
+    another start reached the global minimum.
 
     A cooperative problem is solved on its folded links (LsProblem.folded),
     its final cost the ordered one.  A non-cooperative one decomposes into M
@@ -512,41 +523,55 @@ def estimate(
     truth holds pose rows (geometry.join_poses).  A stack of T measurement
     sets, problem.y_imag (T, L, 3, 3), takes truth (T, 12M) and rng as a
     sequence of T generators; each set's results equal those of the set
-    solved alone, its random starts drawn from its own rng.
+    solved alone, its random starts drawn from its own rng (in init order,
+    if several inits draw).
 
-    Returns the solve of the winning starts.  Its per-problem fields have
-    the shape y_imag.shape[:-3] + (groups,), and estimate holds each group's
-    pose row, (..., groups, 12M / groups).  All sets, groups and restarts
-    are solved in one levenberg_marquardt call, set-major, then group-major,
-    then restart-minor; the caller bounds the stack.
+    Returns one solve of the winning starts per init, in order.  Its
+    per-problem fields have the shape y_imag.shape[:-3] + (groups,), and
+    estimate holds each group's pose row, (..., groups, 12M / groups).  All
+    inits, sets, groups and restarts are solved in one levenberg_marquardt
+    call, init-major, then set-major, then group-major, then restart-minor;
+    each problem's path does not depend on the stack, so each init's solve
+    equals that init solved alone.  The caller bounds the stack.
     """
-    strategy, restarts = parse_init_strategy(init)
-    if strategy == "perfect" and truth is None:
-        raise ValueError("perfect initialization requires the true parameters")
-    if strategy in ("random", "pairml") and room is None:
-        raise ValueError(f"{strategy} initialization requires the room")
-    if strategy == "random" and rng is None:
-        raise ValueError("random initialization requires an rng")
+    specs = [parse_init_strategy(init) for init in inits]
+    for strategy, _ in specs:
+        if strategy == "perfect" and truth is None:
+            raise ValueError("perfect initialization requires the true parameters")
+        if strategy in ("random", "pairml") and room is None:
+            raise ValueError(f"{strategy} initialization requires the room")
+        if strategy == "random" and rng is None:
+            raise ValueError("random initialization requires an rng")
 
-    single = problem.y_imag.ndim == 3
-    if strategy == "random":
-        rngs = [rng] if single else rng
-        drawn = [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
-        # a set's draws fill its groups, then their restarts, then their agents
-        starts = join_poses(np.stack([p for p, _ in drawn]), np.stack([o for _, o in drawn]))
-    else:
-        starts = truth if strategy == "perfect" else pairml_initialization(problem, room)
     base, dropped = problem.folded() if problem.cooperative else (problem.anchor_problem(), 0.0)
+    width = 12 * base.n_agents
+    starts = [np.reshape(_starts(problem, s, k, room, truth, rng), (-1, width)) for s, k in specs]
     y_imag = base.y_imag.reshape((-1,) + base.y_imag.shape[-3:])
-    stack = replace(base, y_imag=np.repeat(y_imag, restarts, axis=0))
-    solve = levenberg_marquardt(stack, np.reshape(starts, (-1, 12 * base.n_agents)))
+    stacked = np.concatenate([np.repeat(y_imag, k, axis=0) for _, k in specs])
+    solve = levenberg_marquardt(replace(base, y_imag=stacked), np.concatenate(starts))
     # a group is one solved problem's agents: base's rows per set
     group = np.arange(len(y_imag)).reshape(problem.y_imag.shape[:-3] + (-1,))
-    # lowest final cost per group, first on ties (final costs are finite)
-    costs = solve.final_cost.reshape(group.shape + (restarts,))
-    best = restarts * group + np.argmin(costs, axis=-1)
-    winners = StackedSolve(*(getattr(solve, f.name)[best] for f in fields(StackedSolve)))
-    return replace(winners, final_cost=winners.final_cost + np.expand_dims(dropped, -1))
+    solves, offset = [], 0
+    for _, restarts in specs:
+        # lowest final cost per group, first on ties (final costs are finite)
+        costs = solve.final_cost[offset : offset + restarts * group.size]
+        best = offset + restarts * group + np.argmin(costs.reshape(group.shape + (restarts,)), -1)
+        winners = StackedSolve(*(getattr(solve, f.name)[best] for f in fields(StackedSolve)))
+        solves.append(replace(winners, final_cost=winners.final_cost + np.expand_dims(dropped, -1)))
+        offset += restarts * group.size
+    return solves
+
+
+def _starts(problem: LsProblem, strategy: str, restarts: int, room, truth, rng) -> np.ndarray:
+    """The start pose rows of one init of estimate, set-major, group-major, restart-minor."""
+    if strategy == "perfect":
+        return truth
+    if strategy == "pairml":
+        return pairml_initialization(problem, room)
+    rngs = [rng] if problem.y_imag.ndim == 3 else rng
+    drawn = [_random_poses(problem.n_agents * restarts, room, r) for r in rngs]
+    # a set's draws fill its groups, then their restarts, then their agents
+    return join_poses(np.stack([p for p, _ in drawn]), np.stack([o for _, o in drawn]))
 
 
 @dataclass

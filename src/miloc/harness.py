@@ -6,8 +6,8 @@ independent.  An agent count's network is one LsProblem
 (scenario.network_problem): its bounds, its trials' noiseless gains and
 its estimates all read that problem's links.  Trials are solved in chunks
 of whole trials, sized in links (_LINKS_PER_CHUNK).  A chunk's estimates
-are one stacked solver call, and a checked estimator's perfect-init
-references a second one on the same problem.  A chunk evaluates its
+are one stacked solver call, which also solves a checked estimator's
+perfect-init references on the same problem.  A chunk evaluates its
 topologies' gains once each and adds each trial's noise from the trial's
 own stream, as scenario.synthesize_measurements does.
 solve_trials hands a chunk's results over as arrays, a StackedSolve per
@@ -48,7 +48,7 @@ TRIAL_FAILURES = (pairml.NoMeasurements, CoincidentNodes, np.linalg.LinAlgError)
 REFERENCE_PEB_M1_M = 2.18627459283404e-3
 
 # Links per chunk of trials, summed over their LM problems (whole trials, at
-# least one): a chunk's measurements and its LM calls stay bounded.
+# least one): a chunk's measurements and its LM call stay bounded.
 _LINKS_PER_CHUNK = 2048
 
 
@@ -135,8 +135,8 @@ def solve_trials(
     problem.y_imag holds the trials' measurements (T, L, 3, 3), truths their
     (T, 12M) true pose rows and rngs their start streams.  The estimates of
     all trials share one stacked LM call (estimators.estimate), and an
-    estimate that _lm_start checks gets its perfect-init references from a
-    second call on the same problem; pair-ML and multilateration run once
+    estimate that _lm_start checks shares it with its perfect-init
+    references, started from truths; pair-ML and multilateration run once
     for every agent of the stack.  Each trial's results equal those of the
     trial solved alone.
 
@@ -152,9 +152,9 @@ def solve_trials(
     lm_init, _, checked = _lm_start(estimator, init)
     reference = None
     if lm_init is not None:
-        solve = estimators.estimate(problem, lm_init, room, truths, rngs)
-        if checked:
-            reference = estimators.estimate(problem, "perfect", truth=truths)
+        inits = [lm_init] + ["perfect"] * checked
+        solve, *references = estimators.estimate(problem, inits, room, truths, rngs)
+        reference = references[0] if checked else None
     elif estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
         solve = _closed_form(theta, problem.cost(theta), True)

@@ -265,7 +265,7 @@ def test_criterion_09_property_suite(calibrated):
     problem = network_problem(4, anchors, coupling, Scheme.COOP)
     problem = dataclasses.replace(problem, y_imag=np.imag(ms.h_meas))
     truth = topo.pose_row
-    solve = estimate(problem, "perfect", truth=truth)
+    [solve] = estimate(problem, ["perfect"], truth=truth)
     ls_positions = split_poses(solve.estimate[0])[0]
     pm_positions = split_poses(pairml_initialization(problem, room))[0]
     ls_err = np.linalg.norm(ls_positions - topo.positions, axis=-1).max()

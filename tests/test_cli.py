@@ -314,6 +314,17 @@ def test_bad_flag_exit_code():
     assert main(["simulate", "--estimator", "bogus", "--agents", "1"]) == 2
 
 
+@pytest.mark.parametrize("init", ["random:1_0", "random:", "random: 3", "random:+3"])
+def test_simulate_rejects_a_misspelled_restart_count(tmp_path, capsys, init):
+    # random:1_0 once ran ten restarts and echoed the spelling as given
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(cfg), "--agents", "1", "--topologies", "1", "--noise", "1"]
+    assert main(argv + ["--init", init, "--out", str(out)]) == 2
+    assert f"configuration error: bad restart count in {init!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("estimator", ["turbols", "pairml", "multilateration"])
 def test_simulate_rejects_an_init_its_estimator_ignores(tmp_path, capsys, estimator):
     # only numls reads --init; elsewhere a random start would never run

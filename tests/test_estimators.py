@@ -191,7 +191,7 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
 def test_perfect_init_exact_recovery(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 9, coil, gparams, room, anchors, sigma=0.0)
     truth = topo.pose_row
-    solve = estimate(problem, "perfect", truth=truth)
+    [solve] = estimate(problem, ["perfect"], truth=truth)
     positions, _ = split_poses(solve.estimate[0])
     assert np.linalg.norm(positions - topo.positions, axis=-1).max() < 1e-8
 
@@ -206,13 +206,13 @@ def test_noncoop_joint_equals_per_agent_decomposition(room, anchors, coil, gpara
     rng = np.random.default_rng(20)
     start = problem.retract(truth, rng.normal(0, 0.01, 18))
     rep_joint = levenberg_marquardt(problem, start)
-    rep_split = estimate(problem, "perfect", truth=start)
+    [rep_split] = estimate(problem, ["perfect"], truth=start)
     assert np.abs(rep_joint.estimate.reshape(3, 12) - rep_split.estimate).max() < 1e-10
 
     topo_n, problem_n = make_problem(3, Scheme.NONCOOP, 21, coil, gparams, room, anchors)
     truth_n = topo_n.pose_row
     rep_joint_n = levenberg_marquardt(problem_n, truth_n)
-    rep_split_n = estimate(problem_n, "perfect", truth=truth_n)
+    [rep_split_n] = estimate(problem_n, ["perfect"], truth=truth_n)
     # with noise both stop within termination tolerance of the same minimum
     assert np.isclose(rep_joint_n.final_cost, rep_split_n.final_cost.sum(), rtol=1e-9)
     assert np.abs(rep_joint_n.estimate.reshape(3, 12) - rep_split_n.estimate).max() < 1e-5
@@ -234,7 +234,7 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
         coupling=coop_problem.coupling,
     )
     rep_a = levenberg_marquardt(stripped, truth)
-    rep_b = estimate(stripped, "perfect", truth=truth)
+    [rep_b] = estimate(stripped, ["perfect"], truth=truth)
     assert np.abs(rep_a.estimate.reshape(3, 12) - rep_b.estimate).max() < 1e-10
 
 
@@ -243,7 +243,7 @@ def test_cooperative_follows_the_links(room, anchors, coil, gparams):
     _, noncoop = make_problem(3, Scheme.NONCOOP, 23, coil, gparams, room, anchors)
     assert coop.cooperative and not noncoop.cooperative
     # the joint solve uses every link, so its cost is the problem's cost
-    solve = estimate(coop, "perfect", truth=topo.pose_row)
+    [solve] = estimate(coop, ["perfect"], truth=topo.pose_row)
     assert solve.final_cost.shape == (1,)
     assert np.isclose(solve.final_cost[0], coop.cost(solve.estimate[0]), rtol=1e-12, atol=0.0)
 
@@ -324,7 +324,7 @@ def test_gains_equal_the_one_link_channel(room, anchors, coil, gparams, scheme):
 
 def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
     topo, problem = make_problem(4, Scheme.COOP, 12, coil, gparams, room, anchors)
-    solve = estimate(problem, "pairml", room=room)
+    [solve] = estimate(problem, ["pairml"], room=room)
     from miloc.estimators import pairml_initialization
 
     init_cost = problem.cost(pairml_initialization(problem, room))
@@ -333,10 +333,10 @@ def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
 
 def test_random_restarts_deterministic_and_best_of(room, anchors, coil, gparams):
     topo, problem = make_problem(1, Scheme.NONCOOP, 13, coil, gparams, room, anchors)
-    rep1 = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
-    rep2 = estimate(problem, "random:3", room=room, rng=np.random.default_rng(42))
+    [rep1] = estimate(problem, ["random:3"], room=room, rng=np.random.default_rng(42))
+    [rep2] = estimate(problem, ["random:3"], room=room, rng=np.random.default_rng(42))
     assert np.array_equal(rep1.estimate, rep2.estimate)
-    single = estimate(problem, "random:1", room=room, rng=np.random.default_rng(42))
+    [single] = estimate(problem, ["random:1"], room=room, rng=np.random.default_rng(42))
     assert rep1.final_cost[0] <= single.final_cost[0] + 1e-18
 
 
@@ -476,7 +476,7 @@ def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams,
 
     monkeypatch.setattr(estimators, "levenberg_marquardt", recording)
     rng, rng_ref = np.random.default_rng(39), np.random.default_rng(39)
-    solve = estimate(problem, "random:3", room=room, rng=rng)
+    [solve] = estimate(problem, ["random:3"], room=room, rng=rng)
     ref, ref_starts, picks = oracles.random_restarts_per_agent(problem, 3, room, rng_ref)
     # one stacked solve from the oracle's starts, agent-major and restart-minor
     assert len(starts) == 1
@@ -500,8 +500,13 @@ def test_parse_init_strategy():
         parse_init_strategy("random:0")
     with pytest.raises(ValueError):
         parse_init_strategy("magic")
+    assert parse_init_strategy("random:01") == ("random", 1)
+    # a restart count is decimal digits alone: no sign, space, underscore or
+    # other script's digits, and an argument only where one is taken
+    misspelled = ["random:", "random: 3", "random:+3", "random:3 ", "random:1_0", "random:٣"]
+    misspelled += ["random:-1", "random:3.0", "perfect:", "pairml:", "pairml:1"]
     # one spelling for the solver, the harness and the configuration
-    for spelling in ("Random:3", " random", "PERFECT"):
+    for spelling in ["Random:3", " random", "PERFECT"] + misspelled:
         with pytest.raises(ValueError):
             parse_init_strategy(spelling)
         with pytest.raises(ConfigError):
@@ -626,17 +631,49 @@ def test_estimate_on_a_stack_equals_each_set_alone(
     truths = np.array([topo.pose_row for topo, _ in sets])
     stack = _stacked(problems)
     rngs = [np.random.default_rng(57 + t) for t in range(3)]
-    solve = estimate(stack, init, room, truths, rngs)
-    reference = estimate(stack, "perfect", truth=truths)
+    [solve] = estimate(stack, [init], room, truths, rngs)
+    [reference] = estimate(stack, ["perfect"], truth=truths)
     groups = 1 if scheme is Scheme.COOP else 3
     assert solve.final_cost.shape == reference.final_cost.shape == (3, groups)
     for t, problem in enumerate(problems):
         rng = np.random.default_rng(57 + t)
-        alone = estimate(problem, init, room=room, truth=truths[t], rng=rng)
-        alone_reference = estimate(problem, "perfect", truth=truths[t])
+        [alone] = estimate(problem, [init], room=room, truth=truths[t], rng=rng)
+        [alone_reference] = estimate(problem, ["perfect"], truth=truths[t])
         for got, want in ((solve, alone), (reference, alone_reference)):
             for field in dataclasses.fields(got):
                 assert np.array_equal(getattr(got, field.name)[t], getattr(want, field.name))
+
+
+@pytest.mark.parametrize("scheme, init", [(Scheme.COOP, "random:2"), (Scheme.NONCOOP, "random:3")])
+def test_several_inits_share_one_call_and_equal_each_init_alone(
+    scheme, init, lm_calls, coil, gparams, room, anchors
+):
+    # an estimate and its references in one LM call, init-major: each init's
+    # solve equals that init solved alone, bit for bit
+    sets = [make_problem(3, scheme, seed, coil, gparams, room, anchors) for seed in (58, 59, 60)]
+    stack = _stacked([problem for _, problem in sets])
+    truths = np.array([topo.pose_row for topo, _ in sets])
+    rngs = [np.random.default_rng(61 + t) for t in range(3)]
+    solve, *references = estimate(stack, [init, "perfect", "perfect"], room, truths, rngs)
+    groups, restarts = (1, 2) if scheme is Scheme.COOP else (3, 3)
+    assert lm_calls == [3 * groups * (restarts + 2)]
+    [alone] = estimate(stack, [init], room, truths, [np.random.default_rng(61 + t) for t in range(3)])
+    [reference] = estimate(stack, ["perfect"], truth=truths)
+    assert len(references) == 2
+    for got, want in ((solve, alone), (references[0], reference), (references[1], reference)):
+        assert got.final_cost.shape == (3, groups)
+        for field in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_estimate_takes_a_sequence_of_inits(lm_calls, room, anchors, coil, gparams):
+    topo, problem = make_problem(2, Scheme.NONCOOP, 67, coil, gparams, room, anchors)
+    with pytest.raises(ValueError):
+        estimate(problem, "perfect", truth=topo.pose_row)  # a string is not a list of inits
+    # every init is checked before any is solved
+    with pytest.raises(ValueError, match="requires the true parameters"):
+        estimate(problem, ["pairml", "perfect"], room)
+    assert lm_calls == []
 
 
 @pytest.fixture
@@ -658,7 +695,7 @@ def test_one_sets_restarts_share_one_lm_call(lm_calls, coil, gparams, room, anch
     topo, problem = make_problem(10, Scheme.COOP, 61, coil, gparams, room, anchors)
     truth = topo.pose_row
     rng = np.random.default_rng(62)
-    estimate(problem, "random:5", room, truth, rng)
+    estimate(problem, ["random:5"], room, truth, rng)
     assert lm_calls == [5]
 
 
@@ -669,7 +706,7 @@ def test_lm_call_holds_whole_sets_restart_minor(lm_calls, lm_starts, coil, gpara
     stack = _stacked([problem for _, problem in sets])
     truths = np.array([topo.pose_row for topo, _ in sets])
     rngs = [np.random.default_rng(66 + t) for t in range(3)]
-    estimate(stack, "random:2", room, truths, rngs)
+    estimate(stack, ["random:2"], room, truths, rngs)
     assert lm_calls == [12]
     # a set's four draws fill its two agents, then their two restarts
     drawn = [estimators._random_poses(4, room, np.random.default_rng(66 + t)) for t in range(3)]

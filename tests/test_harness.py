@@ -482,7 +482,7 @@ def test_median_wall_time_ordering(room):
             if estimator == "turbols":
                 # the estimate alone, without solve_trials' perfect-init references
                 stack = dataclasses.replace(problem, y_imag=problem.y_imag[None])
-                estimators.estimate(stack, "pairml", topo.room)
+                estimators.estimate(stack, ["pairml"], topo.room)
             else:
                 _solve_one(estimator, problem, topo.room, truth, _trial_seed(cfg.seed, 10, t, 2))
             times[label].append(time.perf_counter() - started)
@@ -625,27 +625,28 @@ def test_cooperative_turbols_chunk_peak_memory():
     assert _warm_peak(lambda: run_experiment(cfg)) <= DENSE_TURBOLS_PEAK
 
 
-def test_cooperative_turbols_chunk_takes_an_estimate_and_a_reference_call(lm_calls):
-    # four M=10 estimates in one call, then their four perfect-init references
+def test_cooperative_turbols_chunk_is_one_call_with_its_references(lm_calls):
+    # four M=10 estimates and their four perfect-init references in one call
     cfg = _small_cfg(agents="10", topologies=1, noise=4, scheme="coop", estimator="turbols")
     result = run_experiment(cfg)
     assert result.failures == 0 and result.trials[0].error_m.shape == (4, 10)
-    assert lm_calls == [4, 4]
+    assert lm_calls == [8]
 
 
 def test_chunks_hold_whole_trials_within_the_link_budget(lm_calls):
     # a cooperative M=10 turboLS trial is 2 x 130 links, so 7 trials fit in
-    # 2,048 links: 32 trials take five chunks, each an estimate call and a
-    # reference call
+    # 2,048 links: 32 trials take five chunks, each one call of its
+    # estimates and their references
     cfg = _small_cfg(agents="10", topologies=8, noise=4, scheme="coop", estimator="turbols")
     assert run_experiment(cfg).failures == 0
-    assert lm_calls == [7, 7, 7, 7, 7, 7, 7, 7, 4, 4]
+    assert lm_calls == [14, 14, 14, 14, 8]
     # a non-cooperative M=10 random:5 trial is 6 x 40 links: two trials are
-    # one chunk of 2 x 10 x 5 single-agent estimates and 2 x 10 references
+    # one chunk, one call of 2 x 10 x 5 single-agent estimates and 2 x 10
+    # references
     lm_calls.clear()
     cfg = _small_cfg(agents="10", topologies=1, noise=2, scheme="noncoop", init="random:5")
     assert run_experiment(cfg).failures == 0
-    assert lm_calls == [100, 20]
+    assert lm_calls == [120]
 
 
 @pytest.mark.parametrize(
@@ -654,9 +655,9 @@ def test_chunks_hold_whole_trials_within_the_link_budget(lm_calls):
 def test_checked_chunk_references_are_perfect_init_estimates(
     monkeypatch, lm_calls, scheme, estimator, init
 ):
-    # the second LM call of a checked chunk starts at the chunk's true pose
-    # rows, one group per agent without cooperation, and its references are
-    # each trial's own perfect-init estimate, bit for bit
+    # a checked chunk's one LM call ends in the chunk's true pose rows, one
+    # group per agent without cooperation, and its references are each
+    # trial's own perfect-init estimate, bit for bit
     cfg = _small_cfg(
         agents="3", topologies=2, noise=2, scheme=scheme, estimator=estimator, init=init, seed=45
     )
@@ -676,14 +677,14 @@ def test_checked_chunk_references_are_perfect_init_estimates(
     monkeypatch.setattr(harness, "solve_trials", recording_chunk)
     assert run_experiment(cfg).failures == 0
     [(problem, truths, reference)] = chunks
-    groups = 1 if scheme == "coop" else 3
-    assert len(starts) == 2 and lm_calls[1] == 4 * groups
-    assert np.array_equal(starts[1], truths.reshape(4 * groups, -1))
+    groups, restarts = (1, 1) if scheme == "coop" else (3, 2)
+    assert len(starts) == 1 and lm_calls == [4 * groups * (restarts + 1)]
+    assert np.array_equal(starts[0][4 * groups * restarts :], truths.reshape(4 * groups, -1))
     assert reference.final_cost.shape == (4, groups)
     monkeypatch.setattr(estimators, "levenberg_marquardt", solver)
     for t in range(4):
         alone = dataclasses.replace(problem, y_imag=problem.y_imag[t])
-        want = estimators.estimate(alone, "perfect", truth=truths[t])
+        [want] = estimators.estimate(alone, ["perfect"], truth=truths[t])
         for field in dataclasses.fields(want):
             assert np.array_equal(getattr(reference, field.name)[t], getattr(want, field.name))
 
@@ -706,7 +707,7 @@ CHUNKED_RUNS = [
 
 
 def _one_trial(cfg, m):
-    """One trial's LM problems per LM call (estimates, then references) and its links."""
+    """One trial's LM problems in its one LM call (estimates and references) and its links."""
     restarts = parse_init_strategy(cfg.init)[1] if cfg.estimator == "numls" else 1
     checked = cfg.estimator == "turbols" or (
         cfg.estimator == "numls" and cfg.init.startswith("random")
@@ -715,7 +716,7 @@ def _one_trial(cfg, m):
     if cfg.estimator == "multilateration":
         return [m], links  # one range fix per agent
     groups = 1 if cfg.scheme == "coop" and cfg.estimator != "pairml" else m
-    return [groups * restarts] + [groups] * checked, links
+    return [groups * (restarts + checked)], links
 
 
 def _emitted(result, path):
@@ -757,8 +758,8 @@ def test_outputs_identical_for_every_chunk_budget(
     assert f"cdf_M3_{scheme}_{estimator}.csv" in outputs["default"]
     if estimator == "pairml":
         return  # no iterative solve
-    # every chunk is one LM call of all its trials' estimates, and one of
-    # their references if the estimator is checked
+    # every chunk is one LM call of all its trials' estimates, and of their
+    # references if the estimator is checked
     assert counts["one trial"] == problems * 6
     assert counts["two trials"] == [2 * p for p in problems] * 3
     assert counts["default"] == [6 * p for p in problems]

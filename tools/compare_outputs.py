@@ -43,10 +43,11 @@ ANCHORS = """# room 0 0 0 1.5 1.5 1.5
 """
 
 
-def _simulate(estimator, scheme, agents, trials, init="perfect"):
+def _simulate(estimator, scheme, agents, trials, init="perfect", noise=None):
+    """A simulate run of trials topologies x noise draws (trials x trials by default)."""
     return [
         "simulate", "--estimator", estimator, "--scheme", scheme, "--init", init,
-        "--agents", agents, "--topologies", trials, "--noise", trials,
+        "--agents", agents, "--topologies", trials, "--noise", noise or trials,
     ]
 
 
@@ -67,6 +68,9 @@ RUNS = {
     "topology_check_violations": ["topology", "check", "violations.txt"],
     "peb_anchor_layout": ["peb", "--scheme", "coop", "--agents", "1..6", "--topologies", "10"],
     "turbols_anchor_layout": _simulate("turbols", "coop", "4", "2"),
+    # checked runs of several chunks of trials (7 and 8 trials per chunk)
+    "turbols_coop_chunks": _simulate("turbols", "coop", "10", "8", noise="4"),
+    "numls_random5_noncoop_chunks": _simulate("numls", "noncoop", "10", "5", "random:5", "4"),
 }
 ANCHOR_RUNS = {"peb_anchor_layout", "turbols_anchor_layout"}
 
