@@ -38,7 +38,7 @@ from .harness import (
     mean_peb_curve,
     run_experiment,
 )
-from .pairml import SvdTriple, ml_distance, pair_ml_estimate
+from .pairml import ml_distance, pair_ml_estimate
 from .scenario import (
     MeasurementSet,
     PackingInfeasible,

@@ -224,7 +224,7 @@ class LsProblem:
         to (default: all of them, in order).
         """
         res = self._measured(index) - self.gains(theta)
-        return res.reshape(res.shape[:-3] + (-1,))
+        return res.reshape(res.shape[:-3] + (9 * len(self.links),))
 
     def cost(self, theta: np.ndarray):
         """Summed squared residual: a float for one residual row, else one per row (...,)."""

@@ -15,7 +15,10 @@ which the library computes as (2 / sigma**2) J^T J, and peb_all calls the
 library's bound for every agent of one matrix.  decompose_link,
 direction_estimate and resolve_position are the one-link pair-ML steps:
 SVD, orientation and score, the sign-free direction and the room test of
-the two candidate positions.  candidate_cost scores a pair-ML candidate pose link by link.
+the two candidate positions.  candidate_cost scores a pair-ML candidate
+pose link by link, and pair_ml_per_agent is pair-ML's decision one agent at
+a time, each candidate pair scored by its own residual calls when its agent
+reaches it.
 residual_and_jacobian builds the dense residual Jacobian (..., 9L, 6M) of
 an LsProblem, each link's derivative columns placed in its endpoints'
 agent blocks, and normal_equations forms J^T J and J^T r from it: the
@@ -34,6 +37,7 @@ agent-anchor pair and anchor pair.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import fields
 from enum import Enum
 
@@ -50,9 +54,16 @@ from miloc.estimators import (
     LsProblem,
     StackedSolve,
 )
-from miloc.channel import channel_derivative_columns, channel_gain_batch
+from miloc.channel import CoincidentNodes, channel_derivative_columns, channel_gain_batch
 from miloc.geometry import Deployment, sample_uniform_rotation, split_poses
-from miloc.pairml import DEGENERATE_SV_TOL, DIRECTION_GAP_TOL, SvdTriple, decompose_links
+from miloc.pairml import (
+    COST_RATIO_DECISIVE,
+    DEFAULT_BOUNDARY_MARGIN,
+    DEGENERATE_SV_TOL,
+    DIRECTION_GAP_TOL,
+    decompose_links,
+    ml_distance,
+)
 
 
 def dipole_factor(u: np.ndarray) -> np.ndarray:
@@ -469,19 +480,25 @@ class PositionValidity(Enum):
     NONE_IN_ROOM = "none"
 
 
+Svd = namedtuple("Svd", "s v")
+
+
 def decompose_link(h_meas: np.ndarray, anchor: Deployment):
     """SVD, ML orientation and trace score of one link (pairml.decompose_links).
+
+    Returns (svd, o_hat, z), svd holding the singular values s and the right
+    singular vectors v (columns) with numpy's signs.
 
     Raises:
         DegenerateMeasurement: all-zero imaginary part.
     """
-    svd, o_hat, z = decompose_links(np.imag(h_meas), anchor.rotation)
-    if svd.s[0] < DEGENERATE_SV_TOL:
+    s, v, o_hat, z = decompose_links(np.imag(h_meas), anchor.rotation)
+    if s[0] < DEGENERATE_SV_TOL:
         raise DegenerateMeasurement("measurement has no imaginary content")
-    return svd, o_hat, float(z)
+    return Svd(s, v), o_hat, float(z)
 
 
-def direction_estimate(svd: SvdTriple) -> np.ndarray:
+def direction_estimate(svd: Svd) -> np.ndarray:
     """Unit direction estimate of one link: the leading right singular vector, sign-free.
 
     Raises:
@@ -508,3 +525,63 @@ def resolve_position(anchor_position, direction, distance: float, room, margin: 
     if all(inside):
         return candidates, None, PositionValidity.BOTH_IN_ROOM
     return candidates, None, PositionValidity.NONE_IN_ROOM
+
+
+def _candidate_cost(alone, index: int, position, rotation) -> float:
+    """Residual cost of a candidate pose of problem index of the one-agent stack alone."""
+    try:
+        residual = alone.residual(np.concatenate([position, rotation.ravel()]), [index])
+    except CoincidentNodes:
+        return np.inf
+    return float(np.sum(residual**2))
+
+
+def _resolve_agent(alone, index, links, candidates, inside, rotations, room):
+    """The deciding link, position and branch of agent index of alone, visiting links in order."""
+    for k in links:
+        if inside[k].sum() == 1:
+            return k, candidates[k, np.argmax(inside[k])], "unique"
+        costs = [_candidate_cost(alone, index, cand, rotations[k]) for cand in candidates[k]]
+        low, high = sorted(costs)
+        if low > 0.0 and high / low >= COST_RATIO_DECISIVE:
+            return k, candidates[k, int(np.argmin(costs))], "anchor" if high == np.inf else "cost"
+
+    k = links[0]
+    if inside[k].all():
+        dist_to_center = np.linalg.norm(candidates[k] - room.center, axis=1)
+        return k, candidates[k, int(np.argmin(dist_to_center))], "inside"
+    overshoot = [np.linalg.norm(room.clamp(c) - c) for c in candidates[k]]
+    return k, room.clamp(candidates[k, int(np.argmin(overshoot))]), "outside"
+
+
+def pair_ml_per_agent(alone, room):
+    """pairml.pair_ml_estimate deciding one agent at a time, and the branch each agent took.
+
+    The links are decomposed, ranged and given their candidates as in the
+    library; then each agent visits its usable links by ascending distance,
+    scoring a link's two candidates (one residual call each) only when it
+    reaches them.  branches[m] is "unique" (one candidate in the room),
+    "cost" (a decisive cost ratio), "anchor" (a cost decision against a
+    candidate on an anchor), "inside" or "outside" (the fallbacks, both
+    candidates in the room or neither).
+
+    Returns (positions (n, 3), rotations (n, 3, 3), branches).
+    """
+    s, v, o_hat, z = decompose_links(alone.y_imag, alone.anchor_rotations)
+    usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
+    usable &= s[..., 0] - s[..., 1] >= DIRECTION_GAP_TOL * s[..., 0]
+    distances = np.zeros(z.shape)
+    distances[usable] = ml_distance(z[usable], alone.coupling)
+    step = v[..., 0] * distances[..., None]
+    candidates = np.stack([alone.anchor_positions + step, alone.anchor_positions - step], axis=-2)
+    inside = room.contains(candidates, DEFAULT_BOUNDARY_MARGIN)
+    order = np.argsort(np.where(usable, distances, np.inf), axis=-1, kind="stable")
+    positions, rotations, branches = np.empty((len(z), 3)), np.empty((len(z), 3, 3)), []
+    for m in range(len(z)):
+        links = order[m, : usable[m].sum()]
+        link, positions[m], branch = _resolve_agent(
+            alone, m, links, candidates[m], inside[m], o_hat[m], room
+        )
+        rotations[m] = o_hat[m, link]
+        branches.append(branch)
+    return positions, rotations, branches

@@ -280,6 +280,18 @@ def test_config_error_exit_code(tmp_path):
     assert main(["peb", "--config", str(missing_value)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_file_exit_code(tmp_path, capsys, kind):
+    # a config file that cannot be read is a configuration error, named by its path
+    cfg = tmp_path / "bad.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not_utf8":
+        cfg.write_bytes(b"sigma = 1e-5 \xff\xfe\n")
+    assert main(["peb", "--config", str(cfg)]) == 2
+    assert f"configuration error: cannot read config file {cfg}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "lines, flags, message",
     [

@@ -8,8 +8,8 @@ from miloc.geometry import Deployment, join_poses, sample_uniform_rotation
 from miloc.pairml import (
     NoMeasurements,
     ZeroScore,
-    _candidate_cost,
-    canonical_svd,
+    _candidate_costs,
+    decompose_links,
     distance_estimates,
     ml_distance,
     pair_ml_estimate,
@@ -25,6 +25,7 @@ from oracles import (
     decompose_link,
     dipole_factor,
     direction_estimate,
+    pair_ml_per_agent,
     resolve_position,
 )
 
@@ -38,7 +39,7 @@ def _noiseless_link(rng, coupling, min_r=0.1):
 
 def test_noiseless_orientation_score_and_singular_values(coupling):
     rng = np.random.default_rng(0)
-    for _ in range(200):
+    for _ in range(60):
         agent, anchor, h = _noiseless_link(rng, coupling)
         svd, o_hat, z = decompose_link(h, anchor)
         r = np.linalg.norm(agent.position - anchor.position)
@@ -131,7 +132,7 @@ def test_direction_estimate_coaxial(coupling):
 
 def test_direction_estimate_random_geometry(coupling):
     rng = np.random.default_rng(5)
-    for _ in range(200):
+    for _ in range(60):
         agent, anchor, h = _noiseless_link(rng, coupling)
         svd, _, _ = decompose_link(h, anchor)
         u_hat = direction_estimate(svd)
@@ -146,28 +147,6 @@ def test_ambiguous_direction_raises():
     svd, _, _ = decompose_link(1j * np.eye(3), anchor)
     with pytest.raises(AmbiguousDirection):
         direction_estimate(svd)
-
-
-def test_svd_canonicalization_is_deterministic_and_harmless():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        a = rng.standard_normal((3, 3))
-        svd = canonical_svd(a)
-        assert np.allclose(svd.u @ np.diag(svd.s) @ svd.v.T, a, atol=1e-10)
-        assert np.all(svd.s[:-1] >= svd.s[1:])
-        for j in range(3):
-            assert svd.v[np.argmax(np.abs(svd.v[:, j])), j] > 0
-        # orientation and score agree with the raw (uncanonicalized) SVD
-        u_raw, s_raw, vt_raw = np.linalg.svd(a)
-        v_raw = vt_raw.T
-        det_raw = np.linalg.det(u_raw @ vt_raw)
-        o_raw = v_raw @ np.diag([1.0, -1.0, -det_raw]) @ u_raw.T
-        z_raw = s_raw[0] + 0.5 * s_raw[1] + 0.5 * s_raw[2] * det_raw
-        det_c = np.linalg.det(svd.u @ svd.v.T)
-        o_c = svd.v @ np.diag([1.0, -1.0, -det_c]) @ svd.u.T
-        z_c = svd.s[0] + 0.5 * svd.s[1] + 0.5 * svd.s[2] * det_c
-        assert np.allclose(o_c, o_raw, atol=1e-10)
-        assert np.isclose(z_c, z_raw, rtol=1e-12)
 
 
 def test_resolve_position_wall_anchor(room):
@@ -329,7 +308,7 @@ def _noisy_agents(count, room, anchors, coupling, rng, sigma):
 
 
 def test_stacked_pair_ml_equals_one_agent_calls(room, anchors, coupling):
-    # strong noise sends about half of the agents through the likelihood
+    # strong noise sends some agents (2 of these 40) to the both-inside
     # fallback; every agent must get its one-agent result exactly
     rng = np.random.default_rng(13)
     _, measured = _noisy_agents(40, room, anchors, coupling, rng, sigma=2e-3)
@@ -343,22 +322,100 @@ def test_stacked_pair_ml_equals_one_agent_calls(room, anchors, coupling):
         assert np.array_equal(stacked_o[agent], alone_o[0])
 
 
+def _every_branch_stack(anchors, coupling, room, rng):
+    """A stack of one-agent problems whose agents reach every branch of the pair-ML decision.
+
+    The anchors are the given ones and a fifth on the wall y = 0.  Agents in
+    the room at noise levels from 1e-7 to 1e-2 decide by a unique candidate,
+    by a cost ratio or by the both-inside fallback, many of them past their
+    nearest link; an agent 30 m out, whose links carry little but noise,
+    ranges far outside the room and falls back both outside; an agent
+    on the wall y = 0 mirrored through an anchor onto the fifth anchor
+    decides against a candidate on that anchor; and one agent has a
+    zero (unusable) link.
+    """
+    anchors = list(anchors) + [Deployment.identity(np.array([0.3, 0.0, 0.6]))]
+    agents = [random_deployment(rng, room) for _ in range(60)]
+    sigmas = [(1e-7, 1e-4, 1e-3, 3e-3, 1e-2)[m % 5] for m in range(60)]
+    agents.append(Deployment.from_rotation([30.0, 0.7, 0.7], sample_uniform_rotation(rng)))
+    sigmas.append(1e-8)
+    # 2 * anchor 0 - agent = anchor 4, and anchor 0 is the nearest
+    agents.append(Deployment.from_rotation([1.2, 0.0, 0.15], sample_uniform_rotation(rng)))
+    sigmas.append(1e-15)
+    agents.append(random_deployment(rng, room))
+    sigmas.append(1e-4)
+    measured = np.array(
+        [_measurements_for(a, anchors, coupling, rng, sigma) for a, sigma in zip(agents, sigmas)]
+    )
+    measured[-1, 1] = 0.0
+    return _anchor_problems(measured, anchors, coupling)
+
+
+def test_pair_ml_equals_per_agent_oracle_on_every_branch(room, anchors, coupling):
+    # the batched decision against the loop that visits one agent, and one
+    # link pair of candidates, at a time
+    alone = _every_branch_stack(anchors, coupling, room, np.random.default_rng(17))
+    positions, rotations = pair_ml_estimate(alone, room)
+    expected_p, expected_o, branches = pair_ml_per_agent(alone, room)
+    assert set(branches) == {"unique", "cost", "anchor", "inside", "outside"}
+    assert branches[-3:-1] == ["outside", "anchor"]
+    assert np.array_equal(positions, expected_p)
+    assert np.array_equal(rotations, expected_o)
+
+
+def test_svd_sign_flips_change_no_estimate(room, anchors, coupling, monkeypatch):
+    # numpy's SVD fixes no signs; flipping a column of U with the same column
+    # of V must leave the orientation, the score and every pair-ML pose bit for bit
+    alone = _every_branch_stack(anchors, coupling, room, np.random.default_rng(18))
+    s, v, o_hat, z = decompose_links(alone.y_imag, alone.anchor_rotations)
+    positions, rotations = pair_ml_estimate(alone, room)
+
+    svd, rng = np.linalg.svd, np.random.default_rng(19)
+
+    def flipped(a):
+        u, s, vt = svd(a)
+        signs = rng.choice([-1.0, 1.0], size=s.shape)
+        return u * signs[..., None, :], s, vt * signs[..., :, None]
+
+    monkeypatch.setattr(pairml.np.linalg, "svd", flipped)
+    s_f, v_f, o_hat_f, z_f = decompose_links(alone.y_imag, alone.anchor_rotations)
+    assert not np.array_equal(v_f, v)
+    assert np.array_equal(np.abs(v_f), np.abs(v))
+    assert np.array_equal(s_f, s)
+    assert np.array_equal(o_hat_f, o_hat)
+    assert np.array_equal(z_f, z)
+    positions_f, rotations_f = pair_ml_estimate(alone, room)
+    assert np.array_equal(positions_f, positions)
+    assert np.array_equal(rotations_f, rotations)
+
+
 def test_candidate_cost_matches_per_link_oracle(room, anchors, coupling):
     rng = np.random.default_rng(14)
     agents, measured = _noisy_agents(20, room, anchors, coupling, rng, sigma=1e-4)
     positions, rotations = _anchor_arrays(anchors)
     alone = _anchor_problems(measured, anchors, coupling)
+    candidates = np.array([[[room.sample_point(rng) for _ in range(2)]] for _ in agents])
+    candidate_rotations = np.array([[sample_uniform_rotation(rng)] for _ in agents])
+    wanted = np.ones((20, 1), dtype=bool)
+    costs = _candidate_costs(alone, candidates, candidate_rotations, wanted)
+    assert costs.shape == (20, 1, 2)
     for index, y_imag in enumerate(measured):
-        position = room.sample_point(rng)
-        rotation = sample_uniform_rotation(rng)
-        cost = _candidate_cost(alone, index, position, rotation)
-        reference = candidate_cost(position, rotation, y_imag, anchors, coupling)
-        assert abs(cost - reference) <= 1e-12 * reference
-    # a candidate on an anchor scores inf in both
+        for side in range(2):
+            reference = candidate_cost(
+                candidates[index, 0, side], candidate_rotations[index, 0], y_imag, anchors, coupling
+            )
+            assert abs(costs[index, 0, side] - reference) <= 1e-12 * reference
+    # a candidate on an anchor scores inf in both, and its partner is still scored
     y_imag = measured[0]
-    on_anchor = _candidate_cost(alone, 0, positions[2], rotations[0])
-    assert on_anchor == np.inf
-    assert candidate_cost(positions[2], rotations[0], y_imag, anchors, coupling) == np.inf
+    candidates[0, 0, 1] = positions[2]
+    on_anchor = _candidate_costs(alone, candidates, candidate_rotations, wanted)
+    assert on_anchor[0, 0, 1] == np.inf
+    assert np.array_equal(np.delete(on_anchor.ravel(), 1), np.delete(costs.ravel(), 1))
+    rotation = candidate_rotations[0, 0]
+    assert candidate_cost(positions[2], rotation, y_imag, anchors, coupling) == np.inf
+    # a link outside wanted is not scored
+    wanted[3] = False
+    assert np.all(_candidate_costs(alone, candidates, candidate_rotations, wanted)[3] == np.inf)
 
 
 def test_distance_estimates_match_per_link_decomposition(room, anchors, coupling):
@@ -391,10 +448,12 @@ def test_candidate_cost_is_the_agents_own_residual(room, anchors, coupling):
     rng = np.random.default_rng(16)
     _, measured = _noisy_agents(5, room, anchors, coupling, rng, sigma=1e-4)
     alone = _anchor_problems(measured, anchors, coupling)
+    candidates = np.array([[[room.sample_point(rng) for _ in range(2)]] for _ in range(5)])
+    rotations = np.array([[sample_uniform_rotation(rng)] for _ in range(5)])
+    costs = _candidate_costs(alone, candidates, rotations, np.ones((5, 1), dtype=bool))
     for index in range(5):
-        position = room.sample_point(rng)
-        rotation = sample_uniform_rotation(rng)
         own = _anchor_problems(measured[index : index + 1], anchors, coupling)
-        residual = own.residual(join_poses(position[None], rotation[None]))
-        assert _candidate_cost(alone, index, position, rotation) == np.sum(residual**2)
+        for side in range(2):
+            residual = own.residual(join_poses(candidates[index, :, side], rotations[index]))
+            assert costs[index, 0, side] == np.sum(residual**2)
     assert not hasattr(pairml, "channel_gain_batch")

@@ -7,8 +7,9 @@ Each tree is a checkout holding src/miloc.  The script runs one fixed-seed
 matrix of CLI runs in each tree (RUNS below), each tree from its own
 scratch directory with output directories of the same relative names, one
 BLAS thread, and the calibrated coil resistance from a configuration file.
-The ANCHOR_RUNS read a second configuration file that also sets
-anchor_layout to a valid non-default layout (ANCHORS).
+Some runs read another configuration file (CONFIGS): anchors.cfg also sets
+anchor_layout to a valid non-default layout (ANCHORS), and noisy.cfg raises
+the noise to NOISY_SIGMA, where pair-ML also takes its fallbacks.
 It then compares every file the runs wrote (timings.csv, which holds wall
 times, left out) and each run's exit code, stdout and stderr.  It prints
 each difference and exits 1 if there is any, 0 otherwise.
@@ -24,6 +25,7 @@ from pathlib import Path
 
 RESISTANCE_OHM = 0.055148806366607225
 SEED = "7"
+NOISY_SIGMA = 3e-4
 IGNORED = {"timings.csv"}
 
 # a fixture with an agent outside the room and an agent pair below the minimum distance
@@ -61,6 +63,7 @@ RUNS = {
     "numls_random2_coop_small": _simulate("numls", "coop", "1..4", "2", "random:2"),
     "numls_random2_coop_m10": _simulate("numls", "coop", "10", "2", "random:2"),
     "pairml_noncoop": _simulate("pairml", "noncoop", "1..10", "3"),
+    "pairml_noncoop_noisy": _simulate("pairml", "noncoop", "1..10", "3"),
     "multilateration_noncoop": _simulate("multilateration", "noncoop", "1..10", "3"),
     "gains": ["gains", "--agents", "10", "--topologies", "20"],
     "topology_sample": ["topology", "sample", "out/topology_sample/m7.txt", "--agents", "7"],
@@ -72,7 +75,11 @@ RUNS = {
     "turbols_coop_chunks": _simulate("turbols", "coop", "10", "8", noise="4"),
     "numls_random5_noncoop_chunks": _simulate("numls", "noncoop", "10", "5", "random:5", "4"),
 }
-ANCHOR_RUNS = {"peb_anchor_layout", "turbols_anchor_layout"}
+CONFIGS = {
+    "peb_anchor_layout": "anchors.cfg",
+    "turbols_anchor_layout": "anchors.cfg",
+    "pairml_noncoop_noisy": "noisy.cfg",
+}
 
 
 def run_tree(tree: Path, work: Path) -> dict:
@@ -82,12 +89,15 @@ def run_tree(tree: Path, work: Path) -> dict:
     (work / "anchors.cfg").write_text(
         f"resistance_ohm = {RESISTANCE_OHM!r}\nanchor_layout = anchors.txt\n"
     )
+    (work / "noisy.cfg").write_text(
+        f"resistance_ohm = {RESISTANCE_OHM!r}\nsigma = {NOISY_SIGMA!r}\n"
+    )
     (work / "violations.txt").write_text(VIOLATIONS)
     (work / "anchors.txt").write_text(ANCHORS)
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), OPENBLAS_NUM_THREADS="1")
     results = {}
     for name, args in RUNS.items():
-        config = "anchors.cfg" if name in ANCHOR_RUNS else "bench.cfg"
+        config = CONFIGS.get(name, "bench.cfg")
         argv = args + ["--config", config, "--seed", SEED, "--out", f"out/{name}"]
         done = subprocess.run(
             [sys.executable, "-m", "miloc.cli", *argv],
