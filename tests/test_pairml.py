@@ -39,7 +39,7 @@ def _noiseless_link(rng, coupling, min_r=0.1):
 
 def test_noiseless_orientation_score_and_singular_values(coupling):
     rng = np.random.default_rng(0)
-    for _ in range(60):
+    for _ in range(200):
         agent, anchor, h = _noiseless_link(rng, coupling)
         svd, o_hat, z = decompose_link(h, anchor)
         r = np.linalg.norm(agent.position - anchor.position)
@@ -132,7 +132,7 @@ def test_direction_estimate_coaxial(coupling):
 
 def test_direction_estimate_random_geometry(coupling):
     rng = np.random.default_rng(5)
-    for _ in range(60):
+    for _ in range(200):
         agent, anchor, h = _noiseless_link(rng, coupling)
         svd, _, _ = decompose_link(h, anchor)
         u_hat = direction_estimate(svd)
