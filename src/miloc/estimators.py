@@ -105,10 +105,6 @@ class LsProblem:
             raise ValueError("link transmitters must be agents")
 
     @property
-    def n_parameters(self) -> int:
-        return 6 * self.n_agents
-
-    @property
     def cooperative(self) -> bool:
         """True when some link joins two agents, so the agents do not decouple."""
         return bool(np.any(self.links[:, 1] < self.n_agents))
@@ -226,11 +222,9 @@ class LsProblem:
         res = self._measured(index) - self.gains(theta)
         return res.reshape(res.shape[:-3] + (9 * len(self.links),))
 
-    def cost(self, theta: np.ndarray):
-        """Summed squared residual: a float for one residual row, else one per row (...,)."""
+    def cost(self, theta: np.ndarray) -> np.ndarray:
+        """Summed squared residual of every residual row, (...,): 0-d for one row."""
         res = self.residual(theta)
-        if res.ndim == 1:
-            return float(res @ res)
         rows = res.reshape(-1, res.shape[-1])
         return np.reshape([r @ r for r in rows], res.shape[:-1])
 
@@ -379,12 +373,14 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
 
     The damping term scales the diagonal of the normal equations; lambda is
     multiplied by 10 on every rejected step and divided by 10 after an
-    accepted one, so the accepted cost sequence is non-increasing.
+    accepted one, so the accepted cost sequence is non-increasing.  A
+    singular or non-finite system flags its own problem singular; its NaN
+    step gives a NaN trial cost, which fails the cost test and is rejected
+    like any other step.
     Termination: step norm below LM_STEP_TOL, relative cost decrease below
     LM_COST_TOL, or the budget of LM_MAX_ITERATIONS; the LM_* settings are
     read at call time.  If no acceptable step exists up to
-    the damping ceiling the problem reports failure instead of raising; a
-    singular or non-finite system marks only its own problem.
+    the damping ceiling the problem reports failure instead of raising.
     """
     x0 = np.asarray(x0, dtype=float)
     x = x0.reshape(-1, x0.shape[-1]).copy()
@@ -405,14 +401,7 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
         if not trying.size:
             break
         step = _damped_steps(jtj[trying], gradient[trying], lam[trying])
-        finite = np.all(np.isfinite(step), axis=1)
-        if not finite.all():
-            failed = trying[~finite]
-            singular[failed] = True
-            lam[failed] *= 10.0
-            trying, step = trying[finite], step[finite]
-            if not trying.size:
-                continue
+        singular[trying] |= ~np.all(np.isfinite(step), axis=1)
         trial = problem.retract(x[trying], step)
         trial_cost = _sum_squares(problem.residual(trial, trying))
         accept = trial_cost <= cost[trying]

@@ -210,16 +210,6 @@ class Deployment:
     rotation: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_euler(cls, position, euler) -> "Deployment":
-        e = np.asarray(euler, dtype=float)
-        return cls(np.asarray(position, dtype=float), e, euler_to_rotation(e))
-
-    @classmethod
-    def from_rotation(cls, position, rotation, tol: float = 1e-8) -> "Deployment":
-        r = np.asarray(rotation, dtype=float)
-        return cls(np.asarray(position, dtype=float), rotation_to_euler(r, tol), r)
-
-    @classmethod
     def identity(cls, position) -> "Deployment":
         return cls(np.asarray(position, dtype=float), np.zeros(3), np.eye(3))
 

@@ -15,11 +15,12 @@ links whose geometry leaves both candidates plausible.
 
 pair_ml_estimate and distance_estimates work on a stack of one-agent
 anchor problems (estimators.LsProblem.anchor_problem), whose link k goes to
-anchor k; they read its measurements, anchors and coupling, and the
-likelihood test scores candidate poses by that problem's residual.  Every
-step is an array operation over all agents and links at once, the
-decision included: the one-link steps and a loop that decides one agent at
-a time are the references in the tests (tests/oracles.py).
+anchor k.  Both range its links in one step (_ranged), pair-ML asking a
+direction gap as well, and its likelihood test scores candidate poses by
+that problem's residual.  Every step is an array operation over all agents
+and links at once, the decision included: the one-link steps and a loop
+that decides one agent at a time are the references in the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def decompose_links(y_imag: np.ndarray, anchor_rotations: np.ndarray):
 def ml_distance(score, coupling: float):
     """Invert the trace score to the ML distance, r = (1.5 c / z)^(1/3).
 
-    score is one float, which gives a float, or an array of scores, which
-    gives the array of distances.  Every distance is computed in scalar
+    score is an array of scores, or one score as a 0-d array, and gives the
+    distances in its shape.  Every distance is computed in scalar
     arithmetic: numpy's vectorised power can differ from the C library's in
     the last bit, and a batch must agree with one-link calls.
 
@@ -88,9 +89,23 @@ def ml_distance(score, coupling: float):
     if np.any(scores <= 0.0):
         raise ZeroScore("trace score must be positive")
     distances = [(1.5 * coupling / z) ** (1.0 / 3.0) for z in scores.ravel().tolist()]
-    if scores.ndim == 0:
-        return float(distances[0])
     return np.array(distances).reshape(scores.shape)
+
+
+def _ranged(alone, gap_tol: float):
+    """decompose_links' (v, o_hat) of the stack alone, its usable (n, K) links, their ML distances.
+
+    A link is usable when s1 and its score are positive and s1 - s2 >= gap_tol * s1;
+    its distance is NaN otherwise.  Raises NoMeasurements when some agent has no usable link.
+    """
+    s, v, o_hat, z = decompose_links(alone.y_imag, alone.anchor_rotations)
+    usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
+    usable &= s[..., 0] - s[..., 1] >= gap_tol * s[..., 0]
+    if not np.all(np.any(usable, axis=-1)):
+        raise NoMeasurements("no usable agent-anchor measurement")
+    distances = np.full(z.shape, np.nan)
+    distances[usable] = ml_distance(z[usable], alone.coupling)
+    return v, o_hat, usable, distances
 
 
 def _candidate_costs(alone, candidates, rotations, wanted):
@@ -133,13 +148,7 @@ def pair_ml_estimate(alone, room: Room):
     Raises:
         NoMeasurements: some agent has no usable link.
     """
-    s, v, o_hat, z = decompose_links(alone.y_imag, alone.anchor_rotations)
-    usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
-    usable &= s[..., 0] - s[..., 1] >= DIRECTION_GAP_TOL * s[..., 0]
-    if not np.all(np.any(usable, axis=-1)):
-        raise NoMeasurements("no usable agent-anchor measurement")
-    distances = np.zeros(z.shape)
-    distances[usable] = ml_distance(z[usable], alone.coupling)
+    v, o_hat, usable, distances = _ranged(alone, DIRECTION_GAP_TOL)
     step, anchors = v[..., 0] * distances[..., None], alone.anchor_positions
     candidates = np.stack([anchors + step, anchors - step], axis=-2)  # (n, K, 2, 3)
     inside = room.contains(candidates, DEFAULT_BOUNDARY_MARGIN)
@@ -152,7 +161,7 @@ def pair_ml_estimate(alone, room: Room):
     # the first deciding link by ascending distance; with none, argmax gives the nearest
     order = np.argsort(np.where(usable, distances, np.inf), axis=-1, kind="stable")
     first = np.argmax(np.take_along_axis(unique | decisive, order, axis=-1), axis=-1)
-    agents = np.arange(len(z))
+    agents = np.arange(len(usable))
     k = order[agents, first]
     pair, inside, unique, decisive = (a[agents, k] for a in (candidates, inside, unique, decisive))
     outside = ~inside.any(axis=-1) & ~decisive  # the both-outside fallback
@@ -180,10 +189,4 @@ def distance_estimates(alone):
     Raises:
         NoMeasurements: some agent has no usable link.
     """
-    s, _, _, z = decompose_links(alone.y_imag, alone.anchor_rotations)
-    usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
-    if not np.all(np.any(usable, axis=-1)):
-        raise NoMeasurements("no usable agent-anchor measurement")
-    distances = np.full(z.shape, np.nan)
-    distances[usable] = ml_distance(z[usable], alone.coupling)
-    return distances
+    return _ranged(alone, 0.0)[3]  # the descending s1 >= s2 meets a gap of 0

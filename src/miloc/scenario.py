@@ -12,7 +12,9 @@ import numpy as np
 from . import channel as chan
 from .channel import CoilParams, GlobalParams, LinkMeasurement
 from .estimators import LsProblem
-from .geometry import Deployment, Room, join_poses, rotation_to_euler, sample_uniform_rotation
+from .geometry import (
+    Deployment, Room, euler_to_rotation, join_poses, rotation_to_euler, sample_uniform_rotation,
+)
 
 MAX_ATTEMPTS = 100_000  # rejection draws of one topology
 
@@ -30,9 +32,9 @@ class Scheme(Enum):
 class Topology:
     """One network, drawn or loaded: known anchors plus the agents' true poses as arrays.
 
-    Agent a sits at positions[a], turned by rotations[a]; all but the edges
-    read these arrays (pose_row).  agents builds Deployments on each read,
-    their canonical Euler angles from one stacked rotation_to_euler call.
+    Agent a sits at positions[a], turned by rotations[a]; the package reads
+    only these arrays (pose_row, save_topology).  agents builds Deployments
+    on each read, for the benchmark (perfbench), which still reads them.
     """
 
     room: Room
@@ -201,28 +203,39 @@ def synthesize_measurements(
 # ---------------------------------------------------------------------------
 # Plain-text topology fixtures: one node per row,
 #   id kind x y z alpha beta gamma
-# with the room box in a header comment.
+# with the room box in one header comment.
 # ---------------------------------------------------------------------------
 
 
 def save_topology(topology: Topology, path) -> None:
+    """Write a fixture: the anchors with their own angles, the agents' canonical ones."""
     corners = np.concatenate([topology.room.min_corner, topology.room.max_corner])
     room = " ".join(f"{v:.12g}" for v in corners)
     lines = ["# miloc topology", f"# room {room}", "# id kind x y z alpha beta gamma"]
-    nodes = [("anchor", a) for a in topology.anchors] + [("agent", a) for a in topology.agents]
-    for node_id, (kind, node) in enumerate(nodes):
-        values = np.hstack([node.position, node.euler])
+    anchors = np.reshape([np.hstack([a.position, a.euler]) for a in topology.anchors], (-1, 6))
+    agents = np.hstack([topology.positions, rotation_to_euler(topology.rotations)])
+    kinds = ["anchor"] * len(anchors) + ["agent"] * len(agents)
+    for node_id, (kind, values) in enumerate(zip(kinds, np.concatenate([anchors, agents]))):
         lines.append(" ".join([str(node_id), kind] + [f"{v:.17g}" for v in values]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_topology(path, room: Optional[Room] = None) -> Topology:
-    """Read a topology fixture; the room comes from the header unless given.
+def _numbers(fields: Sequence[str], what: str, line: str) -> np.ndarray:
+    """The fields of line as floats; a ValueError quotes the line if one is not a number."""
+    try:
+        return np.array([float(v) for v in fields])
+    except ValueError as exc:
+        raise ValueError(f"non-numeric field in {what} {line!r}: {exc}") from None
 
-    Agents are held as positions and rotations, as drawn ones are.  A malformed
-    header or node row (a non-finite number included) raises a ValueError naming it.
+
+def load_topology(path, room: Optional[Room] = None) -> Topology:
+    """Read a topology fixture; the room comes from its one header unless given.
+
+    All nodes' angles turn into rotations in one call; anchors keep the angles read.  A second
+    or malformed header or node row (a non-numeric number, or in a row a non-finite one,
+    included) raises a ValueError quoting it; Room rejects non-finite corners.
     """
-    nodes = {"anchor": [], "agent": []}
+    read, agent, rows = None, [], []
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line:
@@ -230,26 +243,29 @@ def load_topology(path, room: Optional[Room] = None) -> Topology:
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["room"] and room is None:
+                if read is not None:
+                    raise ValueError(f"second room header {line!r}")
                 if len(parts) != 7:
                     raise ValueError(f"room header needs six numbers: {line!r}")
-                vals = np.array([float(v) for v in parts[1:]])
-                room = Room(vals[:3], vals[3:])
+                vals = _numbers(parts[1:], "room header", line)
+                read = Room(vals[:3], vals[3:])
             continue
         fields = line.split()
         if len(fields) != 8:
             raise ValueError(f"expected 8 fields per node row, got {len(fields)}")
-        values = np.array([float(v) for v in fields[2:]])
-        if not np.isfinite(values).all():
+        rows.append(_numbers(fields[2:], "node row", line))
+        if not np.isfinite(rows[-1]).all():
             raise ValueError(f"non-finite number in node row {line!r}")
-        node = Deployment.from_euler(values[:3], values[3:])
-        if fields[1] not in nodes:
+        if fields[1] not in ("anchor", "agent"):
             raise ValueError(f"unknown node kind {fields[1]!r}")
-        nodes[fields[1]].append(node)
+        agent.append(fields[1] == "agent")
+    room = read if room is None else room
     if room is None:
         raise ValueError("topology file lacks a room header and no room was given")
-    positions = np.reshape([a.position for a in nodes["agent"]], (-1, 3))
-    rotations = np.reshape([a.rotation for a in nodes["agent"]], (-1, 3, 3))
-    return Topology(room, nodes["anchor"], positions, rotations)
+    rows, agent = np.reshape(rows, (-1, 6)), np.array(agent, dtype=bool)
+    poses = rows[:, :3], rows[:, 3:], euler_to_rotation(rows[:, 3:])
+    anchors = [Deployment(*pose) for pose in zip(*(a[~agent] for a in poses))]
+    return Topology(room, anchors, poses[0][agent], poses[2][agent])
 
 
 def check_topology(topology: Topology, min_distance: float) -> List[str]:

@@ -5,13 +5,14 @@ import pytest
 
 from miloc import (
     CoilParams,
-    Deployment,
     GlobalParams,
     Room,
     coupling_coefficient,
     default_anchors,
     sample_uniform_rotation,
 )
+
+from oracles import deployment_from_rotation
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +45,7 @@ def random_deployment(rng, room=None, lo=0.0, hi=1.5):
         position = room.sample_point(rng)
     else:
         position = rng.uniform(lo, hi, 3)
-    return Deployment.from_rotation(position, sample_uniform_rotation(rng))
+    return deployment_from_rotation(position, sample_uniform_rotation(rng))
 
 
 SINGULAR_TOPOLOGY = 2

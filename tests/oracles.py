@@ -4,7 +4,9 @@ dipole_factor is the single-link F(u) of the channel model, and
 constrained_dipole_fit the full ML dipole-factor estimate of pair-ML, whose
 principal eigenvector is the library's direction estimate.  channel_gain
 writes the dipole model out for one link, and euler_to_rotation_one the
-z-y-x Euler convention for one triple.  retracted moves one deployment
+z-y-x Euler convention for one triple.  deployment_from_euler and
+deployment_from_rotation build the single-node records the one-link
+oracles read, from either half of a pose.  retracted moves one deployment
 by a position step and a local rotation R expm([phi]x), with scipy's matrix
 exponential, and rotation_angle is the geodesic angle between rotations.
 The channel Jacobians differentiate one link with explicit per-axis loops
@@ -55,7 +57,9 @@ from miloc.estimators import (
     StackedSolve,
 )
 from miloc.channel import CoincidentNodes, channel_derivative_columns, channel_gain_batch
-from miloc.geometry import Deployment, sample_uniform_rotation, split_poses
+from miloc.geometry import (
+    Deployment, euler_to_rotation, rotation_to_euler, sample_uniform_rotation, split_poses,
+)
 from miloc.pairml import (
     COST_RATIO_DECISIVE,
     DEFAULT_BOUNDARY_MARGIN,
@@ -87,10 +91,22 @@ def cross_matrix(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def deployment_from_euler(position, euler) -> Deployment:
+    """The Deployment of a position and z-y-x Euler angles, its rotation from the library."""
+    e = np.asarray(euler, dtype=float)
+    return Deployment(np.asarray(position, dtype=float), e, euler_to_rotation(e))
+
+
+def deployment_from_rotation(position, rotation) -> Deployment:
+    """The Deployment of a position and a rotation matrix, its Euler angles canonical."""
+    r = np.asarray(rotation, dtype=float)
+    return Deployment(np.asarray(position, dtype=float), rotation_to_euler(r), r)
+
+
 def retracted(deployment: Deployment, step) -> Deployment:
     """The deployment moved by step = [dp, phi]: position + dp, rotation expm([phi]x)."""
     step = np.asarray(step, dtype=float)
-    return Deployment.from_rotation(
+    return deployment_from_rotation(
         deployment.position + step[:3], deployment.rotation @ expm(cross_matrix(step[3:]))
     )
 

@@ -14,7 +14,10 @@ from miloc.channel import (
 from miloc.geometry import Deployment, sample_uniform_rotation
 
 from conftest import random_deployment
-from oracles import channel_gain, channel_jacobian, channel_jacobian_rx, dipole_factor, retracted
+from oracles import (
+    channel_gain, channel_jacobian, channel_jacobian_rx, deployment_from_rotation, dipole_factor,
+    retracted,
+)
 
 
 def test_coupling_value_for_reference_coils(coil, gparams):
@@ -96,8 +99,8 @@ def test_frame_independence(coupling):
     for _ in range(20):
         tx, rx = random_deployment(rng), random_deployment(rng)
         q = sample_uniform_rotation(rng)
-        tx_rot = Deployment.from_rotation(q @ tx.position, q @ tx.rotation)
-        rx_rot = Deployment.from_rotation(q @ rx.position, q @ rx.rotation)
+        tx_rot = deployment_from_rotation(q @ tx.position, q @ tx.rotation)
+        rx_rot = deployment_from_rotation(q @ rx.position, q @ rx.rotation)
         assert np.allclose(
             channel_matrix(tx_rot, rx_rot, coupling),
             channel_matrix(tx, rx, coupling),

@@ -271,6 +271,49 @@ def test_topology_check_rejects_a_short_room_header(tmp_path, capsys):
     assert "# room 0 0 0 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, quoted",
+    [
+        (["# room 0 0 0 1.5 1.5 1.5", "0 anchor 0.75 0 0.375 x 0 0"],
+         "non-numeric field in node row '0 anchor 0.75 0 0.375 x 0 0'"),
+        (["# room 0 0 0 x 1.5 1.5", "0 anchor 0.75 0 0.375 0 0 0"],
+         "non-numeric field in room header '# room 0 0 0 x 1.5 1.5'"),
+    ],
+    ids=["node_row", "room_header"],
+)
+def test_topology_check_names_a_non_numeric_field(tmp_path, capsys, rows, quoted):
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    fixture.write_text("\n".join(rows) + "\n")
+    assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
+    assert f"error: {quoted}: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
+def test_topology_sample_writes_layout_anchors_as_read(tmp_path):
+    import numpy as np
+
+    from miloc import harness
+    from miloc.config import ExperimentConfig
+    from miloc.geometry import rotation_to_euler
+
+    # the default anchors turned by the non-canonical alpha = 4, beta = 2
+    rows = [
+        f"{k} anchor " + " ".join(f"{v:.17g}" for v in a.position) + " 4 2 0"
+        for k, a in enumerate(scenario.default_anchors(Room.cube(1.5)))
+    ]
+    layout = tmp_path / "anchors.txt"
+    layout.write_text("\n".join(rows) + "\n")
+    cfg = _write_cfg(tmp_path, f"anchor_layout = {layout}\n")
+    fixture = tmp_path / "topo.txt"
+    assert main(["topology", "sample", str(fixture), "--config", str(cfg), "--agents", "5"]) == 0
+    nodes = [line for line in fixture.read_text().splitlines() if not line.startswith("#")]
+    assert nodes[:4] == rows
+    angles = np.array([[float(v) for v in line.split()[5:]] for line in nodes[4:]])
+    drawn = next(harness.draw_topologies(ExperimentConfig.from_file(cfg), 5, 1))
+    assert np.array_equal(angles, rotation_to_euler(drawn.rotations))
+    assert np.all(np.abs(angles[:, [0, 2]]) <= np.pi) and np.all(np.abs(angles[:, 1]) <= np.pi / 2)
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
@@ -375,7 +418,8 @@ def test_anchor_layout_file_of_the_default_anchors(tmp_path):
         (None, "not found"),
         (["0 agent 0.5 0.5 0.5 0 0 0"], "contains no anchors"),
         (["0 anchor 0.75 0 0.375"], "expected 8 fields per node row, got 5"),
-        (["0 anchor 0.75 0 0.375 0 0 zero"], "could not convert string to float"),
+        (["0 anchor 0.75 0 0.375 0 0 zero"], "non-numeric field in node row "
+         "'0 anchor 0.75 0 0.375 0 0 zero': could not convert string to float"),
         # the room is room_size_m's (1.5 m): the header of the file does not widen it
         (["# room -10 -10 -10 10 10 10", "0 anchor 0.75 0 0.375 0 0 0", "1 anchor 5 5 5 0 0 0"],
          "anchor 1 outside the room"),

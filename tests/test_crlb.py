@@ -12,6 +12,8 @@ from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_
 
 from conftest import far_out, random_deployment
 from oracles import (
+    deployment_from_euler,
+    deployment_from_rotation,
     fim_block,
     link_information,
     peb_all,
@@ -315,8 +317,8 @@ def test_single_link_spectrum_against_oracle(coupling):
     # leaves H = diag(1, -1/2, -1/2) structure unchanged only up to first
     # order if the factor commutes; numerically the block is rank deficient
     h = 1e-6
-    plus = Deployment.from_euler(tx.position, [0, 0, h])
-    minus = Deployment.from_euler(tx.position, [0, 0, -h])
+    plus = deployment_from_euler(tx.position, [0, 0, h])
+    minus = deployment_from_euler(tx.position, [0, 0, -h])
     dh = (channel_matrix(plus, rx, coupling) - channel_matrix(minus, rx, coupling)) / (2 * h)
     sensitivity = np.sum(np.imag(dh) ** 2)
     if sensitivity < 1e-20:
@@ -411,7 +413,7 @@ def test_permuting_the_stack_permutes_the_bounds(room, anchors, coupling, seed, 
 
 
 def _reoriented(agents, rotations):
-    return [Deployment.from_rotation(a.position, r) for a, r in zip(agents, rotations)]
+    return [deployment_from_rotation(a.position, r) for a, r in zip(agents, rotations)]
 
 
 @_PROPERTY_SETTINGS
@@ -431,7 +433,7 @@ def test_gimbal_locked_agent_keeps_its_bound(room, anchors, coupling, beta):
     # Euler beta = +-pi/2 is no special orientation for the bound
     for m in (1, 3):
         topo = _topology(m, 80 + m, room, anchors)
-        locked = [Deployment.from_euler(topo.agents[0].position, [0.4, beta, 0.0])]
+        locked = [deployment_from_euler(topo.agents[0].position, [0.4, beta, 0.0])]
         locked += topo.agents[1:]
         for cooperative in (True, False):
             bounds = peb_all(assemble_fim(topo.agents, anchors, coupling, SIGMA, cooperative))
@@ -445,7 +447,8 @@ def test_noncooperative_bound_ignores_the_other_agents(room, anchors, coupling):
     # moving agent 2 far out leaves agent 0's bound as it was, bit for bit
     topo = _topology(3, 3, room, anchors)
     agent = topo.agents[2]
-    moved = topo.agents[:2] + [Deployment.from_rotation(agent.position + [100.0, 0.0, 0.0], agent.rotation)]
+    far = deployment_from_rotation(agent.position + [100.0, 0.0, 0.0], agent.rotation)
+    moved = topo.agents[:2] + [far]
     expected = peb(assemble_fim(topo.agents, anchors, coupling, SIGMA, False), 0)
     assert peb(assemble_fim(moved, anchors, coupling, SIGMA, False), 0) == expected
     with pytest.raises(SingularFim):

@@ -23,6 +23,7 @@ from oracles import (
     candidate_cost,
     constrained_dipole_fit,
     decompose_link,
+    deployment_from_rotation,
     dipole_factor,
     direction_estimate,
     pair_ml_per_agent,
@@ -211,7 +212,7 @@ def _pair_ml_one(measurements, anchors, coupling, room):
     """pair_ml_estimate of one agent as a Deployment."""
     alone = _anchor_problems(measurements[None], anchors, coupling)
     position, rotation = pair_ml_estimate(alone, room)
-    return Deployment.from_rotation(position[0], rotation[0])
+    return deployment_from_rotation(position[0], rotation[0])
 
 
 def test_pair_ml_noiseless_exact_recovery(room, anchors, coupling):
@@ -228,7 +229,7 @@ def test_pair_ml_noiseless_exact_recovery(room, anchors, coupling):
 
 def test_pair_ml_single_anchor(room, anchors, coupling):
     rng = np.random.default_rng(8)
-    agent = Deployment.from_rotation([0.4, 0.9, 0.6], sample_uniform_rotation(rng))
+    agent = deployment_from_rotation([0.4, 0.9, 0.6], sample_uniform_rotation(rng))
     measurements = _measurements_for(agent, anchors[:1], coupling)
     est = _pair_ml_one(measurements, anchors[:1], coupling, room)
     assert np.linalg.norm(est.position - agent.position) < 1e-8
@@ -337,10 +338,10 @@ def _every_branch_stack(anchors, coupling, room, rng):
     anchors = list(anchors) + [Deployment.identity(np.array([0.3, 0.0, 0.6]))]
     agents = [random_deployment(rng, room) for _ in range(60)]
     sigmas = [(1e-7, 1e-4, 1e-3, 3e-3, 1e-2)[m % 5] for m in range(60)]
-    agents.append(Deployment.from_rotation([30.0, 0.7, 0.7], sample_uniform_rotation(rng)))
+    agents.append(deployment_from_rotation([30.0, 0.7, 0.7], sample_uniform_rotation(rng)))
     sigmas.append(1e-8)
     # 2 * anchor 0 - agent = anchor 4, and anchor 0 is the nearest
-    agents.append(Deployment.from_rotation([1.2, 0.0, 0.15], sample_uniform_rotation(rng)))
+    agents.append(deployment_from_rotation([1.2, 0.0, 0.15], sample_uniform_rotation(rng)))
     sigmas.append(1e-15)
     agents.append(random_deployment(rng, room))
     sigmas.append(1e-4)

@@ -162,6 +162,15 @@ def test_load_topology_requires_six_room_numbers(tmp_path, header):
         load_topology(path)
 
 
+def test_load_topology_rejects_a_second_room_header(tmp_path, room):
+    # the second header must not be dropped in silence: it may be the one meant
+    path = tmp_path / "room.txt"
+    path.write_text("# room 0 0 0 1.5 1.5 1.5\n# room 0 0 0 9 9 9\n0 anchor 0.1 0.2 0.3 0 0 0\n")
+    with pytest.raises(ValueError, match=re.escape("second room header '# room 0 0 0 9 9 9'")):
+        load_topology(path)
+    assert load_topology(path, room=room).room is room  # a given room reads no header
+
+
 @pytest.mark.parametrize(
     "header", ["# room 0 0 0 inf inf inf", "# room 0 0 0 1.5 nan 1.5", "# room -inf 0 0 1.5 1.5 1.5"]
 )

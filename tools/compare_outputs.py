@@ -8,7 +8,8 @@ matrix of CLI runs in each tree (RUNS below), each tree from its own
 scratch directory with output directories of the same relative names, one
 BLAS thread, and the calibrated coil resistance from a configuration file.
 Some runs read another configuration file (CONFIGS): anchors.cfg also sets
-anchor_layout to a valid non-default layout (ANCHORS), and noisy.cfg raises
+anchor_layout to a valid non-default layout (ANCHORS), whose anchors a
+topology sample writes back, and noisy.cfg raises
 the noise to NOISY_SIGMA, where pair-ML also takes its fallbacks.
 It then compares every file the runs wrote (timings.csv, which holds wall
 times, left out) and each run's exit code, stdout and stderr.  It prints
@@ -69,6 +70,9 @@ RUNS = {
     "topology_sample": ["topology", "sample", "out/topology_sample/m7.txt", "--agents", "7"],
     "topology_check": ["topology", "check", "out/topology_sample/m7.txt"],
     "topology_check_violations": ["topology", "check", "violations.txt"],
+    "topology_sample_anchor_layout": [
+        "topology", "sample", "out/topology_sample_anchor_layout/m7.txt", "--agents", "7",
+    ],
     "peb_anchor_layout": ["peb", "--scheme", "coop", "--agents", "1..6", "--topologies", "10"],
     "turbols_anchor_layout": _simulate("turbols", "coop", "4", "2"),
     # checked runs of several chunks of trials (7 and 8 trials per chunk)
@@ -76,6 +80,7 @@ RUNS = {
     "numls_random5_noncoop_chunks": _simulate("numls", "noncoop", "10", "5", "random:5", "4"),
 }
 CONFIGS = {
+    "topology_sample_anchor_layout": "anchors.cfg",
     "peb_anchor_layout": "anchors.cfg",
     "turbols_anchor_layout": "anchors.cfg",
     "pairml_noncoop_noisy": "noisy.cfg",
