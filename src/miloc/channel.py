@@ -154,24 +154,33 @@ def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, coupling):
     Returns an (L, 9, 12) array whose column k holds vec(d Im H / d theta_k)
     for theta = [p_tx, phi_tx, p_rx, phi_rx], where each orientation moves
     by a local rotation O <- O exp([phi]x) about its own axes.
+    """
+    tx = transmitter_columns(r, u, gains, o_tx, o_rx, coupling)
+    cols = np.concatenate([tx, receiver_columns(tx, gains)], axis=1)
+    return cols.reshape(len(r), 12, 9).transpose(0, 2, 1)
 
-    With rvec = p_rx - p_tx the spatial chain rule gives
-        du/d[p_tx]_i      = -(e_i - u_i u) / r,
-        d(r^-3)/d[p_tx]_i = 3 u_i / r^4,
-    and H depends on positions only through rvec, so the receiver position
-    columns are the negated transmitter ones.  The gains G are linear in
-    O_tx and in O_rx^T, so the orientation columns are G [e_i]x for the
-    transmitter and -[e_i]x G for the receiver ([e_i]x^T = -[e_i]x).
+
+def transmitter_columns(r, u, gains, o_tx, o_rx, coupling):
+    """The derivatives d Im H / d theta_k, (L, 6, 3, 3), for theta = [p_tx, phi_tx].
+
+    With rvec = p_rx - p_tx, du/d[p_tx]_i = -(e_i - u_i u) / r and d(r^-3)/d[p_tx]_i =
+    3 u_i / r^4; G is linear in O_tx, so the orientation columns are G [e_i]x.
     """
     scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None, None]
     # w[l, i] = du/d[p_tx]_i and df[l, i] = dF/d[p_tx]_i
     w = (u[:, :, None] * u[:, None, :] - np.eye(3)) / r[:, None, None]
     df = 1.5 * (u[:, None, :, None] * w[:, :, None, :] + w[:, :, :, None] * u[:, None, None, :])
     o_rx_t = np.swapaxes(o_rx, 1, 2)[:, None]
-    spatial = scale * (o_rx_t @ df @ o_tx[:, None]) + (
-        3.0 * u / r[:, None]
-    )[:, :, None, None] * gains[:, None]
-    angular_tx = gains[:, None] @ _AXIS_GENERATORS
-    angular_rx = -(_AXIS_GENERATORS @ gains[:, None])
-    cols = np.concatenate([spatial, angular_tx, -spatial, angular_rx], axis=1)
-    return cols.reshape(len(r), 12, 9).transpose(0, 2, 1)
+    spatial = scale * (o_rx_t @ df @ o_tx[:, None])
+    spatial += (3.0 * u / r[:, None])[:, :, None, None] * gains[:, None]
+    return np.concatenate([spatial, gains[:, None] @ _AXIS_GENERATORS], axis=1)
+
+
+def receiver_columns(tx_columns, gains):
+    """The derivatives for theta = [p_rx, phi_rx] from transmitter_columns, (..., 6, 3, 3).
+
+    H depends on positions only through p_rx - p_tx and G is linear in O_rx^T,
+    so the columns are the negated spatial ones and -[e_i]x G ([e_i]x^T = -[e_i]x).
+    """
+    angular = -(_AXIS_GENERATORS @ gains[..., None, :, :])
+    return np.concatenate([-tx_columns[..., :3, :, :], angular], axis=-3)

@@ -21,19 +21,19 @@ links as one (LsProblem.folded): the same minimizer and J^T J on fewer
 links.  The ordered links stay the measurement model and define every cost.
 
 Batch convention: residuals and normal equations take pose rows of shape
-(..., 12M) and return (..., 9L) residuals, (..., 6M, 6M) normal matrices
-J^T J and (..., 6M) gradients J^T r, over the 6M step parameters; a 1-d
-row gives one problem.  They are summed link by link from each link's
-derivative columns (LsProblem.normal_equations), so no dense Jacobian is
-formed.  Independent problems (the agents of a non-cooperative network,
-random restarts, the trials of a chunk) are rows of one stack, and
-levenberg_marquardt advances all rows together, each with its own damping
-and termination.  Link columns are formed for at most LINKS_PER_SLICE links
-at a time; estimate solves whatever stack it is given in one LM call, for
-every initialization it is asked for, and the harness bounds the stack by
-sizing its chunks of trials in links.  A perfect-init estimate is the
-reference that checks whether another start reached the global minimum, so
-an estimate and its references share one call.
+(..., 12M) and return (..., 9L) residuals, (..., 6M, 6M) normal matrices J^T J
+and (..., 6M) gradients J^T r, over the 6M step parameters; a 1-d row gives
+one problem.  LsProblem.evaluate keeps the links' gains, distances and
+directions with the residuals, and LsProblem.normal_slices sums J^T J and J^T r
+from them link by link, at most LINKS_PER_SLICE links at a time, so no dense
+Jacobian is formed.  Independent problems (the agents of a non-cooperative
+network, random restarts, the trials of a chunk) are rows of one stack that
+levenberg_marquardt advances together, each with its own damping and
+termination; estimate solves whatever stack it is given in one LM call, for
+every initialization, and the harness bounds the stack by sizing its chunks
+of trials in links.  A perfect-init estimate is the reference that checks
+whether another start reached the global minimum, so an estimate and its
+references share one call.
 Results stay arrays: levenberg_marquardt and multilaterate return a
 StackedSolve, one entry per problem, and estimate one StackedSolve per
 initialization, shaped by measurement set and group of agents (one group
@@ -186,8 +186,8 @@ class LsProblem:
         step = np.reshape(step, positions.shape[:-1] + (6,))
         return join_poses(positions + step[..., :3], rotations @ exp_rotation(step[..., 3:]))
 
-    def _geometry(self, theta: np.ndarray):
-        """Batch shape and the flattened (batch * L) link quantities of pose rows theta."""
+    def _ends(self, theta: np.ndarray):
+        """Batch shape, the flattened (batch * L) poses of the links' ends, and their couplings."""
         agent_p, agent_o = split_poses(theta)
         batch, m = agent_p.shape[:-2], self.n_agents
         positions = np.empty(batch + (m + len(self.anchor_positions), 3))
@@ -196,13 +196,10 @@ class LsProblem:
         rotations[..., :m, :, :], rotations[..., m:, :, :] = agent_o, self.anchor_rotations
         tx, rx = self.links[:, 0], self.links[:, 1]
         couplings = np.broadcast_to(self.coupling, batch + (len(tx),)).reshape(-1)
-        o_tx = rotations[..., tx, :, :].reshape(-1, 3, 3)
-        o_rx = rotations[..., rx, :, :].reshape(-1, 3, 3)
-        gains, r, u, f = chan.channel_gain_batch(
-            positions[..., tx, :].reshape(-1, 3), o_tx,
-            positions[..., rx, :].reshape(-1, 3), o_rx, couplings,
-        )
-        return batch, o_tx, o_rx, gains, r, u, f, couplings
+        return batch, (
+            positions.take(tx, -2).reshape(-1, 3), rotations.take(tx, -3).reshape(-1, 3, 3),
+            positions.take(rx, -2).reshape(-1, 3), rotations.take(rx, -3).reshape(-1, 3, 3),
+        ), couplings
 
     def _measured(self, index) -> np.ndarray:
         """The measured sets of the problems in index (default: all of them, in order)."""
@@ -210,7 +207,8 @@ class LsProblem:
 
     def gains(self, theta: np.ndarray) -> np.ndarray:
         """Noiseless Im(H) of every link, (..., L, 3, 3), at pose rows theta (..., 12M)."""
-        batch, _, _, gains, _, _, _, _ = self._geometry(self._check(theta))
+        batch, ends, couplings = self._ends(self._check(theta))
+        gains = chan.channel_gain_batch(*ends, couplings)[0]
         return gains.reshape(batch + (len(self.links), 3, 3))
 
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
@@ -219,8 +217,7 @@ class LsProblem:
         With a stacked y_imag, index lists the problems theta's rows belong
         to (default: all of them, in order).
         """
-        res = self._measured(index) - self.gains(theta)
-        return res.reshape(res.shape[:-3] + (9 * len(self.links),))
+        return self.evaluate(theta, index)[0]
 
     def cost(self, theta: np.ndarray) -> np.ndarray:
         """Summed squared residual of every residual row, (...,): 0-d for one row."""
@@ -231,31 +228,35 @@ class LsProblem:
     def normal_equations(self, theta: np.ndarray, index=None):
         """Residual (..., 9L), J^T J (..., 6M, 6M) and J^T r (..., 6M) at pose rows (..., 12M).
 
-        index is as for residual.  Summed link by link (_link_sums) in
-        slices of whole problems, at most LINKS_PER_SLICE links or one
-        problem, so no problem's sums depend on the stack or the slicing.
+        index is as for residual: evaluate, then the normal_slices of every row.
         """
-        theta = self._check(theta)
-        batch, n_links = theta.shape[:-1], len(self.links)
-        rows = theta.reshape(-1, theta.shape[-1])
-        measured = np.broadcast_to(self._measured(index), batch + (n_links, 3, 3))
-        measured = measured.reshape(len(rows), n_links, 3, 3)
-        step = max(1, LINKS_PER_SLICE // max(n_links, 1))
-        parts = [
-            self._link_sums(rows[s : s + step], measured[s : s + step])
-            for s in range(0, len(rows), step)
-        ]
-        sums = parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
-        return tuple(part.reshape(batch + part.shape[1:]) for part in sums)
+        return _normal_equations(self, self._check(theta), index)
 
-    def _link_columns(self, rows: np.ndarray, measured: np.ndarray):
-        """Residuals (n, 9L) and link columns (n * L, 9, 12) of rows (n, 12M), geometry freed."""
-        _, o_tx, o_rx, gains, r, u, f, couplings = self._geometry(rows)
-        cols = chan.channel_derivative_columns(r, u, f, gains, o_tx, o_rx, couplings)
-        return (measured - gains.reshape(measured.shape)).reshape(len(rows), -1), cols
+    def evaluate(self, theta: np.ndarray, index=None):
+        """Residual rows (..., 9L) at pose rows theta (..., 12M), and the point normal_slices reads.
 
-    def _link_sums(self, rows: np.ndarray, measured: np.ndarray):
-        """normal_equations of k pose rows (k, 12M) and their measured sets (k, L, 3, 3).
+        index is as for residual.  The point keeps the rows, the residuals and
+        the links' gains, distances and directions, not the gathered rotations.
+        """
+        batch, ends, couplings = self._ends(self._check(theta))
+        gains, r, u, _ = chan.channel_gain_batch(*ends, couplings)
+        gains = gains.reshape(batch + (len(self.links), 3, 3))
+        res = self._measured(index) - gains
+        res = res.reshape(res.shape[:-3] + (9 * len(self.links),))
+        return res, (theta, res, gains, r.reshape(gains.shape[:-2]), u.reshape(gains.shape[:-1]))
+
+    def normal_slices(self, point, rows: np.ndarray):
+        """Yield (part, J^T J (k, 6M, 6M), J^T r (k, 6M)) of the point's rows rows[part], in order.
+
+        A slice is at most LINKS_PER_SLICE links or one problem, so no
+        problem's sums depend on the stack or the slicing.
+        """
+        step = max(1, LINKS_PER_SLICE // max(len(self.links), 1))
+        for s in range(0, len(rows), step):
+            yield (slice(s, s + step),) + self._link_sums(point, rows[s : s + step])
+
+    def _link_sums(self, point, rows: np.ndarray):
+        """J^T J and J^T r of k rows of a point (evaluate), from its links' derivative columns.
 
         The residual derivatives are -C: each link's transmitter columns
         C_tx, and C_rx for an agent receiver.  An agent's diagonal block is
@@ -264,16 +265,24 @@ class LsProblem:
         transpose to its (rx, tx) block.  One agent has anchor links only:
         its sums are one plain product, without the gathers.
         """
-        residual, cols = self._link_columns(rows, measured)
         count, m, n_links = len(rows), self.n_agents, len(self.links)
+        theta, residual, gains, r, u = (part[rows] for part in point)
+        _, (_, o_tx, _, o_rx), couplings = self._ends(theta)
+        cols = chan.transmitter_columns(
+            r.ravel(), u.reshape(-1, 3), gains.reshape(-1, 3, 3), o_tx, o_rx, couplings
+        )
+        del theta, r, u, o_tx, o_rx, couplings  # before the gathers, to bound the peak
         if m == 1:
-            stacked = cols[:, :, :6].reshape(count, -1, 6)  # (k, 9L, 6)
+            stacked = np.swapaxes(cols.reshape(-1, 6, 9), 1, 2).reshape(count, -1, 6)  # (k, 9L, 6)
             stacked_t = np.swapaxes(stacked, -1, -2)
-            return residual, stacked_t @ stacked, -(stacked_t @ residual[..., None])[..., 0]
-        touch, pad, pairs = _link_tables(m, self.links.tobytes())
-        ends_t = cols.transpose(0, 2, 1).reshape(count, 2 * n_links, 6, 9)  # C^T of link ends
-        stacked = np.swapaxes(ends_t, -1, -2)[:, touch]  # (k, M, K, 9, 6)
-        res = residual.reshape(count, n_links, 9)[:, touch // 2]  # (k, M, K, 9)
+            return stacked_t @ stacked, -(stacked_t @ residual[..., None])[..., 0]
+        touch, linked, pad, pairs = _link_tables(m, self.links.tobytes())
+        cols = cols.reshape(count, n_links, 6, 3, 3)
+        # C^T of every link's transmitter end, then of every agent receiver's end
+        cols = np.concatenate([cols, chan.receiver_columns(cols[:, pairs], gains[:, pairs])], 1)
+        ends_t = cols.reshape(count, -1, 6, 9)
+        stacked = np.swapaxes(ends_t, -1, -2).take(touch, 1)  # (k, M, K, 9, 6)
+        res = residual.reshape(count, n_links, 9).take(linked, 1)  # (k, M, K, 9)
         stacked[:, pad], res[:, pad] = 0.0, 0.0
         stacked = stacked.reshape(count, m, -1, 6)
         stacked_t = np.swapaxes(stacked, -1, -2)
@@ -281,22 +290,21 @@ class LsProblem:
         blocks[:, np.arange(m), np.arange(m)] = stacked_t @ stacked
         pulls = stacked_t @ res.reshape(count, m, -1, 1)
         del stacked, stacked_t, res  # before the cross blocks, to bound the peak
-        sides = ends_t.reshape(count, n_links, 2, 6, 9)[:, pairs]
         tx, rx = self.links[pairs].T
-        blocks[:, tx, rx] = sides[:, :, 0] @ np.swapaxes(sides[:, :, 1], -1, -2)
+        blocks[:, tx, rx] = ends_t.take(pairs, 1) @ np.swapaxes(ends_t[:, n_links:], -1, -2)
         blocks[:, rx, tx] += np.swapaxes(blocks[:, tx, rx], -1, -2)
         jtj = blocks.transpose(0, 1, 3, 2, 4).reshape(count, 6 * m, 6 * m)
-        return residual, jtj, -pulls.reshape(count, 6 * m)
+        return jtj, -pulls.reshape(count, 6 * m)
 
 
 @lru_cache(maxsize=64)
 def _link_tables(n_agents: int, links_key: bytes):
     """Gather tables of the link set whose (L, 2) int array has the bytes links_key.
 
-    touch (M, K) holds each agent's link ends 2 l + side (0 transmitter,
-    1 receiver) in link order, padded to the longest; pad (M, K) marks the
-    padding; pairs lists the agent-agent links.  Read-only.  Raises
-    ValueError if two links join the same agents in the same direction.
+    touch (M, K) holds each agent's link ends in link order, padded to the longest: link l's
+    transmitter end is l, the p-th agent-agent link's receiver end L + p.  linked (M, K) holds
+    their links, pad (M, K) marks the padding and pairs lists the agent-agent links.  Read-only.
+    Raises ValueError if two links join the same agents in the same direction.
     """
     links = np.frombuffer(links_key, dtype=int).reshape(-1, 2)
     pairs = np.flatnonzero(links[:, 1] < n_agents)
@@ -307,11 +315,12 @@ def _link_tables(n_agents: int, links_key: bytes):
     ends = ends[np.argsort(nodes[ends], kind="stable")]
     counts = np.bincount(nodes[ends], minlength=n_agents)
     pad = np.arange(counts.max(initial=0)) >= counts[:, None]
-    touch = np.zeros(pad.shape, dtype=int)
-    touch[~pad] = ends
-    for table in (touch, pad, pairs):
+    touch, linked = np.zeros(pad.shape, dtype=int), np.zeros(pad.shape, dtype=int)
+    linked[~pad] = ends // 2
+    touch[~pad] = np.where(ends % 2, len(links) + np.searchsorted(pairs, ends // 2), ends // 2)
+    for table in (touch, linked, pad, pairs):
         table.setflags(write=False)
-    return touch, pad, pairs
+    return touch, linked, pad, pairs
 
 
 @dataclass
@@ -359,17 +368,25 @@ def _damped_steps(jtj: np.ndarray, gradient: np.ndarray, lam: np.ndarray) -> np.
         return steps
 
 
+def _normal_equations(problem, x: np.ndarray, index):
+    """Residual rows, normal matrices and gradients of an LM problem's rows x (..., W)."""
+    residual, point = problem.evaluate(x.reshape(-1, x.shape[-1]), index)
+    parts = [part[1:] for part in problem.normal_slices(point, np.arange(len(residual)))]
+    sums = parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
+    return tuple(part.reshape(x.shape[:-1] + part.shape[1:]) for part in (residual, *sums))
+
+
 def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     """Damped Gauss-Newton iteration with the classic Marquardt schedule.
 
     x0 has shape (..., W): one start per independent problem of a stack.
-    problem.residual(x, index) evaluates the residual rows of the rows x
-    (n, W) of the problems listed in index, problem.normal_equations(x,
-    index) their residuals, normal matrices (n, P, P) and gradients (n, P)
-    over P step parameters, and problem.retract(x, step) moves rows x by
-    steps (n, P).  Every problem keeps its own damping, cost, iteration
-    count and flags; each round makes one residual call for the problems
-    trying a step and one normal-equation call for those that accepted one.
+    problem.evaluate(x, index) returns the residual rows of the rows x (n, W)
+    of the problems in index and a point; problem.normal_slices(point, rows)
+    yields (part, normal matrices (k, P, P), gradients (k, P)) of the point's
+    rows rows[part] over P step parameters; problem.retract(x, step) moves
+    rows x by steps (n, P).  Every problem keeps its own damping, cost,
+    iteration count and flags.  Each round evaluates the trial rows once; the
+    problems that go on write their normal equations from that point.
 
     The damping term scales the diagonal of the normal equations; lambda is
     multiplied by 10 on every rejected step and divided by 10 after an
@@ -385,7 +402,7 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     x0 = np.asarray(x0, dtype=float)
     x = x0.reshape(-1, x0.shape[-1]).copy()
     count = len(x)
-    residual, jtj, gradient = problem.normal_equations(x, np.arange(count))
+    residual, jtj, gradient = _normal_equations(problem, x, np.arange(count))
     cost = _sum_squares(residual)
     lam = np.full(count, LM_INITIAL_DAMPING)
     iteration = np.ones(count, dtype=int)
@@ -403,7 +420,8 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
         step = _damped_steps(jtj[trying], gradient[trying], lam[trying])
         singular[trying] |= ~np.all(np.isfinite(step), axis=1)
         trial = problem.retract(x[trying], step)
-        trial_cost = _sum_squares(problem.residual(trial, trying))
+        trial_residual, point = problem.evaluate(trial, trying)
+        trial_cost = _sum_squares(trial_residual)
         accept = trial_cost <= cost[trying]
         moved, new_cost = trying, trial_cost
         if not accept.all():
@@ -428,7 +446,8 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
             going = going[~exhausted]
         if going.size:
             iteration[going] += 1
-            _, jtj[going], gradient[going] = problem.normal_equations(x[going], going)
+            for part, *sums in problem.normal_slices(point, np.searchsorted(trying, going)):
+                jtj[going[part]], gradient[going[part]] = sums
 
     shape = x0.shape[:-1]
     return StackedSolve(
@@ -574,20 +593,19 @@ class _RangeProblem:
     anchor_positions: np.ndarray
     distances: np.ndarray
 
-    def normal_equations(self, p: np.ndarray, index=None):
-        anchors, distances = self.anchor_positions, self.distances
-        if index is not None:
-            anchors, distances = anchors[index], distances[index]
+    def evaluate(self, p: np.ndarray, index):
+        """Residual rows of the fixes p (n, 3) of problems index; the point keeps the Jacobian."""
+        anchors, distances = self.anchor_positions[index], self.distances[index]
         diff = p[..., None, :] - anchors
         norms = np.maximum(np.linalg.norm(diff, axis=-1), 1e-12)
         usable = np.isfinite(distances)
         residual = np.where(usable, norms - distances, 0.0)
-        jac = np.where(usable[..., None], diff / norms[..., None], 0.0)
-        jac_t = np.swapaxes(jac, -1, -2)
-        return residual, jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
+        return residual, (residual, np.where(usable[..., None], diff / norms[..., None], 0.0))
 
-    def residual(self, p: np.ndarray, index=None) -> np.ndarray:
-        return self.normal_equations(p, index)[0]
+    def normal_slices(self, point, rows: np.ndarray):
+        residual, jac = (part[rows] for part in point)
+        jac_t = np.swapaxes(jac, -1, -2)
+        yield slice(None), jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
 
     def retract(self, p: np.ndarray, step: np.ndarray) -> np.ndarray:
         return p + step

@@ -232,8 +232,8 @@ def load_topology(path, room: Optional[Room] = None) -> Topology:
     """Read a topology fixture; the room comes from its one header unless given.
 
     All nodes' angles turn into rotations in one call; anchors keep the angles read.  A second
-    or malformed header or node row (a non-numeric number, or in a row a non-finite one,
-    included) raises a ValueError quoting it; Room rejects non-finite corners.
+    or malformed header or node row (a non-numeric number, a non-finite one, and in the header
+    corners that do not increase, included) raises a ValueError quoting it.
     """
     read, agent, rows = None, [], []
     for raw in Path(path).read_text().splitlines():
@@ -248,7 +248,10 @@ def load_topology(path, room: Optional[Room] = None) -> Topology:
                 if len(parts) != 7:
                     raise ValueError(f"room header needs six numbers: {line!r}")
                 vals = _numbers(parts[1:], "room header", line)
-                read = Room(vals[:3], vals[3:])
+                try:
+                    read = Room(vals[:3], vals[3:])
+                except ValueError as exc:  # a non-finite or non-increasing corner
+                    raise ValueError(f"room header {line!r}: {exc}") from None
             continue
         fields = line.split()
         if len(fields) != 8:

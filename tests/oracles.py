@@ -25,6 +25,8 @@ residual_and_jacobian builds the dense residual Jacobian (..., 9L, 6M) of
 an LsProblem, each link's derivative columns placed in its endpoints'
 agent blocks, and normal_equations forms J^T J and J^T r from it: the
 reference for LsProblem.normal_equations, which never forms J.
+TwoPassProblem hands an LsProblem to the LM with its normal equations
+evaluated afresh at the rows that go on: two link-geometry passes a round.
 levenberg_marquardt solves one problem at a time with its own Python loop
 on that dense Jacobian, into a 0-d StackedSolve, and
 random_restarts_per_agent drives it through
@@ -182,6 +184,28 @@ def normal_equations(residual: np.ndarray, jac: np.ndarray):
     """(residual, J^T J, J^T r) of residual rows (..., R) and their Jacobian (..., R, P)."""
     jac_t = np.swapaxes(jac, -1, -2)
     return residual, jac_t @ jac, (jac_t @ residual[..., None])[..., 0]
+
+
+class TwoPassProblem:
+    """An LsProblem stack whose normal equations the LM evaluates afresh from the pose rows.
+
+    evaluate keeps only the rows and their problems, and normal_slices
+    calls problem.normal_equations on the rows that go on: one link
+    geometry pass for the trial residual and one for the sums.
+    """
+
+    def __init__(self, problem: LsProblem):
+        self.problem = problem
+
+    def evaluate(self, x, index):
+        return self.problem.residual(x, index), (x, index)
+
+    def normal_slices(self, point, rows):
+        x, index = point
+        yield (slice(None),) + self.problem.normal_equations(x[rows], index[rows])[1:]
+
+    def retract(self, x, step):
+        return self.problem.retract(x, step)
 
 
 def _solved(x, cost, iteration, converged, singular) -> StackedSolve:

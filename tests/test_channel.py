@@ -10,6 +10,8 @@ from miloc.channel import (
     channel_gain_batch,
     channel_matrix,
     coupling_coefficient,
+    receiver_columns,
+    transmitter_columns,
 )
 from miloc.geometry import Deployment, sample_uniform_rotation
 
@@ -226,3 +228,18 @@ def test_batched_kernels_match_single_link(coupling):
                 assert np.allclose(
                     cols[idx, :, offset + 3 + i], np.imag(d_ori[i]).ravel(), atol=1e-16
                 )
+
+
+def test_endpoint_columns_are_the_full_kernels_halves(coupling):
+    # bit for bit, on random links whose endpoints are all turned
+    rng = np.random.default_rng(10)
+    p_tx, p_rx = rng.uniform(0.0, 1.5, (2, 200, 3))
+    o_tx, o_rx = sample_uniform_rotation(rng, 200), sample_uniform_rotation(rng, 200)
+    assert np.all(np.abs(np.einsum("lii->l", o_rx) - 3.0) > 1e-3)
+    gains, r, u, f = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
+    full = channel_derivative_columns(r, u, f, gains, o_tx, o_rx, coupling)
+    tx = transmitter_columns(r, u, gains, o_tx, o_rx, coupling)
+    assert tx.shape == (200, 6, 3, 3)
+    assert np.array_equal(np.swapaxes(tx.reshape(200, 6, 9), 1, 2), full[:, :, :6])
+    rx = receiver_columns(tx, gains)
+    assert np.array_equal(np.swapaxes(rx.reshape(200, 6, 9), 1, 2), full[:, :, 6:])

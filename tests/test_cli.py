@@ -289,6 +289,16 @@ def test_topology_check_names_a_non_numeric_field(tmp_path, capsys, rows, quoted
     assert f"error: {quoted}: could not convert string to float: 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["# room 0 0 0 inf 1.5 1.5", "# room 0 0 0 1.5 0 1.5"])
+def test_topology_check_names_a_bad_room_header(tmp_path, capsys, header):
+    cfg = _write_cfg(tmp_path)
+    fixture = tmp_path / "topo.txt"
+    fixture.write_text(header + "\n0 anchor 0.75 0 0.375 0 0 0\n")
+    assert main(["topology", "check", str(fixture), "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: room header {header!r}: max_corner must exceed min_corner" in err
+
+
 def test_topology_sample_writes_layout_anchors_as_read(tmp_path):
     import numpy as np
 

@@ -113,12 +113,13 @@ class _Quadratic:
     def __init__(self, target):
         self.target = target
 
-    def residual(self, x, index=None):
-        return x - self.target
+    def evaluate(self, x, index=None):
+        return x - self.target, x
 
-    def normal_equations(self, x, index=None):
-        size = x.shape[-1]
-        return oracles.normal_equations(x - self.target, np.broadcast_to(np.eye(size), x.shape + (size,)))
+    def normal_slices(self, x, rows):
+        x, size = x[rows], x.shape[-1]
+        eye = np.broadcast_to(np.eye(size), x.shape + (size,))
+        yield (slice(None),) + oracles.normal_equations(x - self.target, eye)[1:]
 
     def retract(self, x, step):
         return x + step
@@ -142,11 +143,13 @@ def test_lm_solves_linear_problem_immediately(monkeypatch):
 class _BrokenJacobian:
     """Produces non-finite normal equations at every damping level."""
 
-    def residual(self, x, index=None):
-        return x - 1.0
+    def evaluate(self, x, index=None):
+        return x - 1.0, x
 
-    def normal_equations(self, x, index=None):
-        return oracles.normal_equations(x - 1.0, np.full(x.shape + (x.shape[-1],), np.nan))
+    def normal_slices(self, x, rows):
+        x = x[rows]
+        nan = np.full(x.shape + (x.shape[-1],), np.nan)
+        yield (slice(None),) + oracles.normal_equations(x - 1.0, nan)[1:]
 
     def retract(self, x, step):
         return x + step
@@ -172,18 +175,25 @@ def test_lm_accepted_costs_monotone(room, anchors, coil, gparams):
     rng = np.random.default_rng(8)
     x0 = problem.retract(topo.pose_row, rng.normal(0, 0.1, 12))
 
+    # the cost of every row whose normal equations the LM sums
     costs = []
-    original = problem.normal_equations
+    evaluate, normal_slices = problem.evaluate, problem.normal_slices
 
-    def tracking(theta, index=None):
-        res, jtj, gradient = original(theta, index)
-        costs.append(float(np.sum(res**2)))
-        return res, jtj, gradient
+    def evaluating(theta, index=None):
+        residual, point = evaluate(theta, index)
+        return residual, (point, residual)
 
-    problem.normal_equations = tracking
-    levenberg_marquardt(problem, x0)
-    # evaluations happen only at accepted iterates; the sequence never rises
-    assert all(b <= a + 1e-300 for a, b in zip(costs, costs[1:]))
+    def summing(point, rows):
+        point, residual = point
+        costs.extend(np.sum(residual[rows] ** 2, axis=-1).tolist())
+        return normal_slices(point, rows)
+
+    problem.evaluate, problem.normal_slices = evaluating, summing
+    solve = levenberg_marquardt(problem, x0)
+    # sums happen at the start and at each accepted iterate but the last,
+    # which converged; the sequence never rises
+    assert solve.converged and len(costs) == solve.iterations > 2
+    assert all(b <= a + 1e-300 for a, b in zip(costs, costs[1:] + [solve.final_cost]))
 
 
 def test_perfect_init_exact_recovery(room, anchors, coil, gparams):
@@ -392,8 +402,8 @@ def test_stacked_cost_is_one_cost_per_set(coil, gparams, room, anchors):
     assert stack.cost(theta[0]).tolist() == [a.cost(theta[0]), b.cost(theta[0])]
 
 
-def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
-    # starts inside the room and well outside it: some restarts run off
+def _runaway_stack(coil, gparams, room, anchors):
+    """Single-agent problems from starts inside the room and well outside it: some run off."""
     stack, singles = _anchor_stack([32, 33, 34], coil, gparams, room, anchors)
     rng = np.random.default_rng(35)
     x0 = np.vstack(
@@ -402,6 +412,11 @@ def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
             _random_starts(len(singles) - len(singles) // 2, rng, -3.0, 4.5),
         ]
     )
+    return stack, singles, x0
+
+
+def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
+    stack, singles, x0 = _runaway_stack(coil, gparams, room, anchors)
     solve = levenberg_marquardt(stack, x0)
     assert solve.estimate.shape == x0.shape
     diverged = 0
@@ -417,6 +432,25 @@ def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
     assert solve.iterations == int(solve.problem_iterations.sum())
 
 
+@pytest.mark.parametrize("per_slice", [None, 3])
+def test_lm_equals_the_two_pass_round(per_slice, monkeypatch, coil, gparams, room, anchors):
+    # bit for bit: sums from the kept trial point, written slice by slice,
+    # against normal equations evaluated afresh at the rows that go on
+    stack, _, x0 = _runaway_stack(coil, gparams, room, anchors)
+    coop, _, truths = _coop_sets(3, [50, 51, 52], coil, gparams, room, anchors)
+    rng = np.random.default_rng(53)
+    near = coop.retract(truths, rng.normal(0.0, 0.1, (3, 18)))
+    starts = np.vstack([near, _random_starts(9, rng, 0.0, 1.5).reshape(3, 36)])
+    coop = dataclasses.replace(coop, y_imag=np.concatenate([coop.y_imag, coop.y_imag]))
+    for problem, start in ((stack, x0), (coop, starts)):
+        if per_slice:
+            monkeypatch.setattr(estimators, "LINKS_PER_SLICE", per_slice * len(problem.links))
+        solve = levenberg_marquardt(problem, start)
+        want = levenberg_marquardt(oracles.TwoPassProblem(problem), start)
+        for field in dataclasses.fields(estimators.StackedSolve):
+            assert np.array_equal(getattr(solve, field.name), getattr(want, field.name)), field.name
+
+
 class _NanJacobianRows:
     """A stacked problem whose normal equations are NaN for the listed problems."""
 
@@ -424,14 +458,16 @@ class _NanJacobianRows:
         self.problem = problem
         self.broken = broken
 
-    def residual(self, x, index):
-        return self.problem.residual(x, index)
+    def evaluate(self, x, index):
+        residual, point = self.problem.evaluate(x, index)
+        return residual, (point, index)
 
-    def normal_equations(self, x, index):
-        res, jtj, gradient = self.problem.normal_equations(x, index)
-        jtj[np.isin(index, self.broken)] = np.nan
-        gradient[np.isin(index, self.broken)] = np.nan
-        return res, jtj, gradient
+    def normal_slices(self, point, rows):
+        point, index = point
+        for part, jtj, gradient in self.problem.normal_slices(point, rows):
+            jtj[np.isin(index[rows[part]], self.broken)] = np.nan
+            gradient[np.isin(index[rows[part]], self.broken)] = np.nan
+            yield part, jtj, gradient
 
     def retract(self, x, step):
         return self.problem.retract(x, step)
@@ -774,12 +810,14 @@ def test_range_normal_equations_match_finite_differences(room, anchors):
     h = 1e-6
     jac = np.stack(
         [
-            (problem.residual(p + h * e, index) - problem.residual(p - h * e, index)) / (2 * h)
+            (problem.evaluate(p + h * e, index)[0] - problem.evaluate(p - h * e, index)[0])
+            / (2 * h)
             for e in np.eye(3)
         ],
         axis=-1,
     )
-    for got, want in zip(problem.normal_equations(p, index), oracles.normal_equations(problem.residual(p, index), jac)):
+    want = oracles.normal_equations(problem.evaluate(p, index)[0], jac)
+    for got, want in zip(estimators._normal_equations(problem, p, index), want):
         assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
 
 

@@ -78,6 +78,8 @@ RUNS = {
     # checked runs of several chunks of trials (7 and 8 trials per chunk)
     "turbols_coop_chunks": _simulate("turbols", "coop", "10", "8", noise="4"),
     "numls_random5_noncoop_chunks": _simulate("numls", "noncoop", "10", "5", "random:5", "4"),
+    # random starts that run off: four rows end 4e7 to 1.5e11 m outside the room
+    "numls_random1_noncoop_runaway": _simulate("numls", "noncoop", "10", "3", "random:1"),
 }
 CONFIGS = {
     "topology_sample_anchor_layout": "anchors.cfg",
