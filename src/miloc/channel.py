@@ -25,8 +25,12 @@ VACUUM_PERMEABILITY = 4e-7 * np.pi  # H/m
 
 MIN_NODE_DISTANCE = 1e-9  # m; below this the dipole model blows up
 
-# [e_i]x for the three axes, (3, 3, 3): the generators of local rotations
-_AXIS_GENERATORS = skew(np.eye(3))
+_IDENTITY = np.eye(3)
+_HALF_IDENTITY = 0.5 * _IDENTITY
+# [e_i]x for the three axes, (3, 3, 3): the generators of local rotations, and
+# side by side, (3, 9)
+_AXIS_GENERATORS = skew(_IDENTITY)
+_GENERATOR_ROWS = np.concatenate(_AXIS_GENERATORS, axis=1)
 
 
 class CoincidentNodes(ValueError):
@@ -137,11 +141,11 @@ def channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling):
         CoincidentNodes: some link's endpoints (nearly) coincide.
     """
     rvec = p_rx - p_tx
-    r = np.linalg.norm(rvec, axis=1)
-    if np.any(r < MIN_NODE_DISTANCE):
+    r = np.sqrt(np.add.reduce(rvec * rvec, axis=1))  # np.linalg.norm(rvec, axis=1), bit for bit
+    if (r < MIN_NODE_DISTANCE).any():
         raise CoincidentNodes(f"node distance below {MIN_NODE_DISTANCE} m")
     u = rvec / r[:, None]
-    f = 1.5 * u[:, :, None] * u[:, None, :] - 0.5 * np.eye(3)
+    f = 1.5 * u[:, :, None] * u[:, None, :] - _HALF_IDENTITY
     scale = np.asarray(coupling, dtype=float) / r**3
     gains = scale[:, None, None] * (np.swapaxes(o_rx, 1, 2) @ f @ o_tx)
     return gains, r, u, f
@@ -166,14 +170,27 @@ def transmitter_columns(r, u, gains, o_tx, o_rx, coupling):
     With rvec = p_rx - p_tx, du/d[p_tx]_i = -(e_i - u_i u) / r and d(r^-3)/d[p_tx]_i =
     3 u_i / r^4; G is linear in O_tx, so the orientation columns are G [e_i]x.
     """
+    n = len(r)
     scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None, None]
-    # w[l, i] = du/d[p_tx]_i and df[l, i] = dF/d[p_tx]_i
-    w = (u[:, :, None] * u[:, None, :] - np.eye(3)) / r[:, None, None]
-    df = 1.5 * (u[:, None, :, None] * w[:, :, None, :] + w[:, :, :, None] * u[:, None, None, :])
-    o_rx_t = np.swapaxes(o_rx, 1, 2)[:, None]
-    spatial = scale * (o_rx_t @ df @ o_tx[:, None])
+    # w[i, a] = du_a/d[p_tx]_i and df[i] = dF/d[p_tx]_i with the links last, so that
+    # each elementwise product runs along the links
+    u_t = np.ascontiguousarray(u.T)
+    w = (u_t[:, None] * u_t - _IDENTITY[..., None]) / r
+    df = u_t[:, None] * w[:, None]
+    df += w[:, :, None] * u_t
+    df *= 1.5
+    # O_rx^T [dF_0 dF_1 dF_2], then its three blocks stacked times O_tx: two 3x3-by-3x9
+    # products a link, with the bits of the nine 3x3 ones
+    df = np.ascontiguousarray(df.transpose(3, 1, 0, 2)).reshape(n, 3, 9)
+    del u_t, w
+    spatial = np.swapaxes(o_rx, 1, 2) @ df
+    del df  # before the copies below, to bound the peak
+    spatial = np.ascontiguousarray(spatial.reshape(n, 3, 3, 3).transpose(0, 2, 1, 3))
+    spatial = (spatial.reshape(n, 9, 3) @ o_tx).reshape(n, 3, 3, 3)
+    spatial *= scale
     spatial += (3.0 * u / r[:, None])[:, :, None, None] * gains[:, None]
-    return np.concatenate([spatial, gains[:, None] @ _AXIS_GENERATORS], axis=1)
+    angular = (gains @ _GENERATOR_ROWS).reshape(n, 3, 3, 3).transpose(0, 2, 1, 3)
+    return np.concatenate([spatial, angular], axis=1)
 
 
 def receiver_columns(tx_columns, gains):
@@ -182,5 +199,5 @@ def receiver_columns(tx_columns, gains):
     H depends on positions only through p_rx - p_tx and G is linear in O_rx^T,
     so the columns are the negated spatial ones and -[e_i]x G ([e_i]x^T = -[e_i]x).
     """
-    angular = -(_AXIS_GENERATORS @ gains[..., None, :, :])
+    angular = -(_AXIS_GENERATORS.reshape(9, 3) @ gains).reshape(gains.shape[:-2] + (3, 3, 3))
     return np.concatenate([-tx_columns[..., :3, :, :], angular], axis=-3)

@@ -26,14 +26,19 @@ and (..., 6M) gradients J^T r, over the 6M step parameters; a 1-d row gives
 one problem.  LsProblem.evaluate keeps the links' gains, distances and
 directions with the residuals, and LsProblem.normal_slices sums J^T J and J^T r
 from them link by link, at most LINKS_PER_SLICE links at a time, so no dense
-Jacobian is formed.  Independent problems (the agents of a non-cooperative
-network, random restarts, the trials of a chunk) are rows of one stack that
-levenberg_marquardt advances together, each with its own damping and
-termination; estimate solves whatever stack it is given in one LM call, for
-every initialization, and the harness bounds the stack by sizing its chunks
-of trials in links.  A perfect-init estimate is the reference that checks
-whether another start reached the global minimum, so an estimate and its
-references share one call.
+Jacobian is formed.  It forms the link ends' rotations again from the rows it
+reads, with one gather of the nodes' poses, rather than keeping them with the
+point, and reads rows that are all of the point's as views.  Independent
+problems (the agents of a non-cooperative network, random restarts, the
+trials of a chunk) are rows of one stack that levenberg_marquardt advances
+together, each with its own damping and termination.  A round's fixed cost
+is kept small: the problems that step are an index list, formed again only
+when one leaves, and _damped_steps gathers their systems itself.  estimate
+solves whatever stack it is given in one LM call, for every initialization,
+and the harness bounds the stack by sizing its chunks of trials in links.
+A perfect-init estimate is the reference that checks whether another start
+reached the global minimum, so an estimate and its references share one
+call.
 Results stay arrays: levenberg_marquardt and multilaterate return a
 StackedSolve, one entry per problem, and estimate one StackedSolve per
 initialization, shaped by measurement set and group of agents (one group
@@ -50,13 +55,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import channel as chan
-from .geometry import (
-    Room,
-    exp_rotation,
-    join_poses,
-    quaternion_to_rotation,
-    split_poses,
-)
+from .geometry import Room, exp_rotation, join_poses, quaternion_to_rotation
 from . import pairml
 
 LM_INITIAL_DAMPING = 1e-3
@@ -180,26 +179,41 @@ class LsProblem:
     def retract(self, theta: np.ndarray, step: np.ndarray) -> np.ndarray:
         """Pose rows theta (..., 12M) moved by steps (..., 6M): p + dp and R exp([phi]x).
 
-        A step holds [dp, phi] for every agent in turn.
+        A step holds [dp, phi] for every agent in turn.  The moved rows are
+        written into one new array, each pose as its position row and its
+        rotation's three rows (4, 3).
         """
-        positions, rotations = split_poses(self._check(theta))
-        step = np.reshape(step, positions.shape[:-1] + (6,))
-        return join_poses(positions + step[..., :3], rotations @ exp_rotation(step[..., 3:]))
+        theta = self._check(theta)
+        poses = theta.reshape(theta.shape[:-1] + (self.n_agents, 4, 3))
+        step = np.reshape(step, poses.shape[:-2] + (2, 3))
+        moved = np.empty_like(poses)
+        np.add(poses[..., 0, :], step[..., 0, :], out=moved[..., 0, :])
+        np.matmul(poses[..., 1:, :], exp_rotation(step[..., 1, :]), out=moved[..., 1:, :])
+        return moved.reshape(theta.shape)
 
     def _ends(self, theta: np.ndarray):
-        """Batch shape, the flattened (batch * L) poses of the links' ends, and their couplings."""
-        agent_p, agent_o = split_poses(theta)
-        batch, m = agent_p.shape[:-2], self.n_agents
-        positions = np.empty(batch + (m + len(self.anchor_positions), 3))
-        rotations = np.empty(positions.shape + (3,))
-        positions[..., :m, :], positions[..., m:, :] = agent_p, self.anchor_positions
-        rotations[..., :m, :, :], rotations[..., m:, :, :] = agent_o, self.anchor_rotations
-        tx, rx = self.links[:, 0], self.links[:, 1]
-        couplings = np.broadcast_to(self.coupling, batch + (len(tx),)).reshape(-1)
-        return batch, (
-            positions.take(tx, -2).reshape(-1, 3), rotations.take(tx, -3).reshape(-1, 3, 3),
-            positions.take(rx, -2).reshape(-1, 3), rotations.take(rx, -3).reshape(-1, 3, 3),
-        ), couplings
+        """The links' transmitter and receiver poses and couplings at pose rows theta (..., 12M).
+
+        Each is flattened over the batch, (batch * L, 4, 3) and (batch * L,):
+        a pose is its position row and its rotation's rows, as in a pose row.
+        """
+        m = self.n_agents
+        poses = theta.reshape(theta.shape[:-1] + (m, 4, 3))
+        nodes = np.empty(poses.shape[:-3] + (m + len(self.anchor_positions), 4, 3))
+        nodes[..., :m, :, :] = poses
+        nodes[..., m:, 0, :], nodes[..., m:, 1:, :] = self.anchor_positions, self.anchor_rotations
+        ends = nodes.take(self.links, -3).reshape(-1, 2, 4, 3)
+        couplings = np.full(poses.shape[:-3] + (len(self.links),), self.coupling, float)
+        return ends[:, 0], ends[:, 1], couplings.reshape(-1)
+
+    def _link_geometry(self, theta: np.ndarray):
+        """Gains (..., L, 3, 3), distances (..., L) and directions (..., L, 3) at rows theta."""
+        tx, rx, couplings = self._ends(theta)
+        gains, r, u, _ = chan.channel_gain_batch(
+            tx[:, 0], tx[:, 1:], rx[:, 0], rx[:, 1:], couplings
+        )
+        links = theta.shape[:-1] + (len(self.links),)
+        return gains.reshape(links + (3, 3)), r.reshape(links), u.reshape(links + (3,))
 
     def _measured(self, index) -> np.ndarray:
         """The measured sets of the problems in index (default: all of them, in order)."""
@@ -207,9 +221,7 @@ class LsProblem:
 
     def gains(self, theta: np.ndarray) -> np.ndarray:
         """Noiseless Im(H) of every link, (..., L, 3, 3), at pose rows theta (..., 12M)."""
-        batch, ends, couplings = self._ends(self._check(theta))
-        gains = chan.channel_gain_batch(*ends, couplings)[0]
-        return gains.reshape(batch + (len(self.links), 3, 3))
+        return self._link_geometry(self._check(theta))[0]
 
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
         """Residual rows of shape (..., 9L) for pose rows theta (..., 12M).
@@ -236,46 +248,55 @@ class LsProblem:
         """Residual rows (..., 9L) at pose rows theta (..., 12M), and the point normal_slices reads.
 
         index is as for residual.  The point keeps the rows, the residuals and
-        the links' gains, distances and directions, not the gathered rotations.
+        the links' gains, distances and directions.  It does not keep the
+        link ends' poses, which normal_slices forms again from the rows it
+        reads, so a round holds no more than those.
         """
-        batch, ends, couplings = self._ends(self._check(theta))
-        gains, r, u, _ = chan.channel_gain_batch(*ends, couplings)
-        gains = gains.reshape(batch + (len(self.links), 3, 3))
+        theta = self._check(theta)
+        gains, r, u = self._link_geometry(theta)
         res = self._measured(index) - gains
         res = res.reshape(res.shape[:-3] + (9 * len(self.links),))
-        return res, (theta, res, gains, r.reshape(gains.shape[:-2]), u.reshape(gains.shape[:-1]))
+        return res, (theta, res, gains, r, u)
 
     def normal_slices(self, point, rows: np.ndarray):
         """Yield (part, J^T J (k, 6M, 6M), J^T r (k, 6M)) of the point's rows rows[part], in order.
 
-        A slice is at most LINKS_PER_SLICE links or one problem, so no
+        rows are distinct rows of the point, in increasing order; when they
+        are all of its rows, each slice reads them as views, not copies.  A
+        slice is at most LINKS_PER_SLICE links or one problem, so no
         problem's sums depend on the stack or the slicing.
         """
         step = max(1, LINKS_PER_SLICE // max(len(self.links), 1))
+        every = len(rows) == len(point[0])
         for s in range(0, len(rows), step):
-            yield (slice(s, s + step),) + self._link_sums(point, rows[s : s + step])
+            part = slice(s, s + step)
+            yield (part,) + self._link_sums(point, part if every else rows[part])
 
-    def _link_sums(self, point, rows: np.ndarray):
-        """J^T J and J^T r of k rows of a point (evaluate), from its links' derivative columns.
+    def _link_sums(self, point, rows):
+        """J^T J and J^T r of some rows of a point (evaluate), from its links' derivative columns.
 
-        The residual derivatives are -C: each link's transmitter columns
-        C_tx, and C_rx for an agent receiver.  An agent's diagonal block is
-        the Gram matrix of the stacked columns of its links, and an
-        agent-agent link adds C_tx^T C_rx to its (tx, rx) block and the
-        transpose to its (rx, tx) block.  One agent has anchor links only:
-        its sums are one plain product, without the gathers.
+        rows is an index array or a slice.  The residual derivatives are -C:
+        each link's transmitter columns C_tx, and C_rx for an agent receiver.
+        An agent's diagonal block is the Gram matrix of the stacked columns of
+        its links, and an agent-agent link adds C_tx^T C_rx to its (tx, rx)
+        block and the transpose to its (rx, tx) block.  One agent has anchor
+        links only: its sums are one plain product, without the gathers.
         """
-        count, m, n_links = len(rows), self.n_agents, len(self.links)
+        m, n_links = self.n_agents, len(self.links)
         theta, residual, gains, r, u = (part[rows] for part in point)
-        _, (_, o_tx, _, o_rx), couplings = self._ends(theta)
+        count = len(theta)
+        tx, rx, couplings = self._ends(theta)
         cols = chan.transmitter_columns(
-            r.ravel(), u.reshape(-1, 3), gains.reshape(-1, 3, 3), o_tx, o_rx, couplings
+            r.ravel(), u.reshape(-1, 3), gains.reshape(-1, 3, 3), tx[:, 1:], rx[:, 1:], couplings
         )
-        del theta, r, u, o_tx, o_rx, couplings  # before the gathers, to bound the peak
+        del theta, r, u, tx, rx, couplings  # before the gathers, to bound the peak
         if m == 1:
             stacked = np.swapaxes(cols.reshape(-1, 6, 9), 1, 2).reshape(count, -1, 6)  # (k, 9L, 6)
+            del cols
             stacked_t = np.swapaxes(stacked, -1, -2)
-            return stacked_t @ stacked, -(stacked_t @ residual[..., None])[..., 0]
+            # a contiguous C^T gives the Gram matrix's bits faster; it would move the gradient's
+            jtj = np.ascontiguousarray(stacked_t) @ stacked
+            return jtj, -(stacked_t @ residual[..., None])[..., 0]
         touch, linked, pad, pairs = _link_tables(m, self.links.tobytes())
         cols = cols.reshape(count, n_links, 6, 3, 3)
         # C^T of every link's transmitter end, then of every agent receiver's end
@@ -348,18 +369,21 @@ def _sum_squares(residual: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", residual, residual)
 
 
-def _damped_steps(jtj: np.ndarray, gradient: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Marquardt steps of a (B, P, P) stack; NaN rows where a system is singular."""
-    diag = np.arange(jtj.shape[-1])
-    scale = np.maximum(jtj[:, diag, diag], 1e-30)
-    system = jtj.copy()
-    system[:, diag, diag] += lam[:, None] * scale
-    rhs = -gradient[..., None]
+def _damped_steps(jtj: np.ndarray, gradient: np.ndarray, lam: np.ndarray, trying) -> np.ndarray:
+    """Marquardt steps of the systems trying of a (B, P, P) stack; NaN where one is singular.
+
+    The damped systems are gathered copies, so jtj, gradient and lam are only
+    read: the damping is added into the diagonal of the gathered J^T J.
+    """
+    system = jtj[trying]
+    diagonal = system.reshape(len(system), -1)[:, :: system.shape[-1] + 1]
+    diagonal += lam[trying][:, None] * np.maximum(diagonal, 1e-30)
+    rhs = -gradient[trying][..., None]
     try:
         return np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError:
         # one singular system must not stop the others: solve them one by one
-        steps = np.full(gradient.shape, np.nan)
+        steps = np.full(rhs.shape[:-1], np.nan)
         for b in range(len(system)):
             try:
                 steps[b] = np.linalg.solve(system[b], rhs[b])[:, 0]
@@ -408,31 +432,36 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     iteration = np.ones(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     singular = np.zeros(count, dtype=bool)
-    active = np.ones(count, dtype=bool)
+    # a problem whose damping passed the ceiling has no acceptable step
+    active = lam <= LM_MAX_DAMPING
+    trying = np.flatnonzero(active)
 
     # each mask below is gathered only when it leaves some problem out
-    while True:
-        # a problem whose damping passed the ceiling has no acceptable step
-        active &= lam <= LM_MAX_DAMPING
-        trying = np.flatnonzero(active)
-        if not trying.size:
-            break
-        step = _damped_steps(jtj[trying], gradient[trying], lam[trying])
-        singular[trying] |= ~np.all(np.isfinite(step), axis=1)
+    rounds = 0
+    while trying.size:
+        rounds += 1
+        step = _damped_steps(jtj, gradient, lam, trying)
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            singular[trying[~finite]] = True
         trial = problem.retract(x[trying], step)
         trial_residual, point = problem.evaluate(trial, trying)
         trial_cost = _sum_squares(trial_residual)
-        accept = trial_cost <= cost[trying]
+        old_cost = cost[trying]
+        accept = trial_cost <= old_cost
         moved, new_cost = trying, trial_cost
         if not accept.all():
-            lam[trying[~accept]] *= 10.0
+            rejected = trying[~accept]
+            lam[rejected] *= 10.0
+            active[rejected] = lam[rejected] <= LM_MAX_DAMPING
             moved, step, trial = trying[accept], step[accept], trial[accept]
-            new_cost = trial_cost[accept]
-        decrease = cost[moved] - new_cost
+            new_cost, old_cost = trial_cost[accept], old_cost[accept]
+        decrease = old_cost - new_cost
         x[moved] = trial
         cost[moved] = new_cost
         lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
-        done = (np.linalg.norm(step, axis=1) < LM_STEP_TOL) | (
+        # np.linalg.norm(step, axis=1), bit for bit
+        done = (np.sqrt(np.add.reduce(step * step, axis=1)) < LM_STEP_TOL) | (
             decrease <= LM_COST_TOL * np.maximum(new_cost, 1e-300)
         )
         going = moved
@@ -440,14 +469,17 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
             converged[moved[done]] = True
             active[moved[done]] = False
             going = moved[~done]
-        exhausted = iteration[going] >= LM_MAX_ITERATIONS
-        if exhausted.any():
+        # a count grows by at most one a round, so none reaches the budget sooner
+        if rounds >= LM_MAX_ITERATIONS:
+            exhausted = iteration[going] >= LM_MAX_ITERATIONS
             active[going[exhausted]] = False
             going = going[~exhausted]
         if going.size:
             iteration[going] += 1
             for part, *sums in problem.normal_slices(point, np.searchsorted(trying, going)):
                 jtj[going[part]], gradient[going[part]] = sums
+        if going.size < trying.size:
+            trying = np.flatnonzero(active)
 
     shape = x0.shape[:-1]
     return StackedSolve(

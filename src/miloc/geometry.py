@@ -77,21 +77,37 @@ def rotation_to_euler(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x, (..., 3, 3), of a (..., 3) array: [v]x w = v x w."""
     v = np.asarray(v, dtype=float)
+    k = np.zeros(v.shape + (3,))
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -z, y, -x
+    k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = z, -y, x
+    return k
+
+
+_IDENTITY = np.eye(3)
+# the angles that scale t to the arguments of np.sinc in exp_rotation
+_SINC_SPANS = np.array([np.pi, 2 * np.pi])
 
 
 def exp_rotation(phi: np.ndarray) -> np.ndarray:
     """Rotations exp([phi]x), (..., 3, 3), of (..., 3) rotation vectors (Rodrigues).
 
     exp([phi]x) = I + sin(t)/t [phi]x + (1 - cos t)/t^2 [phi]x^2 with t = |phi|;
-    the second coefficient is written (sin(t/2)/(t/2))^2 / 2, and np.sinc
-    carries both through t = 0, where a zero vector gives the identity exactly.
+    the second coefficient is written (sin(t/2)/(t/2))^2 / 2.  Both come from
+    np.sinc's formula, sin(y)/y with y = pi (t / (pi, 2 pi)) and y = 0 replaced
+    by the machine epsilon, bit for bit, which carries them through t = 0: a
+    zero vector gives the identity exactly.
     """
+    phi = np.asarray(phi, dtype=float)
     k = skew(phi)
-    t = np.sqrt(np.sum(np.asarray(phi, dtype=float) ** 2, axis=-1))[..., None, None]
-    return np.eye(3) + np.sinc(t / np.pi) * k + 0.5 * np.sinc(t / (2 * np.pi)) ** 2 * (k @ k)
+    t = np.sqrt(np.add.reduce(phi * phi, axis=-1))[..., None, None]
+    y = np.pi * (t / _SINC_SPANS)
+    y[y == 0] = 2.0**-52  # the float64 machine epsilon, as np.sinc puts it
+    sinc = np.sin(y) / y
+    rotation = sinc[..., :1] * k
+    rotation += _IDENTITY
+    rotation += 0.5 * np.square(sinc[..., 1:]) * (k @ k)
+    return rotation
 
 
 def join_poses(positions: np.ndarray, rotations: np.ndarray) -> np.ndarray:

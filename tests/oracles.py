@@ -9,6 +9,11 @@ deployment_from_rotation build the single-node records the one-link
 oracles read, from either half of a pose.  retracted moves one deployment
 by a position step and a local rotation R expm([phi]x), with scipy's matrix
 exponential, and rotation_angle is the geodesic angle between rotations.
+skew_stacked and exp_rotation_sinc are the rotation helpers written with
+np.stack and np.sinc, which the library's skew and exp_rotation equal bit
+for bit, and endpoint_columns_3x3 the link derivative columns with one
+batched 3x3 product per column, which the library's kernels equal bit for
+bit with fewer, larger products.
 The channel Jacobians differentiate one link with explicit per-axis loops
 w.r.t. those steps; test_channel validates them against central finite
 differences of channel_matrix along retracted.  The information blocks
@@ -91,6 +96,37 @@ def cross_matrix(v) -> np.ndarray:
     """[v]x, the matrix of w -> v x w."""
     x, y, z = np.asarray(v, dtype=float)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def skew_stacked(v) -> np.ndarray:
+    """[v]x of a (..., 3) array as the nine entries stacked on a new last axis, (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
+
+
+def exp_rotation_sinc(phi) -> np.ndarray:
+    """exp([phi]x), (..., 3, 3), by Rodrigues' formula with np.sinc's coefficients."""
+    k = skew_stacked(phi)
+    t = np.sqrt(np.sum(np.asarray(phi, dtype=float) ** 2, axis=-1))[..., None, None]
+    return np.eye(3) + np.sinc(t / np.pi) * k + 0.5 * np.sinc(t / (2 * np.pi)) ** 2 * (k @ k)
+
+
+def endpoint_columns_3x3(r, u, gains, o_tx, o_rx, coupling):
+    """Transmitter and receiver derivative columns, (L, 6, 3, 3) each, one 3x3 product at a time.
+
+    dF/d[p_tx]_i is formed with the links first, and every column is its own
+    batched 3x3 matrix product: O_rx^T dF_i O_tx, G [e_i]x and [e_i]x G.
+    """
+    generators = skew_stacked(np.eye(3))
+    scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None, None]
+    w = (u[:, :, None] * u[:, None, :] - np.eye(3)) / r[:, None, None]
+    df = 1.5 * (u[:, None, :, None] * w[:, :, None, :] + w[:, :, :, None] * u[:, None, None, :])
+    spatial = scale * (np.swapaxes(o_rx, 1, 2)[:, None] @ df @ o_tx[:, None])
+    spatial += (3.0 * u / r[:, None])[:, :, None, None] * gains[:, None]
+    tx = np.concatenate([spatial, gains[:, None] @ generators], axis=1)
+    return tx, np.concatenate([-spatial, -(generators @ gains[:, None])], axis=1)
 
 
 def deployment_from_euler(position, euler) -> Deployment:

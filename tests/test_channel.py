@@ -18,7 +18,7 @@ from miloc.geometry import Deployment, sample_uniform_rotation
 from conftest import random_deployment
 from oracles import (
     channel_gain, channel_jacobian, channel_jacobian_rx, deployment_from_rotation, dipole_factor,
-    retracted,
+    endpoint_columns_3x3, retracted,
 )
 
 
@@ -243,3 +243,18 @@ def test_endpoint_columns_are_the_full_kernels_halves(coupling):
     assert np.array_equal(np.swapaxes(tx.reshape(200, 6, 9), 1, 2), full[:, :, :6])
     rx = receiver_columns(tx, gains)
     assert np.array_equal(np.swapaxes(rx.reshape(200, 6, 9), 1, 2), full[:, :, 6:])
+
+
+@pytest.mark.parametrize("links", [1, 4, 64, 256, 300])
+def test_endpoint_columns_equal_the_3x3_products_bit_for_bit(links):
+    rng = np.random.default_rng(11 + links)
+    p_tx, p_rx = rng.uniform(0.0, 1.5, (2, links, 3))
+    p_rx[0] = p_tx[0] + [0.3, 0.0, -0.0]  # a direction along an axis: zeros in u
+    o_tx, o_rx = sample_uniform_rotation(rng, links), sample_uniform_rotation(rng, links)
+    o_tx[-1], o_rx[-1] = np.eye(3), np.diag([1.0, -1.0, -1.0])
+    for coupling in (3e-5, rng.uniform(1e-5, 5e-5, links)):
+        gains, r, u, _ = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
+        tx = transmitter_columns(r, u, gains, o_tx, o_rx, coupling)
+        want_tx, want_rx = endpoint_columns_3x3(r, u, gains, o_tx, o_rx, coupling)
+        assert tx.tobytes() == want_tx.tobytes()
+        assert receiver_columns(tx, gains).tobytes() == want_rx.tobytes()

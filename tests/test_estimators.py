@@ -432,6 +432,22 @@ def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
     assert solve.iterations == int(solve.problem_iterations.sum())
 
 
+@pytest.mark.parametrize("budget", [3, 8])
+def test_stacked_lm_stops_each_problem_at_the_budget(
+    budget, monkeypatch, coil, gparams, room, anchors
+):
+    # some problems converge within the budget and the rest run out of it, each on its own
+    stack, singles, x0 = _runaway_stack(coil, gparams, room, anchors)
+    monkeypatch.setattr(estimators, "LM_MAX_ITERATIONS", budget)
+    monkeypatch.setattr(oracles, "LM_MAX_ITERATIONS", budget)
+    solve = levenberg_marquardt(stack, x0)
+    refs = [oracles.levenberg_marquardt(single, start) for single, start in zip(singles, x0)]
+    assert np.array_equal(solve.problem_iterations, [ref.iterations for ref in refs])
+    assert np.array_equal(solve.converged, [ref.converged for ref in refs])
+    assert solve.converged.any() and not solve.converged.all()
+    assert np.allclose(solve.final_cost, [ref.final_cost for ref in refs], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("per_slice", [None, 3])
 def test_lm_equals_the_two_pass_round(per_slice, monkeypatch, coil, gparams, room, anchors):
     # bit for bit: sums from the kept trial point, written slice by slice,
@@ -489,14 +505,21 @@ def test_nan_jacobian_problem_leaves_the_others_alone(coil, gparams, room, ancho
 
 
 def test_singular_system_in_stack_is_solved_apart():
-    jtj = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2)])
-    gradient = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 2.0]])
+    jtj = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], 2.0 * np.eye(2), [[3.0, 0.7], [0.7, 0.2]]])
+    gradient = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 2.0], [0.3, -0.7]])
+    lam = np.array([1.0, 0.0, 1.0, 0.1])
+    for array in (jtj, gradient, lam):  # the steps gather their systems, never write the stack
+        array.setflags(write=False)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jtj[1], -gradient[1])
-    steps = estimators._damped_steps(jtj, gradient, np.array([1.0, 0.0, 1.0]))
+    trying = np.array([0, 1, 3])
+    steps = estimators._damped_steps(jtj, gradient, lam, trying)
+    assert steps.shape == (3, 2)
     assert np.isnan(steps[1]).all()
-    assert np.allclose(steps[0], -gradient[0] / 2.0)
-    assert np.allclose(steps[2], -gradient[2] / 4.0)
+    for step, b in zip(steps[[0, 2]], trying[[0, 2]]):
+        damped = jtj[b] + np.diag(lam[b] * np.maximum(np.diag(jtj[b]), 1e-30))
+        assert np.array_equal(step, np.linalg.solve(damped, -gradient[b][:, None])[:, 0])
+    assert np.array_equal(steps[0], -gradient[0] / 2.0)
 
 
 def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams, room, anchors):

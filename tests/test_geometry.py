@@ -14,6 +14,7 @@ from miloc.geometry import (
     split_poses,
 )
 
+import oracles
 from oracles import cross_matrix, deployment_from_rotation, euler_to_rotation_one, rotation_angle
 
 
@@ -127,6 +128,28 @@ def test_exp_rotation_matches_matrix_exponential():
         angle = np.arccos(np.cos(np.linalg.norm(phi)))  # |phi| folded into [0, pi]
         assert np.isclose(rotation_angle(np.eye(3), r), angle, rtol=0.0, atol=1e-7)
     assert np.array_equal(exp_rotation(np.zeros(3)), np.eye(3))
+
+
+def test_rotation_helpers_equal_their_oracles_bit_for_bit():
+    rng = np.random.default_rng(15)
+    signs = np.where(rng.random((64, 3)) < 0.5, -1.0, 1.0)
+    cases = [
+        rng.normal(0.0, 1.5, 3),
+        rng.normal(0.0, 1.5, (40, 3)),
+        rng.normal(0.0, 1.5, (4, 5, 3)),
+        np.zeros(3),
+        np.zeros((2, 3, 3)),
+        signs * 0.0,  # every mix of +0.0 and -0.0
+        signs * rng.choice([0.0, 1e-300, 0.5], (64, 3)),
+        # |phi| from 1e-300 to 1e-8, and up to 10 pi
+        rng.normal(size=(300, 3)) * np.logspace(-300, -8, 300)[:, None],
+        rng.normal(size=(5, 60, 3)) * np.linspace(0.0, 10 * np.pi, 60)[:, None] / np.sqrt(3),
+    ]
+    for phi in cases:
+        for got, want in ((skew(phi), oracles.skew_stacked(phi)),
+                          (exp_rotation(phi), oracles.exp_rotation_sinc(phi))):
+            assert got.shape == want.shape == phi.shape + (3,)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_pose_rows_are_agent_major():
