@@ -14,6 +14,7 @@ from .crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, peb_sta
 from .estimators import (
     LsProblem,
     StackedSolve,
+    StopReason,
     estimate,
     levenberg_marquardt,
     multilaterate,

@@ -42,12 +42,23 @@ call.
 Results stay arrays: levenberg_marquardt and multilaterate return a
 StackedSolve, one entry per problem, and estimate one StackedSolve per
 initialization, shaped by measurement set and group of agents (one group
-for a cooperative problem, one per agent for a non-cooperative one).
+for a cooperative problem, one per agent for a non-cooperative one).  Each
+problem carries the reason it stopped (StopReason).
+
+A problem stops once more iterations cannot change its answer: on a
+relative cost decrease of at most LM_COST_TOL (1e-9), on a step below
+LM_STEP_TOL, or when no step is left to try.  Near the minimum the cost
+is about 9L sigma^2 / 2 over L links, so a decrease of 1e-9 of it is
+2 * decrease / sigma^2 = 9e-9 L in Fisher units (the squared Mahalanobis
+length of the move that makes it): about sqrt(9e-9 L) standard deviations
+of any function of the estimate, 2e-4 for one agent on 4 anchor links and
+1e-3 for the 130 links of cooperative M=10.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from enum import IntEnum
 from functools import lru_cache
 from math import prod
 from typing import List, Optional, Sequence, Tuple, Union
@@ -62,7 +73,7 @@ LM_INITIAL_DAMPING = 1e-3
 LM_MAX_DAMPING = 1e12
 LM_MAX_ITERATIONS = 500
 LM_STEP_TOL = 1e-10
-LM_COST_TOL = 1e-12
+LM_COST_TOL = 1e-9
 
 # Links whose derivative columns are formed at once (whole problems, at least
 # one): the memory of the link sums of any stack or bound sweep stays flat.
@@ -344,6 +355,19 @@ def _link_tables(n_agents: int, links_key: bytes):
     return touch, linked, pad, pairs
 
 
+class StopReason(IntEnum):
+    """Why a problem of levenberg_marquardt stopped; COST_TOL and STEP_TOL are convergence.
+
+    CLOSED_FORM marks an estimate that no LM iterated (the harness's pair-ML).
+    """
+
+    CLOSED_FORM = -1
+    COST_TOL = 0  # relative cost decrease of an accepted step below LM_COST_TOL
+    STEP_TOL = 1  # accepted step norm below LM_STEP_TOL
+    MAX_ITERATIONS = 2  # LM_MAX_ITERATIONS accepted iterations without either
+    DAMPING_CEILING = 3  # every step rejected up to LM_MAX_DAMPING (a singular one too)
+
+
 @dataclass
 class StackedSolve:
     """Outcome of one stacked Levenberg-Marquardt solve.
@@ -351,18 +375,24 @@ class StackedSolve:
     The per-problem fields share one batch shape: that of the starts x0 of
     levenberg_marquardt (0-d for a single 1-d start), or the sets and groups
     of estimate.  estimate holds each problem's final pose row, and
-    iterations totals the per-problem counts.
+    iterations totals the per-problem counts.  stop_reason holds each
+    problem's StopReason as an int8, and converged is read off it.
     """
 
     estimate: np.ndarray
     final_cost: np.ndarray
     problem_iterations: np.ndarray
-    converged: np.ndarray
     normal_equations_singular: np.ndarray
+    stop_reason: np.ndarray
 
     @property
     def iterations(self) -> int:
         return int(self.problem_iterations.sum())
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Where a tolerance stopped the LM (COST_TOL, STEP_TOL), or no LM ran (CLOSED_FORM)."""
+        return self.stop_reason <= StopReason.STEP_TOL
 
 
 def _sum_squares(residual: np.ndarray) -> np.ndarray:
@@ -418,10 +448,17 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     singular or non-finite system flags its own problem singular; its NaN
     step gives a NaN trial cost, which fails the cost test and is rejected
     like any other step.
-    Termination: step norm below LM_STEP_TOL, relative cost decrease below
-    LM_COST_TOL, or the budget of LM_MAX_ITERATIONS; the LM_* settings are
-    read at call time.  If no acceptable step exists up to
-    the damping ceiling the problem reports failure instead of raising.
+    Termination, per problem, with its StopReason: an accepted step whose
+    norm is below LM_STEP_TOL (STEP_TOL, checked first) or whose relative
+    cost decrease is at most LM_COST_TOL (COST_TOL), both converged; the
+    budget of LM_MAX_ITERATIONS (MAX_ITERATIONS); or no acceptable step up
+    to the damping ceiling (DAMPING_CEILING), where the problem reports
+    failure instead of raising.  The LM_* settings are read at call time.
+    LM_COST_TOL is 1e-9 because the cost near a minimum is about
+    9L sigma^2 / 2 over L links: a relative decrease of 1e-9 is
+    2 * decrease / sigma^2 = 9e-9 L in Fisher units, so the iterations it
+    leaves out move an estimate by about sqrt(9e-9 L) of its standard
+    deviation (the module docstring has the numbers).
     """
     x0 = np.asarray(x0, dtype=float)
     x = x0.reshape(-1, x0.shape[-1]).copy()
@@ -430,9 +467,9 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     cost = _sum_squares(residual)
     lam = np.full(count, LM_INITIAL_DAMPING)
     iteration = np.ones(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
     singular = np.zeros(count, dtype=bool)
     # a problem whose damping passed the ceiling has no acceptable step
+    reason = np.full(count, StopReason.DAMPING_CEILING, dtype=np.int8)
     active = lam <= LM_MAX_DAMPING
     trying = np.flatnonzero(active)
 
@@ -461,18 +498,18 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
         cost[moved] = new_cost
         lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
         # np.linalg.norm(step, axis=1), bit for bit
-        done = (np.sqrt(np.add.reduce(step * step, axis=1)) < LM_STEP_TOL) | (
-            decrease <= LM_COST_TOL * np.maximum(new_cost, 1e-300)
-        )
+        small = np.sqrt(np.add.reduce(step * step, axis=1)) < LM_STEP_TOL
+        done = small | (decrease <= LM_COST_TOL * np.maximum(new_cost, 1e-300))
         going = moved
         if done.any():
-            converged[moved[done]] = True
             active[moved[done]] = False
+            reason[moved[done]] = np.where(small[done], StopReason.STEP_TOL, StopReason.COST_TOL)
             going = moved[~done]
         # a count grows by at most one a round, so none reaches the budget sooner
         if rounds >= LM_MAX_ITERATIONS:
             exhausted = iteration[going] >= LM_MAX_ITERATIONS
             active[going[exhausted]] = False
+            reason[going[exhausted]] = StopReason.MAX_ITERATIONS
             going = going[~exhausted]
         if going.size:
             iteration[going] += 1
@@ -486,8 +523,8 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
         estimate=x.reshape(x0.shape),
         final_cost=cost.reshape(shape),
         problem_iterations=iteration.reshape(shape),
-        converged=converged.reshape(shape),
         normal_equations_singular=singular.reshape(shape),
+        stop_reason=reason.reshape(shape),
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import crlb, estimators, pairml
 from .channel import CoincidentNodes, add_noise, coupling_coefficient
 from .config import ConfigError, ExperimentConfig
-from .estimators import LsProblem, StackedSolve
+from .estimators import LsProblem, StackedSolve, StopReason
 from .geometry import Room, join_poses, rotation_to_euler
 from .scenario import Scheme, Topology, network_problem, sample_topology
 
@@ -147,6 +147,8 @@ def solve_trials(
         None for an unchecked estimate), shaped (T, groups) as in
         estimators.estimate.  Pair-ML and multilateration give one group
         per trial with 0 iterations; multilateration's cost is NaN.
+        Pair-ML's stop reason is StopReason.CLOSED_FORM, and a
+        multilateration trial's the last of its fixes' in StopReason's order.
     """
     trials, m = len(problem.y_imag), problem.n_agents
     lm_init, _, checked = _lm_start(estimator, init)
@@ -157,7 +159,7 @@ def solve_trials(
         reference = references[0] if checked else None
     elif estimator == "pairml":
         theta = estimators.pairml_initialization(problem, room)
-        solve = _closed_form(theta, problem.cost(theta), True)
+        solve = _closed_form(theta, problem.cost(theta), StopReason.CLOSED_FORM)
     elif estimator == "multilateration":
         alone = problem.anchor_problem()
         fix = estimators.multilaterate(
@@ -165,21 +167,25 @@ def solve_trials(
         )
         position = fix.estimate.reshape(trials, m, 3)
         theta = join_poses(position, np.full(position.shape + (3,), np.nan))
-        solve = _closed_form(theta, np.nan, fix.converged.reshape(trials, m).all(axis=-1))
+        # a trial's fixes converged when all did: its reason is the last in StopReason's order
+        solve = _closed_form(theta, np.nan, fix.stop_reason.reshape(trials, m).max(axis=-1))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     return solve.estimate.reshape(trials, m, 12), solve, reference
 
 
-def _closed_form(theta: np.ndarray, costs, converged) -> StackedSolve:
-    """The solve of closed-form estimates theta (T, 12M): one group per trial, 0 iterations."""
+def _closed_form(theta: np.ndarray, costs, reason) -> StackedSolve:
+    """The solve of closed-form estimates theta (T, 12M): one group per trial, 0 iterations.
+
+    reason is each trial's StopReason, or one for all.
+    """
     column = (len(theta), 1)
     return StackedSolve(
         estimate=theta[:, None],
         final_cost=np.broadcast_to(np.reshape(costs, (-1, 1)), column),
         problem_iterations=np.zeros(column, dtype=int),
-        converged=np.broadcast_to(np.reshape(converged, (-1, 1)), column),
         normal_equations_singular=np.zeros(column, dtype=bool),
+        stop_reason=np.broadcast_to(np.reshape(reason, (-1, 1)), column).astype(np.int8),
     )
 
 

@@ -33,7 +33,7 @@ reference for LsProblem.normal_equations, which never forms J.
 TwoPassProblem hands an LsProblem to the LM with its normal equations
 evaluated afresh at the rows that go on: two link-geometry passes a round.
 levenberg_marquardt solves one problem at a time with its own Python loop
-on that dense Jacobian, into a 0-d StackedSolve, and
+on that dense Jacobian, into a 0-d StackedSolve with its stop reason, and
 random_restarts_per_agent drives it through
 the per-agent decomposition of a non-cooperative problem.  position_bound inverts the
 information matrix through a full eigendecomposition.
@@ -62,6 +62,7 @@ from miloc.estimators import (
     LM_STEP_TOL,
     LsProblem,
     StackedSolve,
+    StopReason,
 )
 from miloc.channel import CoincidentNodes, channel_derivative_columns, channel_gain_batch
 from miloc.geometry import (
@@ -244,9 +245,11 @@ class TwoPassProblem:
         return self.problem.retract(x, step)
 
 
-def _solved(x, cost, iteration, converged, singular) -> StackedSolve:
+def _solved(x, cost, iteration, singular, reason) -> StackedSolve:
     """The 0-d StackedSolve of one problem."""
-    return StackedSolve(x, np.array(cost), np.array(iteration), np.array(converged), np.array(singular))
+    return StackedSolve(
+        x, np.array(cost), np.array(iteration), np.array(singular), np.array(reason, dtype=np.int8)
+    )
 
 
 def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
@@ -288,17 +291,19 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
                 break
             lam *= 10.0
         if not accepted:
-            return _solved(x, cost, iteration, False, singular)
+            return _solved(x, cost, iteration, singular, StopReason.DAMPING_CEILING)
 
         decrease = cost - trial_cost
         x = trial
         cost = trial_cost
         lam = max(lam / 10.0, 1e-15)
-        if np.linalg.norm(step) < LM_STEP_TOL or decrease <= LM_COST_TOL * max(cost, 1e-300):
-            return _solved(x, cost, iteration, True, singular)
+        if np.linalg.norm(step) < LM_STEP_TOL:
+            return _solved(x, cost, iteration, singular, StopReason.STEP_TOL)
+        if decrease <= LM_COST_TOL * max(cost, 1e-300):
+            return _solved(x, cost, iteration, singular, StopReason.COST_TOL)
         residual, jac = residual_and_jacobian(problem, x)
 
-    return _solved(x, cost, LM_MAX_ITERATIONS, False, singular)
+    return _solved(x, cost, LM_MAX_ITERATIONS, singular, StopReason.MAX_ITERATIONS)
 
 
 def agent_problem(problem: LsProblem, agent: int) -> LsProblem:

@@ -9,6 +9,7 @@ from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.estimators import (
     DimensionMismatch,
     LsProblem,
+    StopReason,
     estimate,
     levenberg_marquardt,
     multilaterate,
@@ -159,6 +160,116 @@ def test_lm_reports_singular_normal_equations():
     report = levenberg_marquardt(_BrokenJacobian(), np.zeros(2))
     assert not report.converged
     assert report.normal_equations_singular
+
+
+class _Toys:
+    """A stack of small problems of two parameters, each its own residual r(x) and Jacobian J(x).
+
+    parts lists (r, J) per problem; r returns 4 residuals and J their (4, 2) Jacobian.
+    """
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def evaluate(self, x, index):
+        residual = np.array([self.parts[b][0](row) for b, row in zip(index, x)])
+        return residual, (x, index, residual)
+
+    def normal_slices(self, point, rows):
+        x, index, residual = point
+        jac = np.array([self.parts[index[k]][1](x[k]) for k in rows])
+        jac_t = np.swapaxes(jac, -1, -2)
+        yield slice(None), jac_t @ jac, (jac_t @ residual[rows][..., None])[..., 0]
+
+    def retract(self, x, step):
+        return x + step
+
+
+_HALF = np.vstack([np.eye(2), np.zeros((2, 2))])
+# one constructed problem per stop reason at a budget of 8 iterations, and its start
+_TOYS = {
+    # two inconsistent targets: the minimum keeps a cost of 4, so the relative
+    # decrease falls below LM_COST_TOL while the steps are still about 1e-5
+    "cost_tol": (
+        lambda x: np.array([x[0] - 1.0, x[1] - 2.0, x[0] + 1.0, x[1]]),
+        lambda x: np.vstack([np.eye(2), np.eye(2)]),
+        (0.0, 0.0),
+    ),
+    # a zero-residual linear problem: the cost falls by orders of magnitude a
+    # step, until the step itself is below LM_STEP_TOL
+    "step_tol": (lambda x: np.array([x[0] - 1.0, x[1] - 2.0, 0.0, 0.0]), lambda x: _HALF, (0.0, 0.0)),
+    # Rosenbrock's valley from (-1.2, 1): 25 accepted iterations to its minimum
+    "max_iterations": (
+        lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0], 0.0, 0.0]),
+        lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        (-1.2, 1.0),
+    ),
+    # a Jacobian of the wrong sign: every step goes uphill, at every damping
+    "damping_ceiling": (
+        lambda x: np.array([x[0] - 1.0, x[1] - 2.0, 0.0, 0.0]), lambda x: -_HALF, (0.0, 0.0)
+    ),
+    # NaN normal equations: every step is NaN, and the problem is flagged singular
+    "singular": (
+        lambda x: np.array([x[0] - 1.0, x[1] - 2.0, 0.0, 0.0]),
+        lambda x: np.full((4, 2), np.nan),
+        (0.0, 0.0),
+    ),
+}
+_TOY_REASONS = {
+    "cost_tol": StopReason.COST_TOL,
+    "step_tol": StopReason.STEP_TOL,
+    "max_iterations": StopReason.MAX_ITERATIONS,
+    "damping_ceiling": StopReason.DAMPING_CEILING,
+    "singular": StopReason.DAMPING_CEILING,
+}
+
+
+@pytest.mark.parametrize("name", list(_TOYS))
+def test_each_stop_reason_on_a_constructed_problem(name, monkeypatch):
+    monkeypatch.setattr(estimators, "LM_MAX_ITERATIONS", 8)
+    residual, jacobian, start = _TOYS[name]
+    solve = levenberg_marquardt(_Toys([(residual, jacobian)]), np.array([start]))
+    assert solve.stop_reason.tolist() == [_TOY_REASONS[name]]
+    assert solve.converged.tolist() == [name in ("cost_tol", "step_tol")]
+    assert solve.normal_equations_singular.tolist() == [name == "singular"]
+    if name == "cost_tol":  # stopped near, not at, the minimum (0, 1): the steps were not tiny
+        assert 0.0 < np.abs(solve.estimate - [0.0, 1.0]).max() < 1e-3
+    if name == "max_iterations":
+        assert solve.problem_iterations.tolist() == [8]
+        monkeypatch.setattr(estimators, "LM_MAX_ITERATIONS", 500)
+        unbounded = levenberg_marquardt(_Toys([(residual, jacobian)]), np.array([start]))
+        assert unbounded.converged.all() and unbounded.problem_iterations.tolist() == [25]
+
+
+def _stop_reasons_agree(solve):
+    """converged holds exactly where a tolerance stopped the problem."""
+    tolerance = np.isin(solve.stop_reason, [StopReason.COST_TOL, StopReason.STEP_TOL])
+    return solve.stop_reason.dtype == np.int8 and np.array_equal(solve.converged, tolerance)
+
+
+def test_converged_exactly_when_a_tolerance_stopped_the_problem(
+    monkeypatch, coil, gparams, room, anchors
+):
+    # every reason in one stack: each problem stops as it does alone
+    monkeypatch.setattr(estimators, "LM_MAX_ITERATIONS", 8)
+    toys = _Toys([part[:2] for part in _TOYS.values()])
+    solve = levenberg_marquardt(toys, np.array([part[2] for part in _TOYS.values()]))
+    assert solve.stop_reason.tolist() == list(_TOY_REASONS.values())
+    assert _stop_reasons_agree(solve)
+    # LM problems that converge and run out of the budget, through estimate's winner
+    # selection and through multilaterate
+    stack, _, x0 = _runaway_stack(coil, gparams, room, anchors)
+    solve = levenberg_marquardt(stack, x0)
+    assert set(solve.stop_reason.tolist()) == {StopReason.COST_TOL, StopReason.MAX_ITERATIONS}
+    assert _stop_reasons_agree(solve)
+    _, problem = make_problem(3, Scheme.NONCOOP, 41, coil, gparams, room, anchors)
+    [restarts] = estimate(problem, ["random:3"], room, rng=np.random.default_rng(42))
+    assert restarts.stop_reason.shape == restarts.converged.shape == (3,)
+    assert _stop_reasons_agree(restarts)
+    positions = np.stack([a.position for a in anchors])
+    targets = np.array([[0.4, 0.8, 1.1], [0.2, 0.3, 0.9]])
+    distances = np.linalg.norm(positions - targets[:, None], axis=2)
+    assert _stop_reasons_agree(multilaterate(positions, distances, room))
 
 
 def test_lm_perfect_init_noiseless(room, anchors, coil, gparams):
@@ -424,6 +535,7 @@ def test_stacked_lm_matches_per_problem_oracle(coil, gparams, room, anchors):
         ref = oracles.levenberg_marquardt(single, start)
         assert solve.problem_iterations[b] == ref.iterations
         assert solve.converged[b] == ref.converged
+        assert solve.stop_reason[b] == ref.stop_reason
         assert solve.normal_equations_singular[b] == ref.normal_equations_singular
         assert np.isclose(solve.final_cost[b], ref.final_cost, rtol=1e-12, atol=0.0)
         diverged += np.linalg.norm(ref.estimate[:3]) > 100.0
@@ -444,6 +556,7 @@ def test_stacked_lm_stops_each_problem_at_the_budget(
     refs = [oracles.levenberg_marquardt(single, start) for single, start in zip(singles, x0)]
     assert np.array_equal(solve.problem_iterations, [ref.iterations for ref in refs])
     assert np.array_equal(solve.converged, [ref.converged for ref in refs])
+    assert np.array_equal(solve.stop_reason, [ref.stop_reason for ref in refs])
     assert solve.converged.any() and not solve.converged.all()
     assert np.allclose(solve.final_cost, [ref.final_cost for ref in refs], rtol=1e-12, atol=0.0)
 
@@ -494,6 +607,7 @@ def test_nan_jacobian_problem_leaves_the_others_alone(coil, gparams, room, ancho
     x0 = _random_starts(len(singles), np.random.default_rng(37), 0.0, 1.5)
     solve = levenberg_marquardt(_NanJacobianRows(stack, [1]), x0)
     assert solve.normal_equations_singular[1] and not solve.converged[1]
+    assert solve.stop_reason[1] == StopReason.DAMPING_CEILING
     assert np.array_equal(solve.estimate[1], x0[1])
     for b in (0, 2, 3):
         alone = levenberg_marquardt(singles[b], x0[b])
@@ -544,6 +658,7 @@ def test_random_restarts_match_per_agent_oracle_loop(monkeypatch, coil, gparams,
     assert solve.estimate.shape == (3, 12)
     assert np.array_equal(solve.problem_iterations, ref.problem_iterations)
     assert np.array_equal(solve.converged, ref.converged)
+    assert np.array_equal(solve.stop_reason, ref.stop_reason)
     assert np.allclose(solve.final_cost, ref.final_cost, rtol=1e-12, atol=0.0)
     assert np.allclose(solve.estimate, ref.estimate, rtol=0.0, atol=1e-9)
 

@@ -418,6 +418,58 @@ def test_trial_costs_sum_their_group_costs_in_group_order(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["coop", "noncoop"])
+def test_a_cost_just_above_the_reference_is_not_the_global_minimum(monkeypatch, scheme):
+    # an estimate 1e-10 above its reference, about 7% of a non-cooperative
+    # agent's final cost, is another minimum; one at the reference's cost is it
+    solve_trials, gaps = harness.solve_trials, []
+
+    def shifted(*args, **kwargs):
+        poses, solve, reference = solve_trials(*args, **kwargs)
+        trials, groups = reference.final_cost.shape
+        gap = np.where(np.add.outer(np.arange(trials), np.arange(groups)) % 2, 1e-10, 0.0)
+        gaps.append(gap)
+        return poses, dataclasses.replace(solve, final_cost=reference.final_cost + gap), reference
+
+    monkeypatch.setattr(harness, "solve_trials", shifted)
+    cfg = _small_cfg(agents="2", estimator="turbols", scheme=scheme)
+    [block] = run_experiment(cfg).trials
+    gap = np.concatenate(gaps)
+    assert block.global_min.tolist() == np.repeat(gap == 0.0, 2 // gap.shape[1], axis=1).tolist()
+    assert block.global_min.any() and not block.global_min.all()
+
+
+def test_written_iterations_of_a_noncoop_trial_are_its_slowest_agents(tmp_path):
+    # each agent of a non-cooperative trial is its own LM problem: the trial's
+    # written iterations are the most any of its agents took, from the same
+    # starts as a direct estimate call on the trial's measurements
+    from miloc.scenario import synthesize_measurements
+
+    cfg = _small_cfg(agents="3", topologies=2, noise=2, scheme="noncoop", init="random:2")
+    emit_outputs(run_experiment(cfg), tmp_path)
+    rows = _csv_rows((tmp_path / "trials.csv").read_bytes())
+    coupling = coupling_coefficient(cfg.coil(), cfg.coil(), cfg.global_params())
+    problem = network_problem(3, cfg.anchors(), coupling, Scheme.NONCOOP)
+    spread = False
+    for t in range(2):
+        topo = sample_topology(
+            3, cfg.room(), cfg.anchors(), cfg.min_distance(), _trial_seed(cfg.seed, 3, t, 0)
+        )
+        for k in range(2):
+            data = synthesize_measurements(
+                topo, cfg.coil(), cfg.global_params(), Scheme.NONCOOP,
+                _trial_seed(cfg.seed, 3, t, k, 1),
+            )
+            trial = dataclasses.replace(problem, y_imag=np.imag(data.h_meas))
+            [solve] = estimators.estimate(
+                trial, ["random:2"], cfg.room(), rng=_trial_seed(cfg.seed, 3, t, k, 2)
+            )
+            mine = [r for r in rows if (r["topology"], r["noise"]) == (str(t), str(k))]
+            assert {r["iterations"] for r in mine} == {str(solve.problem_iterations.max())}
+            spread |= len(set(solve.problem_iterations.tolist())) > 1
+    assert spread  # some trial's agents took different counts
+
+
+@pytest.mark.parametrize("scheme", ["coop", "noncoop"])
 def test_chunk_measurements_equal_the_synthesized_sets(monkeypatch, scheme):
     # Each trial's measurements in a chunk are those synthesize_measurements
     # gives the trial's topology and noise stream, bit for bit, in chunks that

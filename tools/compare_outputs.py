@@ -13,21 +13,31 @@ topology sample writes back, and noisy.cfg raises
 the noise to NOISY_SIGMA, where pair-ML also takes its fallbacks.
 It then compares every file the runs wrote (timings.csv, which holds wall
 times, left out) and each run's exit code, stdout and stderr.  It prints
-each difference and exits 1 if there is any, 0 otherwise.
+each difference and exits 1 if there is any, 0 otherwise.  For a CSV file
+that differs it also says how much moved (csv_changes): the rows that
+differ, the largest absolute and relative change of each numeric column,
+and how many global_min and converged flags flipped.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import List
+
+import numpy as np
 
 RESISTANCE_OHM = 0.055148806366607225
 SEED = "7"
 NOISY_SIGMA = 3e-4
 IGNORED = {"timings.csv"}
+# 0/1 columns whose changes are counted as flips, not as numeric changes
+FLAGS = ("global_min", "converged")
 
 # a fixture with an agent outside the room and an agent pair below the minimum distance
 VIOLATIONS = """# room 0 0 0 1.5 1.5 1.5
@@ -124,6 +134,51 @@ def written(work: Path) -> dict:
     }
 
 
+def _numbers(column: List[str]):
+    """The column as floats, or None if some entry is not a number."""
+    try:
+        return np.array([float(v) for v in column])
+    except ValueError:
+        return None
+
+
+def csv_changes(old: bytes, new: bytes) -> List[str]:
+    """How much moved between two versions of a CSV file with a header row, one line per finding.
+
+    With equal headers and row counts: the count of rows that differ, each
+    flag column's flips (FLAGS), and for every other column that moved its
+    largest absolute change and its largest change relative to the old
+    value (inf where an old 0 moved), or the count of changed entries of a
+    text column, or of entries that became or stopped being NaN.
+    """
+    tables = [list(csv.reader(io.StringIO(data.decode()))) or [[]] for data in (old, new)]
+    (head_a, *rows_a), (head_b, *rows_b) = tables
+    if head_a != head_b or len(rows_a) != len(rows_b) or not rows_a:
+        return [f"header or row count differs ({len(rows_a)} -> {len(rows_b)} rows)"]
+    if any(len(r) != len(head_a) for r in rows_a + rows_b):
+        return ["a row has the wrong number of fields"]
+    moved = sum(a != b for a, b in zip(rows_a, rows_b))
+    lines = [f"{moved} of {len(rows_a)} rows differ"]
+    for name, col_a, col_b in zip(head_a, zip(*rows_a), zip(*rows_b)):
+        changed = sum(a != b for a, b in zip(col_a, col_b))
+        if not changed:
+            continue
+        a, b = _numbers(col_a), _numbers(col_b)
+        if name in FLAGS:
+            lines.append(f"{name}: {changed} flipped")
+        elif a is None or b is None:
+            lines.append(f"{name}: {changed} text values changed")
+        else:
+            nan = np.isnan(a) != np.isnan(b)
+            both = ~np.isnan(a) & ~np.isnan(b)
+            delta = np.abs(b[both] - a[both])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                relative = np.where(delta == 0.0, 0.0, delta / np.abs(a[both]))
+            line = f"{name}: max abs {delta.max(initial=0.0):.3g}, max rel {relative.max(initial=0.0):.3g}"
+            lines.append(line + (f", {nan.sum()} NaN changes" if nan.any() else ""))
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -145,6 +200,9 @@ def main(argv=None) -> int:
             differences.append(f"{path}: written in the {side} tree only")
         elif files[0][path] != files[1][path]:
             differences.append(f"{path}: contents differ")
+            if path.endswith(".csv"):
+                report = csv_changes(files[0][path], files[1][path])
+                differences[-1] += "".join(f"\n    {line}" for line in report)
     for line in differences:
         print(f"DIFFERS {line}")
     print(
