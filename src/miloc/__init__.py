@@ -27,7 +27,6 @@ from .geometry import (
     join_poses,
     rotation_to_euler,
     sample_uniform_rotation,
-    split_poses,
 )
 from .harness import (
     CalibrationResult,

@@ -34,7 +34,7 @@ _GENERATOR_ROWS = np.concatenate(_AXIS_GENERATORS, axis=1)
 
 
 class CoincidentNodes(ValueError):
-    """Raised when transmitter and receiver (nearly) coincide."""
+    """Raised when the noiseless channel of (nearly) coincident nodes is asked for."""
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,14 @@ def channel_matrix(tx: Deployment, rx: Deployment, coupling: float) -> np.ndarra
 
     Rows index receiver subcoils, columns transmitter subcoils.  The result
     is purely imaginary; it is the one-link case of channel_gain_batch, so
-    single-link and batched evaluations agree bit for bit.
+    single-link and batched evaluations agree bit for bit.  Nodes closer
+    than MIN_NODE_DISTANCE raise CoincidentNodes.
     """
-    gains, *_ = channel_gain_batch(
+    gains, r, *_ = channel_gain_batch(
         tx.position[None], tx.rotation[None], rx.position[None], rx.rotation[None], coupling
     )
+    if np.isnan(r[0]):
+        raise CoincidentNodes(f"node distance below {MIN_NODE_DISTANCE} m")
     return 1j * gains[0]
 
 
@@ -136,14 +139,12 @@ def channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling):
         coupling: scalar or (L,) couplings.
     Returns:
         (gains, r, u, f): gains (L, 3, 3) real, distances (L,), unit
-        directions (L, 3) and dipole factors (L, 3, 3).
-    Raises:
-        CoincidentNodes: some link's endpoints (nearly) coincide.
+        directions (L, 3) and dipole factors (L, 3, 3).  All four are NaN for
+        a link whose endpoints (nearly) coincide, closer than MIN_NODE_DISTANCE.
     """
     rvec = p_rx - p_tx
     r = np.sqrt(np.add.reduce(rvec * rvec, axis=1))  # np.linalg.norm(rvec, axis=1), bit for bit
-    if (r < MIN_NODE_DISTANCE).any():
-        raise CoincidentNodes(f"node distance below {MIN_NODE_DISTANCE} m")
+    r[r < MIN_NODE_DISTANCE] = np.nan
     u = rvec / r[:, None]
     f = 1.5 * u[:, :, None] * u[:, None, :] - _HALF_IDENTITY
     scale = np.asarray(coupling, dtype=float) / r**3

@@ -43,7 +43,8 @@ Results stay arrays: levenberg_marquardt and multilaterate return a
 StackedSolve, one entry per problem, and estimate one StackedSolve per
 initialization, shaped by measurement set and group of agents (one group
 for a cooperative problem, one per agent for a non-cooperative one).  Each
-problem carries the reason it stopped (StopReason).
+problem carries the reason it stopped (StopReason), a failure included: a
+problem fails alone, and the others of its stack go on.
 
 A problem stops once more iterations cannot change its answer: on a
 relative cost decrease of at most LM_COST_TOL (1e-9), on a step below
@@ -231,8 +232,14 @@ class LsProblem:
         return self.y_imag[index] if self.y_imag.ndim == 4 and index is not None else self.y_imag
 
     def gains(self, theta: np.ndarray) -> np.ndarray:
-        """Noiseless Im(H) of every link, (..., L, 3, 3), at pose rows theta (..., 12M)."""
-        return self._link_geometry(self._check(theta))[0]
+        """Noiseless Im(H) of every link, (..., L, 3, 3), at pose rows theta (..., 12M).
+
+        A link shorter than chan.MIN_NODE_DISTANCE, or NaN, raises chan.CoincidentNodes.
+        """
+        gains, r, _ = self._link_geometry(self._check(theta))
+        if np.isnan(r).any():
+            raise chan.CoincidentNodes(f"node distance below {chan.MIN_NODE_DISTANCE} m")
+        return gains
 
     def residual(self, theta: np.ndarray, index=None) -> np.ndarray:
         """Residual rows of shape (..., 9L) for pose rows theta (..., 12M).
@@ -315,7 +322,7 @@ class LsProblem:
         ends_t = cols.reshape(count, -1, 6, 9)
         stacked = np.swapaxes(ends_t, -1, -2).take(touch, 1)  # (k, M, K, 9, 6)
         res = residual.reshape(count, n_links, 9).take(linked, 1)  # (k, M, K, 9)
-        stacked[:, pad], res[:, pad] = 0.0, 0.0
+        stacked[:, pad] = 0.0  # a padded end reads link 0's residual, finite where summed
         stacked = stacked.reshape(count, m, -1, 6)
         stacked_t = np.swapaxes(stacked, -1, -2)
         blocks = np.zeros((count, m, m, 6, 6))
@@ -359,6 +366,8 @@ class StopReason(IntEnum):
     """Why a problem of levenberg_marquardt stopped; COST_TOL and STEP_TOL are convergence.
 
     CLOSED_FORM marks an estimate that no LM iterated (the harness's pair-ML).
+    NON_FINITE_START is a failure: a start with a link shorter than
+    chan.MIN_NODE_DISTANCE, or with a NaN pose (an agent pair-ML flagged).
     """
 
     CLOSED_FORM = -1
@@ -366,6 +375,7 @@ class StopReason(IntEnum):
     STEP_TOL = 1  # accepted step norm below LM_STEP_TOL
     MAX_ITERATIONS = 2  # LM_MAX_ITERATIONS accepted iterations without either
     DAMPING_CEILING = 3  # every step rejected up to LM_MAX_DAMPING (a singular one too)
+    NON_FINITE_START = 4  # the start's cost is not finite: no step is tried
 
 
 @dataclass
@@ -447,13 +457,16 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     accepted one, so the accepted cost sequence is non-increasing.  A
     singular or non-finite system flags its own problem singular; its NaN
     step gives a NaN trial cost, which fails the cost test and is rejected
-    like any other step.
+    like any other step.  So does a trial point with a link shorter than
+    chan.MIN_NODE_DISTANCE, whose gains are NaN.
     Termination, per problem, with its StopReason: an accepted step whose
     norm is below LM_STEP_TOL (STEP_TOL, checked first) or whose relative
     cost decrease is at most LM_COST_TOL (COST_TOL), both converged; the
     budget of LM_MAX_ITERATIONS (MAX_ITERATIONS); or no acceptable step up
     to the damping ceiling (DAMPING_CEILING), where the problem reports
-    failure instead of raising.  The LM_* settings are read at call time.
+    failure instead of raising.  A start whose cost is not finite stops at
+    once (NON_FINITE_START), its final cost inf, above every finite one.
+    The LM_* settings are read at call time.
     LM_COST_TOL is 1e-9 because the cost near a minimum is about
     9L sigma^2 / 2 over L links: a relative decrease of 1e-9 is
     2 * decrease / sigma^2 = 9e-9 L in Fisher units, so the iterations it
@@ -470,7 +483,9 @@ def levenberg_marquardt(problem, x0: np.ndarray) -> StackedSolve:
     singular = np.zeros(count, dtype=bool)
     # a problem whose damping passed the ceiling has no acceptable step
     reason = np.full(count, StopReason.DAMPING_CEILING, dtype=np.int8)
-    active = lam <= LM_MAX_DAMPING
+    undefined = ~np.isfinite(cost)
+    cost[undefined], reason[undefined] = np.inf, StopReason.NON_FINITE_START
+    active = (lam <= LM_MAX_DAMPING) & ~undefined
     trying = np.flatnonzero(active)
 
     # each mask below is gathered only when it leaves some problem out
@@ -630,7 +645,8 @@ def estimate(
     group = np.arange(len(y_imag)).reshape(problem.y_imag.shape[:-3] + (-1,))
     solves, offset = [], 0
     for _, restarts in specs:
-        # lowest final cost per group, first on ties (final costs are finite)
+        # lowest final cost per group, first on ties (a final cost is finite, or inf
+        # for a start that had none, so such a restart wins only if all of them are)
         costs = solve.final_cost[offset : offset + restarts * group.size]
         best = offset + restarts * group + np.argmin(costs.reshape(group.shape + (restarts,)), -1)
         winners = StackedSolve(*(getattr(solve, f.name)[best] for f in fields(StackedSolve)))
@@ -690,11 +706,13 @@ def multilaterate(anchor_positions: np.ndarray, distances: np.ndarray, room: Roo
     share a stack.  Returns the LM's solve with each fix, clamped to the
     room, as its estimate (..., 3); converged flags each fix on its own.
     Fewer than three usable anchors leave a 3-d fix underdetermined: it
-    still returns a point in the room rather than raising.
+    still returns a point in the room rather than raising.  A fix without a
+    usable anchor (an agent that ranging flagged) is NaN.
     """
     distances = np.asarray(distances, dtype=float)
     flat = distances.reshape(-1, distances.shape[-1])
     anchors = np.broadcast_to(anchor_positions, flat.shape + (3,))
     start = np.broadcast_to(room.center, distances.shape[:-1] + (3,))
     solve = levenberg_marquardt(_RangeProblem(anchors, flat), start)
-    return replace(solve, estimate=room.clamp(solve.estimate))
+    unranged = np.isnan(distances).all(axis=-1, keepdims=True)
+    return replace(solve, estimate=np.where(unranged, np.nan, room.clamp(solve.estimate)))

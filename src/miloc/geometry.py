@@ -125,13 +125,6 @@ def join_poses(positions: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     return poses.reshape(batch + (12 * m,))
 
 
-def split_poses(rows: np.ndarray):
-    """Positions (..., M, 3) and rotations (..., M, 3, 3) of pose rows (..., 12M), as join_poses."""
-    rows = np.asarray(rows, dtype=float)
-    poses = rows.reshape(rows.shape[:-1] + (rows.shape[-1] // 12, 12))
-    return poses[..., :3], poses[..., 3:].reshape(poses.shape[:-1] + (3, 3))
-
-
 # Row-major rotation entries from the products p[4 i + j] = q_i q_j of a unit
 # quaternion q = (w, x, y, z): 1 - 2 (p_a + p_b) on the diagonal and
 # 2 (p_a +- p_b) off it, as (entries, a, b[, sign]).

@@ -14,9 +14,12 @@ solve_trials hands a chunk's results over as arrays, a StackedSolve per
 trial and group of agents (estimators.estimate), and the chunk keeps them
 as a Trials block: one row per trial, one column per agent.  An agent
 count's chunks join into one block, and the summaries, CDFs and CSV rows
-are read off the blocks.  Each trial's wall time, its chunk's time split
-evenly over the chunk's trials, goes to a separate timings file because
-the data outputs are required to be byte-identical across reruns.
+are read off the blocks.  A trial fails alone inside its chunk's one call:
+an agent without a usable anchor link, or an LM start without a finite
+cost, drops its trial, counted by kind.  Each trial's wall time, its
+chunk's time split evenly over the chunk's trials, goes to a separate
+timings file because the data outputs are required to be byte-identical
+across reruns.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import crlb, estimators, pairml
-from .channel import CoincidentNodes, add_noise, coupling_coefficient
+from .channel import add_noise, coupling_coefficient
 from .config import ConfigError, ExperimentConfig
 from .estimators import LsProblem, StackedSolve, StopReason
 from .geometry import Room, join_poses, rotation_to_euler
@@ -38,10 +41,6 @@ from .scenario import Scheme, Topology, network_problem, sample_topology
 
 GLOBAL_MIN_COST_SLACK = 1e-12
 OUTLIER_PEB_FACTOR = 10.0
-# Failures a trial can meet by design: no usable anchor link for the
-# closed-form estimators, an iterate that lands on another node, and a
-# linear-algebra routine that does not converge.  Anything else is a bug.
-TRIAL_FAILURES = (pairml.NoMeasurements, CoincidentNodes, np.linalg.LinAlgError)
 
 # Reference mean position error bound of the single-agent non-cooperative
 # setup, used as the calibration target for the coil resistance.
@@ -71,15 +70,6 @@ class Trials:
     iterations: np.ndarray  # (T,) int
     wall_time_s: np.ndarray  # (T,)
 
-    @classmethod
-    def empty(cls, m: int) -> "Trials":
-        """The block of no trials of agent count m."""
-        return cls(
-            np.empty((0, 2), dtype=int), np.empty((0, m, 12)), np.empty((0, m, 12)),
-            np.empty((0, m)), np.empty((0, m), dtype=bool), np.empty(0), np.empty(0),
-            np.empty(0, dtype=bool), np.empty(0, dtype=int), np.empty(0),
-        )
-
 
 def _join(blocks: Sequence[Trials]) -> Trials:
     """One block of the trials of blocks, in order."""
@@ -100,7 +90,7 @@ class ExperimentResult:
     config: ExperimentConfig
     trials: List[Trials] = field(default_factory=list)  # one block per agent count
     summaries: List[SummaryRecord] = field(default_factory=list)
-    failures_by_kind: Dict[str, int] = field(default_factory=dict)  # TRIAL_FAILURES names
+    failures_by_kind: Dict[str, int] = field(default_factory=dict)  # dropped trials by kind
     singular_bounds: int = 0  # topologies left out of mean_peb_m
 
     @property
@@ -138,7 +128,9 @@ def solve_trials(
     estimate that _lm_start checks shares it with its perfect-init
     references, started from truths; pair-ML and multilateration run once
     for every agent of the stack.  Each trial's results equal those of the
-    trial solved alone.
+    trial solved alone, a failed one's too: an agent without a usable anchor
+    link has a NaN position, and an LM group whose start has no finite cost
+    stops with StopReason.NON_FINITE_START.
 
     Returns:
         (poses, solve, reference): the (T, M, 12) one-agent pose rows of the
@@ -261,10 +253,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     Trials are solved in chunks of as many whole trials as _LINKS_PER_CHUNK
     links admit, and at least one; a trial's links are its link set's times
-    its LM problems (_lm_start: its restarts, plus one for a reference).  A
-    chunk that raises one of TRIAL_FAILURES is solved again trial by trial;
-    a trial that raises alone is counted by kind and skipped.  Any other
-    exception propagates.
+    its LM problems (_lm_start: its restarts, plus one for a reference).
+    Each chunk is solved once.  A trial with an agent's NaN position (no
+    usable anchor link) is dropped and counted as NoMeasurements, and one
+    with an LM group stopped on a start without a finite cost as
+    CoincidentNodes; the chunk's other trials are kept.  Every exception
+    propagates.
     """
     room = cfg.room()
     anchors = cfg.anchors()
@@ -290,17 +284,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             for t, k in keys
         ]
         started = time.perf_counter()
-        try:
-            poses, solve, reference = solve_trials(
-                cfg.estimator, cfg.init, replace(problem, y_imag=np.imag(measured)), room,
-                truths[index], [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys],
-            )
-        except TRIAL_FAILURES as exc:
-            if len(keys) > 1:
-                return _join([solve_chunk([key]) for key in keys])
-            kind = next(f.__name__ for f in TRIAL_FAILURES if isinstance(exc, f))
-            result.failures_by_kind[kind] = result.failures_by_kind.get(kind, 0) + 1
-            return Trials.empty(m)
+        poses, solve, reference = solve_trials(
+            cfg.estimator, cfg.init, replace(problem, y_imag=np.imag(measured)), room,
+            truths[index], [_trial_seed(cfg.seed, m, t, k, 2) for t, k in keys],
+        )
         wall = (time.perf_counter() - started) / len(keys)
         true_pose = truths[index].reshape(-1, m, 12)
         miss = poses[..., :3] - true_pose[..., :3]
@@ -312,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             # a group holds whole agents, and its cost is their joint objective
             flags = solve.final_cost <= reference.final_cost + GLOBAL_MIN_COST_SLACK
             flags = np.repeat(flags, m // flags.shape[-1], axis=-1)
-        return Trials(
+        block = Trials(
             keys=np.array(keys),
             true_pose=true_pose,
             est_pose=poses,
@@ -324,6 +311,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             iterations=solve.problem_iterations.max(axis=-1),
             wall_time_s=np.full(len(keys), wall),
         )
+        # a failed trial: an agent's NaN position, or an estimate's group stopped on its
+        # start (a reference starts from the truths, whose gains above are all defined)
+        flagged = np.isnan(poses[..., 0]).any(axis=-1)
+        coincident = ~flagged & (solve.stop_reason == StopReason.NON_FINITE_START).any(axis=-1)
+        counts = result.failures_by_kind
+        for kind, failed in (("NoMeasurements", flagged), ("CoincidentNodes", coincident)):
+            if failed.any():
+                counts[kind] = counts.get(kind, 0) + int(failed.sum())
+        kept = ~(flagged | coincident)
+        return Trials(*(getattr(block, f.name)[kept] for f in fields(Trials)))
 
     for m in cfg.agent_counts():
         problem = network_problem(m, anchors, coupling, scheme)

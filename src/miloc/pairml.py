@@ -20,14 +20,14 @@ direction gap as well, and its likelihood test scores candidate poses by
 that problem's residual.  Every step is an array operation over all agents
 and links at once, the decision included: the one-link steps and a loop
 that decides one agent at a time are the references in the tests
-(tests/oracles.py).
+(tests/oracles.py).  An agent without a usable link is flagged, not raised
+on: its pose or its distances are NaN, and the other agents are unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import MIN_NODE_DISTANCE
 from .geometry import Room, join_poses
 
 DIRECTION_GAP_TOL = 1e-12
@@ -45,10 +45,6 @@ COST_RATIO_DECISIVE = 10.0
 
 class ZeroScore(ValueError):
     """Trace score carries no distance information."""
-
-
-class NoMeasurements(ValueError):
-    """No usable agent-anchor measurement was provided."""
 
 
 def decompose_links(y_imag: np.ndarray, anchor_rotations: np.ndarray):
@@ -96,13 +92,11 @@ def _ranged(alone, gap_tol: float):
     """decompose_links' (v, o_hat) of the stack alone, its usable (n, K) links, their ML distances.
 
     A link is usable when s1 and its score are positive and s1 - s2 >= gap_tol * s1;
-    its distance is NaN otherwise.  Raises NoMeasurements when some agent has no usable link.
+    its distance is NaN otherwise.  An agent may have no usable link: its row is all NaN.
     """
     s, v, o_hat, z = decompose_links(alone.y_imag, alone.anchor_rotations)
     usable = (s[..., 0] >= DEGENERATE_SV_TOL) & (z > 0.0)
     usable &= s[..., 0] - s[..., 1] >= gap_tol * s[..., 0]
-    if not np.all(np.any(usable, axis=-1)):
-        raise NoMeasurements("no usable agent-anchor measurement")
     distances = np.full(z.shape, np.nan)
     distances[usable] = ml_distance(z[usable], alone.coupling)
     return v, o_hat, usable, distances
@@ -114,16 +108,15 @@ def _candidate_costs(alone, candidates, rotations, wanted):
     Candidate c of link k of agent m is the pose (candidates[m, k, c],
     rotations[m, k]) of problem m of the one-agent stack alone, scored by
     the squared residual of that problem over all of its anchor links; all
-    of them in one residual call.  A candidate closer than MIN_NODE_DISTANCE
-    to an anchor, where the channel raises CoincidentNodes, scores inf, and
-    so does every candidate of a link outside wanted.
+    of them in one residual call.  A candidate closer than
+    channel.MIN_NODE_DISTANCE to an anchor, whose residual the channel makes
+    NaN, scores inf, and so does every candidate of a link outside wanted.
     """
-    gaps = np.linalg.norm(alone.anchor_positions - candidates[..., None, :], axis=-1)
-    scored = wanted[..., None] & np.all(gaps >= MIN_NODE_DISTANCE, axis=-1)
+    scored = np.repeat(wanted[..., None], 2, axis=-1)
     agent, link, side = np.nonzero(scored)
     rows = join_poses(candidates[agent, link, side][:, None], rotations[agent, link][:, None])
     costs = np.full(scored.shape, np.inf)
-    costs[scored] = np.sum(alone.residual(rows, agent) ** 2, axis=-1)
+    costs[scored] = np.fmin(np.sum(alone.residual(rows, agent) ** 2, axis=-1), np.inf)
     return costs
 
 
@@ -143,12 +136,13 @@ def pair_ml_estimate(alone, room: Room):
     or the candidate closest to the room, clamped to it (both outside).
 
     Returns (positions, rotations): the (n, 3) positions and the (n, 3, 3)
-    orientations of the deciding links.
-
-    Raises:
-        NoMeasurements: some agent has no usable link.
+    orientations of the deciding links; both NaN for an agent without a
+    usable link.
     """
     v, o_hat, usable, distances = _ranged(alone, DIRECTION_GAP_TOL)
+    flagged = ~usable.any(axis=-1)
+    if flagged.all():  # no link to decide on, as with no anchor link at all
+        return np.full((len(usable), 3), np.nan), np.full((len(usable), 3, 3), np.nan)
     step, anchors = v[..., 0] * distances[..., None], alone.anchor_positions
     candidates = np.stack([anchors + step, anchors - step], axis=-2)  # (n, K, 2, 3)
     inside = room.contains(candidates, DEFAULT_BOUNDARY_MARGIN)
@@ -174,9 +168,10 @@ def pair_ml_estimate(alone, room: Room):
         ],
         np.argmin(np.linalg.norm(pair - room.center, axis=-1), axis=-1),
     )
-    positions = pair[agents, side]
+    positions, rotations = pair[agents, side], o_hat[agents, k]
     positions[outside] = room.clamp(positions[outside])
-    return positions, o_hat[agents, k]
+    positions[flagged], rotations[flagged] = np.nan, np.nan
+    return positions, rotations
 
 
 def distance_estimates(alone):
@@ -184,9 +179,6 @@ def distance_estimates(alone):
 
     alone is a stack of n one-agent problems as for pair_ml_estimate;
     returns the (n, K) distances, NaN where a link is degenerate or its
-    score is zero.
-
-    Raises:
-        NoMeasurements: some agent has no usable link.
+    score is zero, so all NaN for an agent without a usable link.
     """
     return _ranged(alone, 0.0)[3]  # the descending s1 >= s2 meets a gap of 0

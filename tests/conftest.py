@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from miloc import (
     CoilParams,
@@ -47,6 +48,9 @@ def random_deployment(rng, room=None, lo=0.0, hi=1.5):
         position = rng.uniform(lo, hi, 3)
     return deployment_from_rotation(position, sample_uniform_rotation(rng))
 
+
+# the settings of every hypothesis property: few, repeatable examples
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 SINGULAR_TOPOLOGY = 2
 FAR_OUT_M = 1e8

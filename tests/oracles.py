@@ -64,10 +64,8 @@ from miloc.estimators import (
     StackedSolve,
     StopReason,
 )
-from miloc.channel import CoincidentNodes, channel_derivative_columns, channel_gain_batch
-from miloc.geometry import (
-    Deployment, euler_to_rotation, rotation_to_euler, sample_uniform_rotation, split_poses,
-)
+from miloc.channel import channel_derivative_columns, channel_gain_batch
+from miloc.geometry import Deployment, euler_to_rotation, rotation_to_euler, sample_uniform_rotation
 from miloc.pairml import (
     COST_RATIO_DECISIVE,
     DEFAULT_BOUNDARY_MARGIN,
@@ -180,6 +178,13 @@ def candidate_cost(position, rotation, y_imag, anchors, coupling: float) -> floa
         diff = measured - model
         cost += float(np.sum(diff * diff))
     return cost
+
+
+def split_poses(rows: np.ndarray):
+    """Positions (..., M, 3) and rotations (..., M, 3, 3) of pose rows (..., 12M), as join_poses."""
+    rows = np.asarray(rows, dtype=float)
+    poses = rows.reshape(rows.shape[:-1] + (rows.shape[-1] // 12, 12))
+    return poses[..., :3], poses[..., 3:].reshape(poses.shape[:-1] + (3, 3))
 
 
 def residual_and_jacobian(problem: LsProblem, theta, index=None):
@@ -610,11 +615,9 @@ def resolve_position(anchor_position, direction, distance: float, room, margin: 
 
 def _candidate_cost(alone, index: int, position, rotation) -> float:
     """Residual cost of a candidate pose of problem index of the one-agent stack alone."""
-    try:
-        residual = alone.residual(np.concatenate([position, rotation.ravel()]), [index])
-    except CoincidentNodes:
-        return np.inf
-    return float(np.sum(residual**2))
+    residual = alone.residual(np.concatenate([position, rotation.ravel()]), [index])
+    cost = float(np.sum(residual**2))
+    return cost if np.isfinite(cost) else np.inf  # NaN at a candidate on an anchor
 
 
 def _resolve_agent(alone, index, links, candidates, inside, rotations, room):

@@ -15,7 +15,7 @@ from miloc import crlb
 from miloc.channel import channel_matrix, coupling_coefficient
 from miloc.config import ExperimentConfig
 from miloc.estimators import estimate, pairml_initialization
-from miloc.geometry import Deployment, split_poses
+from miloc.geometry import Deployment
 from miloc.harness import (
     calibrate_resistance,
     emit_outputs,
@@ -25,7 +25,9 @@ from miloc.harness import (
 )
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
-from oracles import decompose_link, deployment_from_euler, peb_all, residual_and_jacobian
+from oracles import (
+    decompose_link, deployment_from_euler, peb_all, residual_and_jacobian, split_poses,
+)
 
 pytestmark = pytest.mark.acceptance
 

@@ -115,6 +115,14 @@ def test_coincident_nodes_raise(coupling):
     rx = Deployment.identity([0.5, 0.5, 0.5])
     with pytest.raises(CoincidentNodes):
         channel_matrix(tx, rx, coupling)
+    # in a batch, the coincident link's outputs are NaN and the other link's its own
+    far = Deployment.identity([0.5, 1.0, 0.5])
+    p_rx, o_rx = np.array([rx.position, far.position]), np.array([rx.rotation, far.rotation])
+    p_tx, o_tx = np.array([tx.position] * 2), np.array([tx.rotation] * 2)
+    both = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
+    alone = channel_gain_batch(tx.position[None], tx.rotation[None], p_rx[1:], o_rx[1:], coupling)
+    for pair, one in zip(both, alone):
+        assert np.isnan(pair[0]).all() and np.array_equal(pair[1:], one)
 
 
 def test_noise_zero_sigma_is_identity(coupling):

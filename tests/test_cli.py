@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from miloc import scenario
@@ -491,18 +492,23 @@ def test_simulate_warns_about_singular_topologies(tmp_path, capsys, singular_top
 
 def test_simulate_trial_failures_by_kind(tmp_path, capsys, monkeypatch):
     from miloc import estimators
-    from miloc.channel import CoincidentNodes
 
     cfg = _write_cfg(tmp_path)
     argv = ["simulate", "--config", str(cfg), "--agents", "2", "--topologies", "1"]
     argv += ["--noise", "2", "--out", str(tmp_path / "run")]
+    starts = estimators._starts
 
-    def coincident(*args, **kwargs):
-        raise CoincidentNodes("forced")
+    def coincident(problem, *args):
+        # every agent starts on the first anchor: no start has a finite cost
+        rows = np.array(starts(problem, *args))
+        rows.reshape(len(rows), -1, 12)[..., :3] = problem.anchor_positions[0]
+        return rows
 
-    monkeypatch.setattr(estimators, "estimate", coincident)
+    monkeypatch.setattr(estimators, "_starts", coincident)
     assert main(argv) == 0
-    assert "warning: 2 trial(s) failed and were skipped" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "warning: 2 trial(s) failed and were skipped" in printed
+    assert "failed trials by kind: CoincidentNodes 2" in printed
 
     def bug(*args, **kwargs):
         raise TypeError("forced")
@@ -533,7 +539,6 @@ def test_simulate_counts_agent_without_anchor_links_as_failed(tmp_path, capsys, 
 
 def test_simulate_prints_failure_counts_by_kind(tmp_path, capsys, monkeypatch):
     from miloc import harness
-    from miloc.pairml import NoMeasurements
 
     original = harness.add_noise
     agent0 = link_set(2, 4, Scheme.NONCOOP)[:, 0] == 0  # the default layout's four anchors
@@ -551,4 +556,4 @@ def test_simulate_prints_failure_counts_by_kind(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     warning = lines.index("warning: 3 trial(s) failed and were skipped")
-    assert lines[warning + 1] == f"failed trials by kind: {NoMeasurements.__name__} 3"
+    assert lines[warning + 1] == "failed trials by kind: NoMeasurements 3"

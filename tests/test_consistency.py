@@ -17,9 +17,10 @@ from scipy.spatial.transform import Rotation
 from miloc.channel import coupling_coefficient
 from miloc.config import ExperimentConfig
 from miloc.crlb import fim_stack
-from miloc.geometry import split_poses
 from miloc.harness import run_experiment
 from miloc.scenario import network_problem
+
+from oracles import split_poses
 
 # The coil resistance the benchmark and tools/compare_outputs.py run at:
 # criterion 01's calibration (seed 20240101, 6,000 topologies), to rounding.

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from miloc.channel import channel_gain_batch, channel_matrix
@@ -10,7 +10,7 @@ from miloc.crlb import FisherInfo, SingularFim, assemble_fim, fim_stack, peb, pe
 from miloc.geometry import Deployment, sample_uniform_rotation
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
-from conftest import far_out, random_deployment
+from conftest import PROPERTY_SETTINGS, far_out, random_deployment
 from oracles import (
     deployment_from_euler,
     deployment_from_rotation,
@@ -23,8 +23,6 @@ from oracles import (
 )
 
 SIGMA = 1e-5
-
-_PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _fim_stack(poses, anchors, coupling, sigma, cooperative):
@@ -115,7 +113,7 @@ def test_a_problem_without_a_pair_measured_both_ways_is_its_own_fold(anchors, co
                 assert dropped.shape == problem.y_imag.shape[:-3] and not dropped.any()
 
 
-@_PROPERTY_SETTINGS
+@PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-9, 1e3))
 def test_channel_gains_are_swap_symmetric(seed, scale):
     # the gains of link (j, i) are the transpose of those of (i, j): the
@@ -362,7 +360,7 @@ def _relative_gap(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-@_PROPERTY_SETTINGS
+@PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), data=st.data())
 def test_agent_permutation_permutes_fim_blocks(room, anchors, coupling, seed, m, data):
     topo = _topology(m, seed, room, anchors)
@@ -374,7 +372,7 @@ def test_agent_permutation_permutes_fim_blocks(room, anchors, coupling, seed, m,
         assert _relative_gap(permuted.matrix, info.matrix[np.ix_(index, index)]) < 1e-10
 
 
-@_PROPERTY_SETTINGS
+@PROPERTY_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 5),
@@ -392,7 +390,7 @@ def test_common_translation_leaves_fim_unchanged(room, anchors, coupling, seed, 
         assert _relative_gap(shifted.matrix, info.matrix) < 1e-10
 
 
-@_PROPERTY_SETTINGS
+@PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6))
 def test_noncoop_fim_has_zero_off_diagonal_blocks(room, anchors, coupling, seed, m):
     topo = _topology(m, seed, room, anchors)
@@ -401,7 +399,7 @@ def test_noncoop_fim_has_zero_off_diagonal_blocks(room, anchors, coupling, seed,
     assert np.all(blocks.transpose(0, 2, 1, 3)[off_diagonal] == 0.0)
 
 
-@_PROPERTY_SETTINGS
+@PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), data=st.data())
 def test_permuting_the_stack_permutes_the_bounds(room, anchors, coupling, seed, m, data):
     poses = np.array([_topology(m, [seed, k], room, anchors).pose_row for k in range(4)])
@@ -416,7 +414,7 @@ def _reoriented(agents, rotations):
     return [deployment_from_rotation(a.position, r) for a, r in zip(agents, rotations)]
 
 
-@_PROPERTY_SETTINGS
+@PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
 def test_bounds_do_not_depend_on_agent_orientations(room, anchors, coupling, seed, m):
     # orientation is a nuisance: turning every agent leaves every position bound

@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from conftest import PROPERTY_SETTINGS
+from oracles import split_poses
 from miloc import estimators
-from miloc.channel import channel_matrix, coupling_coefficient
+from miloc.channel import CoincidentNodes, channel_matrix, coupling_coefficient
 from miloc.estimators import (
     DimensionMismatch,
     LsProblem,
@@ -16,7 +20,7 @@ from miloc.estimators import (
     parse_init_strategy,
 )
 from miloc.config import ConfigError, ExperimentConfig
-from miloc.geometry import is_rotation, join_poses, sample_uniform_rotation, split_poses
+from miloc.geometry import is_rotation, join_poses, sample_uniform_rotation
 from miloc.scenario import Scheme, network_problem, sample_topology, synthesize_measurements
 
 
@@ -357,6 +361,53 @@ def test_coop_without_agent_links_equals_noncoop(room, anchors, coil, gparams):
     assert np.abs(rep_a.estimate.reshape(3, 12) - rep_b.estimate).max() < 1e-10
 
 
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), data=st.data())
+def test_relabeling_the_agents_permutes_the_coop_estimates(
+    room, anchors, coil, gparams, seed, m, data
+):
+    # new agent i is agent order[i]: each link's measurement moves to its relabeled link
+    order = data.draw(st.permutations(range(m)))
+    topo, problem = make_problem(m, Scheme.COOP, seed, coil, gparams, room, anchors)
+    label = np.concatenate([order, np.arange(m, m + len(anchors))])
+    index = {link: k for k, link in enumerate(map(tuple, problem.links.tolist()))}
+    moved = [index[(label[tx], label[rx])] for tx, rx in problem.links]
+    relabeled = dataclasses.replace(problem, y_imag=problem.y_imag[moved])
+    truth = topo.pose_row.reshape(m, 12)
+    [solve] = estimate(problem, ["perfect"], truth=truth.ravel())
+    [permuted] = estimate(relabeled, ["perfect"], truth=truth[order].ravel())
+    # 1.65e-9 m at most over 20 coop M=5 sets; 4.4e-16 m over 160 sets of M=2..5 here
+    poses = solve.estimate.reshape(m, 12)[order]
+    assert np.abs(permuted.estimate.reshape(m, 12) - poses)[:, :3].max() < 1e-7
+    assert np.isclose(permuted.final_cost[0], solve.final_cost[0], rtol=1e-12, atol=0.0)
+    for name in ("stop_reason", "problem_iterations", "normal_equations_singular"):
+        assert np.array_equal(getattr(permuted, name), getattr(solve, name))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5))
+def test_coop_minimizer_without_agent_coupling_is_the_noncoop_one(
+    room, anchors, coil, gparams, seed, m
+):
+    # zero coupling on the agent-agent links leaves their residuals constant, so the
+    # cooperative and the per-agent solves minimize the same anchor-link cost; each
+    # stops at LM_COST_TOL of its own cost, along its own damping path
+    topo, coop = make_problem(m, Scheme.COOP, seed, coil, gparams, room, anchors)
+    own = coop.links[:, 1] >= m
+    coop = dataclasses.replace(coop, coupling=np.where(own, coop.coupling, 0.0))
+    noncoop = dataclasses.replace(
+        network_problem(m, anchors, coop.coupling[own][0], Scheme.NONCOOP), y_imag=coop.y_imag[own]
+    )
+    [joint] = estimate(coop, ["perfect"], truth=topo.pose_row)
+    [alone] = estimate(noncoop, ["perfect"], truth=topo.pose_row)
+    # over 1,200 sets of M=2..5: the anchor-link cost gap at most 3.15 LM_COST_TOL of the
+    # cooperative cost, and positions apart by at most 9.7e-4 m; bounds about 10x those
+    gap = noncoop.cost(joint.estimate[0]) - alone.final_cost.sum()
+    assert abs(gap) <= 30 * estimators.LM_COST_TOL * joint.final_cost[0]
+    positions = joint.estimate.reshape(m, 12)[:, :3] - alone.estimate[:, :3]
+    assert np.abs(positions).max() < 1e-2
+
+
 def test_cooperative_follows_the_links(room, anchors, coil, gparams):
     topo, coop = make_problem(3, Scheme.COOP, 23, coil, gparams, room, anchors)
     _, noncoop = make_problem(3, Scheme.NONCOOP, 23, coil, gparams, room, anchors)
@@ -439,6 +490,11 @@ def test_gains_equal_the_one_link_channel(room, anchors, coil, gparams, scheme):
         nodes = topo.agents + topo.anchors
         for (tx, rx), gain in zip(problem.links.tolist(), gains):
             assert np.array_equal(gain, np.imag(channel_matrix(nodes[tx], nodes[rx], coupling)))
+    # the noiseless gains of an agent on an anchor raise, as channel_matrix does
+    on_anchor = topos[0].pose_row.copy()
+    on_anchor[:3] = problem.anchor_positions[0]
+    with pytest.raises(CoincidentNodes):
+        problem.gains(on_anchor)
 
 
 def test_turbols_never_worse_than_its_init(room, anchors, coil, gparams):
@@ -616,6 +672,39 @@ def test_nan_jacobian_problem_leaves_the_others_alone(coil, gparams, room, ancho
         assert not solve.normal_equations_singular[b]
         assert np.isclose(solve.final_cost[b], alone.final_cost, rtol=1e-13, atol=0.0)
         assert np.allclose(solve.estimate[b], alone.estimate, rtol=1e-12, atol=1e-12)
+
+
+def test_start_on_an_anchor_fails_alone(coil, gparams, room, anchors):
+    stack, singles = _anchor_stack([36, 37], coil, gparams, room, anchors)
+    x0 = _random_starts(len(singles), np.random.default_rng(38), 0.0, 1.5)
+    x0[3, :3] = stack.anchor_positions[2]  # problem 3 starts on anchor 2
+    solve = levenberg_marquardt(stack, x0)
+    assert solve.stop_reason[3] == StopReason.NON_FINITE_START and not solve.converged[3]
+    assert solve.final_cost[3] == np.inf and np.array_equal(solve.estimate[3], x0[3])
+    assert not solve.normal_equations_singular[3]  # no step was tried
+    others = np.delete(np.arange(len(x0)), 3)
+    without = levenberg_marquardt(dataclasses.replace(stack, y_imag=stack.y_imag[others]), x0[others])
+    for field in dataclasses.fields(solve):
+        assert np.array_equal(getattr(solve, field.name)[others], getattr(without, field.name))
+
+
+def test_restart_on_an_anchor_never_wins(monkeypatch, coil, gparams, room, anchors):
+    # the first restart starts on an anchor, so the second one wins, as if started alone
+    _, problem = make_problem(1, Scheme.NONCOOP, 39, coil, gparams, room, anchors)
+    draw = estimators._random_poses
+    positions, rotations = draw(2, room, np.random.default_rng(40))
+
+    def first_on_an_anchor(count, room, rng):
+        drawn, turned = draw(count, room, rng)
+        drawn[0] = problem.anchor_positions[0]
+        return drawn, turned
+
+    monkeypatch.setattr(estimators, "_random_poses", first_on_an_anchor)
+    [solve] = estimate(problem, ["random:2"], room, rng=np.random.default_rng(40))
+    [second] = estimate(problem, ["perfect"], truth=join_poses(positions[1:], rotations[1:]))
+    assert solve.stop_reason[0] != StopReason.NON_FINITE_START
+    for field in dataclasses.fields(solve):
+        assert np.array_equal(getattr(solve, field.name), getattr(second, field.name))
 
 
 def test_singular_system_in_stack_is_solved_apart():

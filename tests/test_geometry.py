@@ -11,11 +11,12 @@ from miloc.geometry import (
     rotation_to_euler,
     sample_uniform_rotation,
     skew,
-    split_poses,
 )
 
 import oracles
-from oracles import cross_matrix, deployment_from_rotation, euler_to_rotation_one, rotation_angle
+from oracles import (
+    cross_matrix, deployment_from_rotation, euler_to_rotation_one, rotation_angle, split_poses,
+)
 
 
 def test_identity_angles_give_identity():

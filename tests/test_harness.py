@@ -20,7 +20,7 @@ from miloc.harness import (
     run_experiment,
     _trial_seed,
 )
-from miloc.pairml import NoMeasurements, distance_estimates
+from miloc.pairml import distance_estimates
 from miloc.scenario import Scheme, link_set, network_problem, sample_topology
 
 
@@ -341,11 +341,11 @@ def _multilaterate_trial(topo, problem):
     return _solve_one("multilateration", problem, topo.room, truth, np.random.default_rng(0))
 
 
-def test_multilateration_agent_without_usable_links_raises():
+def test_multilateration_agent_without_usable_links_is_flagged():
     topo, problem = _noncoop_trial()
     problem.y_imag[problem.links[:, 0] == 1] = 0.0
-    with pytest.raises(NoMeasurements):
-        _multilaterate_trial(topo, problem)
+    poses, _, _ = _multilaterate_trial(topo, problem)
+    assert np.isnan(poses[0, 1]).all() and np.isfinite(poses[0, [0, 2], :3]).all()
 
 
 def test_multilateration_zero_link_equals_fix_from_the_others():
@@ -817,18 +817,22 @@ def test_outputs_identical_for_every_chunk_budget(
     assert counts["default"] == [6 * p for p in problems]
 
 
-def _run_with_failing_trial(monkeypatch, cfg, failing):
-    """run_experiment in which every stack holding trial failing = (t, k) raises CoincidentNodes."""
-    from miloc.channel import CoincidentNodes
+def _run_with_coincident_start(monkeypatch, cfg, failing=None):
+    """run_experiment in which the estimate of trial failing = (t, k), or of every trial
+    when failing is None, starts with every agent on the first anchor."""
+    lm_init = "pairml" if cfg.estimator == "turbols" else cfg.init
+    strategy = parse_init_strategy(lm_init)[0]  # the references start from the truths
+    starts = estimators._starts
 
-    solve = harness.solve_trials
+    def coincident(problem, init, restarts, room, truth, rngs):
+        rows = np.array(starts(problem, init, restarts, room, truth, rngs))
+        for poses, rng in zip(rows.reshape(len(rngs), -1, 12), rngs):
+            trial = tuple(rng.bit_generator.seed_seq.entropy[2:4])
+            if init == strategy and failing in (None, trial):
+                poses[:, :3] = problem.anchor_positions[0]
+        return rows
 
-    def raising(estimator, init, problem, room, truths, rngs):
-        if any(tuple(rng.bit_generator.seed_seq.entropy[2:4]) == failing for rng in rngs):
-            raise CoincidentNodes("forced")
-        return solve(estimator, init, problem, room, truths, rngs)
-
-    monkeypatch.setattr(harness, "solve_trials", raising)
+    monkeypatch.setattr(estimators, "_starts", coincident)
     return run_experiment(cfg)
 
 
@@ -843,9 +847,9 @@ def test_failing_trial_in_a_chunk_leaves_the_others(tmp_path, monkeypatch, overr
     cfg = _small_cfg(agents="3", topologies=2, noise=3, seed=43, **overrides)
     # errors above one bound, not ten, so that the outlier count is not 0
     monkeypatch.setattr(harness, "OUTLIER_PEB_FACTOR", 1.0)
-    default = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
+    default = _run_with_coincident_start(monkeypatch, cfg, (1, 0))
     monkeypatch.setattr(harness, "_LINKS_PER_CHUNK", 0)  # one trial per chunk
-    alone = _run_with_failing_trial(monkeypatch, cfg, (1, 0))
+    alone = _run_with_coincident_start(monkeypatch, cfg, (1, 0))
     for result in (default, alone):
         assert result.failures == 1
         assert result.failures_by_kind == {"CoincidentNodes": 1}
@@ -875,14 +879,8 @@ def _csv_rows(data: bytes):
 
 
 def test_run_without_a_kept_trial_writes_no_rows(tmp_path, monkeypatch):
-    from miloc.channel import CoincidentNodes
-
-    def raising(*args, **kwargs):
-        raise CoincidentNodes("forced")
-
-    monkeypatch.setattr(harness, "solve_trials", raising)
     cfg = _small_cfg(agents="1,2", topologies=2, noise=2)
-    result = run_experiment(cfg)
+    result = _run_with_coincident_start(monkeypatch, cfg)
     assert result.failures_by_kind == {"CoincidentNodes": 8}
     assert [block.error_m.shape for block in result.trials] == [(0, 1), (0, 2)]
     emitted = _emitted(result, tmp_path)
@@ -935,6 +933,40 @@ def test_agent_without_anchor_links_fails_only_its_trial(tmp_path, monkeypatch):
     [block] = result.trials
     assert block.keys.tolist() == [[0, 0], [1, 0], [1, 1]]
     assert block.error_m.shape == (3, 3)
+
+
+@pytest.mark.parametrize("budget", ["one trial", "default"])
+@pytest.mark.parametrize(
+    "scheme, estimator",
+    [("coop", "turbols"), ("noncoop", "pairml"), ("noncoop", "multilateration")],
+)
+def test_agent_without_anchor_links_leaves_the_others_bit_for_bit(
+    monkeypatch, scheme, estimator, budget
+):
+    # trial (1, 0) zeroes agent 1's anchor measurements: it is dropped, and every other
+    # trial's figures equal those of the run without it, bit for bit
+    cfg = _small_cfg(agents="3", topologies=2, noise=3, scheme=scheme, estimator=estimator)
+    if budget == "one trial":
+        monkeypatch.setattr(harness, "_LINKS_PER_CHUNK", 0)
+    [clean] = run_experiment(cfg).trials
+    links = link_set(3, len(cfg.anchors()), Scheme(scheme))
+    silenced = (links[:, 0] == 1) & (links[:, 1] >= 3)
+    original = harness.add_noise
+
+    def silent_agent(h, sigma, rng):
+        measured = original(h, sigma, rng)
+        if tuple(rng.bit_generator.seed_seq.entropy[2:4]) == (1, 0):
+            measured[silenced] = 0.0
+        return measured
+
+    monkeypatch.setattr(harness, "add_noise", silent_agent)
+    result = run_experiment(cfg)
+    assert result.failures_by_kind == {"NoMeasurements": 1}
+    [block] = result.trials
+    kept = [0, 1, 2, 4, 5]
+    assert block.keys.tolist() == clean.keys[kept].tolist()
+    for name in (f.name for f in dataclasses.fields(block) if f.name != "wall_time_s"):
+        assert np.array_equal(getattr(block, name), getattr(clean, name)[kept], equal_nan=True)
 
 
 def test_each_topology_is_drawn_once(monkeypatch):

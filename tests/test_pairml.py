@@ -6,7 +6,6 @@ from miloc.channel import channel_matrix
 from miloc.estimators import LsProblem
 from miloc.geometry import Deployment, join_poses, sample_uniform_rotation
 from miloc.pairml import (
-    NoMeasurements,
     ZeroScore,
     _candidate_costs,
     decompose_links,
@@ -235,9 +234,19 @@ def test_pair_ml_single_anchor(room, anchors, coupling):
     assert np.linalg.norm(est.position - agent.position) < 1e-8
 
 
-def test_pair_ml_no_measurements(room, coupling):
-    with pytest.raises(NoMeasurements):
-        _pair_ml_one(np.zeros((0, 3, 3)), [], coupling, room)
+def test_pair_ml_no_measurements(room, anchors, coupling):
+    alone = _anchor_problems(np.zeros((1, 0, 3, 3)), [], coupling)  # no anchor link at all
+    positions, rotations = pair_ml_estimate(alone, room)
+    assert np.isnan(positions).all() and np.isnan(rotations).all()
+    # in a stack, an agent whose links are all zero is flagged, and the others are their own
+    _, measured = _noisy_agents(3, room, anchors, coupling, np.random.default_rng(14), sigma=1e-6)
+    measured[1] = 0.0
+    positions, rotations = pair_ml_estimate(_anchor_problems(measured, anchors, coupling), room)
+    assert np.isnan(positions[1]).all() and np.isnan(rotations[1]).all()
+    for agent in (0, 2):
+        one = pair_ml_estimate(_anchor_problems(measured[agent : agent + 1], anchors, coupling), room)
+        assert np.array_equal(positions[agent], one[0][0])
+        assert np.array_equal(rotations[agent], one[1][0])
 
 
 def test_pair_ml_noisy_accuracy(room, anchors, coupling):
@@ -437,10 +446,12 @@ def test_distance_estimates_match_per_link_decomposition(room, anchors, coupling
                 continue
             _, _, z = decompose_link(1j * measured[agent, k], anchor)
             assert distances[agent, k] == ml_distance(z, coupling)
-    # an agent without a single usable link
+    # an agent without a single usable link is flagged, and the others are unchanged
     measured[3] = 0.0
-    with pytest.raises(NoMeasurements):
-        distance_estimates(_anchor_problems(measured, anchors, coupling))
+    flagged = distance_estimates(_anchor_problems(measured, anchors, coupling))
+    assert np.isnan(flagged[3]).all()
+    others = [0, 1, 2, 4, 5]
+    assert np.array_equal(flagged[others], distances[others], equal_nan=True)
 
 
 def test_candidate_cost_is_the_agents_own_residual(room, anchors, coupling):
