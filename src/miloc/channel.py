@@ -10,7 +10,8 @@ approximation the 3x3 channel matrix between the subcoil pairs is
 where r is the node distance, u the unit direction from transmitter to
 receiver, O_* the node orientation matrices and c a coupling constant set by
 the coil hardware.  H is purely imaginary; measurements add circularly
-symmetric complex Gaussian noise per entry.
+symmetric complex Gaussian noise per entry.  Its derivatives are Jacobian rows
+(jacobian_rows), a 9 x 6 block per link end, laid out as normal equations read them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ MIN_NODE_DISTANCE = 1e-9  # m; below this the dipole model blows up
 
 _IDENTITY = np.eye(3)
 _HALF_IDENTITY = 0.5 * _IDENTITY
-# [e_i]x for the three axes, (3, 3, 3): the generators of local rotations, and
-# side by side, (3, 9)
+# [e_i]x for the three axes, (3, 3, 3): the generators of local rotations, and as
+# one (3, 9) matrix whose column 3b + i is column b of [e_i]x: G times it is G [e_i]x in rows
 _AXIS_GENERATORS = skew(_IDENTITY)
-_GENERATOR_ROWS = np.concatenate(_AXIS_GENERATORS, axis=1)
+_GENERATOR_COLUMNS = np.ascontiguousarray(_AXIS_GENERATORS.transpose(1, 2, 0).reshape(3, 9))
 
 
 class CoincidentNodes(ValueError):
@@ -153,26 +154,28 @@ def channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling):
 
 
 def channel_derivative_columns(r, u, f, gains, o_tx, o_rx, coupling):
-    """Derivative columns of Im(H) w.r.t. both endpoints' poses.
+    """Derivative columns of Im(H) w.r.t. both endpoints' poses, (L, 9, 12).
 
-    Inputs are the stacked quantities returned by channel_gain_batch.
-    Returns an (L, 9, 12) array whose column k holds vec(d Im H / d theta_k)
-    for theta = [p_tx, phi_tx, p_rx, phi_rx], where each orientation moves
-    by a local rotation O <- O exp([phi]x) about its own axes.
+    Column k holds vec(d Im H / d theta_k) for theta = [p_tx, phi_tx, p_rx, phi_rx]:
+    the jacobian_rows of both ends of every link, side by side.
     """
-    tx = transmitter_columns(r, u, gains, o_tx, o_rx, coupling)
-    cols = np.concatenate([tx, receiver_columns(tx, gains)], axis=1)
-    return cols.reshape(len(r), 12, 9).transpose(0, 2, 1)
+    rows = jacobian_rows(r, u, gains, o_tx, o_rx, coupling, np.arange(len(r)))
+    return np.concatenate(np.split(rows, 2), axis=2)
 
 
-def transmitter_columns(r, u, gains, o_tx, o_rx, coupling):
-    """The derivatives d Im H / d theta_k, (L, 6, 3, 3), for theta = [p_tx, phi_tx].
+def jacobian_rows(r, u, gains, o_tx, o_rx, coupling, receivers):
+    """Rows of d vec(Im H) / d theta, (L + K, 9, 6): every link's transmitter end, then receivers'.
 
-    With rvec = p_rx - p_tx, du/d[p_tx]_i = -(e_i - u_i u) / r and d(r^-3)/d[p_tx]_i =
-    3 u_i / r^4; G is linear in O_tx, so the orientation columns are G [e_i]x.
+    Inputs are those of channel_gain_batch; block L + k is the receiver end of link receivers[k].
+    Row 3a + b of a block is entry (a, b) of H, and its columns are the end's position, then a
+    local rotation O <- O exp([phi]x).  With rvec = p_rx - p_tx, du/d[p_tx]_i = -(e_i - u_i u) / r
+    and d(r^-3)/d[p_tx]_i = 3 u_i / r^4; G is linear in O_tx, so the transmitter's rotation
+    columns are G [e_i]x.  H depends on positions only through rvec and G is linear in O_rx^T,
+    so a receiver's columns are the transmitter's spatial ones negated, and -[e_i]x G.
     """
     n = len(r)
-    scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None, None]
+    receivers = np.asarray(receivers, dtype=int)
+    scale = (np.asarray(coupling, dtype=float) / r**3)[:, None, None]
     # w[i, a] = du_a/d[p_tx]_i and df[i] = dF/d[p_tx]_i with the links last, so that
     # each elementwise product runs along the links
     u_t = np.ascontiguousarray(u.T)
@@ -187,18 +190,14 @@ def transmitter_columns(r, u, gains, o_tx, o_rx, coupling):
     spatial = np.swapaxes(o_rx, 1, 2) @ df
     del df  # before the copies below, to bound the peak
     spatial = np.ascontiguousarray(spatial.reshape(n, 3, 3, 3).transpose(0, 2, 1, 3))
-    spatial = (spatial.reshape(n, 9, 3) @ o_tx).reshape(n, 3, 3, 3)
+    spatial = (spatial.reshape(n, 9, 3) @ o_tx).reshape(n, 3, 9)  # (link, i, 3a + b)
     spatial *= scale
-    spatial += (3.0 * u / r[:, None])[:, :, None, None] * gains[:, None]
-    angular = (gains @ _GENERATOR_ROWS).reshape(n, 3, 3, 3).transpose(0, 2, 1, 3)
-    return np.concatenate([spatial, angular], axis=1)
-
-
-def receiver_columns(tx_columns, gains):
-    """The derivatives for theta = [p_rx, phi_rx] from transmitter_columns, (..., 6, 3, 3).
-
-    H depends on positions only through p_rx - p_tx and G is linear in O_rx^T,
-    so the columns are the negated spatial ones and -[e_i]x G ([e_i]x^T = -[e_i]x).
-    """
-    angular = -(_AXIS_GENERATORS.reshape(9, 3) @ gains).reshape(gains.shape[:-2] + (3, 3, 3))
-    return np.concatenate([-tx_columns[..., :3, :, :], angular], axis=-3)
+    spatial += (3.0 * u / r[:, None])[:, :, None] * gains.reshape(n, 1, 9)
+    rows = np.empty((n + len(receivers), 9, 6))
+    rows[:n, :, :3] = np.swapaxes(spatial, 1, 2)
+    rows[:n, :, 3:] = (gains @ _GENERATOR_COLUMNS).reshape(n, 9, 3)
+    if len(receivers):
+        np.negative(np.swapaxes(spatial[receivers], 1, 2), out=rows[n:, :, :3])
+        angular = (_AXIS_GENERATORS.reshape(9, 3) @ gains[receivers]).reshape(-1, 3, 9)
+        np.negative(np.swapaxes(angular, 1, 2), out=rows[n:, :, 3:])
+    return rows

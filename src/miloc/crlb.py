@@ -2,8 +2,8 @@
 
 Every measured link contributes (2 / sigma**2) * Re tr(dH^H/d theta_k
 dH/d theta_l) to the information matrix.  Because H is purely imaginary
-these traces are inner products of the stacked imaginary-part derivative
-columns, which are the columns of the least-squares residual Jacobian J.
+these traces are inner products of the columns of the Jacobian J of Im(H),
+made of channel.jacobian_rows; -J is the Jacobian of the least-squares residual.
 The information matrix of a link set is therefore (2 / sigma**2) J^T J at
 the true deployments, summed link by link by LsProblem.normal_equations,
 the assembly the estimators' normal equations use.  A cooperative agent

@@ -76,8 +76,8 @@ LM_MAX_ITERATIONS = 500
 LM_STEP_TOL = 1e-10
 LM_COST_TOL = 1e-9
 
-# Links whose derivative columns are formed at once (whole problems, at least
-# one): the memory of the link sums of any stack or bound sweep stays flat.
+# Links whose Jacobian rows are formed at once (whole problems, at least one):
+# the memory of the link sums of any stack or bound sweep stays flat.
 LINKS_PER_SLICE = 256
 
 
@@ -280,9 +280,9 @@ class LsProblem:
         """Yield (part, J^T J (k, 6M, 6M), J^T r (k, 6M)) of the point's rows rows[part], in order.
 
         rows are distinct rows of the point, in increasing order; when they
-        are all of its rows, each slice reads them as views, not copies.  A
-        slice is at most LINKS_PER_SLICE links or one problem, so no
-        problem's sums depend on the stack or the slicing.
+        are all of its rows, each slice reads them as views, not copies.  One
+        chan.jacobian_rows call forms a slice's rows: at most LINKS_PER_SLICE
+        links or one problem, so no problem's sums depend on the stack or slicing.
         """
         step = max(1, LINKS_PER_SLICE // max(len(self.links), 1))
         every = len(rows) == len(point[0])
@@ -291,36 +291,32 @@ class LsProblem:
             yield (part,) + self._link_sums(point, part if every else rows[part])
 
     def _link_sums(self, point, rows):
-        """J^T J and J^T r of some rows of a point (evaluate), from its links' derivative columns.
+        """J^T J and J^T r of some rows of a point (evaluate), from its links' Jacobian rows.
 
-        rows is an index array or a slice.  The residual derivatives are -C:
-        each link's transmitter columns C_tx, and C_rx for an agent receiver.
-        An agent's diagonal block is the Gram matrix of the stacked columns of
-        its links, and an agent-agent link adds C_tx^T C_rx to its (tx, rx)
-        block and the transpose to its (rx, tx) block.  One agent has anchor
-        links only: its sums are one plain product, without the gathers.
+        rows is an index array or a slice.  The residual derivatives are -J: each link's
+        transmitter rows J_tx, and J_rx for an agent receiver, from one chan.jacobian_rows call.
+        An agent's diagonal block is the Gram matrix of the stacked rows of its links, and an
+        agent-agent link adds J_tx^T J_rx to its (tx, rx) block and the transpose to its (rx, tx)
+        block.  One agent has anchor links only: its (k, 9L, 6) Jacobian is the kernel's output
+        reshaped, and its sums one plain product.
         """
         m, n_links = self.n_agents, len(self.links)
         theta, residual, gains, r, u = (part[rows] for part in point)
         count = len(theta)
+        receivers = ()
+        if m > 1:
+            touch, linked, pad, pairs, receivers = _link_tables(m, self.links.tobytes(), count)
         tx, rx, couplings = self._ends(theta)
-        cols = chan.transmitter_columns(
-            r.ravel(), u.reshape(-1, 3), gains.reshape(-1, 3, 3), tx[:, 1:], rx[:, 1:], couplings
-        )
-        del theta, r, u, tx, rx, couplings  # before the gathers, to bound the peak
+        flat = (r.ravel(), u.reshape(-1, 3), gains.reshape(-1, 3, 3), tx[:, 1:], rx[:, 1:])
+        ends = chan.jacobian_rows(*flat, couplings, receivers)
+        del theta, r, u, gains, tx, rx, couplings, flat  # before the gathers, to bound the peak
         if m == 1:
-            stacked = np.swapaxes(cols.reshape(-1, 6, 9), 1, 2).reshape(count, -1, 6)  # (k, 9L, 6)
-            del cols
+            stacked = ends.reshape(count, -1, 6)  # (k, 9L, 6)
             stacked_t = np.swapaxes(stacked, -1, -2)
-            # a contiguous C^T gives the Gram matrix's bits faster; it would move the gradient's
+            # a contiguous J^T gives the Gram matrix's bits faster; it would move the gradient's
             jtj = np.ascontiguousarray(stacked_t) @ stacked
             return jtj, -(stacked_t @ residual[..., None])[..., 0]
-        touch, linked, pad, pairs = _link_tables(m, self.links.tobytes())
-        cols = cols.reshape(count, n_links, 6, 3, 3)
-        # C^T of every link's transmitter end, then of every agent receiver's end
-        cols = np.concatenate([cols, chan.receiver_columns(cols[:, pairs], gains[:, pairs])], 1)
-        ends_t = cols.reshape(count, -1, 6, 9)
-        stacked = np.swapaxes(ends_t, -1, -2).take(touch, 1)  # (k, M, K, 9, 6)
+        stacked = ends.take(touch, 0)  # (k, M, K, 9, 6)
         res = residual.reshape(count, n_links, 9).take(linked, 1)  # (k, M, K, 9)
         stacked[:, pad] = 0.0  # a padded end reads link 0's residual, finite where summed
         stacked = stacked.reshape(count, m, -1, 6)
@@ -330,20 +326,22 @@ class LsProblem:
         pulls = stacked_t @ res.reshape(count, m, -1, 1)
         del stacked, stacked_t, res  # before the cross blocks, to bound the peak
         tx, rx = self.links[pairs].T
-        blocks[:, tx, rx] = ends_t.take(pairs, 1) @ np.swapaxes(ends_t[:, n_links:], -1, -2)
+        rx_rows = ends[count * n_links :].reshape(count, len(pairs), 9, 6)
+        blocks[:, tx, rx] = np.swapaxes(ends[receivers].reshape(rx_rows.shape), -1, -2) @ rx_rows
         blocks[:, rx, tx] += np.swapaxes(blocks[:, tx, rx], -1, -2)
         jtj = blocks.transpose(0, 1, 3, 2, 4).reshape(count, 6 * m, 6 * m)
         return jtj, -pulls.reshape(count, 6 * m)
 
 
 @lru_cache(maxsize=64)
-def _link_tables(n_agents: int, links_key: bytes):
-    """Gather tables of the link set whose (L, 2) int array has the bytes links_key.
+def _link_tables(n_agents: int, links_key: bytes, count: int):
+    """Gather tables of count problems on the link set of (L, 2) int array bytes links_key.
 
-    touch (M, K) holds each agent's link ends in link order, padded to the longest: link l's
-    transmitter end is l, the p-th agent-agent link's receiver end L + p.  linked (M, K) holds
-    their links, pad (M, K) marks the padding and pairs lists the agent-agent links.  Read-only.
-    Raises ValueError if two links join the same agents in the same direction.
+    receivers lists each problem's agent-agent links among all count L links, problem-major: the
+    ends chan.jacobian_rows forms after the transmitter ends.  touch (count, M, K) holds each
+    agent's ends there in link order, padded to the longest, linked (M, K) their links and pad
+    (M, K) the padding; pairs lists the agent-agent links.  Read-only.  Raises ValueError if two
+    links join the same agents in the same direction.
     """
     links = np.frombuffer(links_key, dtype=int).reshape(-1, 2)
     pairs = np.flatnonzero(links[:, 1] < n_agents)
@@ -354,12 +352,15 @@ def _link_tables(n_agents: int, links_key: bytes):
     ends = ends[np.argsort(nodes[ends], kind="stable")]
     counts = np.bincount(nodes[ends], minlength=n_agents)
     pad = np.arange(counts.max(initial=0)) >= counts[:, None]
-    touch, linked = np.zeros(pad.shape, dtype=int), np.zeros(pad.shape, dtype=int)
+    touch, linked = np.zeros((count,) + pad.shape, dtype=int), np.zeros(pad.shape, dtype=int)
     linked[~pad] = ends // 2
-    touch[~pad] = np.where(ends % 2, len(links) + np.searchsorted(pairs, ends // 2), ends // 2)
-    for table in (touch, linked, pad, pairs):
+    n_links, problem = len(links), np.arange(count)[:, None]
+    received = count * n_links + problem * len(pairs) + np.searchsorted(pairs, ends // 2)
+    touch[:, ~pad] = np.where(ends % 2, received, problem * n_links + ends // 2)
+    receivers = (problem * n_links + pairs).ravel()
+    for table in (touch, linked, pad, pairs, receivers):
         table.setflags(write=False)
-    return touch, linked, pad, pairs
+    return touch, linked, pad, pairs, receivers
 
 
 class StopReason(IntEnum):

@@ -10,8 +10,7 @@ from miloc.channel import (
     channel_gain_batch,
     channel_matrix,
     coupling_coefficient,
-    receiver_columns,
-    transmitter_columns,
+    jacobian_rows,
 )
 from miloc.geometry import Deployment, sample_uniform_rotation
 
@@ -246,11 +245,10 @@ def test_endpoint_columns_are_the_full_kernels_halves(coupling):
     assert np.all(np.abs(np.einsum("lii->l", o_rx) - 3.0) > 1e-3)
     gains, r, u, f = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
     full = channel_derivative_columns(r, u, f, gains, o_tx, o_rx, coupling)
-    tx = transmitter_columns(r, u, gains, o_tx, o_rx, coupling)
-    assert tx.shape == (200, 6, 3, 3)
-    assert np.array_equal(np.swapaxes(tx.reshape(200, 6, 9), 1, 2), full[:, :, :6])
-    rx = receiver_columns(tx, gains)
-    assert np.array_equal(np.swapaxes(rx.reshape(200, 6, 9), 1, 2), full[:, :, 6:])
+    rows = jacobian_rows(r, u, gains, o_tx, o_rx, coupling, np.arange(200))
+    assert rows.shape == (400, 9, 6)
+    assert np.array_equal(rows[:200], full[:, :, :6])
+    assert np.array_equal(rows[200:], full[:, :, 6:])
 
 
 @pytest.mark.parametrize("links", [1, 4, 64, 256, 300])
@@ -262,7 +260,30 @@ def test_endpoint_columns_equal_the_3x3_products_bit_for_bit(links):
     o_tx[-1], o_rx[-1] = np.eye(3), np.diag([1.0, -1.0, -1.0])
     for coupling in (3e-5, rng.uniform(1e-5, 5e-5, links)):
         gains, r, u, _ = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
-        tx = transmitter_columns(r, u, gains, o_tx, o_rx, coupling)
-        want_tx, want_rx = endpoint_columns_3x3(r, u, gains, o_tx, o_rx, coupling)
-        assert tx.tobytes() == want_tx.tobytes()
-        assert receiver_columns(tx, gains).tobytes() == want_rx.tobytes()
+        rows = jacobian_rows(r, u, gains, o_tx, o_rx, coupling, np.arange(links))
+        columns = endpoint_columns_3x3(r, u, gains, o_tx, o_rx, coupling)
+        want_tx, want_rx = (_as_rows(half) for half in columns)
+        assert rows[:links].tobytes() == want_tx.tobytes()
+        assert rows[links:].tobytes() == want_rx.tobytes()
+
+
+def _as_rows(columns):
+    """Derivative columns (L, 6, 3, 3) as Jacobian rows (L, 9, 6), contiguous."""
+    return np.ascontiguousarray(np.swapaxes(columns.reshape(len(columns), 6, 9), 1, 2))
+
+
+def test_listed_receivers_are_exactly_their_links_rows(coupling):
+    # bit for bit: the listed links' receiver rows, in the listed order, after every transmitter's
+    rng = np.random.default_rng(12)
+    p_tx, p_rx = rng.uniform(0.0, 1.5, (2, 30, 3))
+    o_tx, o_rx = sample_uniform_rotation(rng, 30), sample_uniform_rotation(rng, 30)
+    gains, r, u, _ = channel_gain_batch(p_tx, o_tx, p_rx, o_rx, coupling)
+    every = jacobian_rows(r, u, gains, o_tx, o_rx, coupling, np.arange(30))
+    for listed in ([17, 3, 29, 0, 11], [4], [8, 8]):
+        rows = jacobian_rows(r, u, gains, o_tx, o_rx, coupling, listed)
+        assert rows.shape == (30 + len(listed), 9, 6)
+        assert rows[:30].tobytes() == every[:30].tobytes()
+        assert rows[30:].tobytes() == every[30 + np.array(listed)].tobytes()
+    for none in ([], np.array([], dtype=int)):
+        rows = jacobian_rows(r, u, gains, o_tx, o_rx, coupling, none)
+        assert rows.shape == (30, 9, 6) and rows.tobytes() == every[:30].tobytes()
